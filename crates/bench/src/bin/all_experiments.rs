@@ -1,5 +1,5 @@
-//! Regenerates every table and figure in one run (used to fill
-//! EXPERIMENTS.md).
+//! Regenerates every table and figure of the paper's evaluation in one run
+//! (`cargo run --release -p astra-bench --bin all_experiments`).
 fn main() {
     astra_bench::tables::print_table2();
     println!();

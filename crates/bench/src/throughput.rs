@@ -1,6 +1,6 @@
 //! Simulation-throughput comparison: parallel trace generation vs the
-//! naive serial baseline, the calendar event-queue backend vs the binary
-//! heap, and train-batched packet transport vs per-packet simulation —
+//! naive serial baseline and train-batched packet transport vs per-packet
+//! simulation, among other series —
 //! the hot paths behind the paper's §IV-C claim that hierarchical systems
 //! at 512–1024 NPUs stay cheap to simulate.
 //!
@@ -11,13 +11,13 @@
 
 use astra_core::{
     experiments, simulate, simulate_traced, CollectiveMode, DataSize, FaultKind, FaultSchedule,
-    NetworkBackendKind, P2pMode, QueueBackend, SimMode, SystemConfig, Time, Topology,
+    NetworkBackendKind, P2pMode, SimMode, SystemConfig, Time, Topology,
 };
 use astra_garnet::{collective_time, PacketSimConfig, TransportMode};
 use astra_serve::{execute_once, run_batch, SimRequest, WarmCache};
 use astra_workload::parallelism::{
     generate_disaggregated_moe, generate_disaggregated_moe_reference, generate_trace,
-    generate_trace_reference, generate_trace_with_threads, OffloadPlan,
+    generate_trace_reference, OffloadPlan,
 };
 use astra_workload::{models, EtOp, ExecutionTrace, NodeId, Parallelism, TraceBuilder};
 use serde::Serialize;
@@ -38,24 +38,6 @@ pub struct TraceGenRow {
     /// Wall-clock of the parallel/memoizing path (ms, best of N).
     pub parallel_ms: f64,
     /// `serial_ms / parallel_ms`.
-    pub speedup: f64,
-}
-
-/// One event-queue measurement: the same simulation under both backends.
-#[derive(Clone, Debug, Serialize)]
-pub struct QueueRow {
-    /// Scenario label.
-    pub scenario: String,
-    /// Simulated completion time in µs (identical across backends — the
-    /// runner asserts it).
-    pub simulated_us: f64,
-    /// Queue events processed, where the scenario reports them.
-    pub events: Option<u64>,
-    /// Wall-clock under the binary heap (ms, best of N).
-    pub heap_ms: f64,
-    /// Wall-clock under the calendar queue (ms, best of N).
-    pub calendar_ms: f64,
-    /// `heap_ms / calendar_ms`.
     pub speedup: f64,
 }
 
@@ -384,8 +366,6 @@ pub struct TraceOverheadRow {
 pub struct SeriesSelection {
     /// Parallel trace generation vs the serial baseline.
     pub trace_generation: bool,
-    /// Calendar event queue vs the binary heap.
-    pub event_queue: bool,
     /// Train-batched packet transport vs per-packet.
     pub packet_scale: bool,
     /// Async engine NetworkAPI vs the blocking probe reference.
@@ -420,7 +400,6 @@ impl SeriesSelection {
     /// (`fig11`, `table5`) are opt-in via `--series`.
     pub const ALL: SeriesSelection = SeriesSelection {
         trace_generation: true,
-        event_queue: true,
         packet_scale: true,
         engine_p2p: true,
         collective_backend: true,
@@ -439,7 +418,6 @@ impl SeriesSelection {
     /// No series (combine with [`SeriesSelection::enable`]).
     pub const NONE: SeriesSelection = SeriesSelection {
         trace_generation: false,
-        event_queue: false,
         packet_scale: false,
         engine_p2p: false,
         collective_backend: false,
@@ -456,9 +434,8 @@ impl SeriesSelection {
     };
 
     /// Stable machine-readable series names, in report order.
-    pub const NAMES: [&'static str; 15] = [
+    pub const NAMES: [&'static str; 14] = [
         "trace-gen",
-        "event-queue",
         "packet-scale",
         "engine-p2p",
         "collective-backend",
@@ -482,7 +459,6 @@ impl SeriesSelection {
     pub fn enable(mut self, name: &str) -> Result<Self, String> {
         match name {
             "trace-gen" => self.trace_generation = true,
-            "event-queue" => self.event_queue = true,
             "packet-scale" => self.packet_scale = true,
             "engine-p2p" => self.engine_p2p = true,
             "collective-backend" => self.collective_backend = true,
@@ -512,8 +488,6 @@ pub struct Report {
     pub threads_available: usize,
     /// Trace-generation rows.
     pub trace_generation: Vec<TraceGenRow>,
-    /// Event-queue backend rows.
-    pub event_queue: Vec<QueueRow>,
     /// Packet-transport scale rows (batched vs per-packet).
     pub packet_scale: Vec<PacketScaleRow>,
     /// Engine-NetworkAPI rows (async vs blocking p2p path).
@@ -639,118 +613,6 @@ pub fn run_trace_generation(quick: bool) -> Vec<TraceGenRow> {
             || generate_trace(&gpt3, Parallelism::FullyShardedData, 1024).unwrap(),
         ));
     }
-    rows
-}
-
-fn queue_row_packet(
-    scenario: &str,
-    topo: &Topology,
-    size: DataSize,
-    base: PacketSimConfig,
-    reps: usize,
-) -> QueueRow {
-    let (heap_ms, heap) = best_ms(reps, || {
-        collective_time(
-            topo,
-            size,
-            &base.with_queue_backend(QueueBackend::BinaryHeap),
-        )
-    });
-    let (calendar_ms, cal) = best_ms(reps, || {
-        collective_time(topo, size, &base.with_queue_backend(QueueBackend::Calendar))
-    });
-    assert_eq!(heap, cal, "queue backends diverged on {scenario}");
-    QueueRow {
-        scenario: scenario.to_owned(),
-        simulated_us: heap.finish.as_us_f64(),
-        events: Some(heap.events),
-        heap_ms,
-        calendar_ms,
-        speedup: heap_ms / calendar_ms.max(1e-9),
-    }
-}
-
-fn queue_row_engine(
-    scenario: &str,
-    trace: &ExecutionTrace,
-    topo: &Topology,
-    reps: usize,
-) -> QueueRow {
-    let config = |backend| SystemConfig {
-        queue_backend: backend,
-        ..SystemConfig::default()
-    };
-    let (heap_ms, heap) = best_ms(reps, || {
-        simulate(trace, topo, &config(QueueBackend::BinaryHeap)).unwrap()
-    });
-    let (calendar_ms, cal) = best_ms(reps, || {
-        simulate(trace, topo, &config(QueueBackend::Calendar)).unwrap()
-    });
-    assert_eq!(
-        heap.total_time, cal.total_time,
-        "queue backends diverged on {scenario}"
-    );
-    assert_eq!(heap.breakdown.exposed_comm, cal.breakdown.exposed_comm);
-    QueueRow {
-        scenario: scenario.to_owned(),
-        simulated_us: heap.total_time.as_us_f64(),
-        events: None,
-        heap_ms,
-        calendar_ms,
-        speedup: heap_ms / calendar_ms.max(1e-9),
-    }
-}
-
-/// Event-queue backend comparison on the §IV-C speedup workload (the
-/// packet backend is where hundreds of thousands of events are live at
-/// once) plus a graph-engine workload.
-pub fn run_event_queue(quick: bool) -> Vec<QueueRow> {
-    let reps = if quick { 1 } else { 3 };
-    let mut rows = Vec::new();
-
-    // §IV-C speedup experiment: 1 MB All-Reduce, 64-NPU 3D torus, 256 B
-    // packets (Garnet-like granularity).
-    let torus64 = Topology::parse("R(4)@100_R(4)@100_R(4)@100").expect("valid notation");
-    let size = if quick {
-        DataSize::from_kib(64)
-    } else {
-        DataSize::from_mib(1)
-    };
-    rows.push(queue_row_packet(
-        "speedup-bench packet All-Reduce, 64-NPU 3D torus, 256 B packets",
-        &torus64,
-        size,
-        PacketSimConfig::garnet_like(),
-        reps,
-    ));
-
-    if !quick {
-        // Fig. 4-style validation run: 16-ring, coarse packets.
-        let ring16 = Topology::parse("R(16)@150").expect("valid notation");
-        rows.push(queue_row_packet(
-            "fig4 validation packet All-Reduce, 16-NPU ring, 64 KiB packets",
-            &ring16,
-            DataSize::from_mib(96),
-            PacketSimConfig::fast(),
-            reps,
-        ));
-    }
-
-    // Graph-engine workload (fig9-style): DLRM data-parallel.
-    let (npus, notation) = if quick {
-        (64, "R(4)@250_FC(4)@200_SW(4)@50")
-    } else {
-        (512, "R(2)@250_FC(8)@200_R(8)@100_SW(4)@50")
-    };
-    let topo = Topology::parse(notation).expect("valid notation");
-    let dlrm = models::dlrm_57m();
-    let trace = generate_trace_with_threads(&dlrm, Parallelism::Data, npus, 1).unwrap();
-    rows.push(queue_row_engine(
-        &format!("graph-engine DLRM data-parallel, {npus} NPUs"),
-        &trace,
-        &topo,
-        reps,
-    ));
     rows
 }
 
@@ -1652,11 +1514,6 @@ pub fn run_selected(quick: bool, series: SeriesSelection) -> Report {
         } else {
             Vec::new()
         },
-        event_queue: if series.event_queue {
-            run_event_queue(quick)
-        } else {
-            Vec::new()
-        },
         packet_scale: if series.packet_scale {
             run_packet_scale(quick)
         } else {
@@ -1740,21 +1597,6 @@ pub fn print(report: &Report) {
         println!(
             "{:<22} {:>6} {:>9} {:>11.2} {:>13.2} {:>8.2}x",
             r.workload, r.npus, r.total_nodes, r.serial_ms, r.parallel_ms, r.speedup
-        );
-    }
-    println!("\n== event queue: calendar vs binary heap ==");
-    println!(
-        "{:<58} {:>11} {:>9} {:>13} {:>9}",
-        "Scenario", "Events", "Heap(ms)", "Calendar(ms)", "Speedup"
-    );
-    for r in &report.event_queue {
-        println!(
-            "{:<58} {:>11} {:>9.2} {:>13.2} {:>8.2}x",
-            r.scenario,
-            r.events.map_or("-".to_owned(), |e| e.to_string()),
-            r.heap_ms,
-            r.calendar_ms,
-            r.speedup
         );
     }
     if !report.engine_p2p.is_empty() {
@@ -2043,7 +1885,6 @@ mod tests {
     fn quick_report_is_valid_json_with_rows() {
         let report = run(true);
         assert!(!report.trace_generation.is_empty());
-        assert!(!report.event_queue.is_empty());
         assert!(!report.packet_scale.is_empty());
         assert!(!report.engine_p2p.is_empty());
         assert!(!report.collective_backend.is_empty());
@@ -2064,7 +1905,6 @@ mod tests {
             v["trace_generation"][0]["serial_ms"].as_f64().unwrap() >= 0.0,
             "serial_ms present"
         );
-        assert!(v["event_queue"][0]["heap_ms"].as_f64().unwrap() >= 0.0);
         assert!(v["packet_scale"][0]["per_packet_events"].as_f64().unwrap() > 0.0);
         assert!(v["parallel_des"][0]["events"].as_f64().unwrap() > 0.0);
         assert!(v["serve_throughput"][0]["requests"].as_f64().unwrap() > 0.0);
@@ -2084,7 +1924,6 @@ mod tests {
         let sel = SeriesSelection::NONE.enable("engine-p2p").unwrap();
         let report = run_selected(true, sel);
         assert!(report.trace_generation.is_empty());
-        assert!(report.event_queue.is_empty());
         assert!(report.packet_scale.is_empty());
         assert!(!report.engine_p2p.is_empty());
         assert!(report.collective_backend.is_empty());

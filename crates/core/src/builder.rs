@@ -163,14 +163,6 @@ impl SimulationBuilder {
         self
     }
 
-    /// Selects the future-event-list backend driving the graph engine
-    /// (binary heap by default). Simulation results are bit-identical
-    /// across backends; only wall-clock cost differs.
-    pub fn queue_backend(mut self, backend: astra_des::QueueBackend) -> Self {
-        self.config.queue_backend = backend;
-        self
-    }
-
     /// Selects the network backend carrying point-to-point messages
     /// (`analytical` closed form by default; `packet` / `batched` for the
     /// store-and-forward DES, `flow` for max-min fluid sharing).

@@ -5,8 +5,8 @@
 //! * [`Time`] — integer picosecond simulation time (deterministic arithmetic),
 //! * [`DataSize`] and [`Bandwidth`] — payload and link-rate units with exact
 //!   transfer-time computation,
-//! * [`EventQueue`] — a deterministic future-event list with FIFO tie-breaking
-//!   and pluggable backends ([`QueueBackend`]: binary heap or calendar queue),
+//! * [`EventQueue`] — a deterministic future-event list (a binary min-heap)
+//!   with FIFO tie-breaking,
 //! * [`FifoResource`] — a serial resource timeline (used to model links,
 //!   compute streams, and memory ports), with closed-form bulk reservation
 //!   of whole packet trains ([`FifoResource::acquire_train`]),
@@ -33,7 +33,7 @@ mod units;
 
 pub use intervals::{attribute_exclusive, attribute_exclusive_intervals, IntervalLog};
 pub use partition::{LaneId, Outbox, PartitionedEventQueue, SimMode, WindowOutcome};
-pub use queue::{EventQueue, QueueBackend};
+pub use queue::EventQueue;
 pub use resource::{
     ArrivalRun, FifoCheckpoint, FifoResource, RecordedReservation, Reservation, TrainOccupancy,
     TrainProfile,

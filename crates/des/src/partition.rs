@@ -35,7 +35,7 @@ use crate::Time;
 /// the domain-partitioned conservative-lookahead core (same results, a
 /// different — parallelizable — event order).
 ///
-/// Same discipline as `QueueBackend`/`TransportMode`/`P2pMode` before it:
+/// Same discipline as `TransportMode`/`P2pMode` before it:
 /// a pure speed knob, selectable end to end (`SystemConfig.sim_mode`,
 /// `SimulationBuilder::sim_threads`, `astra --sim-threads N`), with the
 /// sequential engine kept as the bit-identical baseline.

@@ -1,55 +1,114 @@
-//! Property-based equivalence suite for the [`EventQueue`] backends.
+//! Property-based model check for [`EventQueue`].
 //!
-//! The calendar queue must be observationally indistinguishable from the
-//! binary heap: for *any* schedule — batched, interleaved with pops,
-//! clustered, sparse, or packed with tied timestamps — both backends pop
-//! the exact same `(time, event)` sequence with FIFO tie-breaking, and
-//! agree on `len` / `peek_time` / `now` at every step. These properties
-//! pin the determinism contract the simulator layers above rely on.
+//! The queue must be observationally indistinguishable from a trivially
+//! correct reference: a `Vec` kept sorted by `(time, seq)`, where `seq` is
+//! the global insertion counter. For *any* schedule — batched, interleaved
+//! with pops, or packed with tied timestamps — both pop the exact same
+//! `(time, event)` sequence with FIFO tie-breaking, and agree on `len` /
+//! `peek_time` / `now` at every step. These properties pin the determinism
+//! contract the simulator layers above rely on.
 
-use astra_des::{EventQueue, QueueBackend, Time};
+use astra_des::{EventQueue, Time};
 use proptest::prelude::*;
 use proptest::TestCaseError;
 
-/// Drains both backends after an identical batch of inserts and asserts the
-/// full popped `(time, event)` sequences match element-wise.
-fn assert_same_drain(times: &[u64]) -> Result<(), TestCaseError> {
-    let mut heap = EventQueue::with_backend(QueueBackend::BinaryHeap);
-    let mut cal = EventQueue::with_backend(QueueBackend::Calendar);
-    for (i, &t) in times.iter().enumerate() {
-        heap.schedule_at(Time::from_ps(t), i);
-        cal.schedule_at(Time::from_ps(t), i);
+/// Reference future-event list: pending `(time, seq, event)` triples in
+/// delivery order, so the next event is always at index 0.
+#[derive(Default)]
+struct Model {
+    pending: Vec<(Time, u64, usize)>,
+    seq: u64,
+    now: Time,
+}
+
+impl Model {
+    fn schedule_at(&mut self, at: Time, event: usize) {
+        // `seq` exceeds every pending seq, so the entry goes after all
+        // pending entries at or before `at`.
+        let pos = self.pending.partition_point(|&(t, _, _)| t <= at);
+        self.pending.insert(pos, (at, self.seq, event));
+        self.seq += 1;
     }
-    prop_assert_eq!(heap.len(), cal.len());
+
+    fn schedule_after(&mut self, delay: Time, event: usize) {
+        self.schedule_at(self.now + delay, event);
+    }
+
+    fn pop(&mut self) -> Option<(Time, usize)> {
+        if self.pending.is_empty() {
+            return None;
+        }
+        let (t, _, e) = self.pending.remove(0);
+        self.now = t;
+        Some((t, e))
+    }
+
+    fn peek_time(&self) -> Option<Time> {
+        self.pending.first().map(|&(t, _, _)| t)
+    }
+
+    fn len(&self) -> usize {
+        self.pending.len()
+    }
+
+    fn clear(&mut self) {
+        self.pending.clear();
+    }
+}
+
+/// Pops one event from both and asserts they agree on it and on the
+/// resulting clock; returns the popped event.
+fn pop_both(
+    queue: &mut EventQueue<usize>,
+    model: &mut Model,
+) -> Result<Option<(Time, usize)>, TestCaseError> {
+    let (a, b) = (queue.pop(), model.pop());
+    prop_assert_eq!(a, b);
+    prop_assert_eq!(queue.now(), model.now);
+    Ok(a)
+}
+
+/// Drains both, asserting they agree on every pop and every peek.
+fn assert_same_drain(
+    queue: &mut EventQueue<usize>,
+    model: &mut Model,
+) -> Result<(), TestCaseError> {
     loop {
-        prop_assert_eq!(heap.peek_time(), cal.peek_time());
-        let (a, b) = (heap.pop(), cal.pop());
-        prop_assert_eq!(a, b);
-        prop_assert_eq!(heap.now(), cal.now());
-        if a.is_none() {
-            break;
+        prop_assert_eq!(queue.len(), model.len());
+        prop_assert_eq!(queue.peek_time(), model.peek_time());
+        if pop_both(queue, model)?.is_none() {
+            return Ok(());
         }
     }
-    Ok(())
+}
+
+/// Schedules one identical batch of absolute times on a fresh queue and
+/// model, then drains both.
+fn assert_batch_drain(times: &[u64]) -> Result<(), TestCaseError> {
+    let mut queue = EventQueue::new();
+    let mut model = Model::default();
+    for (i, &t) in times.iter().enumerate() {
+        queue.schedule_at(Time::from_ps(t), i);
+        model.schedule_at(Time::from_ps(t), i);
+    }
+    assert_same_drain(&mut queue, &mut model)
 }
 
 proptest! {
     /// Batched inserts over a wide timestamp range drain identically.
     #[test]
     fn batch_drain_matches(times in prop::collection::vec(0u64..1_000_000_000, 1..300)) {
-        assert_same_drain(&times)?;
+        assert_batch_drain(&times)?;
     }
 
-    /// Heavily tied timestamps (tiny range, many events) preserve FIFO
-    /// order identically on both backends.
+    /// Heavily tied timestamps (tiny range, many events) keep FIFO order.
     #[test]
     fn tied_timestamps_match(times in prop::collection::vec(0u64..4, 1..300)) {
-        assert_same_drain(&times)?;
+        assert_batch_drain(&times)?;
     }
 
     /// Clustered-plus-outlier schedules (a dense band and a sparse far
-    /// future) exercise the calendar's direct-search fallback without
-    /// breaking equivalence.
+    /// future) drain identically.
     #[test]
     fn clustered_with_far_future_matches(
         near in prop::collection::vec(0u64..10_000, 1..150),
@@ -57,146 +116,129 @@ proptest! {
     ) {
         let mut times = near;
         times.extend(far);
-        assert_same_drain(&times)?;
+        assert_batch_drain(&times)?;
     }
 
     /// Interleaved schedule/pop programs stay in lockstep: after every
-    /// operation both backends agree on the popped event, the clock, the
-    /// length, and the next pending timestamp.
+    /// operation the queue and the model agree on the popped event, the
+    /// clock, the length, and the next pending timestamp.
     #[test]
     fn interleaved_ops_stay_in_lockstep(
         ops in prop::collection::vec((0u64..1_000_000, 0u64..4), 1..250),
     ) {
-        let mut heap = EventQueue::with_backend(QueueBackend::BinaryHeap);
-        let mut cal = EventQueue::with_backend(QueueBackend::Calendar);
+        let mut queue = EventQueue::new();
+        let mut model = Model::default();
         for (i, &(offset, action)) in ops.iter().enumerate() {
             if action == 0 {
-                prop_assert_eq!(heap.pop(), cal.pop());
-                prop_assert_eq!(heap.now(), cal.now());
+                pop_both(&mut queue, &mut model)?;
             } else {
                 // Relative offsets keep scheduled times causal (>= now).
-                heap.schedule_after(Time::from_ps(offset), i);
-                cal.schedule_after(Time::from_ps(offset), i);
+                queue.schedule_after(Time::from_ps(offset), i);
+                model.schedule_after(Time::from_ps(offset), i);
             }
-            prop_assert_eq!(heap.len(), cal.len());
-            prop_assert_eq!(heap.peek_time(), cal.peek_time());
+            prop_assert_eq!(queue.len(), model.len());
+            prop_assert_eq!(queue.peek_time(), model.peek_time());
         }
-        // Drain whatever is left.
-        loop {
-            let (a, b) = (heap.pop(), cal.pop());
-            prop_assert_eq!(a, b);
-            if a.is_none() { break; }
-        }
+        assert_same_drain(&mut queue, &mut model)?;
     }
 
     /// A hold-model workload (every pop schedules a successor) — the DES
-    /// steady state — stays identical across thousands of operations,
-    /// covering calendar grow and shrink resizes.
+    /// steady state — stays identical across thousands of operations while
+    /// the population grows.
     #[test]
     fn hold_model_matches(seed in prop::collection::vec((1u64..100_000, 0u64..64), 32..64)) {
-        let mut heap = EventQueue::with_backend(QueueBackend::BinaryHeap);
-        let mut cal = EventQueue::with_backend(QueueBackend::Calendar);
+        let mut queue = EventQueue::new();
+        let mut model = Model::default();
         for (i, &(gap, _)) in seed.iter().enumerate() {
-            heap.schedule_at(Time::from_ps(gap), i);
-            cal.schedule_at(Time::from_ps(gap), i);
+            queue.schedule_at(Time::from_ps(gap), i);
+            model.schedule_at(Time::from_ps(gap), i);
         }
         let mut next_id = seed.len();
         let mut steps = 0usize;
-        loop {
-            let (a, b) = (heap.pop(), cal.pop());
-            prop_assert_eq!(a, b);
-            let Some((t, e)) = a else { break };
+        while let Some((t, e)) = pop_both(&mut queue, &mut model)? {
             if steps < 2_000 {
                 let (gap, fanout) = seed[e % seed.len()];
                 // Occasionally schedule two successors so the population
-                // grows enough to force resizes.
+                // grows.
                 let kids = 1 + usize::from(fanout == 0);
                 for k in 0..kids {
                     let at = t + Time::from_ps(gap + k as u64);
-                    heap.schedule_at(at, next_id);
-                    cal.schedule_at(at, next_id);
+                    queue.schedule_at(at, next_id);
+                    model.schedule_at(at, next_id);
                     next_id += 1;
                 }
             }
             steps += 1;
         }
-        prop_assert!(cal.is_empty() && heap.is_empty());
+        prop_assert!(queue.is_empty() && model.len() == 0);
     }
 
-    /// `clear` leaves both backends equivalent for subsequent use.
+    /// `clear` keeps the clock and leaves the queue equivalent for
+    /// subsequent use.
     #[test]
     fn clear_preserves_equivalence(
         first in prop::collection::vec(0u64..1_000_000, 1..100),
         second in prop::collection::vec(0u64..1_000_000, 1..100),
     ) {
-        let mut heap = EventQueue::with_backend(QueueBackend::BinaryHeap);
-        let mut cal = EventQueue::with_backend(QueueBackend::Calendar);
+        let mut queue = EventQueue::new();
+        let mut model = Model::default();
         for (i, &t) in first.iter().enumerate() {
-            heap.schedule_at(Time::from_ps(t), i);
-            cal.schedule_at(Time::from_ps(t), i);
+            queue.schedule_at(Time::from_ps(t), i);
+            model.schedule_at(Time::from_ps(t), i);
         }
         // Pop a prefix so `now` advances, then discard the rest.
         for _ in 0..first.len() / 2 {
-            prop_assert_eq!(heap.pop(), cal.pop());
+            pop_both(&mut queue, &mut model)?;
         }
-        heap.clear();
-        cal.clear();
-        prop_assert_eq!(heap.len(), cal.len());
-        prop_assert_eq!(heap.now(), cal.now());
-        let base = heap.now();
+        queue.clear();
+        model.clear();
+        prop_assert_eq!(queue.len(), model.len());
+        prop_assert_eq!(queue.now(), model.now);
+        let base = queue.now();
         for (i, &t) in second.iter().enumerate() {
-            heap.schedule_at(base + Time::from_ps(t), i);
-            cal.schedule_at(base + Time::from_ps(t), i);
+            queue.schedule_at(base + Time::from_ps(t), i);
+            model.schedule_at(base + Time::from_ps(t), i);
         }
-        loop {
-            let (a, b) = (heap.pop(), cal.pop());
-            prop_assert_eq!(a, b);
-            if a.is_none() { break; }
-        }
+        assert_same_drain(&mut queue, &mut model)?;
     }
 
     /// Identical timestamps scheduled across *separate* pops (not one
-    /// batch) still break ties by global insertion order on both backends.
+    /// batch) still break ties by global insertion order.
     #[test]
     fn cross_batch_ties_match(reps in 2usize..20, t in 0u64..1_000) {
-        let mut heap = EventQueue::with_backend(QueueBackend::BinaryHeap);
-        let mut cal = EventQueue::with_backend(QueueBackend::Calendar);
+        let mut queue = EventQueue::new();
+        let mut model = Model::default();
         let at = Time::from_ps(t);
         for batch in 0..reps {
-            heap.schedule_at(at, batch * 2);
-            cal.schedule_at(at, batch * 2);
-            heap.schedule_at(at, batch * 2 + 1);
-            cal.schedule_at(at, batch * 2 + 1);
+            for event in [batch * 2, batch * 2 + 1] {
+                queue.schedule_at(at, event);
+                model.schedule_at(at, event);
+            }
         }
         for expect in 0..reps * 2 {
-            let (a, b) = (heap.pop().unwrap(), cal.pop().unwrap());
-            prop_assert_eq!(a, b);
-            prop_assert_eq!(a.1, expect, "FIFO across batches");
+            let popped = pop_both(&mut queue, &mut model)?;
+            prop_assert_eq!(popped.map(|(_, e)| e), Some(expect), "FIFO across batches");
         }
     }
 }
 
-/// Non-property regression: a million-scale near-sorted drain (the packet
-/// backend's distribution) stays identical between backends end to end.
+/// Non-property regression: a large near-sorted drain (the packet
+/// backend's distribution) pops exactly the `(time, seq)`-sorted schedule.
 #[test]
 fn large_near_sorted_schedule_matches() {
-    let mut heap = EventQueue::with_backend(QueueBackend::BinaryHeap);
-    let mut cal = EventQueue::with_backend(QueueBackend::Calendar);
+    let mut queue = EventQueue::new();
     // Interleaved arithmetic ramps, mimicking per-link FIFO completions.
-    let mut id = 0usize;
+    let mut expected = Vec::new();
     for lane in 0..64u64 {
         for step in 0..500u64 {
             let t = Time::from_ps(1_000 + lane * 13 + step * 5_120);
-            heap.schedule_at(t, id);
-            cal.schedule_at(t, id);
-            id += 1;
+            queue.schedule_at(t, expected.len());
+            expected.push((t, expected.len()));
         }
     }
-    loop {
-        let (a, b) = (heap.pop(), cal.pop());
-        assert_eq!(a, b);
-        if a.is_none() {
-            break;
-        }
-    }
+    // Events are numbered in insertion order, so sorting by `(time, id)`
+    // is sorting by `(time, seq)`.
+    expected.sort_unstable();
+    let popped: Vec<(Time, usize)> = std::iter::from_fn(|| queue.pop()).collect();
+    assert_eq!(popped, expected);
 }

@@ -4,9 +4,7 @@ use std::collections::{BTreeMap, BTreeSet};
 use std::fmt;
 use std::str::FromStr;
 
-use astra_des::{
-    DataSize, EventQueue, FifoCheckpoint, FifoResource, QueueBackend, SimMode, Time, TrainProfile,
-};
+use astra_des::{DataSize, EventQueue, FifoCheckpoint, FifoResource, SimMode, Time, TrainProfile};
 use astra_network::{AsyncMessageId, Completion, LinkTrace, NetworkBackend, NetworkStats};
 use astra_topology::{
     route_avoiding, FaultError, FaultSchedule, FaultedGraph, LinkGraph, LinkId, NpuId, Topology,
@@ -105,11 +103,6 @@ pub struct PacketSimConfig {
     pub collective_overhead: Time,
     /// Synchronization overhead paid once per lockstep algorithm step.
     pub step_overhead: Time,
-    /// Future-event-list implementation. The simulated results are
-    /// bit-identical across backends; the calendar queue is markedly
-    /// faster at fine packet granularities, where hundreds of thousands
-    /// of near-sorted packet-hop events are live at once.
-    pub queue_backend: QueueBackend,
     /// Event granularity (see [`TransportMode`]). Batched transport keeps
     /// fine packet sizes affordable at 256+ NPUs.
     pub transport: TransportMode,
@@ -131,7 +124,6 @@ impl PacketSimConfig {
             packet_size: DataSize::from_bytes(256),
             collective_overhead: Time::ZERO,
             step_overhead: Time::ZERO,
-            queue_backend: QueueBackend::default(),
             transport: TransportMode::default(),
             sim_mode: SimMode::default(),
         }
@@ -144,7 +136,6 @@ impl PacketSimConfig {
             packet_size: DataSize::from_kib(64),
             collective_overhead: Time::ZERO,
             step_overhead: Time::ZERO,
-            queue_backend: QueueBackend::default(),
             transport: TransportMode::default(),
             sim_mode: SimMode::default(),
         }
@@ -159,16 +150,9 @@ impl PacketSimConfig {
             packet_size: DataSize::from_kib(64),
             collective_overhead: Time::from_us(20),
             step_overhead: Time::from_us(1),
-            queue_backend: QueueBackend::default(),
             transport: TransportMode::default(),
             sim_mode: SimMode::default(),
         }
-    }
-
-    /// Selects the future-event-list backend (see [`QueueBackend`]).
-    pub fn with_queue_backend(mut self, backend: QueueBackend) -> Self {
-        self.queue_backend = backend;
-        self
     }
 
     /// Selects the transport granularity (see [`TransportMode`]).
@@ -364,7 +348,7 @@ impl PacketNetwork {
         PacketNetwork {
             graph,
             link_queues,
-            queue: EventQueue::with_backend(config.queue_backend),
+            queue: EventQueue::new(),
             messages: Vec::new(),
             routes: Vec::new(),
             route_ids: BTreeMap::new(),
@@ -1282,14 +1266,10 @@ mod tests {
         assert!(!base_traces.is_empty());
 
         for threads in [1usize, 2, 8] {
-            for backend in [QueueBackend::BinaryHeap, QueueBackend::Calendar] {
-                let cfg = PacketSimConfig::fast()
-                    .with_sim_mode(SimMode::Parallel { threads })
-                    .with_queue_backend(backend);
-                let (finishes, traces) = run(cfg, true);
-                assert_eq!(finishes, base_finishes, "{threads} threads, {backend:?}");
-                assert_eq!(traces, base_traces, "{threads} threads, {backend:?}");
-            }
+            let cfg = PacketSimConfig::fast().with_sim_mode(SimMode::Parallel { threads });
+            let (finishes, traces) = run(cfg, true);
+            assert_eq!(finishes, base_finishes, "{threads} threads");
+            assert_eq!(traces, base_traces, "{threads} threads");
         }
     }
 }

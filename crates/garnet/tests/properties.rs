@@ -5,7 +5,7 @@
 //! ceiling regression below) — the seed capped it at 8 NPUs.
 
 use astra_collectives::{Collective, CollectiveEngine, SchedulerPolicy};
-use astra_des::{DataSize, QueueBackend, Time};
+use astra_des::{DataSize, Time};
 use astra_garnet::{collective_time_for, semantics, PacketNetwork, PacketSimConfig, TransportMode};
 use astra_topology::{BuildingBlock, Topology};
 use proptest::prelude::*;
@@ -17,8 +17,7 @@ fn arb_small_topology() -> impl Strategy<Value = Topology> {
         "FC(4)@200",
         "R(4)@100_SW(2)@50",
         "R(2)@200_FC(2)@100_SW(2)@50",
-        // Paper-scale shapes (32–64 NPUs), unlocked by the calendar-queue
-        // event engine.
+        // Paper-scale shapes (32–64 NPUs).
         "SW(16)@150",
         "R(8)@100_SW(4)@50",
         "R(4)@100_FC(4)@200_SW(4)@50",
@@ -92,24 +91,6 @@ proptest! {
             err < tolerance(&topo, coll),
             "{coll} on {topo}: packet {packet} vs analytical {analytical} (err {err:.3})"
         );
-    }
-
-    /// Both event-queue backends drive the packet network to identical
-    /// simulated results (events included) on every topology in the pool.
-    #[test]
-    fn packet_backend_queue_backends_agree(
-        topo in arb_small_topology(),
-        mib in 1u64..32,
-        coll in prop::sample::select(Collective::ALL.to_vec()),
-    ) {
-        let size = DataSize::from_mib(mib);
-        let heap = collective_time_for(
-            &topo, coll, size,
-            &PacketSimConfig::fast().with_queue_backend(QueueBackend::BinaryHeap));
-        let calendar = collective_time_for(
-            &topo, coll, size,
-            &PacketSimConfig::fast().with_queue_backend(QueueBackend::Calendar));
-        prop_assert_eq!(heap, calendar, "{} on {}", coll, topo);
     }
 
     /// Packet-level All-to-All and All-Gather on switch (`SW`) topologies,

@@ -9,7 +9,7 @@
 //! timeline — only the event count.
 
 use astra_collectives::Collective;
-use astra_des::{DataSize, QueueBackend, Time};
+use astra_des::{DataSize, Time};
 use astra_garnet::{collective_time_for, PacketNetwork, PacketSimConfig, TransportMode};
 use astra_topology::Topology;
 use proptest::prelude::*;
@@ -35,9 +35,8 @@ fn arb_config() -> impl Strategy<Value = PacketSimConfig> {
     (
         prop::sample::select(vec![256u64, 1024, 65536]),
         any::<bool>(),
-        any::<bool>(),
     )
-        .prop_map(|(pkt, overheads, calendar)| {
+        .prop_map(|(pkt, overheads)| {
             let mut config = PacketSimConfig {
                 packet_size: DataSize::from_bytes(pkt),
                 ..PacketSimConfig::fast()
@@ -45,9 +44,6 @@ fn arb_config() -> impl Strategy<Value = PacketSimConfig> {
             if overheads {
                 config.collective_overhead = Time::from_us(20);
                 config.step_overhead = Time::from_us(1);
-            }
-            if calendar {
-                config = config.with_queue_backend(QueueBackend::Calendar);
             }
             config
         })

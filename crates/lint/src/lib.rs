@@ -7,9 +7,9 @@
 //! 1. **Determinism by construction.** Replays must be bit-identical, so
 //!    nothing on the simulation path may iterate a `HashMap`/`HashSet`
 //!    (order is randomized per process) or read a wall clock.
-//! 2. **Frozen references.** Each fast path (`QueueBackend::Calendar`,
-//!    `TransportMode::Batched`, `P2pMode::Async`, `CollectiveMode::Backend`)
-//!    is pinned bit-identical to a slow reference implementation. Editing
+//! 2. **Frozen references.** Each fast path (`TransportMode::Batched`,
+//!    `P2pMode::Async`, `CollectiveMode::Backend`) is pinned
+//!    bit-identical to a slow reference implementation. Editing
 //!    a reference body silently invalidates every downstream golden pin.
 //!
 //! This crate tokenizes the workspace's Rust sources with a small
@@ -77,7 +77,6 @@ pub const SIM_CRATES: &[&str] = &[
 
 /// Mode/backend config enums that must never be matched with a bare `_`.
 pub const CONFIG_ENUMS: &[&str] = &[
-    "QueueBackend",
     "TransportMode",
     "P2pMode",
     "CollectiveMode",
@@ -1306,9 +1305,9 @@ mod tests {
     #[test]
     fn r5_flags_wildcard_on_config_enum() {
         let v = strict(
-            "fn f(q: QueueBackend) -> u32 {\n\
-                 match q {\n\
-                     QueueBackend::Heap => 1,\n\
+            "fn f(t: TransportMode) -> u32 {\n\
+                 match t {\n\
+                     TransportMode::PerPacket => 1,\n\
                      _ => 0,\n\
                  }\n\
              }\n",
@@ -1336,10 +1335,10 @@ mod tests {
     #[test]
     fn r5_ignores_exhaustive_match() {
         let v = strict(
-            "fn f(q: QueueBackend) -> u32 {\n\
-                 match q {\n\
-                     QueueBackend::Heap => 1,\n\
-                     QueueBackend::Calendar => 2,\n\
+            "fn f(t: TransportMode) -> u32 {\n\
+                 match t {\n\
+                     TransportMode::PerPacket => 1,\n\
+                     TransportMode::Batched => 2,\n\
                  }\n\
              }\n",
         );

@@ -2,15 +2,15 @@
 
 use std::collections::BTreeMap;
 
-pub enum QueueBackend {
-    Calendar,
-    Heap,
+pub enum TransportMode {
+    PerPacket,
+    Batched,
 }
 
-pub fn name(backend: &QueueBackend) -> &'static str {
-    match backend {
-        QueueBackend::Calendar => "calendar",
-        QueueBackend::Heap => "heap",
+pub fn name(transport: &TransportMode) -> &'static str {
+    match transport {
+        TransportMode::PerPacket => "packet",
+        TransportMode::Batched => "batched",
     }
 }
 

@@ -1,13 +1,13 @@
 //! Fixture: a `_` arm over a config enum silently swallows new variants.
 
-pub enum QueueBackend {
-    Calendar,
-    Heap,
+pub enum TransportMode {
+    PerPacket,
+    Batched,
 }
 
-pub fn name(backend: &QueueBackend) -> &'static str {
-    match backend {
-        QueueBackend::Calendar => "calendar",
+pub fn name(transport: &TransportMode) -> &'static str {
+    match transport {
+        TransportMode::PerPacket => "packet",
         _ => "other",
     }
 }

@@ -162,11 +162,7 @@ fn response_row(
     item: &BatchLine,
     cache: &WarmCache,
 ) -> (String, Option<ErrorKind>) {
-    let id = |req: &Option<SimRequest>| match req.as_ref().and_then(|r| r.id.clone()) {
-        Some(id) => Value::Str(id),
-        None => Value::Null,
-    };
-    let (parsed, outcome) = match item {
+    let (request_id, outcome) = match item {
         BatchLine::TooLong { bytes } => (
             None,
             Err(RequestError::with_kind(
@@ -188,22 +184,24 @@ fn response_row(
                             format!("request panicked: {what}"),
                         ))
                     });
-                (Some(req), outcome)
+                (req.id, outcome)
             }
-            Err(e) => (None, Err(e)),
+            // A line rejected while parsing carries its id on the error.
+            Err(e) => (e.id.clone(), Err(e)),
         },
     };
+    let id = request_id.map_or(Value::Null, Value::Str);
     let (row, kind) = match outcome {
         Ok(report) => (
             obj(vec![
                 ("index", Value::UInt(index as u64)),
-                ("id", id(&parsed)),
+                ("id", id),
                 ("ok", Value::Bool(true)),
                 ("report", report_value(&report)),
             ]),
             None,
         ),
-        Err(e) => (error_row(index, line_number, id(&parsed), &e), Some(e.kind)),
+        Err(e) => (error_row(index, line_number, id, &e), Some(e.kind)),
     };
     (
         serde_json::to_string(&row)
@@ -290,8 +288,7 @@ pub fn run_batch_items_with(
                     );
                     let id = match item {
                         BatchLine::Request(line) => SimRequest::from_json_line(line)
-                            .ok()
-                            .and_then(|r| r.id)
+                            .map_or_else(|e| e.id, |r| r.id)
                             .map_or(Value::Null, Value::Str),
                         BatchLine::TooLong { .. } => Value::Null,
                     };
@@ -434,7 +431,7 @@ mod tests {
             r#"{"topology": "R(8)@100", "workload": "gpt3", "pipeline": 4}"#,
             r#"{"topology": "SW(8)@400", "all_reduce_mib": 64}"#,
             r#"{"topology": "R(8)@100", "workload": "gpt3", "pipeline": 4}"#,
-            r#"{"topology": "SW(8)@400", "all_reduce_mib": 64, "queue": "calendar"}"#,
+            r#"{"topology": "SW(8)@400", "all_reduce_mib": 64, "chunks": 32}"#,
             "{broken",
         ]);
         let (reference, _) = run_batch(&batch, 1, &WarmCache::new());

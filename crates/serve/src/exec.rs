@@ -166,7 +166,6 @@ fn build_config(req: &SimRequest) -> Result<SystemConfig, RequestError> {
         } else {
             SchedulerPolicy::Baseline
         },
-        queue_backend: req.queue.unwrap_or_default(),
         network_backend: req.network.unwrap_or_default(),
         p2p_mode: req.p2p.unwrap_or_default(),
         collective_mode: req.collectives.unwrap_or_default(),

@@ -6,9 +6,7 @@
 //! CLI invocation in data form, and resolving one produces exactly the
 //! report the equivalent single-run invocation would.
 
-use astra_core::{
-    CollectiveMode, FaultKind, FaultSchedule, NetworkBackendKind, P2pMode, QueueBackend, Time,
-};
+use astra_core::{CollectiveMode, FaultKind, FaultSchedule, NetworkBackendKind, P2pMode, Time};
 use std::error::Error;
 use std::fmt;
 
@@ -58,6 +56,9 @@ pub struct RequestError {
     pub message: String,
     /// Machine-readable classification.
     pub kind: ErrorKind,
+    /// The failing request's `id`, when the line was an object with a
+    /// well-formed `id` but another field was rejected.
+    pub id: Option<String>,
 }
 
 impl RequestError {
@@ -66,6 +67,7 @@ impl RequestError {
         RequestError {
             message: message.into(),
             kind,
+            id: None,
         }
     }
 }
@@ -79,10 +81,7 @@ impl fmt::Display for RequestError {
 impl Error for RequestError {}
 
 pub(crate) fn err(msg: impl Into<String>) -> RequestError {
-    RequestError {
-        message: msg.into(),
-        kind: ErrorKind::Request,
-    }
+    RequestError::with_kind(ErrorKind::Request, msg)
 }
 
 /// One simulation request (one JSONL line of the batch service).
@@ -115,8 +114,6 @@ pub struct SimRequest {
     /// Remote memory system: `hiermem-base`, `hiermem-opt`,
     /// `zero-infinity`.
     pub memory: Option<String>,
-    /// Event-queue backend: `heap` or `calendar`.
-    pub queue: Option<QueueBackend>,
     /// Network backend: `analytical`, `packet`, `batched`, or `flow`.
     pub network: Option<NetworkBackendKind>,
     /// Engine/network integration: `async` or `blocking`.
@@ -240,6 +237,60 @@ fn bool_field(key: &str, v: &Value) -> Result<bool, RequestError> {
         .ok_or_else(|| err(format!("`{key}` expects true or false")))
 }
 
+/// Fills every field but `id` of `req` from a request object, then checks
+/// the required ones.
+fn read_fields(req: &mut SimRequest, fields: &[(String, Value)]) -> Result<(), RequestError> {
+    for (key, v) in fields {
+        match key.as_str() {
+            "id" => {}
+            "topology" => req.topology = string_field(key, v)?,
+            "workload" => req.workload = Some(string_field(key, v)?),
+            "all_reduce_mib" => req.all_reduce_mib = Some(uint_field(key, v)?),
+            "mp" => req.mp = Some(uint_field(key, v)? as usize),
+            "fsdp" => req.fsdp = bool_field(key, v)?,
+            "pipeline" => req.pipeline = Some(uint_field(key, v)? as usize),
+            "themis" => req.themis = bool_field(key, v)?,
+            "chunks" => req.chunks = Some(uint_field(key, v)?),
+            "memory" => req.memory = Some(string_field(key, v)?),
+            "network" => req.network = Some(string_field(key, v)?.parse().map_err(err)?),
+            "p2p" => req.p2p = Some(string_field(key, v)?.parse().map_err(err)?),
+            "collectives" => {
+                req.collectives = Some(string_field(key, v)?.parse().map_err(err)?);
+            }
+            "sim_threads" => {
+                let threads = uint_field(key, v)? as usize;
+                if threads == 0 {
+                    return Err(err("`sim_threads` must be at least 1"));
+                }
+                req.sim_threads = Some(threads);
+            }
+            "faults" => req.faults = parse_faults(v)?,
+            "max_events" => {
+                let cap = uint_field(key, v)?;
+                if cap == 0 {
+                    return Err(err("`max_events` must be at least 1"));
+                }
+                req.max_events = Some(cap);
+            }
+            "max_sim_time_ps" => {
+                let cap = uint_field(key, v)?;
+                if cap == 0 {
+                    return Err(err("`max_sim_time_ps` must be at least 1"));
+                }
+                req.max_sim_time_ps = Some(cap);
+            }
+            other => return Err(err(format!("unknown request field `{other}`"))),
+        }
+    }
+    if req.topology.is_empty() {
+        return Err(err("`topology` is required"));
+    }
+    if req.workload.is_none() && req.all_reduce_mib.is_none() {
+        return Err(err("one of `workload` or `all_reduce_mib` is required"));
+    }
+    Ok(())
+}
+
 impl SimRequest {
     /// Parses one request from a decoded JSON value. Unknown fields are
     /// rejected so a typo cannot silently run the wrong configuration.
@@ -248,68 +299,28 @@ impl SimRequest {
     ///
     /// Returns a [`RequestError`] naming the offending field when the
     /// value is not an object, a field has the wrong type or an unknown
-    /// name, or the required `topology` is missing.
+    /// name, or the required `topology` is missing. The `id` is read
+    /// first, so an error in any other field still carries it.
     pub fn from_value(value: &Value) -> Result<Self, RequestError> {
         let Some(fields) = value.as_object() else {
             return Err(err("request must be a JSON object"));
         };
-        let mut req = SimRequest::default();
-        for (key, v) in fields {
-            match key.as_str() {
-                "id" => {
-                    req.id = Some(match v {
-                        Value::Str(s) => s.clone(),
-                        Value::UInt(n) => n.to_string(),
-                        Value::Int(n) => n.to_string(),
-                        _ => return Err(err("`id` expects a string or integer")),
-                    });
-                }
-                "topology" => req.topology = string_field(key, v)?,
-                "workload" => req.workload = Some(string_field(key, v)?),
-                "all_reduce_mib" => req.all_reduce_mib = Some(uint_field(key, v)?),
-                "mp" => req.mp = Some(uint_field(key, v)? as usize),
-                "fsdp" => req.fsdp = bool_field(key, v)?,
-                "pipeline" => req.pipeline = Some(uint_field(key, v)? as usize),
-                "themis" => req.themis = bool_field(key, v)?,
-                "chunks" => req.chunks = Some(uint_field(key, v)?),
-                "memory" => req.memory = Some(string_field(key, v)?),
-                "queue" => req.queue = Some(string_field(key, v)?.parse().map_err(err)?),
-                "network" => req.network = Some(string_field(key, v)?.parse().map_err(err)?),
-                "p2p" => req.p2p = Some(string_field(key, v)?.parse().map_err(err)?),
-                "collectives" => {
-                    req.collectives = Some(string_field(key, v)?.parse().map_err(err)?);
-                }
-                "sim_threads" => {
-                    let threads = uint_field(key, v)? as usize;
-                    if threads == 0 {
-                        return Err(err("`sim_threads` must be at least 1"));
-                    }
-                    req.sim_threads = Some(threads);
-                }
-                "faults" => req.faults = parse_faults(v)?,
-                "max_events" => {
-                    let cap = uint_field(key, v)?;
-                    if cap == 0 {
-                        return Err(err("`max_events` must be at least 1"));
-                    }
-                    req.max_events = Some(cap);
-                }
-                "max_sim_time_ps" => {
-                    let cap = uint_field(key, v)?;
-                    if cap == 0 {
-                        return Err(err("`max_sim_time_ps` must be at least 1"));
-                    }
-                    req.max_sim_time_ps = Some(cap);
-                }
-                other => return Err(err(format!("unknown request field `{other}`"))),
-            }
-        }
-        if req.topology.is_empty() {
-            return Err(err("`topology` is required"));
-        }
-        if req.workload.is_none() && req.all_reduce_mib.is_none() {
-            return Err(err("one of `workload` or `all_reduce_mib` is required"));
-        }
+        // The last `id` wins, as for every other repeated field.
+        let id = match fields.iter().rev().find(|(key, _)| key == "id") {
+            Some((_, Value::Str(s))) => Some(s.clone()),
+            Some((_, Value::UInt(n))) => Some(n.to_string()),
+            Some((_, Value::Int(n))) => Some(n.to_string()),
+            Some(_) => return Err(err("`id` expects a string or integer")),
+            None => None,
+        };
+        let mut req = SimRequest {
+            id,
+            ..SimRequest::default()
+        };
+        read_fields(&mut req, fields).map_err(|e| RequestError {
+            id: req.id.clone(),
+            ..e
+        })?;
         Ok(req)
     }
 
@@ -331,7 +342,7 @@ impl SimRequest {
     pub fn canonical_key(&self) -> String {
         format!(
             "topology={};workload={:?};all_reduce_mib={:?};mp={:?};fsdp={};pipeline={:?};\
-             themis={};chunks={:?};memory={:?};queue={:?};network={:?};p2p={:?};\
+             themis={};chunks={:?};memory={:?};network={:?};p2p={:?};\
              collectives={:?};sim_threads={:?};faults={};max_events={:?};max_sim_time_ps={:?}",
             self.topology,
             self.workload,
@@ -342,7 +353,6 @@ impl SimRequest {
             self.themis,
             self.chunks,
             self.memory,
-            self.queue,
             self.network,
             self.p2p,
             self.collectives,
@@ -362,7 +372,7 @@ mod tests {
     fn parses_a_full_request() {
         let req = SimRequest::from_json_line(
             r#"{"id": "r1", "topology": "R(4)@200_SW(4)@50", "workload": "gpt3",
-                "mp": 4, "themis": true, "chunks": 64, "queue": "calendar",
+                "mp": 4, "themis": true, "chunks": 64,
                 "network": "flow", "p2p": "async", "collectives": "analytical"}"#,
         )
         .unwrap();
@@ -370,7 +380,6 @@ mod tests {
         assert_eq!(req.topology, "R(4)@200_SW(4)@50");
         assert_eq!(req.mp, Some(4));
         assert!(req.themis);
-        assert_eq!(req.queue, Some(QueueBackend::Calendar));
         assert_eq!(req.network, Some(NetworkBackendKind::Flow));
     }
 

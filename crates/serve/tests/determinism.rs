@@ -1,8 +1,7 @@
 //! The batch service's determinism contract: warm caches and worker
 //! pools are pure speed knobs. Every response is bit-identical to a
 //! cold, sequential single run of the same request — across network
-//! backends, event-queue backends, sim modes, worker counts, request
-//! orders, and cache states.
+//! backends, sim modes, worker counts, request orders, and cache states.
 
 use std::sync::Arc;
 
@@ -12,34 +11,32 @@ fn request(json: &str) -> SimRequest {
     SimRequest::from_json_line(json).unwrap()
 }
 
-/// Warm-vs-cold equality over the full backend × queue × sim-mode grid,
+/// Warm-vs-cold equality over the full backend × sim-mode grid,
 /// on a pipeline workload (stage-to-stage p2p traffic exercises every
 /// network backend and the delay/route warm tables).
 #[test]
 fn warm_reports_are_bit_identical_across_backends_queues_and_sim_modes() {
     let cache = WarmCache::new();
     for network in ["analytical", "packet", "batched", "flow"] {
-        for queue in ["heap", "calendar"] {
-            for sim_threads in [None, Some(2)] {
-                let threads = match sim_threads {
-                    Some(n) => format!(", \"sim_threads\": {n}"),
-                    None => String::new(),
-                };
-                let req = request(&format!(
-                    r#"{{"topology": "R(8)@100", "workload": "gpt3", "pipeline": 4,
-                        "network": "{network}", "queue": "{queue}"{threads}}}"#
-                ));
-                let cold = execute_once(&req).unwrap();
-                let warm1 = execute(&req, &cache).unwrap();
-                let warm2 = execute(&req, &cache).unwrap();
-                let label = format!("{network}/{queue}/{sim_threads:?}");
-                assert_eq!(*warm1, cold, "{label}: first warm run differs from cold");
-                assert_eq!(*warm2, cold, "{label}: repeat warm run differs from cold");
-                assert!(
-                    Arc::ptr_eq(&warm1, &warm2),
-                    "{label}: repeat request missed the result cache"
-                );
-            }
+        for sim_threads in [None, Some(2)] {
+            let threads = match sim_threads {
+                Some(n) => format!(", \"sim_threads\": {n}"),
+                None => String::new(),
+            };
+            let req = request(&format!(
+                r#"{{"topology": "R(8)@100", "workload": "gpt3", "pipeline": 4,
+                    "network": "{network}"{threads}}}"#
+            ));
+            let cold = execute_once(&req).unwrap();
+            let warm1 = execute(&req, &cache).unwrap();
+            let warm2 = execute(&req, &cache).unwrap();
+            let label = format!("{network}/{sim_threads:?}");
+            assert_eq!(*warm1, cold, "{label}: first warm run differs from cold");
+            assert_eq!(*warm2, cold, "{label}: repeat warm run differs from cold");
+            assert!(
+                Arc::ptr_eq(&warm1, &warm2),
+                "{label}: repeat request missed the result cache"
+            );
         }
     }
 }
@@ -101,7 +98,7 @@ fn concurrent_batches_emit_identical_rows_for_every_worker_count() {
         r#"{"id": "c1", "topology": "SW(8)@100_SW(2)@50", "all_reduce_mib": 64, "collectives": "backend", "chunks": 8}"#,
         r#"{"id": "m1-dup", "topology": "SW(8)@400", "all_reduce_mib": 64}"#,
         "not even json",
-        r#"{"id": "d1", "topology": "R(4)@100_SW(4)@50", "workload": "dlrm", "queue": "calendar"}"#,
+        r#"{"id": "d1", "topology": "R(4)@100_SW(4)@50", "workload": "dlrm"}"#,
     ]
     .iter()
     .map(|s| (*s).to_owned())
@@ -156,8 +153,8 @@ fn concurrent_batches_emit_identical_rows_for_every_worker_count() {
 
 /// Trace bytes are part of the determinism surface too: rendering the
 /// trace of a request against a cold cache, against caches pre-warmed by
-/// batches at different worker counts, and across sim-thread counts and
-/// queue backends must produce identical bytes.
+/// batches at different worker counts, and across sim-thread counts must
+/// produce identical bytes.
 #[test]
 fn traced_runs_render_identical_bytes_across_cache_states_and_workers() {
     use astra_core::TraceFormat;
@@ -189,11 +186,7 @@ fn traced_runs_render_identical_bytes_across_cache_states_and_workers() {
             "trace bytes differ after a {workers}-worker warmup batch"
         );
     }
-    for variant in [
-        r#", "queue": "calendar""#,
-        r#", "sim_threads": 2"#,
-        r#", "sim_threads": 8"#,
-    ] {
+    for variant in [r#", "sim_threads": 2"#, r#", "sim_threads": 8"#] {
         let varied = format!(
             "{}{variant}}}",
             &line.trim_end()[..line.trim_end().len() - 1]

@@ -159,6 +159,27 @@ fn over_long_lines_become_pinned_structured_rows() {
     assert!(rows[1].contains(r#""ok":true"#));
 }
 
+/// A short line nesting arrays 10,000 deep is a JSON error row, not a
+/// stack overflow that takes down the process, and the next line is still
+/// answered.
+#[test]
+fn deeply_nested_lines_become_error_rows() {
+    let deep = format!("{}{}", "[".repeat(10_000), "]".repeat(10_000));
+    let batch = vec![
+        deep,
+        r#"{"id": "after", "topology": "SW(8)@400", "all_reduce_mib": 64}"#.to_owned(),
+    ];
+    let (rows, summary) = run_batch(&batch, 2, &WarmCache::new());
+    assert_eq!(rows.len(), 2);
+    assert_eq!(summary.ok, 1);
+    assert_eq!(summary.errors, 1);
+    assert_eq!(
+        rows[0],
+        r#"{"index":0,"id":null,"ok":false,"error":"line 1: invalid JSON: recursion limit exceeded at byte 128"}"#
+    );
+    assert!(rows[1].contains(r#""id":"after","ok":true"#), "{}", rows[1]);
+}
+
 /// The socket front end replaces only stale *sockets*: a regular file at
 /// the socket path is refused, not deleted.
 #[test]

@@ -11,7 +11,7 @@ use astra_collectives::{
 };
 use astra_des::{
     attribute_exclusive, attribute_exclusive_intervals, DataSize, EventQueue, FifoResource,
-    IntervalLog, QueueBackend, SimMode, Time,
+    IntervalLog, SimMode, Time,
 };
 use astra_garnet::{PacketNetwork, PacketSimConfig, TransportMode};
 use astra_memory::{LocalMemory, PoolArchitecture, RemoteMemory, TransferMode};
@@ -47,9 +47,6 @@ pub struct SystemConfig {
     pub local_memory: LocalMemory,
     /// Disaggregated remote pool (§IV-D.2), if the platform has one.
     pub remote_memory: Option<PoolArchitecture>,
-    /// Future-event-list implementation driving the graph engine. Results
-    /// are bit-identical across backends; only wall-clock cost differs.
-    pub queue_backend: QueueBackend,
     /// Network backend carrying point-to-point messages (pipeline
     /// sends/receives and any other `NetworkAPI` traffic). Collectives are
     /// modeled by the collective engine's multi-rail closed forms in every
@@ -125,7 +122,6 @@ impl Default for SystemConfig {
             roofline: Roofline::a100(),
             local_memory: LocalMemory::default(),
             remote_memory: None,
-            queue_backend: QueueBackend::default(),
             network_backend: NetworkBackendKind::default(),
             p2p_mode: P2pMode::default(),
             collective_mode: CollectiveMode::default(),
@@ -138,37 +134,14 @@ impl Default for SystemConfig {
     }
 }
 
-/// Instantiates the configured [`NetworkBackend`] for a topology.
+/// Instantiates the configured [`NetworkBackend`] for a topology, with the
+/// fault schedule's fabric faults applied: dead links removed from routing,
+/// degraded link properties folded into every delay/rate computation. A
+/// schedule without fabric faults builds the pristine backend.
 fn build_network(topo: &Topology, config: &SystemConfig) -> Box<dyn NetworkBackend> {
-    if config.faults.has_fabric_faults() {
-        return build_network_faulted(topo, config);
-    }
-    let packet = |transport| {
-        PacketSimConfig::fast()
-            .with_queue_backend(config.queue_backend)
-            .with_transport(transport)
-            .with_sim_mode(config.sim_mode)
-    };
-    match config.network_backend {
-        NetworkBackendKind::Analytical => Box::new(AnalyticalNetwork::new(topo.clone())),
-        NetworkBackendKind::Packet => {
-            Box::new(PacketNetwork::new(topo, packet(TransportMode::PerPacket)))
-        }
-        NetworkBackendKind::Batched => {
-            Box::new(PacketNetwork::new(topo, packet(TransportMode::Batched)))
-        }
-        NetworkBackendKind::Flow => Box::new(FlowNetwork::new(topo)),
-    }
-}
-
-/// Instantiates the configured backend with the fault schedule's fabric
-/// faults applied: dead links removed from routing, degraded link
-/// properties folded into every delay/rate computation.
-fn build_network_faulted(topo: &Topology, config: &SystemConfig) -> Box<dyn NetworkBackend> {
     let schedule = &config.faults;
     let packet = |transport| {
         PacketSimConfig::fast()
-            .with_queue_backend(config.queue_backend)
             .with_transport(transport)
             .with_sim_mode(config.sim_mode)
     };
@@ -878,7 +851,7 @@ impl<'a> Engine<'a> {
             collective_engine: CollectiveEngine::new(config.collective_chunks, config.scheduler),
             network: None,
             spans,
-            queue: EventQueue::with_backend(config.queue_backend),
+            queue: EventQueue::new(),
             remaining_deps,
             dependents,
             compute_res: vec![FifoResource::new(); npus],

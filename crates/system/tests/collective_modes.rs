@@ -25,7 +25,7 @@
 //! [`reference_finish`]: astra_collectives::lowering::reference_finish
 
 use astra_collectives::{lowering, Collective, CollectiveMode, SchedulerPolicy};
-use astra_des::{DataSize, QueueBackend, Time};
+use astra_des::{DataSize, Time};
 use astra_network::{AnalyticalNetwork, NetworkBackend, NetworkBackendKind, P2pMode};
 use astra_system::{simulate, SimError, SimReport, SystemConfig};
 use astra_topology::Topology;
@@ -86,13 +86,11 @@ fn run(
     backend: NetworkBackendKind,
     mode: CollectiveMode,
     chunks: u64,
-    queue: QueueBackend,
 ) -> SimReport {
     let config = SystemConfig {
         network_backend: backend,
         collective_mode: mode,
         collective_chunks: chunks,
-        queue_backend: queue,
         ..SystemConfig::default()
     };
     simulate(trace, topo, &config).expect("valid simulation")
@@ -112,21 +110,19 @@ proptest! {
 
     /// The engine's Backend-mode execution on the analytical network is
     /// bit-identical to the lowering module's closed-form reference
-    /// schedule, for random topologies, collectives, payloads, chunk
-    /// counts, and both event-queue backends.
+    /// schedule, for random topologies, collectives, payloads, and chunk
+    /// counts.
     #[test]
     fn backend_mode_matches_the_lowering_reference(
         topo in arb_topology(),
         collective in arb_collective(),
         kib in 1u64..200_000,
         chunks in 1u64..40,
-        calendar in any::<bool>(),
     ) {
         let size = DataSize::from_kib(kib);
         let trace = world_collective_trace(topo.npus(), collective, size);
-        let queue = if calendar { QueueBackend::Calendar } else { QueueBackend::BinaryHeap };
         let report = run(&trace, &topo, NetworkBackendKind::Analytical,
-                         CollectiveMode::Backend, chunks, queue);
+                         CollectiveMode::Backend, chunks);
 
         let program = lowering::lower(collective, size, topo.dims(), chunks);
         let endpoints = world_endpoints(&topo);
@@ -155,15 +151,13 @@ proptest! {
         topo in arb_topology(),
         collective in arb_collective(),
         kib in 1u64..200_000,
-        calendar in any::<bool>(),
     ) {
         let size = DataSize::from_kib(kib);
         let trace = world_collective_trace(topo.npus(), collective, size);
-        let queue = if calendar { QueueBackend::Calendar } else { QueueBackend::BinaryHeap };
         let analytical = run(&trace, &topo, NetworkBackendKind::Analytical,
-                             CollectiveMode::Analytical, 1, queue);
+                             CollectiveMode::Analytical, 1);
         let backend = run(&trace, &topo, NetworkBackendKind::Analytical,
-                          CollectiveMode::Backend, 1, queue);
+                          CollectiveMode::Backend, 1);
         prop_assert_eq!(
             analytical.total_time, backend.total_time,
             "single-chunk {} on {} diverged", collective, topo
@@ -189,9 +183,9 @@ proptest! {
         let size = DataSize::from_kib(kib);
         let trace = world_collective_trace(topo.npus(), collective, size);
         let analytical = run(&trace, &topo, NetworkBackendKind::Analytical,
-                             CollectiveMode::Analytical, chunks, QueueBackend::BinaryHeap);
+                             CollectiveMode::Analytical, chunks);
         let backend = run(&trace, &topo, NetworkBackendKind::Analytical,
-                          CollectiveMode::Backend, chunks, QueueBackend::BinaryHeap);
+                          CollectiveMode::Backend, chunks);
         prop_assert_eq!(
             analytical.total_time, backend.total_time,
             "{} x{} on {} diverged", collective, chunks, notation
@@ -213,11 +207,11 @@ proptest! {
         let size = DataSize::from_mib(mib);
         let trace = world_collective_trace(topo.npus(), collective, size);
         let analytical = run(&trace, &topo, NetworkBackendKind::Analytical,
-                             CollectiveMode::Analytical, chunks, QueueBackend::BinaryHeap)
+                             CollectiveMode::Analytical, chunks)
             .total_time;
         for backend in NetworkBackendKind::ALL {
             let executed = run(&trace, &topo, backend, CollectiveMode::Backend,
-                               chunks, QueueBackend::BinaryHeap)
+                               chunks)
                 .total_time;
             let ratio = executed.as_us_f64() / analytical.as_us_f64();
             prop_assert!(
@@ -278,8 +272,7 @@ fn collectives_and_p2p_contend_only_in_backend_mode() {
     );
     let trace = b.build().unwrap();
 
-    let total =
-        |backend, mode| run(&trace, &topo, backend, mode, 8, QueueBackend::BinaryHeap).total_time;
+    let total = |backend, mode| run(&trace, &topo, backend, mode, 8).total_time;
     let closed_form = total(NetworkBackendKind::Flow, CollectiveMode::Analytical);
     for backend in [NetworkBackendKind::Flow, NetworkBackendKind::Packet] {
         let executed = total(backend, CollectiveMode::Backend);
@@ -323,24 +316,8 @@ fn overlapping_collectives_serialize_in_both_modes() {
         b.build().unwrap()
     };
     for mode in CollectiveMode::ALL {
-        let one = run(
-            &make(1),
-            &topo,
-            NetworkBackendKind::Analytical,
-            mode,
-            8,
-            QueueBackend::BinaryHeap,
-        )
-        .total_time;
-        let two = run(
-            &make(2),
-            &topo,
-            NetworkBackendKind::Analytical,
-            mode,
-            8,
-            QueueBackend::BinaryHeap,
-        )
-        .total_time;
+        let one = run(&make(1), &topo, NetworkBackendKind::Analytical, mode, 8).total_time;
+        let two = run(&make(2), &topo, NetworkBackendKind::Analytical, mode, 8).total_time;
         let ratio = two.as_us_f64() / one.as_us_f64();
         assert!(
             ratio > 1.9,
@@ -381,7 +358,6 @@ fn sibling_groups_run_in_parallel_in_backend_mode() {
             backend,
             CollectiveMode::Backend,
             8,
-            QueueBackend::BinaryHeap,
         );
         let four = run(
             &make(&[
@@ -394,7 +370,6 @@ fn sibling_groups_run_in_parallel_in_backend_mode() {
             backend,
             CollectiveMode::Backend,
             8,
-            QueueBackend::BinaryHeap,
         );
         assert_eq!(one.total_time, four.total_time, "{backend}");
     }
@@ -406,14 +381,7 @@ fn backend_mode_breakdown_sums_to_total() {
     let topo = Topology::parse("SW(4)@100_SW(2)@50").unwrap();
     let trace = world_collective_trace(8, Collective::AllReduce, DataSize::from_mib(64));
     for backend in NetworkBackendKind::ALL {
-        let report = run(
-            &trace,
-            &topo,
-            backend,
-            CollectiveMode::Backend,
-            16,
-            QueueBackend::BinaryHeap,
-        );
+        let report = run(&trace, &topo, backend, CollectiveMode::Backend, 16);
         assert_eq!(report.breakdown.total(), report.total_time, "{backend}");
         assert!(report.breakdown.exposed_comm > Time::ZERO);
     }
@@ -491,15 +459,14 @@ fn degenerate_collectives_are_instant_in_backend_mode() {
         NetworkBackendKind::Packet,
         CollectiveMode::Backend,
         8,
-        QueueBackend::BinaryHeap,
     );
     assert_eq!(report.total_time, Time::ZERO);
     assert_eq!(report.collective_ops, 0);
     assert_eq!(report.network.backend_setups, 0, "no backend was built");
 }
 
-/// Golden picosecond pins: one Backend-mode All-Reduce per network backend
-/// under both event-queue backends, so future refactors cannot silently
+/// Golden picosecond pins: one Backend-mode All-Reduce per network backend,
+/// so future refactors cannot silently
 /// drift chunk schedules. The workload is the 16-NPU hierarchical
 /// All-Reduce of 64 MiB in 16 chunks on `SW(8)@100_SW(2)@50`.
 #[test]
@@ -516,12 +483,7 @@ fn golden_backend_collective_pins() {
         (NetworkBackendKind::Flow, Time::from_ps(1_177_405_120)),
     ];
     for (backend, want) in expected {
-        for queue in [QueueBackend::BinaryHeap, QueueBackend::Calendar] {
-            let report = run(&trace, &topo, backend, CollectiveMode::Backend, 16, queue);
-            assert_eq!(
-                report.total_time, want,
-                "{backend}/{queue:?}: chunk schedule drifted"
-            );
-        }
+        let report = run(&trace, &topo, backend, CollectiveMode::Backend, 16);
+        assert_eq!(report.total_time, want, "{backend}: chunk schedule drifted");
     }
 }

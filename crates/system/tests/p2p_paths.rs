@@ -15,7 +15,7 @@
 //!   The closed-form analytical backend stays congestion-free in both
 //!   modes.
 
-use astra_des::{DataSize, QueueBackend, Time};
+use astra_des::{DataSize, Time};
 use astra_network::{NetworkBackendKind, P2pMode};
 use astra_system::{simulate, SystemConfig};
 use astra_topology::Topology;
@@ -87,12 +87,10 @@ fn run(
     topo: &Topology,
     backend: NetworkBackendKind,
     mode: P2pMode,
-    queue: QueueBackend,
 ) -> astra_system::SimReport {
     let config = SystemConfig {
         network_backend: backend,
         p2p_mode: mode,
-        queue_backend: queue,
         ..SystemConfig::default()
     };
     simulate(trace, topo, &config).expect("valid simulation")
@@ -103,13 +101,12 @@ proptest! {
 
     /// Random relay chains over random topologies: bit-identical totals,
     /// per-NPU finish times, and breakdowns between the async and blocking
-    /// paths on all four backends (and both event-queue backends), with the
+    /// paths on all four backends, with the
     /// O(messages)-vs-O(1) backend-setup gap visible in the stats.
     #[test]
     fn non_overlapping_traffic_is_bit_identical_across_paths(
         topo in arb_topology(),
         walk in prop::collection::vec((0u64..1000, 0u64..257), 1..10),
-        calendar in any::<bool>(),
     ) {
         let npus = topo.npus();
         // Turn the raw walk into a relay chain of (src, dst, KiB) hops.
@@ -121,10 +118,9 @@ proptest! {
             at = next;
         }
         let trace = relay_chain_trace(npus, &hops);
-        let queue = if calendar { QueueBackend::Calendar } else { QueueBackend::BinaryHeap };
         for backend in NetworkBackendKind::ALL {
-            let blocking = run(&trace, &topo, backend, P2pMode::Blocking, queue);
-            let asynchronous = run(&trace, &topo, backend, P2pMode::Async, queue);
+            let blocking = run(&trace, &topo, backend, P2pMode::Blocking);
+            let asynchronous = run(&trace, &topo, backend, P2pMode::Async);
             prop_assert_eq!(
                 blocking.total_time, asynchronous.total_time,
                 "total diverged on {} / {}", backend, topo
@@ -183,8 +179,7 @@ fn incast_trace(npus: usize, srcs: &[usize], dst: usize, size: DataSize) -> Exec
 fn overlapping_sends_contend_in_congestion_aware_backends() {
     let topo = Topology::parse("SW(4)@100").unwrap();
     let trace = incast_trace(4, &[0, 1], 3, DataSize::from_mib(8));
-    let queue = QueueBackend::BinaryHeap;
-    let total = |backend, mode| run(&trace, &topo, backend, mode, queue).total_time;
+    let total = |backend, mode| run(&trace, &topo, backend, mode).total_time;
 
     let analytical = total(NetworkBackendKind::Analytical, P2pMode::Async);
     assert!(analytical > Time::ZERO);
@@ -276,9 +271,8 @@ fn same_source_concurrent_sends_serialize_on_the_nic_lane() {
         b.build().unwrap()
     };
     for backend in NetworkBackendKind::ALL {
-        let queue = QueueBackend::BinaryHeap;
-        let blocking = run(&trace, &topo, backend, P2pMode::Blocking, queue);
-        let asynchronous = run(&trace, &topo, backend, P2pMode::Async, queue);
+        let blocking = run(&trace, &topo, backend, P2pMode::Blocking);
+        let asynchronous = run(&trace, &topo, backend, P2pMode::Async);
         assert_eq!(
             blocking.total_time, asynchronous.total_time,
             "{backend}: NIC-lane serialization diverged between modes"
@@ -288,7 +282,7 @@ fn same_source_concurrent_sends_serialize_on_the_nic_lane() {
             "{backend}"
         );
         // The lane really serialized: two sends take about twice one.
-        let one = run(&solo, &topo, backend, P2pMode::Async, queue).total_time;
+        let one = run(&solo, &topo, backend, P2pMode::Async).total_time;
         let ratio = asynchronous.total_time.as_us_f64() / one.as_us_f64();
         assert!((1.8..2.2).contains(&ratio), "{backend}: lane ratio {ratio}");
     }
@@ -303,20 +297,8 @@ fn backend_setups_are_o1_async_and_o_messages_blocking() {
     let hops: Vec<(usize, usize, u64)> = (0..7).map(|i| (i, i + 1, 64)).collect();
     let trace = relay_chain_trace(8, &hops);
     for backend in NetworkBackendKind::ALL {
-        let blocking = run(
-            &trace,
-            &topo,
-            backend,
-            P2pMode::Blocking,
-            QueueBackend::BinaryHeap,
-        );
-        let asynchronous = run(
-            &trace,
-            &topo,
-            backend,
-            P2pMode::Async,
-            QueueBackend::BinaryHeap,
-        );
+        let blocking = run(&trace, &topo, backend, P2pMode::Blocking);
+        let asynchronous = run(&trace, &topo, backend, P2pMode::Async);
         assert_eq!(blocking.network.backend_setups, 7, "{backend}");
         assert_eq!(asynchronous.network.backend_setups, 1, "{backend}");
         assert!(

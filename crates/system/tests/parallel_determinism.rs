@@ -5,12 +5,12 @@
 //! conservative-lookahead windows. The contract these tests pin, mirroring
 //! the trace-generation suite in `crates/workload/tests/determinism.rs`:
 //! the full `SimReport` is **bit-identical** across worker thread counts
-//! (1, 2, 8) on every network backend and both event-queue backends — the
+//! (1, 2, 8) on every network backend — the
 //! thread count is a pure wall-clock knob, never a results knob. On
 //! non-overlapping traffic the parallel core is additionally bit-identical
 //! to the sequential reference core.
 
-use astra_des::{DataSize, QueueBackend, SimMode};
+use astra_des::{DataSize, SimMode};
 use astra_network::NetworkBackendKind;
 use astra_system::{simulate, SimReport, SystemConfig};
 use astra_topology::Topology;
@@ -23,12 +23,10 @@ fn run(
     trace: &ExecutionTrace,
     topo: &Topology,
     backend: NetworkBackendKind,
-    queue: QueueBackend,
     sim_mode: SimMode,
 ) -> SimReport {
     let config = SystemConfig {
         network_backend: backend,
-        queue_backend: queue,
         sim_mode,
         ..SystemConfig::default()
     };
@@ -118,28 +116,24 @@ fn topologies() -> Vec<Topology> {
         .collect()
 }
 
-/// Every backend, both event queues, overlapping *and* serial traffic:
+/// Every backend, overlapping *and* serial traffic:
 /// thread counts 1, 2, 8 produce bit-identical `SimReport`s.
 #[test]
 fn thread_count_is_not_a_results_knob() {
     for topo in topologies() {
         for trace in [relay_chain(topo.npus()), concurrent_fan(topo.npus())] {
             for backend in NetworkBackendKind::ALL {
-                for queue in [QueueBackend::BinaryHeap, QueueBackend::Calendar] {
-                    let reports: Vec<SimReport> = THREADS
-                        .iter()
-                        .map(|&threads| {
-                            run(&trace, &topo, backend, queue, SimMode::Parallel { threads })
-                        })
-                        .collect();
-                    for (i, report) in reports.iter().enumerate().skip(1) {
-                        assert!(
-                            report == &reports[0],
-                            "{backend} on {topo} ({queue:?}): threads {} diverges from threads {}",
-                            THREADS[i],
-                            THREADS[0]
-                        );
-                    }
+                let reports: Vec<SimReport> = THREADS
+                    .iter()
+                    .map(|&threads| run(&trace, &topo, backend, SimMode::Parallel { threads }))
+                    .collect();
+                for (i, report) in reports.iter().enumerate().skip(1) {
+                    assert!(
+                        report == &reports[0],
+                        "{backend} on {topo}: threads {} diverges from threads {}",
+                        THREADS[i],
+                        THREADS[0]
+                    );
                 }
             }
         }
@@ -155,20 +149,8 @@ fn parallel_matches_sequential_on_serial_traffic() {
     for topo in topologies() {
         let trace = relay_chain(topo.npus());
         for backend in NetworkBackendKind::ALL {
-            let sequential = run(
-                &trace,
-                &topo,
-                backend,
-                QueueBackend::BinaryHeap,
-                SimMode::Sequential,
-            );
-            let parallel = run(
-                &trace,
-                &topo,
-                backend,
-                QueueBackend::BinaryHeap,
-                SimMode::Parallel { threads: 4 },
-            );
+            let sequential = run(&trace, &topo, backend, SimMode::Sequential);
+            let parallel = run(&trace, &topo, backend, SimMode::Parallel { threads: 4 });
             assert!(
                 parallel == sequential,
                 "{backend} on {topo}: parallel core diverges from the sequential reference"

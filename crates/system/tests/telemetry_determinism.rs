@@ -10,8 +10,7 @@
 //!   `metrics: Some(..)` — stripping it restores bit-identity.
 //! * **Trace-byte invariance.** The rendered trace bytes (both the
 //!   Chrome JSON and the JSONL renderings) are bit-identical across
-//!   worker thread counts, both event-queue backends, and the
-//!   sequential/parallel cores.
+//!   worker thread counts and the sequential/parallel cores.
 //! * **Golden fixture.** A committed Chrome-format trace of one fixed
 //!   scenario (packet backend, chunk-level collectives, a degraded link)
 //!   pins the rendering and the recorded spans against drift. Re-bless
@@ -19,7 +18,7 @@
 //!   golden_chrome`.
 
 use astra_collectives::{Collective, CollectiveMode};
-use astra_des::{DataSize, QueueBackend, SimMode, Time};
+use astra_des::{DataSize, SimMode, Time};
 use astra_network::NetworkBackendKind;
 use astra_system::{
     simulate, simulate_traced, FaultKind, FaultSchedule, SimReport, SimTrace, SystemConfig,
@@ -29,7 +28,6 @@ use astra_topology::Topology;
 use astra_workload::{EtOp, ExecutionTrace, TraceBuilder};
 use proptest::prelude::*;
 
-const QUEUES: [QueueBackend; 2] = [QueueBackend::BinaryHeap, QueueBackend::Calendar];
 const THREADS: [usize; 3] = [1, 2, 8];
 
 /// One world-group All-Reduce at `t = 0` on every NPU, preceded by a
@@ -140,22 +138,19 @@ fn recording_changes_only_the_metrics_field() {
 fn trace_bytes_are_invariant_across_cores_queues_and_threads() {
     let (trace, topo, base) = golden_scenario();
     let mut renders: Vec<(String, String, String)> = Vec::new();
-    for queue in QUEUES {
-        let mut modes = vec![SimMode::Sequential];
-        modes.extend(THREADS.map(|threads| SimMode::Parallel { threads }));
-        for sim_mode in modes {
-            let config = SystemConfig {
-                queue_backend: queue,
-                sim_mode,
-                ..base.clone()
-            };
-            let (_, sim_trace) = traced(&trace, &topo, &config);
-            renders.push((
-                format!("{queue:?}/{sim_mode:?}"),
-                TraceFormat::Chrome.render(&sim_trace),
-                TraceFormat::Jsonl.render(&sim_trace),
-            ));
-        }
+    let mut modes = vec![SimMode::Sequential];
+    modes.extend(THREADS.map(|threads| SimMode::Parallel { threads }));
+    for sim_mode in modes {
+        let config = SystemConfig {
+            sim_mode,
+            ..base.clone()
+        };
+        let (_, sim_trace) = traced(&trace, &topo, &config);
+        renders.push((
+            format!("{sim_mode:?}"),
+            TraceFormat::Chrome.render(&sim_trace),
+            TraceFormat::Jsonl.render(&sim_trace),
+        ));
     }
     let (ref_label, ref_chrome, ref_jsonl) = &renders[0];
     for (label, chrome, jsonl) in &renders[1..] {
@@ -205,7 +200,6 @@ fn arb_config() -> impl Strategy<Value = SystemConfig> {
         ]),
         prop::sample::select(vec![CollectiveMode::Analytical, CollectiveMode::Backend]),
         prop::sample::select(vec![1u64, 2, 4]),
-        prop::sample::select(QUEUES.to_vec()),
         prop::sample::select(vec![
             SimMode::Sequential,
             SimMode::Parallel { threads: 2 },
@@ -213,16 +207,13 @@ fn arb_config() -> impl Strategy<Value = SystemConfig> {
         ]),
     )
         .prop_map(
-            |(network_backend, collective_mode, collective_chunks, queue_backend, sim_mode)| {
-                SystemConfig {
-                    network_backend,
-                    collective_mode,
-                    collective_chunks,
-                    queue_backend,
-                    sim_mode,
-                    telemetry: true,
-                    ..SystemConfig::default()
-                }
+            |(network_backend, collective_mode, collective_chunks, sim_mode)| SystemConfig {
+                network_backend,
+                collective_mode,
+                collective_chunks,
+                sim_mode,
+                telemetry: true,
+                ..SystemConfig::default()
             },
         )
 }
@@ -231,8 +222,8 @@ proptest! {
     #![proptest_config(ProptestConfig::with_cases(24))]
 
     /// Across random small configs: the traced report minus metrics is
-    /// the plain report, and trace bytes do not depend on the queue
-    /// backend or core (re-run under swapped execution knobs).
+    /// the plain report, and trace bytes do not depend on the core
+    /// (re-run under the swapped execution core).
     #[test]
     fn telemetry_is_pure_observation(
         config in arb_config(),
@@ -248,12 +239,8 @@ proptest! {
         recorded.metrics = None;
         prop_assert_eq!(&plain, &recorded, "recording perturbed the report");
 
-        // Swap execution knobs that must not show up in the bytes.
+        // Swap the execution core, which must not show up in the bytes.
         let swapped = SystemConfig {
-            queue_backend: match config.queue_backend {
-                QueueBackend::BinaryHeap => QueueBackend::Calendar,
-                QueueBackend::Calendar => QueueBackend::BinaryHeap,
-            },
             sim_mode: match config.sim_mode {
                 SimMode::Sequential => SimMode::Parallel { threads: 3 },
                 SimMode::Parallel { .. } => SimMode::Sequential,

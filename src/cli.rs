@@ -7,8 +7,7 @@
 //! ```
 
 use astra_core::{
-    CollectiveMode, MetricsReport, NetworkBackendKind, P2pMode, QueueBackend, SimReport,
-    TraceFormat,
+    CollectiveMode, MetricsReport, NetworkBackendKind, P2pMode, SimReport, TraceFormat,
 };
 use astra_serve::SimRequest;
 use std::error::Error;
@@ -36,8 +35,6 @@ pub struct CliOptions {
     pub chunks: Option<u64>,
     /// Remote memory system: `hiermem-base`, `hiermem-opt`, `zero-infinity`.
     pub memory: Option<String>,
-    /// Future-event-list backend: `heap` (default) or `calendar`.
-    pub queue: Option<QueueBackend>,
     /// Network backend for p2p traffic: `analytical` (default), `packet`,
     /// `batched`, or `flow`.
     pub network: Option<NetworkBackendKind>,
@@ -103,8 +100,6 @@ OPTIONS:
     --themis                Themis greedy collective scheduler
     --chunks <N>            collective pipeline chunks (default 128)
     --memory <SYSTEM>       hiermem-base | hiermem-opt | zero-infinity (required for moe)
-    --queue <BACKEND>       event-queue backend: heap (default) | calendar
-                            (identical results, different simulation speed)
     --network <BACKEND>     p2p network backend: analytical (default) |
                             packet | batched | flow (batched scales to fine
                             packets; it is bit-identical to packet unless
@@ -138,7 +133,7 @@ OPTIONS:
                             intervals and queue depths, fault/budget
                             markers; trace bytes are a pure function of
                             the config (bit-identical across
-                            --sim-threads, --queue, and serve workers)
+                            --sim-threads and serve workers)
     --trace-format <FMT>    trace encoding for --trace-out: chrome
                             (default; open in Perfetto or
                             chrome://tracing) | jsonl (one record per
@@ -155,10 +150,10 @@ SWEEP (throughput benchmark runner, writes BENCH_throughput.json-style JSON):
     --quick                 CI-sized payloads and scales
     --out <PATH>            output JSON path (default BENCH_sweep.json)
     --series <LIST>         comma-separated subset of
-                            trace-gen,event-queue,packet-scale,engine-p2p,
+                            trace-gen,packet-scale,engine-p2p,
                             collective-backend,parallel-des,serve-throughput,
                             fault-injection,trace-overhead,fig4,fig9a,fig9b,
-                            table4,fig11,table5 (default: the nine
+                            table4,fig11,table5 (default: the eight
                             throughput series; fig4/fig9a/fig9b/table4/
                             fig11/table5 fold the paper experiment runners
                             into the JSON)
@@ -173,8 +168,8 @@ SERVE (batch service: JSONL requests in, one JSON report row per line out):
                             persist across connections)
     --max-connections <N>   stop after N socket connections
     Request fields mirror the single-run flags (topology, workload,
-    all_reduce_mib, mp, fsdp, pipeline, themis, chunks, memory, queue,
-    network, p2p, collectives, sim_threads) plus an echoed `id`. Warm
+    all_reduce_mib, mp, fsdp, pipeline, themis, chunks, memory, network,
+    p2p, collectives, sim_threads) plus an echoed `id`. Warm
     caches only change speed: every row is bit-identical to a cold
     single run of the same request.
 ";
@@ -196,7 +191,6 @@ pub fn parse_args(args: &[String]) -> Result<CliOptions, CliError> {
         themis: false,
         chunks: None,
         memory: None,
-        queue: None,
         network: None,
         p2p: None,
         collectives: None,
@@ -239,7 +233,6 @@ pub fn parse_args(args: &[String]) -> Result<CliOptions, CliError> {
                 );
             }
             "--memory" => opts.memory = Some(value("--memory")?),
-            "--queue" => opts.queue = Some(value("--queue")?.parse().map_err(err)?),
             "--network" => opts.network = Some(value("--network")?.parse().map_err(err)?),
             "--p2p" => opts.p2p = Some(value("--p2p")?.parse().map_err(err)?),
             "--collectives" => {
@@ -317,7 +310,6 @@ pub fn to_request(opts: &CliOptions) -> SimRequest {
         themis: opts.themis,
         chunks: opts.chunks,
         memory: opts.memory.clone(),
-        queue: opts.queue,
         network: opts.network,
         p2p: opts.p2p,
         collectives: opts.collectives,
@@ -830,25 +822,6 @@ mod tests {
     }
 
     #[test]
-    fn parses_queue_backend() {
-        let opts = parse_args(&args(
-            "--topology SW(8)@400 --all-reduce-mib 64 --queue calendar",
-        ))
-        .unwrap();
-        assert_eq!(opts.queue, Some(QueueBackend::Calendar));
-        let opts = parse_args(&args(
-            "--topology SW(8)@400 --all-reduce-mib 64 --queue heap",
-        ))
-        .unwrap();
-        assert_eq!(opts.queue, Some(QueueBackend::BinaryHeap));
-        let e = parse_args(&args(
-            "--topology SW(8)@400 --all-reduce-mib 64 --queue skiplist",
-        ))
-        .unwrap_err();
-        assert!(e.to_string().contains("skiplist"));
-    }
-
-    #[test]
     fn parses_network_backend() {
         for (flag, kind) in [
             ("analytical", NetworkBackendKind::Analytical),
@@ -1052,18 +1025,6 @@ mod tests {
         assert!(parse_args(&args("--topology R(8)@100 --workload gpt3 --pipeline x")).is_err());
         let zero = parse_args(&args("--topology R(8)@100 --workload gpt3 --pipeline 0")).unwrap();
         assert!(run(&zero).unwrap_err().to_string().contains("--pipeline"));
-    }
-
-    #[test]
-    fn queue_backends_report_identical_results() {
-        // The backend is a pure performance knob: simulated results must be
-        // bit-identical under either queue.
-        let base = "--topology R(4)@100_SW(4)@50 --workload dlrm --queue";
-        let heap = run(&parse_args(&args(&format!("{base} heap"))).unwrap()).unwrap();
-        let calendar = run(&parse_args(&args(&format!("{base} calendar"))).unwrap()).unwrap();
-        assert_eq!(heap.total_time, calendar.total_time);
-        assert_eq!(heap.breakdown.exposed_comm, calendar.breakdown.exposed_comm);
-        assert_eq!(heap.collectives, calendar.collectives);
     }
 
     #[test]

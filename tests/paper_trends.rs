@@ -3,7 +3,7 @@
 
 use astra_core::{
     dimension_traffic, experiments::CaseWorkload, simulate, Collective, CollectiveEngine, DataSize,
-    QueueBackend, SchedulerPolicy, SystemConfig, Time, Topology,
+    SchedulerPolicy, SystemConfig, Time, Topology,
 };
 
 /// Table IV: exact per-dimension message sizes for the 1 GB All-Reduce.
@@ -150,7 +150,7 @@ fn packet_backend_event_cost_scales_with_packets() {
 }
 
 /// Golden end-to-end numbers for two Fig. 9-style configurations, pinned
-/// to the picosecond and checked under **both** event-queue backends.
+/// to the picosecond.
 ///
 /// These pins intentionally over-constrain the simulator: any refactor of
 /// the DES kernel, the collective engine, or the graph engine that shifts
@@ -163,54 +163,42 @@ fn golden_fig9_conv4d_allreduce_is_pinned_on_both_backends() {
     // Table II Conv-4D system (512 NPUs), baseline scheduler.
     let topo = astra_core::topologies::conv4d();
     let trace = CaseWorkload::AllReduce1Gb.trace(topo.npus());
-    for backend in QueueBackend::ALL {
-        let config = SystemConfig {
-            queue_backend: backend,
-            ..SystemConfig::default()
-        };
-        let report = simulate(&trace, &topo, &config).unwrap();
-        assert_eq!(
-            report.total_time,
-            Time::from_ps(4_755_316_032),
-            "total time moved ({backend})"
-        );
-        assert_eq!(
-            report.breakdown.exposed_comm,
-            Time::from_ps(4_755_316_032),
-            "exposed comm moved ({backend})"
-        );
-        assert_eq!(report.breakdown.compute, Time::ZERO);
-    }
+    let report = simulate(&trace, &topo, &SystemConfig::default()).unwrap();
+    assert_eq!(
+        report.total_time,
+        Time::from_ps(4_755_316_032),
+        "total time moved"
+    );
+    assert_eq!(
+        report.breakdown.exposed_comm,
+        Time::from_ps(4_755_316_032),
+        "exposed comm moved"
+    );
+    assert_eq!(report.breakdown.compute, Time::ZERO);
 }
 
 /// Golden Fig. 9(a) DLRM column on the W-2D wafer system: total exposed
-/// communication and the full time breakdown, both backends.
+/// communication and the full time breakdown.
 #[test]
 fn golden_fig9_w2d_dlrm_is_pinned_on_both_backends() {
     let topo = astra_core::topologies::w2d();
     let trace = CaseWorkload::Dlrm.trace(topo.npus());
-    for backend in QueueBackend::ALL {
-        let config = SystemConfig {
-            queue_backend: backend,
-            ..SystemConfig::default()
-        };
-        let report = simulate(&trace, &topo, &config).unwrap();
-        assert_eq!(
-            report.total_time,
-            Time::from_ps(3_371_673_680),
-            "total time moved ({backend})"
-        );
-        assert_eq!(
-            report.breakdown.exposed_comm,
-            Time::from_ps(378_442_912),
-            "exposed comm moved ({backend})"
-        );
-        assert_eq!(
-            report.breakdown.compute,
-            Time::from_ps(2_993_230_768),
-            "compute moved ({backend})"
-        );
-    }
+    let report = simulate(&trace, &topo, &SystemConfig::default()).unwrap();
+    assert_eq!(
+        report.total_time,
+        Time::from_ps(3_371_673_680),
+        "total time moved"
+    );
+    assert_eq!(
+        report.breakdown.exposed_comm,
+        Time::from_ps(378_442_912),
+        "exposed comm moved"
+    );
+    assert_eq!(
+        report.breakdown.compute,
+        Time::from_ps(2_993_230_768),
+        "compute moved"
+    );
 }
 
 /// Fig. 11 (truncated): ZeRO-Infinity ~= HierMem(baseline), HierMem(opt)
