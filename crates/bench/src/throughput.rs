@@ -11,7 +11,7 @@
 
 use astra_core::{
     experiments, simulate, simulate_traced, CollectiveMode, DataSize, FaultKind, FaultSchedule,
-    NetworkBackendKind, P2pMode, SimMode, SystemConfig, Time, Topology,
+    NetworkBackendKind, SimMode, SystemConfig, Time, Topology,
 };
 use astra_garnet::{collective_time, PacketSimConfig, TransportMode};
 use astra_serve::{execute_once, run_batch, SimRequest, WarmCache};
@@ -1177,17 +1177,14 @@ fn engine_p2p_row(
     reps: usize,
 ) -> EngineP2pRow {
     let topo = Topology::parse(notation).expect("valid notation");
-    let config = |mode| SystemConfig {
+    let config = SystemConfig {
         network_backend: backend,
-        p2p_mode: mode,
         ..SystemConfig::default()
     };
     let (blocking_ms, blocking) = best_ms(reps, || {
-        simulate(trace, &topo, &config(P2pMode::Blocking)).unwrap()
+        astra_system::simulate_blocking_reference(trace, &topo, &config).unwrap()
     });
-    let (async_ms, asynchronous) = best_ms(reps, || {
-        simulate(trace, &topo, &config(P2pMode::Async)).unwrap()
-    });
+    let (async_ms, asynchronous) = best_ms(reps, || simulate(trace, &topo, &config).unwrap());
     assert_eq!(blocking.p2p_messages, asynchronous.p2p_messages);
     assert_eq!(
         blocking.network.backend_setups, blocking.p2p_messages,

@@ -171,15 +171,6 @@ impl SimulationBuilder {
         self
     }
 
-    /// Selects how the engine drives the network backend: the async
-    /// `send_async`/callback NetworkAPI (default, models cross-message
-    /// contention on one shared clock) or the frozen blocking reference
-    /// (one fresh `p2p_delay` sub-simulation per message).
-    pub fn p2p_mode(mut self, mode: astra_network::P2pMode) -> Self {
-        self.config.p2p_mode = mode;
-        self
-    }
-
     /// Selects the execution core of the packet-level backends: the
     /// sequential reference (default) or the domain-partitioned parallel
     /// core with `threads` workers advancing conservative-lookahead

@@ -43,7 +43,7 @@ pub use astra_memory::{
 };
 pub use astra_network::{
     AnalyticalConfig, AnalyticalNetwork, AsyncMessageId, Completion, FlowId, FlowNetwork,
-    NetworkBackend, NetworkBackendKind, NetworkStats, P2pMode, SharedDelayMemo, SharedRouteTable,
+    NetworkBackend, NetworkBackendKind, NetworkStats, SharedDelayMemo, SharedRouteTable,
 };
 pub use astra_system::{
     simulate, simulate_traced, simulate_traced_with, simulate_with, Breakdown, CacheStats,

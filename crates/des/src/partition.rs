@@ -32,13 +32,15 @@ use std::collections::{BinaryHeap, VecDeque};
 use crate::Time;
 
 /// How the simulation core executes: the frozen sequential reference, or
-/// the domain-partitioned conservative-lookahead core (same results, a
-/// different — parallelizable — event order).
+/// the domain-partitioned conservative-lookahead core (a different —
+/// parallelizable — event order).
 ///
-/// Same discipline as `TransportMode`/`P2pMode` before it:
-/// a pure speed knob, selectable end to end (`SystemConfig.sim_mode`,
-/// `SimulationBuilder::sim_threads`, `astra --sim-threads N`), with the
-/// sequential engine kept as the bit-identical baseline.
+/// Selectable end to end
+/// (`SystemConfig.sim_mode`, `SimulationBuilder::sim_threads`,
+/// `astra --sim-threads N`), with the sequential engine kept as the
+/// baseline. The two cores are pinned bit-identical only on traffic
+/// that never overlaps; where batched trains overlap on a link, the
+/// sequential core splits them and the parallel core serializes them.
 #[derive(Copy, Clone, Debug, Default, PartialEq, Eq, PartialOrd, Ord, Hash)]
 pub enum SimMode {
     /// One totally-ordered event queue (the frozen reference).

@@ -8,7 +8,7 @@
 //!    nothing on the simulation path may iterate a `HashMap`/`HashSet`
 //!    (order is randomized per process) or read a wall clock.
 //! 2. **Frozen references.** Each fast path (`TransportMode::Batched`,
-//!    `P2pMode::Async`, `CollectiveMode::Backend`) is pinned
+//!    the async NetworkAPI, `CollectiveMode::Backend`) is pinned
 //!    bit-identical to a slow reference implementation. Editing
 //!    a reference body silently invalidates every downstream golden pin.
 //!
@@ -78,7 +78,6 @@ pub const SIM_CRATES: &[&str] = &[
 /// Mode/backend config enums that must never be matched with a bare `_`.
 pub const CONFIG_ENUMS: &[&str] = &[
     "TransportMode",
-    "P2pMode",
     "CollectiveMode",
     "NetworkBackendKind",
     "SimMode",

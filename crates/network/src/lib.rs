@@ -116,14 +116,14 @@ impl NetworkStats {
 ///
 /// Two calling conventions share the trait:
 ///
-/// * **Async** (the engine default): [`NetworkBackend::send_async`]
+/// * **Async** (the engine's path): [`NetworkBackend::send_async`]
 ///   schedules a message at an absolute time and returns immediately; the
 ///   caller interleaves [`NetworkBackend::advance_until`] with its own
 ///   event loop (one shared clock) and collects finish callbacks via
 ///   [`NetworkBackend::drain_completions`]. Engine-time-concurrent
 ///   messages are co-resident inside the backend, so cross-message
 ///   contention is modeled.
-/// * **Blocking** (the frozen reference): [`NetworkBackend::p2p_delay`]
+/// * **Blocking** (the frozen test reference): [`NetworkBackend::p2p_delay`]
 ///   measures one message to completion on the backend's own clock.
 ///
 /// Async callers must uphold one invariant: `send_async` times and
@@ -195,57 +195,6 @@ pub trait NetworkBackend {
     /// has no per-link state (the default).
     fn link_traces(&self) -> Vec<LinkTrace> {
         Vec::new()
-    }
-}
-
-/// How the system engine drives its [`NetworkBackend`] for point-to-point
-/// traffic.
-#[derive(Copy, Clone, Debug, Default, PartialEq, Eq, Hash)]
-pub enum P2pMode {
-    /// Event-driven `send_async`/completion-callback integration on the
-    /// engine's own clock: concurrent messages are co-resident inside one
-    /// backend instance, so cross-message contention is modeled and
-    /// backend setup is paid once. The default.
-    #[default]
-    Async,
-    /// The frozen reference path: each message is measured to completion
-    /// by a blocking [`NetworkBackend::p2p_delay`] probe on a fresh
-    /// backend sub-simulation — `O(messages)` setups, no co-residency
-    /// (messages never contend with each other).
-    Blocking,
-}
-
-impl P2pMode {
-    /// Both modes, for tests and benchmark sweeps.
-    pub const ALL: [P2pMode; 2] = [P2pMode::Async, P2pMode::Blocking];
-
-    /// Stable machine-readable name (`async` / `blocking`).
-    pub fn name(self) -> &'static str {
-        match self {
-            P2pMode::Async => "async",
-            P2pMode::Blocking => "blocking",
-        }
-    }
-}
-
-impl fmt::Display for P2pMode {
-    fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
-        f.write_str(self.name())
-    }
-}
-
-impl FromStr for P2pMode {
-    type Err = String;
-
-    /// Accepts `async` and `blocking`.
-    fn from_str(s: &str) -> Result<Self, Self::Err> {
-        match s {
-            "async" => Ok(P2pMode::Async),
-            "blocking" => Ok(P2pMode::Blocking),
-            other => Err(format!(
-                "unknown p2p mode `{other}` (expected `async` or `blocking`)"
-            )),
-        }
     }
 }
 
@@ -687,16 +636,6 @@ mod tests {
         assert!(out.is_empty(), "completions are drained once");
         // The async path shares the memo with blocking queries.
         assert!(n.cache_hits() > 0);
-    }
-
-    #[test]
-    fn p2p_mode_parses_and_displays() {
-        for mode in P2pMode::ALL {
-            assert_eq!(mode.name().parse::<P2pMode>().unwrap(), mode);
-            assert_eq!(mode.to_string(), mode.name());
-        }
-        assert_eq!(P2pMode::default(), P2pMode::Async);
-        assert!("eager".parse::<P2pMode>().is_err());
     }
 
     #[test]

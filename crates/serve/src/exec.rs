@@ -167,7 +167,6 @@ fn build_config(req: &SimRequest) -> Result<SystemConfig, RequestError> {
             SchedulerPolicy::Baseline
         },
         network_backend: req.network.unwrap_or_default(),
-        p2p_mode: req.p2p.unwrap_or_default(),
         collective_mode: req.collectives.unwrap_or_default(),
         sim_mode: match req.sim_threads {
             Some(threads) => SimMode::Parallel { threads },

@@ -31,6 +31,8 @@ pub use batch::{
     report_value, run_batch, run_batch_items, run_batch_items_with, BatchLine, BatchSummary,
 };
 pub use exec::{execute, execute_once, execute_traced, CacheSummary, WarmCache};
-pub use request::{parse_faults_json, ErrorKind, RequestError, SimRequest};
+pub use request::{
+    parse_faults_json, ErrorKind, Field, FieldKind, RequestError, SimRequest, FIELDS,
+};
 pub use socket::{serve_unix, serve_unix_with, ServeOptions};
 pub use stats::ServeStats;

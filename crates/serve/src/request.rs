@@ -1,12 +1,15 @@
-//! Simulation requests: the JSONL schema of the batch service.
+//! Simulation requests: the one request schema of `astra` and `astra
+//! serve`.
 //!
-//! One request is one JSON object per line. Field names mirror the
-//! `astra` CLI flags (`topology` ↔ `--topology`, `all_reduce_mib` ↔
-//! `--all-reduce-mib`, …) and carry the same semantics — a request is a
-//! CLI invocation in data form, and resolving one produces exactly the
-//! report the equivalent single-run invocation would.
+//! One request is one JSON object per line. Its fields are the rows of
+//! [`FIELDS`], plus an echoed `id` and an inline `faults` array. The
+//! `astra` CLI reads the same table: every row is also a `--kebab-name`
+//! flag (`all_reduce_mib` ↔ `--all-reduce-mib`, a bare flag for bools),
+//! and `astra --help` lists the rows. A request is a CLI invocation in
+//! data form, and resolving one produces exactly the report the
+//! equivalent single-run invocation would.
 
-use astra_core::{CollectiveMode, FaultKind, FaultSchedule, NetworkBackendKind, P2pMode, Time};
+use astra_core::{CollectiveMode, FaultKind, FaultSchedule, NetworkBackendKind, Time};
 use std::error::Error;
 use std::fmt;
 
@@ -97,40 +100,220 @@ pub struct SimRequest {
     pub topology: String,
     /// Workload name: `dlrm`, `gpt3`, `t1t`, or `moe`.
     pub workload: Option<String>,
-    /// All-Reduce microbenchmark payload in MiB (alternative to a
-    /// workload).
+    /// All-Reduce microbenchmark payload in MiB (instead of a workload).
     pub all_reduce_mib: Option<u64>,
     /// Model-parallel width for `gpt3` / `t1t`.
     pub mp: Option<usize>,
     /// FSDP instead of hybrid/data parallelism.
     pub fsdp: bool,
-    /// Pipeline parallelism with this many stages (and as many
-    /// micro-batches).
+    /// Pipeline parallelism with this many stages and micro-batches.
     pub pipeline: Option<usize>,
     /// Use the Themis greedy collective scheduler.
     pub themis: bool,
     /// Collective pipeline chunks.
     pub chunks: Option<u64>,
-    /// Remote memory system: `hiermem-base`, `hiermem-opt`,
-    /// `zero-infinity`.
+    /// Remote memory system: `hiermem-base`, `hiermem-opt`, `zero-infinity`.
     pub memory: Option<String>,
     /// Network backend: `analytical`, `packet`, `batched`, or `flow`.
     pub network: Option<NetworkBackendKind>,
-    /// Engine/network integration: `async` or `blocking`.
-    pub p2p: Option<P2pMode>,
     /// Collective execution: `analytical` or `backend`.
     pub collectives: Option<CollectiveMode>,
     /// Worker threads for the packet backends' parallel core.
     pub sim_threads: Option<usize>,
     /// Deterministic fault schedule (see [`FaultSchedule`]); empty by
-    /// default. Part of the canonical key via its signature, so
-    /// fault-laden requests never alias fault-free cache entries.
+    /// default.
     pub faults: FaultSchedule,
-    /// Event budget: fail with a `budget_exceeded` row once engine plus
-    /// network backends have processed this many events.
+    /// Event budget: fail with a `budget_exceeded` row past this many events.
     pub max_events: Option<u64>,
     /// Simulated-time budget in picoseconds.
     pub max_sim_time_ps: Option<u64>,
+}
+
+/// The value kind of a request field, holding the setter that stores a
+/// read value into a [`SimRequest`].
+#[derive(Clone, Copy, Debug)]
+pub enum FieldKind {
+    /// Any string.
+    Str(fn(&mut SimRequest, String)),
+    /// One of the listed names, the first being the default; the setter
+    /// parses the name.
+    Enum(
+        &'static [&'static str],
+        fn(&mut SimRequest, &str) -> Result<(), String>,
+    ),
+    /// A non-negative integer.
+    Int(fn(&mut SimRequest, u64)),
+    /// An integer of at least 1.
+    Count(fn(&mut SimRequest, u64)),
+    /// `true` or `false`; a bare flag on the command line.
+    Bool(fn(&mut SimRequest, bool)),
+}
+
+/// One row of the request schema: a [`SimRequest`] field as `astra serve`
+/// reads it (`"snake_name": value`) and as `astra` reads it
+/// (`--kebab-name VALUE`, or a bare `--kebab-name` for bools).
+#[derive(Clone, Copy, Debug)]
+pub struct Field {
+    /// The JSON name; the CLI flag is its kebab-case spelling.
+    pub name: &'static str,
+    /// Placeholder for the value in `--help` (empty for bools).
+    pub value: &'static str,
+    /// `--help` text, wrapped when printed.
+    pub help: &'static str,
+    /// How the value is read and where it is stored.
+    pub kind: FieldKind,
+}
+
+/// The request schema: every [`SimRequest`] field except `id` and
+/// `faults`, in `--help` order. Adding a request field means adding its
+/// row here.
+pub const FIELDS: &[Field] = &[
+    Field {
+        name: "topology",
+        value: "<NOTATION>",
+        help: "required, e.g. \"R(4)@250_SW(2)@50\" (Ring/R, FullyConnected/FC, Switch/SW)",
+        kind: FieldKind::Str(|r, v| r.topology = v),
+    },
+    Field {
+        name: "workload",
+        value: "<NAME>",
+        help: "dlrm | gpt3 | t1t | moe (Table III presets); this or --all-reduce-mib is required",
+        kind: FieldKind::Str(|r, v| r.workload = Some(v)),
+    },
+    Field {
+        name: "all_reduce_mib",
+        value: "<MiB>",
+        help: "single world All-Reduce of this many MiB",
+        kind: FieldKind::Int(|r, v| r.all_reduce_mib = Some(v)),
+    },
+    Field {
+        name: "mp",
+        value: "<N>",
+        help: "model-parallel width (gpt3/t1t; default Table III)",
+        kind: FieldKind::Int(|r, v| r.mp = Some(v as usize)),
+    },
+    Field {
+        name: "fsdp",
+        value: "",
+        help: "fully-sharded data parallelism instead of hybrid",
+        kind: FieldKind::Bool(|r, v| r.fsdp = v),
+    },
+    Field {
+        name: "pipeline",
+        value: "<STAGES>",
+        help: "GPipe-style pipeline parallelism (STAGES stages, as many micro-batches); \
+               its stage-to-stage sends are what --network routes",
+        kind: FieldKind::Int(|r, v| r.pipeline = Some(v as usize)),
+    },
+    Field {
+        name: "themis",
+        value: "",
+        help: "Themis greedy collective scheduler",
+        kind: FieldKind::Bool(|r, v| r.themis = v),
+    },
+    Field {
+        name: "chunks",
+        value: "<N>",
+        help: "collective pipeline chunks (default 128)",
+        kind: FieldKind::Int(|r, v| r.chunks = Some(v)),
+    },
+    Field {
+        name: "memory",
+        value: "<SYSTEM>",
+        help: "hiermem-base | hiermem-opt | zero-infinity (required for moe)",
+        kind: FieldKind::Str(|r, v| r.memory = Some(v)),
+    },
+    Field {
+        name: "network",
+        value: "<BACKEND>",
+        help: "the p2p network backend; batched scales to fine packets and is \
+               bit-identical to packet unless concurrent trains interleave on a link",
+        kind: FieldKind::Enum(&["analytical", "packet", "batched", "flow"], |r, v| {
+            v.parse().map(|kind| r.network = Some(kind))
+        }),
+    },
+    Field {
+        name: "collectives",
+        value: "<MODE>",
+        help: "closed-form multi-rail collectives, or chunk-level send/recv programs \
+               run on the --network backend (baseline scheduler only)",
+        kind: FieldKind::Enum(&["analytical", "backend"], |r, v| {
+            v.parse().map(|mode| r.collectives = Some(mode))
+        }),
+    },
+    Field {
+        name: "sim_threads",
+        value: "<N>",
+        help: "run the packet backends on the parallel core with N worker threads; \
+               bit-identical for every N (default: the sequential core)",
+        kind: FieldKind::Count(|r, v| r.sim_threads = Some(v as usize)),
+    },
+    Field {
+        name: "max_events",
+        value: "<N>",
+        help: "event budget: fail once the engine and network backends processed N events",
+        kind: FieldKind::Count(|r, v| r.max_events = Some(v)),
+    },
+    Field {
+        name: "max_sim_time_ps",
+        value: "<PS>",
+        help: "simulated-time budget in picoseconds",
+        kind: FieldKind::Count(|r, v| r.max_sim_time_ps = Some(v)),
+    },
+];
+
+impl Field {
+    /// The row whose CLI flag is `flag` (`--kebab-name`).
+    pub fn for_flag(flag: &str) -> Option<&'static Field> {
+        let name = flag.strip_prefix("--").filter(|n| !n.contains('_'))?;
+        let name = name.replace('-', "_");
+        FIELDS.iter().find(|f| f.name == name)
+    }
+
+    /// The CLI flag, `--kebab-name`.
+    pub fn flag(&self) -> String {
+        format!("--{}", self.name.replace('_', "-"))
+    }
+
+    /// Reads the field's JSON value into `req`, or names the field in a
+    /// type or range error.
+    fn read(&self, req: &mut SimRequest, v: &Value) -> Result<(), RequestError> {
+        let key = self.name;
+        match self.kind {
+            FieldKind::Str(set) => set(req, string_field(key, v)?),
+            FieldKind::Enum(_, set) => set(req, &string_field(key, v)?).map_err(err)?,
+            FieldKind::Int(set) => set(req, uint_field(key, v)?),
+            FieldKind::Count(set) => {
+                let n = uint_field(key, v)?;
+                if n == 0 {
+                    return Err(err(format!("`{key}` must be at least 1")));
+                }
+                set(req, n);
+            }
+            FieldKind::Bool(set) => set(req, bool_field(key, v)?),
+        }
+        Ok(())
+    }
+
+    /// Reads the field from the command line: `arg` is the text after a
+    /// valued flag, `None` for a bare bool flag. Text that is not an
+    /// integer reaches an integer field as a string, so the error is the
+    /// one a JSON request gets.
+    ///
+    /// # Errors
+    ///
+    /// Returns a [`RequestError`] naming the field when the value has the
+    /// wrong type or is out of range.
+    pub fn read_arg(&self, req: &mut SimRequest, arg: Option<&str>) -> Result<(), RequestError> {
+        let v = match (self.kind, arg) {
+            (FieldKind::Int(_) | FieldKind::Count(_), Some(text)) => text
+                .parse()
+                .map_or_else(|_| Value::Str(text.to_owned()), Value::UInt),
+            (_, Some(text)) => Value::Str(text.to_owned()),
+            (_, None) => Value::Bool(true),
+        };
+        self.read(req, &v)
+    }
 }
 
 /// Parses the `faults` array of a request (or of an `astra --faults`
@@ -243,43 +426,11 @@ fn read_fields(req: &mut SimRequest, fields: &[(String, Value)]) -> Result<(), R
     for (key, v) in fields {
         match key.as_str() {
             "id" => {}
-            "topology" => req.topology = string_field(key, v)?,
-            "workload" => req.workload = Some(string_field(key, v)?),
-            "all_reduce_mib" => req.all_reduce_mib = Some(uint_field(key, v)?),
-            "mp" => req.mp = Some(uint_field(key, v)? as usize),
-            "fsdp" => req.fsdp = bool_field(key, v)?,
-            "pipeline" => req.pipeline = Some(uint_field(key, v)? as usize),
-            "themis" => req.themis = bool_field(key, v)?,
-            "chunks" => req.chunks = Some(uint_field(key, v)?),
-            "memory" => req.memory = Some(string_field(key, v)?),
-            "network" => req.network = Some(string_field(key, v)?.parse().map_err(err)?),
-            "p2p" => req.p2p = Some(string_field(key, v)?.parse().map_err(err)?),
-            "collectives" => {
-                req.collectives = Some(string_field(key, v)?.parse().map_err(err)?);
-            }
-            "sim_threads" => {
-                let threads = uint_field(key, v)? as usize;
-                if threads == 0 {
-                    return Err(err("`sim_threads` must be at least 1"));
-                }
-                req.sim_threads = Some(threads);
-            }
             "faults" => req.faults = parse_faults(v)?,
-            "max_events" => {
-                let cap = uint_field(key, v)?;
-                if cap == 0 {
-                    return Err(err("`max_events` must be at least 1"));
-                }
-                req.max_events = Some(cap);
-            }
-            "max_sim_time_ps" => {
-                let cap = uint_field(key, v)?;
-                if cap == 0 {
-                    return Err(err("`max_sim_time_ps` must be at least 1"));
-                }
-                req.max_sim_time_ps = Some(cap);
-            }
-            other => return Err(err(format!("unknown request field `{other}`"))),
+            name => match FIELDS.iter().find(|f| f.name == name) {
+                Some(field) => field.read(req, v)?,
+                None => return Err(err(format!("unknown request field `{name}`"))),
+            },
         }
     }
     if req.topology.is_empty() {
@@ -335,32 +486,24 @@ impl SimRequest {
         Self::from_value(&value)
     }
 
-    /// The canonical result-cache key: every result-affecting field in a
-    /// fixed order. Two requests with equal keys produce bit-identical
-    /// reports, so the batch service memoizes whole reports under it.
-    /// `id` is deliberately excluded.
+    /// The canonical result-cache key: every result-affecting field. Two
+    /// requests with equal keys produce bit-identical reports, so the
+    /// batch service memoizes whole reports under it. `id` is excluded,
+    /// and of `sim_threads` only the choice of packet core counts: every
+    /// thread count of the parallel core gives the same report. The key
+    /// is the `Debug` form, so a new field joins it on its own.
     pub fn canonical_key(&self) -> String {
-        format!(
-            "topology={};workload={:?};all_reduce_mib={:?};mp={:?};fsdp={};pipeline={:?};\
-             themis={};chunks={:?};memory={:?};network={:?};p2p={:?};\
-             collectives={:?};sim_threads={:?};faults={};max_events={:?};max_sim_time_ps={:?}",
-            self.topology,
-            self.workload,
-            self.all_reduce_mib,
-            self.mp,
-            self.fsdp,
-            self.pipeline,
-            self.themis,
-            self.chunks,
-            self.memory,
-            self.network,
-            self.p2p,
-            self.collectives,
-            self.sim_threads,
-            self.faults.signature(),
-            self.max_events,
-            self.max_sim_time_ps,
-        )
+        let core = if self.sim_threads.is_some() {
+            "parallel"
+        } else {
+            "sequential"
+        };
+        let rest = SimRequest {
+            id: None,
+            sim_threads: None,
+            ..self.clone()
+        };
+        format!("{rest:?};core={core}")
     }
 }
 
@@ -373,7 +516,7 @@ mod tests {
         let req = SimRequest::from_json_line(
             r#"{"id": "r1", "topology": "R(4)@200_SW(4)@50", "workload": "gpt3",
                 "mp": 4, "themis": true, "chunks": 64,
-                "network": "flow", "p2p": "async", "collectives": "analytical"}"#,
+                "network": "flow", "collectives": "analytical"}"#,
         )
         .unwrap();
         assert_eq!(req.id.as_deref(), Some("r1"));
@@ -394,6 +537,12 @@ mod tests {
         assert!(SimRequest::from_json_line(r#"{"workload": "dlrm"}"#).is_err());
         assert!(SimRequest::from_json_line(r#"{"topology": "R(4)@100"}"#).is_err());
         assert!(SimRequest::from_json_line("[1, 2]").is_err());
+        // The blocking-p2p oracle is not a request option.
+        let e = SimRequest::from_json_line(
+            r#"{"topology": "R(4)@100", "workload": "dlrm", "p2p": "blocking"}"#,
+        )
+        .unwrap_err();
+        assert_eq!(e.message, "unknown request field `p2p`");
     }
 
     #[test]

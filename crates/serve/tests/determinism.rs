@@ -15,7 +15,7 @@ fn request(json: &str) -> SimRequest {
 /// on a pipeline workload (stage-to-stage p2p traffic exercises every
 /// network backend and the delay/route warm tables).
 #[test]
-fn warm_reports_are_bit_identical_across_backends_queues_and_sim_modes() {
+fn warm_reports_are_bit_identical_across_backends_and_sim_modes() {
     let cache = WarmCache::new();
     for network in ["analytical", "packet", "batched", "flow"] {
         for sim_threads in [None, Some(2)] {
@@ -39,6 +39,34 @@ fn warm_reports_are_bit_identical_across_backends_queues_and_sim_modes() {
             );
         }
     }
+}
+
+/// The parallel core's thread count is not a results knob, so requests
+/// that differ only in `sim_threads` share one result-cache entry: the
+/// second is a cache hit and answers with the first one's row, byte for
+/// byte.
+#[test]
+fn thread_counts_share_one_result_cache_entry() {
+    let line = |threads: usize| {
+        format!(
+            r#"{{"topology": "R(8)@100", "workload": "gpt3", "pipeline": 4,
+                "network": "packet", "sim_threads": {threads}}}"#
+        )
+    };
+    let cache = WarmCache::new();
+    let two = execute(&request(&line(2)), &cache).unwrap();
+    let eight = execute(&request(&line(8)), &cache).unwrap();
+    assert!(
+        Arc::ptr_eq(&two, &eight),
+        "sim_threads 8 missed the sim_threads 2 entry"
+    );
+    assert_eq!(*eight, execute_once(&request(&line(8))).unwrap());
+
+    let cache = WarmCache::new();
+    let (first, _) = run_batch(&[line(2)], 1, &cache);
+    let (second, _) = run_batch(&[line(8)], 1, &cache);
+    assert_eq!(cache.summary().result_hits, 1);
+    assert_eq!(second, first);
 }
 
 /// Backend-executed collectives share lowered programs through the warm

@@ -17,7 +17,7 @@ use astra_garnet::{PacketNetwork, PacketSimConfig, TransportMode};
 use astra_memory::{LocalMemory, PoolArchitecture, RemoteMemory, TransferMode};
 use astra_network::{
     AnalyticalNetwork, AsyncMessageId, Completion, FlowNetwork, NetworkBackend, NetworkBackendKind,
-    NetworkStats, P2pMode, SharedDelayMemo, SharedRouteTable,
+    NetworkStats, SharedDelayMemo, SharedRouteTable,
 };
 use astra_telemetry::{
     ChunkOpSpan, CollectiveSpan, DepEdge, Marker, MetricsReport, NpuTimeline, SimTrace, TraceSink,
@@ -55,24 +55,11 @@ pub struct SystemConfig {
     /// store-and-forward DES at 64 KiB granularity, per-packet or
     /// train-batched events), or `flow` (max-min fluid sharing).
     ///
-    /// Under the default [`P2pMode::Async`] integration the engine keeps
-    /// one backend instance co-resident with its own event loop, so
-    /// engine-time-concurrent messages contend inside the `packet` /
-    /// `batched` / `flow` backends exactly as when driving them directly
-    /// via `send_at` / `inject_at`.
+    /// Through the async NetworkAPI the engine keeps one backend instance
+    /// co-resident with its own event loop, so engine-time-concurrent
+    /// messages contend inside the `packet` / `batched` / `flow` backends
+    /// exactly as when driving them directly via `send_at` / `inject_at`.
     pub network_backend: NetworkBackendKind,
-    /// How the engine drives the network backend: [`P2pMode::Async`]
-    /// (event-driven `send_async`/callback on the engine's shared clock,
-    /// the default) or [`P2pMode::Blocking`] (the frozen reference: one
-    /// fresh backend sub-simulation and one blocking `p2p_delay` probe per
-    /// message, never co-resident). Same-source messages serialize on a
-    /// per-source NIC lane in both modes (`p2p_res` when blocking, the
-    /// engine's injection queue when async), so the two paths are
-    /// bit-identical unless messages from *different* sources overlap —
-    /// and then they diverge exactly when the backend models contention
-    /// (packet/batched/flow; the closed-form analytical backend agrees in
-    /// both modes unconditionally). Pinned by `tests/p2p_paths.rs`.
-    pub p2p_mode: P2pMode,
     /// How collectives execute: [`CollectiveMode::Analytical`] (the frozen
     /// closed-form fast path, the default) or [`CollectiveMode::Backend`]
     /// (each collective is lowered to a chunk-level send/recv program —
@@ -80,10 +67,9 @@ pub struct SystemConfig {
     /// network backend, where its chunk ops contend with concurrent p2p
     /// messages and other collectives on one shared clock).
     ///
-    /// Backend execution requires [`P2pMode::Async`] (the program rides
-    /// the `send_async`/completion path) and always lowers the baseline
-    /// ascending dimension order (the Themis planner only applies to the
-    /// analytical fast path); `simulate` rejects the invalid combinations.
+    /// Backend execution always lowers the baseline ascending dimension
+    /// order (the Themis planner only applies to the analytical fast
+    /// path); `simulate` rejects the Themis combination.
     pub collective_mode: CollectiveMode,
     /// Execution core of the packet-level backends (see [`SimMode`]).
     /// [`SimMode::Parallel`] partitions the packet network's links into
@@ -123,7 +109,6 @@ impl Default for SystemConfig {
             local_memory: LocalMemory::default(),
             remote_memory: None,
             network_backend: NetworkBackendKind::default(),
-            p2p_mode: P2pMode::default(),
             collective_mode: CollectiveMode::default(),
             sim_mode: SimMode::default(),
             faults: FaultSchedule::new(),
@@ -240,9 +225,9 @@ pub enum SimError {
         /// Index of the offending group.
         group: usize,
     },
-    /// [`CollectiveMode::Backend`] was combined with [`P2pMode::Blocking`]:
-    /// backend-executed collectives ride the async `send_async`/completion
-    /// path and have no blocking equivalent.
+    /// [`CollectiveMode::Backend`] was passed to
+    /// [`simulate_blocking_reference`]: backend-executed collectives ride
+    /// the async NetworkAPI and have no blocking equivalent.
     BackendCollectivesNeedAsyncP2p,
     /// [`CollectiveMode::Backend`] was combined with
     /// [`SchedulerPolicy::Themis`]: backend execution lowers the baseline
@@ -292,10 +277,9 @@ impl fmt::Display for SimError {
                 f,
                 "communicator group {group} is not aligned to the topology dimension grid"
             ),
-            SimError::BackendCollectivesNeedAsyncP2p => write!(
-                f,
-                "backend collective execution needs the async NetworkAPI (p2p mode `async`)"
-            ),
+            SimError::BackendCollectivesNeedAsyncP2p => {
+                write!(f, "backend collective execution needs the async NetworkAPI")
+            }
             SimError::BackendCollectivesNeedBaselineScheduler => write!(
                 f,
                 "backend collective execution lowers the baseline dimension order; \
@@ -546,6 +530,31 @@ pub fn simulate_traced_with(
     }
 }
 
+/// The frozen blocking-p2p test oracle: [`simulate`], except that every
+/// p2p message is measured alone by a `p2p_delay` probe on a fresh
+/// backend, so messages never contend. The two agree bit for bit unless
+/// messages from *different* sources overlap on a contention-modeling
+/// backend (pinned by `tests/p2p_paths.rs`).
+///
+/// # Errors
+///
+/// [`simulate`]'s errors, plus [`SimError::BackendCollectivesNeedAsyncP2p`]
+/// for [`CollectiveMode::Backend`].
+pub fn simulate_blocking_reference(
+    trace: &ExecutionTrace,
+    topo: &Topology,
+    config: &SystemConfig,
+) -> Result<SimReport, SimError> {
+    if config.collective_mode == CollectiveMode::Backend {
+        return Err(SimError::BackendCollectivesNeedAsyncP2p);
+    }
+    let (spans, impacts) = prepare(trace, topo, config)?;
+    let warm = WarmState::default();
+    let mut engine = Engine::new(trace, topo, config, &warm, spans, impacts);
+    engine.blocking_reference = true;
+    engine.run()
+}
+
 /// Shared validation front half of every `simulate*` entry point: checks
 /// trace/platform consistency, validates the fault schedule, and
 /// pre-computes group spans and fault-impact rows.
@@ -560,13 +569,10 @@ fn prepare(
             topology: topo.npus(),
         });
     }
-    if config.collective_mode == CollectiveMode::Backend {
-        if config.p2p_mode == P2pMode::Blocking {
-            return Err(SimError::BackendCollectivesNeedAsyncP2p);
-        }
-        if config.scheduler == SchedulerPolicy::Themis {
-            return Err(SimError::BackendCollectivesNeedBaselineScheduler);
-        }
+    if config.collective_mode == CollectiveMode::Backend
+        && config.scheduler == SchedulerPolicy::Themis
+    {
+        return Err(SimError::BackendCollectivesNeedBaselineScheduler);
     }
     let uses_remote = (0..trace.npus()).any(|n| {
         trace.program(n).iter().any(|node| {
@@ -740,9 +746,13 @@ struct Engine<'a> {
     warm: &'a WarmState,
     collective_engine: CollectiveEngine,
     /// The co-resident async backend, built lazily on the first p2p
-    /// message (collective-only workloads never pay for it). Unused in
-    /// blocking mode, where every probe gets a fresh sub-simulation.
+    /// message (collective-only workloads never pay for it). Unused by
+    /// the blocking reference, where every probe gets a fresh
+    /// sub-simulation.
     network: Option<Box<dyn NetworkBackend>>,
+    /// Run the frozen blocking p2p path instead of the async one (see
+    /// [`simulate_blocking_reference`]).
+    blocking_reference: bool,
     spans: Vec<GroupSpan>,
 
     queue: EventQueue<EngineEvent>,
@@ -850,6 +860,7 @@ impl<'a> Engine<'a> {
             warm,
             collective_engine: CollectiveEngine::new(config.collective_chunks, config.scheduler),
             network: None,
+            blocking_reference: false,
             spans,
             queue: EventQueue::new(),
             remaining_deps,
@@ -1489,33 +1500,32 @@ impl<'a> Engine<'a> {
         };
         self.p2p_messages += 1;
         let ready = send_ready.max(recv_ready);
-        match self.config.p2p_mode {
-            P2pMode::Async => {
-                // Non-blocking NetworkAPI: schedule the send on the shared
-                // backend and keep executing ready graph nodes; the paired
-                // nodes resume from the completion callback. Same-source
-                // messages serialize on the NIC lane (the async analogue of
-                // the blocking path's `p2p_res`), so the two paths only
-                // diverge on *cross-source* overlap — genuine network
-                // contention.
-                self.enqueue_outbound(Outbound::Peer(InFlightP2p {
-                    src,
-                    dst,
-                    size,
-                    send_node,
-                    recv_node,
-                    send_ready,
-                    recv_ready,
-                }));
-            }
-            P2pMode::Blocking => self.blocking_p2p(
+        if self.blocking_reference {
+            self.blocking_p2p(
                 src,
                 dst,
                 size,
                 ready,
                 (send_node, send_ready),
                 (recv_node, recv_ready),
-            ),
+            );
+        } else {
+            // Non-blocking NetworkAPI: schedule the send on the shared
+            // backend and keep executing ready graph nodes; the paired
+            // nodes resume from the completion callback. Same-source
+            // messages serialize on the NIC lane (the async analogue of
+            // the blocking path's `p2p_res`), so the two paths only
+            // diverge on *cross-source* overlap — genuine network
+            // contention.
+            self.enqueue_outbound(Outbound::Peer(InFlightP2p {
+                src,
+                dst,
+                size,
+                send_node,
+                recv_node,
+                send_ready,
+                recv_ready,
+            }));
         }
         Ok(())
     }
@@ -1739,6 +1749,9 @@ mod tests {
     use super::*;
     use astra_collectives::Collective;
     use astra_workload::{models, parallelism, EtOp, Parallelism, TraceBuilder};
+
+    /// [`simulate`] or [`simulate_blocking_reference`].
+    type SimFn = fn(&ExecutionTrace, &Topology, &SystemConfig) -> Result<SimReport, SimError>;
 
     fn topo512() -> Topology {
         Topology::parse("R(2)@250_FC(8)@200_R(8)@100_SW(4)@50").unwrap()
@@ -2086,30 +2099,30 @@ mod tests {
     fn packet_and_batched_backends_are_bit_identical() {
         // On this switch-crossing pipeline no two co-resident trains share
         // a link (each lane has its own switch plane), so batched transport
-        // stays a pure speed knob in both engine integration modes.
+        // stays a pure speed knob on the async path and on the blocking
+        // reference alike.
         let trace = pipeline_trace_16();
-        let run = |kind, mode| {
-            simulate(
-                &trace,
-                &small_topo(),
-                &SystemConfig {
+        let paths: [(&str, SimFn); 2] = [
+            ("async", simulate),
+            ("blocking reference", simulate_blocking_reference),
+        ];
+        for (path, sim) in paths {
+            let run = |kind| {
+                let config = SystemConfig {
                     network_backend: kind,
-                    p2p_mode: mode,
                     ..SystemConfig::default()
-                },
-            )
-            .unwrap()
-        };
-        for mode in P2pMode::ALL {
-            let packet = run(NetworkBackendKind::Packet, mode);
-            let batched = run(NetworkBackendKind::Batched, mode);
-            assert_eq!(packet.total_time, batched.total_time, "{mode}");
+                };
+                sim(&trace, &small_topo(), &config).unwrap()
+            };
+            let packet = run(NetworkBackendKind::Packet);
+            let batched = run(NetworkBackendKind::Batched);
+            assert_eq!(packet.total_time, batched.total_time, "{path}");
             assert_eq!(
                 packet.breakdown.exposed_comm,
                 batched.breakdown.exposed_comm
             );
             assert_eq!(packet.per_npu_finish, batched.per_npu_finish);
-            assert_eq!(batched.network.train_serializations, 0, "{mode}");
+            assert_eq!(batched.network.train_serializations, 0, "{path}");
         }
     }
 

@@ -30,8 +30,8 @@ mod engine;
 mod report;
 
 pub use engine::{
-    simulate, simulate_traced, simulate_traced_with, simulate_with, SimError, SystemConfig,
-    WarmState,
+    simulate, simulate_blocking_reference, simulate_traced, simulate_traced_with, simulate_with,
+    SimError, SystemConfig, WarmState,
 };
 pub use report::{Breakdown, CacheStats, FaultImpact, SimReport};
 
@@ -43,12 +43,9 @@ pub use astra_telemetry::{
     NpuMetrics, NpuTimeline, PercentileSummary, SimTrace, TraceFormat,
 };
 
-// Re-exported so `SystemConfig.network_backend` / `SystemConfig.p2p_mode`
-// can be set (and `SimReport.network` read) without a direct
-// `astra_network` dependency.
-pub use astra_network::{
-    NetworkBackendKind, NetworkStats, P2pMode, SharedDelayMemo, SharedRouteTable,
-};
+// Re-exported so `SystemConfig.network_backend` can be set (and
+// `SimReport.network` read) without a direct `astra_network` dependency.
+pub use astra_network::{NetworkBackendKind, NetworkStats, SharedDelayMemo, SharedRouteTable};
 
 // Re-exported so fault schedules (`SystemConfig.faults`) can be built
 // without a direct `astra_topology` dependency.

@@ -26,8 +26,8 @@
 
 use astra_collectives::{lowering, Collective, CollectiveMode, SchedulerPolicy};
 use astra_des::{DataSize, Time};
-use astra_network::{AnalyticalNetwork, NetworkBackend, NetworkBackendKind, P2pMode};
-use astra_system::{simulate, SimError, SimReport, SystemConfig};
+use astra_network::{AnalyticalNetwork, NetworkBackend, NetworkBackendKind};
+use astra_system::{simulate, simulate_blocking_reference, SimError, SimReport, SystemConfig};
 use astra_topology::Topology;
 use astra_workload::{EtOp, ExecutionTrace, TraceBuilder};
 use proptest::prelude::*;
@@ -396,15 +396,10 @@ fn invalid_backend_collective_configs_are_rejected() {
         collective_mode: CollectiveMode::Backend,
         ..SystemConfig::default()
     };
+    // Backend collectives ride the async NetworkAPI: the blocking-p2p
+    // oracle rejects them.
     assert_eq!(
-        simulate(
-            &trace,
-            &topo,
-            &SystemConfig {
-                p2p_mode: P2pMode::Blocking,
-                ..base.clone()
-            }
-        ),
+        simulate_blocking_reference(&trace, &topo, &base),
         Err(SimError::BackendCollectivesNeedAsyncP2p)
     );
     assert_eq!(

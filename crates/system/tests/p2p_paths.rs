@@ -1,8 +1,9 @@
-//! Cross-path equivalence suite for the engine's two NetworkAPI
-//! integrations.
+//! Cross-path equivalence suite: the engine's async NetworkAPI path
+//! ([`simulate`]) against the frozen blocking-p2p oracle
+//! ([`simulate_blocking_reference`]).
 //!
-//! The async `send_async`/callback path replaces the blocking `p2p_delay`
-//! probe path as the engine default; the blocking path is kept as a frozen
+//! The async `send_async`/callback path replaced the blocking `p2p_delay`
+//! probe path in the engine; the blocking path is kept as a frozen test
 //! reference. The contract that makes the swap safe:
 //!
 //! * On **non-overlapping** traffic (at most one message in flight at any
@@ -16,10 +17,12 @@
 //!   modes.
 
 use astra_des::{DataSize, Time};
-use astra_network::{NetworkBackendKind, P2pMode};
-use astra_system::{simulate, SystemConfig};
+use astra_network::NetworkBackendKind;
+use astra_system::{simulate, simulate_blocking_reference, SimReport, SystemConfig};
 use astra_topology::Topology;
-use astra_workload::{EtOp, ExecutionTrace, NodeId, TraceBuilder};
+use astra_workload::{
+    models, parallelism, EtOp, ExecutionTrace, NodeId, Parallelism, TraceBuilder,
+};
 use proptest::prelude::*;
 
 /// Bandwidth values in the pool all divide the picosecond grid exactly
@@ -82,18 +85,21 @@ fn relay_chain_trace(npus: usize, hops: &[(usize, usize, u64)]) -> ExecutionTrac
     b.build().expect("relay chain is a valid trace")
 }
 
-fn run(
-    trace: &ExecutionTrace,
-    topo: &Topology,
-    backend: NetworkBackendKind,
-    mode: P2pMode,
-) -> astra_system::SimReport {
-    let config = SystemConfig {
+fn config(backend: NetworkBackendKind) -> SystemConfig {
+    SystemConfig {
         network_backend: backend,
-        p2p_mode: mode,
         ..SystemConfig::default()
-    };
-    simulate(trace, topo, &config).expect("valid simulation")
+    }
+}
+
+/// The async path.
+fn run(trace: &ExecutionTrace, topo: &Topology, backend: NetworkBackendKind) -> SimReport {
+    simulate(trace, topo, &config(backend)).expect("valid simulation")
+}
+
+/// The blocking-p2p oracle.
+fn reference(trace: &ExecutionTrace, topo: &Topology, backend: NetworkBackendKind) -> SimReport {
+    simulate_blocking_reference(trace, topo, &config(backend)).expect("valid simulation")
 }
 
 proptest! {
@@ -119,8 +125,8 @@ proptest! {
         }
         let trace = relay_chain_trace(npus, &hops);
         for backend in NetworkBackendKind::ALL {
-            let blocking = run(&trace, &topo, backend, P2pMode::Blocking);
-            let asynchronous = run(&trace, &topo, backend, P2pMode::Async);
+            let blocking = reference(&trace, &topo, backend);
+            let asynchronous = run(&trace, &topo, backend);
             prop_assert_eq!(
                 blocking.total_time, asynchronous.total_time,
                 "total diverged on {} / {}", backend, topo
@@ -179,17 +185,18 @@ fn incast_trace(npus: usize, srcs: &[usize], dst: usize, size: DataSize) -> Exec
 fn overlapping_sends_contend_in_congestion_aware_backends() {
     let topo = Topology::parse("SW(4)@100").unwrap();
     let trace = incast_trace(4, &[0, 1], 3, DataSize::from_mib(8));
-    let total = |backend, mode| run(&trace, &topo, backend, mode).total_time;
+    let total = |backend| run(&trace, &topo, backend).total_time;
+    let reference_total = |backend| reference(&trace, &topo, backend).total_time;
 
-    let analytical = total(NetworkBackendKind::Analytical, P2pMode::Async);
+    let analytical = total(NetworkBackendKind::Analytical);
     assert!(analytical > Time::ZERO);
     for backend in [
         NetworkBackendKind::Packet,
         NetworkBackendKind::Batched,
         NetworkBackendKind::Flow,
     ] {
-        let asynchronous = total(backend, P2pMode::Async);
-        let blocking = total(backend, P2pMode::Blocking);
+        let asynchronous = total(backend);
+        let blocking = reference_total(backend);
         assert!(
             asynchronous >= analytical,
             "{backend}: contended finish {asynchronous} below congestion-free {analytical}"
@@ -200,17 +207,14 @@ fn overlapping_sends_contend_in_congestion_aware_backends() {
         );
     }
     // The closed form stays congestion-free in both modes.
-    assert_eq!(
-        analytical,
-        total(NetworkBackendKind::Analytical, P2pMode::Blocking)
-    );
+    assert_eq!(analytical, reference_total(NetworkBackendKind::Analytical));
 
     // The second message pays roughly one extra serialization on the
     // shared 100 GB/s down-link: the async fluid model splits the link
     // while both are in flight, so the incast takes ~1.5x the lone-message
     // time; the packet backends interleave/serialize to ~2x.
-    let flow_async = total(NetworkBackendKind::Flow, P2pMode::Async);
-    let flow_blocking = total(NetworkBackendKind::Flow, P2pMode::Blocking);
+    let flow_async = total(NetworkBackendKind::Flow);
+    let flow_blocking = reference_total(NetworkBackendKind::Flow);
     let ratio = flow_async.as_us_f64() / flow_blocking.as_us_f64();
     assert!((1.4..2.1).contains(&ratio), "incast sharing ratio {ratio}");
 }
@@ -271,8 +275,8 @@ fn same_source_concurrent_sends_serialize_on_the_nic_lane() {
         b.build().unwrap()
     };
     for backend in NetworkBackendKind::ALL {
-        let blocking = run(&trace, &topo, backend, P2pMode::Blocking);
-        let asynchronous = run(&trace, &topo, backend, P2pMode::Async);
+        let blocking = reference(&trace, &topo, backend);
+        let asynchronous = run(&trace, &topo, backend);
         assert_eq!(
             blocking.total_time, asynchronous.total_time,
             "{backend}: NIC-lane serialization diverged between modes"
@@ -282,7 +286,7 @@ fn same_source_concurrent_sends_serialize_on_the_nic_lane() {
             "{backend}"
         );
         // The lane really serialized: two sends take about twice one.
-        let one = run(&solo, &topo, backend, P2pMode::Async).total_time;
+        let one = run(&solo, &topo, backend).total_time;
         let ratio = asynchronous.total_time.as_us_f64() / one.as_us_f64();
         assert!((1.8..2.2).contains(&ratio), "{backend}: lane ratio {ratio}");
     }
@@ -297,8 +301,8 @@ fn backend_setups_are_o1_async_and_o_messages_blocking() {
     let hops: Vec<(usize, usize, u64)> = (0..7).map(|i| (i, i + 1, 64)).collect();
     let trace = relay_chain_trace(8, &hops);
     for backend in NetworkBackendKind::ALL {
-        let blocking = run(&trace, &topo, backend, P2pMode::Blocking);
-        let asynchronous = run(&trace, &topo, backend, P2pMode::Async);
+        let blocking = reference(&trace, &topo, backend);
+        let asynchronous = run(&trace, &topo, backend);
         assert_eq!(blocking.network.backend_setups, 7, "{backend}");
         assert_eq!(asynchronous.network.backend_setups, 1, "{backend}");
         assert!(
@@ -306,4 +310,26 @@ fn backend_setups_are_o1_async_and_o_messages_blocking() {
             "{backend}: async path should not pop more backend events"
         );
     }
+}
+
+/// A GPT-3 GPipe pipeline on a ring (`astra --topology R(8)@100 --workload
+/// gpt3 --pipeline 4`). Under the blocking reference every probe train
+/// stays contiguous, so batched transport is bit-identical to per-packet;
+/// on the async path the overlapping multi-hop sends contend, so the
+/// packet backend finishes no earlier than its blocking reference.
+#[test]
+fn blocking_reference_keeps_batched_equal_to_packet_on_a_pipeline() {
+    let topo = Topology::parse("R(8)@100").unwrap();
+    let stages = Parallelism::Pipeline {
+        stages: 4,
+        microbatches: 4,
+    };
+    let trace = parallelism::generate_trace(&models::gpt3_175b(), stages, 8).unwrap();
+    let packet = reference(&trace, &topo, NetworkBackendKind::Packet);
+    let batched = reference(&trace, &topo, NetworkBackendKind::Batched);
+    assert!(packet.p2p_messages > 0);
+    assert_eq!(packet.total_time, batched.total_time);
+    assert_eq!(packet.p2p_messages, batched.p2p_messages);
+    let packet_async = run(&trace, &topo, NetworkBackendKind::Packet);
+    assert!(packet_async.total_time >= packet.total_time);
 }

@@ -135,7 +135,7 @@ fn recording_changes_only_the_metrics_field() {
 }
 
 #[test]
-fn trace_bytes_are_invariant_across_cores_queues_and_threads() {
+fn trace_bytes_are_invariant_across_cores_and_threads() {
     let (trace, topo, base) = golden_scenario();
     let mut renders: Vec<(String, String, String)> = Vec::new();
     let mut modes = vec![SimMode::Sequential];

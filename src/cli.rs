@@ -5,48 +5,21 @@
 //! astra --topology "SW(64)@600" --all-reduce-mib 1024
 //! astra --topology "SW(16)@256_SW(16)@100" --workload moe --memory hiermem-opt --json
 //! ```
+//!
+//! The request flags are the rows of [`astra_serve::FIELDS`], the schema
+//! `astra serve` reads its JSON requests with.
 
-use astra_core::{
-    CollectiveMode, MetricsReport, NetworkBackendKind, P2pMode, SimReport, TraceFormat,
-};
-use astra_serve::SimRequest;
+use astra_core::{MetricsReport, SimReport, TraceFormat};
+use astra_serve::{Field, FieldKind, SimRequest, FIELDS};
 use std::error::Error;
 use std::fmt;
 
 /// Parsed command-line options.
 #[derive(Clone, Debug, PartialEq)]
 pub struct CliOptions {
-    /// Topology notation (required).
-    pub topology: String,
-    /// Workload name: `dlrm`, `gpt3`, `t1t`, or `moe`.
-    pub workload: Option<String>,
-    /// All-Reduce microbenchmark payload in MiB (alternative to a workload).
-    pub all_reduce_mib: Option<u64>,
-    /// Model-parallel width for `gpt3` / `t1t` (defaults to Table III).
-    pub mp: Option<usize>,
-    /// FSDP instead of hybrid/data parallelism.
-    pub fsdp: bool,
-    /// Pipeline parallelism with this many stages (and as many
-    /// micro-batches) instead of hybrid/data parallelism.
-    pub pipeline: Option<usize>,
-    /// Use the Themis greedy collective scheduler.
-    pub themis: bool,
-    /// Collective pipeline chunks.
-    pub chunks: Option<u64>,
-    /// Remote memory system: `hiermem-base`, `hiermem-opt`, `zero-infinity`.
-    pub memory: Option<String>,
-    /// Network backend for p2p traffic: `analytical` (default), `packet`,
-    /// `batched`, or `flow`.
-    pub network: Option<NetworkBackendKind>,
-    /// How the engine drives the network backend: `async` (default) or
-    /// `blocking` (the frozen per-message-probe reference).
-    pub p2p: Option<P2pMode>,
-    /// How collectives execute: `analytical` (closed form, default) or
-    /// `backend` (chunk-level send/recv programs on the network backend).
-    pub collectives: Option<CollectiveMode>,
-    /// Worker threads for the packet backends' parallel core (`None` =
-    /// the sequential reference core).
-    pub sim_threads: Option<usize>,
+    /// The simulation request: every `astra serve` request field except
+    /// `id` and inline `faults`, one `--kebab-name` flag each.
+    pub request: SimRequest,
     /// Path to a fault-schedule JSON file (array of fault objects).
     pub faults: Option<String>,
     /// Write a simulated-time execution trace of the run to this path.
@@ -75,8 +48,33 @@ fn err(msg: impl Into<String>) -> CliError {
     CliError(msg.into())
 }
 
-/// Usage text printed for `--help` or on parse errors.
-pub const USAGE: &str = "\
+/// An error whose message is followed by the usage text.
+fn with_usage(msg: impl fmt::Display) -> CliError {
+    err(format!("{msg}\n\n{}", usage()))
+}
+
+/// Usage text printed for `--help` or on parse errors. The request
+/// options and the serve field list are generated from
+/// [`astra_serve::FIELDS`].
+pub fn usage() -> String {
+    let mut request = String::new();
+    for field in FIELDS {
+        let mut help = field.help.to_owned();
+        if let FieldKind::Enum(names, _) = field.kind {
+            help = format!(
+                "{} (default) | {}: {help}",
+                names[0],
+                names[1..].join(" | ")
+            );
+        }
+        let head = format!("{} {}", field.flag(), field.value);
+        let body = wrap(&help, 50).join(&format!("\n{:28}", ""));
+        request.push_str(&format!("    {:<24}{body}\n", head.trim_end()));
+    }
+    let names: Vec<&str> = FIELDS.iter().map(|f| f.name).collect();
+    let fields = wrap(&names.join(", "), 64).join("\n        ");
+    format!(
+        "\
 astra — ASTRA-sim 2.0 reproduction CLI
 
 USAGE:
@@ -84,44 +82,13 @@ USAGE:
     astra sweep [--quick] [--out <PATH>] [--series <LIST>]
     astra serve [--workers <N>] [--socket <PATH>] [--max-connections <N>]
 
-REQUIRED:
-    --topology <NOTATION>   e.g. \"R(4)@250_SW(2)@50\" (Ring/R, FullyConnected/FC, Switch/SW)
-
-WORKLOAD (one of):
-    --workload <NAME>       dlrm | gpt3 | t1t | moe (Table III presets)
-    --all-reduce-mib <N>    single world All-Reduce of N MiB
-
+REQUEST (each flag is also an `astra serve` request field, snake_case):
+{request}
 OPTIONS:
-    --mp <N>                model-parallel width (gpt3/t1t; default Table III)
-    --fsdp                  fully-sharded data parallelism instead of hybrid
-    --pipeline <STAGES>     GPipe-style pipeline parallelism (STAGES stages,
-                            as many micro-batches); its stage-to-stage
-                            sends are what --network routes
-    --themis                Themis greedy collective scheduler
-    --chunks <N>            collective pipeline chunks (default 128)
-    --memory <SYSTEM>       hiermem-base | hiermem-opt | zero-infinity (required for moe)
-    --network <BACKEND>     p2p network backend: analytical (default) |
-                            packet | batched | flow (batched scales to fine
-                            packets; it is bit-identical to packet unless
-                            concurrent trains interleave on a link)
-    --p2p <MODE>            engine/network integration: async (default,
-                            co-resident messages on one shared clock) |
-                            blocking (frozen reference: one fresh backend
-                            probe per message, no cross-message contention)
-    --collectives <MODE>    collective execution: analytical (default,
-                            closed-form multi-rail engine) | backend
-                            (chunk-level send/recv programs executed on the
-                            --network backend, contending with p2p traffic;
-                            requires --p2p async and the baseline scheduler)
-    --sim-threads <N>       run the packet backends on the parallel
-                            (domain-partitioned, conservative-lookahead)
-                            core with N worker threads; results are
-                            bit-identical for every N >= 1 (default: the
-                            sequential reference core)
     --faults <SPEC.json>    deterministic fault schedule: a JSON array of
                             fault objects, e.g.
-                            [{\"at_us\": 0, \"kind\": \"link_down\",
-                              \"src\": 0, \"dst\": 1}]; kinds: link_down,
+                            [{{\"at_us\": 0, \"kind\": \"link_down\",
+                              \"src\": 0, \"dst\": 1}}]; kinds: link_down,
                             link_degrade (bandwidth_pct/latency_x),
                             npu_slowdown (slowdown_pct), switch_down
                             (dim/group); applied identically on every
@@ -167,34 +134,39 @@ SERVE (batch service: JSONL requests in, one JSON report row per line out):
                             stdin (one batch per connection; warm caches
                             persist across connections)
     --max-connections <N>   stop after N socket connections
-    Request fields mirror the single-run flags (topology, workload,
-    all_reduce_mib, mp, fsdp, pipeline, themis, chunks, memory, network,
-    p2p, collectives, sim_threads) plus an echoed `id`. Warm
-    caches only change speed: every row is bit-identical to a cold
-    single run of the same request.
-";
+    Request fields:
+        {fields}
+    plus an echoed `id` and an inline `faults` array (the --faults
+    format). Warm caches only change speed: every row is bit-identical
+    to a cold single run of the same request.
+"
+    )
+}
+
+/// Greedy word wrap of `text` into lines of at most `width` columns.
+fn wrap(text: &str, width: usize) -> Vec<String> {
+    let mut lines: Vec<String> = Vec::new();
+    for word in text.split(' ') {
+        match lines.last_mut() {
+            Some(line) if line.len() + 1 + word.len() <= width => {
+                line.push(' ');
+                line.push_str(word);
+            }
+            _ => lines.push(word.to_owned()),
+        }
+    }
+    lines
+}
 
 /// Parses raw arguments (without the program name).
 ///
 /// # Errors
 ///
 /// Returns a [`CliError`] describing the first problem (unknown flag,
-/// missing value, missing required option).
+/// missing or malformed value, missing required option).
 pub fn parse_args(args: &[String]) -> Result<CliOptions, CliError> {
     let mut opts = CliOptions {
-        topology: String::new(),
-        workload: None,
-        all_reduce_mib: None,
-        mp: None,
-        fsdp: false,
-        pipeline: None,
-        themis: false,
-        chunks: None,
-        memory: None,
-        network: None,
-        p2p: None,
-        collectives: None,
-        sim_threads: None,
+        request: SimRequest::default(),
         faults: None,
         trace_out: None,
         trace_format: None,
@@ -209,118 +181,44 @@ pub fn parse_args(args: &[String]) -> Result<CliOptions, CliError> {
                 .ok_or_else(|| err(format!("{name} requires a value")))
         };
         match arg.as_str() {
-            "--topology" => opts.topology = value("--topology")?,
-            "--workload" => opts.workload = Some(value("--workload")?),
-            "--all-reduce-mib" => {
-                opts.all_reduce_mib = Some(
-                    value("--all-reduce-mib")?
-                        .parse()
-                        .map_err(|_| err("--all-reduce-mib expects an integer"))?,
-                );
-            }
-            "--mp" => {
-                opts.mp = Some(
-                    value("--mp")?
-                        .parse()
-                        .map_err(|_| err("--mp expects an integer"))?,
-                );
-            }
-            "--chunks" => {
-                opts.chunks = Some(
-                    value("--chunks")?
-                        .parse()
-                        .map_err(|_| err("--chunks expects an integer"))?,
-                );
-            }
-            "--memory" => opts.memory = Some(value("--memory")?),
-            "--network" => opts.network = Some(value("--network")?.parse().map_err(err)?),
-            "--p2p" => opts.p2p = Some(value("--p2p")?.parse().map_err(err)?),
-            "--collectives" => {
-                opts.collectives = Some(value("--collectives")?.parse().map_err(err)?);
-            }
-            "--sim-threads" => {
-                let threads: usize = value("--sim-threads")?
-                    .parse()
-                    .map_err(|_| err("--sim-threads expects a thread count"))?;
-                if threads == 0 {
-                    return Err(err("--sim-threads must be at least 1"));
-                }
-                opts.sim_threads = Some(threads);
-            }
-            "--pipeline" => {
-                opts.pipeline = Some(
-                    value("--pipeline")?
-                        .parse()
-                        .map_err(|_| err("--pipeline expects a stage count"))?,
-                );
-            }
             "--faults" => opts.faults = Some(value("--faults")?),
             "--trace-out" => opts.trace_out = Some(value("--trace-out")?),
             "--trace-format" => {
                 opts.trace_format = Some(value("--trace-format")?.parse().map_err(err)?);
             }
             "--metrics" => opts.metrics = true,
-            "--fsdp" => opts.fsdp = true,
-            "--themis" => opts.themis = true,
             "--json" => opts.json = true,
-            "--help" | "-h" => return Err(err(USAGE)),
-            other => return Err(err(format!("unknown argument `{other}`\n\n{USAGE}"))),
+            "--help" | "-h" => return Err(err(usage())),
+            flag => {
+                let Some(field) = Field::for_flag(flag) else {
+                    return Err(with_usage(format_args!("unknown argument `{flag}`")));
+                };
+                let text = match field.kind {
+                    FieldKind::Bool(_) => None,
+                    _ => Some(value(flag)?),
+                };
+                field
+                    .read_arg(&mut opts.request, text.as_deref())
+                    .map_err(|e| err(e.message))?;
+            }
         }
     }
-    if opts.topology.is_empty() {
-        return Err(err(format!("--topology is required\n\n{USAGE}")));
+    if opts.request.topology.is_empty() {
+        return Err(with_usage("--topology is required"));
     }
-    if opts.workload.is_none() && opts.all_reduce_mib.is_none() {
-        return Err(err(format!(
-            "one of --workload or --all-reduce-mib is required\n\n{USAGE}"
-        )));
+    if opts.request.workload.is_none() && opts.request.all_reduce_mib.is_none() {
+        return Err(with_usage(
+            "one of --workload or --all-reduce-mib is required",
+        ));
     }
     if opts.trace_format.is_some() && opts.trace_out.is_none() {
         return Err(err("--trace-format requires --trace-out"));
     }
-    if opts.collectives == Some(CollectiveMode::Backend) {
-        if opts.p2p == Some(P2pMode::Blocking) {
-            return Err(err(
-                "`--collectives backend` executes collectives on the async NetworkAPI \
-                 and cannot be combined with `--p2p blocking`",
-            ));
-        }
-        if opts.themis {
-            return Err(err(
-                "`--collectives backend` lowers the baseline dimension order and cannot \
-                 be combined with `--themis` (the Themis planner only reorders the \
-                 analytical fast path)",
-            ));
-        }
-    }
     Ok(opts)
 }
 
-/// The batch-service request equivalent to a single-run CLI invocation;
-/// [`run`] and `astra serve` share one execution path through it.
-pub fn to_request(opts: &CliOptions) -> SimRequest {
-    SimRequest {
-        id: None,
-        topology: opts.topology.clone(),
-        workload: opts.workload.clone(),
-        all_reduce_mib: opts.all_reduce_mib,
-        mp: opts.mp,
-        fsdp: opts.fsdp,
-        pipeline: opts.pipeline,
-        themis: opts.themis,
-        chunks: opts.chunks,
-        memory: opts.memory.clone(),
-        network: opts.network,
-        p2p: opts.p2p,
-        collectives: opts.collectives,
-        sim_threads: opts.sim_threads,
-        faults: astra_core::FaultSchedule::new(),
-        max_events: None,
-        max_sim_time_ps: None,
-    }
-}
-
-/// Runs a parsed CLI invocation, returning the report.
+/// Runs a parsed CLI invocation, returning the report. The request runs
+/// on the `astra serve` execution path.
 ///
 /// With `--trace-out` or `--metrics` the run is executed with telemetry
 /// recording on: the trace file is written here and the returned report
@@ -332,7 +230,7 @@ pub fn to_request(opts: &CliOptions) -> SimRequest {
 /// Returns a [`CliError`] on invalid notation, unknown workload/memory
 /// names, simulation setup problems, or an unwritable `--trace-out` path.
 pub fn run(opts: &CliOptions) -> Result<SimReport, CliError> {
-    let mut req = to_request(opts);
+    let mut req = opts.request.clone();
     if let Some(path) = &opts.faults {
         let text = std::fs::read_to_string(path)
             .map_err(|e| err(format!("--faults: failed to read {path}: {e}")))?;
@@ -406,8 +304,8 @@ pub fn parse_sweep_args(args: &[String]) -> Result<SweepOptions, CliError> {
                 }
                 opts.series = sel;
             }
-            "--help" | "-h" => return Err(err(USAGE)),
-            other => return Err(err(format!("unknown sweep argument `{other}`\n\n{USAGE}"))),
+            "--help" | "-h" => return Err(err(usage())),
+            other => return Err(with_usage(format_args!("unknown sweep argument `{other}`"))),
         }
     }
     Ok(opts)
@@ -482,8 +380,8 @@ pub fn parse_serve_args(args: &[String]) -> Result<ServeOptions, CliError> {
                 }
                 opts.max_connections = Some(max);
             }
-            "--help" | "-h" => return Err(err(USAGE)),
-            other => return Err(err(format!("unknown serve argument `{other}`\n\n{USAGE}"))),
+            "--help" | "-h" => return Err(err(usage())),
+            other => return Err(with_usage(format_args!("unknown serve argument `{other}`"))),
         }
     }
     Ok(opts)
@@ -753,6 +651,7 @@ pub fn render(opts: &CliOptions, report: &SimReport) -> String {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use astra_core::{CollectiveMode, NetworkBackendKind};
 
     fn args(s: &str) -> Vec<String> {
         s.split_whitespace().map(str::to_owned).collect()
@@ -764,11 +663,11 @@ mod tests {
             "--topology R(4)@200_SW(4)@50 --workload gpt3 --mp 4 --themis --chunks 64",
         ))
         .unwrap();
-        assert_eq!(opts.topology, "R(4)@200_SW(4)@50");
-        assert_eq!(opts.workload.as_deref(), Some("gpt3"));
-        assert_eq!(opts.mp, Some(4));
-        assert!(opts.themis);
-        assert_eq!(opts.chunks, Some(64));
+        assert_eq!(opts.request.topology, "R(4)@200_SW(4)@50");
+        assert_eq!(opts.request.workload.as_deref(), Some("gpt3"));
+        assert_eq!(opts.request.mp, Some(4));
+        assert!(opts.request.themis);
+        assert_eq!(opts.request.chunks, Some(64));
     }
 
     #[test]
@@ -778,23 +677,23 @@ mod tests {
             "--topology R(4)@250_SW(2)@50 --workload gpt3 --mp 4 --themis",
         ))
         .unwrap();
-        assert_eq!(gpt3.topology, "R(4)@250_SW(2)@50");
-        assert_eq!(gpt3.workload.as_deref(), Some("gpt3"));
-        assert_eq!(gpt3.mp, Some(4));
-        assert!(gpt3.themis);
+        assert_eq!(gpt3.request.topology, "R(4)@250_SW(2)@50");
+        assert_eq!(gpt3.request.workload.as_deref(), Some("gpt3"));
+        assert_eq!(gpt3.request.mp, Some(4));
+        assert!(gpt3.request.themis);
 
         let microbench = parse_args(&args("--topology SW(64)@600 --all-reduce-mib 1024")).unwrap();
-        assert_eq!(microbench.topology, "SW(64)@600");
-        assert_eq!(microbench.all_reduce_mib, Some(1024));
-        assert!(microbench.workload.is_none());
+        assert_eq!(microbench.request.topology, "SW(64)@600");
+        assert_eq!(microbench.request.all_reduce_mib, Some(1024));
+        assert!(microbench.request.workload.is_none());
 
         let moe = parse_args(&args(
             "--topology SW(16)@256_SW(16)@100 --workload moe --memory hiermem-opt --json",
         ))
         .unwrap();
-        assert_eq!(moe.topology, "SW(16)@256_SW(16)@100");
-        assert_eq!(moe.workload.as_deref(), Some("moe"));
-        assert_eq!(moe.memory.as_deref(), Some("hiermem-opt"));
+        assert_eq!(moe.request.topology, "SW(16)@256_SW(16)@100");
+        assert_eq!(moe.request.workload.as_deref(), Some("moe"));
+        assert_eq!(moe.request.memory.as_deref(), Some("hiermem-opt"));
         assert!(moe.json);
     }
 
@@ -833,7 +732,7 @@ mod tests {
                 "--topology SW(8)@400 --all-reduce-mib 64 --network {flag}"
             )))
             .unwrap();
-            assert_eq!(opts.network, Some(kind));
+            assert_eq!(opts.request.network, Some(kind));
         }
         let e = parse_args(&args(
             "--topology SW(8)@400 --all-reduce-mib 64 --network garnet",
@@ -846,39 +745,25 @@ mod tests {
     fn network_backends_run_pipeline_workload() {
         // `--pipeline` generates stage-to-stage sends — the traffic the
         // `--network` backend routes; every backend must drive the p2p
-        // path in both engine integration modes.
+        // path. (The blocking-reference comparisons on this workload live
+        // in `crates/system/tests/p2p_paths.rs`.)
         let base = "--topology R(8)@100 --workload gpt3 --pipeline 4 --network";
-        let run_with = |backend: &str, mode: &str| {
-            run(&parse_args(&args(&format!("{base} {backend} --p2p {mode}"))).unwrap()).unwrap()
-        };
-        for mode in ["async", "blocking"] {
-            for backend in ["analytical", "packet", "batched", "flow"] {
-                let report = run_with(backend, mode);
-                assert!(report.p2p_messages > 0, "{backend} {mode}");
-                assert!(
-                    report.total_time > astra_core::Time::ZERO,
-                    "{backend} {mode}"
-                );
-            }
+        let run_with =
+            |backend: &str| run(&parse_args(&args(&format!("{base} {backend}"))).unwrap()).unwrap();
+        for backend in ["analytical", "packet", "batched", "flow"] {
+            let report = run_with(backend);
+            assert!(report.p2p_messages > 0, "{backend}");
+            assert!(report.total_time > astra_core::Time::ZERO, "{backend}");
         }
-        // Under the frozen blocking reference every probe train stays
-        // contiguous, so batched transport remains bit-identical to
-        // per-packet.
-        let packet = run_with("packet", "blocking");
-        let batched = run_with("batched", "blocking");
-        assert_eq!(packet.total_time, batched.total_time);
-        assert_eq!(packet.p2p_messages, batched.p2p_messages);
-        // Under the async path this 2-lane pipeline's multi-hop ring sends
-        // interleave packet-by-packet on shared links: batched transport
-        // splits the overlapping trains where it can rewind them (the
-        // bit-identical fast path) and serializes the rest (the counted
-        // approximation); either way the overlap is surfaced.
-        let packet_async = run_with("packet", "async");
-        let batched_async = run_with("batched", "async");
-        let n = &batched_async.network;
+        // This 2-lane pipeline's multi-hop ring sends interleave
+        // packet-by-packet on shared links: batched transport splits the
+        // overlapping trains where it can rewind them (the bit-identical
+        // fast path) and serializes the rest (the counted approximation);
+        // either way the overlap is surfaced.
+        let batched = run_with("batched");
+        let n = &batched.network;
         assert!(n.train_splits + n.train_serializations > 0);
-        assert_eq!(batched_async.network.backend_setups, 1);
-        assert!(packet_async.total_time >= packet.total_time);
+        assert_eq!(batched.network.backend_setups, 1);
     }
 
     #[test]
@@ -887,41 +772,33 @@ mod tests {
             "--topology SW(8)@400 --all-reduce-mib 64 --collectives backend",
         ))
         .unwrap();
-        assert_eq!(opts.collectives, Some(CollectiveMode::Backend));
+        assert_eq!(opts.request.collectives, Some(CollectiveMode::Backend));
         let opts = parse_args(&args(
             "--topology SW(8)@400 --all-reduce-mib 64 --collectives analytical",
         ))
         .unwrap();
-        assert_eq!(opts.collectives, Some(CollectiveMode::Analytical));
+        assert_eq!(opts.request.collectives, Some(CollectiveMode::Analytical));
         // Unknown mode names are reported back.
         let e = parse_args(&args(
             "--topology SW(8)@400 --all-reduce-mib 64 --collectives garnet",
         ))
         .unwrap_err();
         assert!(e.to_string().contains("garnet"));
-        // Backend collectives ride the async NetworkAPI: the blocking
-        // reference path is rejected with a clear error, not a panic.
-        let e = parse_args(&args(
-            "--topology SW(8)@400 --all-reduce-mib 64 --collectives backend --p2p blocking",
-        ))
-        .unwrap_err();
-        assert!(e.to_string().contains("--p2p blocking"), "{e}");
-        // ...and so is the Themis planner, which only applies to the
-        // analytical fast path.
-        let e = parse_args(&args(
+        // The Themis planner only applies to the analytical fast path: the
+        // simulator rejects it with backend collectives, a clear error
+        // rather than a panic.
+        let opts = parse_args(&args(
             "--topology SW(8)@400 --all-reduce-mib 64 --collectives backend --themis",
         ))
-        .unwrap_err();
-        assert!(e.to_string().contains("--themis"), "{e}");
-        // The valid combinations still parse.
-        assert!(parse_args(&args(
-            "--topology SW(8)@400 --all-reduce-mib 64 --collectives backend --p2p async",
-        ))
-        .is_ok());
-        assert!(parse_args(&args(
+        .unwrap();
+        let e = run(&opts).unwrap_err();
+        assert!(e.to_string().contains("Themis"), "{e}");
+        // The valid combination runs.
+        let opts = parse_args(&args(
             "--topology SW(8)@400 --all-reduce-mib 64 --collectives analytical --themis",
         ))
-        .is_ok());
+        .unwrap();
+        assert!(run(&opts).is_ok());
     }
 
     #[test]
@@ -949,22 +826,87 @@ mod tests {
 
     #[test]
     fn usage_documents_the_collectives_flag() {
-        assert!(USAGE.contains("--collectives"));
-        assert!(USAGE.contains("backend"));
+        assert!(usage().contains("--collectives"));
+        assert!(usage().contains("backend"));
+    }
+
+    /// Every row of the request schema reads the same from `astra` and
+    /// `astra serve`, is documented, and is part of the result-cache key.
+    #[test]
+    fn every_request_field_reads_the_same_from_flags_and_json() {
+        let base_args = "--topology SW(8)@400 --all-reduce-mib 64";
+        let base_json = r#""topology": "SW(8)@400", "all_reduce_mib": 64"#;
+        let base = parse_args(&args(base_args)).unwrap().request;
+        assert_eq!(
+            base,
+            SimRequest::from_json_line(&format!("{{{base_json}}}")).unwrap()
+        );
+        let text = usage();
+        let (options, serve) = text.split_once("SERVE").unwrap();
+        for field in FIELDS {
+            // A valid value that differs from the base request's.
+            let (arg, json) = match field.kind {
+                FieldKind::Str(_) => (Some("sample".to_owned()), "\"sample\"".to_owned()),
+                FieldKind::Enum(names, _) => {
+                    let name = names[names.len() - 1];
+                    (Some(name.to_owned()), format!("\"{name}\""))
+                }
+                FieldKind::Int(_) | FieldKind::Count(_) => (Some("7".to_owned()), "7".to_owned()),
+                FieldKind::Bool(_) => (None, "true".to_owned()),
+            };
+            let flag = field.flag();
+            let line = match &arg {
+                Some(arg) => format!("{base_args} {flag} {arg}"),
+                None => format!("{base_args} {flag}"),
+            };
+            let from_cli = parse_args(&args(&line))
+                .unwrap_or_else(|e| panic!("{flag}: {e}"))
+                .request;
+            let from_json =
+                SimRequest::from_json_line(&format!("{{{base_json}, \"{}\": {json}}}", field.name))
+                    .unwrap_or_else(|e| panic!("{}: {e}", field.name));
+            assert_eq!(from_cli, from_json, "{}", field.name);
+            assert_ne!(
+                from_cli.canonical_key(),
+                base.canonical_key(),
+                "{} is missing from the cache key",
+                field.name
+            );
+            assert!(
+                options.contains(&format!("\n    {flag} ")),
+                "usage misses {flag}"
+            );
+            assert!(
+                serve.contains(field.name),
+                "serve fields miss {}",
+                field.name
+            );
+            // Every listed name of an enum field parses.
+            if let FieldKind::Enum(names, _) = field.kind {
+                for name in names {
+                    let mut req = SimRequest::default();
+                    field.read_arg(&mut req, Some(name)).unwrap();
+                }
+            }
+        }
     }
 
     #[test]
-    fn p2p_mode_flag_parses_and_rejects_unknown() {
-        let opts = parse_args(&args(
-            "--topology R(8)@100 --workload gpt3 --pipeline 4 --p2p blocking",
-        ))
-        .unwrap();
-        assert_eq!(opts.p2p, Some(P2pMode::Blocking));
-        let e = parse_args(&args(
-            "--topology R(8)@100 --workload gpt3 --pipeline 4 --p2p eager",
-        ))
-        .unwrap_err();
-        assert!(e.to_string().contains("eager"));
+    fn request_value_errors_use_the_serve_wording() {
+        let e = parse_args(&args("--topology R(4) --workload gpt3 --mp x")).unwrap_err();
+        assert_eq!(e.to_string(), "`mp` expects a non-negative integer");
+        let e = parse_args(&args("--topology R(4) --all-reduce-mib 1 --sim-threads 0"));
+        assert_eq!(
+            e.unwrap_err().to_string(),
+            "`sim_threads` must be at least 1"
+        );
+        // `id` and inline `faults` are serve-only; `--p2p` is gone.
+        for flag in ["--id", "--p2p"] {
+            let e = parse_args(&args(&format!(
+                "--topology R(4) --all-reduce-mib 1 {flag} x"
+            )));
+            assert!(e.unwrap_err().to_string().contains("unknown argument"));
+        }
     }
 
     #[test]
@@ -1003,9 +945,9 @@ mod tests {
 
     #[test]
     fn usage_documents_the_serve_subcommand() {
-        assert!(USAGE.contains("astra serve"));
-        assert!(USAGE.contains("--workers"));
-        assert!(USAGE.contains("bit-identical"));
+        assert!(usage().contains("astra serve"));
+        assert!(usage().contains("--workers"));
+        assert!(usage().contains("bit-identical"));
     }
 
     #[test]
@@ -1014,14 +956,14 @@ mod tests {
         // request form of an invocation produces the same report.
         let opts = parse_args(&args("--topology SW(8)@400 --all-reduce-mib 64")).unwrap();
         let report = run(&opts).unwrap();
-        let via_serve = astra_serve::execute_once(&to_request(&opts)).unwrap();
+        let via_serve = astra_serve::execute_once(&opts.request).unwrap();
         assert_eq!(report, via_serve);
     }
 
     #[test]
     fn pipeline_flag_parses_and_validates() {
         let opts = parse_args(&args("--topology R(8)@100 --workload gpt3 --pipeline 4")).unwrap();
-        assert_eq!(opts.pipeline, Some(4));
+        assert_eq!(opts.request.pipeline, Some(4));
         assert!(parse_args(&args("--topology R(8)@100 --workload gpt3 --pipeline x")).is_err());
         let zero = parse_args(&args("--topology R(8)@100 --workload gpt3 --pipeline 0")).unwrap();
         assert!(run(&zero).unwrap_err().to_string().contains("--pipeline"));
@@ -1207,9 +1149,9 @@ mod tests {
     #[test]
     fn usage_documents_the_telemetry_flags() {
         for flag in ["--trace-out", "--trace-format", "--metrics"] {
-            assert!(USAGE.contains(flag), "USAGE missing {flag}");
+            assert!(usage().contains(flag), "usage missing {flag}");
         }
-        assert!(USAGE.contains("Perfetto"));
+        assert!(usage().contains("Perfetto"));
     }
 
     #[test]

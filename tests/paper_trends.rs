@@ -158,7 +158,7 @@ fn packet_backend_event_cost_scales_with_packets() {
 /// paper's figures. If a deliberate modeling change moves them, update the
 /// constants in the same commit and say why.
 #[test]
-fn golden_fig9_conv4d_allreduce_is_pinned_on_both_backends() {
+fn golden_fig9_conv4d_allreduce_is_pinned() {
     // Fig. 9(a) microbenchmark column: 1 GB world All-Reduce on the
     // Table II Conv-4D system (512 NPUs), baseline scheduler.
     let topo = astra_core::topologies::conv4d();
@@ -180,7 +180,7 @@ fn golden_fig9_conv4d_allreduce_is_pinned_on_both_backends() {
 /// Golden Fig. 9(a) DLRM column on the W-2D wafer system: total exposed
 /// communication and the full time breakdown.
 #[test]
-fn golden_fig9_w2d_dlrm_is_pinned_on_both_backends() {
+fn golden_fig9_w2d_dlrm_is_pinned() {
     let topo = astra_core::topologies::w2d();
     let trace = CaseWorkload::Dlrm.trace(topo.npus());
     let report = simulate(&trace, &topo, &SystemConfig::default()).unwrap();
