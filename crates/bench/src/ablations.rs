@@ -13,9 +13,11 @@ use astra_core::{
 };
 use astra_garnet::{collective_time, PacketSimConfig};
 use astra_network::congestion::{max_min_completion, Flow};
+use serde::{Serialize, Value};
 
-/// One ablation row: a knob setting and its outcome.
-#[derive(Clone, Debug)]
+/// One ablation row: a knob setting and its outcome (a row of the
+/// `ablations` series).
+#[derive(Clone, Debug, Serialize)]
 pub struct Row {
     /// Study name.
     pub study: &'static str,
@@ -120,6 +122,11 @@ pub fn congestion() -> Vec<Row> {
             cost: Some(net.events_processed()),
         },
     ]
+}
+
+/// The `ablations` sweep series: the same studies in quick and full mode.
+pub fn series(_quick: bool) -> Vec<Value> {
+    crate::emit(&run(), print)
 }
 
 /// Runs all ablations.

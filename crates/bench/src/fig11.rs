@@ -1,122 +1,122 @@
 //! Fig. 11 — runtime breakdown of disaggregated memory architectures, plus
 //! the §V-B design-space sweep that discovers HierMem(opt).
 
-use astra_core::{experiments, simulate, Breakdown, Time};
+use astra_core::{experiments, simulate, ExecutionTrace};
+use serde::{Serialize, Value};
 
-/// One Fig. 11 bar: a system's five-way breakdown.
-#[derive(Clone, Debug)]
+/// One Fig. 11 bar: a system's five-way breakdown (a row of the `fig11`
+/// series).
+#[derive(Clone, Debug, Serialize)]
 pub struct Row {
     /// System name (Table V column).
     pub system: String,
-    /// The five-way exposed-time breakdown.
-    pub breakdown: Breakdown,
-    /// End-to-end time.
-    pub total: Time,
+    /// Compute time (ms).
+    pub compute_ms: f64,
+    /// Exposed communication (ms).
+    pub exposed_comm_ms: f64,
+    /// Exposed idle (ms).
+    pub exposed_idle_ms: f64,
+    /// Exposed local-memory time (ms).
+    pub exposed_local_ms: f64,
+    /// Exposed remote-memory time (ms).
+    pub exposed_remote_ms: f64,
+    /// End-to-end time (ms).
+    pub total_ms: f64,
 }
 
-/// One §V-B sweep point.
-#[derive(Clone, Debug)]
-pub struct SweepPoint {
-    /// In-node pooled fabric bandwidth (GB/s).
-    pub in_node_gbps: u64,
-    /// Remote memory group bandwidth (GB/s).
-    pub remote_gbps: u64,
-    /// End-to-end time.
-    pub total: Time,
+/// The `fig11` sweep series. Quick mode truncates the MoE model to two
+/// layers; full mode also runs the §V-B bandwidth sweep and prints its
+/// optimum.
+pub fn series(quick: bool) -> Vec<Value> {
+    let trace = if quick {
+        let mut model = astra_core::models::moe_1t();
+        model.layers.truncate(2);
+        experiments::fig11_trace_for(&model)
+    } else {
+        experiments::fig11_trace()
+    };
+    let rows = crate::emit(&run_with_trace(&trace), print);
+    if !quick {
+        let (in_node, remote) = sweep_optimum(&trace, 0.02);
+        println!(
+            "sweep optimum (least resources within 2% of fastest): in-node {in_node} GB/s, remote {remote} GB/s (paper: 512/500)"
+        );
+    }
+    rows
 }
 
-/// Runs the three Table V systems on the MoE-1T training step.
-pub fn run() -> Vec<Row> {
-    run_with_trace(&experiments::fig11_trace())
-}
-
-/// Runs against a custom (e.g. truncated) trace — for tests/quick benches.
-pub fn run_with_trace(trace: &astra_core::ExecutionTrace) -> Vec<Row> {
+/// Runs the three Table V systems on `trace` (the MoE-1T training step,
+/// or a truncated one).
+pub fn run_with_trace(trace: &ExecutionTrace) -> Vec<Row> {
     let topo = experiments::fig11_topology();
     experiments::fig11_systems()
         .into_iter()
         .map(|(name, config)| {
             let report = simulate(trace, &topo, &config).expect("Fig. 11 setup is valid");
+            let b = &report.breakdown;
             Row {
                 system: name,
-                breakdown: report.breakdown,
-                total: report.total_time,
+                compute_ms: b.compute.as_ms_f64(),
+                exposed_comm_ms: b.exposed_comm.as_ms_f64(),
+                exposed_idle_ms: b.exposed_idle.as_ms_f64(),
+                exposed_local_ms: b.exposed_local_mem.as_ms_f64(),
+                exposed_remote_ms: b.exposed_remote_mem.as_ms_f64(),
+                total_ms: report.total_time.as_ms_f64(),
             }
         })
         .collect()
 }
 
-/// Runs the design-space sweep and returns all points (the optimum with
-/// least resource provision is the paper's HierMem(opt): 512/500).
-pub fn sweep(trace: &astra_core::ExecutionTrace) -> Vec<SweepPoint> {
+/// Runs the §V-B design-space sweep and returns the point with the best
+/// performance at the least resource provision, as `(in-node, remote)`
+/// GB/s: among all points within `tolerance` of the fastest, the one with
+/// the smallest bandwidth sum (the paper's HierMem(opt): 512/500).
+fn sweep_optimum(trace: &ExecutionTrace, tolerance: f64) -> (u64, u64) {
     let topo = experiments::fig11_topology();
-    experiments::fig11_sweep_grid()
+    let points: Vec<(u64, u64, f64)> = experiments::fig11_sweep_grid()
         .into_iter()
         .map(|(in_node, remote)| {
             let config = experiments::fig11_sweep_config(in_node, remote);
             let report = simulate(trace, &topo, &config).expect("sweep setup is valid");
-            SweepPoint {
-                in_node_gbps: in_node,
-                remote_gbps: remote,
-                total: report.total_time,
-            }
+            (in_node, remote, report.total_time.as_us_f64())
         })
-        .collect()
-}
-
-/// The sweep point with the best performance at the least resource
-/// provision: among all points within `tolerance` of the fastest, the one
-/// with the smallest bandwidth sum.
-pub fn best_least_resource(points: &[SweepPoint], tolerance: f64) -> &SweepPoint {
-    let fastest = points
-        .iter()
-        .map(|p| p.total.as_us_f64())
-        .fold(f64::INFINITY, f64::min);
+        .collect();
+    let fastest = points.iter().map(|p| p.2).fold(f64::INFINITY, f64::min);
     points
         .iter()
-        .filter(|p| p.total.as_us_f64() <= fastest * (1.0 + tolerance))
-        .min_by_key(|p| p.in_node_gbps + p.remote_gbps)
+        .filter(|p| p.2 <= fastest * (1.0 + tolerance))
+        .min_by_key(|p| p.0 + p.1)
+        .map(|p| (p.0, p.1))
         .expect("sweep is non-empty")
 }
 
-/// Prints the figure and sweep summary.
-pub fn print(rows: &[Row], points: &[SweepPoint]) {
+/// Prints the figure and the headline ratios.
+pub fn print(rows: &[Row]) {
     println!("Fig. 11 — MoE-1T training-step breakdown on disaggregated memory (ms)");
     println!(
         "{:<20} {:>10} {:>10} {:>10} {:>10} {:>10} {:>10}",
         "System", "Compute", "ExpComm", "ExpIdle", "ExpLocal", "ExpRemote", "Total"
     );
     for r in rows {
-        let b = &r.breakdown;
         println!(
             "{:<20} {:>10.2} {:>10.2} {:>10.2} {:>10.2} {:>10.2} {:>10.2}",
             r.system,
-            b.compute.as_ms_f64(),
-            b.exposed_comm.as_ms_f64(),
-            b.exposed_idle.as_ms_f64(),
-            b.exposed_local_mem.as_ms_f64(),
-            b.exposed_remote_mem.as_ms_f64(),
-            r.total.as_ms_f64()
+            r.compute_ms,
+            r.exposed_comm_ms,
+            r.exposed_idle_ms,
+            r.exposed_local_ms,
+            r.exposed_remote_ms,
+            r.total_ms
         );
     }
-    if rows.len() >= 3 {
-        let zinf = rows[0].total.as_us_f64();
-        let base = rows[1].total.as_us_f64();
-        let opt = rows[2].total.as_us_f64();
+    if let [zinf, base, opt, ..] = rows {
         println!(
             "ZeRO-Infinity vs HierMem(baseline): {:+.2}% (paper: ZeRO-Inf 0.1% better)",
-            (base / zinf - 1.0) * 100.0
+            (base.total_ms / zinf.total_ms - 1.0) * 100.0
         );
         println!(
             "HierMem(opt) speedup over baseline: {:.2}x (paper: 4.6x)",
-            base / opt
-        );
-    }
-    if !points.is_empty() {
-        let best = best_least_resource(points, 0.02);
-        println!(
-            "sweep optimum (least resources within 2% of fastest): in-node {} GB/s, remote {} GB/s (paper: 512/500)",
-            best.in_node_gbps, best.remote_gbps
+            base.total_ms / opt.total_ms
         );
     }
 }

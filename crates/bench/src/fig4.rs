@@ -9,14 +9,15 @@
 
 use astra_core::{Collective, CollectiveEngine, DataSize, SchedulerPolicy, Topology};
 use astra_garnet::{collective_time, PacketSimConfig};
+use serde::{Serialize, Value};
 
-/// One validation point.
-#[derive(Clone, Debug)]
+/// One validation point (a row of the `fig4` series).
+#[derive(Clone, Debug, Serialize)]
 pub struct Row {
     /// Ring size (4 or 16 NPUs).
     pub npus: usize,
-    /// All-Reduce payload.
-    pub size: DataSize,
+    /// All-Reduce payload in MiB.
+    pub payload_mib: f64,
     /// Packet-level (ground truth) time in µs.
     pub packet_us: f64,
     /// Analytical backend time in µs.
@@ -42,8 +43,15 @@ pub fn run() -> Vec<Row> {
     run_payloads(&payloads())
 }
 
-/// Runs both ring sizes over a subset of payloads (used by quick sweeps).
-pub fn run_payloads(payloads: &[DataSize]) -> Vec<Row> {
+/// The `fig4` sweep series. Quick mode runs only the two smallest payloads.
+pub fn series(quick: bool) -> Vec<Value> {
+    let payloads = payloads();
+    let payloads = if quick { &payloads[..2] } else { &payloads[..] };
+    crate::emit(&run_payloads(payloads), print)
+}
+
+/// Runs both ring sizes over a subset of payloads.
+fn run_payloads(payloads: &[DataSize]) -> Vec<Row> {
     let mut rows = Vec::new();
     for npus in [4usize, 16] {
         let topo = Topology::parse(&format!("R({npus})@150")).expect("valid notation");
@@ -55,7 +63,7 @@ pub fn run_payloads(payloads: &[DataSize]) -> Vec<Row> {
             let a = analytical.finish.as_us_f64();
             rows.push(Row {
                 npus,
-                size,
+                payload_mib: size.as_mib_f64(),
                 packet_us: p,
                 analytical_us: a,
                 error_pct: (a - p).abs() / p * 100.0,
@@ -75,16 +83,12 @@ pub fn print(rows: &[Row]) {
     println!("Fig. 4 — analytical backend validation (ring @150 GB/s)");
     println!(
         "{:<6} {:>10} {:>16} {:>16} {:>9}",
-        "NPUs", "Size", "Packet (us)", "Analytical (us)", "Err %"
+        "NPUs", "Size(MiB)", "Packet (us)", "Analytical (us)", "Err %"
     );
     for r in rows {
         println!(
-            "{:<6} {:>10} {:>16.2} {:>16.2} {:>9.2}",
-            r.npus,
-            r.size.to_string(),
-            r.packet_us,
-            r.analytical_us,
-            r.error_pct
+            "{:<6} {:>10.0} {:>16.2} {:>16.2} {:>9.2}",
+            r.npus, r.payload_mib, r.packet_us, r.analytical_us, r.error_pct
         );
     }
     println!("mean error: {:.2}% (paper: ~5%)", mean_error_pct(rows));

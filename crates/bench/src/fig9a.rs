@@ -8,11 +8,12 @@
 
 use astra_core::{
     experiments::{self, CaseWorkload},
-    simulate, SchedulerPolicy, SystemConfig, Time,
+    simulate, SchedulerPolicy, SystemConfig,
 };
+use serde::{Serialize, Value};
 
-/// One bar of Fig. 9(a).
-#[derive(Clone, Debug)]
+/// One bar of Fig. 9(a) (a row of the `fig9a` series).
+#[derive(Clone, Debug, Serialize)]
 pub struct Row {
     /// Workload column.
     pub workload: &'static str,
@@ -20,22 +21,29 @@ pub struct Row {
     pub system: String,
     /// Scheduler used.
     pub scheduler: &'static str,
-    /// Compute portion.
-    pub compute: Time,
-    /// Exposed communication portion.
-    pub exposed_comm: Time,
-    /// End-to-end runtime.
-    pub total: Time,
+    /// Compute portion (µs).
+    pub compute_us: f64,
+    /// Exposed communication portion (µs).
+    pub exposed_comm_us: f64,
+    /// End-to-end runtime (µs).
+    pub total_us: f64,
     /// Runtime normalized to the workload's W-1D-500/baseline bar.
     pub normalized: f64,
 }
 
-/// Runs the full Fig. 9(a) grid: 4 workloads × 6 systems × 2 schedulers.
-pub fn run() -> Vec<Row> {
-    run_workloads(&CaseWorkload::ALL)
+/// The `fig9a` sweep series. Quick mode runs only the first workload
+/// column.
+pub fn series(quick: bool) -> Vec<Value> {
+    let workloads = &CaseWorkload::ALL;
+    let workloads = if quick {
+        &workloads[..1]
+    } else {
+        &workloads[..]
+    };
+    crate::emit(&run_workloads(workloads), print)
 }
 
-/// Runs a subset of workload columns (used by tests and quick benches).
+/// Runs the grid (6 systems × 2 schedulers) for each workload column.
 pub fn run_workloads(workloads: &[CaseWorkload]) -> Vec<Row> {
     let systems = experiments::fig9a_systems();
     let mut rows = Vec::new();
@@ -60,16 +68,16 @@ pub fn run_workloads(workloads: &[CaseWorkload]) -> Vec<Row> {
                     workload: workload.name(),
                     system: sut.name.clone(),
                     scheduler,
-                    compute: report.breakdown.compute,
-                    exposed_comm: report.breakdown.exposed_comm,
-                    total: report.total_time,
+                    compute_us: report.breakdown.compute.as_us_f64(),
+                    exposed_comm_us: report.breakdown.exposed_comm.as_us_f64(),
+                    total_us: report.total_time.as_us_f64(),
                     normalized: 0.0, // filled below
                 });
             }
         }
         let reference = reference.expect("W-1D-500 is among the systems");
         for row in rows.iter_mut().filter(|r| r.workload == workload.name()) {
-            row.normalized = row.total.as_us_f64() / reference;
+            row.normalized = row.total_us / reference;
         }
     }
     rows
@@ -87,12 +95,7 @@ pub fn print(rows: &[Row]) {
         for r in rows.iter().filter(|r| r.scheduler == scheduler) {
             println!(
                 "{:<16} {:<10} {:>12.1} {:>14.1} {:>12.1} {:>11.3}",
-                r.workload,
-                r.system,
-                r.compute.as_us_f64(),
-                r.exposed_comm.as_us_f64(),
-                r.total.as_us_f64(),
-                r.normalized
+                r.workload, r.system, r.compute_us, r.exposed_comm_us, r.total_us, r.normalized
             );
         }
     }

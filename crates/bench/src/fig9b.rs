@@ -7,11 +7,12 @@
 
 use astra_core::{
     experiments::{self, CaseWorkload},
-    simulate, SystemConfig, Time,
+    simulate, SystemConfig,
 };
+use serde::{Serialize, Value};
 
-/// One bar of Fig. 9(b).
-#[derive(Clone, Debug)]
+/// One bar of Fig. 9(b) (a row of the `fig9b` series).
+#[derive(Clone, Debug, Serialize)]
 pub struct Row {
     /// Workload column.
     pub workload: &'static str,
@@ -19,22 +20,29 @@ pub struct Row {
     pub system: String,
     /// Total NPUs at this point.
     pub npus: usize,
-    /// Compute portion.
-    pub compute: Time,
-    /// Exposed communication portion.
-    pub exposed_comm: Time,
-    /// End-to-end runtime.
-    pub total: Time,
+    /// Compute portion (µs).
+    pub compute_us: f64,
+    /// Exposed communication portion (µs).
+    pub exposed_comm_us: f64,
+    /// End-to-end runtime (µs).
+    pub total_us: f64,
     /// Runtime normalized to Base-512 for the same workload.
     pub normalized: f64,
 }
 
-/// Runs the full grid: 4 workloads × 7 scaling points.
-pub fn run() -> Vec<Row> {
-    run_workloads(&CaseWorkload::ALL)
+/// The `fig9b` sweep series. Quick mode runs only the first workload
+/// column.
+pub fn series(quick: bool) -> Vec<Value> {
+    let workloads = &CaseWorkload::ALL;
+    let workloads = if quick {
+        &workloads[..1]
+    } else {
+        &workloads[..]
+    };
+    crate::emit(&run_workloads(workloads), print)
 }
 
-/// Runs a subset of workload columns.
+/// Runs the 7 scaling points for each workload column.
 pub fn run_workloads(workloads: &[CaseWorkload]) -> Vec<Row> {
     let systems = experiments::fig9b_systems();
     let mut rows = Vec::new();
@@ -51,15 +59,15 @@ pub fn run_workloads(workloads: &[CaseWorkload]) -> Vec<Row> {
                 workload: workload.name(),
                 system: sut.name.clone(),
                 npus: sut.topology.npus(),
-                compute: report.breakdown.compute,
-                exposed_comm: report.breakdown.exposed_comm,
-                total: report.total_time,
+                compute_us: report.breakdown.compute.as_us_f64(),
+                exposed_comm_us: report.breakdown.exposed_comm.as_us_f64(),
+                total_us: report.total_time.as_us_f64(),
                 normalized: 0.0,
             });
         }
         let reference = reference.expect("Base-512 is among the systems");
         for row in rows.iter_mut().filter(|r| r.workload == workload.name()) {
-            row.normalized = row.total.as_us_f64() / reference;
+            row.normalized = row.total_us / reference;
         }
     }
     rows
@@ -75,13 +83,7 @@ pub fn print(rows: &[Row]) {
     for r in rows {
         println!(
             "{:<16} {:<10} {:>6} {:>12.1} {:>14.1} {:>12.1} {:>11.3}",
-            r.workload,
-            r.system,
-            r.npus,
-            r.compute.as_us_f64(),
-            r.exposed_comm.as_us_f64(),
-            r.total.as_us_f64(),
-            r.normalized
+            r.workload, r.system, r.npus, r.compute_us, r.exposed_comm_us, r.total_us, r.normalized
         );
     }
 }

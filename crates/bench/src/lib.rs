@@ -1,22 +1,28 @@
 //! Benchmark harness: runners that regenerate every table and figure of
-//! the paper's evaluation (§IV-C validation/speedup, §V case studies).
+//! the paper's evaluation (§IV-C validation/speedup, §V case studies) and
+//! the simulator-throughput comparisons.
 //!
-//! Each module owns one experiment: a `run()` producing typed rows and a
-//! `print()` rendering the paper's table/figure series. The `src/bin/*`
-//! binaries are thin wrappers; the Criterion benches in `benches/` measure
-//! the simulator's own performance on the same configurations.
+//! Each paper module owns one experiment: a runner producing typed `Row`s
+//! (serialized as the sweep's JSON rows), a `print()` rendering the
+//! paper's table/figure, and a `series(quick)` tying the two together for
+//! [`throughput::SERIES`], which names every runnable series. `astra
+//! sweep` is the table's only entry point.
 //!
-//! | Module | Paper artifact |
-//! |--------|----------------|
-//! | [`fig4`] | Fig. 4 — analytical backend validation |
-//! | [`speedup`] | §IV-C — analytical vs packet-level simulation cost |
-//! | [`tables`] | Tables II / III / V — configuration tables |
-//! | [`fig9a`] | Fig. 9(a) — wafer vs conventional, baseline vs Themis |
-//! | [`fig9b`] | Fig. 9(b) — scale-out vs wafer scale-up |
-//! | [`table4`] | Table IV — per-dimension message sizes & collective time |
-//! | [`fig11`] | Fig. 11 — disaggregated-memory runtime breakdown + sweep |
-//! | [`ablations`] | modeling-choice sensitivity studies (extensions) |
-//! | [`throughput`] | simulator-throughput comparison (`BENCH_throughput.json`) |
+//! | Module | Paper artifact | Series |
+//! |--------|----------------|--------|
+//! | [`table2`] | Table II — target topologies | `table2` |
+//! | [`table3`] | Table III — target workloads | `table3` |
+//! | [`table5`] | Table V — disaggregated memory configurations | `table5` |
+//! | [`fig4`] | Fig. 4 — analytical backend validation | `fig4` |
+//! | [`speedup`] | §IV-C — analytical vs packet-level simulation cost | `speedup` |
+//! | [`fig9a`] | Fig. 9(a) — wafer vs conventional, baseline vs Themis | `fig9a` |
+//! | [`fig9b`] | Fig. 9(b) — scale-out vs wafer scale-up | `fig9b` |
+//! | [`table4`] | Table IV — per-dimension message sizes & collective time | `table4` |
+//! | [`fig11`] | Fig. 11 — disaggregated-memory runtime breakdown + sweep | `fig11` |
+//! | [`ablations`] | modeling-choice sensitivity studies (extensions) | `ablations` |
+//! | [`throughput`] | simulator-throughput comparisons (`BENCH_throughput.json`) | the default series |
+
+use serde::{Serialize, Value};
 
 pub mod ablations;
 pub mod fig11;
@@ -24,16 +30,15 @@ pub mod fig4;
 pub mod fig9a;
 pub mod fig9b;
 pub mod speedup;
+pub mod table2;
+pub mod table3;
 pub mod table4;
-pub mod tables;
+pub mod table5;
 pub mod throughput;
 
-/// Formats a microsecond quantity for table output.
-pub fn us(t: astra_core::Time) -> String {
-    format!("{:.2}", t.as_us_f64())
-}
-
-/// Formats a millisecond quantity for table output.
-pub fn ms(t: astra_core::Time) -> String {
-    format!("{:.3}", t.as_ms_f64())
+/// Prints `rows` with `print` and returns them as JSON rows: the tail of
+/// every series runner.
+fn emit<R: Serialize>(rows: &[R], print: fn(&[R])) -> Vec<Value> {
+    print(rows);
+    rows.iter().map(Serialize::to_value).collect()
 }

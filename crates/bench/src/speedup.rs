@@ -8,10 +8,11 @@
 
 use astra_core::{Collective, CollectiveEngine, DataSize, SchedulerPolicy, Topology};
 use astra_garnet::{collective_time, PacketSimConfig};
+use serde::{Serialize, Value};
 use std::time::Instant;
 
-/// One backend measurement.
-#[derive(Clone, Debug)]
+/// One backend measurement (a row of the `speedup` series).
+#[derive(Clone, Debug, Serialize)]
 pub struct Row {
     /// Backend name.
     pub backend: &'static str,
@@ -23,6 +24,12 @@ pub struct Row {
     pub wall_seconds: f64,
     /// Events processed (packet backend only).
     pub events: Option<u64>,
+}
+
+/// The `speedup` sweep series: the same configurations in quick and full
+/// mode.
+pub fn series(_quick: bool) -> Vec<Value> {
+    crate::emit(&run(), print)
 }
 
 /// Runs the speedup experiment: 1 MB All-Reduce on a 64-NPU 3D torus with

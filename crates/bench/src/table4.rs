@@ -7,9 +7,10 @@
 use astra_core::{
     dimension_traffic, experiments, Collective, CollectiveEngine, DataSize, SchedulerPolicy,
 };
+use serde::{Serialize, Value};
 
-/// One Table IV row.
-#[derive(Clone, Debug)]
+/// One Table IV row (a row of the `table4` series).
+#[derive(Clone, Debug, Serialize)]
 pub struct Row {
     /// System shape label (e.g. `"2_8_8_4"`).
     pub system: String,
@@ -19,6 +20,12 @@ pub struct Row {
     pub dim_mib: Vec<f64>,
     /// Collective completion time in µs.
     pub collective_us: f64,
+}
+
+/// The `table4` sweep series: closed-form data, the same in quick and
+/// full mode.
+pub fn series(_quick: bool) -> Vec<Value> {
+    crate::emit(&run(), print)
 }
 
 /// Runs the scaling sweep.

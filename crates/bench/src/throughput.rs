@@ -1,13 +1,14 @@
-//! Simulation-throughput comparison: parallel trace generation vs the
-//! naive serial baseline and train-batched packet transport vs per-packet
-//! simulation, among other series —
-//! the hot paths behind the paper's §IV-C claim that hierarchical systems
-//! at 512–1024 NPUs stay cheap to simulate.
+//! The sweep: [`SERIES`], the table of every runnable series, plus the
+//! simulation-throughput runners behind its default rows — parallel trace
+//! generation vs the naive serial baseline, train-batched packet transport
+//! vs per-packet simulation, and the other hot paths behind the paper's
+//! §IV-C claim that hierarchical systems at 512–1024 NPUs stay cheap to
+//! simulate. The paper experiment series live in their own modules.
 //!
-//! The `throughput` binary runs this module and writes the rows to a
-//! machine-readable `BENCH_throughput.json`, the repo's performance
-//! trajectory record (regenerate with
-//! `cargo run --release -p astra-bench --bin throughput`).
+//! `astra sweep` runs the table and writes the rows to a machine-readable
+//! JSON report; the default series make up `BENCH_throughput.json`, the
+//! repo's performance trajectory record (regenerate with
+//! `astra sweep --out BENCH_throughput.json`).
 
 use astra_core::{
     experiments, simulate, simulate_traced, CollectiveMode, DataSize, FaultKind, FaultSchedule,
@@ -20,7 +21,7 @@ use astra_workload::parallelism::{
     generate_trace_reference, OffloadPlan,
 };
 use astra_workload::{models, EtOp, ExecutionTrace, NodeId, Parallelism, TraceBuilder};
-use serde::Serialize;
+use serde::{Serialize, Value};
 use std::time::Instant;
 
 /// One trace-generation measurement: the parallel/memoizing generator vs
@@ -141,39 +142,6 @@ pub struct CollectiveBackendRow {
     pub backend_ms: f64,
 }
 
-/// One Fig. 11 bar in machine-readable form (the `fig11` sweep series).
-#[derive(Clone, Debug, Serialize)]
-pub struct Fig11Row {
-    /// System name (Table V column).
-    pub system: String,
-    /// Compute time (ms).
-    pub compute_ms: f64,
-    /// Exposed communication (ms).
-    pub exposed_comm_ms: f64,
-    /// Exposed idle (ms).
-    pub exposed_idle_ms: f64,
-    /// Exposed local-memory time (ms).
-    pub exposed_local_ms: f64,
-    /// Exposed remote-memory time (ms).
-    pub exposed_remote_ms: f64,
-    /// End-to-end time (ms).
-    pub total_ms: f64,
-}
-
-/// One Table V parameter row in machine-readable form (the `table5`
-/// sweep series).
-#[derive(Clone, Debug, Serialize)]
-pub struct Table5Row {
-    /// Parameter name.
-    pub parameter: String,
-    /// ZeRO-Infinity value (`-` where not applicable).
-    pub zero_infinity: String,
-    /// HierMem baseline value.
-    pub hiermem_base: String,
-    /// HierMem optimized value.
-    pub hiermem_opt: String,
-}
-
 /// One parallel-core measurement: the identical per-packet All-Reduce on
 /// the sequential reference core and on the domain-partitioned parallel
 /// core ([`SimMode::Parallel`]). The runner asserts finish time and event
@@ -231,73 +199,6 @@ pub struct ServeThroughputRow {
     pub warm_req_per_s: f64,
 }
 
-/// One Fig. 4 validation point in machine-readable form (the `fig4`
-/// sweep series).
-#[derive(Clone, Debug, Serialize)]
-pub struct Fig4Row {
-    /// Ring size (4 or 16 NPUs).
-    pub npus: usize,
-    /// All-Reduce payload in MiB.
-    pub payload_mib: f64,
-    /// Packet-level (ground truth) time (µs).
-    pub packet_us: f64,
-    /// Analytical backend time (µs).
-    pub analytical_us: f64,
-    /// Relative error of the analytical backend (%).
-    pub error_pct: f64,
-}
-
-/// One Fig. 9(a) bar in machine-readable form (the `fig9a` sweep series).
-#[derive(Clone, Debug, Serialize)]
-pub struct Fig9aRow {
-    /// Workload column.
-    pub workload: String,
-    /// System name (Table II).
-    pub system: String,
-    /// Collective scheduler (`baseline` / `themis`).
-    pub scheduler: String,
-    /// Compute portion (µs).
-    pub compute_us: f64,
-    /// Exposed communication portion (µs).
-    pub exposed_comm_us: f64,
-    /// End-to-end runtime (µs).
-    pub total_us: f64,
-    /// Runtime normalized to the workload's W-1D-500/baseline bar.
-    pub normalized: f64,
-}
-
-/// One Fig. 9(b) bar in machine-readable form (the `fig9b` sweep series).
-#[derive(Clone, Debug, Serialize)]
-pub struct Fig9bRow {
-    /// Workload column.
-    pub workload: String,
-    /// Scaling point (Base-512, Conv-1024, ..., W-4096).
-    pub system: String,
-    /// Total NPUs at this point.
-    pub npus: usize,
-    /// Compute portion (µs).
-    pub compute_us: f64,
-    /// Exposed communication portion (µs).
-    pub exposed_comm_us: f64,
-    /// End-to-end runtime (µs).
-    pub total_us: f64,
-    /// Runtime normalized to Base-512 for the same workload.
-    pub normalized: f64,
-}
-
-/// One Table IV row in machine-readable form (the `table4` sweep series).
-#[derive(Clone, Debug, Serialize)]
-pub struct Table4Row {
-    /// System shape label (e.g. `"2_8_8_4"`).
-    pub system: String,
-    /// Total NPUs.
-    pub npus: usize,
-    /// Per-dimension message sizes in MiB (RS + AG phases).
-    pub dim_mib: Vec<f64>,
-    /// Collective completion time (µs).
-    pub collective_us: f64,
-}
-
 /// One fault-injection measurement: the same workload simulated fault-free
 /// and under a deterministic [`FaultSchedule`], on one network backend. The
 /// runner asserts the faulted run is never faster than the fault-free
@@ -352,180 +253,201 @@ pub struct TraceOverheadRow {
     pub disabled_ms: f64,
     /// Wall-clock with recording and trace assembly on (ms, best of N).
     pub enabled_ms: f64,
-    /// Disabled-path overhead over the plain run, in percent: the median
-    /// of per-rep back-to-back ratios (negative medians clamp to 0).
+    /// Disabled-path overhead over the plain run, in percent: the best
+    /// (lowest) per-rep back-to-back ratio, unclamped — noise around a
+    /// zero-cost path can make it negative.
     pub overhead_pct: f64,
     /// Recording-path overhead over the plain run, in percent (same
-    /// median-of-ratios estimator, >= 0).
+    /// best-of-ratios estimator, unclamped).
     pub enabled_overhead_pct: f64,
 }
 
-/// Which comparison series a run should produce (the `astra sweep --series`
-/// flag maps onto this).
-#[derive(Copy, Clone, Debug, PartialEq, Eq)]
-pub struct SeriesSelection {
-    /// Parallel trace generation vs the serial baseline.
-    pub trace_generation: bool,
-    /// Train-batched packet transport vs per-packet.
-    pub packet_scale: bool,
-    /// Async engine NetworkAPI vs the blocking probe reference.
-    pub engine_p2p: bool,
-    /// Backend-executed collectives vs the closed-form collective engine.
-    pub collective_backend: bool,
-    /// Parallel conservative-lookahead core vs the sequential reference.
-    pub parallel_des: bool,
-    /// Warm `astra serve` batch replay vs fully cold request execution.
-    pub serve_throughput: bool,
-    /// Deterministic fault injection vs the fault-free baseline.
-    pub fault_injection: bool,
-    /// Telemetry overhead: plain vs disabled-sink vs recording runs.
-    pub trace_overhead: bool,
-    /// Fig. 4 analytical-backend validation (paper experiment runner).
-    pub fig4: bool,
-    /// Fig. 9(a) scheduler/system grid (paper experiment runner).
-    pub fig9a: bool,
-    /// Fig. 9(b) scale-out vs scale-up grid (paper experiment runner).
-    pub fig9b: bool,
-    /// Table IV message-size scaling table (paper experiment runner).
-    pub table4: bool,
-    /// Fig. 11 disaggregated-memory breakdown (paper experiment runner).
-    pub fig11: bool,
-    /// Table V configuration table (paper experiment runner).
-    pub table5: bool,
+/// One runnable series: a row of [`SERIES`].
+#[derive(Debug)]
+pub struct Series {
+    /// Name accepted by `astra sweep --series`.
+    pub name: &'static str,
+    /// Key of the series' row array in the JSON report (the name in
+    /// snake_case; `trace-gen` keeps its historical `trace_generation`).
+    pub key: &'static str,
+    /// Whether a sweep without `--series` runs it.
+    pub default: bool,
+    /// Runs the series at quick (`true`) or full size, prints its table
+    /// and returns its JSON rows.
+    pub run: fn(bool) -> Vec<Value>,
 }
 
-impl SeriesSelection {
-    /// Every *throughput* series — the default for `astra sweep` and the
-    /// committed `BENCH_throughput.json`. The paper experiment runners
-    /// (`fig11`, `table5`) are opt-in via `--series`.
-    pub const ALL: SeriesSelection = SeriesSelection {
-        trace_generation: true,
-        packet_scale: true,
-        engine_p2p: true,
-        collective_backend: true,
-        parallel_des: true,
-        serve_throughput: true,
-        fault_injection: true,
-        trace_overhead: true,
-        fig4: false,
-        fig9a: false,
-        fig9b: false,
-        table4: false,
-        fig11: false,
-        table5: false,
-    };
+/// Series are identified by name (names are unique in [`SERIES`]).
+impl PartialEq for Series {
+    fn eq(&self, other: &Self) -> bool {
+        self.name == other.name
+    }
+}
 
-    /// No series (combine with [`SeriesSelection::enable`]).
-    pub const NONE: SeriesSelection = SeriesSelection {
-        trace_generation: false,
-        packet_scale: false,
-        engine_p2p: false,
-        collective_backend: false,
-        parallel_des: false,
-        serve_throughput: false,
-        fault_injection: false,
-        trace_overhead: false,
-        fig4: false,
-        fig9a: false,
-        fig9b: false,
-        table4: false,
-        fig11: false,
-        table5: false,
-    };
+impl Eq for Series {}
 
-    /// Stable machine-readable series names, in report order.
-    pub const NAMES: [&'static str; 14] = [
-        "trace-gen",
-        "packet-scale",
-        "engine-p2p",
-        "collective-backend",
-        "parallel-des",
-        "serve-throughput",
-        "fault-injection",
-        "trace-overhead",
-        "fig4",
-        "fig9a",
-        "fig9b",
-        "table4",
-        "fig11",
-        "table5",
+/// Every benchmark and paper-experiment series, in report order. This
+/// table drives `--series` parsing, the JSON report, the printed tables
+/// and the `astra sweep --help` series list. The default sweep (the
+/// committed `BENCH_throughput.json`) runs the throughput series; the
+/// paper experiments are opt-in.
+pub const SERIES: &[Series] = &[
+    Series {
+        name: "trace-gen",
+        key: "trace_generation",
+        default: true,
+        run: |quick| crate::emit(&run_trace_generation(quick), print_trace_generation),
+    },
+    Series {
+        name: "packet-scale",
+        key: "packet_scale",
+        default: true,
+        run: |quick| crate::emit(&run_packet_scale(quick), print_packet_scale),
+    },
+    Series {
+        name: "engine-p2p",
+        key: "engine_p2p",
+        default: true,
+        run: |quick| crate::emit(&run_engine_p2p(quick), print_engine_p2p),
+    },
+    Series {
+        name: "collective-backend",
+        key: "collective_backend",
+        default: true,
+        run: |quick| crate::emit(&run_collective_backend(quick), print_collective_backend),
+    },
+    Series {
+        name: "parallel-des",
+        key: "parallel_des",
+        default: true,
+        run: |quick| crate::emit(&run_parallel_des(quick), print_parallel_des),
+    },
+    Series {
+        name: "serve-throughput",
+        key: "serve_throughput",
+        default: true,
+        run: |quick| crate::emit(&run_serve_throughput(quick), print_serve_throughput),
+    },
+    Series {
+        name: "fault-injection",
+        key: "fault_injection",
+        default: true,
+        run: |quick| crate::emit(&run_fault_injection(quick), print_fault_injection),
+    },
+    Series {
+        name: "trace-overhead",
+        key: "trace_overhead",
+        default: true,
+        run: |quick| crate::emit(&run_trace_overhead(quick), print_trace_overhead),
+    },
+    Series {
+        name: "fig4",
+        key: "fig4",
+        default: false,
+        run: crate::fig4::series,
+    },
+    Series {
+        name: "fig9a",
+        key: "fig9a",
+        default: false,
+        run: crate::fig9a::series,
+    },
+    Series {
+        name: "fig9b",
+        key: "fig9b",
+        default: false,
+        run: crate::fig9b::series,
+    },
+    Series {
+        name: "table4",
+        key: "table4",
+        default: false,
+        run: crate::table4::series,
+    },
+    Series {
+        name: "fig11",
+        key: "fig11",
+        default: false,
+        run: crate::fig11::series,
+    },
+    Series {
+        name: "table5",
+        key: "table5",
+        default: false,
+        run: crate::table5::series,
+    },
+    Series {
+        name: "table2",
+        key: "table2",
+        default: false,
+        run: crate::table2::series,
+    },
+    Series {
+        name: "table3",
+        key: "table3",
+        default: false,
+        run: crate::table3::series,
+    },
+    Series {
+        name: "speedup",
+        key: "speedup",
+        default: false,
+        run: crate::speedup::series,
+    },
+    Series {
+        name: "ablations",
+        key: "ablations",
+        default: false,
+        run: crate::ablations::series,
+    },
+];
+
+/// The series a sweep without `--series` runs.
+pub fn default_series() -> Vec<&'static Series> {
+    SERIES.iter().filter(|s| s.default).collect()
+}
+
+/// Parses a comma-separated `--series` list into [`SERIES`] rows.
+///
+/// # Errors
+///
+/// Returns the first unknown name back as the error.
+pub fn parse_series(list: &str) -> Result<Vec<&'static Series>, String> {
+    list.split(',')
+        .filter(|name| !name.is_empty())
+        .map(|name| {
+            SERIES
+                .iter()
+                .find(|s| s.name == name)
+                .ok_or_else(|| name.to_owned())
+        })
+        .collect()
+}
+
+/// Runs the `selection` series in [`SERIES`] order and returns the
+/// report: `generated_by`, `threads_available`, then every series key in
+/// table order (unselected series as empty arrays). `quick` shrinks
+/// payloads and scales for CI smoke jobs.
+pub fn run(quick: bool, selection: &[&Series]) -> Value {
+    let threads = std::thread::available_parallelism().map_or(1, |n| n.get());
+    println!("astra sweep ({threads} thread(s) available)");
+    let mut report = vec![
+        (
+            "generated_by".to_owned(),
+            "astra-bench throughput".to_value(),
+        ),
+        ("threads_available".to_owned(), threads.to_value()),
     ];
-
-    /// Enables the series named `name` (see [`SeriesSelection::NAMES`]).
-    ///
-    /// # Errors
-    ///
-    /// Returns the unknown name back as the error.
-    pub fn enable(mut self, name: &str) -> Result<Self, String> {
-        match name {
-            "trace-gen" => self.trace_generation = true,
-            "packet-scale" => self.packet_scale = true,
-            "engine-p2p" => self.engine_p2p = true,
-            "collective-backend" => self.collective_backend = true,
-            "parallel-des" => self.parallel_des = true,
-            "serve-throughput" => self.serve_throughput = true,
-            "fault-injection" => self.fault_injection = true,
-            "trace-overhead" => self.trace_overhead = true,
-            "fig4" => self.fig4 = true,
-            "fig9a" => self.fig9a = true,
-            "fig9b" => self.fig9b = true,
-            "table4" => self.table4 = true,
-            "fig11" => self.fig11 = true,
-            "table5" => self.table5 = true,
-            other => return Err(other.to_owned()),
-        }
-        Ok(self)
+    for series in SERIES {
+        let rows = if selection.contains(&series) {
+            println!();
+            (series.run)(quick)
+        } else {
+            Vec::new()
+        };
+        report.push((series.key.to_owned(), Value::Array(rows)));
     }
-}
-
-/// The full comparison, serialized as `BENCH_throughput.json`.
-#[derive(Clone, Debug, Serialize)]
-pub struct Report {
-    /// What produced the file.
-    pub generated_by: String,
-    /// Worker threads available to the parallel generators on the machine
-    /// that produced the numbers.
-    pub threads_available: usize,
-    /// Trace-generation rows.
-    pub trace_generation: Vec<TraceGenRow>,
-    /// Packet-transport scale rows (batched vs per-packet).
-    pub packet_scale: Vec<PacketScaleRow>,
-    /// Engine-NetworkAPI rows (async vs blocking p2p path).
-    pub engine_p2p: Vec<EngineP2pRow>,
-    /// Backend-executed vs closed-form collective rows.
-    pub collective_backend: Vec<CollectiveBackendRow>,
-    /// Parallel-core vs sequential-core rows.
-    pub parallel_des: Vec<ParallelDesRow>,
-    /// Warm-vs-cold batch-service rows.
-    pub serve_throughput: Vec<ServeThroughputRow>,
-    /// Fault-injection rows (faulted vs fault-free baseline).
-    pub fault_injection: Vec<FaultInjectionRow>,
-    /// Telemetry-overhead rows (plain vs disabled-sink vs recording).
-    pub trace_overhead: Vec<TraceOverheadRow>,
-    /// Fig. 4 rows (empty unless the `fig4` series is selected).
-    pub fig4: Vec<Fig4Row>,
-    /// Fig. 9(a) rows (empty unless the `fig9a` series is selected).
-    pub fig9a: Vec<Fig9aRow>,
-    /// Fig. 9(b) rows (empty unless the `fig9b` series is selected).
-    pub fig9b: Vec<Fig9bRow>,
-    /// Table IV rows (empty unless the `table4` series is selected).
-    pub table4: Vec<Table4Row>,
-    /// Fig. 11 rows (empty unless the `fig11` series is selected).
-    pub fig11: Vec<Fig11Row>,
-    /// Table V rows (empty unless the `table5` series is selected).
-    pub table5: Vec<Table5Row>,
-}
-
-impl Report {
-    /// Serializes the report as pretty JSON.
-    ///
-    /// # Errors
-    ///
-    /// Returns a `serde_json` error if serialization fails (it cannot for
-    /// well-formed reports).
-    pub fn to_json(&self) -> Result<String, serde_json::Error> {
-        serde_json::to_string_pretty(self)
-    }
+    Value::Object(report)
 }
 
 /// Best-of-`reps` wall-clock of `f`, in milliseconds, with the last result.
@@ -1009,7 +931,7 @@ fn trace_overhead_row(
         runs = Some((base, disabled, traced));
     }
     let (base, disabled, (enabled, sim_trace)) = runs.expect("at least one rep");
-    let pct = |ratio: f64| ((ratio - 1.0) * 100.0).max(0.0);
+    let pct = |ratio: f64| (ratio - 1.0) * 100.0;
     let overhead_pct = pct(best_disabled_ratio);
     let enabled_overhead_pct = pct(best_enabled_ratio);
     // Zero-cost-when-off: the traced entry point with telemetry off is
@@ -1381,485 +1303,27 @@ pub fn run_collective_backend(quick: bool) -> Vec<CollectiveBackendRow> {
     rows
 }
 
-/// The Fig. 4 analytical-backend validation as sweep rows (paper
-/// experiment runner; `--series fig4`). Quick mode runs only the two
-/// smallest payloads.
-pub fn run_fig4(quick: bool) -> Vec<Fig4Row> {
-    let payloads = crate::fig4::payloads();
-    let payloads = if quick { &payloads[..2] } else { &payloads[..] };
-    crate::fig4::run_payloads(payloads)
-        .into_iter()
-        .map(|row| Fig4Row {
-            npus: row.npus,
-            payload_mib: row.size.as_mib_f64(),
-            packet_us: row.packet_us,
-            analytical_us: row.analytical_us,
-            error_pct: row.error_pct,
-        })
-        .collect()
-}
-
-/// The Fig. 9(a) scheduler/system grid as sweep rows (paper experiment
-/// runner; `--series fig9a`). Quick mode runs only the first workload
-/// column.
-pub fn run_fig9a(quick: bool) -> Vec<Fig9aRow> {
-    let workloads = &experiments::CaseWorkload::ALL;
-    let workloads = if quick {
-        &workloads[..1]
-    } else {
-        &workloads[..]
-    };
-    crate::fig9a::run_workloads(workloads)
-        .into_iter()
-        .map(|row| Fig9aRow {
-            workload: row.workload.to_owned(),
-            system: row.system,
-            scheduler: row.scheduler.to_owned(),
-            compute_us: row.compute.as_us_f64(),
-            exposed_comm_us: row.exposed_comm.as_us_f64(),
-            total_us: row.total.as_us_f64(),
-            normalized: row.normalized,
-        })
-        .collect()
-}
-
-/// The Fig. 9(b) scale-out vs scale-up grid as sweep rows (paper
-/// experiment runner; `--series fig9b`). Quick mode runs only the first
-/// workload column.
-pub fn run_fig9b(quick: bool) -> Vec<Fig9bRow> {
-    let workloads = &experiments::CaseWorkload::ALL;
-    let workloads = if quick {
-        &workloads[..1]
-    } else {
-        &workloads[..]
-    };
-    crate::fig9b::run_workloads(workloads)
-        .into_iter()
-        .map(|row| Fig9bRow {
-            workload: row.workload.to_owned(),
-            system: row.system,
-            npus: row.npus,
-            compute_us: row.compute.as_us_f64(),
-            exposed_comm_us: row.exposed_comm.as_us_f64(),
-            total_us: row.total.as_us_f64(),
-            normalized: row.normalized,
-        })
-        .collect()
-}
-
-/// The Table IV message-size scaling sweep as sweep rows (paper
-/// experiment runner; `--series table4`). Pure closed-form data —
-/// identical in quick and full modes.
-pub fn run_table4() -> Vec<Table4Row> {
-    crate::table4::run()
-        .into_iter()
-        .map(|row| Table4Row {
-            system: row.system,
-            npus: row.npus,
-            dim_mib: row.dim_mib,
-            collective_us: row.collective_us,
-        })
-        .collect()
-}
-
-/// The Fig. 11 disaggregated-memory breakdown as sweep rows (paper
-/// experiment runner; `--series fig11`). Quick mode truncates the MoE
-/// model to two layers.
-pub fn run_fig11(quick: bool) -> Vec<Fig11Row> {
-    let trace = if quick {
-        let mut model = astra_core::models::moe_1t();
-        model.layers.truncate(2);
-        experiments::fig11_trace_for(&model)
-    } else {
-        experiments::fig11_trace()
-    };
-    crate::fig11::run_with_trace(&trace)
-        .into_iter()
-        .map(|row| Fig11Row {
-            system: row.system,
-            compute_ms: row.breakdown.compute.as_ms_f64(),
-            exposed_comm_ms: row.breakdown.exposed_comm.as_ms_f64(),
-            exposed_idle_ms: row.breakdown.exposed_idle.as_ms_f64(),
-            exposed_local_ms: row.breakdown.exposed_local_mem.as_ms_f64(),
-            exposed_remote_ms: row.breakdown.exposed_remote_mem.as_ms_f64(),
-            total_ms: row.total.as_ms_f64(),
-        })
-        .collect()
-}
-
-/// Table V configurations as sweep rows (paper experiment runner;
-/// `--series table5`). Pure preset data — identical in quick and full
-/// modes, and the same rows [`crate::tables::print_table5`] renders.
-pub fn run_table5() -> Vec<Table5Row> {
-    crate::tables::table5_rows()
-}
-
-/// Runs the full comparison. `quick` shrinks payloads and scales for CI
-/// smoke jobs; the committed `BENCH_throughput.json` uses the full mode.
-pub fn run(quick: bool) -> Report {
-    run_selected(quick, SeriesSelection::ALL)
-}
-
-/// Runs only the selected series (unselected ones come back empty) — the
-/// backing for `astra sweep --series`.
-pub fn run_selected(quick: bool, series: SeriesSelection) -> Report {
-    Report {
-        generated_by: "astra-bench throughput".to_owned(),
-        threads_available: std::thread::available_parallelism().map_or(1, |n| n.get()),
-        trace_generation: if series.trace_generation {
-            run_trace_generation(quick)
-        } else {
-            Vec::new()
-        },
-        packet_scale: if series.packet_scale {
-            run_packet_scale(quick)
-        } else {
-            Vec::new()
-        },
-        engine_p2p: if series.engine_p2p {
-            run_engine_p2p(quick)
-        } else {
-            Vec::new()
-        },
-        collective_backend: if series.collective_backend {
-            run_collective_backend(quick)
-        } else {
-            Vec::new()
-        },
-        parallel_des: if series.parallel_des {
-            run_parallel_des(quick)
-        } else {
-            Vec::new()
-        },
-        serve_throughput: if series.serve_throughput {
-            run_serve_throughput(quick)
-        } else {
-            Vec::new()
-        },
-        fault_injection: if series.fault_injection {
-            run_fault_injection(quick)
-        } else {
-            Vec::new()
-        },
-        trace_overhead: if series.trace_overhead {
-            run_trace_overhead(quick)
-        } else {
-            Vec::new()
-        },
-        fig4: if series.fig4 {
-            run_fig4(quick)
-        } else {
-            Vec::new()
-        },
-        fig9a: if series.fig9a {
-            run_fig9a(quick)
-        } else {
-            Vec::new()
-        },
-        fig9b: if series.fig9b {
-            run_fig9b(quick)
-        } else {
-            Vec::new()
-        },
-        table4: if series.table4 {
-            run_table4()
-        } else {
-            Vec::new()
-        },
-        fig11: if series.fig11 {
-            run_fig11(quick)
-        } else {
-            Vec::new()
-        },
-        table5: if series.table5 {
-            run_table5()
-        } else {
-            Vec::new()
-        },
-    }
-}
-
-/// Prints the comparison as tables.
-pub fn print(report: &Report) {
-    println!(
-        "Simulation throughput ({} thread(s) available)",
-        report.threads_available
-    );
-    println!("\n== trace generation: parallel/memoizing vs serial baseline ==");
+fn print_trace_generation(rows: &[TraceGenRow]) {
+    println!("== trace generation: parallel/memoizing vs serial baseline ==");
     println!(
         "{:<22} {:>6} {:>9} {:>11} {:>13} {:>9}",
         "Workload", "NPUs", "Nodes", "Serial(ms)", "Parallel(ms)", "Speedup"
     );
-    for r in &report.trace_generation {
+    for r in rows {
         println!(
             "{:<22} {:>6} {:>9} {:>11.2} {:>13.2} {:>8.2}x",
             r.workload, r.npus, r.total_nodes, r.serial_ms, r.parallel_ms, r.speedup
         );
     }
-    if !report.engine_p2p.is_empty() {
-        println!("\n== engine NetworkAPI: async co-resident vs blocking per-message probes ==");
-        println!(
-            "{:<14} {:>5} {:>9} {:>9} {:>9} {:>12} {:>11} {:>10} {:>9} {:>9}",
-            "Workload",
-            "NPUs",
-            "Backend",
-            "Msgs",
-            "Setups",
-            "BlkEvents",
-            "AsyncEvts",
-            "Block(ms)",
-            "Async(ms)",
-            "Speedup"
-        );
-        for r in &report.engine_p2p {
-            println!(
-                "{:<14} {:>5} {:>9} {:>9} {:>9} {:>12} {:>11} {:>10.2} {:>9.2} {:>8.2}x",
-                r.workload,
-                r.npus,
-                r.backend,
-                r.p2p_messages,
-                format!("{}:{}", r.blocking_setups, r.async_setups),
-                r.blocking_net_events,
-                r.async_net_events,
-                r.blocking_ms,
-                r.async_ms,
-                r.speedup
-            );
-        }
-    }
-    if !report.collective_backend.is_empty() {
-        println!("\n== collectives: backend-executed chunk programs vs closed form ==");
-        println!(
-            "{:<22} {:>5} {:>7} {:>9} {:>7} {:>11} {:>9} {:>10} {:>9}",
-            "Topology",
-            "NPUs",
-            "Chunks",
-            "Ops",
-            "Ratio",
-            "NetEvents",
-            "Anl(ms)",
-            "Bknd(ms)",
-            "Backend"
-        );
-        for r in &report.collective_backend {
-            println!(
-                "{:<22} {:>5} {:>7} {:>9} {:>7.3} {:>11} {:>9.2} {:>10.2} {:>9}",
-                r.topology,
-                r.npus,
-                r.chunks,
-                r.collective_ops,
-                r.finish_ratio,
-                r.backend_net_events,
-                r.analytical_ms,
-                r.backend_ms,
-                r.backend
-            );
-        }
-    }
-    if !report.parallel_des.is_empty() {
-        println!("\n== parallel DES core: conservative lookahead vs sequential reference ==");
-        println!(
-            "{:<26} {:>5} {:>8} {:>11} {:>12} {:>12} {:>9}",
-            "Topology", "NPUs", "Threads", "Events", "Seq(ms)", "Par(ms)", "Speedup"
-        );
-        for r in &report.parallel_des {
-            println!(
-                "{:<26} {:>5} {:>8} {:>11} {:>12.2} {:>12.2} {:>8.2}x",
-                r.topology, r.npus, r.threads, r.events, r.sequential_ms, r.parallel_ms, r.speedup
-            );
-        }
-    }
-    if !report.serve_throughput.is_empty() {
-        println!("\n== batch service: warm cross-request caches vs cold runs ==");
-        println!(
-            "{:<26} {:>8} {:>9} {:>8} {:>11} {:>11} {:>9} {:>11} {:>11}",
-            "Scenario",
-            "Distinct",
-            "Requests",
-            "Workers",
-            "Cold(ms)",
-            "Warm(ms)",
-            "Speedup",
-            "Cold(r/s)",
-            "Warm(r/s)"
-        );
-        for r in &report.serve_throughput {
-            println!(
-                "{:<26} {:>8} {:>9} {:>8} {:>11.2} {:>11.2} {:>8.2}x {:>11.1} {:>11.1}",
-                r.scenario,
-                r.distinct,
-                r.requests,
-                r.workers,
-                r.cold_ms,
-                r.warm_ms,
-                r.speedup,
-                r.cold_req_per_s,
-                r.warm_req_per_s
-            );
-        }
-    }
-    if !report.fault_injection.is_empty() {
-        println!("\n== fault injection: degraded fabric / stragglers vs fault-free baseline ==");
-        println!(
-            "{:<30} {:<10} {:>5} {:>10} {:>12} {:>12} {:>9} {:>9} {:>10}",
-            "Scenario",
-            "Topology",
-            "NPUs",
-            "Backend",
-            "Base(us)",
-            "Fault(us)",
-            "Slowdown",
-            "Affected",
-            "Extra(us)"
-        );
-        for r in &report.fault_injection {
-            println!(
-                "{:<30} {:<10} {:>5} {:>10} {:>12.2} {:>12.2} {:>8.2}x {:>9} {:>10.2}",
-                r.scenario,
-                r.topology,
-                r.npus,
-                r.backend,
-                r.baseline_us,
-                r.faulted_us,
-                r.slowdown,
-                r.affected,
-                r.extra_us
-            );
-        }
-    }
-    if !report.trace_overhead.is_empty() {
-        println!("\n== telemetry: plain vs disabled-sink vs recording runs ==");
-        println!(
-            "{:<28} {:>5} {:>10} {:>12} {:>12} {:>9} {:>11}",
-            "Scenario", "NPUs", "Base(ms)", "NoSink(ms)", "Record(ms)", "Off(%)", "Record(%)"
-        );
-        for r in &report.trace_overhead {
-            println!(
-                "{:<28} {:>5} {:>10.2} {:>12.2} {:>12.2} {:>9.2} {:>11.2}",
-                r.scenario,
-                r.npus,
-                r.base_ms,
-                r.disabled_ms,
-                r.enabled_ms,
-                r.overhead_pct,
-                r.enabled_overhead_pct
-            );
-        }
-    }
-    if !report.fig4.is_empty() {
-        println!("\n== fig4: analytical backend validation (ring @150 GB/s) ==");
-        println!(
-            "{:<6} {:>12} {:>14} {:>16} {:>9}",
-            "NPUs", "Size(MiB)", "Packet(us)", "Analytical(us)", "Err %"
-        );
-        for r in &report.fig4 {
-            println!(
-                "{:<6} {:>12.0} {:>14.2} {:>16.2} {:>9.2}",
-                r.npus, r.payload_mib, r.packet_us, r.analytical_us, r.error_pct
-            );
-        }
-    }
-    if !report.fig9a.is_empty() {
-        println!("\n== fig9a: normalized runtime per scheduler and system ==");
-        println!(
-            "{:<16} {:<10} {:<10} {:>12} {:>14} {:>12} {:>11}",
-            "Workload",
-            "System",
-            "Scheduler",
-            "Compute(us)",
-            "ExpComm(us)",
-            "Total(us)",
-            "Normalized"
-        );
-        for r in &report.fig9a {
-            println!(
-                "{:<16} {:<10} {:<10} {:>12.1} {:>14.1} {:>12.1} {:>11.3}",
-                r.workload,
-                r.system,
-                r.scheduler,
-                r.compute_us,
-                r.exposed_comm_us,
-                r.total_us,
-                r.normalized
-            );
-        }
-    }
-    if !report.fig9b.is_empty() {
-        println!("\n== fig9b: scale-out vs wafer scale-up, normalized to Base-512 ==");
-        println!(
-            "{:<16} {:<10} {:>6} {:>12} {:>14} {:>12} {:>11}",
-            "Workload", "System", "NPUs", "Compute(us)", "ExpComm(us)", "Total(us)", "Normalized"
-        );
-        for r in &report.fig9b {
-            println!(
-                "{:<16} {:<10} {:>6} {:>12.1} {:>14.1} {:>12.1} {:>11.3}",
-                r.workload,
-                r.system,
-                r.npus,
-                r.compute_us,
-                r.exposed_comm_us,
-                r.total_us,
-                r.normalized
-            );
-        }
-    }
-    if !report.table4.is_empty() {
-        println!("\n== table4: 1 GB All-Reduce per-dimension message sizes (MiB) ==");
-        println!(
-            "{:<10} {:>6} {:>9} {:>9} {:>9} {:>9} {:>16}",
-            "System", "NPUs", "Dim 1", "Dim 2", "Dim 3", "Dim 4", "Collective (us)"
-        );
-        for r in &report.table4 {
-            println!(
-                "{:<10} {:>6} {:>9.1} {:>9.1} {:>9.1} {:>9.1} {:>16.2}",
-                r.system,
-                r.npus,
-                r.dim_mib[0],
-                r.dim_mib[1],
-                r.dim_mib[2],
-                r.dim_mib[3],
-                r.collective_us
-            );
-        }
-    }
-    if !report.fig11.is_empty() {
-        println!("\n== fig11: disaggregated-memory runtime breakdown (ms) ==");
-        println!(
-            "{:<20} {:>10} {:>10} {:>10} {:>10} {:>10} {:>10}",
-            "System", "Compute", "ExpComm", "ExpIdle", "ExpLocal", "ExpRemote", "Total"
-        );
-        for r in &report.fig11 {
-            println!(
-                "{:<20} {:>10.2} {:>10.2} {:>10.2} {:>10.2} {:>10.2} {:>10.2}",
-                r.system,
-                r.compute_ms,
-                r.exposed_comm_ms,
-                r.exposed_idle_ms,
-                r.exposed_local_ms,
-                r.exposed_remote_ms,
-                r.total_ms
-            );
-        }
-    }
-    if !report.table5.is_empty() {
-        println!("\n== table5: disaggregated memory system configurations ==");
-        println!(
-            "{:<34} {:>14} {:>16} {:>14}",
-            "Parameter", "ZeRO-Infinity", "HierMem(base)", "HierMem(opt)"
-        );
-        for r in &report.table5 {
-            println!(
-                "{:<34} {:>14} {:>16} {:>14}",
-                r.parameter, r.zero_infinity, r.hiermem_base, r.hiermem_opt
-            );
-        }
-    }
-    println!("\n== packet transport: batched trains vs per-packet (256 B All-Reduce) ==");
+}
+
+fn print_packet_scale(rows: &[PacketScaleRow]) {
+    println!("== packet transport: batched trains vs per-packet (256 B All-Reduce) ==");
     println!(
         "{:<26} {:>5} {:>12} {:>11} {:>7} {:>10} {:>9} {:>9}",
         "Topology", "NPUs", "PktEvents", "TrnEvents", "Ratio", "Packet(ms)", "Batch(ms)", "Speedup"
     );
-    for r in &report.packet_scale {
+    for r in rows {
         println!(
             "{:<26} {:>5} {:>12} {:>11} {:>6.2}% {:>10.2} {:>9.2} {:>8.2}x",
             r.topology,
@@ -1874,30 +1338,192 @@ pub fn print(report: &Report) {
     }
 }
 
+fn print_engine_p2p(rows: &[EngineP2pRow]) {
+    println!("== engine NetworkAPI: async co-resident vs blocking per-message probes ==");
+    println!(
+        "{:<14} {:>5} {:>9} {:>9} {:>9} {:>12} {:>11} {:>10} {:>9} {:>9}",
+        "Workload",
+        "NPUs",
+        "Backend",
+        "Msgs",
+        "Setups",
+        "BlkEvents",
+        "AsyncEvts",
+        "Block(ms)",
+        "Async(ms)",
+        "Speedup"
+    );
+    for r in rows {
+        println!(
+            "{:<14} {:>5} {:>9} {:>9} {:>9} {:>12} {:>11} {:>10.2} {:>9.2} {:>8.2}x",
+            r.workload,
+            r.npus,
+            r.backend,
+            r.p2p_messages,
+            format!("{}:{}", r.blocking_setups, r.async_setups),
+            r.blocking_net_events,
+            r.async_net_events,
+            r.blocking_ms,
+            r.async_ms,
+            r.speedup
+        );
+    }
+}
+
+fn print_collective_backend(rows: &[CollectiveBackendRow]) {
+    println!("== collectives: backend-executed chunk programs vs closed form ==");
+    println!(
+        "{:<22} {:>5} {:>7} {:>9} {:>7} {:>11} {:>9} {:>10} {:>9}",
+        "Topology", "NPUs", "Chunks", "Ops", "Ratio", "NetEvents", "Anl(ms)", "Bknd(ms)", "Backend"
+    );
+    for r in rows {
+        println!(
+            "{:<22} {:>5} {:>7} {:>9} {:>7.3} {:>11} {:>9.2} {:>10.2} {:>9}",
+            r.topology,
+            r.npus,
+            r.chunks,
+            r.collective_ops,
+            r.finish_ratio,
+            r.backend_net_events,
+            r.analytical_ms,
+            r.backend_ms,
+            r.backend
+        );
+    }
+}
+
+fn print_parallel_des(rows: &[ParallelDesRow]) {
+    println!("== parallel DES core: conservative lookahead vs sequential reference ==");
+    println!(
+        "{:<26} {:>5} {:>8} {:>11} {:>12} {:>12} {:>9}",
+        "Topology", "NPUs", "Threads", "Events", "Seq(ms)", "Par(ms)", "Speedup"
+    );
+    for r in rows {
+        println!(
+            "{:<26} {:>5} {:>8} {:>11} {:>12.2} {:>12.2} {:>8.2}x",
+            r.topology, r.npus, r.threads, r.events, r.sequential_ms, r.parallel_ms, r.speedup
+        );
+    }
+}
+
+fn print_serve_throughput(rows: &[ServeThroughputRow]) {
+    println!("== batch service: warm cross-request caches vs cold runs ==");
+    println!(
+        "{:<26} {:>8} {:>9} {:>8} {:>11} {:>11} {:>9} {:>11} {:>11}",
+        "Scenario",
+        "Distinct",
+        "Requests",
+        "Workers",
+        "Cold(ms)",
+        "Warm(ms)",
+        "Speedup",
+        "Cold(r/s)",
+        "Warm(r/s)"
+    );
+    for r in rows {
+        println!(
+            "{:<26} {:>8} {:>9} {:>8} {:>11.2} {:>11.2} {:>8.2}x {:>11.1} {:>11.1}",
+            r.scenario,
+            r.distinct,
+            r.requests,
+            r.workers,
+            r.cold_ms,
+            r.warm_ms,
+            r.speedup,
+            r.cold_req_per_s,
+            r.warm_req_per_s
+        );
+    }
+}
+
+fn print_fault_injection(rows: &[FaultInjectionRow]) {
+    println!("== fault injection: degraded fabric / stragglers vs fault-free baseline ==");
+    println!(
+        "{:<30} {:<10} {:>5} {:>10} {:>12} {:>12} {:>9} {:>9} {:>10}",
+        "Scenario",
+        "Topology",
+        "NPUs",
+        "Backend",
+        "Base(us)",
+        "Fault(us)",
+        "Slowdown",
+        "Affected",
+        "Extra(us)"
+    );
+    for r in rows {
+        println!(
+            "{:<30} {:<10} {:>5} {:>10} {:>12.2} {:>12.2} {:>8.2}x {:>9} {:>10.2}",
+            r.scenario,
+            r.topology,
+            r.npus,
+            r.backend,
+            r.baseline_us,
+            r.faulted_us,
+            r.slowdown,
+            r.affected,
+            r.extra_us
+        );
+    }
+}
+
+fn print_trace_overhead(rows: &[TraceOverheadRow]) {
+    println!("== telemetry: plain vs disabled-sink vs recording runs ==");
+    println!(
+        "{:<28} {:>5} {:>10} {:>12} {:>12} {:>9} {:>11}",
+        "Scenario", "NPUs", "Base(ms)", "NoSink(ms)", "Record(ms)", "Off(%)", "Record(%)"
+    );
+    for r in rows {
+        println!(
+            "{:<28} {:>5} {:>10.2} {:>12.2} {:>12.2} {:>9.2} {:>11.2}",
+            r.scenario,
+            r.npus,
+            r.base_ms,
+            r.disabled_ms,
+            r.enabled_ms,
+            r.overhead_pct,
+            r.enabled_overhead_pct
+        );
+    }
+}
+
 #[cfg(test)]
 mod tests {
     use super::*;
 
+    /// Runs the comma-separated `series` list in quick mode.
+    fn run_quick(series: &str) -> Value {
+        run(true, &parse_series(series).unwrap())
+    }
+
+    /// The row array under `key`.
+    fn rows<'a>(report: &'a Value, key: &str) -> &'a Vec<Value> {
+        report[key].as_array().expect("every key holds an array")
+    }
+
     #[test]
     fn quick_report_is_valid_json_with_rows() {
-        let report = run(true);
-        assert!(!report.trace_generation.is_empty());
-        assert!(!report.packet_scale.is_empty());
-        assert!(!report.engine_p2p.is_empty());
-        assert!(!report.collective_backend.is_empty());
-        assert!(!report.parallel_des.is_empty());
-        assert!(!report.serve_throughput.is_empty());
-        assert!(!report.fault_injection.is_empty());
-        assert!(!report.trace_overhead.is_empty());
-        // The paper experiment runners are opt-in, not part of ALL.
-        assert!(report.fig4.is_empty());
-        assert!(report.fig9a.is_empty());
-        assert!(report.fig9b.is_empty());
-        assert!(report.table4.is_empty());
-        assert!(report.fig11.is_empty());
-        assert!(report.table5.is_empty());
-        let json = report.to_json().unwrap();
-        let v: serde_json::Value = serde_json::from_str(&json).expect("valid JSON");
+        let report = run(true, &default_series());
+        // Every table key, in table order, after the two header fields;
+        // the default sweep fills exactly the default rows.
+        let keys: Vec<&str> = report
+            .as_object()
+            .unwrap()
+            .iter()
+            .map(|(k, _)| k.as_str())
+            .collect();
+        let table: Vec<&str> = SERIES.iter().map(|s| s.key).collect();
+        assert_eq!(keys[..2], ["generated_by", "threads_available"]);
+        assert_eq!(keys[2..], table[..]);
+        for series in SERIES {
+            assert_eq!(
+                rows(&report, series.key).is_empty(),
+                !series.default,
+                "{}",
+                series.name
+            );
+        }
+        let json = serde_json::to_string_pretty(&report).unwrap();
+        let v: Value = serde_json::from_str(&json).expect("valid JSON");
         assert!(
             v["trace_generation"][0]["serial_ms"].as_f64().unwrap() >= 0.0,
             "serial_ms present"
@@ -1906,7 +1532,11 @@ mod tests {
         assert!(v["parallel_des"][0]["events"].as_f64().unwrap() > 0.0);
         assert!(v["serve_throughput"][0]["requests"].as_f64().unwrap() > 0.0);
         assert!(v["fault_injection"][0]["slowdown"].as_f64().unwrap() >= 1.0);
-        assert!(v["trace_overhead"][0]["overhead_pct"].as_f64().unwrap() >= 0.0);
+        // The overhead is an unclamped ratio: noise may make it negative.
+        assert!(v["trace_overhead"][0]["overhead_pct"]
+            .as_f64()
+            .unwrap()
+            .is_finite());
         assert!(v["engine_p2p"][0]["blocking_setups"].as_f64().unwrap() > 1.0);
         assert!(
             v["collective_backend"][0]["collective_ops"]
@@ -1918,42 +1548,37 @@ mod tests {
 
     #[test]
     fn series_selection_filters_and_rejects_unknown_names() {
-        let sel = SeriesSelection::NONE.enable("engine-p2p").unwrap();
-        let report = run_selected(true, sel);
-        assert!(report.trace_generation.is_empty());
-        assert!(report.packet_scale.is_empty());
-        assert!(!report.engine_p2p.is_empty());
-        assert!(report.collective_backend.is_empty());
+        let report = run_quick("engine-p2p");
+        for series in SERIES {
+            assert_eq!(
+                rows(&report, series.key).is_empty(),
+                series.name != "engine-p2p",
+                "{}",
+                series.name
+            );
+        }
+        assert_eq!(parse_series("ladder-queue"), Err("ladder-queue".to_owned()));
         assert_eq!(
-            SeriesSelection::NONE.enable("ladder-queue"),
+            parse_series("fig4,ladder-queue"),
             Err("ladder-queue".to_owned())
         );
-        for name in SeriesSelection::NAMES {
-            assert!(SeriesSelection::NONE.enable(name).is_ok());
-        }
     }
 
     #[test]
     fn paper_series_fold_into_the_report() {
-        let sel = SeriesSelection::NONE
-            .enable("fig11")
-            .unwrap()
-            .enable("table5")
-            .unwrap();
-        let report = run_selected(true, sel);
-        assert!(report.engine_p2p.is_empty());
+        let report = run_quick("fig11,table5,table2,table3,speedup,ablations");
+        assert!(rows(&report, "engine_p2p").is_empty());
         // Three Table V systems, six Table V parameters.
-        assert_eq!(report.fig11.len(), 3);
-        assert_eq!(report.table5.len(), 6);
-        let json = report.to_json().unwrap();
-        let v: serde_json::Value = serde_json::from_str(&json).expect("valid JSON");
+        assert_eq!(rows(&report, "fig11").len(), 3);
+        assert_eq!(rows(&report, "table5").len(), 6);
+        let v = &report;
         assert!(v["fig11"][0]["total_ms"].as_f64().unwrap() > 0.0);
         assert_eq!(
             v["table5"][2]["parameter"].as_str().unwrap(),
             "In-node pooled fabric BW (GB/s)"
         );
         // Every Fig. 11 bar's categories sum to its total.
-        for row in v["fig11"].as_array().unwrap() {
+        for row in rows(v, "fig11") {
             let sum = row["compute_ms"].as_f64().unwrap()
                 + row["exposed_comm_ms"].as_f64().unwrap()
                 + row["exposed_idle_ms"].as_f64().unwrap()
@@ -1962,22 +1587,28 @@ mod tests {
             let total = row["total_ms"].as_f64().unwrap();
             assert!((sum - total).abs() < 1e-3, "{sum} vs {total}");
         }
+        // Six Table II systems, three Table III workloads.
+        assert_eq!(rows(v, "table2").len(), 6);
+        assert_eq!(v["table2"][3]["dim_gbps"].as_array().unwrap().len(), 2);
+        assert_eq!(rows(v, "table3").len(), 3);
+        assert_eq!(v["table3"][1]["workload"].as_str().unwrap(), "GPT-3");
+        // Packet + analytical on the 64-NPU torus, analytical at 4096.
+        assert_eq!(rows(v, "speedup").len(), 3);
+        assert!(v["speedup"][0]["events"].as_u64().unwrap() > 0);
+        assert!(v["speedup"][1]["events"].is_null());
+        // 6 chunk counts + 4 packet sizes + 3 congestion models.
+        assert_eq!(rows(v, "ablations").len(), 13);
+        assert_eq!(v["ablations"][0]["study"].as_str().unwrap(), "chunk-count");
     }
 
     #[test]
     fn scaling_series_fold_into_the_report() {
-        let sel = SeriesSelection::NONE
-            .enable("fig4")
-            .unwrap()
-            .enable("table4")
-            .unwrap();
-        let report = run_selected(true, sel);
-        assert!(report.fig9a.is_empty() && report.fig9b.is_empty());
+        let report = run_quick("fig4,table4");
+        assert!(rows(&report, "fig9a").is_empty() && rows(&report, "fig9b").is_empty());
         // Quick fig4: 2 ring sizes x 2 payloads; Table IV: 7 systems.
-        assert_eq!(report.fig4.len(), 4);
-        assert_eq!(report.table4.len(), 7);
-        let json = report.to_json().unwrap();
-        let v: serde_json::Value = serde_json::from_str(&json).expect("valid JSON");
+        assert_eq!(rows(&report, "fig4").len(), 4);
+        assert_eq!(rows(&report, "table4").len(), 7);
+        let v = &report;
         assert!(v["fig4"][0]["error_pct"].as_f64().unwrap() >= 0.0);
         assert_eq!(v["table4"][0]["dim_mib"].as_array().unwrap().len(), 4);
         assert!(v["table4"][0]["collective_us"].as_f64().unwrap() > 0.0);

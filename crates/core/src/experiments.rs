@@ -1,6 +1,7 @@
 //! Ready-made configurations for every case study in the paper's
-//! evaluation (§V). The `astra-bench` binaries drive these to regenerate
-//! each table and figure; integration tests pin their headline trends.
+//! evaluation (§V). The `astra sweep` paper series drive these to
+//! regenerate each table and figure; integration tests pin their headline
+//! trends.
 
 use astra_collectives::Collective;
 use astra_des::DataSize;

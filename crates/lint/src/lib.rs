@@ -996,9 +996,7 @@ pub struct RunReport {
 }
 
 /// Directory names never descended into during the workspace walk.
-const SKIP_DIRS: &[&str] = &[
-    "target", "vendor", ".git", ".github", "tests", "benches", "fixtures",
-];
+const SKIP_DIRS: &[&str] = &["target", "vendor", ".git", ".github", "tests", "fixtures"];
 
 fn collect_rs_files(dir: &Path, out: &mut Vec<PathBuf>) -> std::io::Result<()> {
     let mut entries: Vec<_> = std::fs::read_dir(dir)?

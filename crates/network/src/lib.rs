@@ -68,8 +68,8 @@ pub struct Completion {
 }
 
 /// Work counters a backend accumulates while serving traffic. The system
-/// layer surfaces them in `SimReport` and the benches use them to compare
-/// the async and blocking engine paths.
+/// layer surfaces them in `SimReport` and the `engine-p2p` sweep series
+/// uses them to compare the async and blocking engine paths.
 #[derive(Copy, Clone, Debug, Default, PartialEq, Eq)]
 pub struct NetworkStats {
     /// Messages injected (blocking probes plus async sends).

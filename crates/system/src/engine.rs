@@ -122,9 +122,19 @@ impl Default for SystemConfig {
 /// Instantiates the configured [`NetworkBackend`] for a topology, with the
 /// fault schedule's fabric faults applied: dead links removed from routing,
 /// degraded link properties folded into every delay/rate computation. A
-/// schedule without fabric faults builds the pristine backend.
-fn build_network(topo: &Topology, config: &SystemConfig) -> Box<dyn NetworkBackend> {
+/// schedule without fabric faults builds the pristine backend, attached to
+/// the `warm` handles where the backend takes one. The blocking
+/// reference's per-message probes pass a cold `WarmState::default()`, so
+/// they stay cold and bit-identical.
+fn build_network(
+    topo: &Topology,
+    config: &SystemConfig,
+    warm: &WarmState,
+) -> Box<dyn NetworkBackend> {
     let schedule = &config.faults;
+    // Warm delay/route tables are computed on the pristine fabric; a
+    // degraded run must not consult them. Build cold instead.
+    let pristine = !schedule.has_fabric_faults();
     let packet = |transport| {
         PacketSimConfig::fast()
             .with_transport(transport)
@@ -135,10 +145,16 @@ fn build_network(topo: &Topology, config: &SystemConfig) -> Box<dyn NetworkBacke
         r.expect("fault schedule validated before backend construction")
     };
     match config.network_backend {
-        NetworkBackendKind::Analytical => checked(
-            AnalyticalNetwork::with_faults(topo.clone(), schedule)
-                .map(|n| Box::new(n) as Box<dyn NetworkBackend>),
-        ),
+        NetworkBackendKind::Analytical => match warm.delay_memo.as_ref().filter(|_| pristine) {
+            Some(memo) => Box::new(AnalyticalNetwork::with_shared_memo(
+                topo.clone(),
+                Arc::clone(memo),
+            )),
+            None => checked(
+                AnalyticalNetwork::with_faults(topo.clone(), schedule)
+                    .map(|n| Box::new(n) as Box<dyn NetworkBackend>),
+            ),
+        },
         NetworkBackendKind::Packet => checked(
             PacketNetwork::with_faults(topo, packet(TransportMode::PerPacket), schedule)
                 .map(|n| Box::new(n) as Box<dyn NetworkBackend>),
@@ -147,10 +163,13 @@ fn build_network(topo: &Topology, config: &SystemConfig) -> Box<dyn NetworkBacke
             PacketNetwork::with_faults(topo, packet(TransportMode::Batched), schedule)
                 .map(|n| Box::new(n) as Box<dyn NetworkBackend>),
         ),
-        NetworkBackendKind::Flow => checked(
-            FlowNetwork::with_faults(topo, schedule)
-                .map(|n| Box::new(n) as Box<dyn NetworkBackend>),
-        ),
+        NetworkBackendKind::Flow => match warm.routes.as_ref().filter(|_| pristine) {
+            Some(routes) => Box::new(FlowNetwork::with_shared_routes(topo, Arc::clone(routes))),
+            None => checked(
+                FlowNetwork::with_faults(topo, schedule)
+                    .map(|n| Box::new(n) as Box<dyn NetworkBackend>),
+            ),
+        },
     }
 }
 
@@ -172,39 +191,6 @@ pub struct WarmState {
     pub lowering: Option<Arc<SharedLoweringCache>>,
     /// Cross-run route table; used by the co-resident fluid backend.
     pub routes: Option<Arc<SharedRouteTable>>,
-}
-
-/// Instantiates the configured backend with the warm handles attached.
-/// Only the co-resident async backend is built this way; the frozen
-/// blocking reference path keeps calling [`build_network`] so its
-/// per-message probe sub-simulations stay cold and bit-identical.
-fn build_network_warm(
-    topo: &Topology,
-    config: &SystemConfig,
-    warm: &WarmState,
-) -> Box<dyn NetworkBackend> {
-    if config.faults.has_fabric_faults() {
-        // Warm delay/route tables are computed on the pristine fabric;
-        // a degraded run must not consult them. Build cold instead.
-        return build_network(topo, config);
-    }
-    match config.network_backend {
-        NetworkBackendKind::Analytical => {
-            if let Some(memo) = &warm.delay_memo {
-                return Box::new(AnalyticalNetwork::with_shared_memo(
-                    topo.clone(),
-                    Arc::clone(memo),
-                ));
-            }
-        }
-        NetworkBackendKind::Flow => {
-            if let Some(routes) = &warm.routes {
-                return Box::new(FlowNetwork::with_shared_routes(topo, Arc::clone(routes)));
-            }
-        }
-        NetworkBackendKind::Packet | NetworkBackendKind::Batched => {}
-    }
-    build_network(topo, config)
 }
 
 /// Errors detected while setting up or running a simulation.
@@ -953,7 +939,7 @@ impl<'a> Engine<'a> {
         let (topo, config, warm) = (self.topo, self.config, self.warm);
         let net = self
             .network
-            .get_or_insert_with(|| build_network_warm(topo, config, warm));
+            .get_or_insert_with(|| build_network(topo, config, warm));
         if first && record {
             net.set_telemetry(true);
         }
@@ -1535,7 +1521,7 @@ impl<'a> Engine<'a> {
     /// cost the async path amortizes away. This is the frozen reference
     /// the async integration is pinned bit-identical to (modulo genuine
     /// cross-source contention); see `tests/p2p_paths.rs`.
-    // frozen-ref: c78969ad4052024a
+    // frozen-ref: 72868ba9409efa53
     fn blocking_p2p(
         &mut self,
         src: NpuId,
@@ -1547,7 +1533,7 @@ impl<'a> Engine<'a> {
     ) {
         let (send_node, send_ready) = send;
         let (recv_node, recv_ready) = recv;
-        let mut probe = build_network(self.topo, self.config);
+        let mut probe = build_network(self.topo, self.config, &WarmState::default());
         let delay = probe.p2p_delay(src, dst, size);
         self.net_stats.merge(&probe.stats());
         self.net_stats.backend_setups += 1;

@@ -9,6 +9,7 @@
 //! The request flags are the rows of [`astra_serve::FIELDS`], the schema
 //! `astra serve` reads its JSON requests with.
 
+use astra_bench::throughput::{self, Series, SERIES};
 use astra_core::{MetricsReport, SimReport, TraceFormat};
 use astra_serve::{Field, FieldKind, SimRequest, FIELDS};
 use std::error::Error;
@@ -55,7 +56,7 @@ fn with_usage(msg: impl fmt::Display) -> CliError {
 
 /// Usage text printed for `--help` or on parse errors. The request
 /// options and the serve field list are generated from
-/// [`astra_serve::FIELDS`].
+/// [`astra_serve::FIELDS`], the sweep series list from [`SERIES`].
 pub fn usage() -> String {
     let mut request = String::new();
     for field in FIELDS {
@@ -73,6 +74,16 @@ pub fn usage() -> String {
     }
     let names: Vec<&str> = FIELDS.iter().map(|f| f.name).collect();
     let fields = wrap(&names.join(", "), 64).join("\n        ");
+    let mut series = String::new();
+    for (default, label) in [(true, "default"), (false, "opt-in")] {
+        let names: Vec<&str> = SERIES
+            .iter()
+            .filter(|s| s.default == default)
+            .map(|s| s.name)
+            .collect();
+        let body = wrap(&names.join(", "), 50).join(&format!("\n{:28}", ""));
+        series.push_str(&format!("      {:<22}{body}\n", format!("{label}:")));
+    }
     format!(
         "\
 astra — ASTRA-sim 2.0 reproduction CLI
@@ -112,19 +123,13 @@ OPTIONS:
     --json                  machine-readable output
     --help                  this text
 
-SWEEP (throughput benchmark runner, writes BENCH_throughput.json-style JSON):
+SWEEP (benchmark and paper-experiment series, writes BENCH_throughput.json-style JSON):
     astra sweep [--quick] [--out <PATH>] [--series <LIST>]
     --quick                 CI-sized payloads and scales
     --out <PATH>            output JSON path (default BENCH_sweep.json)
-    --series <LIST>         comma-separated subset of
-                            trace-gen,packet-scale,engine-p2p,
-                            collective-backend,parallel-des,serve-throughput,
-                            fault-injection,trace-overhead,fig4,fig9a,fig9b,
-                            table4,fig11,table5 (default: the eight
-                            throughput series; fig4/fig9a/fig9b/table4/
-                            fig11/table5 fold the paper experiment runners
-                            into the JSON)
-
+    --series <LIST>         comma-separated series to run instead of the
+                            default ones
+{series}
 SERVE (batch service: JSONL requests in, one JSON report row per line out):
     astra serve [--workers <N>] [--socket <PATH>] [--max-connections <N>]
     --workers <N>           worker threads for the request pool (default:
@@ -250,16 +255,17 @@ pub fn run(opts: &CliOptions) -> Result<SimReport, CliError> {
     Ok(report)
 }
 
-/// Options of the `astra sweep` subcommand, which drives the `astra-bench`
-/// throughput runners and writes their machine-readable JSON report.
+/// Options of the `astra sweep` subcommand, which runs rows of the
+/// `astra-bench` series table and writes their machine-readable JSON
+/// report.
 #[derive(Clone, Debug, PartialEq, Eq)]
 pub struct SweepOptions {
     /// CI-sized payloads and scales instead of the full study.
     pub quick: bool,
     /// Output JSON path.
     pub out: String,
-    /// Which comparison series to run.
-    pub series: astra_bench::throughput::SeriesSelection,
+    /// Which series to run.
+    pub series: Vec<&'static Series>,
 }
 
 /// Parses `astra sweep` arguments (everything after the `sweep` keyword).
@@ -269,11 +275,10 @@ pub struct SweepOptions {
 /// Returns a [`CliError`] on unknown flags, missing values, or unknown
 /// series names.
 pub fn parse_sweep_args(args: &[String]) -> Result<SweepOptions, CliError> {
-    use astra_bench::throughput::SeriesSelection;
     let mut opts = SweepOptions {
         quick: false,
         out: "BENCH_sweep.json".to_owned(),
-        series: SeriesSelection::ALL,
+        series: throughput::default_series(),
     };
     let mut it = args.iter();
     while let Some(arg) = it.next() {
@@ -290,19 +295,16 @@ pub fn parse_sweep_args(args: &[String]) -> Result<SweepOptions, CliError> {
                     .next()
                     .cloned()
                     .ok_or_else(|| err("--series requires a comma-separated list"))?;
-                let mut sel = SeriesSelection::NONE;
-                for name in list.split(',').filter(|s| !s.is_empty()) {
-                    sel = sel.enable(name).map_err(|unknown| {
-                        err(format!(
-                            "unknown series `{unknown}` (expected one of {})",
-                            SeriesSelection::NAMES.join(", ")
-                        ))
-                    })?;
-                }
-                if sel == SeriesSelection::NONE {
+                opts.series = throughput::parse_series(&list).map_err(|unknown| {
+                    let names: Vec<&str> = SERIES.iter().map(|s| s.name).collect();
+                    err(format!(
+                        "unknown series `{unknown}` (expected one of {})",
+                        names.join(", ")
+                    ))
+                })?;
+                if opts.series.is_empty() {
                     return Err(err("--series selected nothing"));
                 }
-                opts.series = sel;
             }
             "--help" | "-h" => return Err(err(usage())),
             other => return Err(with_usage(format_args!("unknown sweep argument `{other}`"))),
@@ -319,11 +321,8 @@ pub fn parse_sweep_args(args: &[String]) -> Result<SweepOptions, CliError> {
 ///
 /// Returns a [`CliError`] if the output file cannot be written.
 pub fn run_sweep(opts: &SweepOptions) -> Result<String, CliError> {
-    let report = astra_bench::throughput::run_selected(opts.quick, opts.series);
-    astra_bench::throughput::print(&report);
-    let json = report
-        .to_json()
-        .map_err(|e| err(format!("serialize: {e}")))?;
+    let report = throughput::run(opts.quick, &opts.series);
+    let json = serde_json::to_string_pretty(&report).map_err(|e| err(format!("serialize: {e}")))?;
     std::fs::write(&opts.out, &json)
         .map_err(|e| err(format!("failed to write {}: {e}", opts.out)))?;
     println!("\nwrote {}", opts.out);
@@ -911,21 +910,45 @@ mod tests {
 
     #[test]
     fn sweep_args_parse_and_validate() {
-        use astra_bench::throughput::SeriesSelection;
         let opts =
             parse_sweep_args(&args("--quick --out /tmp/x.json --series engine-p2p")).unwrap();
         assert!(opts.quick);
         assert_eq!(opts.out, "/tmp/x.json");
-        assert_eq!(
-            opts.series,
-            SeriesSelection::NONE.enable("engine-p2p").unwrap()
-        );
+        assert_eq!(opts.series, throughput::parse_series("engine-p2p").unwrap());
         let all = parse_sweep_args(&[]).unwrap();
-        assert_eq!(all.series, SeriesSelection::ALL);
+        assert_eq!(all.series, throughput::default_series());
         assert_eq!(all.out, "BENCH_sweep.json");
         assert!(parse_sweep_args(&args("--series ladder")).is_err());
         assert!(parse_sweep_args(&args("--frobnicate")).is_err());
         assert!(parse_sweep_args(&args("--out")).is_err());
+    }
+
+    #[test]
+    fn every_series_row_parses_is_documented_and_runs() {
+        let help = usage();
+        let mut opt_in = Vec::new();
+        for (i, series) in SERIES.iter().enumerate() {
+            let opts = parse_sweep_args(&args(&format!("--series {}", series.name))).unwrap();
+            assert_eq!(opts.series, vec![series]);
+            assert!(help.contains(series.name), "help misses {}", series.name);
+            assert!(
+                SERIES[..i]
+                    .iter()
+                    .all(|s| s.name != series.name && s.key != series.key),
+                "duplicate series {}",
+                series.name
+            );
+            if !series.default {
+                opt_in.push(series);
+            }
+        }
+        // One quick run of every opt-in row; the default rows run in
+        // `throughput::tests::quick_report_is_valid_json_with_rows`.
+        let report = throughput::run(true, &opt_in);
+        for series in opt_in {
+            let rows = report[series.key].as_array().unwrap();
+            assert!(!rows.is_empty(), "{} returned no rows", series.name);
+        }
     }
 
     #[test]

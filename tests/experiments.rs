@@ -13,11 +13,11 @@ fn fig4_validation_mean_error_within_paper_band() {
     // Error shrinks as payloads grow (bandwidth-bound regime).
     let small = rows
         .iter()
-        .find(|r| r.npus == 16 && r.size.as_mib_f64() == 64.0)
+        .find(|r| r.npus == 16 && r.payload_mib == 64.0)
         .unwrap();
     let large = rows
         .iter()
-        .find(|r| r.npus == 16 && r.size.as_gib_f64() == 1.5)
+        .find(|r| r.npus == 16 && r.payload_mib == 1536.0)
         .unwrap();
     assert!(small.error_pct > large.error_pct);
 }
@@ -51,8 +51,7 @@ fn fig9a_allreduce_column_trends() {
         rows.iter()
             .find(|r| r.scheduler == sched && r.system == system)
             .unwrap()
-            .total
-            .as_us_f64()
+            .total_us
     };
     // W-1D is immune to the scheduler.
     assert_eq!(get("baseline", "W-1D-500"), get("themis", "W-1D-500"));
@@ -73,9 +72,9 @@ fn fig11_truncated_run_keeps_headline_ratios() {
     let trace = astra_core::experiments::fig11_trace_for(&model);
     let rows = fig11::run_with_trace(&trace);
     assert_eq!(rows.len(), 3);
-    let zinf = rows[0].total.as_us_f64();
-    let base = rows[1].total.as_us_f64();
-    let opt = rows[2].total.as_us_f64();
+    let zinf = rows[0].total_ms;
+    let base = rows[1].total_ms;
+    let opt = rows[2].total_ms;
     assert!((base / zinf - 1.0).abs() < 0.03, "ZeRO-Inf parity");
     assert!(
         (3.8..5.2).contains(&(base / opt)),
