@@ -73,8 +73,9 @@ pub struct PacketScaleRow {
 
 /// One engine-NetworkAPI measurement: the same p2p-heavy workload driven
 /// through the async `send_async`/callback path (one co-resident backend on
-/// the engine's clock) and the frozen blocking reference (one fresh backend
-/// sub-simulation + `p2p_delay` probe per message). The runner asserts the
+/// the engine's clock) and the blocking-p2p oracle (the same engine path
+/// against a probe backend: one fresh backend sub-simulation + `p2p_delay`
+/// probe per message). The runner asserts the
 /// simulated results match bit-identically on the non-overlapping
 /// deep-pipeline workload and that contention only lengthens the MoE
 /// all-to-all under the async path.

@@ -120,20 +120,16 @@ impl CollectiveEngine {
             self.scheduler
                 .plan_orders(collective, chunk_size, dims, self.chunks, &initial_loads);
 
-        // Build each chunk's phase sequence.
-        let plans: Vec<Vec<Phase>> = orders
-            .iter()
-            .map(|order| chunk_phases(collective, chunk_size, dims, order))
-            .collect();
-
+        // Every chunk sharing an order runs the same phase sequence: add
+        // its phases once per chunk, and its chain once.
         let mut traffic = vec![DataSize::ZERO; dims.len()];
         let mut busy = vec![Time::ZERO; dims.len()];
         let mut chain = Time::ZERO;
-        for plan in &plans {
+        for (order, count) in &orders {
             let mut this_chain = Time::ZERO;
-            for phase in plan {
-                busy[phase.dim] += phase.service;
-                traffic[phase.dim] += phase.traffic;
+            for phase in chunk_phases(collective, chunk_size, dims, order) {
+                busy[phase.dim] += phase.service * *count;
+                traffic[phase.dim] += phase.traffic * *count;
                 this_chain += phase.service + phase.latency;
             }
             chain = chain.max(this_chain);
@@ -145,7 +141,6 @@ impl CollectiveEngine {
         // end-to-end chain (pipeline fill) plus the bottleneck dimension's
         // remaining service, where each dimension first drains any backlog
         // left by earlier collectives on the same links.
-        let chunks = plans.len() as u64;
         let finish = start
             + chain
             + dims
@@ -153,7 +148,7 @@ impl CollectiveEngine {
                 .enumerate()
                 .map(|(d, _)| {
                     let backlog = available[d].saturating_sub(start);
-                    backlog + (busy[d] * (chunks - 1)) / chunks
+                    backlog + pipeline_tail(busy[d], self.chunks)
                 })
                 .fold(Time::ZERO, Time::max);
         let free_at: Vec<Time> = (0..dims.len())
@@ -167,6 +162,15 @@ impl CollectiveEngine {
             free_at,
         }
     }
+}
+
+/// The part of a dimension's `busy` time still to run once the first of
+/// `chunks` pipeline chunks is through: `busy × (chunks − 1) / chunks`,
+/// computed in `u128` so huge chunk counts cannot overflow. The result
+/// never exceeds `busy`.
+pub(crate) fn pipeline_tail(busy: Time, chunks: u64) -> Time {
+    let tail = u128::from(busy.as_ps()) * u128::from(chunks - 1) / u128::from(chunks);
+    Time::from_ps(tail as u64)
 }
 
 /// One pipeline phase of one chunk. Shared with the lowering subsystem

@@ -13,7 +13,7 @@ use astra_des::Time;
 use astra_topology::Dimension;
 use serde::{Deserialize, Serialize};
 
-use crate::engine::{phase_chain_cost, phase_service};
+use crate::engine::{phase_chain_cost, phase_service, pipeline_tail};
 use crate::Collective;
 
 /// Which collective scheduling policy to use.
@@ -28,10 +28,14 @@ pub enum SchedulerPolicy {
 }
 
 impl SchedulerPolicy {
-    /// Plans the per-chunk dimension visit orders for a collective of
-    /// `chunks` chunks of `chunk_size` each over `dims`. `initial_loads`
-    /// is the pre-existing backlog on each dimension (time until its links
-    /// drain), which the bandwidth-aware policy balances against.
+    /// Plans the dimension visit orders for a collective of `chunks`
+    /// chunks of `chunk_size` each over `dims`, as `(order, chunk count)`
+    /// pairs whose counts sum to `chunks`. Chunks sharing an order are
+    /// interchangeable (the pipeline model only sums their phases and
+    /// takes the longest chain), so one pair stands for all of them.
+    /// `initial_loads` is the pre-existing backlog on each dimension (time
+    /// until its links drain), which the bandwidth-aware policy balances
+    /// against.
     pub(crate) fn plan_orders(
         &self,
         collective: Collective,
@@ -39,15 +43,15 @@ impl SchedulerPolicy {
         dims: &[Dimension],
         chunks: u64,
         initial_loads: &[Time],
-    ) -> Vec<Vec<usize>> {
+    ) -> Vec<(Vec<usize>, u64)> {
         let identity: Vec<usize> = (0..dims.len()).collect();
         match self {
-            SchedulerPolicy::Baseline => vec![identity; chunks as usize],
+            SchedulerPolicy::Baseline => vec![(identity, chunks)],
             SchedulerPolicy::Themis => {
                 if dims.len() == 1 {
                     // A 1-D topology has nothing to balance (the paper's
                     // W-1D systems show no gain from smart scheduling).
-                    return vec![identity; chunks as usize];
+                    return vec![(identity, chunks)];
                 }
                 plan_themis(collective, chunk_size, dims, chunks, initial_loads)
             }
@@ -57,14 +61,15 @@ impl SchedulerPolicy {
 
 /// Greedy min-makespan planning: for every chunk, evaluate candidate
 /// dimension orders and commit the one that minimizes the resulting maximum
-/// per-dimension accumulated load.
+/// per-dimension accumulated load. Returns each chosen candidate with the
+/// number of chunks that chose it.
 fn plan_themis(
     collective: Collective,
     chunk_size: astra_des::DataSize,
     dims: &[Dimension],
     chunks: u64,
     initial_loads: &[Time],
-) -> Vec<Vec<usize>> {
+) -> Vec<(Vec<usize>, u64)> {
     let candidates = candidate_orders(dims.len());
     // Pre-compute the per-dimension cost vector of each candidate order.
     let costs: Vec<Vec<(usize, Time)>> = candidates
@@ -73,7 +78,7 @@ fn plan_themis(
         .collect();
 
     let mut loads = initial_loads.to_vec();
-    let mut plan = Vec::with_capacity(chunks as usize);
+    let mut counts = vec![0u64; candidates.len()];
     for _ in 0..chunks {
         let mut best: Option<(Time, usize)> = None;
         for (ci, cost) in costs.iter().enumerate() {
@@ -91,16 +96,20 @@ fn plan_themis(
         for &(d, t) in &costs[ci] {
             loads[d] += t;
         }
-        plan.push(candidates[ci].clone());
+        counts[ci] += 1;
     }
-    let greedy = interleave_by_first_dim(plan);
+    let greedy: Vec<(Vec<usize>, u64)> = candidates
+        .into_iter()
+        .zip(counts)
+        .filter(|&(_, n)| n > 0)
+        .collect();
 
     // Guard: for latency-dominated (small) collectives, diversified orders
     // lengthen the pipeline-fill chain more than balancing saves. Estimate
     // both plans under the engine's fluid pipeline model and keep the
     // better one, so Themis is never worse than the baseline order.
     let identity: Vec<usize> = (0..dims.len()).collect();
-    let baseline = vec![identity; chunks as usize];
+    let baseline = vec![(identity, chunks)];
     if estimate_finish(collective, chunk_size, dims, &baseline, initial_loads)
         < estimate_finish(collective, chunk_size, dims, &greedy, initial_loads)
     {
@@ -116,17 +125,17 @@ fn estimate_finish(
     collective: Collective,
     chunk_size: astra_des::DataSize,
     dims: &[Dimension],
-    plan: &[Vec<usize>],
+    plan: &[(Vec<usize>, u64)],
     initial_loads: &[Time],
 ) -> Time {
     let mut loads = initial_loads.to_vec();
     let mut chain = Time::ZERO;
-    for order in plan {
+    for (order, count) in plan {
         let mut divisor = 1u64;
         let visits = collective.phase_visits();
         let mut this_chain = Time::ZERO;
         for &d in order {
-            loads[d] += phase_service(collective, chunk_size, &dims[d], divisor) * visits;
+            loads[d] += phase_service(collective, chunk_size, &dims[d], divisor) * visits * *count;
             this_chain += phase_chain_cost(collective, chunk_size, &dims[d], divisor) * visits;
             if collective != Collective::AllToAll {
                 divisor = divisor.saturating_mul(dims[d].npus() as u64);
@@ -134,41 +143,12 @@ fn estimate_finish(
         }
         chain = chain.max(this_chain);
     }
-    let chunks = plan.len() as u64;
+    let chunks = plan.iter().map(|&(_, n)| n).sum();
     chain
         + loads
             .iter()
-            .map(|&l| (l * (chunks - 1)) / chunks)
+            .map(|&l| pipeline_tail(l, chunks))
             .fold(Time::ZERO, Time::max)
-}
-
-/// Reorders the chunk plans so that consecutive chunks start on different
-/// dimensions (round-robin over first dims). All chunks are issued at the
-/// same instant and enter per-dimension FIFO queues in plan order; without
-/// interleaving, bursts of same-first-dim chunks starve the other
-/// dimensions during pipeline fill.
-fn interleave_by_first_dim(plan: Vec<Vec<usize>>) -> Vec<Vec<usize>> {
-    let mut buckets: std::collections::BTreeMap<usize, std::collections::VecDeque<Vec<usize>>> =
-        std::collections::BTreeMap::new();
-    for order in plan {
-        buckets.entry(order[0]).or_default().push_back(order);
-    }
-    let mut out = Vec::new();
-    while !buckets.is_empty() {
-        let keys: Vec<usize> = buckets.keys().copied().collect();
-        for k in keys {
-            let Some(bucket) = buckets.get_mut(&k) else {
-                continue;
-            };
-            if let Some(order) = bucket.pop_front() {
-                out.push(order);
-            }
-            if bucket.is_empty() {
-                buckets.remove(&k);
-            }
-        }
-    }
-    out
 }
 
 /// Per-dimension occupancy cost of running one chunk with the given visit
@@ -245,7 +225,7 @@ mod tests {
             4,
             &[Time::ZERO; 3],
         );
-        assert_eq!(plan, vec![vec![0, 1, 2]; 4]);
+        assert_eq!(plan, vec![(vec![0, 1, 2], 4)]);
     }
 
     #[test]
@@ -258,7 +238,7 @@ mod tests {
             8,
             &[Time::ZERO],
         );
-        assert_eq!(plan, vec![vec![0]; 8]);
+        assert_eq!(plan, vec![(vec![0], 8)]);
     }
 
     #[test]
@@ -271,14 +251,16 @@ mod tests {
             32,
             &[Time::ZERO; 4],
         );
-        assert_eq!(plan.len(), 32);
-        for order in &plan {
+        assert_eq!(plan.iter().map(|&(_, n)| n).sum::<u64>(), 32);
+        for (order, count) in &plan {
+            assert!(*count > 0, "empty entry for {order:?}");
             let mut sorted = order.clone();
             sorted.sort_unstable();
             assert_eq!(sorted, vec![0, 1, 2, 3], "not a permutation: {order:?}");
         }
         // Load balancing requires order diversity on a heterogeneous system.
-        let distinct: std::collections::BTreeSet<_> = plan.iter().cloned().collect();
+        let distinct: std::collections::BTreeSet<_> = plan.iter().map(|(o, _)| o).collect();
+        assert_eq!(distinct.len(), plan.len(), "orders are listed once each");
         assert!(distinct.len() > 1, "Themis never varied the order");
     }
 

@@ -776,41 +776,13 @@ impl PacketNetwork {
     /// simulation time.
     pub fn run_until_idle(&mut self) -> Time {
         if self.parallel.is_some() {
-            return self.run_parallel(None, None);
+            return self.run_parallel(None);
         }
         while let Some((now, event)) = self.queue.pop() {
             self.events_processed += 1;
             self.dispatch(now, event);
         }
         self.queue.now()
-    }
-
-    /// Runs the simulation only until `id` completes, returning its finish
-    /// time. Unrelated in-flight traffic keeps its pending events: the
-    /// clock advances no further than the tracked message's completion.
-    ///
-    /// # Panics
-    ///
-    /// Panics if the event queue drains before the message completes (it
-    /// cannot for messages injected through [`PacketNetwork::send_at`]).
-    pub fn run_until_complete(&mut self, id: MessageId) -> Time {
-        if self.parallel.is_some() {
-            self.run_parallel(None, Some(id));
-            // astra-lint: allow(panic, documented panic contract; send_at-injected messages always complete)
-            return self.completion(id).expect("tracked message completes");
-        }
-        loop {
-            if let Some(finish) = self.completion(id) {
-                return finish;
-            }
-            let (now, event) = self
-                .queue
-                .pop()
-                // astra-lint: allow(panic, documented panic contract; send_at-injected messages always complete)
-                .expect("tracked message completes before the queue drains");
-            self.events_processed += 1;
-            self.dispatch(now, event);
-        }
     }
 
     /// Completion time of a message, if it has fully arrived.
@@ -820,22 +792,6 @@ impl PacketNetwork {
 }
 
 impl NetworkBackend for PacketNetwork {
-    /// Sends a message on the live network (with whatever queue backlog
-    /// exists) and simulates **only until that message completes**,
-    /// returning the observed delay.
-    ///
-    /// The probe rides the current backlog — a congested link delays it —
-    /// but it does not drain unrelated in-flight traffic as a side effect:
-    /// their pending events stay queued and the simulation clock advances
-    /// no further than the probe's completion. The probe's packets do
-    /// occupy links, so it is a measurement *with* interference, not a
-    /// counterfactual.
-    fn p2p_delay(&mut self, src: NpuId, dst: NpuId, size: DataSize) -> Time {
-        let start = self.now();
-        let id = self.send_at(start, src, dst, size);
-        self.run_until_complete(id) - start
-    }
-
     fn name(&self) -> &'static str {
         match self.config.transport {
             TransportMode::PerPacket => "packet-level",
@@ -876,7 +832,7 @@ impl NetworkBackend for PacketNetwork {
 
     fn advance_until(&mut self, limit: Time) {
         if self.parallel.is_some() {
-            self.run_parallel(Some(limit), None);
+            self.run_parallel(Some(limit));
             return;
         }
         while let Some((now, event)) = self.queue.pop_up_to(limit) {
@@ -895,6 +851,7 @@ impl NetworkBackend for PacketNetwork {
             events: self.events_processed,
             train_serializations: self.train_interleavings,
             train_splits: self.train_splits,
+            backend_setups: 1,
             ..NetworkStats::default()
         }
     }

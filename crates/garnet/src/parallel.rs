@@ -241,9 +241,8 @@ impl ParallelCore {
 
 impl PacketNetwork {
     /// Advances the parallel core: up to `limit` (inclusive) when given,
-    /// until `until` completes when given, to idle otherwise. Returns the
-    /// clock (last processed event time).
-    pub(crate) fn run_parallel(&mut self, limit: Option<Time>, until: Option<MessageId>) -> Time {
+    /// to idle otherwise. Returns the clock (last processed event time).
+    pub(crate) fn run_parallel(&mut self, limit: Option<Time>) -> Time {
         let threads = self.config.sim_mode.threads();
         let due = {
             let Some(core) = self.parallel.as_mut() else {
@@ -254,15 +253,7 @@ impl PacketNetwork {
             core.take_held(limit)
         };
         self.apply_completions(due);
-        loop {
-            if let Some(id) = until {
-                if self.messages[id.0].finish.is_some() {
-                    break;
-                }
-            }
-            let Some(core) = self.parallel.as_mut() else {
-                break;
-            };
+        while let Some(core) = self.parallel.as_mut() {
             let links_per_domain = core.links_per_domain;
             let lane_meta = &core.lane_meta;
             let graph = &self.graph;

@@ -11,6 +11,7 @@
 use astra_collectives::Collective;
 use astra_des::{DataSize, Time};
 use astra_garnet::{collective_time_for, PacketNetwork, PacketSimConfig, TransportMode};
+use astra_network::NetworkBackend;
 use astra_topology::Topology;
 use proptest::prelude::*;
 
@@ -129,10 +130,8 @@ proptest! {
         for &(s, d, bytes) in &pairs {
             let (src, dst) = (s % npus, d % npus);
             let size = DataSize::from_bytes(bytes);
-            let a = per_packet.send_at(per_packet.now(), src, dst, size);
-            let fa = per_packet.run_until_complete(a);
-            let b = batched.send_at(batched.now(), src, dst, size);
-            let fb = batched.run_until_complete(b);
+            let fa = per_packet.now() + per_packet.p2p_delay(src, dst, size);
+            let fb = batched.now() + batched.p2p_delay(src, dst, size);
             prop_assert_eq!(fa, fb, "{} -> {} on {}", src, dst, topo);
         }
     }

@@ -8,9 +8,11 @@
 //!    nothing on the simulation path may iterate a `HashMap`/`HashSet`
 //!    (order is randomized per process) or read a wall clock.
 //! 2. **Frozen references.** Each fast path (`TransportMode::Batched`,
-//!    the async NetworkAPI, `CollectiveMode::Backend`) is pinned
-//!    bit-identical to a slow reference implementation. Editing
-//!    a reference body silently invalidates every downstream golden pin.
+//!    the co-resident network backend, `CollectiveMode::Backend`) is
+//!    pinned bit-identical to a slow reference implementation (per-packet
+//!    `start_hop`, the blocking-p2p oracle's probe backend, the
+//!    closed-form `reference_finish`). Editing a reference body silently
+//!    invalidates every downstream golden pin.
 //!
 //! This crate tokenizes the workspace's Rust sources with a small
 //! hand-rolled lexer (same offline spirit as `vendor/serde_derive` — no
@@ -110,7 +112,7 @@ pub const REQUIRED_FROZEN: &[(&str, &str)] = &[
     ),
     ("crates/network/src/congestion.rs", "max_min_rates"),
     ("crates/collectives/src/lowering.rs", "reference_finish"),
-    ("crates/system/src/engine.rs", "blocking_p2p"),
+    ("crates/system/src/oracle.rs", "measure"),
     ("crates/garnet/src/network.rs", "start_hop"),
 ];
 

@@ -336,22 +336,6 @@ impl FlowNetwork {
         self.now()
     }
 
-    /// Runs only until `id` completes, returning its finish time. Other
-    /// in-flight flows keep draining concurrently (and keep whatever
-    /// remains of their payload afterwards).
-    ///
-    /// # Panics
-    ///
-    /// Panics if `id` was never injected.
-    pub fn run_until_complete(&mut self, id: FlowId) -> Time {
-        loop {
-            if let Some(finish) = self.completion(id) {
-                return finish;
-            }
-            self.step(None);
-        }
-    }
-
     /// Completion time of a flow, if it has fully drained (includes the
     /// route's propagation latency, paid once).
     pub fn completion(&self, id: FlowId) -> Option<Time> {
@@ -591,15 +575,6 @@ impl FlowNetwork {
 }
 
 impl NetworkBackend for FlowNetwork {
-    /// Injects a flow on the live network and simulates only until it
-    /// drains, returning the observed delay. Concurrent flows share link
-    /// bandwidth max-min fairly with the probe for its whole lifetime.
-    fn p2p_delay(&mut self, src: NpuId, dst: NpuId, size: DataSize) -> Time {
-        let start = self.now();
-        let id = self.inject_at(start, src, dst, size);
-        self.run_until_complete(id) - start
-    }
-
     fn name(&self) -> &'static str {
         "flow-level"
     }
@@ -607,7 +582,7 @@ impl NetworkBackend for FlowNetwork {
     /// Injects a co-resident flow: it shares link bandwidth max-min fairly
     /// with every other live flow from `at` onwards. Arrivals re-share
     /// rates, so an async send can slow down (and be slowed down by)
-    /// overlapping engine traffic — the contention the blocking probe path
+    /// overlapping engine traffic — the contention the blocking-p2p oracle
     /// cannot see.
     fn send_async(&mut self, at: Time, src: NpuId, dst: NpuId, size: DataSize) -> AsyncMessageId {
         let id = self.inject_at(at, src, dst, size);
@@ -621,6 +596,13 @@ impl NetworkBackend for FlowNetwork {
             });
         }
         AsyncMessageId(id.0 as u64)
+    }
+
+    /// The fluid clock, rounded down: a send at or before it starts at
+    /// the clock itself ([`FlowNetwork::inject_at`] clamps), and rounding
+    /// down never nudges the fluid state forward by a fraction of a tick.
+    fn earliest_send_time(&self) -> Time {
+        Time::from_ps(self.now_ps as u64)
     }
 
     fn next_event_time(&self) -> Option<Time> {
@@ -651,6 +633,7 @@ impl NetworkBackend for FlowNetwork {
         NetworkStats {
             messages: self.flows.len() as u64,
             events: self.reshares,
+            backend_setups: 1,
             ..NetworkStats::default()
         }
     }

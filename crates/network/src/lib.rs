@@ -15,8 +15,8 @@
 //! building blocks are congestion-free by construction.
 //!
 //! The [`NetworkBackend`] trait is the Rust analogue of the paper's
-//! `NetworkAPI` (`sim_send`/`sim_recv`, Snippet 2): the system layer asks
-//! the backend for a completion delay and schedules the callback itself.
+//! `NetworkAPI` (`sim_send`/`sim_recv`, Snippet 2): the system layer sends
+//! messages and collects their completion callbacks.
 //! The packet-level backend in `astra-garnet` implements the same trait.
 //!
 //! # Example
@@ -69,10 +69,10 @@ pub struct Completion {
 
 /// Work counters a backend accumulates while serving traffic. The system
 /// layer surfaces them in `SimReport` and the `engine-p2p` sweep series
-/// uses them to compare the async and blocking engine paths.
+/// uses them to compare the engine against the blocking-p2p oracle.
 #[derive(Copy, Clone, Debug, Default, PartialEq, Eq)]
 pub struct NetworkStats {
-    /// Messages injected (blocking probes plus async sends).
+    /// Messages injected (async sends, blocking probes included).
     pub messages: u64,
     /// Closed-form delay queries answered from the per-`(src, dst, size)`
     /// memo (the analytical backend; zero elsewhere).
@@ -91,16 +91,16 @@ pub struct NetworkStats {
     /// bit-identical to per-packet transport (the fixed fast path; see
     /// `astra_garnet::TransportMode`).
     pub train_splits: u64,
-    /// Backend instances constructed to serve the traffic. The async
-    /// engine path builds one; the blocking reference path rebuilds a
-    /// fresh sub-simulation per message. Filled in by the engine, not by
-    /// [`NetworkBackend::stats`].
+    /// Backend instances constructed to serve the traffic, as reported by
+    /// the backend itself: 1 for a real backend, one per message for the
+    /// blocking-p2p oracle's probe backend, which measures every message
+    /// on a fresh sub-simulation.
     pub backend_setups: u64,
 }
 
 impl NetworkStats {
-    /// Adds `other`'s counters into `self` (used by the engine to fold
-    /// per-probe backend stats into the run total).
+    /// Adds `other`'s counters into `self` (used by the blocking-p2p
+    /// oracle to fold per-probe backend stats into its total).
     pub fn merge(&mut self, other: &NetworkStats) {
         self.messages += other.messages;
         self.cache_hits += other.cache_hits;
@@ -114,17 +114,18 @@ impl NetworkStats {
 /// The network-layer abstraction consumed by the system layer — the Rust
 /// analogue of ASTRA-sim's `NetworkAPI` (paper Snippet 2).
 ///
-/// Two calling conventions share the trait:
+/// Backends implement one calling convention, the async one:
+/// [`NetworkBackend::send_async`] schedules a message at an absolute time
+/// and returns immediately; the caller interleaves
+/// [`NetworkBackend::advance_until`] with its own event loop (one shared
+/// clock) and collects finish callbacks via
+/// [`NetworkBackend::drain_completions`]. Engine-time-concurrent messages
+/// are co-resident inside the backend, so cross-message contention is
+/// modeled.
 ///
-/// * **Async** (the engine's path): [`NetworkBackend::send_async`]
-///   schedules a message at an absolute time and returns immediately; the
-///   caller interleaves [`NetworkBackend::advance_until`] with its own
-///   event loop (one shared clock) and collects finish callbacks via
-///   [`NetworkBackend::drain_completions`]. Engine-time-concurrent
-///   messages are co-resident inside the backend, so cross-message
-///   contention is modeled.
-/// * **Blocking** (the frozen test reference): [`NetworkBackend::p2p_delay`]
-///   measures one message to completion on the backend's own clock.
+/// [`NetworkBackend::p2p_delay`] is a provided blocking probe over that
+/// async half: it measures one message to completion on the backend's own
+/// clock.
 ///
 /// Async callers must uphold one invariant: `send_async` times and
 /// `advance_until` limits never move backwards (the engine's event loop
@@ -134,10 +135,32 @@ impl NetworkStats {
 /// The trait takes `&mut self` because stateful backends (the packet-level
 /// simulator) advance internal queues while estimating.
 pub trait NetworkBackend {
-    /// End-to-end delay for one `size`-byte message from `src` to `dst`.
+    /// End-to-end delay for one `size`-byte message from `src` to `dst`,
+    /// sent at [`NetworkBackend::earliest_send_time`] and simulated only
+    /// until it completes.
+    ///
+    /// The probe rides whatever backlog the backend holds (a congested
+    /// link delays it), but unrelated in-flight traffic is advanced no
+    /// further than the probe's completion instant. Completions of other
+    /// async messages discovered on the way are consumed, so a caller
+    /// that drives the async half should not mix in probes.
     ///
     /// Returns [`Time::ZERO`] when `src == dst`.
-    fn p2p_delay(&mut self, src: NpuId, dst: NpuId, size: DataSize) -> Time;
+    fn p2p_delay(&mut self, src: NpuId, dst: NpuId, size: DataSize) -> Time {
+        let at = self.earliest_send_time();
+        let id = self.send_async(at, src, dst, size);
+        let mut done = Vec::new();
+        loop {
+            self.drain_completions(&mut done);
+            if let Some(c) = done.iter().find(|c| c.id == id) {
+                return c.finish - at;
+            }
+            done.clear();
+            // astra-lint: allow(panic, a sent message always completes before its backend runs out of events)
+            let next = self.next_event_time().expect("probe completes");
+            self.advance_until(next);
+        }
+    }
 
     /// Human-readable backend name (for reports and experiment tables).
     fn name(&self) -> &'static str;
@@ -173,8 +196,7 @@ pub trait NetworkBackend {
     /// Moves all completions discovered since the last call into `out`.
     fn drain_completions(&mut self, out: &mut Vec<Completion>);
 
-    /// Work counters accumulated so far (see [`NetworkStats`];
-    /// `backend_setups` is always zero here — the engine fills it in).
+    /// Work counters accumulated so far (see [`NetworkStats`]).
     fn stats(&self) -> NetworkStats;
 
     /// `(hits, misses)` of the backend's per-`(src, dst, size)` delay
@@ -472,11 +494,6 @@ fn faulted_route_delay(
 }
 
 impl NetworkBackend for AnalyticalNetwork {
-    fn p2p_delay(&mut self, src: NpuId, dst: NpuId, size: DataSize) -> Time {
-        self.messages += 1;
-        self.cached_delay(src, dst, size)
-    }
-
     fn name(&self) -> &'static str {
         "analytical"
     }
@@ -506,6 +523,7 @@ impl NetworkBackend for AnalyticalNetwork {
         NetworkStats {
             messages: self.messages,
             cache_hits: self.hits,
+            backend_setups: 1,
             ..NetworkStats::default()
         }
     }

@@ -123,10 +123,8 @@ impl Default for SystemConfig {
 /// fault schedule's fabric faults applied: dead links removed from routing,
 /// degraded link properties folded into every delay/rate computation. A
 /// schedule without fabric faults builds the pristine backend, attached to
-/// the `warm` handles where the backend takes one. The blocking
-/// reference's per-message probes pass a cold `WarmState::default()`, so
-/// they stay cold and bit-identical.
-fn build_network(
+/// the `warm` handles where the backend takes one.
+pub(crate) fn build_network(
     topo: &Topology,
     config: &SystemConfig,
     warm: &WarmState,
@@ -211,9 +209,11 @@ pub enum SimError {
         /// Index of the offending group.
         group: usize,
     },
-    /// [`CollectiveMode::Backend`] was passed to
-    /// [`simulate_blocking_reference`]: backend-executed collectives ride
-    /// the async NetworkAPI and have no blocking equivalent.
+    /// [`CollectiveMode::Backend`] was passed to the blocking-p2p oracle
+    /// ([`simulate_blocking_reference`](crate::simulate_blocking_reference)):
+    /// its probe backend measures every message alone on a fresh
+    /// sub-simulation, while a backend-executed collective's chunk ops
+    /// must share one co-resident backend.
     BackendCollectivesNeedAsyncP2p,
     /// [`CollectiveMode::Backend`] was combined with
     /// [`SchedulerPolicy::Themis`]: backend execution lowers the baseline
@@ -416,7 +416,7 @@ struct RunningCollective {
     trace_id: u64,
 }
 
-struct GroupSpan {
+pub(crate) struct GroupSpan {
     rep: NpuId,
     /// Per spanned dimension: the global dimension index, the effective
     /// sub-dimension, and the representative `(src, dst)` wire endpoints
@@ -516,35 +516,10 @@ pub fn simulate_traced_with(
     }
 }
 
-/// The frozen blocking-p2p test oracle: [`simulate`], except that every
-/// p2p message is measured alone by a `p2p_delay` probe on a fresh
-/// backend, so messages never contend. The two agree bit for bit unless
-/// messages from *different* sources overlap on a contention-modeling
-/// backend (pinned by `tests/p2p_paths.rs`).
-///
-/// # Errors
-///
-/// [`simulate`]'s errors, plus [`SimError::BackendCollectivesNeedAsyncP2p`]
-/// for [`CollectiveMode::Backend`].
-pub fn simulate_blocking_reference(
-    trace: &ExecutionTrace,
-    topo: &Topology,
-    config: &SystemConfig,
-) -> Result<SimReport, SimError> {
-    if config.collective_mode == CollectiveMode::Backend {
-        return Err(SimError::BackendCollectivesNeedAsyncP2p);
-    }
-    let (spans, impacts) = prepare(trace, topo, config)?;
-    let warm = WarmState::default();
-    let mut engine = Engine::new(trace, topo, config, &warm, spans, impacts);
-    engine.blocking_reference = true;
-    engine.run()
-}
-
 /// Shared validation front half of every `simulate*` entry point: checks
 /// trace/platform consistency, validates the fault schedule, and
 /// pre-computes group spans and fault-impact rows.
-fn prepare(
+pub(crate) fn prepare(
     trace: &ExecutionTrace,
     topo: &Topology,
     config: &SystemConfig,
@@ -725,20 +700,16 @@ fn group_span(topo: &Topology, members: &[NpuId]) -> Option<GroupSpan> {
     })
 }
 
-struct Engine<'a> {
+pub(crate) struct Engine<'a> {
     trace: &'a ExecutionTrace,
     topo: &'a Topology,
     config: &'a SystemConfig,
     warm: &'a WarmState,
     collective_engine: CollectiveEngine,
     /// The co-resident async backend, built lazily on the first p2p
-    /// message (collective-only workloads never pay for it). Unused by
-    /// the blocking reference, where every probe gets a fresh
-    /// sub-simulation.
-    network: Option<Box<dyn NetworkBackend>>,
-    /// Run the frozen blocking p2p path instead of the async one (see
-    /// [`simulate_blocking_reference`]).
-    blocking_reference: bool,
+    /// message (collective-only workloads never pay for it). The
+    /// blocking-p2p oracle installs its probe backend here up front.
+    pub(crate) network: Option<Box<dyn NetworkBackend + 'a>>,
     spans: Vec<GroupSpan>,
 
     queue: EventQueue<EngineEvent>,
@@ -748,7 +719,6 @@ struct Engine<'a> {
     compute_res: Vec<FifoResource>,
     local_res: Vec<FifoResource>,
     remote_res: Vec<FifoResource>,
-    p2p_res: Vec<FifoResource>,
     lanes: BTreeMap<(NpuId, usize), Time>,
 
     logs: Vec<[IntervalLog; 4]>,
@@ -758,9 +728,8 @@ struct Engine<'a> {
     group_counters: BTreeMap<(NpuId, u32), u64>,
     p2p_pending: BTreeMap<(NpuId, NpuId, u64), P2pPending>,
     in_flight: BTreeMap<AsyncMessageId, Outbound>,
-    /// Per source (async path; the blocking path models the same NIC lane
-    /// with `p2p_res`): whether an injected message's completion is still
-    /// undiscovered, when the lane is known to free, and the messages
+    /// Per source NIC lane: whether an injected message's completion is
+    /// still undiscovered, when the lane is known to free, and the messages
     /// queued behind it. Invariant: an `InjectP2p` event is pending iff
     /// the queue is non-empty and the lane is not occupied.
     nic_occupied: Vec<bool>,
@@ -784,7 +753,6 @@ struct Engine<'a> {
 
     collectives: u64,
     p2p_messages: u64,
-    net_stats: NetworkStats,
 
     /// Per-NPU straggler faults, `(onset, slowdown_pct, event index)`.
     /// Compute ops issued at or after the onset are stretched by the
@@ -807,7 +775,7 @@ struct Engine<'a> {
 }
 
 impl<'a> Engine<'a> {
-    fn new(
+    pub(crate) fn new(
         trace: &'a ExecutionTrace,
         topo: &'a Topology,
         config: &'a SystemConfig,
@@ -846,7 +814,6 @@ impl<'a> Engine<'a> {
             warm,
             collective_engine: CollectiveEngine::new(config.collective_chunks, config.scheduler),
             network: None,
-            blocking_reference: false,
             spans,
             queue: EventQueue::new(),
             remaining_deps,
@@ -854,7 +821,6 @@ impl<'a> Engine<'a> {
             compute_res: vec![FifoResource::new(); npus],
             local_res: vec![FifoResource::new(); npus],
             remote_res: vec![FifoResource::new(); npus],
-            p2p_res: vec![FifoResource::new(); npus],
             lanes: BTreeMap::new(),
             logs: (0..npus).map(|_| Default::default()).collect(),
             finish: vec![Time::ZERO; npus],
@@ -874,7 +840,6 @@ impl<'a> Engine<'a> {
             chunk_ops: 0,
             collectives: 0,
             p2p_messages: 0,
-            net_stats: NetworkStats::default(),
             stragglers,
             fault_impacts,
             events_popped: 0,
@@ -913,9 +878,7 @@ impl<'a> Engine<'a> {
         if self.config.max_events.is_none() && self.config.max_sim_time.is_none() {
             return Ok(());
         }
-        let events = self.events_popped
-            + self.net_stats.events
-            + self.network.as_ref().map_or(0, |n| n.stats().events);
+        let events = self.events_popped + self.network.as_ref().map_or(0, |n| n.stats().events);
         let over_events = self.config.max_events.is_some_and(|cap| events > cap);
         let over_time = self.config.max_sim_time.is_some_and(|cap| now > cap);
         if over_events || over_time {
@@ -932,9 +895,6 @@ impl<'a> Engine<'a> {
     /// message reaches it.
     fn network_mut(&mut self) -> &mut dyn NetworkBackend {
         let first = self.network.is_none();
-        if first {
-            self.net_stats.backend_setups += 1;
-        }
         let record = self.sink.is_some();
         let (topo, config, warm) = (self.topo, self.config, self.warm);
         let net = self
@@ -946,7 +906,7 @@ impl<'a> Engine<'a> {
         net.as_mut()
     }
 
-    fn run(mut self) -> Result<SimReport, SimError> {
+    pub(crate) fn run(mut self) -> Result<SimReport, SimError> {
         self.run_inner()
     }
 
@@ -1109,16 +1069,10 @@ impl<'a> Engine<'a> {
             exposed_local_mem: sums[3] / npus,
             exposed_idle: sums[4] / npus,
         };
-        let mut network = self.net_stats;
-        let (delay_hits, delay_misses) = match &self.network {
-            // Per-message blocking probes discard their fresh backends, so
-            // only the co-resident backend's memo is reported.
-            Some(net) => net.delay_memo_stats(),
-            None => (0, 0),
+        let (network, (delay_hits, delay_misses)) = match &self.network {
+            Some(net) => (net.stats(), net.delay_memo_stats()),
+            None => (NetworkStats::default(), (0, 0)),
         };
-        if let Some(net) = &self.network {
-            network.merge(&net.stats());
-        }
         debug_assert!(
             self.running_collectives.is_empty(),
             "backend-executed collectives left unfinished"
@@ -1485,77 +1439,22 @@ impl<'a> Engine<'a> {
             ));
         };
         self.p2p_messages += 1;
-        let ready = send_ready.max(recv_ready);
-        if self.blocking_reference {
-            self.blocking_p2p(
-                src,
-                dst,
-                size,
-                ready,
-                (send_node, send_ready),
-                (recv_node, recv_ready),
-            );
-        } else {
-            // Non-blocking NetworkAPI: schedule the send on the shared
-            // backend and keep executing ready graph nodes; the paired
-            // nodes resume from the completion callback. Same-source
-            // messages serialize on the NIC lane (the async analogue of
-            // the blocking path's `p2p_res`), so the two paths only
-            // diverge on *cross-source* overlap — genuine network
-            // contention.
-            self.enqueue_outbound(Outbound::Peer(InFlightP2p {
-                src,
-                dst,
-                size,
-                send_node,
-                recv_node,
-                send_ready,
-                recv_ready,
-            }));
-        }
+        // Non-blocking NetworkAPI: schedule the send on the shared
+        // backend and keep executing ready graph nodes; the paired nodes
+        // resume from the completion callback. Same-source messages
+        // serialize on the NIC lane, so a run against the blocking-p2p
+        // oracle's probe backend only diverges on *cross-source* overlap —
+        // genuine network contention.
+        self.enqueue_outbound(Outbound::Peer(InFlightP2p {
+            src,
+            dst,
+            size,
+            send_node,
+            recv_node,
+            send_ready,
+            recv_ready,
+        }));
         Ok(())
-    }
-
-    /// The blocking p2p path: a fresh backend sub-simulation measures the
-    /// message alone (no co-residency), paying setup per message — the
-    /// cost the async path amortizes away. This is the frozen reference
-    /// the async integration is pinned bit-identical to (modulo genuine
-    /// cross-source contention); see `tests/p2p_paths.rs`.
-    // frozen-ref: 72868ba9409efa53
-    fn blocking_p2p(
-        &mut self,
-        src: NpuId,
-        dst: NpuId,
-        size: DataSize,
-        ready: Time,
-        send: (u32, Time),
-        recv: (u32, Time),
-    ) {
-        let (send_node, send_ready) = send;
-        let (recv_node, recv_ready) = recv;
-        let mut probe = build_network(self.topo, self.config, &WarmState::default());
-        let delay = probe.p2p_delay(src, dst, size);
-        self.net_stats.merge(&probe.stats());
-        self.net_stats.backend_setups += 1;
-        let r = self.p2p_res[src].acquire(ready, delay);
-        self.logs[src][COMM].push(send_ready, r.end);
-        if r.end > recv_ready {
-            self.logs[dst][COMM].push(recv_ready, r.end);
-        }
-        self.queue.schedule_at(
-            r.end,
-            EngineEvent::Node(Event {
-                npu: src,
-                node: send_node,
-            }),
-        );
-        self.queue.schedule_at(
-            r.end,
-            EngineEvent::Node(Event {
-                npu: dst,
-                node: recv_node,
-            }),
-        );
     }
 
     /// Hands a resolved message to the async backend at `at` (never ahead
@@ -1733,6 +1632,7 @@ impl<'a> Engine<'a> {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::simulate_blocking_reference;
     use astra_collectives::Collective;
     use astra_workload::{models, parallelism, EtOp, Parallelism, TraceBuilder};
 

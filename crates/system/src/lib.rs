@@ -27,12 +27,14 @@
 //! [`CollectiveEngine`]: astra_collectives::CollectiveEngine
 
 mod engine;
+mod oracle;
 mod report;
 
 pub use engine::{
-    simulate, simulate_blocking_reference, simulate_traced, simulate_traced_with, simulate_with,
-    SimError, SystemConfig, WarmState,
+    simulate, simulate_traced, simulate_traced_with, simulate_with, SimError, SystemConfig,
+    WarmState,
 };
+pub use oracle::simulate_blocking_reference;
 pub use report::{Breakdown, CacheStats, FaultImpact, SimReport};
 
 // Re-exported so traced runs (`SystemConfig.telemetry` +

@@ -1,0 +1,98 @@
+//! The blocking-p2p test oracle.
+//!
+//! [`simulate_blocking_reference`] runs the engine's one p2p path against
+//! a probe backend that measures every message alone, with a `p2p_delay`
+//! probe on a fresh, cold backend of the configured kind. To the engine
+//! the probe looks like a closed-form backend: each completion is known
+//! at send time, as with the analytical equation.
+
+use astra_collectives::CollectiveMode;
+use astra_des::{DataSize, Time};
+use astra_network::{AsyncMessageId, Completion, NetworkBackend, NetworkStats};
+use astra_topology::{NpuId, Topology};
+use astra_workload::ExecutionTrace;
+
+use crate::engine::{build_network, prepare, Engine, SimError, SystemConfig, WarmState};
+use crate::SimReport;
+
+/// The frozen blocking-p2p test oracle: [`simulate`](crate::simulate),
+/// except that every p2p message is measured alone by a `p2p_delay` probe
+/// on a fresh backend, so messages never contend. The two agree bit for
+/// bit unless messages from *different* sources overlap on a
+/// contention-modeling backend (pinned by `tests/p2p_paths.rs`).
+///
+/// # Errors
+///
+/// [`simulate`](crate::simulate)'s errors, plus
+/// [`SimError::BackendCollectivesNeedAsyncP2p`] for
+/// [`CollectiveMode::Backend`].
+pub fn simulate_blocking_reference(
+    trace: &ExecutionTrace,
+    topo: &Topology,
+    config: &SystemConfig,
+) -> Result<SimReport, SimError> {
+    if config.collective_mode == CollectiveMode::Backend {
+        return Err(SimError::BackendCollectivesNeedAsyncP2p);
+    }
+    let (spans, impacts) = prepare(trace, topo, config)?;
+    let warm = WarmState::default();
+    let mut engine = Engine::new(trace, topo, config, &warm, spans, impacts);
+    engine.network = Some(Box::new(ProbeNetwork {
+        topo,
+        config,
+        stats: NetworkStats::default(),
+        ready: Vec::new(),
+    }));
+    engine.run()
+}
+
+/// A backend that answers every send with a probe on a fresh
+/// sub-simulation. Its stats are the sum of the probes' stats, so it
+/// reports one backend setup per message.
+struct ProbeNetwork<'a> {
+    topo: &'a Topology,
+    config: &'a SystemConfig,
+    stats: NetworkStats,
+    ready: Vec<Completion>,
+}
+
+impl ProbeNetwork<'_> {
+    /// Measures one message alone on a fresh, cold backend, paying setup
+    /// per message — the cost the co-resident backend amortizes away.
+    // frozen-ref: 833284297d7a285f
+    fn measure(&mut self, src: NpuId, dst: NpuId, size: DataSize) -> Time {
+        let mut probe = build_network(self.topo, self.config, &WarmState::default());
+        let delay = probe.p2p_delay(src, dst, size);
+        self.stats.merge(&probe.stats());
+        delay
+    }
+}
+
+impl NetworkBackend for ProbeNetwork<'_> {
+    fn name(&self) -> &'static str {
+        "blocking probe"
+    }
+
+    /// The completion is known at send time and drainable immediately.
+    fn send_async(&mut self, at: Time, src: NpuId, dst: NpuId, size: DataSize) -> AsyncMessageId {
+        // One setup per message so far: a fresh id for this one.
+        let id = AsyncMessageId(self.stats.backend_setups);
+        let finish = at + self.measure(src, dst, size);
+        self.ready.push(Completion { id, finish });
+        id
+    }
+
+    fn next_event_time(&self) -> Option<Time> {
+        None
+    }
+
+    fn advance_until(&mut self, _limit: Time) {}
+
+    fn drain_completions(&mut self, out: &mut Vec<Completion>) {
+        out.append(&mut self.ready);
+    }
+
+    fn stats(&self) -> NetworkStats {
+        self.stats
+    }
+}

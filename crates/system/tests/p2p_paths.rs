@@ -1,10 +1,8 @@
-//! Cross-path equivalence suite: the engine's async NetworkAPI path
+//! Cross-path equivalence suite: the engine on its co-resident backend
 //! ([`simulate`]) against the frozen blocking-p2p oracle
-//! ([`simulate_blocking_reference`]).
-//!
-//! The async `send_async`/callback path replaced the blocking `p2p_delay`
-//! probe path in the engine; the blocking path is kept as a frozen test
-//! reference. The contract that makes the swap safe:
+//! ([`simulate_blocking_reference`]), which runs the same engine path
+//! against a probe backend that measures every message with a blocking
+//! `p2p_delay` on a fresh sub-simulation. The contract:
 //!
 //! * On **non-overlapping** traffic (at most one message in flight at any
 //!   engine instant) the two paths are **bit-identical** on every backend —
@@ -219,9 +217,9 @@ fn overlapping_sends_contend_in_congestion_aware_backends() {
     assert!((1.4..2.1).contains(&ratio), "incast sharing ratio {ratio}");
 }
 
-/// One source, two independent concurrent sends (no deps): the per-source
-/// NIC lane serializes them in issue order in *both* modes (`p2p_res` when
-/// blocking, the engine's injection queue when async), so even this
+/// One source, two independent concurrent sends (no deps): the engine's
+/// per-source NIC lane serializes them in issue order whichever backend
+/// is attached (co-resident or the oracle's probe), so even this
 /// overlapping workload stays bit-identical across paths on every backend
 /// — including the congestion-free analytical one, which must never
 /// diverge between modes.
