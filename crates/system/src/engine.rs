@@ -26,7 +26,7 @@ use astra_topology::{
     BuildingBlock, Dimension, FaultError, FaultKind, FaultSchedule, FaultedGraph, LinkGraph,
     NodeId, NodeKind, NpuId, Topology,
 };
-use astra_workload::{EtOp, ExecutionTrace, Roofline, TensorLocation};
+use astra_workload::{EtNode, EtOp, ExecutionTrace, Roofline, TensorLocation};
 
 use crate::report::FaultImpact;
 use crate::{Breakdown, CacheStats, SimReport};
@@ -203,8 +203,13 @@ pub enum SimError {
     },
     /// The trace accesses remote memory but no pool is configured.
     RemoteMemoryUnconfigured,
-    /// A communicator group does not align with the topology's dimension
-    /// grid (its members are not a sub-grid of coordinates).
+    /// A communicator group is not a sub-grid of the topology's dimension
+    /// grid: it is empty, lists a member twice or names an NPU the
+    /// topology does not have, or its members do not span whole
+    /// coordinate lines. Also returned when a collective names a group
+    /// the trace does not define, or is issued by an NPU outside its
+    /// group (only `ExecutionTrace::from_json` traces can carry either;
+    /// `TraceBuilder::build` rejects both).
     UnalignedGroup {
         /// Index of the offending group.
         group: usize,
@@ -243,6 +248,16 @@ pub enum SimError {
         /// Engine clock when the budget tripped.
         sim_time: Time,
     },
+    /// The event queue drained before every graph node completed: some
+    /// node waits forever, typically on a collective whose group members
+    /// never all arrive, or on a send/recv partner that never issues.
+    /// Names the lowest `(npu, node)` that never completed.
+    Stalled {
+        /// NPU owning the stuck node.
+        npu: NpuId,
+        /// Index of the stuck node in that NPU's program.
+        node: u32,
+    },
     /// An internal engine invariant was violated. This is a bug in the
     /// engine itself, never in the caller's trace or configuration; the
     /// message names the broken invariant.
@@ -279,6 +294,10 @@ impl fmt::Display for SimError {
             SimError::BudgetExceeded { events, sim_time } => {
                 write!(f, "budget exceeded after {events} events at {sim_time}")
             }
+            SimError::Stalled { npu, node } => write!(
+                f,
+                "simulation stalled: node {node} of NPU {npu} never completed"
+            ),
             SimError::Internal(what) => {
                 write!(f, "internal engine invariant violated: {what}")
             }
@@ -287,6 +306,9 @@ impl fmt::Display for SimError {
 }
 
 impl Error for SimError {}
+
+/// [`Engine::remaining_deps`] marker of a completed node.
+const FINISHED: u32 = u32::MAX;
 
 /// Activity categories, in exposed-time priority order.
 const COMPUTE: usize = 0;
@@ -321,8 +343,53 @@ enum EngineEvent {
     },
 }
 
-struct Meeting {
-    arrivals: Vec<(NpuId, u32, Time)>,
+/// One graph node's arrival at a collective meeting: the NPU, the node,
+/// and the instant it arrived.
+type Arrival = (NpuId, u32, Time);
+
+/// One NPU's reverse dependency graph in compressed sparse row form: the
+/// dependents of node `i` are `targets[offsets[i]..offsets[i + 1]]`, in
+/// ascending node order.
+struct Dependents {
+    offsets: Vec<u32>,
+    targets: Vec<u32>,
+}
+
+impl Dependents {
+    /// Builds the reverse graph of one program in two passes: count each
+    /// node's dependents, then place them.
+    fn new(program: &[EtNode]) -> Self {
+        let mut offsets = vec![0u32; program.len() + 1];
+        for d in program.iter().flat_map(|node| &node.deps) {
+            offsets[d.0 as usize + 1] += 1;
+        }
+        for i in 1..offsets.len() {
+            offsets[i] += offsets[i - 1];
+        }
+        let mut cursor = offsets.clone();
+        let mut targets = vec![0u32; offsets[program.len()] as usize];
+        for (idx, node) in program.iter().enumerate() {
+            for d in &node.deps {
+                let slot = &mut cursor[d.0 as usize];
+                targets[*slot as usize] = idx as u32;
+                *slot += 1;
+            }
+        }
+        Dependents { offsets, targets }
+    }
+}
+
+/// The collective rendezvous of one communicator group (see
+/// [`Engine::arrive`]).
+struct Rendezvous {
+    /// Per member rank (its index in the group's sorted member index): the
+    /// collective instances that member has issued so far.
+    issued: Vec<u64>,
+    /// Meetings completed so far; the front open meeting is this instance.
+    completed: u64,
+    /// Open meetings in instance order, each holding its arrivals in
+    /// arrival order.
+    open: VecDeque<Vec<Arrival>>,
 }
 
 #[derive(Default)]
@@ -395,7 +462,7 @@ impl Outbound {
 /// A backend-executed collective in flight: the lowered program plus the
 /// executor's dependency counters and the meeting it resumes on finish.
 struct RunningCollective {
-    arrivals: Vec<(NpuId, u32, Time)>,
+    arrivals: Vec<Arrival>,
     program: Arc<CollectiveProgram>,
     dependents: Arc<Vec<Vec<u32>>>,
     remaining_deps: Vec<u32>,
@@ -418,6 +485,10 @@ struct RunningCollective {
 
 pub(crate) struct GroupSpan {
     rep: NpuId,
+    /// The group's members in ascending order: a member's rank is its
+    /// index here, found by binary search. `TraceBuilder` groups are
+    /// already sorted; `from_json` groups may not be.
+    members: Vec<NpuId>,
     /// Per spanned dimension: the global dimension index, the effective
     /// sub-dimension, and the representative `(src, dst)` wire endpoints
     /// used by backend-executed chunk ops — the two lowest-coordinate
@@ -440,7 +511,9 @@ pub(crate) struct GroupSpan {
 ///
 /// Returns a [`SimError`] when the trace and platform are inconsistent
 /// (NPU count mismatch, remote accesses without a configured pool, or a
-/// communicator group that does not align with the topology grid).
+/// communicator group that does not align with the topology grid), or
+/// when the run stalls with graph nodes that can never complete
+/// ([`SimError::Stalled`]).
 ///
 /// # Example
 ///
@@ -640,11 +713,16 @@ fn fault_impacts(topo: &Topology, schedule: &FaultSchedule) -> Vec<FaultImpact> 
         .collect()
 }
 
-/// Determines which topology dimensions a group spans. Members must form a
-/// sub-grid: the product of per-dimension distinct coordinate counts must
-/// equal the group size.
+/// Determines which topology dimensions a group spans. Members must be
+/// distinct NPUs of the topology forming a sub-grid: the product of
+/// per-dimension distinct coordinate counts must equal the group size.
 fn group_span(topo: &Topology, members: &[NpuId]) -> Option<GroupSpan> {
-    assert!(!members.is_empty(), "empty communicator group");
+    let mut sorted = members.to_vec();
+    sorted.sort_unstable();
+    sorted.dedup();
+    if sorted.len() != members.len() || sorted.last().is_none_or(|&m| m >= topo.npus()) {
+        return None;
+    }
     let rep = members[0];
     let rep_coords = topo.coords(rep);
     let mut dims = Vec::new();
@@ -695,6 +773,7 @@ fn group_span(topo: &Topology, members: &[NpuId]) -> Option<GroupSpan> {
     let degraded = vec![None; dims.len()];
     (product == members.len()).then_some(GroupSpan {
         rep,
+        members: sorted,
         dims,
         degraded,
     })
@@ -713,19 +792,26 @@ pub(crate) struct Engine<'a> {
     spans: Vec<GroupSpan>,
 
     queue: EventQueue<EngineEvent>,
+    /// Per NPU, per node: dependencies not yet completed, or [`FINISHED`]
+    /// once the node itself has completed.
     remaining_deps: Vec<Vec<u32>>,
-    dependents: Vec<Vec<Vec<u32>>>,
+    dependents: Vec<Dependents>,
+    /// Graph nodes completed so far, and how many the trace holds.
+    nodes_done: usize,
+    nodes_total: usize,
 
     compute_res: Vec<FifoResource>,
     local_res: Vec<FifoResource>,
     remote_res: Vec<FifoResource>,
-    lanes: BTreeMap<(NpuId, usize), Time>,
+    /// Per `(group representative, dimension)`: when the representative's
+    /// lane along that dimension frees, at `rep * num_dims + dim`.
+    lanes: Vec<Time>,
 
     logs: Vec<[IntervalLog; 4]>,
     finish: Vec<Time>,
 
-    meetings: BTreeMap<(u32, u64), Meeting>,
-    group_counters: BTreeMap<(NpuId, u32), u64>,
+    /// Per communicator group: its collective rendezvous.
+    rendezvous: Vec<Rendezvous>,
     p2p_pending: BTreeMap<(NpuId, NpuId, u64), P2pPending>,
     in_flight: BTreeMap<AsyncMessageId, Outbound>,
     /// Per source NIC lane: whether an injected message's completion is
@@ -788,17 +874,17 @@ impl<'a> Engine<'a> {
         let mut dependents = Vec::with_capacity(npus);
         for npu in 0..npus {
             let program = trace.program(npu);
-            let mut deps = Vec::with_capacity(program.len());
-            let mut dnts: Vec<Vec<u32>> = vec![Vec::new(); program.len()];
-            for (idx, node) in program.iter().enumerate() {
-                deps.push(node.deps.len() as u32);
-                for d in &node.deps {
-                    dnts[d.0 as usize].push(idx as u32);
-                }
-            }
-            remaining_deps.push(deps);
-            dependents.push(dnts);
+            remaining_deps.push(program.iter().map(|n| n.deps.len() as u32).collect());
+            dependents.push(Dependents::new(program));
         }
+        let rendezvous = spans
+            .iter()
+            .map(|span| Rendezvous {
+                issued: vec![0; span.members.len()],
+                completed: 0,
+                open: VecDeque::new(),
+            })
+            .collect();
         let mut stragglers: Vec<Vec<(Time, u32, usize)>> = vec![Vec::new(); npus];
         for (idx, ev) in config.faults.events().iter().enumerate() {
             if let FaultKind::NpuSlowdown { npu, slowdown_pct } = ev.kind {
@@ -818,14 +904,15 @@ impl<'a> Engine<'a> {
             queue: EventQueue::new(),
             remaining_deps,
             dependents,
+            nodes_done: 0,
+            nodes_total: trace.total_nodes(),
             compute_res: vec![FifoResource::new(); npus],
             local_res: vec![FifoResource::new(); npus],
             remote_res: vec![FifoResource::new(); npus],
-            lanes: BTreeMap::new(),
+            lanes: vec![Time::ZERO; npus * topo.num_dims()],
             logs: (0..npus).map(|_| Default::default()).collect(),
             finish: vec![Time::ZERO; npus],
-            meetings: BTreeMap::new(),
-            group_counters: BTreeMap::new(),
+            rendezvous,
             p2p_pending: BTreeMap::new(),
             in_flight: BTreeMap::new(),
             nic_occupied: vec![false; npus],
@@ -988,6 +1075,7 @@ impl<'a> Engine<'a> {
         trace
     }
 
+    // astra-lint: hot-path
     fn run_inner(&mut self) -> Result<SimReport, SimError> {
         // Seed: every node with no dependencies is ready at t = 0.
         for npu in 0..self.trace.npus() {
@@ -1024,14 +1112,18 @@ impl<'a> Engine<'a> {
             self.events_popped += 1;
             self.check_budget(now)?;
             match event {
-                EngineEvent::Node(event) => {
-                    self.finish[event.npu] = self.finish[event.npu].max(now);
-                    let deps = std::mem::take(&mut self.dependents[event.npu][event.node as usize]);
-                    for dependent in deps {
-                        let slot = &mut self.remaining_deps[event.npu][dependent as usize];
+                EngineEvent::Node(Event { npu, node }) => {
+                    self.finish[npu] = self.finish[npu].max(now);
+                    self.nodes_done += 1;
+                    let node = node as usize;
+                    self.remaining_deps[npu][node] = FINISHED;
+                    let offsets = &self.dependents[npu].offsets;
+                    for i in offsets[node] as usize..offsets[node + 1] as usize {
+                        let dependent = self.dependents[npu].targets[i];
+                        let slot = &mut self.remaining_deps[npu][dependent as usize];
                         *slot -= 1;
                         if *slot == 0 {
-                            self.issue(event.npu, dependent, now)?;
+                            self.issue(npu, dependent, now)?;
                         }
                     }
                 }
@@ -1048,6 +1140,9 @@ impl<'a> Engine<'a> {
                 }
             }
             self.drain_network()?;
+        }
+        if self.nodes_done < self.nodes_total {
+            return Err(self.stalled());
         }
 
         let horizon = self.finish.iter().copied().fold(Time::ZERO, Time::max);
@@ -1097,7 +1192,26 @@ impl<'a> Engine<'a> {
         })
     }
 
+    /// The error for a run whose queue drained with nodes unfinished:
+    /// names the lowest `(npu, node)` that never completed.
+    fn stalled(&self) -> SimError {
+        self.remaining_deps
+            .iter()
+            .enumerate()
+            .find_map(|(npu, deps)| {
+                let node = deps.iter().position(|&d| d != FINISHED)?;
+                Some(SimError::Stalled {
+                    npu,
+                    node: node as u32,
+                })
+            })
+            .unwrap_or(SimError::Internal(
+                "node count fell short but every node finished",
+            ))
+    }
+
     /// Dispatches a node whose dependencies are all complete at `now`.
+    // astra-lint: hot-path
     fn issue(&mut self, npu: NpuId, node: u32, now: Time) -> Result<(), SimError> {
         let op = self.trace.program(npu)[node as usize].op;
         match op {
@@ -1144,26 +1258,7 @@ impl<'a> Engine<'a> {
                 self.queue
                     .schedule_at(r.end, EngineEvent::Node(Event { npu, node }));
             }
-            EtOp::Collective { group, .. } => {
-                let counter = self.group_counters.entry((npu, group.0)).or_insert(0);
-                let instance = *counter;
-                *counter += 1;
-                let meeting = self
-                    .meetings
-                    .entry((group.0, instance))
-                    .or_insert_with(|| Meeting {
-                        arrivals: Vec::new(),
-                    });
-                meeting.arrivals.push((npu, node, now));
-                if meeting.arrivals.len() == self.trace.group(group).len() {
-                    let Some(meeting) = self.meetings.remove(&(group.0, instance)) else {
-                        return Err(SimError::Internal(
-                            "a full meeting vanished before its collective launched",
-                        ));
-                    };
-                    self.run_collective(group.0, meeting)?;
-                }
-            }
+            EtOp::Collective { group, .. } => self.arrive(group.0, npu, node, now)?,
             EtOp::PeerSend { peer, size, tag } => {
                 let entry = self.p2p_pending.entry((npu, peer, tag)).or_default();
                 entry.send = Some((node, now));
@@ -1182,35 +1277,66 @@ impl<'a> Engine<'a> {
         Ok(())
     }
 
-    fn run_collective(&mut self, group: u32, meeting: Meeting) -> Result<(), SimError> {
+    /// Adds a collective node's arrival to its group's meeting and, once
+    /// every member has arrived, launches the collective. Member `rank`'s
+    /// `k`-th arrival joins instance `k`, so each meeting holds at most one
+    /// arrival per member, and a member reaches instance `k + 1` only after
+    /// instance `k`: meetings fill in instance order, and only the front
+    /// open meeting can be full.
+    // astra-lint: hot-path
+    fn arrive(&mut self, group: u32, npu: NpuId, node: u32, now: Time) -> Result<(), SimError> {
+        let unaligned = SimError::UnalignedGroup {
+            group: group as usize,
+        };
+        let (Some(span), Some(rv)) = (
+            self.spans.get(group as usize),
+            self.rendezvous.get_mut(group as usize),
+        ) else {
+            return Err(unaligned);
+        };
+        let Ok(rank) = span.members.binary_search(&npu) else {
+            return Err(unaligned);
+        };
+        let members = span.members.len();
+        let slot = (rv.issued[rank] - rv.completed) as usize;
+        rv.issued[rank] += 1;
+        if slot == rv.open.len() {
+            rv.open.push_back(Vec::with_capacity(members));
+        }
+        rv.open[slot].push((npu, node, now));
+        if rv.open[0].len() < members {
+            return Ok(());
+        }
+        let Some(arrivals) = rv.open.pop_front() else {
+            return Err(SimError::Internal(
+                "a full meeting vanished before its collective launched",
+            ));
+        };
+        rv.completed += 1;
+        self.run_collective(group, arrivals)
+    }
+
+    fn run_collective(&mut self, group: u32, arrivals: Vec<Arrival>) -> Result<(), SimError> {
         self.collectives += 1;
         let span = &self.spans[group as usize];
-        let start = meeting
-            .arrivals
+        let start = arrivals
             .iter()
             .map(|&(_, _, t)| t)
             .fold(Time::ZERO, Time::max);
-        let (collective, size) =
-            match self.trace.program(meeting.arrivals[0].0)[meeting.arrivals[0].1 as usize].op {
-                EtOp::Collective {
-                    collective, size, ..
-                } => (collective, size),
-                _ => return Err(SimError::Internal("a meeting node is not a collective")),
-            };
+        let (collective, size) = match self.trace.program(arrivals[0].0)[arrivals[0].1 as usize].op
+        {
+            EtOp::Collective {
+                collective, size, ..
+            } => (collective, size),
+            _ => return Err(SimError::Internal("a meeting node is not a collective")),
+        };
         let trace_id = self.trace_seq;
         self.trace_seq += 1;
         if self.config.collective_mode == CollectiveMode::Backend
             && !span.dims.is_empty()
             && size != DataSize::ZERO
         {
-            self.launch_backend_collective(
-                group,
-                collective,
-                size,
-                start,
-                meeting.arrivals,
-                trace_id,
-            );
+            self.launch_backend_collective(group, collective, size, start, arrivals, trace_id);
             return Ok(());
         }
         let finish = if span.dims.is_empty() {
@@ -1218,21 +1344,17 @@ impl<'a> Engine<'a> {
             start
         } else {
             let dims: Vec<Dimension> = span.dims.iter().map(|&(_, d, _)| d).collect();
+            let lanes = span.rep * self.topo.num_dims();
             let available: Vec<Time> = span
                 .dims
                 .iter()
-                .map(|&(dim_idx, _, _)| {
-                    self.lanes
-                        .get(&(span.rep, dim_idx))
-                        .copied()
-                        .unwrap_or(Time::ZERO)
-                })
+                .map(|&(dim_idx, _, _)| self.lanes[lanes + dim_idx])
                 .collect();
             let outcome = self
                 .collective_engine
                 .run_at(collective, size, &dims, start, &available);
             for (&(dim_idx, _, _), &free) in span.dims.iter().zip(&outcome.free_at) {
-                self.lanes.insert((span.rep, dim_idx), free);
+                self.lanes[lanes + dim_idx] = free;
             }
             // Per-fault attribution: re-run the closed form with the
             // pristine dimensions (run_at is pure) and charge the finish
@@ -1263,7 +1385,7 @@ impl<'a> Engine<'a> {
                 finish,
             });
         }
-        for (npu, node, ready) in meeting.arrivals {
+        for (npu, node, ready) in arrivals {
             if finish > ready {
                 self.logs[npu][COMM].push(ready, finish);
             }
@@ -1283,7 +1405,7 @@ impl<'a> Engine<'a> {
         collective: Collective,
         size: DataSize,
         start: Time,
-        arrivals: Vec<(NpuId, u32, Time)>,
+        arrivals: Vec<Arrival>,
         trace_id: u64,
     ) {
         let endpoints: Vec<(NpuId, NpuId)> = self.spans[group as usize]
@@ -1726,6 +1848,83 @@ mod tests {
         // The other members never issue, but setup validation runs first.
         let trace_err = simulate(&b.build().unwrap(), &topo, &SystemConfig::default());
         assert_eq!(trace_err, Err(SimError::UnalignedGroup { group: 0 }));
+    }
+
+    fn all_reduce(group: astra_workload::GroupId) -> EtOp {
+        EtOp::Collective {
+            collective: Collective::AllReduce,
+            size: DataSize::from_mib(1),
+            group,
+        }
+    }
+
+    fn compute() -> EtOp {
+        EtOp::Compute {
+            flops: 1e9,
+            tensor: DataSize::ZERO,
+        }
+    }
+
+    #[test]
+    fn stalled_collective_is_an_error() {
+        // NPU 1 never reaches the All-Reduce NPU 0 waits on. The trace is
+        // structurally valid, so only the engine can notice.
+        let topo = Topology::parse("R(2)@100").unwrap();
+        let mut b = TraceBuilder::new(2);
+        let g = b.add_group(vec![0, 1]);
+        let c = b.node(0, "fwd", compute(), &[]);
+        let ar = b.node(0, "ar", all_reduce(g), &[c]);
+        b.node(0, "bwd", compute(), &[ar]);
+        b.node(1, "fwd", compute(), &[]);
+        let trace = b.build().unwrap();
+        assert_eq!(
+            simulate(&trace, &topo, &SystemConfig::default()),
+            Err(SimError::Stalled { npu: 0, node: 1 })
+        );
+    }
+
+    #[test]
+    fn empty_group_is_unaligned() {
+        let topo = Topology::parse("R(2)@100").unwrap();
+        let mut b = TraceBuilder::new(2);
+        b.add_group(vec![]);
+        b.node(0, "fwd", compute(), &[]);
+        assert_eq!(
+            simulate(&b.build().unwrap(), &topo, &SystemConfig::default()),
+            Err(SimError::UnalignedGroup { group: 0 })
+        );
+    }
+
+    /// A two-NPU All-Reduce on group `[0, 1]` of `R(4)@100`, loaded with
+    /// `from_json` after replacing its group list with `groups`.
+    fn edited_groups(groups: &str) -> Result<SimReport, SimError> {
+        let topo = Topology::parse("R(4)@100").unwrap();
+        let mut b = TraceBuilder::new(4);
+        let g = b.add_group(vec![0, 1]);
+        for npu in 0..2 {
+            b.node(npu, "ar", all_reduce(g), &[]);
+        }
+        let json: String = b.build().unwrap().to_json().unwrap();
+        let compact: String = json.split_whitespace().collect();
+        let edited = compact.replace("\"groups\":[[0,1]]", &format!("\"groups\":{groups}"));
+        assert_ne!(edited, compact, "group list not found");
+        let trace = ExecutionTrace::from_json(&edited).unwrap();
+        simulate(&trace, &topo, &SystemConfig::default())
+    }
+
+    #[test]
+    fn malformed_json_groups_are_unaligned() {
+        let unaligned = Err(SimError::UnalignedGroup { group: 0 });
+        // The unsorted spelling of the same group runs as usual.
+        assert_eq!(edited_groups("[[1,0]]").unwrap().collectives, 1);
+        // NPU 1 issues on a group it is not a member of.
+        assert_eq!(edited_groups("[[0,2]]"), unaligned);
+        // A collective naming a group the trace does not define.
+        assert_eq!(edited_groups("[]"), unaligned);
+        // A duplicated member, and a member the topology does not have.
+        assert_eq!(edited_groups("[[0,1,1]]"), unaligned);
+        assert_eq!(edited_groups("[[0,9]]"), unaligned);
+        assert_eq!(edited_groups("[[]]"), unaligned);
     }
 
     #[test]
