@@ -347,9 +347,9 @@ enum EngineEvent {
 /// and the instant it arrived.
 type Arrival = (NpuId, u32, Time);
 
-/// One NPU's reverse dependency graph in compressed sparse row form: the
-/// dependents of node `i` are `targets[offsets[i]..offsets[i + 1]]`, in
-/// ascending node order.
+/// One stored program's reverse dependency graph in compressed sparse row
+/// form: the dependents of node `i` are
+/// `targets[offsets[i]..offsets[i + 1]]`, in ascending node order.
 struct Dependents {
     offsets: Vec<u32>,
     targets: Vec<u32>,
@@ -608,8 +608,8 @@ pub(crate) fn prepare(
     {
         return Err(SimError::BackendCollectivesNeedBaselineScheduler);
     }
-    let uses_remote = (0..trace.npus()).any(|n| {
-        trace.program(n).iter().any(|node| {
+    let uses_remote = trace.classes().iter().any(|program| {
+        program.iter().any(|node| {
             matches!(
                 node.op,
                 EtOp::Memory {
@@ -795,6 +795,7 @@ pub(crate) struct Engine<'a> {
     /// Per NPU, per node: dependencies not yet completed, or [`FINISHED`]
     /// once the node itself has completed.
     remaining_deps: Vec<Vec<u32>>,
+    /// Per stored program (the trace's classes): its reverse graph.
     dependents: Vec<Dependents>,
     /// Graph nodes completed so far, and how many the trace holds.
     nodes_done: usize,
@@ -870,13 +871,21 @@ impl<'a> Engine<'a> {
         fault_impacts: Vec<FaultImpact>,
     ) -> Self {
         let npus = trace.npus();
-        let mut remaining_deps = Vec::with_capacity(npus);
-        let mut dependents = Vec::with_capacity(npus);
-        for npu in 0..npus {
-            let program = trace.program(npu);
-            remaining_deps.push(program.iter().map(|n| n.deps.len() as u32).collect());
-            dependents.push(Dependents::new(program));
-        }
+        // Reverse graphs and initial dependency counts once per stored
+        // program; every NPU starts from a copy of its class's counts.
+        let dependents = trace
+            .classes()
+            .iter()
+            .map(|program| Dependents::new(program))
+            .collect();
+        let counts: Vec<Vec<u32>> = trace
+            .classes()
+            .iter()
+            .map(|program| program.iter().map(|n| n.deps.len() as u32).collect())
+            .collect();
+        let remaining_deps = (0..npus)
+            .map(|npu| counts[trace.class_of(npu)].clone())
+            .collect();
         let rendezvous = spans
             .iter()
             .map(|span| Rendezvous {
@@ -1117,9 +1126,10 @@ impl<'a> Engine<'a> {
                     self.nodes_done += 1;
                     let node = node as usize;
                     self.remaining_deps[npu][node] = FINISHED;
-                    let offsets = &self.dependents[npu].offsets;
+                    let class = self.trace.class_of(npu);
+                    let offsets = &self.dependents[class].offsets;
                     for i in offsets[node] as usize..offsets[node + 1] as usize {
-                        let dependent = self.dependents[npu].targets[i];
+                        let dependent = self.dependents[class].targets[i];
                         let slot = &mut self.remaining_deps[npu][dependent as usize];
                         *slot -= 1;
                         if *slot == 0 {
@@ -1258,7 +1268,9 @@ impl<'a> Engine<'a> {
                 self.queue
                     .schedule_at(r.end, EngineEvent::Node(Event { npu, node }));
             }
-            EtOp::Collective { group, .. } => self.arrive(group.0, npu, node, now)?,
+            EtOp::Collective { group, .. } => {
+                self.arrive(self.trace.group_of(npu, group).0, npu, node, now)?;
+            }
             EtOp::PeerSend { peer, size, tag } => {
                 let entry = self.p2p_pending.entry((npu, peer, tag)).or_default();
                 entry.send = Some((node, now));

@@ -6,7 +6,9 @@
 //! communication nodes whose edges encode dependencies. Because every NPU
 //! has its own graph, arbitrary parallelization strategies (including
 //! pipeline parallelism, where NPUs run *different* programs) can be
-//! expressed without touching the simulator.
+//! expressed without touching the simulator. NPUs that run the same graph
+//! share one stored copy of it, so an SPMD trace costs memory per distinct
+//! program, not per NPU.
 //!
 //! This crate provides:
 //!

@@ -24,11 +24,12 @@
 //! order — the output is byte-identical for every thread count (see the
 //! `determinism` integration tests). NPUs known to run identical programs
 //! (SPMD strategies, or the NPUs of one expert group in the MoE workload)
-//! are built once per equivalence class and cloned — programs identical up
-//! to their communicator ids (the hybrid MP×DP strategy) are cloned and
-//! retargeted by rewriting group ids — which also speeds up
-//! single-threaded generation. [`generate_trace_reference`] keeps the
-//! naive one-NPU-at-a-time path as the equivalence/benchmark baseline.
+//! share one program built and stored once per equivalence class; NPUs
+//! whose programs differ only in their communicator ids (the hybrid MP×DP
+//! strategy) share it too, each with its own group table — so generation
+//! cost and trace memory grow with the number of classes, not NPUs.
+//! [`generate_trace_reference`] keeps the naive one-NPU-at-a-time path
+//! (one class per NPU) as the equivalence/benchmark baseline.
 
 use astra_collectives::Collective;
 use astra_des::DataSize;
@@ -36,11 +37,11 @@ use serde::{Deserialize, Serialize};
 use std::collections::BTreeMap;
 use std::error::Error;
 use std::fmt;
-use std::ops::Range;
 
 use crate::models::Model;
 use crate::trace::{
-    EtOp, ExecutionTrace, MemoryDirection, NodeId, ProgramBuilder, TensorLocation, TraceBuilder,
+    EtOp, ExecutionTrace, GroupId, MemoryDirection, NodeId, ProgramBuilder, TensorLocation,
+    TraceBuilder,
 };
 
 /// A parallelization strategy for [`generate_trace`].
@@ -94,7 +95,7 @@ impl Error for GenerateError {}
 struct GenConfig {
     /// Worker threads to fan program construction out over.
     threads: usize,
-    /// Reuse (clone) programs across NPUs of the same equivalence class.
+    /// Share one program among the NPUs of an equivalence class.
     memoize: bool,
 }
 
@@ -123,18 +124,18 @@ fn default_threads() -> usize {
 /// Builds every NPU's program and installs them on `b` in NPU order.
 ///
 /// `class` assigns each NPU an optional equivalence key: NPUs with equal
-/// keys **must** build programs that are byte-identical after `retarget`
-/// (for a fresh build nothing is applied; for a reuse the representative's
-/// program is cloned and `retarget(representative, npu, &mut clone)` runs
-/// on it). Generators whose classes build literally identical programs
-/// pass a no-op retarget; generators whose programs differ only in
-/// embedded communicator ids remap them (see
-/// [`ProgramBuilder::map_groups`]). `None` means the NPU's program is
-/// unique and always built fresh.
+/// keys **must** build programs that are identical up to the groups their
+/// collectives name, mapped by `retarget`. The first NPU of a class (its
+/// representative) builds the program, which `b` stores once; every
+/// member shares it with a group table of the representative's groups
+/// passed through `retarget(representative, npu, group)`. Generators whose
+/// classes build literally identical programs pass the identity. `None`
+/// means the NPU's program is unique and always built fresh; the naive
+/// reference ([`GenConfig::reference`]) builds every NPU's program fresh.
 ///
-/// With more than one thread, NPUs are split into contiguous chunks built
-/// on scoped worker threads; the merge is by NPU index, so the resulting
-/// trace is byte-identical regardless of the thread count.
+/// With more than one thread, the fresh builds are split into contiguous
+/// chunks built on scoped worker threads; they are installed in NPU order,
+/// so the resulting trace is identical regardless of the thread count.
 fn install_programs<K, B, R>(
     b: &mut TraceBuilder,
     npus: usize,
@@ -143,50 +144,54 @@ fn install_programs<K, B, R>(
     build: B,
     retarget: R,
 ) where
-    K: Fn(usize) -> Option<u64> + Sync,
+    K: Fn(usize) -> Option<u64>,
     B: Fn(usize, &mut ProgramBuilder) + Sync,
-    R: Fn(usize, usize, &mut ProgramBuilder) + Sync,
+    R: Fn(usize, usize, GroupId) -> GroupId,
 {
+    // The NPUs that build a program, and per NPU the index among them of
+    // the one whose program it runs.
+    let mut fresh: Vec<usize> = Vec::new();
+    let mut first: BTreeMap<u64, usize> = BTreeMap::new();
+    let mut source: Vec<usize> = Vec::with_capacity(npus);
+    for npu in 0..npus {
+        let mut build_here = || {
+            fresh.push(npu);
+            fresh.len() - 1
+        };
+        source.push(match class(npu).filter(|_| cfg.memoize) {
+            Some(key) => *first.entry(key).or_insert_with(build_here),
+            None => build_here(),
+        });
+    }
+
     // Cap the fan-out so tiny traces stay on the caller's thread.
-    let threads = cfg.threads.clamp(1, (npus / 16).max(1));
-    let build_range = |range: Range<usize>, out: &mut [ProgramBuilder]| {
-        // Per-worker memo: key -> (chunk-local slot, npu) of the
-        // representative.
-        let mut memo: BTreeMap<u64, (usize, usize)> = BTreeMap::new();
-        for npu in range.clone() {
-            let slot = npu - range.start;
-            if cfg.memoize {
-                if let Some(key) = class(npu) {
-                    if let Some(&(src, rep)) = memo.get(&key) {
-                        let mut clone = out[src].clone();
-                        retarget(rep, npu, &mut clone);
-                        out[slot] = clone;
-                        continue;
-                    }
-                    memo.insert(key, (slot, npu));
-                }
-            }
-            let mut program = ProgramBuilder::new();
-            build(npu, &mut program);
-            out[slot] = program;
+    let threads = cfg.threads.clamp(1, (fresh.len() / 16).max(1));
+    let build_chunk = |ids: &[usize], out: &mut [ProgramBuilder]| {
+        for (&npu, program) in ids.iter().zip(out) {
+            build(npu, program);
         }
     };
-
-    let mut programs: Vec<ProgramBuilder> = vec![ProgramBuilder::new(); npus];
+    let mut programs: Vec<ProgramBuilder> = vec![ProgramBuilder::new(); fresh.len()];
     if threads == 1 {
-        build_range(0..npus, &mut programs);
+        build_chunk(&fresh, &mut programs);
     } else {
-        let chunk = npus.div_ceil(threads);
+        let chunk = fresh.len().div_ceil(threads);
         std::thread::scope(|scope| {
-            for (i, slice) in programs.chunks_mut(chunk).enumerate() {
-                let build_range = &build_range;
-                let lo = i * chunk;
-                scope.spawn(move || build_range(lo..lo + slice.len(), slice));
+            for (ids, out) in fresh.chunks(chunk).zip(programs.chunks_mut(chunk)) {
+                let build_chunk = &build_chunk;
+                scope.spawn(move || build_chunk(ids, out));
             }
         });
     }
-    for (npu, program) in programs.into_iter().enumerate() {
-        b.set_program(npu, program);
+    let classes: Vec<(u32, Vec<GroupId>)> = programs.into_iter().map(|p| b.add_class(p)).collect();
+    for (npu, &src) in source.iter().enumerate() {
+        let (class, table) = &classes[src];
+        let rep = fresh[src];
+        b.share(
+            npu,
+            *class,
+            table.iter().map(|&g| retarget(rep, npu, g)).collect(),
+        );
     }
 }
 
@@ -362,7 +367,7 @@ fn fully_sharded(model: &Model, npus: usize, cfg: GenConfig) -> ExecutionTrace {
                 );
             }
         },
-        |_, _, _| {},
+        |_, _, group| group,
     );
     // astra-lint: allow(panic, the generator emits structurally valid traces; a build failure is a generator bug)
     b.build().expect("generated FSDP trace is valid")
@@ -436,7 +441,7 @@ fn data_parallel(model: &Model, npus: usize, cfg: GenConfig) -> ExecutionTrace {
                 );
             }
         },
-        |_, _, _| {},
+        |_, _, group| group,
     );
     // astra-lint: allow(panic, the generator emits structurally valid traces; a build failure is a generator bug)
     b.build().expect("generated data-parallel trace is valid")
@@ -467,10 +472,8 @@ fn hybrid(
     // Every NPU has a distinct (mp_group, dp_group) pair, but the programs
     // are byte-identical *up to those two group ids*: names, sizes and
     // dependencies depend only on the model and `mp`. So all NPUs form one
-    // equivalence class whose clones are retargeted by rewriting the group
-    // ids — much cheaper than rebuilding every node. (Classing them `None`
-    // defeated memoization here and left parallel generation slower than
-    // the serial baseline on large hybrid shapes.)
+    // equivalence class sharing one stored program; each NPU's group table
+    // retargets the representative's two groups at its own.
     install_programs(
         &mut b,
         npus,
@@ -551,18 +554,14 @@ fn hybrid(
                 }
             }
         },
-        |rep, npu, prog| {
-            let from = (mp_groups[rep / mp], dp_groups[rep % mp]);
-            let to = (mp_groups[npu / mp], dp_groups[npu % mp]);
-            prog.map_groups(|g| {
-                if g == from.0 {
-                    to.0
-                } else if g == from.1 {
-                    to.1
-                } else {
-                    g
-                }
-            });
+        |rep, npu, group| {
+            if group == mp_groups[rep / mp] {
+                mp_groups[npu / mp]
+            } else if group == dp_groups[rep % mp] {
+                dp_groups[npu % mp]
+            } else {
+                group
+            }
         },
     );
     // astra-lint: allow(panic, the generator emits structurally valid traces; a build failure is a generator bug)
@@ -706,7 +705,7 @@ fn pipeline(
                 );
             }
         },
-        |_, _, _| {},
+        |_, _, group| group,
     );
     // astra-lint: allow(panic, the generator emits structurally valid traces; a build failure is a generator bug)
     Ok(b.build().expect("generated pipeline trace is valid"))
@@ -948,7 +947,7 @@ fn disaggregated_moe(
                 ));
             }
         },
-        |_, _, _| {},
+        |_, _, group| group,
     );
     // astra-lint: allow(panic, the generator emits structurally valid traces; a build failure is a generator bug)
     Ok(b.build().expect("generated MoE trace is valid"))
@@ -975,9 +974,9 @@ mod tests {
         let model = models::gpt3_175b();
         let t = generate_trace(&model, Parallelism::Hybrid { mp: 16 }, 64).unwrap();
         // 4 MP groups of 16 contiguous NPUs + 16 DP groups of 4 strided.
-        let mp_group = t.group(crate::GroupId(0));
+        let mp_group = t.group(GroupId(0));
         assert_eq!(mp_group, (0..16).collect::<Vec<_>>());
-        let dp_group = t.group(crate::GroupId(4));
+        let dp_group = t.group(GroupId(4));
         assert_eq!(dp_group, vec![0, 16, 32, 48]);
     }
 

@@ -51,15 +51,27 @@ impl TraceStats {
             groups: trace.groups().len(),
             ..TraceStats::default()
         };
+        // Longest chain of each stored program, via DP over its
+        // topological order.
+        let chains: Vec<usize> = trace
+            .classes()
+            .iter()
+            .map(|program| {
+                let mut depth = vec![1usize; program.len()];
+                for (idx, node) in program.iter().enumerate() {
+                    for dep in &node.deps {
+                        depth[idx] = depth[idx].max(depth[dep.0 as usize] + 1);
+                    }
+                }
+                depth.into_iter().max().unwrap_or(0)
+            })
+            .collect();
+        // Sums run NPU by NPU so every float adds in the same order
+        // however the programs are stored.
         for npu in 0..trace.npus() {
             let program = trace.program(npu);
-            // Longest chain via DP over the topologically ordered program.
-            let mut depth = vec![1usize; program.len()];
-            for (idx, node) in program.iter().enumerate() {
-                for dep in &node.deps {
-                    depth[idx] = depth[idx].max(depth[dep.0 as usize] + 1);
-                }
-                stats.critical_path_nodes = stats.critical_path_nodes.max(depth[idx]);
+            stats.critical_path_nodes = stats.critical_path_nodes.max(chains[trace.class_of(npu)]);
+            for node in program {
                 match node.op {
                     EtOp::Compute { flops, tensor } => {
                         stats.node_counts[0] += 1;

@@ -4,6 +4,7 @@ use astra_collectives::Collective;
 use astra_des::DataSize;
 use astra_topology::NpuId;
 use serde::{Deserialize, Serialize};
+use std::collections::BTreeMap;
 use std::error::Error;
 use std::fmt;
 
@@ -107,7 +108,18 @@ pub struct EtNode {
 /// A complete multi-NPU execution trace: one program (DAG) per NPU plus the
 /// communicator groups the programs reference.
 ///
-/// Traces serialize to/from JSON (the "ASTRA-sim ET" interchange format).
+/// NPUs that run the same program share one stored copy of it (a *class*):
+/// an SPMD trace stores a single program however many NPUs run it. Inside
+/// a stored program a collective's `group` is a class-local slot; each NPU
+/// carries a small group table mapping its slots to trace-wide groups
+/// ([`ExecutionTrace::group_of`]), so NPUs whose programs differ only in
+/// the groups they name still share one program.
+///
+/// Traces serialize to/from JSON (the "ASTRA-sim ET" interchange format),
+/// which lists every NPU's program in full with trace-wide group ids.
+/// Equality is semantic: two traces are equal iff their names, NPU counts,
+/// groups and every NPU's resolved program are equal, however they are
+/// stored.
 ///
 /// # Example
 ///
@@ -129,8 +141,24 @@ pub struct EtNode {
 /// let json = trace.to_json().unwrap();
 /// assert_eq!(ExecutionTrace::from_json(&json).unwrap(), trace);
 /// ```
-#[derive(Clone, Debug, PartialEq, Serialize, Deserialize)]
+#[derive(Clone, Debug)]
 pub struct ExecutionTrace {
+    name: String,
+    npus: usize,
+    groups: Vec<Vec<NpuId>>,
+    /// Every distinct stored program; collectives name group slots.
+    classes: Vec<Vec<EtNode>>,
+    /// Per NPU: the class it runs.
+    class_of: Vec<u32>,
+    /// Per NPU: its group table, `tables[table_at[npu]..table_at[npu + 1]]`.
+    table_at: Vec<usize>,
+    tables: Vec<GroupId>,
+}
+
+/// The JSON interchange form: every NPU's program in full, naming
+/// trace-wide group ids.
+#[derive(Serialize, Deserialize)]
+struct WireTrace {
     name: String,
     npus: usize,
     groups: Vec<Vec<NpuId>>,
@@ -148,13 +176,38 @@ impl ExecutionTrace {
         &self.name
     }
 
-    /// The program (topologically ordered node list) of one NPU.
+    /// The program (topologically ordered node list) of one NPU, as stored
+    /// once for its whole class: a collective's `group` is a slot, resolved
+    /// for this NPU by [`ExecutionTrace::group_of`].
     ///
     /// # Panics
     ///
     /// Panics if `npu` is out of range.
     pub fn program(&self, npu: NpuId) -> &[EtNode] {
-        &self.programs[npu]
+        &self.classes[self.class_of(npu)]
+    }
+
+    /// The trace-wide group that `npu`'s program names by `slot`.
+    ///
+    /// # Panics
+    ///
+    /// Panics if `npu` is out of range or its table has no such slot.
+    pub fn group_of(&self, npu: NpuId, slot: GroupId) -> GroupId {
+        self.tables[self.table_at[npu] + slot.0 as usize]
+    }
+
+    /// The class (index into [`ExecutionTrace::classes`]) `npu` runs.
+    ///
+    /// # Panics
+    ///
+    /// Panics if `npu` is out of range.
+    pub fn class_of(&self, npu: NpuId) -> usize {
+        self.class_of[npu] as usize
+    }
+
+    /// Every distinct stored program, each run by one or more NPUs.
+    pub fn classes(&self) -> &[Vec<EtNode>] {
+        &self.classes
     }
 
     /// The members of a communicator group.
@@ -171,9 +224,31 @@ impl ExecutionTrace {
         &self.groups
     }
 
-    /// Total node count across all NPUs.
+    /// Total node count across all NPUs, counting a shared program once
+    /// per NPU that runs it.
     pub fn total_nodes(&self) -> usize {
-        self.programs.iter().map(Vec::len).sum()
+        (0..self.npus).map(|npu| self.program(npu).len()).sum()
+    }
+
+    /// Nodes physically stored: each class's program counted once.
+    pub fn stored_nodes(&self) -> usize {
+        self.classes.iter().map(Vec::len).sum()
+    }
+
+    /// `op` as `npu` runs it: a collective names its trace-wide group.
+    fn resolved_op(&self, npu: NpuId, op: EtOp) -> EtOp {
+        match op {
+            EtOp::Collective {
+                collective,
+                size,
+                group,
+            } => EtOp::Collective {
+                collective,
+                size,
+                group: self.group_of(npu, group),
+            },
+            op => op,
+        }
     }
 
     /// Serializes to the JSON ET interchange format.
@@ -191,12 +266,193 @@ impl ExecutionTrace {
     ///
     /// # Errors
     ///
-    /// Returns a `serde_json` error on malformed input. Note this performs
-    /// schema validation only; use [`TraceBuilder`] to construct validated
-    /// traces programmatically.
+    /// Returns a `serde_json` error on malformed input, on an `npus` that
+    /// differs from the number of programs, and on a dependency that does
+    /// not precede its node. Groups, membership and peers are not checked
+    /// (the engine reports bad groups as it meets them); use
+    /// [`TraceBuilder`] to construct fully validated traces
+    /// programmatically.
     pub fn from_json(json: &str) -> Result<Self, serde_json::Error> {
         serde_json::from_str(json)
     }
+
+    /// Checks the structural rules of [`TraceBuilder::build`]: dependencies
+    /// once per class; groups, membership and peer messages per NPU.
+    fn validate(&self) -> Result<(), TraceError> {
+        // Per class: its first node with a bad dependency, how many slots
+        // it names, and whether it sends or receives peer messages.
+        let checks: Vec<(Option<u32>, usize, bool)> = self
+            .classes
+            .iter()
+            .map(|program| {
+                let slots = program
+                    .iter()
+                    .filter_map(|node| match node.op {
+                        EtOp::Collective { group, .. } => Some(group.0 as usize + 1),
+                        _ => None,
+                    })
+                    .max()
+                    .unwrap_or(0);
+                let peers = program
+                    .iter()
+                    .any(|node| matches!(node.op, EtOp::PeerSend { .. } | EtOp::PeerRecv { .. }));
+                (first_bad_dependency(program), slots, peers)
+            })
+            .collect();
+        let mut sends: BTreeMap<(NpuId, NpuId, u64), i64> = BTreeMap::new();
+        for npu in 0..self.npus {
+            let program = self.program(npu);
+            let (bad_dependency, slots, peers) = checks[self.class_of(npu)];
+            if let Some(node) = bad_dependency {
+                return Err(TraceError::BadDependency { npu, node });
+            }
+            let table = &self.tables[self.table_at[npu]..self.table_at[npu + 1]];
+            // Every slot must name a known group `npu` is in (`add_group`
+            // keeps members sorted, so membership is a binary search); a
+            // bad slot is reported at the first node naming it.
+            for slot in 0..slots {
+                let members = table.get(slot).and_then(|g| self.groups.get(g.0 as usize));
+                if members.is_some_and(|m| m.binary_search(&npu).is_ok()) {
+                    continue;
+                }
+                let names_slot = |n: &EtNode| matches!(n.op, EtOp::Collective { group, .. } if group.0 as usize == slot);
+                let node = program.iter().position(names_slot).map_or(0, |i| i as u32);
+                return Err(match members {
+                    Some(_) => TraceError::NotAMember { npu, node },
+                    None => TraceError::BadGroup { npu, node },
+                });
+            }
+            if !peers {
+                continue;
+            }
+            for (idx, node) in program.iter().enumerate() {
+                let (key, delta, peer) = match node.op {
+                    EtOp::PeerSend { peer, tag, .. } => ((npu, peer, tag), 1, peer),
+                    EtOp::PeerRecv { peer, tag, .. } => ((peer, npu, tag), -1, peer),
+                    _ => continue,
+                };
+                if peer >= self.npus {
+                    return Err(TraceError::BadPeer {
+                        npu,
+                        node: idx as u32,
+                    });
+                }
+                *sends.entry(key).or_insert(0) += delta;
+            }
+        }
+        if let Some(((src, dst, tag), _)) = sends.iter().find(|(_, &count)| count != 0) {
+            return Err(TraceError::UnmatchedPeerMessage {
+                src: *src,
+                dst: *dst,
+                tag: *tag,
+            });
+        }
+        Ok(())
+    }
+}
+
+impl PartialEq for ExecutionTrace {
+    fn eq(&self, other: &Self) -> bool {
+        self.name == other.name
+            && self.npus == other.npus
+            && self.groups == other.groups
+            && (0..self.npus).all(|npu| {
+                let (a, b) = (self.program(npu), other.program(npu));
+                a.len() == b.len()
+                    && a.iter().zip(b).all(|(x, y)| {
+                        x.name == y.name
+                            && x.deps == y.deps
+                            && self.resolved_op(npu, x.op) == other.resolved_op(npu, y.op)
+                    })
+            })
+    }
+}
+
+impl Serialize for ExecutionTrace {
+    fn to_value(&self) -> serde::Value {
+        let programs = (0..self.npus)
+            .map(|npu| {
+                self.program(npu)
+                    .iter()
+                    .map(|node| EtNode {
+                        name: node.name.clone(),
+                        op: self.resolved_op(npu, node.op),
+                        deps: node.deps.clone(),
+                    })
+                    .collect()
+            })
+            .collect();
+        WireTrace {
+            name: self.name.clone(),
+            npus: self.npus,
+            groups: self.groups.clone(),
+            programs,
+        }
+        .to_value()
+    }
+}
+
+impl Deserialize for ExecutionTrace {
+    /// Parses the wire form into one class per NPU, rejecting an `npus`
+    /// that differs from the number of programs and any dependency that
+    /// does not precede its node (the two mistakes the engine cannot
+    /// survive). Groups are kept exactly as listed.
+    fn from_value(v: &serde::Value) -> Result<Self, serde::Error> {
+        let wire = WireTrace::from_value(v)?;
+        if wire.programs.len() != wire.npus {
+            return Err(serde::Error::custom(format!(
+                "trace declares {} NPUs but holds {} programs",
+                wire.npus,
+                wire.programs.len()
+            )));
+        }
+        for (npu, program) in wire.programs.iter().enumerate() {
+            if let Some(node) = first_bad_dependency(program) {
+                return Err(serde::Error::custom(TraceError::BadDependency {
+                    npu,
+                    node,
+                }));
+            }
+        }
+        Ok(TraceBuilder {
+            name: wire.name,
+            npus: wire.npus,
+            groups: wire.groups,
+            shared: vec![None; wire.npus],
+            programs: wire.programs,
+            classes: Vec::new(),
+        }
+        .assemble())
+    }
+}
+
+/// The first node of `program` with a dependency that does not precede it.
+fn first_bad_dependency(program: &[EtNode]) -> Option<u32> {
+    program
+        .iter()
+        .enumerate()
+        .find(|(idx, node)| node.deps.iter().any(|dep| dep.0 as usize >= *idx))
+        .map(|(idx, _)| idx as u32)
+}
+
+/// Rewrites the trace-wide groups a program's collectives name into slots
+/// numbered in first-use order, and returns the table mapping each slot
+/// back to its group.
+fn into_slots(program: &mut [EtNode]) -> Vec<GroupId> {
+    let mut table: Vec<GroupId> = Vec::new();
+    for node in program {
+        if let EtOp::Collective { group, .. } = &mut node.op {
+            let slot = match table.iter().position(|g| g == group) {
+                Some(slot) => slot,
+                None => {
+                    table.push(*group);
+                    table.len() - 1
+                }
+            };
+            *group = GroupId(slot as u32);
+        }
+    }
+    table
 }
 
 /// Errors detected while building a trace.
@@ -325,22 +581,6 @@ impl ProgramBuilder {
         id
     }
 
-    /// Rewrites every collective's group id through `f`, leaving all other
-    /// node state (names, ops, dependencies) untouched.
-    ///
-    /// This lets a trace generator clone one representative program and
-    /// retarget the clone at another NPU's communicator groups instead of
-    /// rebuilding the program node by node — the programs of the hybrid
-    /// (MP×DP) generator, for instance, differ only in which group ids
-    /// their collectives reference.
-    pub fn map_groups(&mut self, mut f: impl FnMut(GroupId) -> GroupId) {
-        for node in &mut self.nodes {
-            if let EtOp::Collective { group, .. } = &mut node.op {
-                *group = f(*group);
-            }
-        }
-    }
-
     /// Id of the most recently added node, if any.
     pub fn last_node(&self) -> Option<NodeId> {
         let len = self.nodes.len();
@@ -364,7 +604,15 @@ pub struct TraceBuilder {
     name: String,
     npus: usize,
     groups: Vec<Vec<NpuId>>,
+    /// Per NPU: the program built node by node or installed with
+    /// [`TraceBuilder::set_program`], naming trace-wide group ids.
     programs: Vec<Vec<EtNode>>,
+    /// Programs shared by the generators' NPU classes; collectives name
+    /// group slots.
+    classes: Vec<Vec<EtNode>>,
+    /// Per NPU: the shared class and group table it runs instead of
+    /// `programs[npu]`, if any.
+    shared: Vec<Option<(u32, Vec<GroupId>)>>,
 }
 
 impl TraceBuilder {
@@ -380,6 +628,8 @@ impl TraceBuilder {
             npus,
             groups: Vec::new(),
             programs: vec![Vec::new(); npus],
+            classes: Vec::new(),
+            shared: vec![None; npus],
         }
     }
 
@@ -416,6 +666,10 @@ impl TraceBuilder {
         deps: &[NodeId],
     ) -> NodeId {
         assert!(npu < self.npus, "NPU {npu} out of range");
+        debug_assert!(
+            self.shared[npu].is_none(),
+            "NPU {npu} runs a shared program"
+        );
         let id = NodeId(self.programs[npu].len() as u32);
         self.programs[npu].push(EtNode {
             name: name.into(),
@@ -432,9 +686,7 @@ impl TraceBuilder {
     }
 
     /// Replaces `npu`'s program wholesale with one built off-builder via a
-    /// [`ProgramBuilder`] — the installation step of the parallel trace
-    /// generators, which construct per-NPU programs on worker threads and
-    /// merge them deterministically in NPU order.
+    /// [`ProgramBuilder`].
     ///
     /// # Panics
     ///
@@ -442,6 +694,26 @@ impl TraceBuilder {
     pub fn set_program(&mut self, npu: NpuId, program: ProgramBuilder) {
         assert!(npu < self.npus, "NPU {npu} out of range");
         self.programs[npu] = program.nodes;
+        self.shared[npu] = None;
+    }
+
+    /// Stores `program` once as a class for NPUs to share through
+    /// [`TraceBuilder::share`]. Returns the class and the group table of
+    /// the NPU the program was built for (its collectives' groups, by
+    /// slot).
+    pub(crate) fn add_class(&mut self, program: ProgramBuilder) -> (u32, Vec<GroupId>) {
+        let mut nodes = program.nodes;
+        let table = into_slots(&mut nodes);
+        self.classes.push(nodes);
+        ((self.classes.len() - 1) as u32, table)
+    }
+
+    /// Makes `npu` run `class` with `table` mapping the class's group slots
+    /// to trace-wide groups, replacing its own program. `node` and
+    /// `last_node` address only NPUs that run their own program.
+    pub(crate) fn share(&mut self, npu: NpuId, class: u32, table: Vec<GroupId>) {
+        self.programs[npu] = Vec::new();
+        self.shared[npu] = Some((class, table));
     }
 
     /// Validates and finalizes the trace.
@@ -449,61 +721,42 @@ impl TraceBuilder {
     /// # Errors
     ///
     /// Returns a [`TraceError`] describing the first structural problem
-    /// found (dangling dependency, unknown group, non-member collective,
-    /// out-of-range peer, or unmatched send/recv).
+    /// found, NPU by NPU: a dangling dependency, then an unknown group or
+    /// non-member collective, then an out-of-range peer; unmatched
+    /// send/recv pairs last.
     pub fn build(self) -> Result<ExecutionTrace, TraceError> {
-        let mut sends: std::collections::BTreeMap<(NpuId, NpuId, u64), i64> =
-            std::collections::BTreeMap::new();
-        for (npu, program) in self.programs.iter().enumerate() {
-            for (idx, node) in program.iter().enumerate() {
-                let idx_u32 = idx as u32;
-                for dep in &node.deps {
-                    if dep.0 >= idx_u32 {
-                        return Err(TraceError::BadDependency { npu, node: idx_u32 });
-                    }
-                }
-                match node.op {
-                    EtOp::Collective { group, .. } => {
-                        let members = self
-                            .groups
-                            .get(group.0 as usize)
-                            .ok_or(TraceError::BadGroup { npu, node: idx_u32 })?;
-                        // `add_group` keeps members sorted, so membership is
-                        // a binary search — this check runs once per
-                        // collective node across every NPU's program.
-                        if members.binary_search(&npu).is_err() {
-                            return Err(TraceError::NotAMember { npu, node: idx_u32 });
-                        }
-                    }
-                    EtOp::PeerSend { peer, tag, .. } => {
-                        if peer >= self.npus {
-                            return Err(TraceError::BadPeer { npu, node: idx_u32 });
-                        }
-                        *sends.entry((npu, peer, tag)).or_insert(0) += 1;
-                    }
-                    EtOp::PeerRecv { peer, tag, .. } => {
-                        if peer >= self.npus {
-                            return Err(TraceError::BadPeer { npu, node: idx_u32 });
-                        }
-                        *sends.entry((peer, npu, tag)).or_insert(0) -= 1;
-                    }
-                    _ => {}
-                }
-            }
-        }
-        if let Some(((src, dst, tag), _)) = sends.iter().find(|(_, &count)| count != 0) {
-            return Err(TraceError::UnmatchedPeerMessage {
-                src: *src,
-                dst: *dst,
-                tag: *tag,
+        let trace = self.assemble();
+        trace.validate()?;
+        Ok(trace)
+    }
+
+    /// Lays the programs out flyweight: shared classes as installed, and
+    /// each NPU's own program as a class of its own.
+    fn assemble(self) -> ExecutionTrace {
+        let mut classes = self.classes;
+        let mut class_of = Vec::with_capacity(self.npus);
+        let mut table_at = Vec::with_capacity(self.npus + 1);
+        let mut tables = Vec::new();
+        table_at.push(0);
+        for (mut program, shared) in self.programs.into_iter().zip(self.shared) {
+            let (class, table) = shared.unwrap_or_else(|| {
+                let table = into_slots(&mut program);
+                classes.push(program);
+                ((classes.len() - 1) as u32, table)
             });
+            class_of.push(class);
+            tables.extend(table);
+            table_at.push(tables.len());
         }
-        Ok(ExecutionTrace {
+        ExecutionTrace {
             name: self.name,
             npus: self.npus,
             groups: self.groups,
-            programs: self.programs,
-        })
+            classes,
+            class_of,
+            table_at,
+            tables,
+        }
     }
 }
 
@@ -689,6 +942,155 @@ mod tests {
         let t = b.build().unwrap();
         let json = t.to_json().unwrap();
         assert_eq!(ExecutionTrace::from_json(&json).unwrap(), t);
+    }
+
+    /// A 2-NPU trace with one compute node per NPU, as JSON.
+    fn two_compute_json() -> String {
+        let mut b = TraceBuilder::new(2);
+        for npu in 0..2 {
+            b.node(npu, "fwd", compute(), &[]);
+        }
+        b.build().unwrap().to_json().unwrap()
+    }
+
+    #[test]
+    fn from_json_rejects_a_dependency_that_does_not_precede_its_node() {
+        let json = two_compute_json();
+        let edited = json.replacen("\"deps\": []", "\"deps\": [7]", 1);
+        assert_ne!(edited, json, "unexpected trace JSON layout");
+        let err = ExecutionTrace::from_json(&edited).unwrap_err();
+        assert_eq!(
+            err.to_string(),
+            TraceError::BadDependency { npu: 0, node: 0 }.to_string()
+        );
+    }
+
+    #[test]
+    fn from_json_rejects_an_npu_count_that_differs_from_the_programs() {
+        let json = two_compute_json();
+        let edited = json.replacen("\"npus\": 2", "\"npus\": 4", 1);
+        assert_ne!(edited, json, "unexpected trace JSON layout");
+        let err = ExecutionTrace::from_json(&edited).unwrap_err();
+        assert!(
+            err.to_string().contains("4 NPUs but holds 2 programs"),
+            "{err}"
+        );
+    }
+
+    #[test]
+    fn shared_programs_resolve_groups_per_npu() {
+        // Two NPU pairs run one stored program; each pair's table names
+        // its own group.
+        let mut b = TraceBuilder::new(4).with_name("shared");
+        let low = b.add_group(vec![0, 1]);
+        let high = b.add_group(vec![2, 3]);
+        let mut p = ProgramBuilder::new();
+        let c = p.node("fwd", compute(), &[]);
+        p.node(
+            "ar",
+            EtOp::Collective {
+                collective: Collective::AllReduce,
+                size: DataSize::from_mib(8),
+                group: low,
+            },
+            &[c],
+        );
+        let (class, table) = b.add_class(p);
+        assert_eq!(table, vec![low]);
+        for npu in 0..4 {
+            b.share(npu, class, vec![if npu < 2 { low } else { high }]);
+        }
+        let t = b.build().unwrap();
+        assert_eq!(t.classes().len(), 1);
+        assert_eq!(t.stored_nodes(), 2);
+        assert_eq!(t.total_nodes(), 8);
+        assert!(std::ptr::eq(t.program(0), t.program(3)));
+        assert_eq!(t.group_of(1, GroupId(0)), low);
+        assert_eq!(t.group_of(2, GroupId(0)), high);
+
+        // The same trace built node by node is equal, stores one program
+        // per NPU, and serializes to the same bytes.
+        let mut b = TraceBuilder::new(4).with_name("shared");
+        let low = b.add_group(vec![0, 1]);
+        let high = b.add_group(vec![2, 3]);
+        for npu in 0..4 {
+            let c = b.node(npu, "fwd", compute(), &[]);
+            let group = if npu < 2 { low } else { high };
+            b.node(
+                npu,
+                "ar",
+                EtOp::Collective {
+                    collective: Collective::AllReduce,
+                    size: DataSize::from_mib(8),
+                    group,
+                },
+                &[c],
+            );
+        }
+        let expanded = b.build().unwrap();
+        assert_eq!(expanded.classes().len(), 4);
+        assert_eq!(expanded, t);
+        assert_eq!(expanded.to_json().unwrap(), t.to_json().unwrap());
+        assert_eq!(ExecutionTrace::from_json(&t.to_json().unwrap()).unwrap(), t);
+    }
+
+    #[test]
+    fn shared_tables_are_validated_per_npu() {
+        let mut b = TraceBuilder::new(4);
+        let low = b.add_group(vec![0, 1]);
+        let mut p = ProgramBuilder::new();
+        let c = p.node("fwd", compute(), &[]);
+        p.node(
+            "ar",
+            EtOp::Collective {
+                collective: Collective::AllReduce,
+                size: DataSize::from_mib(8),
+                group: low,
+            },
+            &[c],
+        );
+        let (class, table) = b.add_class(p);
+        for npu in 0..4 {
+            b.share(npu, class, table.clone());
+        }
+        // NPU 2 runs the program with NPU 0's table: not a member.
+        assert_eq!(
+            b.clone().build().unwrap_err(),
+            TraceError::NotAMember { npu: 2, node: 1 }
+        );
+        b.share(2, class, vec![GroupId(9)]);
+        assert_eq!(
+            b.build().unwrap_err(),
+            TraceError::BadGroup { npu: 2, node: 1 }
+        );
+    }
+
+    #[test]
+    fn equality_compares_resolved_groups() {
+        // Both traces store the same program per NPU (one collective on
+        // slot 0); only the groups the slots resolve to differ.
+        let trace = |paired: bool| {
+            let mut b = TraceBuilder::new(4);
+            let world = b.add_group(vec![0, 1, 2, 3]);
+            let pairs = [b.add_group(vec![0, 1]), b.add_group(vec![2, 3])];
+            for npu in 0..4 {
+                let group = if paired { pairs[npu / 2] } else { world };
+                b.node(
+                    npu,
+                    "ar",
+                    EtOp::Collective {
+                        collective: Collective::AllReduce,
+                        size: DataSize::from_mib(1),
+                        group,
+                    },
+                    &[],
+                );
+            }
+            b.build().unwrap()
+        };
+        assert_eq!(trace(true).program(0), trace(false).program(0));
+        assert_ne!(trace(true), trace(false));
+        assert_eq!(trace(true), trace(true));
     }
 
     #[test]
