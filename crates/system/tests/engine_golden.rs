@@ -13,6 +13,9 @@
 //!   schedulers and three fault cases (none, a degraded link, a straggler
 //!   NPU);
 //! * one GPT-3 hybrid run with backend-executed collectives on the packet
+//!   backend, the same run under an event budget and a simulated-time
+//!   budget that both trip mid-run, and once more on batched transport;
+//! * the GPT-3 pipeline with its stage-to-stage messages on the packet
 //!   backend;
 //! * two hand-built traces: one where a member issues instance `k + 1` of
 //!   a group before another member reaches instance `k`, with three groups
@@ -271,6 +274,51 @@ fn render() -> String {
     let report = simulate(&trace, &topo_16, &backend).expect("valid backend run");
     writeln!(out, "gpt3_hybrid_mp4 backend packet: {report:?}")
         .expect("writing to a String cannot fail");
+    // Budgets that trip while the packet backend is mid-run: the error
+    // carries the event count and the instant at which the engine noticed.
+    let budgets = [
+        (
+            "max_events",
+            SystemConfig {
+                max_events: Some(100_000),
+                ..backend.clone()
+            },
+        ),
+        (
+            "max_sim_time",
+            SystemConfig {
+                max_sim_time: Some(Time::from_us(30_000)),
+                ..backend.clone()
+            },
+        ),
+    ];
+    for (budget, config) in &budgets {
+        let result = simulate(&trace, &topo_16, config);
+        assert!(result.is_err(), "the {budget} budget must trip mid-run");
+        writeln!(out, "gpt3_hybrid_mp4 backend packet {budget}: {result:?}")
+            .expect("writing to a String cannot fail");
+    }
+    let batched = SystemConfig {
+        network_backend: NetworkBackendKind::Batched,
+        ..backend
+    };
+    let report = simulate(&trace, &topo_16, &batched).expect("valid batched run");
+    writeln!(out, "gpt3_hybrid_mp4 backend batched: {report:?}")
+        .expect("writing to a String cannot fail");
+    let pipeline = preset(
+        truncated(models::gpt3_175b(), 8),
+        Parallelism::Pipeline {
+            stages: 4,
+            microbatches: 4,
+        },
+        16,
+    );
+    let packet_p2p = SystemConfig {
+        network_backend: NetworkBackendKind::Packet,
+        ..SystemConfig::default()
+    };
+    let report = simulate(&pipeline, &topo_16, &packet_p2p).expect("valid packet p2p run");
+    writeln!(out, "gpt3_pipeline p2p packet: {report:?}").expect("writing to a String cannot fail");
     out
 }
 
