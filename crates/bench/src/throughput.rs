@@ -11,10 +11,12 @@
 //! `astra sweep --out BENCH_throughput.json`).
 
 use astra_core::{
-    experiments, simulate, simulate_traced, CollectiveMode, DataSize, FaultKind, FaultSchedule,
-    NetworkBackendKind, SimMode, SystemConfig, Time, Topology,
+    experiments, simulate, simulate_traced, Collective, CollectiveMode, DataSize, FaultKind,
+    FaultSchedule, NetworkBackendKind, SimMode, SystemConfig, Time, Topology,
 };
-use astra_garnet::{collective_time, PacketSimConfig, TransportMode};
+use astra_garnet::{
+    collective_time, collective_time_on, PacketNetwork, PacketSimConfig, TransportMode,
+};
 use astra_serve::{execute_once, run_batch, SimRequest, WarmCache};
 use astra_workload::parallelism::{
     generate_disaggregated_moe, generate_disaggregated_moe_reference, generate_trace,
@@ -144,11 +146,11 @@ pub struct CollectiveBackendRow {
 }
 
 /// One parallel-core measurement: the identical per-packet All-Reduce on
-/// the sequential reference core and on the domain-partitioned parallel
-/// core ([`SimMode::Parallel`]). The runner asserts finish time and event
-/// count are bit-identical — the row records the wall-clock the
-/// conservative-lookahead core saves (per-link FIFO lanes + per-domain
-/// merge heaps instead of one global heap).
+/// the sequential reference core (one global heap), on the
+/// domain-partitioned parallel core ([`SimMode::Parallel`]) and on the
+/// production sequential core (per-link lanes). The runner asserts finish
+/// time and event count are bit-identical across all three — the row
+/// records the wall-clock each core saves over the global heap.
 #[derive(Clone, Debug, Serialize)]
 pub struct ParallelDesRow {
     /// Topology notation.
@@ -163,10 +165,14 @@ pub struct ParallelDesRow {
     pub finish_us: f64,
     /// Events processed (identical across cores).
     pub events: u64,
-    /// Wall-clock of the sequential reference core (ms, best of N).
+    /// Wall-clock of the sequential reference core (ms, best of N): one
+    /// global event heap.
     pub sequential_ms: f64,
     /// Wall-clock of the parallel core (ms, best of N).
     pub parallel_ms: f64,
+    /// Wall-clock of the production sequential core (ms, best of N): the
+    /// per-link lanes merged in the reference's exact order. Not gated.
+    pub production_ms: f64,
     /// `sequential_ms / parallel_ms` (CI gates this at ≥ 1.5 for the
     /// 512-NPU case).
     pub speedup: f64,
@@ -595,7 +601,10 @@ fn parallel_des_row(
     let topo = Topology::parse(notation).expect("valid notation");
     let size = DataSize::from_mib(payload_mib);
     let config = PacketSimConfig::garnet_like().with_transport(TransportMode::PerPacket);
-    let (sequential_ms, sequential) = best_ms(reps, || collective_time(&topo, size, &config));
+    let (sequential_ms, sequential) = best_ms(reps, || {
+        let reference = PacketNetwork::global_heap_reference(&topo, config);
+        collective_time_on(reference, &topo, Collective::AllReduce, size)
+    });
     let (parallel_ms, parallel) = best_ms(reps, || {
         collective_time(
             &topo,
@@ -603,14 +612,17 @@ fn parallel_des_row(
             &config.with_sim_mode(SimMode::Parallel { threads }),
         )
     });
-    assert_eq!(
-        sequential.finish, parallel.finish,
-        "parallel core diverged on {notation}"
-    );
-    assert_eq!(
-        sequential.events, parallel.events,
-        "parallel core processed a different event count on {notation}"
-    );
+    let (production_ms, production) = best_ms(reps, || collective_time(&topo, size, &config));
+    for (core, report) in [("parallel", &parallel), ("production", &production)] {
+        assert_eq!(
+            sequential.finish, report.finish,
+            "{core} core diverged on {notation}"
+        );
+        assert_eq!(
+            sequential.events, report.events,
+            "{core} core processed a different event count on {notation}"
+        );
+    }
     ParallelDesRow {
         topology: notation.to_owned(),
         npus: topo.npus(),
@@ -620,15 +632,17 @@ fn parallel_des_row(
         events: sequential.events,
         sequential_ms,
         parallel_ms,
+        production_ms,
         speedup: sequential_ms / parallel_ms.max(1e-9),
     }
 }
 
 /// Parallel-core comparison (ROADMAP "parallel DES core"): the identical
-/// `garnet_like` per-packet All-Reduce on the sequential reference core
-/// and the conservative-lookahead parallel core at 4 worker threads,
-/// asserted bit-identical. Quick mode runs the 512-NPU case the CI gate
-/// checks (≥ 1.5×); full mode adds the smaller scales.
+/// `garnet_like` per-packet All-Reduce on the global-heap reference core,
+/// the conservative-lookahead parallel core at 4 worker threads and the
+/// laned production core, asserted bit-identical. Quick mode runs the
+/// 512-NPU case the CI gate checks (≥ 1.5×); full mode adds the smaller
+/// scales.
 pub fn run_parallel_des(quick: bool) -> Vec<ParallelDesRow> {
     let reps = if quick { 1 } else { 3 };
     let mut rows = vec![parallel_des_row("R(8)@100_R(8)@100_R(8)@50", 1, 4, reps)];
@@ -1396,13 +1410,20 @@ fn print_collective_backend(rows: &[CollectiveBackendRow]) {
 fn print_parallel_des(rows: &[ParallelDesRow]) {
     println!("== parallel DES core: conservative lookahead vs sequential reference ==");
     println!(
-        "{:<26} {:>5} {:>8} {:>11} {:>12} {:>12} {:>9}",
-        "Topology", "NPUs", "Threads", "Events", "Seq(ms)", "Par(ms)", "Speedup"
+        "{:<26} {:>5} {:>8} {:>11} {:>12} {:>12} {:>9} {:>12}",
+        "Topology", "NPUs", "Threads", "Events", "Seq(ms)", "Par(ms)", "Speedup", "Laned(ms)"
     );
     for r in rows {
         println!(
-            "{:<26} {:>5} {:>8} {:>11} {:>12.2} {:>12.2} {:>8.2}x",
-            r.topology, r.npus, r.threads, r.events, r.sequential_ms, r.parallel_ms, r.speedup
+            "{:<26} {:>5} {:>8} {:>11} {:>12.2} {:>12.2} {:>8.2}x {:>12.2}",
+            r.topology,
+            r.npus,
+            r.threads,
+            r.events,
+            r.sequential_ms,
+            r.parallel_ms,
+            r.speedup,
+            r.production_ms
         );
     }
 }
@@ -1624,7 +1645,7 @@ mod tests {
         let row = rows.iter().find(|r| r.npus == 512).expect("512-NPU row");
         assert_eq!(row.threads, 4);
         assert!(row.events > 0);
-        assert!(row.sequential_ms > 0.0 && row.parallel_ms > 0.0);
+        assert!(row.sequential_ms > 0.0 && row.parallel_ms > 0.0 && row.production_ms > 0.0);
     }
 
     #[test]

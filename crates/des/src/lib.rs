@@ -6,7 +6,8 @@
 //! * [`DataSize`] and [`Bandwidth`] — payload and link-rate units with exact
 //!   transfer-time computation,
 //! * [`EventQueue`] — a deterministic future-event list (a binary min-heap)
-//!   with FIFO tie-breaking,
+//!   with FIFO tie-breaking, and [`LanedEventQueue`], the same order with
+//!   `O(1)` pushes for events that arrive in per-source sorted streams,
 //! * [`FifoResource`] — a serial resource timeline (used to model links,
 //!   compute streams, and memory ports), with closed-form bulk reservation
 //!   of whole packet trains ([`FifoResource::acquire_train`]),
@@ -33,7 +34,7 @@ mod units;
 
 pub use intervals::{attribute_exclusive, attribute_exclusive_intervals, IntervalLog};
 pub use partition::{LaneId, Outbox, PartitionedEventQueue, SimMode, WindowOutcome};
-pub use queue::EventQueue;
+pub use queue::{EventQueue, LanedEventQueue};
 pub use resource::{
     ArrivalRun, FifoCheckpoint, FifoResource, RecordedReservation, Reservation, TrainOccupancy,
     TrainProfile,

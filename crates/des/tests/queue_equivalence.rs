@@ -7,8 +7,13 @@
 //! `(time, event)` sequence with FIFO tie-breaking, and agree on `len` /
 //! `peek_time` / `now` at every step. These properties pin the determinism
 //! contract the simulator layers above rely on.
+//!
+//! [`LanedEventQueue`] is checked against the same model: a laned event
+//! ([`LanedEventQueue::schedule_on`]) is just an event whose `seq` comes
+//! from the shared counter, so the model schedules it like any other, and
+//! the queue's lane merge must reproduce the model's order exactly.
 
-use astra_des::{EventQueue, Time};
+use astra_des::{EventQueue, LanedEventQueue, Time};
 use proptest::prelude::*;
 use proptest::TestCaseError;
 
@@ -56,10 +61,48 @@ impl Model {
     }
 }
 
+/// The read side of both queue types, so one lockstep check covers both.
+trait Queue {
+    fn pop(&mut self) -> Option<(Time, usize)>;
+    fn now(&self) -> Time;
+    fn len(&self) -> usize;
+    fn peek_time(&self) -> Option<Time>;
+}
+
+impl Queue for EventQueue<usize> {
+    fn pop(&mut self) -> Option<(Time, usize)> {
+        EventQueue::pop(self)
+    }
+    fn now(&self) -> Time {
+        EventQueue::now(self)
+    }
+    fn len(&self) -> usize {
+        EventQueue::len(self)
+    }
+    fn peek_time(&self) -> Option<Time> {
+        EventQueue::peek_time(self)
+    }
+}
+
+impl Queue for LanedEventQueue<usize> {
+    fn pop(&mut self) -> Option<(Time, usize)> {
+        LanedEventQueue::pop(self)
+    }
+    fn now(&self) -> Time {
+        LanedEventQueue::now(self)
+    }
+    fn len(&self) -> usize {
+        LanedEventQueue::len(self)
+    }
+    fn peek_time(&self) -> Option<Time> {
+        LanedEventQueue::peek_time(self)
+    }
+}
+
 /// Pops one event from both and asserts they agree on it and on the
 /// resulting clock; returns the popped event.
 fn pop_both(
-    queue: &mut EventQueue<usize>,
+    queue: &mut impl Queue,
     model: &mut Model,
 ) -> Result<Option<(Time, usize)>, TestCaseError> {
     let (a, b) = (queue.pop(), model.pop());
@@ -69,10 +112,7 @@ fn pop_both(
 }
 
 /// Drains both, asserting they agree on every pop and every peek.
-fn assert_same_drain(
-    queue: &mut EventQueue<usize>,
-    model: &mut Model,
-) -> Result<(), TestCaseError> {
+fn assert_same_drain(queue: &mut impl Queue, model: &mut Model) -> Result<(), TestCaseError> {
     loop {
         prop_assert_eq!(queue.len(), model.len());
         prop_assert_eq!(queue.peek_time(), model.peek_time());
@@ -140,6 +180,81 @@ proptest! {
             prop_assert_eq!(queue.peek_time(), model.peek_time());
         }
         assert_same_drain(&mut queue, &mut model)?;
+    }
+
+    /// Laned and plain schedules mixed with pops stay in lockstep with
+    /// the model. Each lane's times are non-decreasing (the contract of
+    /// `schedule_on`), drawn from a wide range or a tiny one so that ties
+    /// across lanes and against the heap are common.
+    #[test]
+    fn laned_ops_stay_in_lockstep(
+        ops in prop::collection::vec((0u64..1_000_000, 0u64..5, 0usize..6), 1..300),
+        tiny in any::<bool>(),
+    ) {
+        let mut queue = LanedEventQueue::new();
+        let mut model = Model::default();
+        let mut lane_last = [Time::ZERO; 6];
+        for (i, &(offset, action, lane)) in ops.iter().enumerate() {
+            let offset = Time::from_ps(if tiny { offset % 3 } else { offset });
+            match action {
+                0 => {
+                    pop_both(&mut queue, &mut model)?;
+                }
+                1 | 2 => {
+                    queue.schedule_at(queue.now() + offset, i);
+                    model.schedule_after(offset, i);
+                }
+                _ => {
+                    let at = lane_last[lane].max(queue.now()) + offset;
+                    lane_last[lane] = at;
+                    queue.schedule_on(lane, at, i);
+                    model.schedule_at(at, i);
+                }
+            }
+            prop_assert_eq!(queue.len(), model.len());
+            prop_assert_eq!(queue.peek_time(), model.peek_time());
+        }
+        assert_same_drain(&mut queue, &mut model)?;
+    }
+
+    /// `pop_up_to` over a laned schedule stops at the same frontier as the
+    /// model and never moves the clock past it.
+    #[test]
+    fn laned_pop_up_to_respects_the_frontier(
+        times in prop::collection::vec((0u64..10_000, 0usize..4), 1..200),
+        step in 1u64..2_000,
+    ) {
+        let mut queue = LanedEventQueue::new();
+        let mut model = Model::default();
+        let mut lane_last = [Time::ZERO; 4];
+        for (i, &(gap, lane)) in times.iter().enumerate() {
+            let at = lane_last[lane] + Time::from_ps(gap);
+            lane_last[lane] = at;
+            if i % 3 == 0 {
+                queue.schedule_at(at, i);
+            } else {
+                queue.schedule_on(lane, at, i);
+            }
+            model.schedule_at(at, i);
+        }
+        let mut limit = Time::ZERO;
+        while !model.pending.is_empty() {
+            loop {
+                let got = queue.pop_up_to(limit);
+                let want = if model.peek_time().is_some_and(|t| t <= limit) {
+                    model.pop()
+                } else {
+                    None
+                };
+                prop_assert_eq!(got, want);
+                prop_assert_eq!(queue.now(), model.now);
+                if got.is_none() {
+                    break;
+                }
+            }
+            limit += Time::from_ps(step);
+        }
+        prop_assert!(queue.is_empty());
     }
 
     /// A hold-model workload (every pop schedules a successor) — the DES
@@ -241,4 +356,15 @@ fn large_near_sorted_schedule_matches() {
     expected.sort_unstable();
     let popped: Vec<(Time, usize)> = std::iter::from_fn(|| queue.pop()).collect();
     assert_eq!(popped, expected);
+}
+
+/// A lane must stay sorted: a debug build rejects a push earlier than the
+/// lane's last pending event.
+#[cfg(debug_assertions)]
+#[test]
+#[should_panic(expected = "non-monotone push on lane 2")]
+fn non_monotone_lane_push_panics() {
+    let mut queue = LanedEventQueue::new();
+    queue.schedule_on(2, Time::from_ps(10), 0usize);
+    queue.schedule_on(2, Time::from_ps(9), 1usize);
 }

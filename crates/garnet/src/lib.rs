@@ -40,4 +40,4 @@ mod runner;
 pub mod semantics;
 
 pub use network::{MessageId, PacketNetwork, PacketSimConfig, TransportMode};
-pub use runner::{collective_time, collective_time_for, PacketRunReport};
+pub use runner::{collective_time, collective_time_for, collective_time_on, PacketRunReport};

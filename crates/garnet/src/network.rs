@@ -4,7 +4,9 @@ use std::collections::{BTreeMap, BTreeSet};
 use std::fmt;
 use std::str::FromStr;
 
-use astra_des::{DataSize, EventQueue, FifoCheckpoint, FifoResource, SimMode, Time, TrainProfile};
+use astra_des::{
+    DataSize, FifoCheckpoint, FifoResource, LanedEventQueue, SimMode, Time, TrainProfile,
+};
 use astra_network::{AsyncMessageId, Completion, LinkTrace, NetworkBackend, NetworkStats};
 use astra_topology::{
     route_avoiding, FaultError, FaultSchedule, FaultedGraph, LinkGraph, LinkId, NpuId, Topology,
@@ -280,7 +282,7 @@ struct LinkTrainGroup {
 pub struct PacketNetwork {
     pub(crate) graph: LinkGraph,
     pub(crate) link_queues: Vec<FifoResource>,
-    queue: EventQueue<TransportEvent>,
+    queue: LanedEventQueue<TransportEvent>,
     pub(crate) messages: Vec<MessageState>,
     pub(crate) routes: Vec<Vec<LinkId>>,
     route_ids: BTreeMap<(NpuId, NpuId), usize>,
@@ -302,6 +304,13 @@ pub struct PacketNetwork {
     /// Failed links (fault injection): excluded from routing; empty for a
     /// pristine fabric. Bandwidth/latency degradations live in `graph`.
     dead_links: BTreeSet<LinkId>,
+    /// Per link: serialization time of one full-size packet, so the
+    /// per-packet hop skips the 128-bit division for all but tail packets.
+    packet_service: Vec<Time>,
+    /// Whether per-packet hops go on per-link lanes ([`Self::lane_hop`],
+    /// production) or on the global heap ([`Self::start_hop`], the frozen
+    /// reference built by [`PacketNetwork::global_heap_reference`]).
+    laned: bool,
 }
 
 impl PacketNetwork {
@@ -341,6 +350,11 @@ impl PacketNetwork {
             .map(|_| FifoResource::new())
             .collect();
         let num_links = graph.num_links();
+        let full_packet = DataSize::from_bytes(config.packet_size.as_bytes().max(1));
+        let packet_service = graph
+            .links()
+            .map(|(_, props)| props.bandwidth.transfer_time(full_packet))
+            .collect();
         let parallel = match config.sim_mode {
             SimMode::Sequential => None,
             SimMode::Parallel { .. } => ParallelCore::for_graph(&graph),
@@ -348,7 +362,7 @@ impl PacketNetwork {
         PacketNetwork {
             graph,
             link_queues,
-            queue: EventQueue::new(),
+            queue: LanedEventQueue::new(),
             messages: Vec::new(),
             routes: Vec::new(),
             route_ids: BTreeMap::new(),
@@ -361,6 +375,21 @@ impl PacketNetwork {
             train_splits: 0,
             parallel,
             dead_links,
+            packet_service,
+            laned: true,
+        }
+    }
+
+    /// Builds the packet simulator with every per-packet hop scheduled on
+    /// one global event heap ([`Self::start_hop`]) instead of per-link
+    /// lanes. Both deliver events in the same `(time, seq)` order, so the
+    /// results are bit-identical; this one is the frozen reference that
+    /// differential tests and the `parallel_des` bench baseline compare
+    /// against. Simulations should use [`PacketNetwork::new`].
+    pub fn global_heap_reference(topo: &Topology, config: PacketSimConfig) -> Self {
+        PacketNetwork {
+            laned: false,
+            ..Self::new(topo, config)
         }
     }
 
@@ -498,7 +527,7 @@ impl PacketNetwork {
                     } else {
                         DataSize::from_bytes(pkt)
                     };
-                    self.start_hop(
+                    self.lane_hop(
                         at,
                         PacketEvent {
                             message: id,
@@ -524,6 +553,36 @@ impl PacketNetwork {
         let service = props.bandwidth.transfer_time(event.bytes);
         let reservation = self.link_queues[link_id.0].acquire(ready, service);
         self.queue.schedule_at(
+            reservation.end + props.latency,
+            TransportEvent::Packet(event),
+        );
+    }
+
+    /// Queues one packet on `route[hop]` and schedules its arrival at the
+    /// far end on that link's lane of the event queue.
+    ///
+    /// A link grants FIFO, so its reservations end in non-decreasing
+    /// order, and its latency is fixed for the whole run: every link's
+    /// arrival stream is already sorted. The queue merges the lanes by
+    /// `(time, seq)`, so the delivery order is exactly that of
+    /// [`Self::start_hop`]'s single heap, at `O(log active links)` per
+    /// event instead of `O(log pending packets)`.
+    // astra-lint: hot-path
+    fn lane_hop(&mut self, ready: Time, event: PacketEvent) {
+        if !self.laned {
+            return self.start_hop(ready, event);
+        }
+        let msg = &self.messages[event.message.0];
+        let link_id = self.routes[msg.route][event.hop];
+        let props = self.graph.link(link_id);
+        let service = if event.bytes == msg.packet_bytes {
+            self.packet_service[link_id.0]
+        } else {
+            props.bandwidth.transfer_time(event.bytes)
+        };
+        let reservation = self.link_queues[link_id.0].acquire(ready, service);
+        self.queue.schedule_on(
+            link_id.0,
             reservation.end + props.latency,
             TransportEvent::Packet(event),
         );
@@ -729,7 +788,7 @@ impl PacketNetwork {
             TransportEvent::Packet(event) => {
                 let msg = &self.messages[event.message.0];
                 if event.hop + 1 < self.routes[msg.route].len() {
-                    self.start_hop(
+                    self.lane_hop(
                         now,
                         PacketEvent {
                             hop: event.hop + 1,
@@ -839,6 +898,22 @@ impl NetworkBackend for PacketNetwork {
             self.events_processed += 1;
             self.dispatch(now, event);
         }
+    }
+
+    /// The sequential core runs whole instants up to `limit` and stops
+    /// after the first one that buffers a completion, so the caller only
+    /// hears from it when there is something to act on. The parallel core
+    /// keeps the one-instant default.
+    fn advance_to_completion(&mut self, limit: Time) -> Option<Time> {
+        let mut ran = None;
+        while let Some(t) = self.next_event_time().filter(|&t| t <= limit) {
+            self.advance_until(t);
+            ran = Some(t);
+            if self.parallel.is_some() || !self.completed.is_empty() {
+                break;
+            }
+        }
+        ran
     }
 
     fn drain_completions(&mut self, out: &mut Vec<Completion>) {

@@ -61,9 +61,20 @@ pub fn collective_time_for(
     size: DataSize,
     config: &PacketSimConfig,
 ) -> PacketRunReport {
-    let mut net = PacketNetwork::new(topo, *config);
+    collective_time_on(PacketNetwork::new(topo, *config), topo, collective, size)
+}
+
+/// [`collective_time_for`] on a caller-built network over `topo` (for
+/// instance the [`PacketNetwork::global_heap_reference`] oracle), with the
+/// network's own configuration.
+pub fn collective_time_on(
+    mut net: PacketNetwork,
+    topo: &Topology,
+    collective: Collective,
+    size: DataSize,
+) -> PacketRunReport {
     let mut messages = 0u64;
-    let mut now = config.collective_overhead;
+    let mut now = net.config().collective_overhead;
 
     // (dim, divisor before the phase): data shrinks by each visited
     // dimension's size for the scatter/gather family.

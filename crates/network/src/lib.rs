@@ -130,7 +130,9 @@ impl NetworkStats {
 /// Async callers must uphold one invariant: `send_async` times and
 /// `advance_until` limits never move backwards (the engine's event loop
 /// guarantees this by always draining backend events up to its next own
-/// event before popping it).
+/// event before popping it). A caller that only reacts to completions can
+/// use [`NetworkBackend::advance_to_completion`] instead of stepping
+/// `advance_until` one instant at a time.
 ///
 /// The trait takes `&mut self` because stateful backends (the packet-level
 /// simulator) advance internal queues while estimating.
@@ -192,6 +194,24 @@ pub trait NetworkBackend {
     /// Completions discovered on the way are buffered for
     /// [`NetworkBackend::drain_completions`].
     fn advance_until(&mut self, limit: Time);
+
+    /// Runs the backend towards its next completion without passing
+    /// `limit`, and returns the last instant it processed (`None` when its
+    /// next event lies beyond `limit`, or it has none).
+    ///
+    /// An *instant* is one [`NetworkBackend::advance_until`] call at
+    /// [`NetworkBackend::next_event_time`]. The default runs exactly one
+    /// instant. A backend may override it to run whole instants up to
+    /// `limit` and stop after the first one that buffers a completion:
+    /// for a caller that acts only on completions, that is the same
+    /// sequence of events with fewer round trips. The packet simulator's
+    /// sequential core does so; the fluid flow backend keeps the default,
+    /// because its float stepping depends on where it is asked to stop.
+    fn advance_to_completion(&mut self, limit: Time) -> Option<Time> {
+        let t = self.next_event_time().filter(|&t| t <= limit)?;
+        self.advance_until(t);
+        Some(t)
+    }
 
     /// Moves all completions discovered since the last call into `out`.
     fn drain_completions(&mut self, out: &mut Vec<Completion>);

@@ -1100,18 +1100,24 @@ impl<'a> Engine<'a> {
             // give the backend every internal event up to (and including,
             // so completions win FIFO ties) that instant. Messages sent
             // later always carry later timestamps, so the backend never
-            // has to run ahead of the engine frontier.
+            // has to run ahead of the engine frontier. Only a completion
+            // can change the engine's state, so the backend may run on to
+            // its next one in a single call; under a budget it runs one
+            // instant per call, so the budget trips at the same instant.
             while !self.in_flight.is_empty() {
                 let Some(net) = self.network.as_mut() else {
                     return Err(SimError::Internal("in-flight p2p without a backend"));
                 };
-                let Some(t) = net.next_event_time() else {
+                let mut limit = self.queue.peek_time().unwrap_or(Time::MAX);
+                if self.config.max_events.is_some() || self.config.max_sim_time.is_some() {
+                    let Some(t) = net.next_event_time() else {
+                        break;
+                    };
+                    limit = limit.min(t);
+                }
+                let Some(t) = net.advance_to_completion(limit) else {
                     break;
                 };
-                if self.queue.peek_time().is_some_and(|e| e < t) {
-                    break;
-                }
-                net.advance_until(t);
                 self.drain_network()?;
                 self.check_budget(t)?;
             }
