@@ -12,7 +12,7 @@
 
 use astra_core::{
     experiments, simulate, simulate_traced, Collective, CollectiveMode, DataSize, FaultKind,
-    FaultSchedule, NetworkBackendKind, SimMode, SystemConfig, Time, Topology,
+    FaultSchedule, NetworkBackendKind, SystemConfig, Time, Topology,
 };
 use astra_garnet::{
     collective_time, collective_time_on, PacketNetwork, PacketSimConfig, TransportMode,
@@ -145,36 +145,30 @@ pub struct CollectiveBackendRow {
     pub backend_ms: f64,
 }
 
-/// One parallel-core measurement: the identical per-packet All-Reduce on
-/// the sequential reference core (one global heap), on the
-/// domain-partitioned parallel core ([`SimMode::Parallel`]) and on the
-/// production sequential core (per-link lanes). The runner asserts finish
-/// time and event count are bit-identical across all three — the row
-/// records the wall-clock each core saves over the global heap.
+/// One packet-core measurement: the identical per-packet All-Reduce on
+/// the global-heap reference ([`PacketNetwork::global_heap_reference`])
+/// and on the production core, whose per-link lanes merge in the
+/// reference's exact `(time, seq)` order. The runner asserts finish time
+/// and event count are bit-identical — the row records the wall-clock the
+/// lanes save over one global heap.
 #[derive(Clone, Debug, Serialize)]
-pub struct ParallelDesRow {
+pub struct PacketCoreRow {
     /// Topology notation.
     pub topology: String,
     /// NPUs in the topology.
     pub npus: usize,
     /// All-Reduce payload in MiB.
     pub payload_mib: u64,
-    /// Worker threads of the parallel core.
-    pub threads: usize,
-    /// Simulated completion in µs (identical across cores).
+    /// Simulated completion in µs (identical on both cores).
     pub finish_us: f64,
-    /// Events processed (identical across cores).
+    /// Events processed (identical on both cores).
     pub events: u64,
-    /// Wall-clock of the sequential reference core (ms, best of N): one
-    /// global event heap.
-    pub sequential_ms: f64,
-    /// Wall-clock of the parallel core (ms, best of N).
-    pub parallel_ms: f64,
-    /// Wall-clock of the production sequential core (ms, best of N): the
-    /// per-link lanes merged in the reference's exact order. Not gated.
-    pub production_ms: f64,
-    /// `sequential_ms / parallel_ms` (CI gates this at ≥ 1.5 for the
-    /// 512-NPU case).
+    /// Wall-clock of the global-heap reference (ms, best of N).
+    pub reference_ms: f64,
+    /// Wall-clock of the laned production core (ms, best of N).
+    pub laned_ms: f64,
+    /// `reference_ms / laned_ms` (CI gates this at ≥ 1.5 for the 512-NPU
+    /// case).
     pub speedup: f64,
 }
 
@@ -324,10 +318,10 @@ pub const SERIES: &[Series] = &[
         run: |quick| crate::emit(&run_collective_backend(quick), print_collective_backend),
     },
     Series {
-        name: "parallel-des",
-        key: "parallel_des",
+        name: "packet-core",
+        key: "packet_core",
         default: true,
-        run: |quick| crate::emit(&run_parallel_des(quick), print_parallel_des),
+        run: |quick| crate::emit(&run_packet_core(quick), print_packet_core),
     },
     Series {
         name: "serve-throughput",
@@ -592,63 +586,45 @@ pub fn run_packet_scale(quick: bool) -> Vec<PacketScaleRow> {
     rows
 }
 
-fn parallel_des_row(
-    notation: &str,
-    payload_mib: u64,
-    threads: usize,
-    reps: usize,
-) -> ParallelDesRow {
+fn packet_core_row(notation: &str, payload_mib: u64, reps: usize) -> PacketCoreRow {
     let topo = Topology::parse(notation).expect("valid notation");
     let size = DataSize::from_mib(payload_mib);
     let config = PacketSimConfig::garnet_like().with_transport(TransportMode::PerPacket);
-    let (sequential_ms, sequential) = best_ms(reps, || {
-        let reference = PacketNetwork::global_heap_reference(&topo, config);
-        collective_time_on(reference, &topo, Collective::AllReduce, size)
+    let (reference_ms, reference) = best_ms(reps, || {
+        let network = PacketNetwork::global_heap_reference(&topo, config);
+        collective_time_on(network, &topo, Collective::AllReduce, size)
     });
-    let (parallel_ms, parallel) = best_ms(reps, || {
-        collective_time(
-            &topo,
-            size,
-            &config.with_sim_mode(SimMode::Parallel { threads }),
-        )
-    });
-    let (production_ms, production) = best_ms(reps, || collective_time(&topo, size, &config));
-    for (core, report) in [("parallel", &parallel), ("production", &production)] {
-        assert_eq!(
-            sequential.finish, report.finish,
-            "{core} core diverged on {notation}"
-        );
-        assert_eq!(
-            sequential.events, report.events,
-            "{core} core processed a different event count on {notation}"
-        );
-    }
-    ParallelDesRow {
+    let (laned_ms, laned) = best_ms(reps, || collective_time(&topo, size, &config));
+    assert_eq!(
+        reference.finish, laned.finish,
+        "laned core diverged on {notation}"
+    );
+    assert_eq!(
+        reference.events, laned.events,
+        "laned core processed a different event count on {notation}"
+    );
+    PacketCoreRow {
         topology: notation.to_owned(),
         npus: topo.npus(),
         payload_mib,
-        threads,
-        finish_us: sequential.finish.as_us_f64(),
-        events: sequential.events,
-        sequential_ms,
-        parallel_ms,
-        production_ms,
-        speedup: sequential_ms / parallel_ms.max(1e-9),
+        finish_us: reference.finish.as_us_f64(),
+        events: reference.events,
+        reference_ms,
+        laned_ms,
+        speedup: reference_ms / laned_ms.max(1e-9),
     }
 }
 
-/// Parallel-core comparison (ROADMAP "parallel DES core"): the identical
-/// `garnet_like` per-packet All-Reduce on the global-heap reference core,
-/// the conservative-lookahead parallel core at 4 worker threads and the
-/// laned production core, asserted bit-identical. Quick mode runs the
-/// 512-NPU case the CI gate checks (≥ 1.5×); full mode adds the smaller
-/// scales.
-pub fn run_parallel_des(quick: bool) -> Vec<ParallelDesRow> {
+/// Packet-core comparison: the identical `garnet_like` per-packet
+/// All-Reduce on the global-heap reference and on the laned production
+/// core, asserted bit-identical. Quick mode runs the 512-NPU case the CI
+/// gate checks (≥ 1.5×); full mode adds the smaller scales.
+pub fn run_packet_core(quick: bool) -> Vec<PacketCoreRow> {
     let reps = if quick { 1 } else { 3 };
-    let mut rows = vec![parallel_des_row("R(8)@100_R(8)@100_R(8)@50", 1, 4, reps)];
+    let mut rows = vec![packet_core_row("R(8)@100_R(8)@100_R(8)@50", 1, reps)];
     if !quick {
-        rows.push(parallel_des_row("R(16)@100_R(8)@100", 1, 4, reps));
-        rows.push(parallel_des_row("R(16)@100_R(16)@100", 1, 4, reps));
+        rows.push(packet_core_row("R(16)@100_R(8)@100", 1, reps));
+        rows.push(packet_core_row("R(16)@100_R(16)@100", 1, reps));
     }
     rows
 }
@@ -1407,23 +1383,16 @@ fn print_collective_backend(rows: &[CollectiveBackendRow]) {
     }
 }
 
-fn print_parallel_des(rows: &[ParallelDesRow]) {
-    println!("== parallel DES core: conservative lookahead vs sequential reference ==");
+fn print_packet_core(rows: &[PacketCoreRow]) {
+    println!("== packet core: per-link lanes vs global-heap reference ==");
     println!(
-        "{:<26} {:>5} {:>8} {:>11} {:>12} {:>12} {:>9} {:>12}",
-        "Topology", "NPUs", "Threads", "Events", "Seq(ms)", "Par(ms)", "Speedup", "Laned(ms)"
+        "{:<26} {:>5} {:>11} {:>12} {:>12} {:>9}",
+        "Topology", "NPUs", "Events", "Heap(ms)", "Laned(ms)", "Speedup"
     );
     for r in rows {
         println!(
-            "{:<26} {:>5} {:>8} {:>11} {:>12.2} {:>12.2} {:>8.2}x {:>12.2}",
-            r.topology,
-            r.npus,
-            r.threads,
-            r.events,
-            r.sequential_ms,
-            r.parallel_ms,
-            r.speedup,
-            r.production_ms
+            "{:<26} {:>5} {:>11} {:>12.2} {:>12.2} {:>8.2}x",
+            r.topology, r.npus, r.events, r.reference_ms, r.laned_ms, r.speedup
         );
     }
 }
@@ -1551,7 +1520,7 @@ mod tests {
             "serial_ms present"
         );
         assert!(v["packet_scale"][0]["per_packet_events"].as_f64().unwrap() > 0.0);
-        assert!(v["parallel_des"][0]["events"].as_f64().unwrap() > 0.0);
+        assert!(v["packet_core"][0]["events"].as_f64().unwrap() > 0.0);
         assert!(v["serve_throughput"][0]["requests"].as_f64().unwrap() > 0.0);
         assert!(v["fault_injection"][0]["slowdown"].as_f64().unwrap() >= 1.0);
         // The overhead is an unclamped ratio: noise may make it negative.
@@ -1637,15 +1606,14 @@ mod tests {
     }
 
     #[test]
-    fn parallel_des_rows_are_bit_identical_by_construction() {
-        // `parallel_des_row` asserts finish and event-count equality
+    fn packet_core_rows_are_bit_identical_by_construction() {
+        // `packet_core_row` asserts finish and event-count equality
         // between the cores; the row itself must carry a positive event
         // count and wall-clock fields.
-        let rows = run_parallel_des(true);
+        let rows = run_packet_core(true);
         let row = rows.iter().find(|r| r.npus == 512).expect("512-NPU row");
-        assert_eq!(row.threads, 4);
         assert!(row.events > 0);
-        assert!(row.sequential_ms > 0.0 && row.parallel_ms > 0.0 && row.production_ms > 0.0);
+        assert!(row.reference_ms > 0.0 && row.laned_ms > 0.0);
     }
 
     #[test]

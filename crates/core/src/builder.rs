@@ -171,19 +171,6 @@ impl SimulationBuilder {
         self
     }
 
-    /// Selects the execution core of the packet-level backends: the
-    /// sequential reference (default) or the domain-partitioned parallel
-    /// core with `threads` workers advancing conservative-lookahead
-    /// windows ([`astra_des::SimMode::Parallel`]). Results are
-    /// bit-identical across thread counts; `sim_threads(n)` with any
-    /// `n >= 1` selects the parallel core (its n=1 serial path included).
-    pub fn sim_threads(mut self, threads: usize) -> Self {
-        self.config.sim_mode = astra_des::SimMode::Parallel {
-            threads: threads.max(1),
-        };
-        self
-    }
-
     /// Selects how collectives execute: the closed-form analytical
     /// collective engine (default, the frozen fast path) or chunk-level
     /// send/recv programs on the co-resident network backend

@@ -36,7 +36,7 @@ pub use astra_collectives::{
     CollectiveOutcome, CollectiveProgram, SchedulerPolicy,
 };
 pub use astra_collectives::{LoweringKey, SharedLoweringCache, SharedProgram};
-pub use astra_des::{Bandwidth, DataSize, SimMode, Time};
+pub use astra_des::{Bandwidth, DataSize, Time};
 pub use astra_memory::{
     AccessKind, HierPool, HierPoolConfig, LocalMemory, MeshPool, MultiLevelSwitchPool,
     PoolArchitecture, RemoteMemory, RingPool, TransferMode, ZeroInfinity,

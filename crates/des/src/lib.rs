@@ -27,13 +27,11 @@
 //! ```
 
 mod intervals;
-mod partition;
 mod queue;
 mod resource;
 mod units;
 
 pub use intervals::{attribute_exclusive, attribute_exclusive_intervals, IntervalLog};
-pub use partition::{LaneId, Outbox, PartitionedEventQueue, SimMode, WindowOutcome};
 pub use queue::{EventQueue, LanedEventQueue};
 pub use resource::{
     ArrivalRun, FifoCheckpoint, FifoResource, RecordedReservation, Reservation, TrainOccupancy,

@@ -35,7 +35,6 @@
 //! ```
 
 mod network;
-mod parallel;
 mod runner;
 pub mod semantics;
 

@@ -4,19 +4,15 @@ use std::collections::{BTreeMap, BTreeSet};
 use std::fmt;
 use std::str::FromStr;
 
-use astra_des::{
-    DataSize, FifoCheckpoint, FifoResource, LanedEventQueue, SimMode, Time, TrainProfile,
-};
+use astra_des::{DataSize, FifoCheckpoint, FifoResource, LanedEventQueue, Time, TrainProfile};
 use astra_network::{AsyncMessageId, Completion, LinkTrace, NetworkBackend, NetworkStats};
 use astra_topology::{
     route_avoiding, FaultError, FaultSchedule, FaultedGraph, LinkGraph, LinkId, NpuId, Topology,
 };
 
-use crate::parallel::ParallelCore;
-
 /// Identifier of an in-flight or completed message.
 #[derive(Copy, Clone, Debug, PartialEq, Eq, Hash, PartialOrd, Ord)]
-pub struct MessageId(pub(crate) usize);
+pub struct MessageId(usize);
 
 /// How messages traverse the simulated links.
 ///
@@ -108,14 +104,6 @@ pub struct PacketSimConfig {
     /// Event granularity (see [`TransportMode`]). Batched transport keeps
     /// fine packet sizes affordable at 256+ NPUs.
     pub transport: TransportMode,
-    /// Execution core (see [`SimMode`]). [`SimMode::Parallel`] partitions
-    /// the links into domains advanced in conservative-lookahead windows
-    /// (lookahead = minimum link propagation latency); results are
-    /// bit-identical across worker thread counts, and bit-identical to
-    /// [`SimMode::Sequential`] on the lockstep collective traffic the
-    /// runner generates. Topologies with a zero-latency link fall back to
-    /// the sequential core (no conservative window exists).
-    pub sim_mode: SimMode,
 }
 
 impl PacketSimConfig {
@@ -127,7 +115,6 @@ impl PacketSimConfig {
             collective_overhead: Time::ZERO,
             step_overhead: Time::ZERO,
             transport: TransportMode::default(),
-            sim_mode: SimMode::default(),
         }
     }
 
@@ -139,7 +126,6 @@ impl PacketSimConfig {
             collective_overhead: Time::ZERO,
             step_overhead: Time::ZERO,
             transport: TransportMode::default(),
-            sim_mode: SimMode::default(),
         }
     }
 
@@ -153,19 +139,12 @@ impl PacketSimConfig {
             collective_overhead: Time::from_us(20),
             step_overhead: Time::from_us(1),
             transport: TransportMode::default(),
-            sim_mode: SimMode::default(),
         }
     }
 
     /// Selects the transport granularity (see [`TransportMode`]).
     pub fn with_transport(mut self, transport: TransportMode) -> Self {
         self.transport = transport;
-        self
-    }
-
-    /// Selects the execution core (see [`SimMode`]).
-    pub fn with_sim_mode(mut self, sim_mode: SimMode) -> Self {
-        self.sim_mode = sim_mode;
         self
     }
 }
@@ -177,23 +156,23 @@ impl Default for PacketSimConfig {
 }
 
 #[derive(Clone, Debug)]
-pub(crate) struct MessageState {
+struct MessageState {
     /// Index into the memoized route table.
-    pub(crate) route: usize,
+    route: usize,
     /// Full-size packet payload (all packets but possibly the last).
-    pub(crate) packet_bytes: DataSize,
+    packet_bytes: DataSize,
     /// Payload of the last packet (== `packet_bytes` for exact multiples).
-    pub(crate) tail_bytes: DataSize,
-    pub(crate) packets_remaining: u64,
+    tail_bytes: DataSize,
+    packets_remaining: u64,
     /// Reservation generation (batched mode). Splitting a merged train
     /// rewinds its link reservations and re-schedules its downstream
     /// events; bumping the generation cancels the superseded events still
     /// sitting in the queue (they are dropped on pop).
-    pub(crate) gen: u32,
-    pub(crate) finish: Option<Time>,
+    gen: u32,
+    finish: Option<Time>,
     /// Whether the message was injected through the async NetworkAPI and
     /// its completion must be reported via `drain_completions`.
-    pub(crate) tracked: bool,
+    tracked: bool,
 }
 
 /// One packet completing its traversal of `route[hop]`.
@@ -280,27 +259,24 @@ struct LinkTrainGroup {
 /// ```
 #[derive(Debug)]
 pub struct PacketNetwork {
-    pub(crate) graph: LinkGraph,
-    pub(crate) link_queues: Vec<FifoResource>,
+    graph: LinkGraph,
+    link_queues: Vec<FifoResource>,
     queue: LanedEventQueue<TransportEvent>,
-    pub(crate) messages: Vec<MessageState>,
-    pub(crate) routes: Vec<Vec<LinkId>>,
+    messages: Vec<MessageState>,
+    routes: Vec<Vec<LinkId>>,
     route_ids: BTreeMap<(NpuId, NpuId), usize>,
-    pub(crate) config: PacketSimConfig,
-    pub(crate) events_processed: u64,
-    pub(crate) completed: Vec<Completion>,
+    config: PacketSimConfig,
+    events_processed: u64,
+    completed: Vec<Completion>,
     /// Per link: last arrival instant of the most recent train reserved on
     /// it (batched mode only) — the overlap detector behind
     /// [`PacketNetwork::train_splits`] and
     /// [`PacketNetwork::train_interleavings`].
-    pub(crate) link_train_tail: Vec<Time>,
-    /// Per link: the rewindable train group (batched sequential mode only).
+    link_train_tail: Vec<Time>,
+    /// Per link: the rewindable train group (batched mode only).
     link_groups: Vec<Option<LinkTrainGroup>>,
-    pub(crate) train_interleavings: u64,
+    train_interleavings: u64,
     train_splits: u64,
-    /// Domain-partitioned executor; present iff the config selects
-    /// [`SimMode::Parallel`] and the topology admits a positive lookahead.
-    pub(crate) parallel: Option<ParallelCore>,
     /// Failed links (fault injection): excluded from routing; empty for a
     /// pristine fabric. Bandwidth/latency degradations live in `graph`.
     dead_links: BTreeSet<LinkId>,
@@ -355,10 +331,6 @@ impl PacketNetwork {
             .links()
             .map(|(_, props)| props.bandwidth.transfer_time(full_packet))
             .collect();
-        let parallel = match config.sim_mode {
-            SimMode::Sequential => None,
-            SimMode::Parallel { .. } => ParallelCore::for_graph(&graph),
-        };
         PacketNetwork {
             graph,
             link_queues,
@@ -373,7 +345,6 @@ impl PacketNetwork {
             link_groups: vec![None; num_links],
             train_interleavings: 0,
             train_splits: 0,
-            parallel,
             dead_links,
             packet_service,
             laned: true,
@@ -384,7 +355,7 @@ impl PacketNetwork {
     /// one global event heap ([`Self::start_hop`]) instead of per-link
     /// lanes. Both deliver events in the same `(time, seq)` order, so the
     /// results are bit-identical; this one is the frozen reference that
-    /// differential tests and the `parallel_des` bench baseline compare
+    /// differential tests and the `packet_core` bench baseline compare
     /// against. Simulations should use [`PacketNetwork::new`].
     pub fn global_heap_reference(topo: &Topology, config: PacketSimConfig) -> Self {
         PacketNetwork {
@@ -431,20 +402,14 @@ impl PacketNetwork {
     /// Each count marks one message whose completion may diverge from
     /// per-packet ground truth — by at most the other train's service
     /// time, since the link serves whole trains in head-arrival order and
-    /// stays work-conserving. The parallel core (see [`SimMode`]) always
-    /// serializes overlapping trains (a split would rewind effects across
-    /// domain boundaries), so it counts here, never under
-    /// [`PacketNetwork::train_splits`]. Always zero in per-packet mode.
+    /// stays work-conserving. Always zero in per-packet mode.
     pub fn train_interleavings(&self) -> u64 {
         self.train_interleavings
     }
 
     /// Current simulation time (the last processed event's time).
     pub fn now(&self) -> Time {
-        match &self.parallel {
-            Some(core) => core.clock(),
-            None => self.queue.now(),
-        }
+        self.queue.now()
     }
 
     /// Resolves (or reuses) the memoized route for a pair.
@@ -462,9 +427,6 @@ impl PacketNetwork {
         };
         self.routes.push(route);
         self.route_ids.insert((src, dst), idx);
-        if let Some(core) = self.parallel.as_mut() {
-            core.register_route(&self.routes[idx]);
-        }
         idx
     }
 
@@ -504,20 +466,6 @@ impl PacketNetwork {
             finish: None,
             tracked: false,
         });
-        if let Some(core) = self.parallel.as_mut() {
-            // Parallel core: the send is staged and enters the partitioned
-            // lanes (in stable time order) when the simulation advances.
-            core.stage_send(
-                at,
-                id,
-                route,
-                self.config.transport,
-                count,
-                DataSize::from_bytes(pkt),
-                DataSize::from_bytes(if tail > 0 { tail } else { pkt }),
-            );
-            return id;
-        }
         match self.config.transport {
             TransportMode::PerPacket => {
                 // Enter packets onto the first link in order; FIFO per link.
@@ -822,7 +770,7 @@ impl PacketNetwork {
     }
 
     /// Buffers an async completion callback for a tracked message.
-    pub(crate) fn record_completion(&mut self, message: MessageId, finish: Time) {
+    fn record_completion(&mut self, message: MessageId, finish: Time) {
         if self.messages[message.0].tracked {
             self.completed.push(Completion {
                 id: AsyncMessageId(message.0 as u64),
@@ -834,9 +782,6 @@ impl PacketNetwork {
     /// Runs the simulation until no events remain, returning the final
     /// simulation time.
     pub fn run_until_idle(&mut self) -> Time {
-        if self.parallel.is_some() {
-            return self.run_parallel(None);
-        }
         while let Some((now, event)) = self.queue.pop() {
             self.events_processed += 1;
             self.dispatch(now, event);
@@ -883,33 +828,25 @@ impl NetworkBackend for PacketNetwork {
     }
 
     fn next_event_time(&self) -> Option<Time> {
-        match &self.parallel {
-            Some(core) => core.next_event_time(),
-            None => self.queue.peek_time(),
-        }
+        self.queue.peek_time()
     }
 
     fn advance_until(&mut self, limit: Time) {
-        if self.parallel.is_some() {
-            self.run_parallel(Some(limit));
-            return;
-        }
         while let Some((now, event)) = self.queue.pop_up_to(limit) {
             self.events_processed += 1;
             self.dispatch(now, event);
         }
     }
 
-    /// The sequential core runs whole instants up to `limit` and stops
-    /// after the first one that buffers a completion, so the caller only
-    /// hears from it when there is something to act on. The parallel core
-    /// keeps the one-instant default.
+    /// Runs whole instants up to `limit` and stops after the first one
+    /// that buffers a completion, so the caller only hears from it when
+    /// there is something to act on.
     fn advance_to_completion(&mut self, limit: Time) -> Option<Time> {
         let mut ran = None;
         while let Some(t) = self.next_event_time().filter(|&t| t <= limit) {
             self.advance_until(t);
             ran = Some(t);
-            if self.parallel.is_some() || !self.completed.is_empty() {
+            if !self.completed.is_empty() {
                 break;
             }
         }
@@ -931,10 +868,7 @@ impl NetworkBackend for PacketNetwork {
         }
     }
 
-    /// Toggles grant recording on every link queue. The parallel core
-    /// operates on these same resources (its domains own contiguous
-    /// slices of `link_queues`), so the flag — and the recorded grants —
-    /// carry across `SimMode`s unchanged.
+    /// Toggles grant recording on every link queue.
     fn set_telemetry(&mut self, enabled: bool) {
         for q in &mut self.link_queues {
             q.set_recording(enabled);
@@ -1265,9 +1199,7 @@ mod tests {
         assert!(net.completion(backlog).is_some());
     }
 
-    /// Link grant traces are a pure function of config: identical across
-    /// execution cores and queue backends, and recording them does not
-    /// perturb message completions.
+    /// Recording link grant traces does not perturb message completions.
     #[test]
     fn telemetry_link_traces_are_mode_invariant() {
         let t = topo("R(8)@100");
@@ -1296,12 +1228,5 @@ mod tests {
             "recording changed simulated behavior"
         );
         assert!(!base_traces.is_empty());
-
-        for threads in [1usize, 2, 8] {
-            let cfg = PacketSimConfig::fast().with_sim_mode(SimMode::Parallel { threads });
-            let (finishes, traces) = run(cfg, true);
-            assert_eq!(finishes, base_finishes, "{threads} threads");
-            assert_eq!(traces, base_traces, "{threads} threads");
-        }
     }
 }

@@ -82,7 +82,6 @@ pub const CONFIG_ENUMS: &[&str] = &[
     "TransportMode",
     "CollectiveMode",
     "NetworkBackendKind",
-    "SimMode",
     "FaultKind",
     "TraceFormat",
 ];

@@ -204,9 +204,9 @@ pub trait NetworkBackend {
     /// instant. A backend may override it to run whole instants up to
     /// `limit` and stop after the first one that buffers a completion:
     /// for a caller that acts only on completions, that is the same
-    /// sequence of events with fewer round trips. The packet simulator's
-    /// sequential core does so; the fluid flow backend keeps the default,
-    /// because its float stepping depends on where it is asked to stop.
+    /// sequence of events with fewer round trips. The packet simulator
+    /// does so; the fluid flow backend keeps the default, because its
+    /// float stepping depends on where it is asked to stop.
     fn advance_to_completion(&mut self, limit: Time) -> Option<Time> {
         let t = self.next_event_time().filter(|&t| t <= limit)?;
         self.advance_until(t);

@@ -23,7 +23,7 @@ use std::sync::{Arc, Mutex, MutexGuard};
 use astra_core::{
     simulate_traced_with, simulate_with, DataSize, Parallelism, PoolArchitecture, Roofline,
     SchedulerPolicy, SharedDelayMemo, SharedLoweringCache, SharedRouteTable, SharedTraceCache,
-    SimError, SimMode, SimReport, SimTrace, SystemConfig, Time, Topology, WarmState,
+    SimError, SimReport, SimTrace, SystemConfig, Time, Topology, WarmState,
 };
 use astra_workload::parallelism::{generate_disaggregated_moe, generate_trace, OffloadPlan};
 use astra_workload::ExecutionTrace;
@@ -168,10 +168,6 @@ fn build_config(req: &SimRequest) -> Result<SystemConfig, RequestError> {
         },
         network_backend: req.network.unwrap_or_default(),
         collective_mode: req.collectives.unwrap_or_default(),
-        sim_mode: match req.sim_threads {
-            Some(threads) => SimMode::Parallel { threads },
-            None => SimMode::Sequential,
-        },
         faults: req.faults.clone(),
         max_events: req.max_events,
         max_sim_time: req.max_sim_time_ps.map(Time::from_ps),

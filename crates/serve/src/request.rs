@@ -118,8 +118,6 @@ pub struct SimRequest {
     pub network: Option<NetworkBackendKind>,
     /// Collective execution: `analytical` or `backend`.
     pub collectives: Option<CollectiveMode>,
-    /// Worker threads for the packet backends' parallel core.
-    pub sim_threads: Option<usize>,
     /// Deterministic fault schedule (see [`FaultSchedule`]); empty by
     /// default.
     pub faults: FaultSchedule,
@@ -240,13 +238,6 @@ pub const FIELDS: &[Field] = &[
         kind: FieldKind::Enum(&["analytical", "backend"], |r, v| {
             v.parse().map(|mode| r.collectives = Some(mode))
         }),
-    },
-    Field {
-        name: "sim_threads",
-        value: "<N>",
-        help: "run the packet backends on the parallel core with N worker threads; \
-               bit-identical for every N (default: the sequential core)",
-        kind: FieldKind::Count(|r, v| r.sim_threads = Some(v as usize)),
     },
     Field {
         name: "max_events",
@@ -433,16 +424,27 @@ fn read_fields(req: &mut SimRequest, fields: &[(String, Value)]) -> Result<(), R
             },
         }
     }
-    if req.topology.is_empty() {
-        return Err(err("`topology` is required"));
-    }
-    if req.workload.is_none() && req.all_reduce_mib.is_none() {
-        return Err(err("one of `workload` or `all_reduce_mib` is required"));
-    }
-    Ok(())
+    req.check_required()
 }
 
 impl SimRequest {
+    /// Checks that the required fields are set: `topology`, and one of
+    /// `workload` or `all_reduce_mib`. `astra serve` and `astra` share
+    /// this check, so a missing field reads the same from both.
+    ///
+    /// # Errors
+    ///
+    /// Returns a [`RequestError`] naming the first missing field.
+    pub fn check_required(&self) -> Result<(), RequestError> {
+        if self.topology.is_empty() {
+            return Err(err("`topology` is required"));
+        }
+        if self.workload.is_none() && self.all_reduce_mib.is_none() {
+            return Err(err("one of `workload` or `all_reduce_mib` is required"));
+        }
+        Ok(())
+    }
+
     /// Parses one request from a decoded JSON value. Unknown fields are
     /// rejected so a typo cannot silently run the wrong configuration.
     ///
@@ -488,22 +490,14 @@ impl SimRequest {
 
     /// The canonical result-cache key: every result-affecting field. Two
     /// requests with equal keys produce bit-identical reports, so the
-    /// batch service memoizes whole reports under it. `id` is excluded,
-    /// and of `sim_threads` only the choice of packet core counts: every
-    /// thread count of the parallel core gives the same report. The key
-    /// is the `Debug` form, so a new field joins it on its own.
+    /// batch service memoizes whole reports under it. The key is the
+    /// `Debug` form without `id`, so a new field joins it on its own.
     pub fn canonical_key(&self) -> String {
-        let core = if self.sim_threads.is_some() {
-            "parallel"
-        } else {
-            "sequential"
-        };
         let rest = SimRequest {
             id: None,
-            sim_threads: None,
             ..self.clone()
         };
-        format!("{rest:?};core={core}")
+        format!("{rest:?}")
     }
 }
 

@@ -1,7 +1,7 @@
 //! The batch service's determinism contract: warm caches and worker
 //! pools are pure speed knobs. Every response is bit-identical to a
 //! cold, sequential single run of the same request — across network
-//! backends, sim modes, worker counts, request orders, and cache states.
+//! backends, worker counts, request orders, and cache states.
 
 use std::sync::Arc;
 
@@ -11,62 +11,27 @@ fn request(json: &str) -> SimRequest {
     SimRequest::from_json_line(json).unwrap()
 }
 
-/// Warm-vs-cold equality over the full backend × sim-mode grid,
-/// on a pipeline workload (stage-to-stage p2p traffic exercises every
-/// network backend and the delay/route warm tables).
+/// Warm-vs-cold equality over every network backend, on a pipeline
+/// workload (stage-to-stage p2p traffic exercises every network backend
+/// and the delay/route warm tables).
 #[test]
 fn warm_reports_are_bit_identical_across_backends_and_sim_modes() {
     let cache = WarmCache::new();
     for network in ["analytical", "packet", "batched", "flow"] {
-        for sim_threads in [None, Some(2)] {
-            let threads = match sim_threads {
-                Some(n) => format!(", \"sim_threads\": {n}"),
-                None => String::new(),
-            };
-            let req = request(&format!(
-                r#"{{"topology": "R(8)@100", "workload": "gpt3", "pipeline": 4,
-                    "network": "{network}"{threads}}}"#
-            ));
-            let cold = execute_once(&req).unwrap();
-            let warm1 = execute(&req, &cache).unwrap();
-            let warm2 = execute(&req, &cache).unwrap();
-            let label = format!("{network}/{sim_threads:?}");
-            assert_eq!(*warm1, cold, "{label}: first warm run differs from cold");
-            assert_eq!(*warm2, cold, "{label}: repeat warm run differs from cold");
-            assert!(
-                Arc::ptr_eq(&warm1, &warm2),
-                "{label}: repeat request missed the result cache"
-            );
-        }
-    }
-}
-
-/// The parallel core's thread count is not a results knob, so requests
-/// that differ only in `sim_threads` share one result-cache entry: the
-/// second is a cache hit and answers with the first one's row, byte for
-/// byte.
-#[test]
-fn thread_counts_share_one_result_cache_entry() {
-    let line = |threads: usize| {
-        format!(
+        let req = request(&format!(
             r#"{{"topology": "R(8)@100", "workload": "gpt3", "pipeline": 4,
-                "network": "packet", "sim_threads": {threads}}}"#
-        )
-    };
-    let cache = WarmCache::new();
-    let two = execute(&request(&line(2)), &cache).unwrap();
-    let eight = execute(&request(&line(8)), &cache).unwrap();
-    assert!(
-        Arc::ptr_eq(&two, &eight),
-        "sim_threads 8 missed the sim_threads 2 entry"
-    );
-    assert_eq!(*eight, execute_once(&request(&line(8))).unwrap());
-
-    let cache = WarmCache::new();
-    let (first, _) = run_batch(&[line(2)], 1, &cache);
-    let (second, _) = run_batch(&[line(8)], 1, &cache);
-    assert_eq!(cache.summary().result_hits, 1);
-    assert_eq!(second, first);
+                "network": "{network}"}}"#
+        ));
+        let cold = execute_once(&req).unwrap();
+        let warm1 = execute(&req, &cache).unwrap();
+        let warm2 = execute(&req, &cache).unwrap();
+        assert_eq!(*warm1, cold, "{network}: first warm run differs from cold");
+        assert_eq!(*warm2, cold, "{network}: repeat warm run differs from cold");
+        assert!(
+            Arc::ptr_eq(&warm1, &warm2),
+            "{network}: repeat request missed the result cache"
+        );
+    }
 }
 
 /// Backend-executed collectives share lowered programs through the warm
@@ -180,9 +145,8 @@ fn concurrent_batches_emit_identical_rows_for_every_worker_count() {
 }
 
 /// Trace bytes are part of the determinism surface too: rendering the
-/// trace of a request against a cold cache, against caches pre-warmed by
-/// batches at different worker counts, and across sim-thread counts must
-/// produce identical bytes.
+/// trace of a request against a cold cache and against caches pre-warmed
+/// by batches at different worker counts must produce identical bytes.
 #[test]
 fn traced_runs_render_identical_bytes_across_cache_states_and_workers() {
     use astra_core::TraceFormat;
@@ -212,22 +176,6 @@ fn traced_runs_render_identical_bytes_across_cache_states_and_workers() {
             render(&cache),
             reference,
             "trace bytes differ after a {workers}-worker warmup batch"
-        );
-    }
-    for variant in [r#", "sim_threads": 2"#, r#", "sim_threads": 8"#] {
-        let varied = format!(
-            "{}{variant}}}",
-            &line.trim_end()[..line.trim_end().len() - 1]
-        );
-        let (_, trace) = execute_traced(&request(&varied), &WarmCache::new()).unwrap();
-        let trace = trace.expect("telemetry on yields a trace");
-        assert_eq!(
-            (
-                TraceFormat::Chrome.render(&trace),
-                TraceFormat::Jsonl.render(&trace),
-            ),
-            reference,
-            "trace bytes differ under{variant}"
         );
     }
 }

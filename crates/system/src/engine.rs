@@ -11,7 +11,7 @@ use astra_collectives::{
 };
 use astra_des::{
     attribute_exclusive, attribute_exclusive_intervals, DataSize, EventQueue, FifoResource,
-    IntervalLog, SimMode, Time,
+    IntervalLog, Time,
 };
 use astra_garnet::{PacketNetwork, PacketSimConfig, TransportMode};
 use astra_memory::{LocalMemory, PoolArchitecture, RemoteMemory, TransferMode};
@@ -71,13 +71,6 @@ pub struct SystemConfig {
     /// order (the Themis planner only applies to the analytical fast
     /// path); `simulate` rejects the Themis combination.
     pub collective_mode: CollectiveMode,
-    /// Execution core of the packet-level backends (see [`SimMode`]).
-    /// [`SimMode::Parallel`] partitions the packet network's links into
-    /// domains advanced by worker threads in conservative-lookahead
-    /// windows; results stay bit-identical across thread counts. The
-    /// analytical and flow backends ignore this (they are closed-form /
-    /// rate-based, not event-partitioned).
-    pub sim_mode: SimMode,
     /// Deterministic fault schedule applied to the run (see
     /// [`FaultSchedule`]). Empty by default; an empty schedule leaves
     /// every backend bit-identical to the frozen fault-free references.
@@ -110,7 +103,6 @@ impl Default for SystemConfig {
             remote_memory: None,
             network_backend: NetworkBackendKind::default(),
             collective_mode: CollectiveMode::default(),
-            sim_mode: SimMode::default(),
             faults: FaultSchedule::new(),
             max_events: None,
             max_sim_time: None,
@@ -133,11 +125,7 @@ pub(crate) fn build_network(
     // Warm delay/route tables are computed on the pristine fabric; a
     // degraded run must not consult them. Build cold instead.
     let pristine = !schedule.has_fabric_faults();
-    let packet = |transport| {
-        PacketSimConfig::fast()
-            .with_transport(transport)
-            .with_sim_mode(config.sim_mode)
-    };
+    let packet = |transport| PacketSimConfig::fast().with_transport(transport);
     let checked = |r: Result<Box<dyn NetworkBackend>, FaultError>| {
         // astra-lint: allow(panic, simulate_with validates fault schedules before any backend is built)
         r.expect("fault schedule validated before backend construction")

@@ -4,8 +4,7 @@
 //!
 //! * **No-op pin.** An empty `FaultSchedule` plus untriggered budgets is
 //!   byte-for-byte invisible: the `SimReport` is bit-identical to the
-//!   default configuration's on every network backend and both simulation
-//!   cores.
+//!   default configuration's on every network backend.
 //! * **Reroute or fail loudly.** A dead link reroutes traffic around the
 //!   failure (strictly later, never silently equal) when a path survives;
 //!   a fault that disconnects the fabric is a typed
@@ -14,10 +13,10 @@
 //!   compute; a degraded link makes collectives crossing it strictly
 //!   later. Both show up in the report's per-fault attribution.
 //! * **Faults don't break determinism.** With a non-trivial schedule
-//!   applied, reports stay bit-identical across worker thread counts.
+//!   applied, reports stay bit-identical from run to run.
 
 use astra_collectives::Collective;
-use astra_des::{DataSize, SimMode, Time};
+use astra_des::{DataSize, Time};
 use astra_network::NetworkBackendKind;
 use astra_system::{simulate, FaultKind, FaultSchedule, SimError, SimReport, SystemConfig};
 use astra_topology::Topology;
@@ -128,9 +127,9 @@ proptest! {
 
     /// The no-op pin: explicitly setting an empty `FaultSchedule` and
     /// budgets large enough never to trigger leaves the `SimReport`
-    /// bit-identical to the default configuration on every backend and
-    /// simulation core — the hardening plumbing is
-    /// invisible until a fault or budget actually fires.
+    /// bit-identical to the default configuration on every backend — the
+    /// hardening plumbing is invisible until a fault or budget actually
+    /// fires.
     #[test]
     fn empty_schedule_and_slack_budgets_are_bit_identical(
         notation in prop::sample::select(vec!["R(8)@100", "SW(8)@200", "R(4)@100_SW(2)@50"]),
@@ -139,26 +138,23 @@ proptest! {
         let topo = Topology::parse(notation).unwrap();
         let trace = all_reduce_trace(topo.npus(), DataSize::from_mib(mib));
         for backend in NetworkBackendKind::ALL {
-            for sim_mode in [SimMode::Sequential, SimMode::Parallel { threads: 2 }] {
-                let base = SystemConfig {
-                    network_backend: backend,
-                    sim_mode,
-                    ..SystemConfig::default()
-                };
-                let guarded = SystemConfig {
-                    faults: FaultSchedule::new(),
-                    max_events: Some(u64::MAX),
-                    max_sim_time: Some(Time::from_ps(u64::MAX)),
-                    ..base.clone()
-                };
-                let reference = run(&trace, &topo, &base);
-                let hardened = run(&trace, &topo, &guarded);
-                prop_assert!(
-                    hardened == reference,
-                    "{backend} {sim_mode:?}: empty schedule / slack budgets changed the report"
-                );
-                prop_assert!(reference.faults.is_empty());
-            }
+            let base = SystemConfig {
+                network_backend: backend,
+                ..SystemConfig::default()
+            };
+            let guarded = SystemConfig {
+                faults: FaultSchedule::new(),
+                max_events: Some(u64::MAX),
+                max_sim_time: Some(Time::from_ps(u64::MAX)),
+                ..base.clone()
+            };
+            let reference = run(&trace, &topo, &base);
+            let hardened = run(&trace, &topo, &guarded);
+            prop_assert!(
+                hardened == reference,
+                "{backend}: empty schedule / slack budgets changed the report"
+            );
+            prop_assert!(reference.faults.is_empty());
         }
     }
 }
@@ -280,7 +276,7 @@ fn degraded_bandwidth_makes_the_collective_strictly_later() {
 
 /// Faults are not a determinism knob: with a dead link, a degraded link,
 /// and a straggler all active, the full `SimReport` stays bit-identical
-/// across worker thread counts on every network backend.
+/// from run to run on every network backend.
 #[test]
 fn faulted_reports_are_bit_identical_across_threads() {
     let topo = Topology::parse("R(8)@100").unwrap();
@@ -295,21 +291,16 @@ fn faulted_reports_are_bit_identical_across_threads() {
         },
     );
     for backend in NetworkBackendKind::ALL {
-        let mut reports = Vec::new();
-        for threads in [1usize, 2, 8] {
-            let config = SystemConfig {
-                network_backend: backend,
-                sim_mode: SimMode::Parallel { threads },
-                faults: faults.clone(),
-                ..SystemConfig::default()
-            };
-            reports.push((threads, run(&trace, &topo, &config)));
-        }
-        let (t0, reference) = &reports[0];
-        for (threads, report) in &reports[1..] {
+        let config = SystemConfig {
+            network_backend: backend,
+            faults: faults.clone(),
+            ..SystemConfig::default()
+        };
+        let reference = run(&trace, &topo, &config);
+        for attempt in 1..3 {
             assert!(
-                report == reference,
-                "{backend}: faulted report diverges ({threads} vs {t0} threads)"
+                run(&trace, &topo, &config) == reference,
+                "{backend}: faulted report diverges on run {attempt}"
             );
         }
         assert_eq!(

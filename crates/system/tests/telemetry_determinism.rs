@@ -2,15 +2,15 @@
 //!
 //! Traces and metrics are observability, so they must be a pure function
 //! of the simulation's *semantics*, never of its execution strategy. The
-//! pins, mirroring `parallel_determinism.rs` for reports:
+//! pins:
 //!
 //! * **No-sink byte-invisibility.** `simulate_traced` with
 //!   `telemetry: false` returns the exact `SimReport` of plain
 //!   `simulate`, and with `telemetry: true` the report differs *only* by
 //!   `metrics: Some(..)` — stripping it restores bit-identity.
 //! * **Trace-byte invariance.** The rendered trace bytes (both the
-//!   Chrome JSON and the JSONL renderings) are bit-identical across
-//!   worker thread counts and the sequential/parallel cores.
+//!   Chrome JSON and the JSONL renderings) are bit-identical from run to
+//!   run in one process, so no per-instance hash seed reaches them.
 //! * **Golden fixture.** A committed Chrome-format trace of one fixed
 //!   scenario (packet backend, chunk-level collectives, a degraded link)
 //!   pins the rendering and the recorded spans against drift. Re-bless
@@ -18,7 +18,7 @@
 //!   golden_chrome`.
 
 use astra_collectives::{Collective, CollectiveMode};
-use astra_des::{DataSize, SimMode, Time};
+use astra_des::{DataSize, Time};
 use astra_network::NetworkBackendKind;
 use astra_system::{
     simulate, simulate_traced, FaultKind, FaultSchedule, SimReport, SimTrace, SystemConfig,
@@ -27,8 +27,6 @@ use astra_system::{
 use astra_topology::Topology;
 use astra_workload::{EtOp, ExecutionTrace, TraceBuilder};
 use proptest::prelude::*;
-
-const THREADS: [usize; 3] = [1, 2, 8];
 
 /// One world-group All-Reduce at `t = 0` on every NPU, preceded by a
 /// short compute op so NPU timelines carry both categories.
@@ -136,32 +134,19 @@ fn recording_changes_only_the_metrics_field() {
 
 #[test]
 fn trace_bytes_are_invariant_across_cores_and_threads() {
-    let (trace, topo, base) = golden_scenario();
-    let mut renders: Vec<(String, String, String)> = Vec::new();
-    let mut modes = vec![SimMode::Sequential];
-    modes.extend(THREADS.map(|threads| SimMode::Parallel { threads }));
-    for sim_mode in modes {
-        let config = SystemConfig {
-            sim_mode,
-            ..base.clone()
-        };
+    let (trace, topo, config) = golden_scenario();
+    let render = || {
         let (_, sim_trace) = traced(&trace, &topo, &config);
-        renders.push((
-            format!("{sim_mode:?}"),
+        (
             TraceFormat::Chrome.render(&sim_trace),
             TraceFormat::Jsonl.render(&sim_trace),
-        ));
-    }
-    let (ref_label, ref_chrome, ref_jsonl) = &renders[0];
-    for (label, chrome, jsonl) in &renders[1..] {
-        assert_eq!(
-            chrome, ref_chrome,
-            "chrome trace bytes differ: {label} vs {ref_label}"
-        );
-        assert_eq!(
-            jsonl, ref_jsonl,
-            "jsonl trace bytes differ: {label} vs {ref_label}"
-        );
+        )
+    };
+    let (ref_chrome, ref_jsonl) = render();
+    for run in 1..3 {
+        let (chrome, jsonl) = render();
+        assert_eq!(chrome, ref_chrome, "chrome trace bytes differ on run {run}");
+        assert_eq!(jsonl, ref_jsonl, "jsonl trace bytes differ on run {run}");
     }
 }
 
@@ -200,18 +185,12 @@ fn arb_config() -> impl Strategy<Value = SystemConfig> {
         ]),
         prop::sample::select(vec![CollectiveMode::Analytical, CollectiveMode::Backend]),
         prop::sample::select(vec![1u64, 2, 4]),
-        prop::sample::select(vec![
-            SimMode::Sequential,
-            SimMode::Parallel { threads: 2 },
-            SimMode::Parallel { threads: 8 },
-        ]),
     )
         .prop_map(
-            |(network_backend, collective_mode, collective_chunks, sim_mode)| SystemConfig {
+            |(network_backend, collective_mode, collective_chunks)| SystemConfig {
                 network_backend,
                 collective_mode,
                 collective_chunks,
-                sim_mode,
                 telemetry: true,
                 ..SystemConfig::default()
             },
@@ -222,8 +201,7 @@ proptest! {
     #![proptest_config(ProptestConfig::with_cases(24))]
 
     /// Across random small configs: the traced report minus metrics is
-    /// the plain report, and trace bytes do not depend on the core
-    /// (re-run under the swapped execution core).
+    /// the plain report, and a second traced run renders the same bytes.
     #[test]
     fn telemetry_is_pure_observation(
         config in arb_config(),
@@ -239,15 +217,7 @@ proptest! {
         recorded.metrics = None;
         prop_assert_eq!(&plain, &recorded, "recording perturbed the report");
 
-        // Swap the execution core, which must not show up in the bytes.
-        let swapped = SystemConfig {
-            sim_mode: match config.sim_mode {
-                SimMode::Sequential => SimMode::Parallel { threads: 3 },
-                SimMode::Parallel { .. } => SimMode::Sequential,
-            },
-            ..config.clone()
-        };
-        let (_, sim_trace2) = traced(&trace, &topo, &swapped);
+        let (_, sim_trace2) = traced(&trace, &topo, &config);
         prop_assert_eq!(
             TraceFormat::Jsonl.render(&sim_trace),
             TraceFormat::Jsonl.render(&sim_trace2),

@@ -11,10 +11,9 @@
 //!
 //! Everything here is a pure function of the recorded events, which are in
 //! turn pure functions of the simulation config: trace bytes and metrics
-//! are bit-identical across thread counts, event-queue backends, and
-//! `SimMode`s, and recording is strictly opt-in — with no sink installed
-//! the simulator's behavior and reports are byte-identical to a build
-//! without this crate.
+//! are bit-identical across thread counts, and recording is strictly
+//! opt-in — with no sink installed the simulator's behavior and reports
+//! are byte-identical to a build without this crate.
 
 use std::fmt;
 use std::str::FromStr;

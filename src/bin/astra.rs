@@ -1,5 +1,6 @@
 //! `astra` — command-line front end to the simulator. See `--help`.
 
+use std::io::{ErrorKind, Write};
 use std::process::ExitCode;
 
 fn main() -> ExitCode {
@@ -47,12 +48,24 @@ fn main() -> ExitCode {
         }
     };
     match astra_sim2::cli::run(&opts) {
-        Ok(report) => {
-            println!("{}", astra_sim2::cli::render(&opts, &report));
-            ExitCode::SUCCESS
-        }
+        Ok(report) => print_report(&astra_sim2::cli::render(&opts, &report)),
         Err(e) => {
             eprintln!("error: {e}");
+            ExitCode::FAILURE
+        }
+    }
+}
+
+/// Writes the report to stdout. A reader that closes the pipe early
+/// (`astra … | head -1`) ends the run quietly; any other write error is
+/// reported and fails the run.
+fn print_report(text: &str) -> ExitCode {
+    let mut out = std::io::stdout().lock();
+    match writeln!(out, "{text}").and_then(|()| out.flush()) {
+        Ok(()) => ExitCode::SUCCESS,
+        Err(e) if e.kind() == ErrorKind::BrokenPipe => ExitCode::SUCCESS,
+        Err(e) => {
+            eprintln!("error: failed to write the report: {e}");
             ExitCode::FAILURE
         }
     }

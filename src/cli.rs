@@ -110,8 +110,8 @@ OPTIONS:
                             spans with dependency arrows, per-link busy
                             intervals and queue depths, fault/budget
                             markers; trace bytes are a pure function of
-                            the config (bit-identical across
-                            --sim-threads and serve workers)
+                            the config (bit-identical across serve
+                            workers)
     --trace-format <FMT>    trace encoding for --trace-out: chrome
                             (default; open in Perfetto or
                             chrome://tracing) | jsonl (one record per
@@ -208,14 +208,9 @@ pub fn parse_args(args: &[String]) -> Result<CliOptions, CliError> {
             }
         }
     }
-    if opts.request.topology.is_empty() {
-        return Err(with_usage("--topology is required"));
-    }
-    if opts.request.workload.is_none() && opts.request.all_reduce_mib.is_none() {
-        return Err(with_usage(
-            "one of --workload or --all-reduce-mib is required",
-        ));
-    }
+    opts.request
+        .check_required()
+        .map_err(|e| with_usage(e.message))?;
     if opts.trace_format.is_some() && opts.trace_out.is_none() {
         return Err(err("--trace-format requires --trace-out"));
     }
@@ -707,7 +702,7 @@ mod tests {
         let e = parse_args(&args("--workload gpt3")).unwrap_err();
         let msg = e.to_string();
         assert!(
-            msg.contains("--topology is required"),
+            msg.contains("`topology` is required"),
             "unhelpful error: {msg}"
         );
         assert!(msg.contains("USAGE"), "error should include usage: {msg}");
@@ -894,10 +889,10 @@ mod tests {
     fn request_value_errors_use_the_serve_wording() {
         let e = parse_args(&args("--topology R(4) --workload gpt3 --mp x")).unwrap_err();
         assert_eq!(e.to_string(), "`mp` expects a non-negative integer");
-        let e = parse_args(&args("--topology R(4) --all-reduce-mib 1 --sim-threads 0"));
+        let e = parse_args(&args("--topology R(4) --all-reduce-mib 1 --max-events 0"));
         assert_eq!(
             e.unwrap_err().to_string(),
-            "`sim_threads` must be at least 1"
+            "`max_events` must be at least 1"
         );
         // `id` and inline `faults` are serve-only; `--p2p` is gone.
         for flag in ["--id", "--p2p"] {
