@@ -125,8 +125,8 @@ pub fn congestion() -> Vec<Row> {
 }
 
 /// The `ablations` sweep series: the same studies in quick and full mode.
-pub fn series(_quick: bool) -> Vec<Value> {
-    crate::emit(&run(), print)
+pub fn series(_quick: bool) -> (Vec<Value>, String) {
+    crate::emit(&run(), render)
 }
 
 /// Runs all ablations.
@@ -137,21 +137,22 @@ pub fn run() -> Vec<Row> {
     rows
 }
 
-/// Prints the ablation tables.
-pub fn print(rows: &[Row]) {
-    println!("Ablations — modeling-choice sensitivity");
+/// Draws the ablation tables as text.
+pub fn render(rows: &[Row]) -> String {
+    let mut s = String::from("Ablations — modeling-choice sensitivity\n");
     let mut last = "";
     for r in rows {
         if r.study != last {
-            println!("\n== {} ==", r.study);
+            s += &format!("\n== {} ==\n", r.study);
             last = r.study;
         }
-        match r.cost {
-            Some(c) => println!(
-                "{:<32} {:>12.2} us {:>12} events",
+        s += &match r.cost {
+            Some(c) => format!(
+                "{:<32} {:>12.2} us {:>12} events\n",
                 r.setting, r.metric_us, c
             ),
-            None => println!("{:<32} {:>12.2} us", r.setting, r.metric_us),
-        }
+            None => format!("{:<32} {:>12.2} us\n", r.setting, r.metric_us),
+        };
     }
+    s
 }

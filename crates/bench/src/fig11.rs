@@ -27,7 +27,7 @@ pub struct Row {
 /// The `fig11` sweep series. Quick mode truncates the MoE model to two
 /// layers; full mode also runs the §V-B bandwidth sweep and prints its
 /// optimum.
-pub fn series(quick: bool) -> Vec<Value> {
+pub fn series(quick: bool) -> (Vec<Value>, String) {
     let trace = if quick {
         let mut model = astra_core::models::moe_1t();
         model.layers.truncate(2);
@@ -35,14 +35,14 @@ pub fn series(quick: bool) -> Vec<Value> {
     } else {
         experiments::fig11_trace()
     };
-    let rows = crate::emit(&run_with_trace(&trace), print);
+    let (rows, mut text) = crate::emit(&run_with_trace(&trace), render);
     if !quick {
         let (in_node, remote) = sweep_optimum(&trace, 0.02);
-        println!(
-            "sweep optimum (least resources within 2% of fastest): in-node {in_node} GB/s, remote {remote} GB/s (paper: 512/500)"
+        text += &format!(
+            "sweep optimum (least resources within 2% of fastest): in-node {in_node} GB/s, remote {remote} GB/s (paper: 512/500)\n"
         );
     }
-    rows
+    (rows, text)
 }
 
 /// Runs the three Table V systems on `trace` (the MoE-1T training step,
@@ -90,16 +90,17 @@ fn sweep_optimum(trace: &ExecutionTrace, tolerance: f64) -> (u64, u64) {
         .expect("sweep is non-empty")
 }
 
-/// Prints the figure and the headline ratios.
-pub fn print(rows: &[Row]) {
-    println!("Fig. 11 — MoE-1T training-step breakdown on disaggregated memory (ms)");
-    println!(
-        "{:<20} {:>10} {:>10} {:>10} {:>10} {:>10} {:>10}",
+/// Draws the figure and the headline ratios as text.
+pub fn render(rows: &[Row]) -> String {
+    let mut s =
+        String::from("Fig. 11 — MoE-1T training-step breakdown on disaggregated memory (ms)\n");
+    s += &format!(
+        "{:<20} {:>10} {:>10} {:>10} {:>10} {:>10} {:>10}\n",
         "System", "Compute", "ExpComm", "ExpIdle", "ExpLocal", "ExpRemote", "Total"
     );
     for r in rows {
-        println!(
-            "{:<20} {:>10.2} {:>10.2} {:>10.2} {:>10.2} {:>10.2} {:>10.2}",
+        s += &format!(
+            "{:<20} {:>10.2} {:>10.2} {:>10.2} {:>10.2} {:>10.2} {:>10.2}\n",
             r.system,
             r.compute_ms,
             r.exposed_comm_ms,
@@ -110,13 +111,14 @@ pub fn print(rows: &[Row]) {
         );
     }
     if let [zinf, base, opt, ..] = rows {
-        println!(
-            "ZeRO-Infinity vs HierMem(baseline): {:+.2}% (paper: ZeRO-Inf 0.1% better)",
+        s += &format!(
+            "ZeRO-Infinity vs HierMem(baseline): {:+.2}% (paper: ZeRO-Inf 0.1% better)\n",
             (base.total_ms / zinf.total_ms - 1.0) * 100.0
         );
-        println!(
-            "HierMem(opt) speedup over baseline: {:.2}x (paper: 4.6x)",
+        s += &format!(
+            "HierMem(opt) speedup over baseline: {:.2}x (paper: 4.6x)\n",
             base.total_ms / opt.total_ms
         );
     }
+    s
 }

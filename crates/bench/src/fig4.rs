@@ -44,10 +44,10 @@ pub fn run() -> Vec<Row> {
 }
 
 /// The `fig4` sweep series. Quick mode runs only the two smallest payloads.
-pub fn series(quick: bool) -> Vec<Value> {
+pub fn series(quick: bool) -> (Vec<Value>, String) {
     let payloads = payloads();
     let payloads = if quick { &payloads[..2] } else { &payloads[..] };
-    crate::emit(&run_payloads(payloads), print)
+    crate::emit(&run_payloads(payloads), render)
 }
 
 /// Runs both ring sizes over a subset of payloads.
@@ -78,18 +78,19 @@ pub fn mean_error_pct(rows: &[Row]) -> f64 {
     rows.iter().map(|r| r.error_pct).sum::<f64>() / rows.len() as f64
 }
 
-/// Prints the figure as a table.
-pub fn print(rows: &[Row]) {
-    println!("Fig. 4 — analytical backend validation (ring @150 GB/s)");
-    println!(
-        "{:<6} {:>10} {:>16} {:>16} {:>9}",
+/// Draws the figure as a text table.
+pub fn render(rows: &[Row]) -> String {
+    let mut s = String::from("Fig. 4 — analytical backend validation (ring @150 GB/s)\n");
+    s += &format!(
+        "{:<6} {:>10} {:>16} {:>16} {:>9}\n",
         "NPUs", "Size(MiB)", "Packet (us)", "Analytical (us)", "Err %"
     );
     for r in rows {
-        println!(
-            "{:<6} {:>10.0} {:>16.2} {:>16.2} {:>9.2}",
+        s += &format!(
+            "{:<6} {:>10.0} {:>16.2} {:>16.2} {:>9.2}\n",
             r.npus, r.payload_mib, r.packet_us, r.analytical_us, r.error_pct
         );
     }
-    println!("mean error: {:.2}% (paper: ~5%)", mean_error_pct(rows));
+    s += &format!("mean error: {:.2}% (paper: ~5%)\n", mean_error_pct(rows));
+    s
 }

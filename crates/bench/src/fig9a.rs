@@ -33,14 +33,14 @@ pub struct Row {
 
 /// The `fig9a` sweep series. Quick mode runs only the first workload
 /// column.
-pub fn series(quick: bool) -> Vec<Value> {
+pub fn series(quick: bool) -> (Vec<Value>, String) {
     let workloads = &CaseWorkload::ALL;
     let workloads = if quick {
         &workloads[..1]
     } else {
         &workloads[..]
     };
-    crate::emit(&run_workloads(workloads), print)
+    crate::emit(&run_workloads(workloads), render)
 }
 
 /// Runs the grid (6 systems × 2 schedulers) for each workload column.
@@ -83,20 +83,21 @@ pub fn run_workloads(workloads: &[CaseWorkload]) -> Vec<Row> {
     rows
 }
 
-/// Prints the figure as a table (two panels: baseline, then Themis).
-pub fn print(rows: &[Row]) {
-    println!("Fig. 9(a) — normalized runtime (compute + exposed comm), 512 NPUs");
+/// Draws the figure as a text table (two panels: baseline, then Themis).
+pub fn render(rows: &[Row]) -> String {
+    let mut s = String::from("Fig. 9(a) — normalized runtime (compute + exposed comm), 512 NPUs\n");
     for scheduler in ["baseline", "themis"] {
-        println!("\n== {scheduler} collective scheduler ==");
-        println!(
-            "{:<16} {:<10} {:>12} {:>14} {:>12} {:>11}",
+        s += &format!("\n== {scheduler} collective scheduler ==\n");
+        s += &format!(
+            "{:<16} {:<10} {:>12} {:>14} {:>12} {:>11}\n",
             "Workload", "System", "Compute(us)", "ExpComm(us)", "Total(us)", "Normalized"
         );
         for r in rows.iter().filter(|r| r.scheduler == scheduler) {
-            println!(
-                "{:<16} {:<10} {:>12.1} {:>14.1} {:>12.1} {:>11.3}",
+            s += &format!(
+                "{:<16} {:<10} {:>12.1} {:>14.1} {:>12.1} {:>11.3}\n",
                 r.workload, r.system, r.compute_us, r.exposed_comm_us, r.total_us, r.normalized
             );
         }
     }
+    s
 }

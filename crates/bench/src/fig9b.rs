@@ -32,14 +32,14 @@ pub struct Row {
 
 /// The `fig9b` sweep series. Quick mode runs only the first workload
 /// column.
-pub fn series(quick: bool) -> Vec<Value> {
+pub fn series(quick: bool) -> (Vec<Value>, String) {
     let workloads = &CaseWorkload::ALL;
     let workloads = if quick {
         &workloads[..1]
     } else {
         &workloads[..]
     };
-    crate::emit(&run_workloads(workloads), print)
+    crate::emit(&run_workloads(workloads), render)
 }
 
 /// Runs the 7 scaling points for each workload column.
@@ -73,17 +73,18 @@ pub fn run_workloads(workloads: &[CaseWorkload]) -> Vec<Row> {
     rows
 }
 
-/// Prints the figure as a table.
-pub fn print(rows: &[Row]) {
-    println!("Fig. 9(b) — scale-out vs wafer scale-up, normalized to Base-512");
-    println!(
-        "{:<16} {:<10} {:>6} {:>12} {:>14} {:>12} {:>11}",
+/// Draws the figure as a text table.
+pub fn render(rows: &[Row]) -> String {
+    let mut s = String::from("Fig. 9(b) — scale-out vs wafer scale-up, normalized to Base-512\n");
+    s += &format!(
+        "{:<16} {:<10} {:>6} {:>12} {:>14} {:>12} {:>11}\n",
         "Workload", "System", "NPUs", "Compute(us)", "ExpComm(us)", "Total(us)", "Normalized"
     );
     for r in rows {
-        println!(
-            "{:<16} {:<10} {:>6} {:>12.1} {:>14.1} {:>12.1} {:>11.3}",
+        s += &format!(
+            "{:<16} {:<10} {:>6} {:>12.1} {:>14.1} {:>12.1} {:>11.3}\n",
             r.workload, r.system, r.npus, r.compute_us, r.exposed_comm_us, r.total_us, r.normalized
         );
     }
+    s
 }

@@ -3,10 +3,11 @@
 //! the simulator-throughput comparisons.
 //!
 //! Each paper module owns one experiment: a runner producing typed `Row`s
-//! (serialized as the sweep's JSON rows), a `print()` rendering the
-//! paper's table/figure, and a `series(quick)` tying the two together for
-//! [`throughput::SERIES`], which names every runnable series. `astra
-//! sweep` is the table's only entry point.
+//! (serialized as the sweep's JSON rows), a `render()` drawing the
+//! paper's table/figure as text, and a `series(quick)` tying the two
+//! together for [`throughput::SERIES`], which names every runnable
+//! series. `astra sweep` is the table's only entry point and prints the
+//! drawn tables.
 //!
 //! | Module | Paper artifact | Series |
 //! |--------|----------------|--------|
@@ -36,9 +37,8 @@ pub mod table4;
 pub mod table5;
 pub mod throughput;
 
-/// Prints `rows` with `print` and returns them as JSON rows: the tail of
-/// every series runner.
-fn emit<R: Serialize>(rows: &[R], print: fn(&[R])) -> Vec<Value> {
-    print(rows);
-    rows.iter().map(Serialize::to_value).collect()
+/// Returns `rows` as JSON rows plus their table drawn by `render`: the
+/// tail of every series runner.
+fn emit<R: Serialize>(rows: &[R], render: fn(&[R]) -> String) -> (Vec<Value>, String) {
+    (rows.iter().map(Serialize::to_value).collect(), render(rows))
 }

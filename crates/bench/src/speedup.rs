@@ -28,8 +28,8 @@ pub struct Row {
 
 /// The `speedup` sweep series: the same configurations in quick and full
 /// mode.
-pub fn series(_quick: bool) -> Vec<Value> {
-    crate::emit(&run(), print)
+pub fn series(_quick: bool) -> (Vec<Value>, String) {
+    crate::emit(&run(), render)
 }
 
 /// Runs the speedup experiment: 1 MB All-Reduce on a 64-NPU 3D torus with
@@ -92,16 +92,17 @@ pub fn speedup_factor(rows: &[Row]) -> f64 {
     packet.wall_seconds / analytical.wall_seconds.max(1e-9)
 }
 
-/// Prints the comparison.
-pub fn print(rows: &[Row]) {
-    println!("SS-IV-C — simulation cost: packet-level vs analytical (1 MB All-Reduce)");
-    println!(
-        "{:<28} {:<30} {:>14} {:>12} {:>12}",
+/// Draws the comparison as text.
+pub fn render(rows: &[Row]) -> String {
+    let mut s =
+        String::from("SS-IV-C — simulation cost: packet-level vs analytical (1 MB All-Reduce)\n");
+    s += &format!(
+        "{:<28} {:<30} {:>14} {:>12} {:>12}\n",
         "Backend", "System", "Simulated us", "Wall (s)", "Events"
     );
     for r in rows {
-        println!(
-            "{:<28} {:<30} {:>14.2} {:>12.6} {:>12}",
+        s += &format!(
+            "{:<28} {:<30} {:>14.2} {:>12.6} {:>12}\n",
             r.backend,
             r.system,
             r.simulated_us,
@@ -109,8 +110,9 @@ pub fn print(rows: &[Row]) {
             r.events.map_or("-".to_owned(), |e| e.to_string())
         );
     }
-    println!(
-        "analytical speedup on 64-NPU torus: {:.0}x (paper: 756x)",
+    s += &format!(
+        "analytical speedup on 64-NPU torus: {:.0}x (paper: 756x)\n",
         speedup_factor(rows)
     );
+    s
 }

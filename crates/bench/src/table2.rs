@@ -21,8 +21,8 @@ pub struct Row {
 
 /// The `table2` sweep series: preset data, the same in quick and full
 /// mode.
-pub fn series(_quick: bool) -> Vec<Value> {
-    crate::emit(&run(), print)
+pub fn series(_quick: bool) -> (Vec<Value>, String) {
+    crate::emit(&run(), render)
 }
 
 /// Builds the table from the Fig. 9(a) system presets.
@@ -43,21 +43,22 @@ pub fn run() -> Vec<Row> {
         .collect()
 }
 
-/// Prints the table in the paper's layout.
-pub fn print(rows: &[Row]) {
-    println!("Table II — target wafer-scale and conventional topologies");
-    println!(
-        "{:<10} {:<42} {:>6} {:>22}",
+/// Draws the table as text in the paper's layout.
+pub fn render(rows: &[Row]) -> String {
+    let mut s = String::from("Table II — target wafer-scale and conventional topologies\n");
+    s += &format!(
+        "{:<10} {:<42} {:>6} {:>22}\n",
         "System", "Shape", "NPUs", "BW (GB/s per dim)"
     );
     for r in rows {
         let bws: Vec<String> = r.dim_gbps.iter().map(|bw| format!("{bw:.0}")).collect();
-        println!(
-            "{:<10} {:<42} {:>6} {:>22}",
+        s += &format!(
+            "{:<10} {:<42} {:>6} {:>22}\n",
             r.system,
             r.shape,
             r.npus,
             bws.join("_")
         );
     }
+    s
 }

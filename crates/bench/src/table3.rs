@@ -23,8 +23,8 @@ pub struct Row {
 
 /// The `table3` sweep series: preset data, the same in quick and full
 /// mode.
-pub fn series(_quick: bool) -> Vec<Value> {
-    crate::emit(&run(), print)
+pub fn series(_quick: bool) -> (Vec<Value>, String) {
+    crate::emit(&run(), render)
 }
 
 /// Builds the table from the model presets.
@@ -45,16 +45,16 @@ pub fn run() -> Vec<Row> {
     .collect()
 }
 
-/// Prints the table in the paper's layout.
-pub fn print(rows: &[Row]) {
-    println!("Table III — target training workloads");
-    println!(
-        "{:<16} {:>14} {:>8} {:>8} {:>8}",
+/// Draws the table as text in the paper's layout.
+pub fn render(rows: &[Row]) -> String {
+    let mut s = String::from("Table III — target training workloads\n");
+    s += &format!(
+        "{:<16} {:>14} {:>8} {:>8} {:>8}\n",
         "Workload", "Params (B)", "Layers", "MP", "DP"
     );
     for r in rows {
-        println!(
-            "{:<16} {:>14} {:>8} {:>8} {:>8}",
+        s += &format!(
+            "{:<16} {:>14} {:>8} {:>8} {:>8}\n",
             r.workload,
             r.params.to_string(),
             r.layers,
@@ -62,4 +62,5 @@ pub fn print(rows: &[Row]) {
             r.dp
         );
     }
+    s
 }

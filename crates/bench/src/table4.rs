@@ -24,8 +24,8 @@ pub struct Row {
 
 /// The `table4` sweep series: closed-form data, the same in quick and
 /// full mode.
-pub fn series(_quick: bool) -> Vec<Value> {
-    crate::emit(&run(), print)
+pub fn series(_quick: bool) -> (Vec<Value>, String) {
+    crate::emit(&run(), render)
 }
 
 /// Runs the scaling sweep.
@@ -48,16 +48,18 @@ pub fn run() -> Vec<Row> {
         .collect()
 }
 
-/// Prints the table in the paper's layout.
-pub fn print(rows: &[Row]) {
-    println!("Table IV — 1 GB All-Reduce message size (MiB) per dimension and collective time");
-    println!(
-        "{:<10} {:>6} {:>9} {:>9} {:>9} {:>9} {:>16}",
+/// Draws the table as text in the paper's layout.
+pub fn render(rows: &[Row]) -> String {
+    let mut s = String::from(
+        "Table IV — 1 GB All-Reduce message size (MiB) per dimension and collective time\n",
+    );
+    s += &format!(
+        "{:<10} {:>6} {:>9} {:>9} {:>9} {:>9} {:>16}\n",
         "System", "NPUs", "Dim 1", "Dim 2", "Dim 3", "Dim 4", "Collective (us)"
     );
     for r in rows {
-        println!(
-            "{:<10} {:>6} {:>9.1} {:>9.1} {:>9.1} {:>9.1} {:>16.2}",
+        s += &format!(
+            "{:<10} {:>6} {:>9.1} {:>9.1} {:>9.1} {:>9.1} {:>16.2}\n",
             r.system,
             r.npus,
             r.dim_mib[0],
@@ -72,8 +74,9 @@ pub fn print(rows: &[Row]) {
         .iter()
         .map(|r| r.collective_us)
         .fold(f64::INFINITY, f64::min);
-    println!(
-        "max wafer scale-up speedup: {:.2}x (paper: 2.51x)",
+    s += &format!(
+        "max wafer scale-up speedup: {:.2}x (paper: 2.51x)\n",
         base / best
     );
+    s
 }

@@ -21,8 +21,8 @@ pub struct Row {
 
 /// The `table5` sweep series: preset data, the same in quick and full
 /// mode.
-pub fn series(_quick: bool) -> Vec<Value> {
-    crate::emit(&run(), print)
+pub fn series(_quick: bool) -> (Vec<Value>, String) {
+    crate::emit(&run(), render)
 }
 
 /// Builds the table from the memory presets.
@@ -78,17 +78,18 @@ pub fn run() -> Vec<Row> {
     ]
 }
 
-/// Prints the table in the paper's layout.
-pub fn print(rows: &[Row]) {
-    println!("Table V — disaggregated memory system configurations");
-    println!(
-        "{:<34} {:>14} {:>16} {:>14}",
+/// Draws the table as text in the paper's layout.
+pub fn render(rows: &[Row]) -> String {
+    let mut s = String::from("Table V — disaggregated memory system configurations\n");
+    s += &format!(
+        "{:<34} {:>14} {:>16} {:>14}\n",
         "Parameter", "ZeRO-Infinity", "HierMem(base)", "HierMem(opt)"
     );
     for r in rows {
-        println!(
-            "{:<34} {:>14} {:>16} {:>14}",
+        s += &format!(
+            "{:<34} {:>14} {:>16} {:>14}\n",
             r.parameter, r.zero_infinity, r.hiermem_base, r.hiermem_opt
         );
     }
+    s
 }

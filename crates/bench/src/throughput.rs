@@ -24,6 +24,7 @@ use astra_workload::parallelism::{
 };
 use astra_workload::{models, EtOp, ExecutionTrace, NodeId, Parallelism, TraceBuilder};
 use serde::{Serialize, Value};
+use std::io::{self, Write};
 use std::time::Instant;
 
 /// One trace-generation measurement: the parallel/memoizing generator vs
@@ -273,9 +274,9 @@ pub struct Series {
     pub key: &'static str,
     /// Whether a sweep without `--series` runs it.
     pub default: bool,
-    /// Runs the series at quick (`true`) or full size, prints its table
-    /// and returns its JSON rows.
-    pub run: fn(bool) -> Vec<Value>,
+    /// Runs the series at quick (`true`) or full size and returns its
+    /// JSON rows and its table.
+    pub run: fn(bool) -> (Vec<Value>, String),
 }
 
 /// Series are identified by name (names are unique in [`SERIES`]).
@@ -297,49 +298,49 @@ pub const SERIES: &[Series] = &[
         name: "trace-gen",
         key: "trace_generation",
         default: true,
-        run: |quick| crate::emit(&run_trace_generation(quick), print_trace_generation),
+        run: |quick| crate::emit(&run_trace_generation(quick), render_trace_generation),
     },
     Series {
         name: "packet-scale",
         key: "packet_scale",
         default: true,
-        run: |quick| crate::emit(&run_packet_scale(quick), print_packet_scale),
+        run: |quick| crate::emit(&run_packet_scale(quick), render_packet_scale),
     },
     Series {
         name: "engine-p2p",
         key: "engine_p2p",
         default: true,
-        run: |quick| crate::emit(&run_engine_p2p(quick), print_engine_p2p),
+        run: |quick| crate::emit(&run_engine_p2p(quick), render_engine_p2p),
     },
     Series {
         name: "collective-backend",
         key: "collective_backend",
         default: true,
-        run: |quick| crate::emit(&run_collective_backend(quick), print_collective_backend),
+        run: |quick| crate::emit(&run_collective_backend(quick), render_collective_backend),
     },
     Series {
         name: "packet-core",
         key: "packet_core",
         default: true,
-        run: |quick| crate::emit(&run_packet_core(quick), print_packet_core),
+        run: |quick| crate::emit(&run_packet_core(quick), render_packet_core),
     },
     Series {
         name: "serve-throughput",
         key: "serve_throughput",
         default: true,
-        run: |quick| crate::emit(&run_serve_throughput(quick), print_serve_throughput),
+        run: |quick| crate::emit(&run_serve_throughput(quick), render_serve_throughput),
     },
     Series {
         name: "fault-injection",
         key: "fault_injection",
         default: true,
-        run: |quick| crate::emit(&run_fault_injection(quick), print_fault_injection),
+        run: |quick| crate::emit(&run_fault_injection(quick), render_fault_injection),
     },
     Series {
         name: "trace-overhead",
         key: "trace_overhead",
         default: true,
-        run: |quick| crate::emit(&run_trace_overhead(quick), print_trace_overhead),
+        run: |quick| crate::emit(&run_trace_overhead(quick), render_trace_overhead),
     },
     Series {
         name: "fig4",
@@ -425,13 +426,18 @@ pub fn parse_series(list: &str) -> Result<Vec<&'static Series>, String> {
         .collect()
 }
 
-/// Runs the `selection` series in [`SERIES`] order and returns the
-/// report: `generated_by`, `threads_available`, then every series key in
-/// table order (unselected series as empty arrays). `quick` shrinks
-/// payloads and scales for CI smoke jobs.
-pub fn run(quick: bool, selection: &[&Series]) -> Value {
+/// Runs the `selection` series in [`SERIES`] order, writing each table to
+/// `out` as soon as its series finishes, and returns the report:
+/// `generated_by`, `threads_available`, then every series key in table
+/// order (unselected series as empty arrays). `quick` shrinks payloads
+/// and scales for CI smoke jobs.
+///
+/// # Errors
+///
+/// Stops at the first failed write to `out` and returns its error.
+pub fn run(quick: bool, selection: &[&Series], out: &mut dyn Write) -> io::Result<Value> {
     let threads = std::thread::available_parallelism().map_or(1, |n| n.get());
-    println!("astra sweep ({threads} thread(s) available)");
+    writeln!(out, "astra sweep ({threads} thread(s) available)")?;
     let mut report = vec![
         (
             "generated_by".to_owned(),
@@ -441,14 +447,15 @@ pub fn run(quick: bool, selection: &[&Series]) -> Value {
     ];
     for series in SERIES {
         let rows = if selection.contains(&series) {
-            println!();
-            (series.run)(quick)
+            let (rows, table) = (series.run)(quick);
+            write!(out, "\n{table}")?;
+            rows
         } else {
             Vec::new()
         };
         report.push((series.key.to_owned(), Value::Array(rows)));
     }
-    Value::Object(report)
+    Ok(Value::Object(report))
 }
 
 /// Best-of-`reps` wall-clock of `f`, in milliseconds, with the last result.
@@ -1294,29 +1301,31 @@ pub fn run_collective_backend(quick: bool) -> Vec<CollectiveBackendRow> {
     rows
 }
 
-fn print_trace_generation(rows: &[TraceGenRow]) {
-    println!("== trace generation: parallel/memoizing vs serial baseline ==");
-    println!(
-        "{:<22} {:>6} {:>9} {:>11} {:>13} {:>9}",
+fn render_trace_generation(rows: &[TraceGenRow]) -> String {
+    let mut s = String::from("== trace generation: parallel/memoizing vs serial baseline ==\n");
+    s += &format!(
+        "{:<22} {:>6} {:>9} {:>11} {:>13} {:>9}\n",
         "Workload", "NPUs", "Nodes", "Serial(ms)", "Parallel(ms)", "Speedup"
     );
     for r in rows {
-        println!(
-            "{:<22} {:>6} {:>9} {:>11.2} {:>13.2} {:>8.2}x",
+        s += &format!(
+            "{:<22} {:>6} {:>9} {:>11.2} {:>13.2} {:>8.2}x\n",
             r.workload, r.npus, r.total_nodes, r.serial_ms, r.parallel_ms, r.speedup
         );
     }
+    s
 }
 
-fn print_packet_scale(rows: &[PacketScaleRow]) {
-    println!("== packet transport: batched trains vs per-packet (256 B All-Reduce) ==");
-    println!(
-        "{:<26} {:>5} {:>12} {:>11} {:>7} {:>10} {:>9} {:>9}",
+fn render_packet_scale(rows: &[PacketScaleRow]) -> String {
+    let mut s =
+        String::from("== packet transport: batched trains vs per-packet (256 B All-Reduce) ==\n");
+    s += &format!(
+        "{:<26} {:>5} {:>12} {:>11} {:>7} {:>10} {:>9} {:>9}\n",
         "Topology", "NPUs", "PktEvents", "TrnEvents", "Ratio", "Packet(ms)", "Batch(ms)", "Speedup"
     );
     for r in rows {
-        println!(
-            "{:<26} {:>5} {:>12} {:>11} {:>6.2}% {:>10.2} {:>9.2} {:>8.2}x",
+        s += &format!(
+            "{:<26} {:>5} {:>12} {:>11} {:>6.2}% {:>10.2} {:>9.2} {:>8.2}x\n",
             r.topology,
             r.npus,
             r.per_packet_events,
@@ -1327,12 +1336,14 @@ fn print_packet_scale(rows: &[PacketScaleRow]) {
             r.speedup
         );
     }
+    s
 }
 
-fn print_engine_p2p(rows: &[EngineP2pRow]) {
-    println!("== engine NetworkAPI: async co-resident vs blocking per-message probes ==");
-    println!(
-        "{:<14} {:>5} {:>9} {:>9} {:>9} {:>12} {:>11} {:>10} {:>9} {:>9}",
+fn render_engine_p2p(rows: &[EngineP2pRow]) -> String {
+    let mut s =
+        String::from("== engine NetworkAPI: async co-resident vs blocking per-message probes ==\n");
+    s += &format!(
+        "{:<14} {:>5} {:>9} {:>9} {:>9} {:>12} {:>11} {:>10} {:>9} {:>9}\n",
         "Workload",
         "NPUs",
         "Backend",
@@ -1345,8 +1356,8 @@ fn print_engine_p2p(rows: &[EngineP2pRow]) {
         "Speedup"
     );
     for r in rows {
-        println!(
-            "{:<14} {:>5} {:>9} {:>9} {:>9} {:>12} {:>11} {:>10.2} {:>9.2} {:>8.2}x",
+        s += &format!(
+            "{:<14} {:>5} {:>9} {:>9} {:>9} {:>12} {:>11} {:>10.2} {:>9.2} {:>8.2}x\n",
             r.workload,
             r.npus,
             r.backend,
@@ -1359,17 +1370,18 @@ fn print_engine_p2p(rows: &[EngineP2pRow]) {
             r.speedup
         );
     }
+    s
 }
 
-fn print_collective_backend(rows: &[CollectiveBackendRow]) {
-    println!("== collectives: backend-executed chunk programs vs closed form ==");
-    println!(
-        "{:<22} {:>5} {:>7} {:>9} {:>7} {:>11} {:>9} {:>10} {:>9}",
+fn render_collective_backend(rows: &[CollectiveBackendRow]) -> String {
+    let mut s = String::from("== collectives: backend-executed chunk programs vs closed form ==\n");
+    s += &format!(
+        "{:<22} {:>5} {:>7} {:>9} {:>7} {:>11} {:>9} {:>10} {:>9}\n",
         "Topology", "NPUs", "Chunks", "Ops", "Ratio", "NetEvents", "Anl(ms)", "Bknd(ms)", "Backend"
     );
     for r in rows {
-        println!(
-            "{:<22} {:>5} {:>7} {:>9} {:>7.3} {:>11} {:>9.2} {:>10.2} {:>9}",
+        s += &format!(
+            "{:<22} {:>5} {:>7} {:>9} {:>7.3} {:>11} {:>9.2} {:>10.2} {:>9}\n",
             r.topology,
             r.npus,
             r.chunks,
@@ -1381,26 +1393,28 @@ fn print_collective_backend(rows: &[CollectiveBackendRow]) {
             r.backend
         );
     }
+    s
 }
 
-fn print_packet_core(rows: &[PacketCoreRow]) {
-    println!("== packet core: per-link lanes vs global-heap reference ==");
-    println!(
-        "{:<26} {:>5} {:>11} {:>12} {:>12} {:>9}",
+fn render_packet_core(rows: &[PacketCoreRow]) -> String {
+    let mut s = String::from("== packet core: per-link lanes vs global-heap reference ==\n");
+    s += &format!(
+        "{:<26} {:>5} {:>11} {:>12} {:>12} {:>9}\n",
         "Topology", "NPUs", "Events", "Heap(ms)", "Laned(ms)", "Speedup"
     );
     for r in rows {
-        println!(
-            "{:<26} {:>5} {:>11} {:>12.2} {:>12.2} {:>8.2}x",
+        s += &format!(
+            "{:<26} {:>5} {:>11} {:>12.2} {:>12.2} {:>8.2}x\n",
             r.topology, r.npus, r.events, r.reference_ms, r.laned_ms, r.speedup
         );
     }
+    s
 }
 
-fn print_serve_throughput(rows: &[ServeThroughputRow]) {
-    println!("== batch service: warm cross-request caches vs cold runs ==");
-    println!(
-        "{:<26} {:>8} {:>9} {:>8} {:>11} {:>11} {:>9} {:>11} {:>11}",
+fn render_serve_throughput(rows: &[ServeThroughputRow]) -> String {
+    let mut s = String::from("== batch service: warm cross-request caches vs cold runs ==\n");
+    s += &format!(
+        "{:<26} {:>8} {:>9} {:>8} {:>11} {:>11} {:>9} {:>11} {:>11}\n",
         "Scenario",
         "Distinct",
         "Requests",
@@ -1412,8 +1426,8 @@ fn print_serve_throughput(rows: &[ServeThroughputRow]) {
         "Warm(r/s)"
     );
     for r in rows {
-        println!(
-            "{:<26} {:>8} {:>9} {:>8} {:>11.2} {:>11.2} {:>8.2}x {:>11.1} {:>11.1}",
+        s += &format!(
+            "{:<26} {:>8} {:>9} {:>8} {:>11.2} {:>11.2} {:>8.2}x {:>11.1} {:>11.1}\n",
             r.scenario,
             r.distinct,
             r.requests,
@@ -1425,12 +1439,15 @@ fn print_serve_throughput(rows: &[ServeThroughputRow]) {
             r.warm_req_per_s
         );
     }
+    s
 }
 
-fn print_fault_injection(rows: &[FaultInjectionRow]) {
-    println!("== fault injection: degraded fabric / stragglers vs fault-free baseline ==");
-    println!(
-        "{:<30} {:<10} {:>5} {:>10} {:>12} {:>12} {:>9} {:>9} {:>10}",
+fn render_fault_injection(rows: &[FaultInjectionRow]) -> String {
+    let mut s = String::from(
+        "== fault injection: degraded fabric / stragglers vs fault-free baseline ==\n",
+    );
+    s += &format!(
+        "{:<30} {:<10} {:>5} {:>10} {:>12} {:>12} {:>9} {:>9} {:>10}\n",
         "Scenario",
         "Topology",
         "NPUs",
@@ -1442,8 +1459,8 @@ fn print_fault_injection(rows: &[FaultInjectionRow]) {
         "Extra(us)"
     );
     for r in rows {
-        println!(
-            "{:<30} {:<10} {:>5} {:>10} {:>12.2} {:>12.2} {:>8.2}x {:>9} {:>10.2}",
+        s += &format!(
+            "{:<30} {:<10} {:>5} {:>10} {:>12.2} {:>12.2} {:>8.2}x {:>9} {:>10.2}\n",
             r.scenario,
             r.topology,
             r.npus,
@@ -1455,17 +1472,18 @@ fn print_fault_injection(rows: &[FaultInjectionRow]) {
             r.extra_us
         );
     }
+    s
 }
 
-fn print_trace_overhead(rows: &[TraceOverheadRow]) {
-    println!("== telemetry: plain vs disabled-sink vs recording runs ==");
-    println!(
-        "{:<28} {:>5} {:>10} {:>12} {:>12} {:>9} {:>11}",
+fn render_trace_overhead(rows: &[TraceOverheadRow]) -> String {
+    let mut s = String::from("== telemetry: plain vs disabled-sink vs recording runs ==\n");
+    s += &format!(
+        "{:<28} {:>5} {:>10} {:>12} {:>12} {:>9} {:>11}\n",
         "Scenario", "NPUs", "Base(ms)", "NoSink(ms)", "Record(ms)", "Off(%)", "Record(%)"
     );
     for r in rows {
-        println!(
-            "{:<28} {:>5} {:>10.2} {:>12.2} {:>12.2} {:>9.2} {:>11.2}",
+        s += &format!(
+            "{:<28} {:>5} {:>10.2} {:>12.2} {:>12.2} {:>9.2} {:>11.2}\n",
             r.scenario,
             r.npus,
             r.base_ms,
@@ -1475,6 +1493,7 @@ fn print_trace_overhead(rows: &[TraceOverheadRow]) {
             r.enabled_overhead_pct
         );
     }
+    s
 }
 
 #[cfg(test)]
@@ -1483,7 +1502,7 @@ mod tests {
 
     /// Runs the comma-separated `series` list in quick mode.
     fn run_quick(series: &str) -> Value {
-        run(true, &parse_series(series).unwrap())
+        run(true, &parse_series(series).unwrap(), &mut io::sink()).unwrap()
     }
 
     /// The row array under `key`.
@@ -1493,7 +1512,7 @@ mod tests {
 
     #[test]
     fn quick_report_is_valid_json_with_rows() {
-        let report = run(true, &default_series());
+        let report = run(true, &default_series(), &mut io::sink()).unwrap();
         // Every table key, in table order, after the two header fields;
         // the default sweep fills exactly the default rows.
         let keys: Vec<&str> = report

@@ -19,7 +19,8 @@
 //!   Themis-style greedy scheduler that balances load across dimensions
 //!   (§V-A.1, "greedy collective scheduler"),
 //! * [`lowering`] — expansion of a hierarchical collective into a
-//!   chunk-level send/recv program ([`CollectiveProgram`]) that the system
+//!   periodic chunk-level send/recv program ([`CollectiveProgram`]: one
+//!   phase template repeated per chunk) that the system
 //!   engine can execute on a network backend
 //!   ([`CollectiveMode::Backend`]), where it contends with concurrent
 //!   point-to-point traffic.
@@ -42,11 +43,9 @@ mod engine;
 pub mod lowering;
 mod pattern;
 mod scheduler;
-mod warm;
 
 pub use algorithm::Algorithm;
 pub use engine::{dimension_traffic, CollectiveEngine, CollectiveOutcome};
 pub use lowering::{ChunkOp, CollectiveMode, CollectiveProgram};
 pub use pattern::Collective;
 pub use scheduler::SchedulerPolicy;
-pub use warm::{LoweringKey, SharedLoweringCache, SharedProgram};

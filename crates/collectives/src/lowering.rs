@@ -5,14 +5,22 @@
 //! layer then simulates. This module is that decomposition: [`lower`]
 //! expands `(Collective, chunks, dims)` — Ring, Direct, and
 //! Halving-Doubling per dimension (Table I), composed hierarchically
-//! across the dimension stack — into a deterministic [`CollectiveProgram`]:
-//! a DAG of chunk-level transfer ops with explicit dependencies.
+//! across the dimension stack — into a deterministic [`CollectiveProgram`].
+//!
+//! # Periodic programs
+//!
+//! Every chunk runs the same per-dimension phase sequence, so a program
+//! is one phase template plus a chunk count: lowering is `O(phases)` and
+//! a program's size does not depend on `chunks`. Op `chunk × phases +
+//! phase` is the only op id, and each op's one dependency — the previous
+//! phase of the same chunk — is implicit ([`CollectiveProgram::next`]).
+//! [`CollectiveProgram::op`] materializes any op on demand.
 //!
 //! The program is *backend-agnostic*: each [`ChunkOp`] names the local
 //! dimension it occupies, the wire payload to serialize, and how much
 //! algorithm-step propagation latency remains beyond the single
 //! representative route the executor binds it to. The system engine's
-//! chunk executor runs the DAG on the co-resident [`NetworkBackend`]
+//! chunk executor runs the program on the co-resident [`NetworkBackend`]
 //! (`send_async`/completion callbacks, per-source NIC-lane serialization,
 //! one shared clock), so collective traffic contends with concurrent p2p
 //! messages and with other collectives — the scenario the closed-form
@@ -21,7 +29,9 @@
 //! [`reference_finish`] is the frozen scheduling reference: it replays the
 //! exact dependency/lane discipline of the executor in closed form given a
 //! per-op wire-delay oracle, and pins the engine's event-driven execution
-//! bit-identically (`crates/system/tests/collective_modes.rs`).
+//! bit-identically (`crates/system/tests/collective_modes.rs`). It reads
+//! the [`ExpandedProgram`] view, a DAG with explicit dependency lists that
+//! only tests build ([`CollectiveProgram::expand`]).
 //!
 //! [`NetworkBackend`]: https://docs.rs/astra-network
 //!
@@ -36,7 +46,6 @@
 //! `CollectiveMode::Backend` path collapse to the analytical answer on
 //! uncongested single-tenant topologies.
 
-use std::collections::BinaryHeap;
 use std::fmt;
 use std::str::FromStr;
 
@@ -98,10 +107,14 @@ impl FromStr for CollectiveMode {
 /// One chunk-level transfer of a lowered collective: a matched send/recv
 /// pair (in the same resolved sense as the engine's `PeerSend`/`PeerRecv`)
 /// that occupies one topology dimension.
-#[derive(Clone, Debug, PartialEq, Eq)]
+#[derive(Copy, Clone, Debug, PartialEq, Eq)]
 pub struct ChunkOp {
+    /// Op id within the program: `chunk × phases + phase`. The op's one
+    /// dependency, if any, is `id - 1`, the previous phase of the same
+    /// chunk.
+    pub id: u64,
     /// Which pipeline chunk this op belongs to.
-    pub chunk: u32,
+    pub chunk: u64,
     /// Local dimension index (into the lowered dimension list) whose links
     /// this op occupies. The executor binds each local dimension to one
     /// representative `(src, dst)` NPU pair, so ops of the same dimension
@@ -122,14 +135,9 @@ pub struct ChunkOp {
     pub wire_latency: Time,
     /// Algorithm-step propagation beyond the wire route — the remaining
     /// `steps × hops/step − wire_hops` link latencies of the Table I
-    /// algorithm. Applied after the backend completion; it delays
-    /// dependent ops but holds no link.
+    /// algorithm. Applied after the backend completion; it delays the
+    /// chunk's next phase but holds no link.
     pub extra_latency: Time,
-    /// Ops that must complete (including their `extra_latency`) before
-    /// this op becomes ready. Lowering emits pure chains — the previous
-    /// phase of the same chunk — and leaves cross-chunk ordering to the
-    /// executor's FIFO lanes.
-    pub deps: Vec<u32>,
 }
 
 impl ChunkOp {
@@ -140,8 +148,8 @@ impl ChunkOp {
     }
 }
 
-/// A lowered collective: a deterministic DAG of [`ChunkOp`]s, emitted
-/// chunk-major in phase order.
+/// A lowered collective: one chunk's phase sequence, repeated `chunks`
+/// times (see [the module docs](self#periodic-programs)).
 ///
 /// # Example
 ///
@@ -157,21 +165,25 @@ impl ChunkOp {
 ///     topo.dims(),
 ///     4,
 /// );
-/// // 4 chunks x (2 dims x 2 visits for All-Reduce) = 16 ops.
-/// assert_eq!(program.ops().len(), 16);
+/// // All-Reduce visits 2 dims twice: 4 phases per chunk.
+/// assert_eq!(program.phases().len(), 4);
+/// // 4 chunks x 4 phases = 16 ops.
+/// assert_eq!(program.len(), 16);
+/// assert_eq!(program.op(13).chunk, 3);
 /// ```
 #[derive(Clone, Debug, PartialEq, Eq)]
 pub struct CollectiveProgram {
-    ops: Vec<ChunkOp>,
+    /// Chunk 0's ops: ids are phase indices.
+    phases: Vec<ChunkOp>,
     chunks: u64,
     num_dims: usize,
 }
 
 impl CollectiveProgram {
-    /// The program's ops, chunk-major in phase order. Op ids are indices
-    /// into this slice.
-    pub fn ops(&self) -> &[ChunkOp] {
-        &self.ops
+    /// One chunk's phase sequence: chunk 0's ops, whose ids are the phase
+    /// indices. Every other chunk repeats it.
+    pub fn phases(&self) -> &[ChunkOp] {
+        &self.phases
     }
 
     /// Pipeline chunks the payload was split into.
@@ -179,19 +191,115 @@ impl CollectiveProgram {
         self.chunks
     }
 
-    /// Local dimensions the program spans (`ChunkOp::dim` range).
-    pub fn num_dims(&self) -> usize {
-        self.num_dims
+    /// Total ops, `chunks × phases` (saturating at `u64::MAX`).
+    pub fn len(&self) -> u64 {
+        self.chunks.saturating_mul(self.phases.len() as u64)
     }
 
     /// Whether the program has no ops (zero-size or dimension-less
     /// collectives).
     pub fn is_empty(&self) -> bool {
+        self.phases.is_empty()
+    }
+
+    /// Op `id`: phase `id % phases` of chunk `id / phases`.
+    ///
+    /// # Panics
+    ///
+    /// Panics if the program is empty.
+    pub fn op(&self, id: u64) -> ChunkOp {
+        let phases = self.phases.len() as u64;
+        ChunkOp {
+            id,
+            chunk: id / phases,
+            ..self.phases[(id % phases) as usize]
+        }
+    }
+
+    /// The one op that waits on `id`: the next phase of the same chunk,
+    /// or `None` when `id` is its chunk's last phase.
+    ///
+    /// # Panics
+    ///
+    /// Panics if the program is empty.
+    pub fn next(&self, id: u64) -> Option<u64> {
+        let next = id + 1;
+        (!next.is_multiple_of(self.phases.len() as u64)).then_some(next)
+    }
+
+    /// Writes every op out with its explicit dependency list — the view
+    /// [`reference_finish`] reads. It costs `O(chunks × phases)`, so only
+    /// tests build it; executors run the periodic program directly.
+    ///
+    /// # Panics
+    ///
+    /// Panics if the program has more than `u32::MAX` ops.
+    pub fn expand(&self) -> ExpandedProgram {
+        assert!(self.len() <= u64::from(u32::MAX), "op ids must fit u32");
+        let phases = self.phases.len() as u64;
+        let ops = (0..self.len())
+            .map(|id| ExpandedOp {
+                op: self.op(id),
+                deps: (id % phases != 0)
+                    .then(|| id as u32 - 1)
+                    .into_iter()
+                    .collect(),
+            })
+            .collect();
+        ExpandedProgram {
+            ops,
+            num_dims: self.num_dims,
+        }
+    }
+}
+
+/// One op of an [`ExpandedProgram`]: the [`ChunkOp`] plus the ids of the
+/// ops it waits on. Dereferences to the op.
+#[derive(Clone, Debug, PartialEq, Eq)]
+pub struct ExpandedOp {
+    /// The op itself.
+    pub op: ChunkOp,
+    /// Ops that must complete (including their `extra_latency`) before
+    /// this op becomes ready.
+    pub deps: Vec<u32>,
+}
+
+impl std::ops::Deref for ExpandedOp {
+    type Target = ChunkOp;
+
+    fn deref(&self) -> &ChunkOp {
+        &self.op
+    }
+}
+
+/// A [`CollectiveProgram`] with every op written out as a DAG node with
+/// explicit dependencies ([`CollectiveProgram::expand`]): the form the
+/// frozen [`reference_finish`] reads.
+#[derive(Clone, Debug, PartialEq, Eq)]
+pub struct ExpandedProgram {
+    ops: Vec<ExpandedOp>,
+    num_dims: usize,
+}
+
+impl ExpandedProgram {
+    /// Every op, chunk-major in phase order. Op ids are indices into this
+    /// slice.
+    pub fn ops(&self) -> &[ExpandedOp] {
+        &self.ops
+    }
+
+    /// Local dimensions the program spans.
+    pub fn num_dims(&self) -> usize {
+        self.num_dims
+    }
+
+    /// Whether the program has no ops.
+    pub fn is_empty(&self) -> bool {
         self.ops.is_empty()
     }
 
     /// Reverse dependency adjacency: `dependents()[op]` lists the ops that
-    /// wait on `op`. Executors use it to trigger ready ops on completion.
+    /// wait on `op`.
     pub fn dependents(&self) -> Vec<Vec<u32>> {
         let mut out = vec![Vec::new(); self.ops.len()];
         for (idx, op) in self.ops.iter().enumerate() {
@@ -214,12 +322,13 @@ fn covered_hops(block: BuildingBlock) -> u64 {
 }
 
 /// Lowers a hierarchical collective into its chunk-level program: the
-/// payload splits into `chunks` pipeline chunks, each expanded into its
+/// payload splits into `chunks` pipeline chunks, each running the same
 /// per-dimension phase sequence in the baseline ascending order
 /// (Reduce-Scatter ascending Dim 1→N, All-Gather descending, All-Reduce
 /// both — §IV-B). Phase sizes and latencies use the closed-form engine's
 /// exact arithmetic, so a congestion-free execution of the program
-/// reproduces the analytical phase costs bit-identically.
+/// reproduces the analytical phase costs bit-identically. The work is
+/// `O(phases)` whatever the chunk count.
 ///
 /// Backend execution always uses the baseline dimension order: the Themis
 /// planner is an optimization of the closed-form fast path and is not
@@ -237,125 +346,133 @@ pub fn lower(
     chunks: u64,
 ) -> CollectiveProgram {
     assert!(chunks >= 1, "need at least one chunk");
-    if size == DataSize::ZERO || dims.is_empty() {
-        return CollectiveProgram {
-            ops: Vec::new(),
-            chunks,
-            num_dims: dims.len(),
-        };
-    }
-    let chunk_size = size.div_ceil_parts(chunks);
-    let order: Vec<usize> = (0..dims.len()).collect();
-    let phases = chunk_phases(collective, chunk_size, dims, &order);
-    let mut ops = Vec::with_capacity(phases.len() * chunks as usize);
-    for chunk in 0..chunks {
-        let mut prev: Option<u32> = None;
-        for phase in &phases {
+    let phases = if size == DataSize::ZERO || dims.is_empty() {
+        Vec::new()
+    } else {
+        let order: Vec<usize> = (0..dims.len()).collect();
+        chunk_phases(collective, size.div_ceil_parts(chunks), dims, &order)
+    };
+    let phases = phases
+        .iter()
+        .enumerate()
+        .map(|(id, phase)| {
             let dim = &dims[phase.dim];
             let wire_hops = covered_hops(dim.block());
             let wire_latency = dim.link_latency() * wire_hops;
-            let id = ops.len() as u32;
-            ops.push(ChunkOp {
-                chunk: chunk as u32,
+            ChunkOp {
+                id: id as u64,
+                chunk: 0,
                 dim: phase.dim,
                 size: phase.traffic,
                 wire_hops,
                 wire_latency,
                 extra_latency: phase.latency.saturating_sub(wire_latency),
-                deps: prev.map(|p| vec![p]).unwrap_or_default(),
-            });
-            prev = Some(id);
-        }
-    }
+            }
+        })
+        .collect();
     CollectiveProgram {
-        ops,
+        phases,
         chunks,
         num_dims: dims.len(),
     }
 }
 
-/// A ready op waiting for its lane, ordered earliest-ready first with op
-/// id as the deterministic tiebreak (matching the engine's FIFO lanes,
-/// which enqueue ops in readiness order and break same-instant ties in op
-/// order).
-#[derive(PartialEq, Eq)]
-struct Ready {
-    at: Time,
-    op: u32,
-}
+pub use frozen::reference_finish;
 
-impl Ord for Ready {
-    fn cmp(&self, other: &Self) -> std::cmp::Ordering {
-        // BinaryHeap is a max-heap: invert for earliest-first.
-        other.at.cmp(&self.at).then(other.op.cmp(&self.op))
-    }
-}
+/// The frozen reference, kept apart so its signature can name the
+/// expanded view by the type names it was frozen with.
+mod frozen {
+    use std::collections::BinaryHeap;
 
-impl PartialOrd for Ready {
-    fn partial_cmp(&self, other: &Self) -> Option<std::cmp::Ordering> {
-        Some(self.cmp(other))
-    }
-}
+    use astra_des::Time;
 
-/// The frozen scheduling reference for program execution: replays the
-/// chunk executor's discipline in closed form and returns the program's
-/// finish time.
-///
-/// Discipline (identical to the engine's backend path):
-///
-/// * an op becomes *ready* when every dependency has completed, including
-///   its `extra_latency`;
-/// * each local dimension is one FIFO lane (the executor's per-source NIC
-///   lane): ready ops queue in `(ready, op id)` order and an op starts at
-///   `max(ready, lane free)`;
-/// * `wire_delay(op)` prices the wire (what the backend charges:
-///   serialization plus `wire_hops` of propagation); the lane frees
-///   `wire_latency` *before* the wire completes — propagation does not
-///   occupy the dimension — and the op completes `extra_latency` after it.
-///
-/// Feeding the analytical backend's `p2p_delay` as `wire_delay` makes this
-/// bit-identical to `CollectiveMode::Backend` on the analytical backend
-/// (pinned by the system-crate proptests); it is also the uncongested
-/// lower bound for the stateful backends.
-// frozen-ref: d5429e819e9cf7bf
-pub fn reference_finish(
-    program: &CollectiveProgram,
-    start: Time,
-    mut wire_delay: impl FnMut(&ChunkOp) -> Time,
-) -> Time {
-    if program.is_empty() {
-        return start;
+    use super::{ChunkOp, ExpandedProgram as CollectiveProgram};
+
+    /// A ready op waiting for its lane, ordered earliest-ready first with
+    /// op id as the deterministic tiebreak (matching the engine's FIFO
+    /// lanes, which enqueue ops in readiness order and break same-instant
+    /// ties in op order).
+    #[derive(PartialEq, Eq)]
+    struct Ready {
+        at: Time,
+        op: u32,
     }
-    let ops = program.ops();
-    let dependents = program.dependents();
-    let mut remaining: Vec<u32> = ops.iter().map(|op| op.deps.len() as u32).collect();
-    let mut lane_free = vec![Time::ZERO; program.num_dims()];
-    let mut heap = BinaryHeap::new();
-    for (idx, &r) in remaining.iter().enumerate() {
-        if r == 0 {
-            heap.push(Ready {
-                at: start,
-                op: idx as u32,
-            });
+
+    impl Ord for Ready {
+        fn cmp(&self, other: &Self) -> std::cmp::Ordering {
+            // BinaryHeap is a max-heap: invert for earliest-first.
+            other.at.cmp(&self.at).then(other.op.cmp(&self.op))
         }
     }
-    let mut finish = start;
-    while let Some(Ready { at, op }) = heap.pop() {
-        let meta = &ops[op as usize];
-        let issue = at.max(lane_free[meta.dim]);
-        let wire_done = issue + wire_delay(meta);
-        lane_free[meta.dim] = wire_done.saturating_sub(meta.wire_latency);
-        let done = wire_done + meta.extra_latency;
-        finish = finish.max(done);
-        for &d in &dependents[op as usize] {
-            let slot = &mut remaining[d as usize];
-            *slot -= 1;
-            if *slot == 0 {
-                heap.push(Ready { at: done, op: d });
+
+    impl PartialOrd for Ready {
+        fn partial_cmp(&self, other: &Self) -> Option<std::cmp::Ordering> {
+            Some(self.cmp(other))
+        }
+    }
+
+    /// The frozen scheduling reference for program execution: replays the
+    /// chunk executor's discipline in closed form over the expanded view
+    /// ([`super::CollectiveProgram::expand`]) and returns the program's
+    /// finish time.
+    ///
+    /// Discipline (identical to the engine's backend path):
+    ///
+    /// * an op becomes *ready* when every dependency has completed,
+    ///   including its `extra_latency`;
+    /// * each local dimension is one FIFO lane (the executor's per-source
+    ///   NIC lane): ready ops queue in `(ready, op id)` order and an op
+    ///   starts at `max(ready, lane free)`;
+    /// * `wire_delay(op)` prices the wire (what the backend charges:
+    ///   serialization plus `wire_hops` of propagation); the lane frees
+    ///   `wire_latency` *before* the wire completes — propagation does not
+    ///   occupy the dimension — and the op completes `extra_latency` after
+    ///   it.
+    ///
+    /// Feeding the analytical backend's `p2p_delay` as `wire_delay` makes
+    /// this bit-identical to `CollectiveMode::Backend` on the analytical
+    /// backend (pinned by the system-crate proptests); it is also the
+    /// uncongested lower bound for the stateful backends.
+    // frozen-ref: d5429e819e9cf7bf
+    pub fn reference_finish(
+        program: &CollectiveProgram,
+        start: Time,
+        mut wire_delay: impl FnMut(&ChunkOp) -> Time,
+    ) -> Time {
+        if program.is_empty() {
+            return start;
+        }
+        let ops = program.ops();
+        let dependents = program.dependents();
+        let mut remaining: Vec<u32> = ops.iter().map(|op| op.deps.len() as u32).collect();
+        let mut lane_free = vec![Time::ZERO; program.num_dims()];
+        let mut heap = BinaryHeap::new();
+        for (idx, &r) in remaining.iter().enumerate() {
+            if r == 0 {
+                heap.push(Ready {
+                    at: start,
+                    op: idx as u32,
+                });
             }
         }
+        let mut finish = start;
+        while let Some(Ready { at, op }) = heap.pop() {
+            let meta = &ops[op as usize];
+            let issue = at.max(lane_free[meta.dim]);
+            let wire_done = issue + wire_delay(meta);
+            lane_free[meta.dim] = wire_done.saturating_sub(meta.wire_latency);
+            let done = wire_done + meta.extra_latency;
+            finish = finish.max(done);
+            for &d in &dependents[op as usize] {
+                let slot = &mut remaining[d as usize];
+                *slot -= 1;
+                if *slot == 0 {
+                    heap.push(Ready { at: done, op: d });
+                }
+            }
+        }
+        finish
     }
-    finish
 }
 
 #[cfg(test)]
@@ -382,13 +499,35 @@ mod tests {
         let d = dims("R(2)@100_SW(4)@50");
         let size = DataSize::from_mib(64);
         // All-Reduce visits each dim twice, the others once.
-        assert_eq!(lower(Collective::AllReduce, size, &d, 8).ops().len(), 32);
+        assert_eq!(lower(Collective::AllReduce, size, &d, 8).len(), 32);
+        assert_eq!(lower(Collective::ReduceScatter, size, &d, 8).len(), 16);
+        assert_eq!(lower(Collective::AllGather, size, &d, 8).len(), 16);
+        assert_eq!(lower(Collective::AllToAll, size, &d, 8).len(), 16);
+    }
+
+    /// Four billion chunks lower to the same four-phase template as one
+    /// chunk: nothing is allocated per chunk, and op ids and chunk indices
+    /// past `u32::MAX` do not wrap.
+    #[test]
+    fn four_billion_chunks_lower_to_one_phase_template() {
+        let d = dims("R(4)@250_SW(2)@50");
+        let chunks = 4_000_000_000;
+        let program = lower(Collective::AllReduce, DataSize::from_mib(64), &d, chunks);
+        assert_eq!(program.phases().len(), 4);
+        assert_eq!(program.len(), 16_000_000_000);
+        let last = program.op(program.len() - 1);
+        assert_eq!(last.chunk, 3_999_999_999);
+        assert_eq!(last.id, 15_999_999_999);
+        assert_eq!(program.next(last.id), None);
+        assert_eq!(program.next(last.id - 1), Some(last.id));
         assert_eq!(
-            lower(Collective::ReduceScatter, size, &d, 8).ops().len(),
-            16
+            ChunkOp {
+                id: 3,
+                chunk: 0,
+                ..last
+            },
+            program.phases()[3]
         );
-        assert_eq!(lower(Collective::AllGather, size, &d, 8).ops().len(), 16);
-        assert_eq!(lower(Collective::AllToAll, size, &d, 8).ops().len(), 16);
     }
 
     #[test]
@@ -399,14 +538,19 @@ mod tests {
             &dims("R(4)@100_SW(2)@50"),
             4,
         );
-        let per_chunk = program.ops().len() / 4;
-        for (idx, op) in program.ops().iter().enumerate() {
+        let per_chunk = program.phases().len();
+        let expanded = program.expand();
+        assert_eq!(expanded.ops().len() as u64, program.len());
+        for (idx, op) in expanded.ops().iter().enumerate() {
             let pos = idx % per_chunk;
+            assert_eq!(op.id, idx as u64);
             assert_eq!(op.chunk as usize, idx / per_chunk);
+            assert_eq!(op.op, program.op(idx as u64));
             if pos == 0 {
                 assert!(op.deps.is_empty(), "first phase of a chunk has no deps");
             } else {
                 assert_eq!(op.deps, vec![idx as u32 - 1]);
+                assert_eq!(program.next(idx as u64 - 1), Some(idx as u64));
             }
         }
     }
@@ -420,12 +564,12 @@ mod tests {
         let program = lower(Collective::AllReduce, size, &d, 1);
         let traffic = crate::dimension_traffic(Collective::AllReduce, size, &d);
         // Ascending phases 0..4, then the mirrored descending ones.
-        for (p, op) in program.ops()[..4].iter().enumerate() {
+        for (p, op) in program.phases()[..4].iter().enumerate() {
             assert_eq!(op.dim, p);
             // dimension_traffic reports both visits; each op carries one.
             assert_eq!(op.size * 2, traffic[p]);
         }
-        let descending: Vec<usize> = program.ops()[4..].iter().map(|op| op.dim).collect();
+        let descending: Vec<usize> = program.phases()[4..].iter().map(|op| op.dim).collect();
         assert_eq!(descending, vec![3, 2, 1, 0]);
     }
 
@@ -433,7 +577,7 @@ mod tests {
     fn latency_split_covers_the_table1_step_counts() {
         let d = dims("R(8)@100_SW(4)@50_FC(4)@25");
         let program = lower(Collective::ReduceScatter, DataSize::from_mib(8), &d, 1);
-        let ops = program.ops();
+        let ops = program.phases();
         // Ring(8): 7 steps x 1 hop, wire covers 1.
         assert_eq!(ops[0].wire_hops, 1);
         assert_eq!(ops[0].total_latency(), d[0].link_latency() * 7);
@@ -452,7 +596,7 @@ mod tests {
         assert!(lower(Collective::AllReduce, DataSize::from_mib(1), &[], 8).is_empty());
         assert_eq!(
             reference_finish(
-                &lower(Collective::AllReduce, DataSize::ZERO, &d, 8),
+                &lower(Collective::AllReduce, DataSize::ZERO, &d, 8).expand(),
                 Time::from_us(3),
                 |_| Time::ZERO,
             ),
@@ -492,7 +636,7 @@ mod tests {
                 .run(collective, size, &d)
                 .finish;
             assert_eq!(
-                reference_finish(&program, Time::ZERO, oracle(&d)),
+                reference_finish(&program.expand(), Time::ZERO, oracle(&d)),
                 closed,
                 "{collective}"
             );
@@ -511,7 +655,7 @@ mod tests {
                     .run(collective, size, &d)
                     .finish;
                 assert_eq!(
-                    reference_finish(&program, Time::ZERO, oracle(&d)),
+                    reference_finish(&program.expand(), Time::ZERO, oracle(&d)),
                     closed,
                     "{collective} on {notation}"
                 );
@@ -530,7 +674,7 @@ mod tests {
         let size = DataSize::from_gib(1);
         for chunks in [2, 8, 32, 128] {
             let program = lower(Collective::AllReduce, size, &d, chunks);
-            let got = reference_finish(&program, Time::ZERO, |op| {
+            let got = reference_finish(&program.expand(), Time::ZERO, |op| {
                 op.wire_latency + d[op.dim].bandwidth().transfer_time(op.size)
             });
             let closed = CollectiveEngine::new(chunks, SchedulerPolicy::Baseline).run(

@@ -229,7 +229,7 @@ impl SimulationBuilder {
         self
     }
 
-    /// Attaches cross-run warm state (shared delay/route/lowering memo
+    /// Attaches cross-run warm state (shared delay-memo and route-table
     /// handles, see [`WarmState`]). Warm state is a pure speed knob: the
     /// resulting report is bit-identical to a cold run's. A batch service
     /// threads the same handles through many builders to amortize

@@ -35,7 +35,6 @@ pub use astra_collectives::{
     dimension_traffic, lowering, Algorithm, ChunkOp, Collective, CollectiveEngine, CollectiveMode,
     CollectiveOutcome, CollectiveProgram, SchedulerPolicy,
 };
-pub use astra_collectives::{LoweringKey, SharedLoweringCache, SharedProgram};
 pub use astra_des::{Bandwidth, DataSize, Time};
 pub use astra_memory::{
     AccessKind, HierPool, HierPoolConfig, LocalMemory, MeshPool, MultiLevelSwitchPool,

@@ -386,7 +386,9 @@ mod tests {
         assert_eq!(q.peek_time(), Some(Time::from_us(7)));
     }
 
+    /// The check is a `debug_assert!`, so release builds do not panic.
     #[test]
+    #[cfg(debug_assertions)]
     #[should_panic(expected = "scheduled in the past")]
     fn scheduling_in_past_panics() {
         let mut q = EventQueue::new();

@@ -1201,7 +1201,7 @@ mod tests {
 
     /// Recording link grant traces does not perturb message completions.
     #[test]
-    fn telemetry_link_traces_are_mode_invariant() {
+    fn link_trace_recording_does_not_perturb_completions() {
         let t = topo("R(8)@100");
         let run = |cfg: PacketSimConfig, record: bool| {
             let mut net = PacketNetwork::new(&t, cfg);

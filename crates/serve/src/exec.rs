@@ -5,8 +5,6 @@
 //!
 //! * a per-topology `(src, dst, size)` analytical **delay memo**,
 //! * a per-topology **route table** for the fluid backend,
-//! * a global **lowering cache** of chunk-level collective programs
-//!   (group shape, collective, size, chunks — topology-independent),
 //! * a **trace cache** of generated workloads keyed by generation inputs,
 //! * a **result cache** memoizing whole [`SimReport`]s by the request's
 //!   canonical key.
@@ -15,6 +13,11 @@
 //! and are consulted only on local-memo misses, so every report is
 //! bit-identical to a cold [`astra_core::simulate`] run of the same
 //! request — regardless of worker count, request order, or cache hits.
+//!
+//! Lowered collective programs are not shared: a program is one phase
+//! template whatever the chunk count, so lowering it costs less than a
+//! locked cross-run lookup would. Each run keeps its own per-run program
+//! memo (`lowering_hits`/`lowering_misses` in the report).
 
 use std::collections::BTreeMap;
 use std::sync::atomic::{AtomicU64, Ordering};
@@ -22,8 +25,8 @@ use std::sync::{Arc, Mutex, MutexGuard};
 
 use astra_core::{
     simulate_traced_with, simulate_with, DataSize, Parallelism, PoolArchitecture, Roofline,
-    SchedulerPolicy, SharedDelayMemo, SharedLoweringCache, SharedRouteTable, SharedTraceCache,
-    SimError, SimReport, SimTrace, SystemConfig, Time, Topology, WarmState,
+    SchedulerPolicy, SharedDelayMemo, SharedRouteTable, SharedTraceCache, SimError, SimReport,
+    SimTrace, SystemConfig, Time, Topology, WarmState,
 };
 use astra_workload::parallelism::{generate_disaggregated_moe, generate_trace, OffloadPlan};
 use astra_workload::ExecutionTrace;
@@ -49,9 +52,6 @@ pub struct WarmCache {
     delay: Mutex<BTreeMap<String, Arc<SharedDelayMemo>>>,
     /// Per topology-notation route table for the fluid backend.
     routes: Mutex<BTreeMap<String, Arc<SharedRouteTable>>>,
-    /// Lowered collective programs; the key carries the dimension stack,
-    /// so one table serves every topology.
-    lowering: Arc<SharedLoweringCache>,
     /// Generated execution traces keyed by their generation inputs.
     traces: Arc<SharedTraceCache>,
     /// Whole reports keyed by [`SimRequest::canonical_key`].
@@ -87,10 +87,6 @@ pub struct CacheSummary {
     pub route_tables: u64,
     /// Shared route-table lookups.
     pub route_queries: u64,
-    /// Distinct collective programs memoized.
-    pub lowering_entries: u64,
-    /// Shared lowering-cache lookups.
-    pub lowering_queries: u64,
 }
 
 impl std::fmt::Display for CacheSummary {
@@ -98,8 +94,7 @@ impl std::fmt::Display for CacheSummary {
         write!(
             f,
             "results {}/{} hits ({} entries) | traces {} queries ({} entries) | \
-             delay-memo {} queries ({} tables) | routes {} queries ({} tables) | \
-             lowering {} queries ({} programs)",
+             delay-memo {} queries ({} tables) | routes {} queries ({} tables)",
             self.result_hits,
             self.result_queries,
             self.result_entries,
@@ -109,8 +104,6 @@ impl std::fmt::Display for CacheSummary {
             self.delay_tables,
             self.route_queries,
             self.route_tables,
-            self.lowering_queries,
-            self.lowering_entries,
         )
     }
 }
@@ -122,17 +115,16 @@ impl WarmCache {
     }
 
     /// The warm handles for one request: per-topology delay memo and
-    /// route table (created on first use), plus the global lowering
-    /// cache. The table key carries the request's fault signature, so a
-    /// fault-laden request can never alias (or poison) the tables of
-    /// fault-free runs over the same topology.
+    /// route table (created on first use). The table key carries the
+    /// request's fault signature, so a fault-laden request can never
+    /// alias (or poison) the tables of fault-free runs over the same
+    /// topology.
     fn warm_state_for(&self, req: &SimRequest) -> WarmState {
         let key = format!("{}|{}", req.topology, req.faults.signature());
         let delay = Arc::clone(lock_unpoisoned(&self.delay).entry(key.clone()).or_default());
         let routes = Arc::clone(lock_unpoisoned(&self.routes).entry(key).or_default());
         WarmState {
             delay_memo: Some(delay),
-            lowering: Some(Arc::clone(&self.lowering)),
             routes: Some(routes),
         }
     }
@@ -151,8 +143,6 @@ impl WarmCache {
             delay_queries: delay.values().map(|t| t.queries()).sum(),
             route_tables: routes.len() as u64,
             route_queries: routes.values().map(|t| t.queries()).sum(),
-            lowering_entries: self.lowering.len() as u64,
-            lowering_queries: self.lowering.queries(),
         }
     }
 }
@@ -319,7 +309,7 @@ pub fn execute_once(req: &SimRequest) -> Result<SimReport, RequestError> {
 ///
 /// Traced runs bypass the whole-report result cache (their reports carry
 /// metrics, which untraced requests must never observe) but still share
-/// the trace/delay/route/lowering tables.
+/// the trace/delay/route tables.
 ///
 /// # Errors
 ///

@@ -186,10 +186,6 @@ impl ServeStats {
                     ("trace_queries".to_owned(), Value::UInt(cache.trace_queries)),
                     ("trace_entries".to_owned(), Value::UInt(cache.trace_entries)),
                     ("delay_queries".to_owned(), Value::UInt(cache.delay_queries)),
-                    (
-                        "lowering_queries".to_owned(),
-                        Value::UInt(cache.lowering_queries),
-                    ),
                 ]),
             ),
         ])

@@ -15,7 +15,7 @@ fn request(json: &str) -> SimRequest {
 /// workload (stage-to-stage p2p traffic exercises every network backend
 /// and the delay/route warm tables).
 #[test]
-fn warm_reports_are_bit_identical_across_backends_and_sim_modes() {
+fn warm_reports_are_bit_identical_across_backends() {
     let cache = WarmCache::new();
     for network in ["analytical", "packet", "batched", "flow"] {
         let req = request(&format!(
@@ -34,8 +34,9 @@ fn warm_reports_are_bit_identical_across_backends_and_sim_modes() {
     }
 }
 
-/// Backend-executed collectives share lowered programs through the warm
-/// lowering cache; the per-run hit/miss counters must not notice.
+/// Backend-executed collectives through the warm layer: on every network
+/// backend the report, per-run lowering counters included, equals a cold
+/// run's.
 #[test]
 fn warm_lowering_cache_preserves_reports_and_counters() {
     let cache = WarmCache::new();
@@ -50,14 +51,9 @@ fn warm_lowering_cache_preserves_reports_and_counters() {
         assert!(cold.collective_ops > 0, "{network}");
         assert_eq!(
             warm.cache.lowering_misses, cold.cache.lowering_misses,
-            "{network}: a warm lowering hit must still count as a local miss"
+            "{network}: warm and cold runs lower the same programs"
         );
     }
-    let summary = cache.summary();
-    assert!(
-        summary.lowering_entries > 0,
-        "backend collectives populate the shared lowering cache"
-    );
 }
 
 /// The memory-system and scheduler paths round-trip through the warm

@@ -182,18 +182,30 @@ fn deeply_nested_lines_become_error_rows() {
 
 /// A four-billion-chunk collective plan is one counted order, not a
 /// per-chunk vector: the request is answered instead of aborting the
-/// process on a 96 GB allocation, and the next line is still answered.
+/// process on a 96 GB allocation. Lowered for backend execution on the
+/// packet network it is one phase template whose root ops wait as one
+/// counted NIC-queue entry, so nothing is allocated per chunk and the
+/// event budget ends the run with a structured row. The next line is
+/// still answered.
 #[test]
 fn huge_chunk_counts_are_answered_and_the_next_line_too() {
     let batch = lines(&[
         r#"{"id": "huge", "topology": "SW(8)@400", "all_reduce_mib": 64, "chunks": 4000000000}"#,
+        r#"{"id": "huge-backend", "topology": "SW(8)@400", "all_reduce_mib": 64,
+            "network": "packet", "collectives": "backend", "chunks": 4000000000,
+            "max_events": 100000}"#,
         r#"{"id": "after", "topology": "SW(8)@400", "all_reduce_mib": 64}"#,
     ]);
     let (rows, summary) = run_batch(&batch, 2, &WarmCache::new());
-    assert_eq!(rows.len(), 2);
+    assert_eq!(rows.len(), 3);
     assert_eq!(summary.ok, 2, "{rows:?}");
     assert!(rows[0].contains(r#""id":"huge","ok":true"#), "{}", rows[0]);
-    assert!(rows[1].contains(r#""id":"after","ok":true"#), "{}", rows[1]);
+    assert!(
+        rows[1].contains(r#""id":"huge-backend","ok":false,"error":"budget_exceeded""#),
+        "{}",
+        rows[1]
+    );
+    assert!(rows[2].contains(r#""id":"after","ok":true"#), "{}", rows[2]);
 }
 
 /// The socket front end replaces only stale *sockets*: a regular file at

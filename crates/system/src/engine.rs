@@ -6,8 +6,7 @@ use std::fmt;
 use std::sync::Arc;
 
 use astra_collectives::{
-    lowering, Collective, CollectiveEngine, CollectiveMode, CollectiveProgram, LoweringKey,
-    SchedulerPolicy, SharedLoweringCache,
+    lowering, Collective, CollectiveEngine, CollectiveMode, CollectiveProgram, SchedulerPolicy,
 };
 use astra_des::{
     attribute_exclusive, attribute_exclusive_intervals, DataSize, EventQueue, FifoResource,
@@ -30,9 +29,6 @@ use astra_workload::{EtNode, EtOp, ExecutionTrace, Roofline, TensorLocation};
 
 use crate::report::FaultImpact;
 use crate::{Breakdown, CacheStats, SimReport};
-
-/// A memoized lowered program plus its reverse dependency adjacency.
-type MemoizedProgram = (Arc<CollectiveProgram>, Arc<Vec<Vec<u32>>>);
 
 /// System-layer configuration (Fig. 1c "System Parameters").
 #[derive(Clone, Debug)]
@@ -172,9 +168,6 @@ pub struct WarmState {
     /// Cross-run `(src, dst, size)` analytical delay memo; used by the
     /// co-resident analytical backend.
     pub delay_memo: Option<Arc<SharedDelayMemo>>,
-    /// Cross-run lowered-collective-program cache, keyed by group shape,
-    /// collective, size, and chunk count (`CollectiveMode::Backend`).
-    pub lowering: Option<Arc<SharedLoweringCache>>,
     /// Cross-run route table; used by the co-resident fluid backend.
     pub routes: Option<Arc<SharedRouteTable>>,
 }
@@ -317,17 +310,18 @@ enum EngineEvent {
     /// This source's NIC lane just freed: inject its next queued p2p
     /// message (async path only).
     InjectP2p(NpuId),
-    /// A chunk op's dependencies are all complete at this instant: hand it
-    /// to its source NIC lane. Readiness is an engine event (not applied
-    /// at completion-drain time) so lane FIFO order always equals ready
-    /// order — closed-form backends resolve dependency completions far in
-    /// the simulated future, and enqueueing those dependents immediately
-    /// would let a not-yet-ready op block the lane head.
+    /// A chunk op's predecessor (the previous phase of its chunk)
+    /// completed at this instant: hand the op to its source NIC lane.
+    /// Readiness is an engine event (not applied at completion-drain time)
+    /// so lane FIFO order always equals ready order — closed-form backends
+    /// resolve completions far in the simulated future, and enqueueing the
+    /// successor immediately would let a not-yet-ready op block the lane
+    /// head.
     ChunkReady {
         /// Running-collective instance id.
         coll: u32,
         /// Op id within the instance's program.
-        op: u32,
+        op: u64,
     },
 }
 
@@ -400,18 +394,22 @@ struct InFlightP2p {
 }
 
 /// One chunk-level op of a backend-executed collective, bound to its
-/// representative wire endpoints.
+/// representative wire endpoints. On a NIC queue it can stand for a
+/// counted run of root ops (see [`Engine::pop_nic`]).
 struct ChunkSend {
     /// Running-collective instance id.
     coll: u32,
     /// Op id within the instance's program.
-    op: u32,
+    op: u64,
     src: NpuId,
     dst: NpuId,
     size: DataSize,
-    /// When the op's dependencies (including their extra step latency)
+    /// When the op's predecessor (including its extra step latency)
     /// completed — the earliest instant it may enter the wire.
     ready: Time,
+    /// Root ops of the next chunks queued behind this one as one entry:
+    /// ops `op + k × phases` for `k` in `1..=more`. Zero once in flight.
+    more: u64,
 }
 
 /// A resolved message bound for the source's NIC lane: a peer-to-peer
@@ -447,22 +445,17 @@ impl Outbound {
     }
 }
 
-/// A backend-executed collective in flight: the lowered program plus the
-/// executor's dependency counters and the meeting it resumes on finish.
+/// A backend-executed collective in flight: the lowered program, the ops
+/// still to complete and the meeting it resumes on finish. Its size does
+/// not depend on the chunk count.
 struct RunningCollective {
     arrivals: Vec<Arrival>,
     program: Arc<CollectiveProgram>,
-    dependents: Arc<Vec<Vec<u32>>>,
-    remaining_deps: Vec<u32>,
-    /// Per op: latest dependency completion seen so far — the op's ready
-    /// instant once its counter reaches zero.
-    ready: Vec<Time>,
-    remaining_ops: usize,
-    /// Per local dimension: the bound `(src, dst)` wire endpoints.
-    endpoints: Vec<(NpuId, NpuId)>,
+    remaining_ops: u64,
     /// Running maximum of op completions (incl. extra step latency).
     finish: Time,
-    /// Communicator group (for the telemetry span).
+    /// Communicator group: its span binds each local dimension to its
+    /// `(src, dst)` wire endpoints.
     group: u32,
     /// Rendezvous instant the program launched at.
     start: Time,
@@ -524,8 +517,8 @@ pub fn simulate(
 }
 
 /// [`simulate`] with cross-run warm state: shared memo tables are
-/// consulted on local-memo misses, skipping recomputation of delays,
-/// routes, and lowered collective programs another run already produced.
+/// consulted on local-memo misses, skipping recomputation of delays and
+/// routes another run already produced.
 /// The report is bit-identical to [`simulate`]'s — warm state is a pure
 /// speed knob.
 ///
@@ -819,9 +812,8 @@ pub(crate) struct Engine<'a> {
     /// Lowered programs memoized per `(group, collective, size)` — a
     /// training loop re-issues the same collective every iteration/layer,
     /// so lowering runs once per distinct shape.
-    program_memo: BTreeMap<(u32, Collective, DataSize), MemoizedProgram>,
-    /// Per-run program-memo hit/miss counters. A warm-cache hit still
-    /// counts as a local miss, so these are identical warm vs cold.
+    program_memo: BTreeMap<(u32, Collective, DataSize), Arc<CollectiveProgram>>,
+    /// Per-run program-memo hit/miss counters.
     lowering_hits: u64,
     lowering_misses: u64,
     chunk_ops: u64,
@@ -1132,7 +1124,7 @@ impl<'a> Engine<'a> {
                     }
                 }
                 EngineEvent::InjectP2p(src) => {
-                    let Some(msg) = self.nic_queue[src].pop_front() else {
+                    let Some(msg) = self.pop_nic(src) else {
                         return Err(SimError::Internal(
                             "InjectP2p event fired with an empty NIC queue",
                         ));
@@ -1140,7 +1132,7 @@ impl<'a> Engine<'a> {
                     self.inject_p2p(msg, now);
                 }
                 EngineEvent::ChunkReady { coll, op } => {
-                    self.enqueue_chunk_op(coll, op, now);
+                    self.enqueue_chunk_op(coll, op, now, 0);
                 }
             }
             self.drain_network()?;
@@ -1402,9 +1394,10 @@ impl<'a> Engine<'a> {
     }
 
     /// Lowers a collective to its chunk-level program and starts executing
-    /// it on the co-resident network backend: every op whose dependencies
-    /// are already satisfied enters its source's NIC lane at the meeting's
-    /// rendezvous instant; the rest issue from completion callbacks.
+    /// it on the co-resident network backend: the root ops (every chunk's
+    /// first phase) enter their source's NIC lane at the meeting's
+    /// rendezvous instant as one counted run; every later op issues when
+    /// its predecessor completes.
     fn launch_backend_collective(
         &mut self,
         group: u32,
@@ -1414,19 +1407,10 @@ impl<'a> Engine<'a> {
         arrivals: Vec<Arrival>,
         trace_id: u64,
     ) {
-        let endpoints: Vec<(NpuId, NpuId)> = self.spans[group as usize]
-            .dims
-            .iter()
-            .map(|&(_, _, ep)| ep)
-            .collect();
-        let memoized = self
-            .program_memo
-            .get(&(group, collective, size))
-            .map(|(p, d)| (Arc::clone(p), Arc::clone(d)));
-        let (program, dependents) = match memoized {
-            Some(entry) => {
+        let program = match self.program_memo.get(&(group, collective, size)) {
+            Some(program) => {
                 self.lowering_hits += 1;
-                entry
+                Arc::clone(program)
             }
             None => {
                 self.lowering_misses += 1;
@@ -1436,86 +1420,49 @@ impl<'a> Engine<'a> {
                     .map(|&(_, d, _)| d)
                     .collect();
                 let chunks = self.config.collective_chunks;
-                // Local miss: another run may already have lowered this
-                // shape — the shared program is the same pure function of
-                // the key, so reusing it cannot change the result.
-                let key = || LoweringKey::new(collective, size, &dims, chunks);
-                let entry = match self
-                    .warm
-                    .lowering
-                    .as_ref()
-                    .and_then(|shared| shared.get(&key()))
-                {
-                    Some(entry) => entry,
-                    None => {
-                        let program = Arc::new(lowering::lower(collective, size, &dims, chunks));
-                        let dependents = Arc::new(program.dependents());
-                        if let Some(shared) = &self.warm.lowering {
-                            shared.insert(key(), (Arc::clone(&program), Arc::clone(&dependents)));
-                        }
-                        (program, dependents)
-                    }
-                };
-                self.program_memo.insert(
-                    (group, collective, size),
-                    (Arc::clone(&entry.0), Arc::clone(&entry.1)),
-                );
-                entry
+                let program = Arc::new(lowering::lower(collective, size, &dims, chunks));
+                self.program_memo
+                    .insert((group, collective, size), Arc::clone(&program));
+                program
             }
         };
         let id = self.next_collective;
         self.next_collective += 1;
-        let remaining_deps: Vec<u32> = program
-            .ops()
-            .iter()
-            .map(|op| op.deps.len() as u32)
-            .collect();
-        let total = program.ops().len();
-        let roots: Vec<u32> = program
-            .ops()
-            .iter()
-            .enumerate()
-            .filter(|(_, op)| op.deps.is_empty())
-            .map(|(idx, _)| idx as u32)
-            .collect();
+        let chunks = program.chunks();
         self.running_collectives.insert(
             id,
             RunningCollective {
                 arrivals,
+                remaining_ops: program.len(),
                 program,
-                dependents,
-                remaining_deps,
-                ready: vec![start; total],
-                remaining_ops: total,
-                endpoints,
                 finish: start,
                 group,
                 start,
                 trace_id,
             },
         );
-        // The meeting completes at the engine's current instant, so root
-        // ops are ready right now.
-        for op in roots {
-            self.enqueue_chunk_op(id, op, start);
-        }
+        // The meeting completes at the engine's current instant, so the
+        // root ops (op 0 and every later chunk's first phase) are ready
+        // right now.
+        self.enqueue_chunk_op(id, 0, start, chunks - 1);
     }
 
-    /// Binds a ready chunk op to its wire endpoints and hands it to the
-    /// source's NIC lane.
-    fn enqueue_chunk_op(&mut self, coll: u32, op: u32, ready: Time) {
+    /// Binds a ready chunk op, plus the `more` root ops of the next chunks
+    /// when `op` is a root, to its wire endpoints and hands them to the
+    /// source's NIC lane as one entry.
+    fn enqueue_chunk_op(&mut self, coll: u32, op: u64, ready: Time, more: u64) {
         let rc = &self.running_collectives[&coll];
-        let meta = &rc.program.ops()[op as usize];
-        let (src, dst) = rc.endpoints[meta.dim];
-        let size = meta.size;
-        self.chunk_ops += 1;
+        let meta = rc.program.op(op);
+        let (_, _, (src, dst)) = self.spans[rc.group as usize].dims[meta.dim];
+        self.chunk_ops += 1 + more;
         self.enqueue_outbound(Outbound::Chunk(ChunkSend {
             coll,
             op,
             src,
             dst,
-            size,
+            size: meta.size,
             ready,
+            more,
         }));
     }
 
@@ -1534,19 +1481,35 @@ impl<'a> Engine<'a> {
     fn enqueue_outbound(&mut self, msg: Outbound) {
         let src = msg.src();
         let ready = msg.ready();
-        if self.nic_occupied[src] || !self.nic_queue[src].is_empty() {
-            // An InjectP2p follow-up is (or will be) scheduled by the
-            // occupying message's completion.
-            self.nic_queue[src].push_back(msg);
+        // A busy lane or a non-empty queue means an InjectP2p follow-up is
+        // (or will be) scheduled by the occupying message's completion.
+        let idle = !self.nic_occupied[src] && self.nic_queue[src].is_empty();
+        self.nic_queue[src].push_back(msg);
+        if !idle {
             return;
         }
         let at = ready.max(self.nic_free[src]);
         if at > self.queue.now() {
-            self.nic_queue[src].push_back(msg);
             self.queue.schedule_at(at, EngineEvent::InjectP2p(src));
-        } else {
+        } else if let Some(msg) = self.pop_nic(src) {
             self.inject_p2p(msg, at);
         }
+    }
+
+    /// Takes the next message off `src`'s NIC queue. A counted run of root
+    /// ops yields its first op and keeps the rest at the queue head, so
+    /// each root holds the FIFO slot it would hold as its own entry.
+    fn pop_nic(&mut self, src: NpuId) -> Option<Outbound> {
+        if let Some(Outbound::Chunk(run)) = self.nic_queue[src].front_mut() {
+            if run.more > 0 {
+                let stride = self.running_collectives[&run.coll].program.phases().len() as u64;
+                let first = ChunkSend { more: 0, ..*run };
+                run.op += stride;
+                run.more -= 1;
+                return Some(Outbound::Chunk(first));
+            }
+        }
+        self.nic_queue[src].pop_front()
     }
 
     fn resolve_p2p(
@@ -1674,16 +1637,17 @@ impl<'a> Engine<'a> {
 
     /// Applies a completed chunk op: releases the lane `wire_latency`
     /// before the wire completion (propagation does not occupy the
-    /// dimension, exactly as in the closed-form engine), triggers
-    /// dependents `extra_latency` after it, and — once the program drains
-    /// — resumes the meeting's graph nodes at the collective's finish.
+    /// dimension, exactly as in the closed-form engine), readies the next
+    /// phase of the same chunk `extra_latency` after it, and — once the
+    /// program drains — resumes the meeting's graph nodes at the
+    /// collective's finish.
     fn finish_chunk_op(&mut self, chunk: ChunkSend, wire_finish: Time) -> Result<(), SimError> {
         let Some(rc) = self.running_collectives.get_mut(&chunk.coll) else {
             return Err(SimError::Internal(
                 "chunk op does not belong to a running collective",
             ));
         };
-        let meta = &rc.program.ops()[chunk.op as usize];
+        let meta = rc.program.op(chunk.op);
         let lane_free = wire_finish.saturating_sub(meta.wire_latency);
         let done = wire_finish + meta.extra_latency;
         rc.finish = rc.finish.max(done);
@@ -1691,6 +1655,7 @@ impl<'a> Engine<'a> {
         let finished = rc.remaining_ops == 0;
         let coll = chunk.coll;
         let trace_id = rc.trace_id;
+        let next = rc.program.next(chunk.op);
         if let Some(sink) = &mut self.sink {
             sink.chunk_ops.push(ChunkOpSpan {
                 coll: trace_id,
@@ -1702,30 +1667,19 @@ impl<'a> Engine<'a> {
                 finish: done,
             });
         }
-        // Dependents become ready `extra_latency` after the wire finish —
-        // via a ChunkReady event, never by direct enqueue: closed-form
-        // backends report `done` far ahead of the engine clock, and an op
-        // queued before its ready instant could block its lane's FIFO head
-        // while later-queued ops are already ready.
-        for &d in &Arc::clone(&rc.dependents)[chunk.op as usize] {
-            let Some(rc) = self.running_collectives.get_mut(&coll) else {
-                return Err(SimError::Internal(
-                    "running collective vanished while its ops were pending",
-                ));
-            };
-            rc.ready[d as usize] = rc.ready[d as usize].max(done);
-            let slot = &mut rc.remaining_deps[d as usize];
-            *slot -= 1;
-            if *slot == 0 {
-                let at = rc.ready[d as usize];
-                self.queue
-                    .schedule_at(at, EngineEvent::ChunkReady { coll, op: d });
-            }
+        // The next phase becomes ready `extra_latency` after the wire
+        // finish — via a ChunkReady event, never by direct enqueue:
+        // closed-form backends report `done` far ahead of the engine
+        // clock, and an op queued before its ready instant could block its
+        // lane's FIFO head while later-queued ops are already ready.
+        if let Some(op) = next {
+            self.queue
+                .schedule_at(done, EngineEvent::ChunkReady { coll, op });
             if let Some(sink) = &mut self.sink {
                 sink.dep_edges.push(DepEdge {
                     coll: trace_id,
                     from: chunk.op,
-                    to: d,
+                    to: op,
                     at: done,
                 });
             }

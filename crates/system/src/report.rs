@@ -81,8 +81,7 @@ pub struct CacheStats {
     pub delay_misses: u64,
     /// Lowered-collective-program memo hits (`CollectiveMode::Backend`).
     pub lowering_hits: u64,
-    /// Lowered-collective-program memo misses (full lowerings, unless a
-    /// shared warm cache already holds the program).
+    /// Lowered-collective-program memo misses (full lowerings).
     pub lowering_misses: u64,
     /// Generated-trace cache hits (batch service only).
     pub trace_hits: u64,

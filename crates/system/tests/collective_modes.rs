@@ -127,7 +127,7 @@ proptest! {
         let program = lowering::lower(collective, size, topo.dims(), chunks);
         let endpoints = world_endpoints(&topo);
         let mut net = AnalyticalNetwork::new(topo.clone());
-        let expected = lowering::reference_finish(&program, Time::ZERO, |op| {
+        let expected = lowering::reference_finish(&program.expand(), Time::ZERO, |op| {
             let (src, dst) = endpoints[op.dim];
             net.p2p_delay(src, dst, op.size)
         });
@@ -136,7 +136,7 @@ proptest! {
             "executor diverged from the reference schedule on {} ({}, {} chunks)",
             topo, collective, chunks
         );
-        prop_assert_eq!(report.collective_ops, program.ops().len() as u64);
+        prop_assert_eq!(report.collective_ops, program.len());
         prop_assert_eq!(report.collectives, 1);
         // One co-resident backend serves the whole program.
         prop_assert_eq!(report.network.backend_setups, 1);

@@ -278,7 +278,7 @@ fn degraded_bandwidth_makes_the_collective_strictly_later() {
 /// and a straggler all active, the full `SimReport` stays bit-identical
 /// from run to run on every network backend.
 #[test]
-fn faulted_reports_are_bit_identical_across_threads() {
+fn faulted_reports_are_bit_identical_across_runs() {
     let topo = Topology::parse("R(8)@100").unwrap();
     let trace = relay_trace(topo.npus());
     let mut faults = degrade_01();

@@ -133,7 +133,7 @@ fn recording_changes_only_the_metrics_field() {
 }
 
 #[test]
-fn trace_bytes_are_invariant_across_cores_and_threads() {
+fn trace_bytes_are_identical_across_runs() {
     let (trace, topo, config) = golden_scenario();
     let render = || {
         let (_, sim_trace) = traced(&trace, &topo, &config);

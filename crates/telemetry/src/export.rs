@@ -156,7 +156,7 @@ pub fn chrome_trace(trace: &SimTrace) -> String {
     // Dependency arrows: a flow step at the predecessor's finish bound to
     // the dependent's ready instant. Ops are canonical, so binary search
     // resolves each endpoint.
-    let find = |coll: u64, op: u32| -> Option<&ChunkOpSpan> {
+    let find = |coll: u64, op: u64| -> Option<&ChunkOpSpan> {
         trace
             .chunk_ops
             .binary_search_by_key(&(coll, op), |c| (c.coll, c.op))

@@ -117,8 +117,8 @@ pub struct CollectiveSpan {
 pub struct ChunkOpSpan {
     /// [`CollectiveSpan::id`] of the owning collective.
     pub coll: u64,
-    /// Op index within the lowered program.
-    pub op: u32,
+    /// Op id within the lowered program (`chunk × phases + phase`).
+    pub op: u64,
     /// Source NPU of the op's wire transfer.
     pub src: usize,
     /// Destination NPU of the op's wire transfer.
@@ -136,10 +136,10 @@ pub struct ChunkOpSpan {
 pub struct DepEdge {
     /// [`CollectiveSpan::id`] of the owning collective.
     pub coll: u64,
-    /// Predecessor op index.
-    pub from: u32,
-    /// Dependent op index.
-    pub to: u32,
+    /// Predecessor op id.
+    pub from: u64,
+    /// Dependent op id.
+    pub to: u64,
     /// Instant the predecessor completed (edge activation time).
     pub at: Time,
 }

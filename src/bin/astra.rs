@@ -16,7 +16,7 @@ fn main() -> ExitCode {
             }
         };
         return match astra_sim2::cli::run_sweep(&opts) {
-            Ok(_) => ExitCode::SUCCESS,
+            Ok(()) => ExitCode::SUCCESS,
             Err(e) => {
                 eprintln!("error: {e}");
                 ExitCode::FAILURE

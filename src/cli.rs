@@ -14,6 +14,7 @@ use astra_core::{MetricsReport, SimReport, TraceFormat};
 use astra_serve::{Field, FieldKind, SimRequest, FIELDS};
 use std::error::Error;
 use std::fmt;
+use std::io::Write;
 
 /// Parsed command-line options.
 #[derive(Clone, Debug, PartialEq)]
@@ -309,19 +310,38 @@ pub fn parse_sweep_args(args: &[String]) -> Result<SweepOptions, CliError> {
 }
 
 /// Runs a parsed `astra sweep` invocation: executes the selected series,
-/// prints the comparison tables, and writes the JSON report to
-/// `opts.out`. Returns the JSON.
+/// prints the comparison tables to stdout, and writes the JSON report to
+/// `opts.out`.
+///
+/// Like a single run, a sweep whose stdout reader goes away
+/// (`astra sweep … | head -1`) ends quietly at the failed write; it then
+/// runs no further series and writes no report.
 ///
 /// # Errors
 ///
-/// Returns a [`CliError`] if the output file cannot be written.
-pub fn run_sweep(opts: &SweepOptions) -> Result<String, CliError> {
-    let report = throughput::run(opts.quick, &opts.series);
+/// Returns a [`CliError`] if the output file cannot be written or stdout
+/// fails for any reason but a closed pipe.
+pub fn run_sweep(opts: &SweepOptions) -> Result<(), CliError> {
+    // Each write locks stdout on its own: no lock is held while series run.
+    let mut stdout = std::io::stdout();
+    let report = match throughput::run(opts.quick, &opts.series, &mut stdout) {
+        Ok(report) => report,
+        Err(e) => return closed_pipe_or_error(e),
+    };
     let json = serde_json::to_string_pretty(&report).map_err(|e| err(format!("serialize: {e}")))?;
     std::fs::write(&opts.out, &json)
         .map_err(|e| err(format!("failed to write {}: {e}", opts.out)))?;
-    println!("\nwrote {}", opts.out);
-    Ok(json)
+    writeln!(stdout, "\nwrote {}", opts.out).or_else(closed_pipe_or_error)
+}
+
+/// A failed stdout write: a closed pipe ends the command quietly, any
+/// other error fails it.
+fn closed_pipe_or_error(e: std::io::Error) -> Result<(), CliError> {
+    if e.kind() == std::io::ErrorKind::BrokenPipe {
+        Ok(())
+    } else {
+        Err(err(format!("stdout: {e}")))
+    }
 }
 
 /// Options of the `astra serve` subcommand, the JSONL batch service.
@@ -390,7 +410,7 @@ pub fn parse_serve_args(args: &[String]) -> Result<ServeOptions, CliError> {
 /// Returns a [`CliError`] if stdin cannot be read or the socket cannot
 /// be bound; per-request problems become structured error rows instead.
 pub fn run_serve(opts: &ServeOptions) -> Result<(), CliError> {
-    use std::io::{BufRead, Write};
+    use std::io::BufRead;
     let cache = astra_serve::WarmCache::new();
     let totals = if let Some(path) = &opts.socket {
         astra_serve::serve_unix(
@@ -939,7 +959,7 @@ mod tests {
         }
         // One quick run of every opt-in row; the default rows run in
         // `throughput::tests::quick_report_is_valid_json_with_rows`.
-        let report = throughput::run(true, &opt_in);
+        let report = throughput::run(true, &opt_in, &mut std::io::sink()).unwrap();
         for series in opt_in {
             let rows = report[series.key].as_array().unwrap();
             assert!(!rows.is_empty(), "{} returned no rows", series.name);
