@@ -983,7 +983,7 @@ pub fn run_trace_overhead(quick: bool) -> Vec<TraceOverheadRow> {
     )];
     let chunked = SystemConfig {
         collective_mode: CollectiveMode::Backend,
-        network_backend: NetworkBackendKind::Batched,
+        network_backend: NetworkBackendKind::Packet,
         collective_chunks: 64,
         ..SystemConfig::default()
     };
@@ -1168,7 +1168,7 @@ pub fn run_engine_p2p(quick: bool) -> Vec<EngineP2pRow> {
             "moe-alltoall",
             "SW(16)@100_SW(8)@100",
             &moe_alltoall_trace(128, 16, shard),
-            NetworkBackendKind::Batched,
+            NetworkBackendKind::Packet,
             reps,
         ),
     ];
@@ -1191,14 +1191,14 @@ pub fn run_engine_p2p(quick: bool) -> Vec<EngineP2pRow> {
             "deep-pipeline",
             "R(16)@100_R(8)@100_R(8)@50",
             &deep_pipeline_trace(1024, 4, act),
-            NetworkBackendKind::Batched,
+            NetworkBackendKind::Packet,
             reps,
         ));
         rows.push(engine_p2p_row(
             "moe-alltoall",
             "SW(16)@100_SW(16)@100",
             &moe_alltoall_trace(256, 16, shard),
-            NetworkBackendKind::Batched,
+            NetworkBackendKind::Packet,
             reps,
         ));
         rows.push(engine_p2p_row(
@@ -1262,7 +1262,7 @@ fn collective_backend_row(
 /// Backend-executed vs closed-form collectives (ROADMAP "packet-level
 /// collective execution inside the system engine"): the chunked world
 /// All-Reduce at 64–256 NPUs, decomposed into send/recv programs on the
-/// train-batched packet backend. Quick mode runs the 64-NPU case the CI
+/// packet backend (train transport). Quick mode runs the 64-NPU case the CI
 /// gate checks.
 pub fn run_collective_backend(quick: bool) -> Vec<CollectiveBackendRow> {
     let reps = if quick { 1 } else { 3 };
@@ -1270,7 +1270,7 @@ pub fn run_collective_backend(quick: bool) -> Vec<CollectiveBackendRow> {
         "SW(8)@100_SW(8)@50",
         64,
         32,
-        NetworkBackendKind::Batched,
+        NetworkBackendKind::Packet,
         reps,
     )];
     if !quick {
@@ -1278,14 +1278,14 @@ pub fn run_collective_backend(quick: bool) -> Vec<CollectiveBackendRow> {
             "SW(16)@100_SW(8)@50",
             64,
             32,
-            NetworkBackendKind::Batched,
+            NetworkBackendKind::Packet,
             reps,
         ));
         rows.push(collective_backend_row(
             "SW(16)@100_SW(16)@50",
             64,
             32,
-            NetworkBackendKind::Batched,
+            NetworkBackendKind::Packet,
             reps,
         ));
         // The fluid backend at the largest scale: bit-identical rates to

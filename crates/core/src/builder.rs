@@ -164,8 +164,9 @@ impl SimulationBuilder {
     }
 
     /// Selects the network backend carrying point-to-point messages
-    /// (`analytical` closed form by default; `packet` / `batched` for the
-    /// store-and-forward DES, `flow` for max-min fluid sharing).
+    /// (`analytical` closed form by default; `packet` for the
+    /// store-and-forward DES, which runs packet trains and falls back to
+    /// per-packet events by itself; `flow` for max-min fluid sharing).
     pub fn network_backend(mut self, backend: astra_network::NetworkBackendKind) -> Self {
         self.config.network_backend = backend;
         self
@@ -210,7 +211,8 @@ impl SimulationBuilder {
 
     /// Caps the number of events the run may process before failing with
     /// [`astra_system::SimError::BudgetExceeded`]. Deterministic across
-    /// queue backends, sim modes, and warm state.
+    /// warm state; on the packet backend the error is the per-packet
+    /// run's.
     pub fn max_events(mut self, cap: u64) -> Self {
         self.config.max_events = Some(cap);
         self

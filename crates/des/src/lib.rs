@@ -34,7 +34,6 @@ mod units;
 pub use intervals::{attribute_exclusive, attribute_exclusive_intervals, IntervalLog};
 pub use queue::{EventQueue, LanedEventQueue};
 pub use resource::{
-    ArrivalRun, FifoCheckpoint, FifoResource, RecordedReservation, Reservation, TrainOccupancy,
-    TrainProfile,
+    ArrivalRun, FifoCheckpoint, FifoResource, RecordedReservation, Reservation, TrainProfile,
 };
 pub use units::{Bandwidth, DataSize, Time};

@@ -54,7 +54,9 @@ pub struct FifoResource {
 
 /// One recorded grant of a recording [`FifoResource`]: the request's ready
 /// time plus the granted interval. A bulk [`FifoResource::acquire_train`]
-/// records a single entry spanning the whole train.
+/// records one entry per packet, exactly the grants the per-packet
+/// [`FifoResource::acquire`] loop would have recorded, so a link's log
+/// does not depend on how its traffic was reserved.
 #[derive(Copy, Clone, Debug, PartialEq, Eq, Hash)]
 pub struct RecordedReservation {
     /// When the request became ready (entered the queue).
@@ -139,7 +141,8 @@ impl FifoResource {
         self.busy
     }
 
-    /// Reserves the resource for a whole packet train in one call.
+    /// Reserves the resource for a whole packet train in one call and
+    /// returns the completion instant of every packet.
     ///
     /// The train's packets become ready at the times described by
     /// `arrivals`; every packet occupies the resource for `service`, except
@@ -164,8 +167,8 @@ impl FifoResource {
     /// // serialize back-to-back, exactly like four individual acquires.
     /// let mut bulk = FifoResource::new();
     /// let train = TrainProfile::simultaneous(4, Time::ZERO);
-    /// let occ = bulk.acquire_train(&train, Time::from_us(10), Time::from_us(10));
-    /// assert_eq!(occ.last.end, Time::from_us(40));
+    /// let ends = bulk.acquire_train(&train, Time::from_us(10), Time::from_us(10));
+    /// assert_eq!(ends.last(), Time::from_us(40));
     ///
     /// let mut serial = FifoResource::new();
     /// for _ in 0..4 {
@@ -178,17 +181,12 @@ impl FifoResource {
         arrivals: &TrainProfile,
         service: Time,
         tail_service: Time,
-    ) -> TrainOccupancy {
+    ) -> TrainProfile {
         let total = arrivals.count();
         assert!(total > 0, "cannot reserve an empty packet train");
         let mut completions = TrainProfile { runs: Vec::new() };
         let mut prev_end = self.free_at;
-        let mut first: Option<Reservation> = None;
         let mut served = 0u64;
-        let mut last = Reservation {
-            start: prev_end,
-            end: prev_end,
-        };
         for run in &arrivals.runs {
             // The train's final packet is served at `tail_service`; split it
             // off the run that contains it.
@@ -198,53 +196,36 @@ impl FifoResource {
                 run.count
             };
             if body > 0 {
-                let start_1 = run.first.max(prev_end);
-                if first.is_none() {
-                    first = Some(Reservation {
-                        start: start_1,
-                        end: start_1 + service,
-                    });
-                }
                 prev_end = fold_body_run(&mut completions, prev_end, run, body, service);
             }
             served += body;
             if body < run.count {
                 // This run carries the train's last packet.
-                let arrival = run.first + run.spacing * (run.count - 1);
-                let start = arrival.max(prev_end);
-                last = Reservation {
-                    start,
-                    end: start + tail_service,
-                };
-                if first.is_none() {
-                    first = Some(last);
-                }
-                completions.push_run(ArrivalRun {
-                    count: 1,
-                    first: last.end,
-                    spacing: Time::ZERO,
-                });
-                prev_end = last.end;
+                prev_end = run.last().max(prev_end) + tail_service;
+                completions.append(prev_end);
                 served += 1;
             }
         }
         self.free_at = prev_end;
         self.busy += service * (total - 1) + tail_service;
         if self.recording {
-            // One coarse entry for the whole train: per-packet grants would
-            // blow the log up by the packet count for no telemetry value.
-            self.log.push(RecordedReservation {
-                ready: arrivals.first(),
-                start: first.map_or(last.start, |f| f.start),
-                end: prev_end,
-            });
+            // The per-packet grants: packet `i` is ready at its arrival and
+            // served for its service time up to its completion.
+            let ends = completions.times();
+            for (i, (ready, end)) in arrivals.times().zip(ends).enumerate() {
+                let s = if i as u64 + 1 == total {
+                    tail_service
+                } else {
+                    service
+                };
+                self.log.push(RecordedReservation {
+                    ready,
+                    start: end - s,
+                    end,
+                });
+            }
         }
-        TrainOccupancy {
-            // astra-lint: allow(panic, trains carry >= 1 packet by construction; the loop above always runs)
-            first: first.expect("train has at least one packet"),
-            last,
-            completions,
-        }
+        completions
     }
 }
 
@@ -463,19 +444,6 @@ impl TrainProfile {
     }
 }
 
-/// The interval granted to a whole packet train by
-/// [`FifoResource::acquire_train`].
-#[derive(Clone, Debug, PartialEq, Eq)]
-pub struct TrainOccupancy {
-    /// Reservation of the train's first packet.
-    pub first: Reservation,
-    /// Reservation of the train's last packet (its `end` is when the train
-    /// leaves the resource).
-    pub last: Reservation,
-    /// Completion instants of every packet, as a compact profile.
-    pub completions: TrainProfile,
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -538,13 +506,14 @@ mod tests {
     ) {
         let mut bulk = FifoResource::available_from(seed);
         let mut serial = FifoResource::available_from(seed);
-        let occ = bulk.acquire_train(arrivals, service, tail_service);
+        bulk.set_recording(true);
+        serial.set_recording(true);
+        let ends = bulk.acquire_train(arrivals, service, tail_service);
         let refs = acquire_each(&mut serial, arrivals, service, tail_service);
-        let ends: Vec<Time> = occ.completions.times().collect();
+        let ends: Vec<Time> = ends.times().collect();
         let want: Vec<Time> = refs.iter().map(|r| r.end).collect();
         assert_eq!(ends, want, "completion profile diverged");
-        assert_eq!(occ.first, refs[0], "first reservation");
-        assert_eq!(occ.last, *refs.last().unwrap(), "last reservation");
+        assert_eq!(bulk.recorded(), serial.recorded(), "per-packet grants");
         assert_eq!(bulk.free_at(), serial.free_at());
         assert_eq!(bulk.busy_time(), serial.busy_time());
     }
@@ -584,8 +553,8 @@ mod tests {
         };
         assert_train_matches(&t, Time::from_us(2), Time::from_us(2), Time::from_us(19));
         let mut res = FifoResource::available_from(Time::from_us(19));
-        let occ = res.acquire_train(&t, Time::from_us(2), Time::from_us(2));
-        assert_eq!(occ.completions.runs().len(), 2, "{:?}", occ.completions);
+        let ends = res.acquire_train(&t, Time::from_us(2), Time::from_us(2));
+        assert_eq!(ends.runs().len(), 2, "{ends:?}");
     }
 
     #[test]
@@ -633,7 +602,7 @@ mod tests {
             Time::from_us(1),
             Time::from_us(1),
         );
-        assert_eq!(r.recorded().len(), 3);
+        assert_eq!(r.recorded().len(), 5, "one grant per train packet");
         r.restore(cp);
         assert_eq!(
             r.recorded(),
@@ -641,22 +610,6 @@ mod tests {
                 ready: Time::from_us(1),
                 start: a.start,
                 end: a.end,
-            }]
-        );
-    }
-
-    #[test]
-    fn recorded_train_is_one_coarse_entry() {
-        let mut r = FifoResource::new();
-        r.set_recording(true);
-        let t = TrainProfile::simultaneous(4, Time::from_us(3));
-        let occ = r.acquire_train(&t, Time::from_us(2), Time::from_us(1));
-        assert_eq!(
-            r.recorded(),
-            &[RecordedReservation {
-                ready: Time::from_us(3),
-                start: occ.first.start,
-                end: occ.last.end,
             }]
         );
     }

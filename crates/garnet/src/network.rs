@@ -1,8 +1,6 @@
 //! Store-and-forward packet network simulation.
 
 use std::collections::{BTreeMap, BTreeSet};
-use std::fmt;
-use std::str::FromStr;
 
 use astra_des::{DataSize, FifoCheckpoint, FifoResource, LanedEventQueue, Time, TrainProfile};
 use astra_network::{AsyncMessageId, Completion, LinkTrace, NetworkBackend, NetworkStats};
@@ -14,39 +12,25 @@ use astra_topology::{
 #[derive(Copy, Clone, Debug, PartialEq, Eq, Hash, PartialOrd, Ord)]
 pub struct MessageId(usize);
 
-/// How messages traverse the simulated links.
+/// How messages traverse the simulated links: one event per packet-hop
+/// ([`TransportMode::PerPacket`], the ground truth), or one closed-form
+/// reservation per message-hop ([`TransportMode::Batched`], via
+/// [`FifoResource::acquire_train`]): a train's packets enter every link in
+/// order and links serve FIFO, so its occupancy follows from its arrival
+/// profile in `O(hops)` events instead of `O(packets × hops)`.
 ///
-/// Both modes model the same store-and-forward FIFO links; they differ in
-/// event granularity:
-///
-/// * [`TransportMode::PerPacket`] pops one event per packet-hop — the
-///   ground-truth cost model (`packets × hops` events), which is exactly
-///   what makes fine-granularity simulation expensive at scale.
-/// * [`TransportMode::Batched`] coalesces each message's packet train into
-///   a closed-form per-link traversal ([`FifoResource::acquire_train`]):
-///   because a train's packets enter every link in order and links serve
-///   FIFO, the whole occupancy follows from the arrival profile, so a
-///   message costs `O(hops)` events instead of `O(packets × hops)`.
-///
-/// Batched mode is **bit-identical** to per-packet mode whenever each
-/// train occupies every link contiguously, which the lockstep collective
-/// runner guarantees by construction: hop-0 packets queue eagerly at send
-/// time (serializing same-source trains), ring steps and switch rounds
-/// carry one train per link, and the staggered All-to-All drains each
-/// switch down-link from one sender at a time. The cross-mode property
-/// suite (`crates/garnet/tests/transport_equivalence.rs`) pins this over
-/// random topologies, collectives, and sizes.
-///
-/// When concurrent trains *would* interleave packet-by-packet on a shared
-/// link, batched mode splits them at the interleave points: the link is
-/// rewound to before the resident train's reservation and the merged
-/// per-packet FIFO sequence is replayed, keeping the result bit-identical
-/// to per-packet mode at `O(packets)` cost for just the overlapping trains
-/// (see [`PacketNetwork::train_splits`]). Only when a resident train's
-/// downstream events have already fired — its reservation can no longer be
-/// rewound — does batched mode fall back to serializing whole trains in
-/// head-arrival order, a (work-conserving) approximation counted by
-/// [`PacketNetwork::train_interleavings`].
+/// The two are **bit-identical** while every train occupies each link
+/// contiguously, as in the lockstep collectives
+/// (`crates/garnet/tests/transport_equivalence.rs`). When concurrent
+/// trains *would* interleave packet-by-packet on a shared link, batched
+/// mode rewinds the link to before the resident train's reservation and
+/// replays the merged per-packet FIFO sequence, still bit-identical
+/// ([`NetworkStats::train_splits`]). Only when a resident train's
+/// downstream events have already fired, so it can no longer be rewound,
+/// are whole trains serialized in head-arrival order. That answer may
+/// differ by up to the other train's service time, and
+/// [`NetworkBackend::exact`] then returns `false` so that a caller can
+/// rerun per-packet.
 #[derive(Copy, Clone, Debug, Default, PartialEq, Eq, Hash)]
 pub enum TransportMode {
     /// One event per packet per hop (ground truth; the default).
@@ -54,40 +38,6 @@ pub enum TransportMode {
     PerPacket,
     /// One event per message per hop via closed-form train reservations.
     Batched,
-}
-
-impl TransportMode {
-    /// Both modes, for tests and benchmark sweeps.
-    pub const ALL: [TransportMode; 2] = [TransportMode::PerPacket, TransportMode::Batched];
-
-    /// Stable machine-readable name (`per-packet` / `batched`).
-    pub fn name(self) -> &'static str {
-        match self {
-            TransportMode::PerPacket => "per-packet",
-            TransportMode::Batched => "batched",
-        }
-    }
-}
-
-impl fmt::Display for TransportMode {
-    fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
-        f.write_str(self.name())
-    }
-}
-
-impl FromStr for TransportMode {
-    type Err = String;
-
-    /// Accepts `packet` / `per-packet` and `batched`.
-    fn from_str(s: &str) -> Result<Self, Self::Err> {
-        match s {
-            "packet" | "per-packet" => Ok(TransportMode::PerPacket),
-            "batched" => Ok(TransportMode::Batched),
-            other => Err(format!(
-                "unknown transport mode `{other}` (expected `packet` or `batched`)"
-            )),
-        }
-    }
 }
 
 /// Configuration of the packet simulator.
@@ -267,15 +217,21 @@ pub struct PacketNetwork {
     route_ids: BTreeMap<(NpuId, NpuId), usize>,
     config: PacketSimConfig,
     events_processed: u64,
+    /// Packet-hops of every message sent so far (`packets × hops` each),
+    /// counted at send time: the transport-independent event count that
+    /// [`NetworkBackend::stats`] reports under batched transport.
+    packet_hops: u64,
     completed: Vec<Completion>,
     /// Per link: last arrival instant of the most recent train reserved on
-    /// it (batched mode only) — the overlap detector behind
-    /// [`PacketNetwork::train_splits`] and
-    /// [`PacketNetwork::train_interleavings`].
+    /// it (batched mode only) — the overlap detector behind train splits
+    /// and serializations.
     link_train_tail: Vec<Time>,
     /// Per link: the rewindable train group (batched mode only).
     link_groups: Vec<Option<LinkTrainGroup>>,
+    /// Overlapping trains serialized whole because the resident one could
+    /// no longer be rewound; any makes the answer inexact.
     train_interleavings: u64,
+    /// Overlapping trains split and replayed per-packet (exact).
     train_splits: u64,
     /// Failed links (fault injection): excluded from routing; empty for a
     /// pristine fabric. Bandwidth/latency degradations live in `graph`.
@@ -340,6 +296,7 @@ impl PacketNetwork {
             route_ids: BTreeMap::new(),
             config,
             events_processed: 0,
+            packet_hops: 0,
             completed: Vec::new(),
             link_train_tail: vec![Time::ZERO; num_links],
             link_groups: vec![None; num_links],
@@ -374,9 +331,10 @@ impl PacketNetwork {
         &self.config
     }
 
-    /// Total transport events processed so far — packet-hops in per-packet
+    /// Total transport events popped so far — packet-hops in per-packet
     /// mode, train-hops plus completions in batched mode (the quantity that
-    /// makes fine-granularity simulation expensive).
+    /// makes fine-granularity simulation expensive). Unlike
+    /// [`NetworkBackend::stats`]' `events`, this depends on the transport.
     pub fn events_processed(&self) -> u64 {
         self.events_processed
     }
@@ -384,27 +342,6 @@ impl PacketNetwork {
     /// Distinct `(src, dst)` routes resolved and memoized so far.
     pub fn routes_cached(&self) -> usize {
         self.route_ids.len()
-    }
-
-    /// Batched-mode train splits: overlapping trains whose reservations
-    /// were rewound and replayed as a merged per-packet FIFO sequence,
-    /// keeping batched mode **bit-identical** to per-packet transport (see
-    /// the regression test `batched_interleaving_is_counted_and_bounded`).
-    /// Each count marks one such merge. Always zero in per-packet mode.
-    pub fn train_splits(&self) -> u64 {
-        self.train_splits
-    }
-
-    /// Batched-mode train serializations that per-packet mode would have
-    /// interleaved *and* that could no longer be split: the resident
-    /// train's downstream events had already fired, so its reservation was
-    /// not rewindable and the overlapping train was serialized behind it.
-    /// Each count marks one message whose completion may diverge from
-    /// per-packet ground truth — by at most the other train's service
-    /// time, since the link serves whole trains in head-arrival order and
-    /// stays work-conserving. Always zero in per-packet mode.
-    pub fn train_interleavings(&self) -> u64 {
-        self.train_interleavings
     }
 
     /// Current simulation time (the last processed event's time).
@@ -457,6 +394,7 @@ impl PacketNetwork {
         let full_packets = size.as_bytes() / pkt;
         let tail = size.as_bytes() % pkt;
         let count = full_packets + u64::from(tail > 0);
+        self.packet_hops += count * self.routes[route].len() as u64;
         self.messages.push(MessageState {
             route,
             packet_bytes: DataSize::from_bytes(pkt),
@@ -611,8 +549,9 @@ impl PacketNetwork {
         let service = props.bandwidth.transfer_time(packet_bytes);
         let tail_service = props.bandwidth.transfer_time(tail_bytes);
         self.link_train_tail[link_id.0] = self.link_train_tail[link_id.0].max(arrivals.last());
-        let occupancy = self.link_queues[link_id.0].acquire_train(&arrivals, service, tail_service);
-        let next = occupancy.completions.delayed_by(props.latency);
+        let next = self.link_queues[link_id.0]
+            .acquire_train(&arrivals, service, tail_service)
+            .delayed_by(props.latency);
         let downstream = if hop + 1 < hops {
             let head = next.first();
             self.queue.schedule_at(
@@ -797,10 +736,7 @@ impl PacketNetwork {
 
 impl NetworkBackend for PacketNetwork {
     fn name(&self) -> &'static str {
-        match self.config.transport {
-            TransportMode::PerPacket => "packet-level",
-            TransportMode::Batched => "packet-level (batched)",
-        }
+        "packet-level"
     }
 
     /// Injects a co-resident message: its packets queue on the live links
@@ -857,15 +793,27 @@ impl NetworkBackend for PacketNetwork {
         out.append(&mut self.completed);
     }
 
+    /// `events` counts packet-hops under both transports: popped ones in
+    /// per-packet mode, sent ones in batched mode. Once every message has
+    /// arrived the two are equal.
     fn stats(&self) -> NetworkStats {
+        let events = match self.config.transport {
+            TransportMode::PerPacket => self.events_processed,
+            TransportMode::Batched => self.packet_hops,
+        };
         NetworkStats {
             messages: self.messages.len() as u64,
-            events: self.events_processed,
-            train_serializations: self.train_interleavings,
+            events,
             train_splits: self.train_splits,
             backend_setups: 1,
             ..NetworkStats::default()
         }
+    }
+
+    /// Per-packet transport is the ground truth. Batched transport is
+    /// exact until it serializes a train it could not rewind.
+    fn exact(&self) -> bool {
+        self.train_interleavings == 0
     }
 
     /// Toggles grant recording on every link queue.
@@ -1018,6 +966,8 @@ mod tests {
             );
         }
         assert!(batched.events_processed() <= per_packet.events_processed());
+        // The reported event count is the packet-hop count either way.
+        assert_eq!(batched.stats().events, per_packet.stats().events);
     }
 
     #[test]
@@ -1122,17 +1072,16 @@ mod tests {
         batched.run_until_idle();
         // The overlap was detected (once, on the shared down-link) and
         // resolved by a split, not a serialization.
-        assert_eq!(batched.train_splits(), 1);
-        assert_eq!(batched.train_interleavings(), 0);
-        assert_eq!(per_packet.train_splits(), 0);
-        assert_eq!(per_packet.train_interleavings(), 0);
+        assert_eq!(batched.stats().train_splits, 1);
+        assert_eq!(batched.train_interleavings, 0);
+        assert_eq!(per_packet.stats().train_splits, 0);
+        assert_eq!(per_packet.train_interleavings, 0);
         // Exact equality, message by message — not just the last one.
         for &(pp, b) in &pairs {
             assert_eq!(per_packet.completion(pp), batched.completion(b));
         }
-        // The counter surfaces through the backend stats.
-        assert_eq!(batched.stats().train_splits, 1);
-        assert_eq!(batched.stats().train_serializations, 0);
+        // The answer is reported exact.
+        assert!(batched.exact());
     }
 
     /// Three-way incast: the rewindable group re-merges on every new
@@ -1155,8 +1104,8 @@ mod tests {
         }
         per_packet.run_until_idle();
         batched.run_until_idle();
-        assert_eq!(batched.train_splits(), 2);
-        assert_eq!(batched.train_interleavings(), 0);
+        assert_eq!(batched.stats().train_splits, 2);
+        assert_eq!(batched.train_interleavings, 0);
         for &(pp, b) in &pairs {
             assert_eq!(per_packet.completion(pp), batched.completion(b));
         }
@@ -1177,7 +1126,7 @@ mod tests {
         net.send_at(Time::ZERO, 0, 3, DataSize::from_mib(1));
         net.send_at(Time::ZERO, 4, 5, DataSize::from_mib(1));
         net.run_until_idle();
-        assert_eq!(net.train_interleavings(), 0);
+        assert_eq!(net.train_interleavings, 0);
     }
 
     /// A probe sharing a backlogged link pays the queueing it finds.

@@ -77,19 +77,14 @@ pub struct NetworkStats {
     /// Closed-form delay queries answered from the per-`(src, dst, size)`
     /// memo (the analytical backend; zero elsewhere).
     pub cache_hits: u64,
-    /// Internal events processed: packet/train-hop pops for the packet
-    /// simulator, rate re-shares for the fluid backend, zero for the
-    /// closed form.
+    /// Internal events: packet-hops for the packet simulator (the same
+    /// count whether it pops one event per packet-hop or reserves whole
+    /// trains), rate re-shares for the fluid backend, zero for the closed
+    /// form.
     pub events: u64,
-    /// Batched-transport train serializations on links where per-packet
-    /// transport would have interleaved two trains packet-by-packet and
-    /// the resident train could no longer be rewound (an approximation the
-    /// counter makes visible; see `astra_garnet::TransportMode`).
-    pub train_serializations: u64,
-    /// Batched-transport train splits: overlapping trains rewound and
-    /// replayed as a merged per-packet sequence, keeping the result
-    /// bit-identical to per-packet transport (the fixed fast path; see
-    /// `astra_garnet::TransportMode`).
+    /// Overlapping packet trains the packet simulator rewound and replayed
+    /// per-packet to stay exact (see `astra_garnet::TransportMode`); the
+    /// one counter that depends on the transport.
     pub train_splits: u64,
     /// Backend instances constructed to serve the traffic, as reported by
     /// the backend itself: 1 for a real backend, one per message for the
@@ -105,7 +100,6 @@ impl NetworkStats {
         self.messages += other.messages;
         self.cache_hits += other.cache_hits;
         self.events += other.events;
-        self.train_serializations += other.train_serializations;
         self.train_splits += other.train_splits;
         self.backend_setups += other.backend_setups;
     }
@@ -219,6 +213,13 @@ pub trait NetworkBackend {
     /// Work counters accumulated so far (see [`NetworkStats`]).
     fn stats(&self) -> NetworkStats;
 
+    /// Whether every completion so far is the ground-truth answer. The
+    /// packet simulator's train transport returns `false` once it took an
+    /// approximation, so the caller reruns per-packet. `true` by default.
+    fn exact(&self) -> bool {
+        true
+    }
+
     /// `(hits, misses)` of the backend's per-`(src, dst, size)` delay
     /// memo, for the system layer's cache report. `(0, 0)` for backends
     /// without one (the default).
@@ -245,10 +246,9 @@ pub trait NetworkBackend {
 /// The kinds map to concrete backends as follows:
 ///
 /// * `Analytical` — [`AnalyticalNetwork`] closed form (§IV-C), the default.
-/// * `Packet` — per-packet store-and-forward simulation
-///   (`astra_garnet::PacketNetwork`).
-/// * `Batched` — the same packet simulator with train-batched transport
-///   (`O(hops)` events per message, bit-identical on contiguous trains).
+/// * `Packet` — store-and-forward packet simulation
+///   (`astra_garnet::PacketNetwork`) with per-packet answers; the system
+///   layer picks its transport. `batched` parses as this kind.
 /// * `Flow` — [`FlowNetwork`] max-min fluid flows (congestion-aware, no
 ///   per-hop queueing).
 ///
@@ -259,20 +259,17 @@ pub enum NetworkBackendKind {
     /// Closed-form analytical equation (congestion-free).
     #[default]
     Analytical,
-    /// Per-packet store-and-forward DES.
+    /// Store-and-forward packet DES (per-packet answers).
     Packet,
-    /// Packet DES with train-batched transport.
-    Batched,
     /// Max-min fluid flow model.
     Flow,
 }
 
 impl NetworkBackendKind {
-    /// All four kinds, for tests and sweeps.
-    pub const ALL: [NetworkBackendKind; 4] = [
+    /// All three kinds, for tests and sweeps.
+    pub const ALL: [NetworkBackendKind; 3] = [
         NetworkBackendKind::Analytical,
         NetworkBackendKind::Packet,
-        NetworkBackendKind::Batched,
         NetworkBackendKind::Flow,
     ];
 
@@ -281,7 +278,6 @@ impl NetworkBackendKind {
         match self {
             NetworkBackendKind::Analytical => "analytical",
             NetworkBackendKind::Packet => "packet",
-            NetworkBackendKind::Batched => "batched",
             NetworkBackendKind::Flow => "flow",
         }
     }
@@ -296,16 +292,16 @@ impl fmt::Display for NetworkBackendKind {
 impl FromStr for NetworkBackendKind {
     type Err = String;
 
-    /// Accepts `analytical`, `packet`, `batched`, and `flow`.
+    /// Accepts `analytical`, `packet` and `flow`; `batched`, the retired
+    /// name of the packet backend's train transport, means `packet`.
     fn from_str(s: &str) -> Result<Self, Self::Err> {
         match s {
             "analytical" => Ok(NetworkBackendKind::Analytical),
-            "packet" => Ok(NetworkBackendKind::Packet),
-            "batched" => Ok(NetworkBackendKind::Batched),
+            "packet" | "batched" => Ok(NetworkBackendKind::Packet),
             "flow" => Ok(NetworkBackendKind::Flow),
             other => Err(format!(
                 "unknown network backend `{other}` (expected `analytical`, \
-                 `packet`, `batched`, or `flow`)"
+                 `packet`, or `flow`)"
             )),
         }
     }
@@ -682,7 +678,6 @@ mod tests {
             messages: 1,
             cache_hits: 2,
             events: 3,
-            train_serializations: 4,
             train_splits: 5,
             backend_setups: 6,
         };
@@ -691,7 +686,6 @@ mod tests {
         assert_eq!(a.messages, 2);
         assert_eq!(a.cache_hits, 4);
         assert_eq!(a.events, 6);
-        assert_eq!(a.train_serializations, 8);
         assert_eq!(a.train_splits, 10);
         assert_eq!(a.backend_setups, 12);
     }

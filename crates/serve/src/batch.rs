@@ -93,10 +93,6 @@ pub fn report_value(report: &SimReport) -> Value {
                 ("backend_setups".to_owned(), Value::UInt(n.backend_setups)),
                 ("events".to_owned(), Value::UInt(n.events)),
                 ("cache_hits".to_owned(), Value::UInt(n.cache_hits)),
-                (
-                    "train_serializations".to_owned(),
-                    Value::UInt(n.train_serializations),
-                ),
                 ("train_splits".to_owned(), Value::UInt(n.train_splits)),
             ]),
         ),
@@ -108,6 +104,23 @@ pub fn report_value(report: &SimReport) -> Value {
                 ("lowering_hits".to_owned(), Value::UInt(c.lowering_hits)),
                 ("lowering_misses".to_owned(), Value::UInt(c.lowering_misses)),
             ]),
+        ),
+        (
+            "faults".to_owned(),
+            Value::Array(
+                report
+                    .faults
+                    .iter()
+                    .map(|f| {
+                        obj(vec![
+                            ("event", Value::UInt(f.event as u64)),
+                            ("kind", Value::Str(f.kind.clone())),
+                            ("affected", Value::UInt(f.affected)),
+                            ("extra_ps", Value::UInt(f.extra_time.as_ps())),
+                        ])
+                    })
+                    .collect(),
+            ),
         ),
     ])
 }

@@ -305,7 +305,7 @@ pub fn execute_once(req: &SimRequest) -> Result<SimReport, RequestError> {
 /// plus the recorded [`SimTrace`]. The report is bit-identical to
 /// [`execute`]'s apart from [`SimReport::metrics`] (filled from the
 /// trace); the trace itself is a pure function of the request — identical
-/// warm vs cold, across worker counts, queue backends, and sim modes.
+/// warm vs cold and across worker counts.
 ///
 /// Traced runs bypass the whole-report result cache (their reports carry
 /// metrics, which untraced requests must never observe) but still share

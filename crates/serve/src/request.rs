@@ -114,7 +114,8 @@ pub struct SimRequest {
     pub chunks: Option<u64>,
     /// Remote memory system: `hiermem-base`, `hiermem-opt`, `zero-infinity`.
     pub memory: Option<String>,
-    /// Network backend: `analytical`, `packet`, `batched`, or `flow`.
+    /// Network backend: `analytical`, `packet`, or `flow` (`batched` reads
+    /// as `packet`).
     pub network: Option<NetworkBackendKind>,
     /// Collective execution: `analytical` or `backend`.
     pub collectives: Option<CollectiveMode>,
@@ -224,9 +225,10 @@ pub const FIELDS: &[Field] = &[
     Field {
         name: "network",
         value: "<BACKEND>",
-        help: "the p2p network backend; batched scales to fine packets and is \
-               bit-identical to packet unless concurrent trains interleave on a link",
-        kind: FieldKind::Enum(&["analytical", "packet", "batched", "flow"], |r, v| {
+        help: "the p2p network backend; packet runs whole packet trains and reruns \
+               per-packet when trains would interleave on a link or a budget trips, so \
+               it always answers per-packet",
+        kind: FieldKind::Enum(&["analytical", "packet", "flow"], |r, v| {
             v.parse().map(|kind| r.network = Some(kind))
         }),
     },

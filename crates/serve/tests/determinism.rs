@@ -17,7 +17,7 @@ fn request(json: &str) -> SimRequest {
 #[test]
 fn warm_reports_are_bit_identical_across_backends() {
     let cache = WarmCache::new();
-    for network in ["analytical", "packet", "batched", "flow"] {
+    for network in ["analytical", "packet", "flow"] {
         let req = request(&format!(
             r#"{{"topology": "R(8)@100", "workload": "gpt3", "pipeline": 4,
                 "network": "{network}"}}"#
@@ -40,7 +40,7 @@ fn warm_reports_are_bit_identical_across_backends() {
 #[test]
 fn warm_lowering_cache_preserves_reports_and_counters() {
     let cache = WarmCache::new();
-    for network in ["analytical", "packet", "batched", "flow"] {
+    for network in ["analytical", "packet", "flow"] {
         let req = request(&format!(
             r#"{{"topology": "SW(8)@100_SW(2)@50", "all_reduce_mib": 64,
                 "collectives": "backend", "network": "{network}", "chunks": 8}}"#
@@ -54,6 +54,32 @@ fn warm_lowering_cache_preserves_reports_and_counters() {
             "{network}: warm and cold runs lower the same programs"
         );
     }
+}
+
+/// `batched`, the retired name of the packet backend's train transport,
+/// is a spelling of `packet`: its line is answered with the same bytes,
+/// from the same result-cache entry.
+#[test]
+fn batched_lines_are_answered_as_packet_from_the_same_cache_entry() {
+    let line = |network: &str| {
+        format!(
+            r#"{{"id": "p", "topology": "R(8)@100", "workload": "gpt3", "pipeline": 4,
+                "network": "{network}"}}"#
+        )
+        .replace('\n', " ")
+    };
+    let cache = WarmCache::new();
+    let (packet_rows, _) = run_batch(&[line("packet")], 1, &cache);
+    let (batched_rows, _) = run_batch(&[line("batched")], 1, &cache);
+    assert!(
+        packet_rows[0].contains(r#""ok":true"#),
+        "{}",
+        packet_rows[0]
+    );
+    assert_eq!(batched_rows, packet_rows);
+    let summary = cache.summary();
+    assert_eq!(summary.result_entries, 1, "batched made its own entry");
+    assert_eq!(summary.result_hits, 1, "batched missed packet's entry");
 }
 
 /// The memory-system and scheduler paths round-trip through the warm

@@ -116,6 +116,29 @@ fn fault_laden_requests_never_alias_fault_free_cache_entries() {
     );
 }
 
+/// An `ok` row carries one impact row per scheduled fault, as `astra
+/// --json` prints them: a straggler NPU stretches the compute ops it
+/// issues after its onset.
+#[test]
+fn ok_rows_carry_fault_impacts() {
+    let batch = lines(&[
+        r#"{"id": "straggler", "topology": "R(8)@100_SW(8)@50", "workload": "gpt3",
+            "pipeline": 4, "network": "packet",
+            "faults": [{"kind": "npu_slowdown", "npu": 3, "slowdown_pct": 200}]}"#,
+        r#"{"id": "pristine", "topology": "SW(8)@400", "all_reduce_mib": 64}"#,
+    ]);
+    let (rows, summary) = run_batch(&batch, 1, &WarmCache::new());
+    assert_eq!(summary.ok, 2, "{rows:?}");
+    let report = &serde_json::parse(&rows[0]).unwrap()["report"];
+    let faults = report["faults"].as_array().unwrap();
+    assert_eq!(faults.len(), 1, "{}", rows[0]);
+    assert_eq!(faults[0]["event"].as_u64(), Some(0));
+    assert_eq!(faults[0]["kind"].as_str(), Some("npu_slowdown 3 200%"));
+    assert_eq!(faults[0]["affected"].as_u64(), Some(8));
+    assert!(faults[0]["extra_ps"].as_u64().unwrap() > 0, "{}", rows[0]);
+    assert!(rows[1].contains(r#""faults":[]"#), "{}", rows[1]);
+}
+
 /// Once the shutdown flag is set, unclaimed lines get pinned `shutdown`
 /// rejection rows (echoing the request id where one parses) instead of
 /// being started.

@@ -44,17 +44,19 @@ pub struct SystemConfig {
     /// Disaggregated remote pool (§IV-D.2), if the platform has one.
     pub remote_memory: Option<PoolArchitecture>,
     /// Network backend carrying point-to-point messages (pipeline
-    /// sends/receives and any other `NetworkAPI` traffic). Collectives are
-    /// modeled by the collective engine's multi-rail closed forms in every
-    /// mode — the backend choice governs the `sim_send`-style p2p path:
-    /// `analytical` (closed form, default), `packet` / `batched` (the
-    /// store-and-forward DES at 64 KiB granularity, per-packet or
-    /// train-batched events), or `flow` (max-min fluid sharing).
+    /// sends/receives and any other `NetworkAPI` traffic) and, with
+    /// [`CollectiveMode::Backend`], collective chunk ops: `analytical`
+    /// (closed form, default), `packet` (the store-and-forward DES at
+    /// 64 KiB granularity), or `flow` (max-min fluid sharing).
+    ///
+    /// `packet` always reports the per-packet answer: it runs on train
+    /// transport (`O(hops)` events per message) and reruns per-packet when
+    /// that run was inexact or tripped a budget.
     ///
     /// Through the async NetworkAPI the engine keeps one backend instance
     /// co-resident with its own event loop, so engine-time-concurrent
-    /// messages contend inside the `packet` / `batched` / `flow` backends
-    /// exactly as when driving them directly via `send_at` / `inject_at`.
+    /// messages contend inside the `packet` / `flow` backends exactly as
+    /// when driving them directly via `send_at` / `inject_at`.
     pub network_backend: NetworkBackendKind,
     /// How collectives execute: [`CollectiveMode::Analytical`] (the frozen
     /// closed-form fast path, the default) or [`CollectiveMode::Backend`]
@@ -111,17 +113,27 @@ impl Default for SystemConfig {
 /// fault schedule's fabric faults applied: dead links removed from routing,
 /// degraded link properties folded into every delay/rate computation. A
 /// schedule without fabric faults builds the pristine backend, attached to
-/// the `warm` handles where the backend takes one.
+/// the `warm` handles where the backend takes one. The packet backend runs
+/// train transport.
 pub(crate) fn build_network(
     topo: &Topology,
     config: &SystemConfig,
     warm: &WarmState,
 ) -> Box<dyn NetworkBackend> {
+    build_backend(topo, config, warm, TransportMode::Batched)
+}
+
+/// [`build_network`] with the packet backend on `transport`.
+fn build_backend(
+    topo: &Topology,
+    config: &SystemConfig,
+    warm: &WarmState,
+    transport: TransportMode,
+) -> Box<dyn NetworkBackend> {
     let schedule = &config.faults;
     // Warm delay/route tables are computed on the pristine fabric; a
     // degraded run must not consult them. Build cold instead.
     let pristine = !schedule.has_fabric_faults();
-    let packet = |transport| PacketSimConfig::fast().with_transport(transport);
     let checked = |r: Result<Box<dyn NetworkBackend>, FaultError>| {
         // astra-lint: allow(panic, simulate_with validates fault schedules before any backend is built)
         r.expect("fault schedule validated before backend construction")
@@ -138,12 +150,12 @@ pub(crate) fn build_network(
             ),
         },
         NetworkBackendKind::Packet => checked(
-            PacketNetwork::with_faults(topo, packet(TransportMode::PerPacket), schedule)
-                .map(|n| Box::new(n) as Box<dyn NetworkBackend>),
-        ),
-        NetworkBackendKind::Batched => checked(
-            PacketNetwork::with_faults(topo, packet(TransportMode::Batched), schedule)
-                .map(|n| Box::new(n) as Box<dyn NetworkBackend>),
+            PacketNetwork::with_faults(
+                topo,
+                PacketSimConfig::fast().with_transport(transport),
+                schedule,
+            )
+            .map(|n| Box::new(n) as Box<dyn NetworkBackend>),
         ),
         NetworkBackendKind::Flow => match warm.routes.as_ref().filter(|_| pristine) {
             Some(routes) => Box::new(FlowNetwork::with_shared_routes(topo, Arc::clone(routes))),
@@ -221,7 +233,8 @@ pub enum SimError {
     /// A configured budget ([`SystemConfig::max_events`] /
     /// [`SystemConfig::max_sim_time`]) was exhausted before the trace
     /// finished. Deterministic: the same run exceeds its budget at the
-    /// same point regardless of queue backend, sim mode, or warm state.
+    /// same point regardless of warm state, and on the packet backend the
+    /// error is the per-packet run's.
     BudgetExceeded {
         /// Events processed (engine plus network backends) when the
         /// budget tripped.
@@ -531,8 +544,7 @@ pub fn simulate_with(
     config: &SystemConfig,
     warm: &WarmState,
 ) -> Result<SimReport, SimError> {
-    let (spans, impacts) = prepare(trace, topo, config)?;
-    Engine::new(trace, topo, config, warm, spans, impacts).run()
+    run_exact(trace, topo, config, warm, false).0
 }
 
 /// [`simulate`] plus the recorded [`SimTrace`] when
@@ -559,15 +571,57 @@ pub fn simulate_traced_with(
     config: &SystemConfig,
     warm: &WarmState,
 ) -> (Result<SimReport, SimError>, Option<SimTrace>) {
-    if !config.telemetry {
-        return (simulate_with(trace, topo, config, warm), None);
+    run_exact(trace, topo, config, warm, config.telemetry)
+}
+
+/// Runs the engine to the per-packet answer. The packet backend runs on
+/// train transport first, and again per-packet when that run is inexact or
+/// trips a budget. A train run counts a message's packet-hops when it is
+/// sent rather than as they pop, so it trips a budget exactly when the
+/// per-packet run does, only earlier.
+fn run_exact(
+    trace: &ExecutionTrace,
+    topo: &Topology,
+    config: &SystemConfig,
+    warm: &WarmState,
+    traced: bool,
+) -> (Result<SimReport, SimError>, Option<SimTrace>) {
+    let (result, sim_trace, exact) =
+        run_on(trace, topo, config, warm, TransportMode::Batched, traced);
+    let tripped = matches!(result, Err(SimError::BudgetExceeded { .. }));
+    if config.network_backend != NetworkBackendKind::Packet || (exact && !tripped) {
+        return (result, sim_trace);
     }
-    match prepare(trace, topo, config) {
-        Ok((spans, impacts)) => {
-            Engine::new(trace, topo, config, warm, spans, impacts).run_with_trace()
-        }
-        Err(e) => (Err(e), None),
-    }
+    let (result, sim_trace, _) =
+        run_on(trace, topo, config, warm, TransportMode::PerPacket, traced);
+    (result, sim_trace)
+}
+
+/// One engine run with a packet backend on `transport`: the result, its
+/// trace when `traced`, and whether the backend vouched for its answer
+/// ([`NetworkBackend::exact`]).
+pub(crate) fn run_on(
+    trace: &ExecutionTrace,
+    topo: &Topology,
+    config: &SystemConfig,
+    warm: &WarmState,
+    transport: TransportMode,
+    traced: bool,
+) -> (Result<SimReport, SimError>, Option<SimTrace>, bool) {
+    let (spans, impacts) = match prepare(trace, topo, config) {
+        Ok(prepared) => prepared,
+        Err(e) => return (Err(e), None, true),
+    };
+    let mut engine = Engine::new(trace, topo, config, warm, spans, impacts);
+    engine.transport = transport;
+    let result = engine.run();
+    let exact = engine.network.as_ref().is_none_or(|net| net.exact());
+    let (result, sim_trace) = if traced {
+        engine.with_trace(result)
+    } else {
+        (result, None)
+    };
+    (result, sim_trace, exact)
 }
 
 /// Shared validation front half of every `simulate*` entry point: checks
@@ -839,6 +893,8 @@ pub(crate) struct Engine<'a> {
     /// telemetry spans. Always incremented so ids are independent of
     /// whether a sink is installed.
     trace_seq: u64,
+    /// Transport of a packet backend built by [`Engine::network_mut`].
+    transport: TransportMode,
 }
 
 impl<'a> Engine<'a> {
@@ -921,6 +977,7 @@ impl<'a> Engine<'a> {
             events_popped: 0,
             sink: config.telemetry.then(TraceSink::new),
             trace_seq: 0,
+            transport: TransportMode::Batched,
         }
     }
 
@@ -972,28 +1029,25 @@ impl<'a> Engine<'a> {
     fn network_mut(&mut self) -> &mut dyn NetworkBackend {
         let first = self.network.is_none();
         let record = self.sink.is_some();
-        let (topo, config, warm) = (self.topo, self.config, self.warm);
+        let (topo, config, warm, transport) = (self.topo, self.config, self.warm, self.transport);
         let net = self
             .network
-            .get_or_insert_with(|| build_network(topo, config, warm));
+            .get_or_insert_with(|| build_backend(topo, config, warm, transport));
         if first && record {
             net.set_telemetry(true);
         }
         net.as_mut()
     }
 
-    pub(crate) fn run(mut self) -> Result<SimReport, SimError> {
-        self.run_inner()
-    }
-
-    /// [`Engine::run`] plus trace assembly: drives the simulation, then
-    /// turns the sink's records, the per-NPU interval logs, and the
-    /// backend's link grants into a canonical [`SimTrace`], attaching the
-    /// derived [`MetricsReport`] to a successful report. Budget-tripped
-    /// runs still yield the partial trace (with a `budget_exceeded`
-    /// marker) alongside the error.
-    fn run_with_trace(mut self) -> (Result<SimReport, SimError>, Option<SimTrace>) {
-        let mut result = self.run_inner();
+    /// Trace assembly after [`Engine::run`]: turns the sink's records, the
+    /// per-NPU interval logs, and the backend's link grants into a
+    /// canonical [`SimTrace`], attaching the derived [`MetricsReport`] to a
+    /// successful report. Budget-tripped runs still yield the partial trace
+    /// (with a `budget_exceeded` marker) alongside the error.
+    fn with_trace(
+        &mut self,
+        mut result: Result<SimReport, SimError>,
+    ) -> (Result<SimReport, SimError>, Option<SimTrace>) {
         let trace = self.sink.is_some().then(|| self.assemble_trace(&result));
         if let (Ok(report), Some(trace)) = (&mut result, &trace) {
             report.metrics = Some(MetricsReport::from_trace(trace, &report.per_npu_finish));
@@ -1065,7 +1119,7 @@ impl<'a> Engine<'a> {
     }
 
     // astra-lint: hot-path
-    fn run_inner(&mut self) -> Result<SimReport, SimError> {
+    pub(crate) fn run(&mut self) -> Result<SimReport, SimError> {
         // Seed: every node with no dependencies is ready at t = 0.
         for npu in 0..self.trace.npus() {
             for idx in 0..self.trace.program(npu).len() {
@@ -1714,12 +1768,8 @@ impl<'a> Engine<'a> {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::simulate_blocking_reference;
     use astra_collectives::Collective;
     use astra_workload::{models, parallelism, EtOp, Parallelism, TraceBuilder};
-
-    /// [`simulate`] or [`simulate_blocking_reference`].
-    type SimFn = fn(&ExecutionTrace, &Topology, &SystemConfig) -> Result<SimReport, SimError>;
 
     fn topo512() -> Topology {
         Topology::parse("R(2)@250_FC(8)@200_R(8)@100_SW(4)@50").unwrap()
@@ -2087,7 +2137,7 @@ mod tests {
     #[test]
     fn every_network_backend_drives_pipeline_p2p() {
         // The backend choice governs the p2p (NetworkAPI) path; a pipeline
-        // workload exercises it on all four kinds.
+        // workload exercises it on every kind.
         let trace = pipeline_trace_16();
         let mut totals = Vec::new();
         for kind in NetworkBackendKind::ALL {
@@ -2138,37 +2188,6 @@ mod tests {
         let report = simulate(&trace, &small_topo(), &SystemConfig::default()).unwrap();
         assert_eq!(report.p2p_messages, 0);
         assert_eq!(report.network, NetworkStats::default());
-    }
-
-    #[test]
-    fn packet_and_batched_backends_are_bit_identical() {
-        // On this switch-crossing pipeline no two co-resident trains share
-        // a link (each lane has its own switch plane), so batched transport
-        // stays a pure speed knob on the async path and on the blocking
-        // reference alike.
-        let trace = pipeline_trace_16();
-        let paths: [(&str, SimFn); 2] = [
-            ("async", simulate),
-            ("blocking reference", simulate_blocking_reference),
-        ];
-        for (path, sim) in paths {
-            let run = |kind| {
-                let config = SystemConfig {
-                    network_backend: kind,
-                    ..SystemConfig::default()
-                };
-                sim(&trace, &small_topo(), &config).unwrap()
-            };
-            let packet = run(NetworkBackendKind::Packet);
-            let batched = run(NetworkBackendKind::Batched);
-            assert_eq!(packet.total_time, batched.total_time, "{path}");
-            assert_eq!(
-                packet.breakdown.exposed_comm,
-                batched.breakdown.exposed_comm
-            );
-            assert_eq!(packet.per_npu_finish, batched.per_npu_finish);
-            assert_eq!(batched.network.train_serializations, 0, "{path}");
-        }
     }
 
     #[test]

@@ -34,7 +34,7 @@ pub use engine::{
     simulate, simulate_traced, simulate_traced_with, simulate_with, SimError, SystemConfig,
     WarmState,
 };
-pub use oracle::simulate_blocking_reference;
+pub use oracle::{simulate_blocking_reference, simulate_transport_reference};
 pub use report::{Breakdown, CacheStats, FaultImpact, SimReport};
 
 // Re-exported so traced runs (`SystemConfig.telemetry` +

@@ -1,18 +1,23 @@
-//! The blocking-p2p test oracle.
+//! Test oracles of the engine.
 //!
 //! [`simulate_blocking_reference`] runs the engine's one p2p path against
 //! a probe backend that measures every message alone, with a `p2p_delay`
 //! probe on a fresh, cold backend of the configured kind. To the engine
 //! the probe looks like a closed-form backend: each completion is known
 //! at send time, as with the analytical equation.
+//!
+//! [`simulate_transport_reference`] pins the packet backend to one
+//! transport, with no per-packet fallback.
 
 use astra_collectives::CollectiveMode;
 use astra_des::{DataSize, Time};
+use astra_garnet::TransportMode;
 use astra_network::{AsyncMessageId, Completion, NetworkBackend, NetworkStats};
+use astra_telemetry::SimTrace;
 use astra_topology::{NpuId, Topology};
 use astra_workload::ExecutionTrace;
 
-use crate::engine::{build_network, prepare, Engine, SimError, SystemConfig, WarmState};
+use crate::engine::{build_network, prepare, run_on, Engine, SimError, SystemConfig, WarmState};
 use crate::SimReport;
 
 /// The frozen blocking-p2p test oracle: [`simulate`](crate::simulate),
@@ -44,6 +49,20 @@ pub fn simulate_blocking_reference(
         ready: Vec::new(),
     }));
     engine.run()
+}
+
+/// [`simulate_traced`](crate::simulate_traced) with the packet backend on
+/// `transport` and no per-packet fallback, plus whether the backend
+/// vouched for its answer ([`NetworkBackend::exact`]). On
+/// [`TransportMode::PerPacket`] it is the answer `packet` must report.
+pub fn simulate_transport_reference(
+    trace: &ExecutionTrace,
+    topo: &Topology,
+    config: &SystemConfig,
+    transport: TransportMode,
+) -> (Result<SimReport, SimError>, Option<SimTrace>, bool) {
+    let warm = WarmState::default();
+    run_on(trace, topo, config, &warm, transport, config.telemetry)
 }
 
 /// A backend that answers every send with a probe on a fresh

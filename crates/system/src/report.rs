@@ -123,8 +123,8 @@ impl fmt::Display for CacheStats {
 }
 
 /// Attribution of one injected fault's impact on the run (see
-/// `astra_topology::faults`). Deterministic: identical across queue
-/// backends, sim modes, and worker counts.
+/// `astra_topology::faults`). Deterministic: identical warm vs cold and
+/// across worker counts.
 #[derive(Clone, Debug, PartialEq, Eq)]
 pub struct FaultImpact {
     /// Index of the fault event in the schedule.

@@ -14,7 +14,7 @@
 //!   coincide (single-chunk programs; multi-chunk single-phase programs),
 //!   Backend mode reproduces Analytical mode **bit-identically** on the
 //!   analytical backend.
-//! * On uncongested single-tenant switch topologies all four backends
+//! * On uncongested single-tenant switch topologies all three backends
 //!   agree with the closed form to within the documented modeling deltas
 //!   (store-and-forward packet overhead; DAG-vs-fluid pipeline fill).
 //! * Under *overlap* — collectives contending with p2p traffic or with
@@ -192,7 +192,7 @@ proptest! {
         );
     }
 
-    /// Uncongested single-tenant equivalence across all four backends on
+    /// Uncongested single-tenant equivalence across every backend on
     /// switch topologies: the backend-executed finish stays within the
     /// documented modeling deltas of the closed form — at most the fluid
     /// model's pipeline-fill overestimate below, at most the packet
@@ -469,12 +469,11 @@ fn golden_backend_collective_pins() {
     let topo = Topology::parse("SW(8)@100_SW(2)@50").unwrap();
     let trace = world_collective_trace(16, Collective::AllReduce, DataSize::from_mib(64));
     // The analytical and fluid backends agree bit-exactly (switch links
-    // carry the full aggregate bandwidth); the packet backends add their
+    // carry the full aggregate bandwidth); the packet backend adds its
     // store-and-forward per-hop pipelining and clock-floor serialization.
     let expected = [
         (NetworkBackendKind::Analytical, Time::from_ps(1_177_405_120)),
         (NetworkBackendKind::Packet, Time::from_ps(1_229_376_640)),
-        (NetworkBackendKind::Batched, Time::from_ps(1_229_376_640)),
         (NetworkBackendKind::Flow, Time::from_ps(1_177_405_120)),
     ];
     for (backend, want) in expected {

@@ -13,8 +13,8 @@
 //!   schedulers and three fault cases (none, a degraded link, a straggler
 //!   NPU);
 //! * one GPT-3 hybrid run with backend-executed collectives on the packet
-//!   backend, the same run under an event budget and a simulated-time
-//!   budget that both trip mid-run, and once more on batched transport;
+//!   backend, and the same run under an event budget and a simulated-time
+//!   budget that both trip mid-run;
 //! * the GPT-3 pipeline with its stage-to-stage messages on the packet
 //!   backend;
 //! * two hand-built traces: one where a member issues instance `k + 1` of
@@ -288,7 +288,7 @@ fn render() -> String {
             "max_sim_time",
             SystemConfig {
                 max_sim_time: Some(Time::from_us(30_000)),
-                ..backend.clone()
+                ..backend
             },
         ),
     ];
@@ -298,13 +298,6 @@ fn render() -> String {
         writeln!(out, "gpt3_hybrid_mp4 backend packet {budget}: {result:?}")
             .expect("writing to a String cannot fail");
     }
-    let batched = SystemConfig {
-        network_backend: NetworkBackendKind::Batched,
-        ..backend
-    };
-    let report = simulate(&trace, &topo_16, &batched).expect("valid batched run");
-    writeln!(out, "gpt3_hybrid_mp4 backend batched: {report:?}")
-        .expect("writing to a String cannot fail");
     let pipeline = preset(
         truncated(models::gpt3_175b(), 8),
         Parallelism::Pipeline {

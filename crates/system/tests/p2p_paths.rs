@@ -9,8 +9,8 @@
 //!   a lone message rides a quiet network either way, and all backends are
 //!   time-shift invariant for isolated traffic.
 //! * On **overlapping** traffic they are *meant* to diverge: co-resident
-//!   messages contend inside the congestion-aware backends (packet,
-//!   batched, flow), which the per-message blocking probes cannot see.
+//!   messages contend inside the congestion-aware backends (packet
+//!   and flow), which the per-message blocking probes cannot see.
 //!   The closed-form analytical backend stays congestion-free in both
 //!   modes.
 
@@ -26,7 +26,7 @@ use proptest::prelude::*;
 /// Bandwidth values in the pool all divide the picosecond grid exactly
 /// (any per-link share of 25–250 GB/s turns whole-byte payloads into whole
 /// picoseconds), so even the fluid backend's float clock lands on the grid
-/// and bit-identity is meaningful across all four backends.
+/// and bit-identity is meaningful across every backend.
 fn arb_topology() -> impl Strategy<Value = Topology> {
     prop::sample::select(vec![
         "R(4)@100",
@@ -105,7 +105,7 @@ proptest! {
 
     /// Random relay chains over random topologies: bit-identical totals,
     /// per-NPU finish times, and breakdowns between the async and blocking
-    /// paths on all four backends, with the
+    /// paths on every backend, with the
     /// O(messages)-vs-O(1) backend-setup gap visible in the stats.
     #[test]
     fn non_overlapping_traffic_is_bit_identical_across_paths(
@@ -188,11 +188,7 @@ fn overlapping_sends_contend_in_congestion_aware_backends() {
 
     let analytical = total(NetworkBackendKind::Analytical);
     assert!(analytical > Time::ZERO);
-    for backend in [
-        NetworkBackendKind::Packet,
-        NetworkBackendKind::Batched,
-        NetworkBackendKind::Flow,
-    ] {
+    for backend in [NetworkBackendKind::Packet, NetworkBackendKind::Flow] {
         let asynchronous = total(backend);
         let blocking = reference_total(backend);
         assert!(
@@ -311,12 +307,11 @@ fn backend_setups_are_o1_async_and_o_messages_blocking() {
 }
 
 /// A GPT-3 GPipe pipeline on a ring (`astra --topology R(8)@100 --workload
-/// gpt3 --pipeline 4`). Under the blocking reference every probe train
-/// stays contiguous, so batched transport is bit-identical to per-packet;
-/// on the async path the overlapping multi-hop sends contend, so the
-/// packet backend finishes no earlier than its blocking reference.
+/// gpt3 --pipeline 4`). On the async path the overlapping multi-hop sends
+/// contend, so the packet backend finishes no earlier than its blocking
+/// reference, which probes every message alone.
 #[test]
-fn blocking_reference_keeps_batched_equal_to_packet_on_a_pipeline() {
+fn pipeline_contention_never_beats_the_blocking_reference() {
     let topo = Topology::parse("R(8)@100").unwrap();
     let stages = Parallelism::Pipeline {
         stages: 4,
@@ -324,10 +319,7 @@ fn blocking_reference_keeps_batched_equal_to_packet_on_a_pipeline() {
     };
     let trace = parallelism::generate_trace(&models::gpt3_175b(), stages, 8).unwrap();
     let packet = reference(&trace, &topo, NetworkBackendKind::Packet);
-    let batched = reference(&trace, &topo, NetworkBackendKind::Batched);
     assert!(packet.p2p_messages > 0);
-    assert_eq!(packet.total_time, batched.total_time);
-    assert_eq!(packet.p2p_messages, batched.p2p_messages);
     let packet_async = run(&trace, &topo, NetworkBackendKind::Packet);
     assert!(packet_async.total_time >= packet.total_time);
 }

@@ -99,7 +99,6 @@ fn disabled_sink_is_byte_invisible() {
         NetworkBackendKind::Analytical,
         NetworkBackendKind::Flow,
         NetworkBackendKind::Packet,
-        NetworkBackendKind::Batched,
     ] {
         let config = SystemConfig {
             network_backend: backend,
@@ -181,7 +180,6 @@ fn arb_config() -> impl Strategy<Value = SystemConfig> {
             NetworkBackendKind::Analytical,
             NetworkBackendKind::Flow,
             NetworkBackendKind::Packet,
-            NetworkBackendKind::Batched,
         ]),
         prop::sample::select(vec![CollectiveMode::Analytical, CollectiveMode::Backend]),
         prop::sample::select(vec![1u64, 2, 4]),

@@ -8,7 +8,7 @@
 //!   [`FaultKind::SwitchDown`]) degrade the link graph. They are applied
 //!   conservatively for the *whole run* (the `at` timestamp records the
 //!   onset for reporting); every network backend reads link properties from
-//!   the same degraded [`LinkGraph`], so the packet, batched, flow, and
+//!   the same degraded [`LinkGraph`], so the packet, flow, and
 //!   analytical models all see an identical fabric.
 //! * **NPU faults** ([`FaultKind::NpuSlowdown`]) stretch the compute time
 //!   of operations issued at or after `at` on one straggler NPU.

@@ -530,7 +530,6 @@ pub fn render(opts: &CliOptions, report: &SimReport) -> String {
                 "  \"network_backend_setups\": {},\n",
                 "  \"network_events\": {},\n",
                 "  \"p2p_cache_hits\": {},\n",
-                "  \"train_serializations\": {},\n",
                 "  \"train_splits\": {},\n",
                 "  \"cache_delay_hits\": {},\n",
                 "  \"cache_delay_misses\": {},\n",
@@ -554,7 +553,6 @@ pub fn render(opts: &CliOptions, report: &SimReport) -> String {
             report.network.backend_setups,
             report.network.events,
             report.network.cache_hits,
-            report.network.train_serializations,
             report.network.train_splits,
             report.cache.delay_hits,
             report.cache.delay_misses,
@@ -610,16 +608,6 @@ pub fn render(opts: &CliOptions, report: &SimReport) -> String {
                 // Overlapping trains were split at their interleave points
                 // and replayed per-packet (bit-identical fast path).
                 text.push_str(&format!("  {} train split(s)", n.train_splits));
-            }
-            if n.train_serializations > 0 {
-                // The batched-transport approximation fired: concurrent
-                // trains that per-packet mode would interleave were
-                // serialized whole (their reservations were no longer
-                // rewindable).
-                text.push_str(&format!(
-                    "  {} train serialization(s) (batched-mode approximation)",
-                    n.train_serializations
-                ));
             }
         }
         let c = &report.cache;
@@ -739,7 +727,7 @@ mod tests {
         for (flag, kind) in [
             ("analytical", NetworkBackendKind::Analytical),
             ("packet", NetworkBackendKind::Packet),
-            ("batched", NetworkBackendKind::Batched),
+            ("batched", NetworkBackendKind::Packet),
             ("flow", NetworkBackendKind::Flow),
         ] {
             let opts = parse_args(&args(&format!(
@@ -753,6 +741,9 @@ mod tests {
         ))
         .unwrap_err();
         assert!(e.to_string().contains("garnet"));
+        // `batched` still parses, but neither the error nor the usage
+        // text it carries lists it.
+        assert!(!e.to_string().contains("batched"), "{e}");
     }
 
     #[test]
@@ -764,20 +755,13 @@ mod tests {
         let base = "--topology R(8)@100 --workload gpt3 --pipeline 4 --network";
         let run_with =
             |backend: &str| run(&parse_args(&args(&format!("{base} {backend}"))).unwrap()).unwrap();
-        for backend in ["analytical", "packet", "batched", "flow"] {
+        for backend in ["analytical", "packet", "flow"] {
             let report = run_with(backend);
             assert!(report.p2p_messages > 0, "{backend}");
             assert!(report.total_time > astra_core::Time::ZERO, "{backend}");
         }
-        // This 2-lane pipeline's multi-hop ring sends interleave
-        // packet-by-packet on shared links: batched transport splits the
-        // overlapping trains where it can rewind them (the bit-identical
-        // fast path) and serializes the rest (the counted approximation);
-        // either way the overlap is surfaced.
-        let batched = run_with("batched");
-        let n = &batched.network;
-        assert!(n.train_splits + n.train_serializations > 0);
-        assert_eq!(batched.network.backend_setups, 1);
+        // `batched`, the retired name of train transport, is `packet`.
+        assert_eq!(run_with("batched"), run_with("packet"));
     }
 
     #[test]
@@ -820,7 +804,7 @@ mod tests {
         // `astra --collectives backend --network <each>` runs end-to-end,
         // decomposing the collective into chunk ops; the analytical
         // collective mode never issues chunk ops.
-        for backend in ["analytical", "packet", "batched", "flow"] {
+        for backend in ["analytical", "packet", "flow"] {
             let opts = parse_args(&args(&format!(
                 "--topology SW(8)@100_SW(2)@50 --all-reduce-mib 64 \
                  --collectives backend --network {backend} --chunks 8"
@@ -1040,14 +1024,12 @@ mod tests {
         let text = render(&opts, &report);
         let v: serde_json::Value = serde_json::from_str(&text).expect("valid JSON");
         assert!(v["total_us"].as_f64().unwrap() > 0.0);
-        // The network counters (incl. the batched-mode approximation
-        // signal) are part of the machine-readable surface.
+        // The network counters are part of the machine-readable surface.
         for key in [
             "network_messages",
             "network_backend_setups",
             "network_events",
             "p2p_cache_hits",
-            "train_serializations",
             "train_splits",
             "cache_delay_hits",
             "cache_delay_misses",
