@@ -735,10 +735,6 @@ impl PacketNetwork {
 }
 
 impl NetworkBackend for PacketNetwork {
-    fn name(&self) -> &'static str {
-        "packet-level"
-    }
-
     /// Injects a co-resident message: its packets queue on the live links
     /// from `at` onwards and interleave with every other in-flight
     /// message, so cross-message queueing is modeled (unlike the blocking

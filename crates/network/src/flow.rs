@@ -575,10 +575,6 @@ impl FlowNetwork {
 }
 
 impl NetworkBackend for FlowNetwork {
-    fn name(&self) -> &'static str {
-        "flow-level"
-    }
-
     /// Injects a co-resident flow: it shares link bandwidth max-min fairly
     /// with every other live flow from `at` onwards. Arrivals re-share
     /// rates, so an async send can slow down (and be slowed down by)
@@ -919,12 +915,6 @@ mod tests {
         }
         net.run_until_idle();
         assert_eq!(net.route_ids.len(), 1);
-    }
-
-    #[test]
-    fn backend_reports_name() {
-        let net = FlowNetwork::new(&topo("R(2)@100"));
-        assert_eq!(net.name(), "flow-level");
     }
 
     #[test]

@@ -158,9 +158,6 @@ pub trait NetworkBackend {
         }
     }
 
-    /// Human-readable backend name (for reports and experiment tables).
-    fn name(&self) -> &'static str;
-
     /// Schedules a `size`-byte message from `src` to `dst` entering the
     /// network at absolute time `at`, without advancing the simulation.
     /// The completion surfaces later through
@@ -510,10 +507,6 @@ fn faulted_route_delay(
 }
 
 impl NetworkBackend for AnalyticalNetwork {
-    fn name(&self) -> &'static str {
-        "analytical"
-    }
-
     /// Closed-form backend: the completion is known at send time (the
     /// equation is congestion-free, so later traffic cannot change it) and
     /// becomes drainable immediately.
@@ -617,12 +610,6 @@ mod tests {
                 n.latency_term(a, b) + n.serialization_term(a, b, size)
             );
         }
-    }
-
-    #[test]
-    fn backend_reports_name() {
-        let n = net("R(2)@1");
-        assert_eq!(n.name(), "analytical");
     }
 
     #[test]

@@ -6,6 +6,7 @@
 //! order within the batch, or cache state — workers only race for *which
 //! request to claim next*, never for what a response contains.
 
+use std::cell::Cell;
 use std::panic::{catch_unwind, AssertUnwindSafe};
 use std::sync::atomic::{AtomicBool, AtomicUsize, Ordering};
 use std::sync::Mutex;
@@ -13,7 +14,7 @@ use std::sync::Mutex;
 use astra_core::SimReport;
 use serde_json::Value;
 
-use crate::exec::{execute, WarmCache};
+use crate::exec::{execute_on_miss, WarmCache};
 use crate::request::{ErrorKind, RequestError, SimRequest};
 use crate::stats::ServeStats;
 
@@ -168,12 +169,15 @@ fn is_stats_control(line: &str) -> bool {
 /// classification (`None` = success) so summary and stats counters never
 /// have to string-match response bytes. A panic inside execution is
 /// caught here, so one poisoned request cannot take down its worker or
-/// the batch.
+/// the batch. `on_work` runs before the line does work worth sharing out:
+/// executing a request whose report is not memoized, or rendering a
+/// report of at least [`SHARED_RENDER`] NPUs.
 fn response_row(
     index: usize,
     line_number: usize,
     item: &BatchLine,
     cache: &WarmCache,
+    on_work: &dyn Fn(),
 ) -> (String, Option<ErrorKind>) {
     let (request_id, outcome) = match item {
         BatchLine::TooLong { bytes } => (
@@ -185,18 +189,25 @@ fn response_row(
         ),
         BatchLine::Request(line) => match SimRequest::from_json_line(line) {
             Ok(req) => {
-                let outcome = catch_unwind(AssertUnwindSafe(|| execute(&req, cache)))
-                    .unwrap_or_else(|payload| {
-                        let what = payload
-                            .downcast_ref::<&str>()
-                            .map(|s| (*s).to_owned())
-                            .or_else(|| payload.downcast_ref::<String>().cloned())
-                            .unwrap_or_else(|| "opaque panic payload".to_owned());
-                        Err(RequestError::with_kind(
-                            ErrorKind::Panic,
-                            format!("request panicked: {what}"),
-                        ))
-                    });
+                let outcome =
+                    catch_unwind(AssertUnwindSafe(|| execute_on_miss(&req, cache, on_work)))
+                        .unwrap_or_else(|payload| {
+                            let what = payload
+                                .downcast_ref::<&str>()
+                                .map(|s| (*s).to_owned())
+                                .or_else(|| payload.downcast_ref::<String>().cloned())
+                                .unwrap_or_else(|| "opaque panic payload".to_owned());
+                            Err(RequestError::with_kind(
+                                ErrorKind::Panic,
+                                format!("request panicked: {what}"),
+                            ))
+                        });
+                if outcome
+                    .as_ref()
+                    .is_ok_and(|report| report.per_npu_finish.len() >= SHARED_RENDER)
+                {
+                    on_work();
+                }
                 (req.id, outcome)
             }
             // A line rejected while parsing carries its id on the error.
@@ -223,14 +234,22 @@ fn response_row(
     )
 }
 
+/// Reports of at least this many NPUs take long enough to render (some
+/// 50 ns per NPU) that a batch of them, even memoized, is worth starting
+/// the other workers for.
+const SHARED_RENDER: usize = 4096;
+
 /// The socket front end's per-line byte bound (see
 /// [`crate::serve_unix`]); re-declared here so [`BatchLine::TooLong`]
 /// rows can name it.
 pub(crate) const MAX_LINE_BYTES: usize = 64 * 1024;
 
-/// Executes a batch of JSONL request lines on `workers` threads sharing
-/// `cache`, returning one response row per non-blank line, in input
-/// order, plus the batch totals.
+/// Executes a batch of JSONL request lines on up to `workers` threads
+/// sharing `cache`, returning one response row per non-blank line, in
+/// input order, plus the batch totals. The calling thread starts alone and
+/// starts the other workers at the first line with work worth sharing
+/// (see [`response_row`]), so a batch of small memoized reports starts
+/// none.
 ///
 /// Every row is bit-identical to what a cold, sequential execution of the
 /// same line would produce; only wall-clock time depends on `workers` and
@@ -286,52 +305,57 @@ pub fn run_batch_items_with(
     let workers = workers.clamp(1, work.len().max(1));
     let next = AtomicUsize::new(0);
     let rows = Mutex::new(vec![None; work.len()]);
-    std::thread::scope(|scope| {
-        for _ in 0..workers {
-            scope.spawn(|| loop {
-                let draining = shutdown.load(Ordering::Acquire);
-                let i = next.fetch_add(1, Ordering::Relaxed);
-                let Some(&(line_number, item)) = work.get(i) else {
-                    break;
-                };
-                let (row, outcome) = if draining {
-                    let rejection = RequestError::with_kind(
-                        ErrorKind::Shutdown,
-                        "service shutting down; request was not started",
-                    );
-                    let id = match item {
-                        BatchLine::Request(line) => SimRequest::from_json_line(line)
-                            .map_or_else(|e| e.id, |r| r.id)
-                            .map_or(Value::Null, Value::Str),
-                        BatchLine::TooLong { .. } => Value::Null,
-                    };
-                    stats.record(Some(ErrorKind::Shutdown), 0);
-                    let row = serde_json::to_string(&error_row(i, line_number, id, &rejection))
-                        .unwrap_or_else(|e| format!("{{\"ok\":false,\"error\":\"{e}\"}}"));
-                    (row, Some(ErrorKind::Shutdown))
-                } else if matches!(item, BatchLine::Request(line) if is_stats_control(line.trim()))
-                {
-                    stats.record_stats_request();
-                    let snapshot = obj(vec![
-                        ("index", Value::UInt(i as u64)),
-                        ("ok", Value::Bool(true)),
-                        ("stats", stats.value(workers, &cache.summary())),
-                    ]);
-                    let row = serde_json::to_string(&snapshot)
-                        .unwrap_or_else(|e| format!("{{\"ok\":false,\"error\":\"{e}\"}}"));
-                    (row, None)
-                } else {
-                    let ((row, outcome), micros) =
-                        ServeStats::timed(|| response_row(i, line_number, item, cache));
-                    stats.record(outcome, micros);
-                    (row, outcome)
-                };
-                match rows.lock() {
-                    Ok(mut slots) => slots[i] = Some((row, outcome)),
-                    Err(poisoned) => poisoned.into_inner()[i] = Some((row, outcome)),
-                }
-            });
+    let claim = |on_work: &dyn Fn()| loop {
+        let draining = shutdown.load(Ordering::Acquire);
+        let i = next.fetch_add(1, Ordering::Relaxed);
+        let Some(&(line_number, item)) = work.get(i) else {
+            break;
+        };
+        let (row, outcome) = if draining {
+            let rejection = RequestError::with_kind(
+                ErrorKind::Shutdown,
+                "service shutting down; request was not started",
+            );
+            let id = match item {
+                BatchLine::Request(line) => SimRequest::from_json_line(line)
+                    .map_or_else(|e| e.id, |r| r.id)
+                    .map_or(Value::Null, Value::Str),
+                BatchLine::TooLong { .. } => Value::Null,
+            };
+            stats.record(Some(ErrorKind::Shutdown), 0);
+            let row = serde_json::to_string(&error_row(i, line_number, id, &rejection))
+                .unwrap_or_else(|e| format!("{{\"ok\":false,\"error\":\"{e}\"}}"));
+            (row, Some(ErrorKind::Shutdown))
+        } else if matches!(item, BatchLine::Request(line) if is_stats_control(line.trim())) {
+            stats.record_stats_request();
+            let snapshot = obj(vec![
+                ("index", Value::UInt(i as u64)),
+                ("ok", Value::Bool(true)),
+                ("stats", stats.value(workers, &cache.summary())),
+            ]);
+            let row = serde_json::to_string(&snapshot)
+                .unwrap_or_else(|e| format!("{{\"ok\":false,\"error\":\"{e}\"}}"));
+            (row, None)
+        } else {
+            let ((row, outcome), micros) =
+                ServeStats::timed(|| response_row(i, line_number, item, cache, on_work));
+            stats.record(outcome, micros);
+            (row, outcome)
+        };
+        match rows.lock() {
+            Ok(mut slots) => slots[i] = Some((row, outcome)),
+            Err(poisoned) => poisoned.into_inner()[i] = Some((row, outcome)),
         }
+    };
+    std::thread::scope(|scope| {
+        let helpers = Cell::new(false);
+        claim(&|| {
+            if !helpers.replace(true) {
+                for _ in 1..workers {
+                    scope.spawn(|| claim(&|| {}));
+                }
+            }
+        });
     });
     let rows = match rows.into_inner() {
         Ok(slots) => slots,

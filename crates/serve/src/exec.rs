@@ -267,12 +267,23 @@ fn resolve_trace(
 /// workload/memory names, or simulation setup problems — the same
 /// messages the CLI prints for the equivalent flags.
 pub fn execute(req: &SimRequest, cache: &WarmCache) -> Result<Arc<SimReport>, RequestError> {
+    execute_on_miss(req, cache, || {})
+}
+
+/// [`execute`], calling `on_miss` before it runs a request whose report
+/// is not memoized.
+pub(crate) fn execute_on_miss(
+    req: &SimRequest,
+    cache: &WarmCache,
+    on_miss: impl FnOnce(),
+) -> Result<Arc<SimReport>, RequestError> {
     let key = req.canonical_key();
     cache.result_queries.fetch_add(1, Ordering::Relaxed);
     if let Some(report) = lock_unpoisoned(&cache.results).get(&key) {
         cache.result_hits.fetch_add(1, Ordering::Relaxed);
         return Ok(Arc::clone(report));
     }
+    on_miss();
     let topo = Topology::parse(&req.topology).map_err(|e| err(format!("topology: {e}")))?;
     let config = build_config(req)?;
     let trace = resolve_trace(req, topo.npus(), &config, &cache.traces)?;

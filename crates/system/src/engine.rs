@@ -27,7 +27,9 @@ use astra_topology::{
 };
 use astra_workload::{EtNode, EtOp, ExecutionTrace, Roofline, TensorLocation};
 
+use crate::orbits::Orbits;
 use crate::report::FaultImpact;
+use crate::ties::Ties;
 use crate::{Breakdown, CacheStats, SimReport};
 
 /// System-layer configuration (Fig. 1c "System Parameters").
@@ -310,10 +312,14 @@ const COMM: usize = 1;
 const REMOTE: usize = 2;
 const LOCAL: usize = 3;
 
+/// A graph node of one NPU block's representative (see [`Orbits`]).
 #[derive(Copy, Clone, Debug)]
 struct Event {
-    npu: NpuId,
+    block: usize,
     node: u32,
+    /// Where the step that scheduled it stands among its instant's (see
+    /// [`Ties`]); 0 outside quotient runs.
+    origin: u32,
 }
 
 #[derive(Copy, Clone, Debug)]
@@ -338,9 +344,9 @@ enum EngineEvent {
     },
 }
 
-/// One graph node's arrival at a collective meeting: the NPU, the node,
-/// and the instant it arrived.
-type Arrival = (NpuId, u32, Time);
+/// One graph node's arrival at a collective meeting: the NPU block, the
+/// node, and the instant it arrived.
+type Arrival = (usize, u32, Time);
 
 /// One stored program's reverse dependency graph in compressed sparse row
 /// form: the dependents of node `i` are
@@ -374,10 +380,9 @@ impl Dependents {
     }
 }
 
-/// The collective rendezvous of one communicator group (see
-/// [`Engine::arrive`]).
+/// The collective rendezvous of one group block (see [`Engine::arrive`]).
 struct Rendezvous {
-    /// Per member rank (its index in the group's sorted member index): the
+    /// Per member rank (its index in the span's sorted member blocks): the
     /// collective instances that member has issued so far.
     issued: Vec<u64>,
     /// Meetings completed so far; the front open meeting is this instance.
@@ -478,24 +483,29 @@ struct RunningCollective {
 }
 
 pub(crate) struct GroupSpan {
-    rep: NpuId,
     /// The group's members in ascending order: a member's rank is its
     /// index here, found by binary search. `TraceBuilder` groups are
-    /// already sorted; `from_json` groups may not be.
-    members: Vec<NpuId>,
+    /// already sorted; `from_json` groups may not be. In a quotient run
+    /// these are the member blocks (see [`Orbits`]).
+    pub(crate) members: Vec<NpuId>,
     /// Per spanned dimension: the global dimension index, the effective
     /// sub-dimension, and the representative `(src, dst)` wire endpoints
     /// used by backend-executed chunk ops — the two lowest-coordinate
     /// members along the dimension through the representative, so each
     /// dimension's ops serialize on a distinct source NIC lane while
     /// different dimensions (and sibling groups) stream in parallel.
-    dims: Vec<(usize, Dimension, (NpuId, NpuId))>,
+    pub(crate) dims: Vec<(usize, Dimension, (NpuId, NpuId))>,
+    /// Aligned with `dims`: the lane each spanned dimension contends on.
+    /// A full run keys lanes by `(first member as listed, dimension)` at
+    /// `rep * num_dims + dim`, so back-to-back collectives of groups that
+    /// share both contend; a quotient run names lane blocks.
+    pub(crate) lanes: Vec<usize>,
     /// Aligned with `dims`: when a fault schedule degrades the spanned
     /// dimension, holds the pristine dimension plus the index of the
     /// schedule's first event touching it, for per-fault attribution of
     /// the collective slowdown. `None` entries mean the dimension is
     /// unaffected.
-    degraded: Vec<Option<(Dimension, usize)>>,
+    pub(crate) degraded: Vec<Option<(Dimension, usize)>>,
 }
 
 /// Simulates one execution trace on a topology, returning the end-to-end
@@ -544,7 +554,7 @@ pub fn simulate_with(
     config: &SystemConfig,
     warm: &WarmState,
 ) -> Result<SimReport, SimError> {
-    run_exact(trace, topo, config, warm, false).0
+    run_exact(trace, topo, config, warm, false, true).0
 }
 
 /// [`simulate`] plus the recorded [`SimTrace`] when
@@ -571,29 +581,46 @@ pub fn simulate_traced_with(
     config: &SystemConfig,
     warm: &WarmState,
 ) -> (Result<SimReport, SimError>, Option<SimTrace>) {
-    run_exact(trace, topo, config, warm, config.telemetry)
+    run_exact(trace, topo, config, warm, config.telemetry, true)
 }
 
 /// Runs the engine to the per-packet answer. The packet backend runs on
 /// train transport first, and again per-packet when that run is inexact or
 /// trips a budget. A train run counts a message's packet-hops when it is
 /// sent rather than as they pop, so it trips a budget exactly when the
-/// per-packet run does, only earlier.
-fn run_exact(
+/// per-packet run does, only earlier. With `collapse`, an eligible run
+/// simulates one NPU per orbit (see [`Orbits`]); one whose quotient sees a
+/// tie it cannot vouch for ([`Ties`]) is rerun whole.
+pub(crate) fn run_exact(
     trace: &ExecutionTrace,
     topo: &Topology,
     config: &SystemConfig,
     warm: &WarmState,
     traced: bool,
+    collapse: bool,
 ) -> (Result<SimReport, SimError>, Option<SimTrace>) {
-    let (result, sim_trace, exact) =
-        run_on(trace, topo, config, warm, TransportMode::Batched, traced);
+    let (result, sim_trace, exact) = run_on(
+        trace,
+        topo,
+        config,
+        warm,
+        TransportMode::Batched,
+        traced,
+        collapse,
+    );
     let tripped = matches!(result, Err(SimError::BudgetExceeded { .. }));
     if config.network_backend != NetworkBackendKind::Packet || (exact && !tripped) {
         return (result, sim_trace);
     }
-    let (result, sim_trace, _) =
-        run_on(trace, topo, config, warm, TransportMode::PerPacket, traced);
+    let (result, sim_trace, _) = run_on(
+        trace,
+        topo,
+        config,
+        warm,
+        TransportMode::PerPacket,
+        traced,
+        collapse,
+    );
     (result, sim_trace)
 }
 
@@ -607,14 +634,19 @@ pub(crate) fn run_on(
     warm: &WarmState,
     transport: TransportMode,
     traced: bool,
+    collapse: bool,
 ) -> (Result<SimReport, SimError>, Option<SimTrace>, bool) {
     let (spans, impacts) = match prepare(trace, topo, config) {
         Ok(prepared) => prepared,
         Err(e) => return (Err(e), None, true),
     };
-    let mut engine = Engine::new(trace, topo, config, warm, spans, impacts);
+    let (orbits, spans) = Orbits::of(trace, topo, config, spans, collapse);
+    let mut engine = Engine::new(trace, topo, config, warm, orbits, spans, impacts);
     engine.transport = transport;
     let result = engine.run();
+    if engine.tied() {
+        return run_on(trace, topo, config, warm, transport, traced, false);
+    }
     let exact = engine.network.as_ref().is_none_or(|net| net.exact());
     let (result, sim_trace) = if traced {
         engine.with_trace(result)
@@ -761,6 +793,7 @@ fn group_span(topo: &Topology, members: &[NpuId]) -> Option<GroupSpan> {
     let rep = members[0];
     let rep_coords = topo.coords(rep);
     let mut dims = Vec::new();
+    let mut lanes = Vec::new();
     let mut product = 1usize;
     for dim_idx in 0..topo.num_dims() {
         let mut coords: Vec<usize> = members.iter().map(|&m| topo.coords(m)[dim_idx]).collect();
@@ -803,17 +836,23 @@ fn group_span(topo: &Topology, members: &[NpuId]) -> Option<GroupSpan> {
                     .with_link_latency(base.link_latency()),
                 endpoints,
             ));
+            lanes.push(rep * topo.num_dims() + dim_idx);
         }
     }
     let degraded = vec![None; dims.len()];
     (product == members.len()).then_some(GroupSpan {
-        rep,
         members: sorted,
         dims,
+        lanes,
         degraded,
     })
 }
 
+/// The engine state of one run. Per-NPU state (dependency counts,
+/// resources, logs, finish times, NIC lanes) is indexed by NPU block (see
+/// [`Orbits`]); a block is one NPU in every run that can send p2p
+/// messages, execute collectives on the backend, inject faults or record
+/// telemetry, so those paths use NPU ids and block ids interchangeably.
 pub(crate) struct Engine<'a> {
     trace: &'a ExecutionTrace,
     topo: &'a Topology,
@@ -824,11 +863,14 @@ pub(crate) struct Engine<'a> {
     /// message (collective-only workloads never pay for it). The
     /// blocking-p2p oracle installs its probe backend here up front.
     pub(crate) network: Option<Box<dyn NetworkBackend + 'a>>,
+    /// The run's partition into blocks.
+    orbits: Orbits,
+    /// Per group block: its span.
     spans: Vec<GroupSpan>,
 
     queue: EventQueue<EngineEvent>,
-    /// Per NPU, per node: dependencies not yet completed, or [`FINISHED`]
-    /// once the node itself has completed.
+    /// Per block, per node: dependencies not yet completed, or
+    /// [`FINISHED`] once the node itself has completed.
     remaining_deps: Vec<Vec<u32>>,
     /// Per stored program (the trace's classes): its reverse graph.
     dependents: Vec<Dependents>,
@@ -839,14 +881,13 @@ pub(crate) struct Engine<'a> {
     compute_res: Vec<FifoResource>,
     local_res: Vec<FifoResource>,
     remote_res: Vec<FifoResource>,
-    /// Per `(group representative, dimension)`: when the representative's
-    /// lane along that dimension frees, at `rep * num_dims + dim`.
+    /// Per lane (see [`GroupSpan::lanes`]): when it frees.
     lanes: Vec<Time>,
 
     logs: Vec<[IntervalLog; 4]>,
     finish: Vec<Time>,
 
-    /// Per communicator group: its collective rendezvous.
+    /// Per group block: its collective rendezvous.
     rendezvous: Vec<Rendezvous>,
     p2p_pending: BTreeMap<(NpuId, NpuId, u64), P2pPending>,
     in_flight: BTreeMap<AsyncMessageId, Outbound>,
@@ -895,6 +936,8 @@ pub(crate) struct Engine<'a> {
     trace_seq: u64,
     /// Transport of a packet backend built by [`Engine::network_mut`].
     transport: TransportMode,
+    /// Tie checks, present iff the run is a quotient (see [`Ties`]).
+    ties: Option<Ties>,
 }
 
 impl<'a> Engine<'a> {
@@ -903,12 +946,13 @@ impl<'a> Engine<'a> {
         topo: &'a Topology,
         config: &'a SystemConfig,
         warm: &'a WarmState,
+        orbits: Orbits,
         spans: Vec<GroupSpan>,
         fault_impacts: Vec<FaultImpact>,
     ) -> Self {
-        let npus = trace.npus();
+        let blocks = orbits.reps.len();
         // Reverse graphs and initial dependency counts once per stored
-        // program; every NPU starts from a copy of its class's counts.
+        // program; every block starts from a copy of its class's counts.
         let dependents = trace
             .classes()
             .iter()
@@ -919,9 +963,16 @@ impl<'a> Engine<'a> {
             .iter()
             .map(|program| program.iter().map(|n| n.deps.len() as u32).collect())
             .collect();
-        let remaining_deps = (0..npus)
-            .map(|npu| counts[trace.class_of(npu)].clone())
+        let remaining_deps = orbits
+            .reps
+            .iter()
+            .map(|&npu| counts[trace.class_of(npu)].clone())
             .collect();
+        let nodes_total = orbits
+            .reps
+            .iter()
+            .map(|&npu| trace.program(npu).len())
+            .sum();
         let rendezvous = spans
             .iter()
             .map(|span| Rendezvous {
@@ -930,10 +981,11 @@ impl<'a> Engine<'a> {
                 open: VecDeque::new(),
             })
             .collect();
-        let mut stragglers: Vec<Vec<(Time, u32, usize)>> = vec![Vec::new(); npus];
+        // A faulted run is never collapsed: an NPU is its own block.
+        let mut stragglers: Vec<Vec<(Time, u32, usize)>> = vec![Vec::new(); blocks];
         for (idx, ev) in config.faults.events().iter().enumerate() {
             if let FaultKind::NpuSlowdown { npu, slowdown_pct } = ev.kind {
-                if npu < npus {
+                if npu < blocks {
                     stragglers[npu].push((ev.at, slowdown_pct, idx));
                 }
             }
@@ -945,24 +997,26 @@ impl<'a> Engine<'a> {
             warm,
             collective_engine: CollectiveEngine::new(config.collective_chunks, config.scheduler),
             network: None,
+            lanes: vec![Time::ZERO; orbits.lanes],
+            ties: (blocks < trace.npus()).then(|| Ties::new(&orbits, &spans)),
+            orbits,
             spans,
             queue: EventQueue::new(),
             remaining_deps,
             dependents,
             nodes_done: 0,
-            nodes_total: trace.total_nodes(),
-            compute_res: vec![FifoResource::new(); npus],
-            local_res: vec![FifoResource::new(); npus],
-            remote_res: vec![FifoResource::new(); npus],
-            lanes: vec![Time::ZERO; npus * topo.num_dims()],
-            logs: (0..npus).map(|_| Default::default()).collect(),
-            finish: vec![Time::ZERO; npus],
+            nodes_total,
+            compute_res: vec![FifoResource::new(); blocks],
+            local_res: vec![FifoResource::new(); blocks],
+            remote_res: vec![FifoResource::new(); blocks],
+            logs: (0..blocks).map(|_| Default::default()).collect(),
+            finish: vec![Time::ZERO; blocks],
             rendezvous,
             p2p_pending: BTreeMap::new(),
             in_flight: BTreeMap::new(),
-            nic_occupied: vec![false; npus],
-            nic_free: vec![Time::ZERO; npus],
-            nic_queue: (0..npus).map(|_| VecDeque::new()).collect(),
+            nic_occupied: vec![false; blocks],
+            nic_free: vec![Time::ZERO; blocks],
+            nic_queue: (0..blocks).map(|_| VecDeque::new()).collect(),
             completions: Vec::new(),
             running_collectives: BTreeMap::new(),
             next_collective: 0,
@@ -979,6 +1033,21 @@ impl<'a> Engine<'a> {
             trace_seq: 0,
             transport: TransportMode::Batched,
         }
+    }
+
+    /// Whether this run was a quotient that saw a tie (see [`Ties`]): its
+    /// result is void, and the run has to be redone whole.
+    pub(crate) fn tied(&self) -> bool {
+        self.ties.as_ref().is_some_and(|ties| ties.tied)
+    }
+
+    /// The current issue uses `block`'s resource `res`: checks the use
+    /// against the block's last one and returns the origin of the
+    /// completion event (see [`Ties::resource`]); 0 outside a quotient.
+    fn tie_origin(&mut self, block: usize, res: usize) -> Result<u32, SimError> {
+        self.ties
+            .as_mut()
+            .map_or(Ok(0), |ties| ties.resource(block, res))
     }
 
     /// Applies any active straggler slowdown to a compute service time:
@@ -1121,10 +1190,13 @@ impl<'a> Engine<'a> {
     // astra-lint: hot-path
     pub(crate) fn run(&mut self) -> Result<SimReport, SimError> {
         // Seed: every node with no dependencies is ready at t = 0.
-        for npu in 0..self.trace.npus() {
-            for idx in 0..self.trace.program(npu).len() {
-                if self.remaining_deps[npu][idx] == 0 {
-                    self.issue(npu, idx as u32, Time::ZERO)?;
+        for block in 0..self.orbits.reps.len() {
+            for idx in 0..self.remaining_deps[block].len() {
+                if self.remaining_deps[block][idx] == 0 {
+                    if let Some(ties) = &mut self.ties {
+                        ties.seed(block, idx as u32);
+                    }
+                    self.issue(block, idx as u32, Time::ZERO)?;
                 }
             }
         }
@@ -1161,19 +1233,31 @@ impl<'a> Engine<'a> {
             self.events_popped += 1;
             self.check_budget(now)?;
             match event {
-                EngineEvent::Node(Event { npu, node }) => {
-                    self.finish[npu] = self.finish[npu].max(now);
+                EngineEvent::Node(Event {
+                    block,
+                    node,
+                    origin,
+                }) => {
+                    if let Some(ties) = &mut self.ties {
+                        ties.pop(now, origin, self.events_popped);
+                    }
+                    self.finish[block] = self.finish[block].max(now);
                     self.nodes_done += 1;
                     let node = node as usize;
-                    self.remaining_deps[npu][node] = FINISHED;
-                    let class = self.trace.class_of(npu);
+                    self.remaining_deps[block][node] = FINISHED;
+                    let class = self.trace.class_of(self.orbits.reps[block]);
                     let offsets = &self.dependents[class].offsets;
-                    for i in offsets[node] as usize..offsets[node + 1] as usize {
+                    let first = offsets[node] as usize;
+                    for i in first..offsets[node + 1] as usize {
                         let dependent = self.dependents[class].targets[i];
-                        let slot = &mut self.remaining_deps[npu][dependent as usize];
+                        let slot = &mut self.remaining_deps[block][dependent as usize];
                         *slot -= 1;
-                        if *slot == 0 {
-                            self.issue(npu, dependent, now)?;
+                        let ready = *slot == 0;
+                        if let Some(ties) = &mut self.ties {
+                            ties.complete(block, dependent, (i - first) as u32, ready)?;
+                        }
+                        if ready {
+                            self.issue(block, dependent, now)?;
                         }
                     }
                 }
@@ -1198,13 +1282,13 @@ impl<'a> Engine<'a> {
         let horizon = self.finish.iter().copied().fold(Time::ZERO, Time::max);
         let npus = self.trace.npus() as u64;
         let mut sums = [Time::ZERO; 5];
-        for logs in &self.logs {
+        for (logs, &size) in self.logs.iter().zip(&self.orbits.sizes) {
             let parts = attribute_exclusive(
                 &[&logs[COMPUTE], &logs[COMM], &logs[REMOTE], &logs[LOCAL]],
                 horizon,
             );
             for (sum, part) in sums.iter_mut().zip(&parts) {
-                *sum += *part;
+                *sum += *part * size;
             }
         }
         let breakdown = Breakdown {
@@ -1225,7 +1309,7 @@ impl<'a> Engine<'a> {
         Ok(SimReport {
             total_time: horizon,
             breakdown,
-            per_npu_finish: self.finish.clone(),
+            per_npu_finish: self.orbits.expand(&self.finish),
             collectives: self.collectives,
             collective_ops: self.chunk_ops,
             p2p_messages: self.p2p_messages,
@@ -1243,12 +1327,15 @@ impl<'a> Engine<'a> {
     }
 
     /// The error for a run whose queue drained with nodes unfinished:
-    /// names the lowest `(npu, node)` that never completed.
+    /// names the lowest `(npu, node)` that never completed. Blocks are
+    /// numbered in representative order and every NPU of a block shares
+    /// its representative's state, so the first stuck block's
+    /// representative is that NPU.
     fn stalled(&self) -> SimError {
         self.remaining_deps
             .iter()
-            .enumerate()
-            .find_map(|(npu, deps)| {
+            .zip(&self.orbits.reps)
+            .find_map(|(deps, &npu)| {
                 let node = deps.iter().position(|&d| d != FINISHED)?;
                 Some(SimError::Stalled {
                     npu,
@@ -1260,18 +1347,27 @@ impl<'a> Engine<'a> {
             ))
     }
 
-    /// Dispatches a node whose dependencies are all complete at `now`.
+    /// Dispatches a node of `block` whose dependencies are all complete at
+    /// `now`.
     // astra-lint: hot-path
-    fn issue(&mut self, npu: NpuId, node: u32, now: Time) -> Result<(), SimError> {
+    fn issue(&mut self, block: usize, node: u32, now: Time) -> Result<(), SimError> {
+        let npu = self.orbits.reps[block];
         let op = self.trace.program(npu)[node as usize].op;
         match op {
             EtOp::Compute { flops, tensor } => {
                 let service = self.config.roofline.compute_time(flops, tensor);
-                let service = self.stretched_compute(npu, now, service);
-                let r = self.compute_res[npu].acquire(now, service);
-                self.logs[npu][COMPUTE].push(r.start, r.end);
-                self.queue
-                    .schedule_at(r.end, EngineEvent::Node(Event { npu, node }));
+                let service = self.stretched_compute(block, now, service);
+                let origin = self.tie_origin(block, COMPUTE)?;
+                let r = self.compute_res[block].acquire(now, service);
+                self.logs[block][COMPUTE].push(r.start, r.end);
+                self.queue.schedule_at(
+                    r.end,
+                    EngineEvent::Node(Event {
+                        block,
+                        node,
+                        origin,
+                    }),
+                );
             }
             EtOp::Memory {
                 location: TensorLocation::Local,
@@ -1279,10 +1375,17 @@ impl<'a> Engine<'a> {
                 ..
             } => {
                 let service = self.config.local_memory.access_time(size);
-                let r = self.local_res[npu].acquire(now, service);
-                self.logs[npu][LOCAL].push(r.start, r.end);
-                self.queue
-                    .schedule_at(r.end, EngineEvent::Node(Event { npu, node }));
+                let origin = self.tie_origin(block, LOCAL)?;
+                let r = self.local_res[block].acquire(now, service);
+                self.logs[block][LOCAL].push(r.start, r.end);
+                self.queue.schedule_at(
+                    r.end,
+                    EngineEvent::Node(Event {
+                        block,
+                        node,
+                        origin,
+                    }),
+                );
             }
             EtOp::Memory {
                 location: TensorLocation::Remote { gathered },
@@ -1300,16 +1403,24 @@ impl<'a> Engine<'a> {
                     TransferMode::Plain
                 };
                 let service = pool.transfer_time(size, mode);
-                let r = self.remote_res[npu].acquire(now, service);
+                let origin = self.tie_origin(block, REMOTE)?;
+                let r = self.remote_res[block].acquire(now, service);
                 // In-switch collective transfers are communication through
                 // the pool fabric; plain transfers are remote-memory time.
                 let category = if gathered { COMM } else { REMOTE };
-                self.logs[npu][category].push(r.start, r.end);
-                self.queue
-                    .schedule_at(r.end, EngineEvent::Node(Event { npu, node }));
+                self.logs[block][category].push(r.start, r.end);
+                self.queue.schedule_at(
+                    r.end,
+                    EngineEvent::Node(Event {
+                        block,
+                        node,
+                        origin,
+                    }),
+                );
             }
             EtOp::Collective { group, .. } => {
-                self.arrive(self.trace.group_of(npu, group).0, npu, node, now)?;
+                let group = self.orbits.group_block(self.trace.group_of(npu, group).0);
+                self.arrive(group, block, node, now)?;
             }
             EtOp::PeerSend { peer, size, tag } => {
                 let entry = self.p2p_pending.entry((npu, peer, tag)).or_default();
@@ -1329,14 +1440,15 @@ impl<'a> Engine<'a> {
         Ok(())
     }
 
-    /// Adds a collective node's arrival to its group's meeting and, once
-    /// every member has arrived, launches the collective. Member `rank`'s
+    /// Adds a collective node's arrival to its group block's meeting and,
+    /// once every member block has arrived, launches the collective.
+    /// Member `rank`'s
     /// `k`-th arrival joins instance `k`, so each meeting holds at most one
     /// arrival per member, and a member reaches instance `k + 1` only after
     /// instance `k`: meetings fill in instance order, and only the front
     /// open meeting can be full.
     // astra-lint: hot-path
-    fn arrive(&mut self, group: u32, npu: NpuId, node: u32, now: Time) -> Result<(), SimError> {
+    fn arrive(&mut self, group: u32, block: usize, node: u32, now: Time) -> Result<(), SimError> {
         let unaligned = SimError::UnalignedGroup {
             group: group as usize,
         };
@@ -1346,16 +1458,19 @@ impl<'a> Engine<'a> {
         ) else {
             return Err(unaligned);
         };
-        let Ok(rank) = span.members.binary_search(&npu) else {
+        let Ok(rank) = span.members.binary_search(&block) else {
             return Err(unaligned);
         };
+        if let Some(ties) = &mut self.ties {
+            ties.arrive(group as usize, rank)?;
+        }
         let members = span.members.len();
         let slot = (rv.issued[rank] - rv.completed) as usize;
         rv.issued[rank] += 1;
         if slot == rv.open.len() {
             rv.open.push_back(Vec::with_capacity(members));
         }
-        rv.open[slot].push((npu, node, now));
+        rv.open[slot].push((block, node, now));
         if rv.open[0].len() < members {
             return Ok(());
         }
@@ -1368,15 +1483,17 @@ impl<'a> Engine<'a> {
         self.run_collective(group, arrivals)
     }
 
+    /// Runs a full meeting of group block `group`, which stands for
+    /// `group_sizes[group]` trace groups meeting at once.
     fn run_collective(&mut self, group: u32, arrivals: Vec<Arrival>) -> Result<(), SimError> {
-        self.collectives += 1;
+        self.collectives += self.orbits.group_sizes[group as usize];
         let span = &self.spans[group as usize];
         let start = arrivals
             .iter()
             .map(|&(_, _, t)| t)
             .fold(Time::ZERO, Time::max);
-        let (collective, size) = match self.trace.program(arrivals[0].0)[arrivals[0].1 as usize].op
-        {
+        let first = self.orbits.reps[arrivals[0].0];
+        let (collective, size) = match self.trace.program(first)[arrivals[0].1 as usize].op {
             EtOp::Collective {
                 collective, size, ..
             } => (collective, size),
@@ -1391,22 +1508,27 @@ impl<'a> Engine<'a> {
             self.launch_backend_collective(group, collective, size, start, arrivals, trace_id);
             return Ok(());
         }
+        let origins = match &mut self.ties {
+            Some(ties) => {
+                let ranks: Vec<usize> = arrivals
+                    .iter()
+                    .map(|&(block, _, _)| span.members.binary_search(&block).unwrap_or_default())
+                    .collect();
+                ties.launch(group as usize, &ranks, &span.lanes)?
+            }
+            None => Vec::new(),
+        };
         let finish = if span.dims.is_empty() {
             // Single-member group: nothing to communicate.
             start
         } else {
             let dims: Vec<Dimension> = span.dims.iter().map(|&(_, d, _)| d).collect();
-            let lanes = span.rep * self.topo.num_dims();
-            let available: Vec<Time> = span
-                .dims
-                .iter()
-                .map(|&(dim_idx, _, _)| self.lanes[lanes + dim_idx])
-                .collect();
+            let available: Vec<Time> = span.lanes.iter().map(|&lane| self.lanes[lane]).collect();
             let outcome = self
                 .collective_engine
                 .run_at(collective, size, &dims, start, &available);
-            for (&(dim_idx, _, _), &free) in span.dims.iter().zip(&outcome.free_at) {
-                self.lanes[lanes + dim_idx] = free;
+            for (&lane, &free) in span.lanes.iter().zip(&outcome.free_at) {
+                self.lanes[lane] = free;
             }
             // Per-fault attribution: re-run the closed form with the
             // pristine dimensions (run_at is pure) and charge the finish
@@ -1437,12 +1559,19 @@ impl<'a> Engine<'a> {
                 finish,
             });
         }
-        for (npu, node, ready) in arrivals {
+        for (j, (block, node, ready)) in arrivals.into_iter().enumerate() {
             if finish > ready {
-                self.logs[npu][COMM].push(ready, finish);
+                self.logs[block][COMM].push(ready, finish);
             }
-            self.queue
-                .schedule_at(finish, EngineEvent::Node(Event { npu, node }));
+            let origin = origins.get(j).copied().unwrap_or_default();
+            self.queue.schedule_at(
+                finish,
+                EngineEvent::Node(Event {
+                    block,
+                    node,
+                    origin,
+                }),
+            );
         }
         Ok(())
     }
@@ -1657,15 +1786,17 @@ impl<'a> Engine<'a> {
                 self.queue.schedule_at(
                     c.finish,
                     EngineEvent::Node(Event {
-                        npu: msg.src,
+                        block: msg.src,
                         node: msg.send_node,
+                        origin: 0,
                     }),
                 );
                 self.queue.schedule_at(
                     c.finish,
                     EngineEvent::Node(Event {
-                        npu: msg.dst,
+                        block: msg.dst,
                         node: msg.recv_node,
+                        origin: 0,
                     }),
                 );
                 self.release_nic(msg.src, c.finish);
@@ -1753,12 +1884,18 @@ impl<'a> Engine<'a> {
                     finish: rc.finish,
                 });
             }
-            for (npu, node, ready) in rc.arrivals {
+            for (block, node, ready) in rc.arrivals {
                 if rc.finish > ready {
-                    self.logs[npu][COMM].push(ready, rc.finish);
+                    self.logs[block][COMM].push(ready, rc.finish);
                 }
-                self.queue
-                    .schedule_at(rc.finish, EngineEvent::Node(Event { npu, node }));
+                self.queue.schedule_at(
+                    rc.finish,
+                    EngineEvent::Node(Event {
+                        block,
+                        node,
+                        origin: 0,
+                    }),
+                );
             }
         }
         Ok(())

@@ -18,6 +18,13 @@
 //!   (an MP group only enjoys the bandwidth of the dimensions it covers).
 //! * Peer-to-peer sends/receives pair up by `(src, dst, tag)` for pipeline
 //!   parallelism.
+//! * A run whose NPUs interact only through closed-form collectives
+//!   simulates one NPU per orbit of its symmetry (one meeting per block of
+//!   alike groups, one lane per block of alike lanes) and expands the
+//!   report back to per-NPU rows, identical to the full run's
+//!   ([`simulate_full_reference`] is the full-run oracle). A collapsed
+//!   run that meets a time tie its NPUs could break differently reruns
+//!   whole.
 //!
 //! The simulation produces a [`SimReport`] with the paper's five-way
 //! exposed-time breakdown (compute > comm > remote memory > local memory >
@@ -28,13 +35,17 @@
 
 mod engine;
 mod oracle;
+mod orbits;
 mod report;
+mod ties;
 
 pub use engine::{
     simulate, simulate_traced, simulate_traced_with, simulate_with, SimError, SystemConfig,
     WarmState,
 };
-pub use oracle::{simulate_blocking_reference, simulate_transport_reference};
+pub use oracle::{
+    orbit_count, simulate_blocking_reference, simulate_full_reference, simulate_transport_reference,
+};
 pub use report::{Breakdown, CacheStats, FaultImpact, SimReport};
 
 // Re-exported so traced runs (`SystemConfig.telemetry` +

@@ -8,6 +8,9 @@
 //!
 //! [`simulate_transport_reference`] pins the packet backend to one
 //! transport, with no per-packet fallback.
+//!
+//! [`simulate_full_reference`] simulates every NPU, never one per orbit;
+//! [`orbit_count`] says how many NPUs a collapsed run simulates.
 
 use astra_collectives::CollectiveMode;
 use astra_des::{DataSize, Time};
@@ -17,7 +20,10 @@ use astra_telemetry::SimTrace;
 use astra_topology::{NpuId, Topology};
 use astra_workload::ExecutionTrace;
 
-use crate::engine::{build_network, prepare, run_on, Engine, SimError, SystemConfig, WarmState};
+use crate::engine::{
+    build_network, prepare, run_exact, run_on, Engine, SimError, SystemConfig, WarmState,
+};
+use crate::orbits::Orbits;
 use crate::SimReport;
 
 /// The frozen blocking-p2p test oracle: [`simulate`](crate::simulate),
@@ -41,7 +47,8 @@ pub fn simulate_blocking_reference(
     }
     let (spans, impacts) = prepare(trace, topo, config)?;
     let warm = WarmState::default();
-    let mut engine = Engine::new(trace, topo, config, &warm, spans, impacts);
+    let orbits = Orbits::identity(trace.npus(), spans.len(), topo.num_dims());
+    let mut engine = Engine::new(trace, topo, config, &warm, orbits, spans, impacts);
     engine.network = Some(Box::new(ProbeNetwork {
         topo,
         config,
@@ -62,7 +69,52 @@ pub fn simulate_transport_reference(
     transport: TransportMode,
 ) -> (Result<SimReport, SimError>, Option<SimTrace>, bool) {
     let warm = WarmState::default();
-    run_on(trace, topo, config, &warm, transport, config.telemetry)
+    run_on(
+        trace,
+        topo,
+        config,
+        &warm,
+        transport,
+        config.telemetry,
+        true,
+    )
+}
+
+/// [`simulate`](crate::simulate) on the identity partition: every NPU,
+/// group and lane is simulated, however symmetric the run. A collapsed
+/// run must report exactly this.
+///
+/// # Errors
+///
+/// Exactly [`simulate`](crate::simulate)'s errors.
+pub fn simulate_full_reference(
+    trace: &ExecutionTrace,
+    topo: &Topology,
+    config: &SystemConfig,
+) -> Result<SimReport, SimError> {
+    run_exact(trace, topo, config, &WarmState::default(), false, false).0
+}
+
+/// How many NPU blocks [`simulate`](crate::simulate) runs for this input:
+/// the number of NPU orbits of an eligible run whose quotient sees no
+/// tie, the NPU count otherwise.
+///
+/// # Errors
+///
+/// The set-up errors of [`simulate`](crate::simulate).
+pub fn orbit_count(
+    trace: &ExecutionTrace,
+    topo: &Topology,
+    config: &SystemConfig,
+) -> Result<usize, SimError> {
+    let (spans, impacts) = prepare(trace, topo, config)?;
+    let (orbits, spans) = Orbits::of(trace, topo, config, spans, true);
+    let blocks = orbits.reps.len();
+    let warm = WarmState::default();
+    let mut engine = Engine::new(trace, topo, config, &warm, orbits, spans, impacts);
+    // Only whether the run tied matters here, not its outcome.
+    let _ = engine.run();
+    Ok(if engine.tied() { trace.npus() } else { blocks })
 }
 
 /// A backend that answers every send with a probe on a fresh
@@ -88,10 +140,6 @@ impl ProbeNetwork<'_> {
 }
 
 impl NetworkBackend for ProbeNetwork<'_> {
-    fn name(&self) -> &'static str {
-        "blocking probe"
-    }
-
     /// The completion is known at send time and drainable immediately.
     fn send_async(&mut self, at: Time, src: NpuId, dst: NpuId, size: DataSize) -> AsyncMessageId {
         // One setup per message so far: a fresh id for this one.
