@@ -641,8 +641,9 @@ fn serve_throughput_row(
     distinct: &[&str],
     repeats: usize,
     workers: usize,
-    reps: usize,
 ) -> ServeThroughputRow {
+    // Best-of-3 on each side, so one slow pass does not swing the ratio.
+    let reps = 3;
     let batch: Vec<String> = (0..repeats)
         .flat_map(|_| distinct.iter().map(|s| (*s).to_owned()))
         .collect();
@@ -699,13 +700,11 @@ const SERVE_MIXED_SWEEP: [&str; 8] = [
 /// runs the 3× repeat the CI gate checks (≥ 5× warm-over-cold); full mode
 /// extends the repeat factor and adds the memory/scheduler sweep.
 pub fn run_serve_throughput(quick: bool) -> Vec<ServeThroughputRow> {
-    let reps = if quick { 1 } else { 3 };
     let mut rows = vec![serve_throughput_row(
         "mixed-sweep x3",
         &SERVE_MIXED_SWEEP,
         3,
         4,
-        reps,
     )];
     if !quick {
         rows.push(serve_throughput_row(
@@ -713,7 +712,6 @@ pub fn run_serve_throughput(quick: bool) -> Vec<ServeThroughputRow> {
             &SERVE_MIXED_SWEEP,
             16,
             8,
-            reps,
         ));
         rows.push(serve_throughput_row(
             "memory-and-scheduler x8",
@@ -724,7 +722,6 @@ pub fn run_serve_throughput(quick: bool) -> Vec<ServeThroughputRow> {
             ],
             8,
             4,
-            reps,
         ));
     }
     rows

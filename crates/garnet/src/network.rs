@@ -4,9 +4,7 @@ use std::collections::{BTreeMap, BTreeSet};
 
 use astra_des::{DataSize, FifoCheckpoint, FifoResource, LanedEventQueue, Time, TrainProfile};
 use astra_network::{AsyncMessageId, Completion, LinkTrace, NetworkBackend, NetworkStats};
-use astra_topology::{
-    route_avoiding, FaultError, FaultSchedule, FaultedGraph, LinkGraph, LinkId, NpuId, Topology,
-};
+use astra_topology::{route_avoiding, FaultedGraph, LinkGraph, LinkId, NpuId, Topology};
 
 /// Identifier of an in-flight or completed message.
 #[derive(Copy, Clone, Debug, PartialEq, Eq, Hash, PartialOrd, Ord)]
@@ -248,33 +246,27 @@ pub struct PacketNetwork {
 impl PacketNetwork {
     /// Builds the packet simulator for `topo`.
     pub fn new(topo: &Topology, config: PacketSimConfig) -> Self {
-        Self::from_graph(LinkGraph::new(topo), BTreeSet::new(), config)
+        Self::with_fabric(topo, config, None)
     }
 
-    /// Builds the packet simulator with a fault schedule applied: packets
-    /// traverse the degraded links (reduced bandwidth, stretched latency)
-    /// and routes are re-derived around dead links. An empty (or
-    /// fabric-free) schedule is bit-identical to [`PacketNetwork::new`].
+    /// Builds the packet simulator over a fabric with a fault schedule
+    /// already applied (see [`FaultedGraph::new`]): packets traverse the
+    /// degraded links (reduced bandwidth, stretched latency) and routes
+    /// are re-derived around dead links. `None` simulates the pristine fabric.
     ///
     /// The caller must have verified the live fabric is still connected
     /// (see [`FaultedGraph::unreachable_pair`]); routing a disconnected
     /// pair panics.
-    ///
-    /// # Errors
-    ///
-    /// Returns the schedule's first [`FaultError`] if it does not fit the
-    /// topology.
-    pub fn with_faults(
+    pub fn with_fabric(
         topo: &Topology,
         config: PacketSimConfig,
-        schedule: &FaultSchedule,
-    ) -> Result<Self, FaultError> {
-        if !schedule.has_fabric_faults() {
-            schedule.validate(topo)?;
-            return Ok(Self::new(topo, config));
-        }
-        let (graph, dead) = FaultedGraph::new(topo, schedule)?.into_parts();
-        Ok(Self::from_graph(graph, dead, config))
+        fabric: Option<FaultedGraph>,
+    ) -> Self {
+        let (graph, dead) = fabric.map_or_else(
+            || (LinkGraph::new(topo), BTreeSet::new()),
+            FaultedGraph::into_parts,
+        );
+        Self::from_graph(graph, dead, config)
     }
 
     fn from_graph(graph: LinkGraph, dead_links: BTreeSet<LinkId>, config: PacketSimConfig) -> Self {

@@ -19,9 +19,7 @@ use std::cell::{Cell, RefCell};
 use std::collections::{BTreeMap, BTreeSet};
 
 use astra_des::{DataSize, RecordedReservation, Time};
-use astra_topology::{
-    route_avoiding, FaultError, FaultSchedule, FaultedGraph, LinkGraph, LinkId, NpuId, Topology,
-};
+use astra_topology::{route_avoiding, FaultedGraph, LinkGraph, LinkId, NpuId, Topology};
 
 use std::sync::Arc;
 
@@ -135,7 +133,7 @@ pub struct FlowNetwork {
 impl FlowNetwork {
     /// Builds the fluid simulator for `topo`.
     pub fn new(topo: &Topology) -> Self {
-        Self::from_graph(LinkGraph::new(topo), BTreeSet::new())
+        Self::with_fabric(topo, None)
     }
 
     fn from_graph(graph: LinkGraph, dead_links: BTreeSet<LinkId>) -> Self {
@@ -170,27 +168,21 @@ impl FlowNetwork {
         net
     }
 
-    /// Builds the fluid simulator with a fault schedule applied: degraded
-    /// link capacities and latencies fold straight into the max-min
-    /// re-share (every capacity read goes through the degraded graph), and
-    /// dead links are excluded from routing. An empty (or fabric-free)
-    /// schedule is bit-identical to [`FlowNetwork::new`].
+    /// Builds the fluid simulator over a fabric with a fault schedule
+    /// already applied (see [`FaultedGraph::new`]): degraded link
+    /// capacities and latencies fold straight into the max-min re-share
+    /// (every capacity read goes through the degraded graph), and dead
+    /// links are excluded from routing. `None` simulates the pristine fabric.
     ///
     /// The caller must have verified the live fabric is still connected
     /// (see [`FaultedGraph::unreachable_pair`]); routing a disconnected
     /// pair panics.
-    ///
-    /// # Errors
-    ///
-    /// Returns the schedule's first [`FaultError`] if it does not fit the
-    /// topology.
-    pub fn with_faults(topo: &Topology, schedule: &FaultSchedule) -> Result<Self, FaultError> {
-        if !schedule.has_fabric_faults() {
-            schedule.validate(topo)?;
-            return Ok(Self::new(topo));
-        }
-        let (graph, dead) = FaultedGraph::new(topo, schedule)?.into_parts();
-        Ok(Self::from_graph(graph, dead))
+    pub fn with_fabric(topo: &Topology, fabric: Option<FaultedGraph>) -> Self {
+        let (graph, dead) = fabric.map_or_else(
+            || (LinkGraph::new(topo), BTreeSet::new()),
+            FaultedGraph::into_parts,
+        );
+        Self::from_graph(graph, dead)
     }
 
     /// The expanded link graph being simulated.

@@ -42,7 +42,7 @@ use std::str::FromStr;
 use std::sync::Arc;
 
 use astra_des::{DataSize, Time};
-use astra_topology::{FaultError, FaultSchedule, FaultedGraph, NpuId, Topology};
+use astra_topology::{FaultedGraph, NpuId, Topology};
 use serde::{Deserialize, Serialize};
 
 /// Re-exported so backend implementors and consumers share one type.
@@ -375,31 +375,20 @@ impl AnalyticalNetwork {
         net
     }
 
-    /// Creates a backend with a fault schedule applied. With fabric faults
-    /// present, delays are computed from fault-aware routes over the
-    /// degraded link graph (dead links avoided, degraded bandwidth and
-    /// latency honored) instead of the pristine per-dimension closed form;
-    /// an empty (or fabric-free) schedule leaves the backend bit-identical
-    /// to [`AnalyticalNetwork::new`].
+    /// Creates a backend over a fabric with a fault schedule already
+    /// applied (see `FaultedGraph::new`). With a fabric, delays are
+    /// computed from fault-aware routes over the degraded link graph (dead
+    /// links avoided, degraded bandwidth and latency honored) instead of
+    /// the pristine per-dimension closed form; `None` is
+    /// [`AnalyticalNetwork::new`].
     ///
     /// The caller must have verified the live fabric is still connected
     /// (see `FaultedGraph::unreachable_pair`); querying a disconnected
     /// pair panics.
-    ///
-    /// # Errors
-    ///
-    /// Returns the schedule's first [`FaultError`] if it does not fit the
-    /// topology.
-    pub fn with_faults(topo: Topology, schedule: &FaultSchedule) -> Result<Self, FaultError> {
-        let faulted = if schedule.has_fabric_faults() {
-            Some(FaultedGraph::new(&topo, schedule)?)
-        } else {
-            schedule.validate(&topo)?;
-            None
-        };
+    pub fn with_fabric(topo: Topology, fabric: Option<FaultedGraph>) -> Self {
         let mut net = Self::new(topo);
-        net.faulted = faulted;
-        Ok(net)
+        net.faulted = fabric;
+        net
     }
 
     /// Delay queries answered from the `(src, dst, size)` memo so far.

@@ -12,23 +12,23 @@ use astra_des::{
     attribute_exclusive, attribute_exclusive_intervals, DataSize, EventQueue, FifoResource,
     IntervalLog, Time,
 };
-use astra_garnet::{PacketNetwork, PacketSimConfig, TransportMode};
+use astra_garnet::TransportMode;
 use astra_memory::{LocalMemory, PoolArchitecture, RemoteMemory, TransferMode};
 use astra_network::{
-    AnalyticalNetwork, AsyncMessageId, Completion, FlowNetwork, NetworkBackend, NetworkBackendKind,
-    NetworkStats, SharedDelayMemo, SharedRouteTable,
+    AsyncMessageId, Completion, NetworkBackend, NetworkBackendKind, NetworkStats, SharedDelayMemo,
+    SharedRouteTable,
 };
 use astra_telemetry::{
     ChunkOpSpan, CollectiveSpan, DepEdge, Marker, MetricsReport, NpuTimeline, SimTrace, TraceSink,
 };
 use astra_topology::{
-    BuildingBlock, Dimension, FaultError, FaultKind, FaultSchedule, FaultedGraph, LinkGraph,
-    NodeId, NodeKind, NpuId, Topology,
+    Dimension, FaultError, FaultKind, FaultSchedule, FaultedGraph, NpuId, Topology,
 };
 use astra_workload::{EtNode, EtOp, ExecutionTrace, Roofline, TensorLocation};
 
 use crate::orbits::Orbits;
 use crate::report::FaultImpact;
+use crate::setup::{build_backend, prepare, GroupSpan, Setup};
 use crate::ties::Ties;
 use crate::{Breakdown, CacheStats, SimReport};
 
@@ -108,64 +108,6 @@ impl Default for SystemConfig {
             max_sim_time: None,
             telemetry: false,
         }
-    }
-}
-
-/// Instantiates the configured [`NetworkBackend`] for a topology, with the
-/// fault schedule's fabric faults applied: dead links removed from routing,
-/// degraded link properties folded into every delay/rate computation. A
-/// schedule without fabric faults builds the pristine backend, attached to
-/// the `warm` handles where the backend takes one. The packet backend runs
-/// train transport.
-pub(crate) fn build_network(
-    topo: &Topology,
-    config: &SystemConfig,
-    warm: &WarmState,
-) -> Box<dyn NetworkBackend> {
-    build_backend(topo, config, warm, TransportMode::Batched)
-}
-
-/// [`build_network`] with the packet backend on `transport`.
-fn build_backend(
-    topo: &Topology,
-    config: &SystemConfig,
-    warm: &WarmState,
-    transport: TransportMode,
-) -> Box<dyn NetworkBackend> {
-    let schedule = &config.faults;
-    // Warm delay/route tables are computed on the pristine fabric; a
-    // degraded run must not consult them. Build cold instead.
-    let pristine = !schedule.has_fabric_faults();
-    let checked = |r: Result<Box<dyn NetworkBackend>, FaultError>| {
-        // astra-lint: allow(panic, simulate_with validates fault schedules before any backend is built)
-        r.expect("fault schedule validated before backend construction")
-    };
-    match config.network_backend {
-        NetworkBackendKind::Analytical => match warm.delay_memo.as_ref().filter(|_| pristine) {
-            Some(memo) => Box::new(AnalyticalNetwork::with_shared_memo(
-                topo.clone(),
-                Arc::clone(memo),
-            )),
-            None => checked(
-                AnalyticalNetwork::with_faults(topo.clone(), schedule)
-                    .map(|n| Box::new(n) as Box<dyn NetworkBackend>),
-            ),
-        },
-        NetworkBackendKind::Packet => checked(
-            PacketNetwork::with_faults(
-                topo,
-                PacketSimConfig::fast().with_transport(transport),
-                schedule,
-            )
-            .map(|n| Box::new(n) as Box<dyn NetworkBackend>),
-        ),
-        NetworkBackendKind::Flow => match warm.routes.as_ref().filter(|_| pristine) {
-            Some(routes) => Box::new(FlowNetwork::with_shared_routes(topo, Arc::clone(routes))),
-            None => checked(
-                FlowNetwork::with_faults(topo, schedule)
-                    .map(|n| Box::new(n) as Box<dyn NetworkBackend>),
-            ),
-        },
     }
 }
 
@@ -482,32 +424,6 @@ struct RunningCollective {
     trace_id: u64,
 }
 
-pub(crate) struct GroupSpan {
-    /// The group's members in ascending order: a member's rank is its
-    /// index here, found by binary search. `TraceBuilder` groups are
-    /// already sorted; `from_json` groups may not be. In a quotient run
-    /// these are the member blocks (see [`Orbits`]).
-    pub(crate) members: Vec<NpuId>,
-    /// Per spanned dimension: the global dimension index, the effective
-    /// sub-dimension, and the representative `(src, dst)` wire endpoints
-    /// used by backend-executed chunk ops — the two lowest-coordinate
-    /// members along the dimension through the representative, so each
-    /// dimension's ops serialize on a distinct source NIC lane while
-    /// different dimensions (and sibling groups) stream in parallel.
-    pub(crate) dims: Vec<(usize, Dimension, (NpuId, NpuId))>,
-    /// Aligned with `dims`: the lane each spanned dimension contends on.
-    /// A full run keys lanes by `(first member as listed, dimension)` at
-    /// `rep * num_dims + dim`, so back-to-back collectives of groups that
-    /// share both contend; a quotient run names lane blocks.
-    pub(crate) lanes: Vec<usize>,
-    /// Aligned with `dims`: when a fault schedule degrades the spanned
-    /// dimension, holds the pristine dimension plus the index of the
-    /// schedule's first event touching it, for per-fault attribution of
-    /// the collective slowdown. `None` entries mean the dimension is
-    /// unaffected.
-    pub(crate) degraded: Vec<Option<(Dimension, usize)>>,
-}
-
 /// Simulates one execution trace on a topology, returning the end-to-end
 /// time and the exposed-time breakdown.
 ///
@@ -584,13 +500,14 @@ pub fn simulate_traced_with(
     run_exact(trace, topo, config, warm, config.telemetry, true)
 }
 
-/// Runs the engine to the per-packet answer. The packet backend runs on
-/// train transport first, and again per-packet when that run is inexact or
-/// trips a budget. A train run counts a message's packet-hops when it is
-/// sent rather than as they pop, so it trips a budget exactly when the
-/// per-packet run does, only earlier. With `collapse`, an eligible run
-/// simulates one NPU per orbit (see [`Orbits`]); one whose quotient sees a
-/// tie it cannot vouch for ([`Ties`]) is rerun whole.
+/// Runs the engine to the per-packet answer on one [`prepare`]d set-up.
+/// With `collapse`, an eligible run simulates one NPU per orbit (see
+/// [`Orbits`]); one whose quotient sees a tie it cannot vouch for
+/// ([`Ties`]) is rerun whole. The packet backend runs on train transport
+/// first, and again per-packet when that run is inexact or trips a budget.
+/// A train run counts a message's packet-hops when it is sent rather than
+/// as they pop, so it trips a budget exactly when the per-packet run does,
+/// only earlier.
 pub(crate) fn run_exact(
     trace: &ExecutionTrace,
     topo: &Topology,
@@ -599,33 +516,55 @@ pub(crate) fn run_exact(
     traced: bool,
     collapse: bool,
 ) -> (Result<SimReport, SimError>, Option<SimTrace>) {
-    let (result, sim_trace, exact) = run_on(
-        trace,
-        topo,
-        config,
-        warm,
-        TransportMode::Batched,
-        traced,
-        collapse,
-    );
-    let tripped = matches!(result, Err(SimError::BudgetExceeded { .. }));
-    if config.network_backend != NetworkBackendKind::Packet || (exact && !tripped) {
-        return (result, sim_trace);
+    let setup = match prepare(trace, topo, config) {
+        Ok(setup) => setup,
+        Err(e) => return (Err(e), None),
+    };
+    if collapse {
+        if let Some((_, result)) = run_quotient(trace, topo, config, warm, &setup) {
+            return (result, None);
+        }
     }
-    let (result, sim_trace, _) = run_on(
-        trace,
-        topo,
-        config,
-        warm,
-        TransportMode::PerPacket,
-        traced,
-        collapse,
-    );
-    (result, sim_trace)
+    // Only a packet run may need a per-packet rerun, on the same set-up.
+    let rerun = (config.network_backend == NetworkBackendKind::Packet).then(|| setup.clone());
+    let transport = TransportMode::Batched;
+    let (result, sim_trace, exact) = run_on(trace, topo, config, warm, transport, traced, setup);
+    match rerun {
+        Some(setup) if !exact || matches!(result, Err(SimError::BudgetExceeded { .. })) => {
+            let transport = TransportMode::PerPacket;
+            let rerun = run_on(trace, topo, config, warm, transport, traced, setup);
+            (rerun.0, rerun.1)
+        }
+        _ => (result, sim_trace),
+    }
 }
 
-/// One engine run with a packet backend on `transport`: the result, its
-/// trace when `traced`, and whether the backend vouched for its answer
+/// The run on its orbit quotient and its number of NPU blocks, or `None`
+/// when it is not eligible, does not collapse, or sees a tie (see
+/// [`Orbits::collapse`]). An eligible run records no telemetry and builds
+/// no backend, so the report is all it yields.
+pub(crate) fn run_quotient(
+    trace: &ExecutionTrace,
+    topo: &Topology,
+    config: &SystemConfig,
+    warm: &WarmState,
+    setup: &Setup,
+) -> Option<(usize, Result<SimReport, SimError>)> {
+    let (orbits, spans) = Orbits::collapse(trace, topo, config, &setup.spans)?;
+    let blocks = orbits.reps.len();
+    // An eligible run is fault-free: no impact rows, no fabric.
+    let quotient = Setup {
+        spans,
+        impacts: Vec::new(),
+        fabric: None,
+    };
+    let mut engine = Engine::new(trace, topo, config, warm, orbits, quotient);
+    let result = engine.run();
+    (!engine.tied()).then_some((blocks, result))
+}
+
+/// One whole engine run with a packet backend on `transport`: the result,
+/// its trace when `traced`, and whether the backend vouched for its answer
 /// ([`NetworkBackend::exact`]).
 pub(crate) fn run_on(
     trace: &ExecutionTrace,
@@ -634,19 +573,12 @@ pub(crate) fn run_on(
     warm: &WarmState,
     transport: TransportMode,
     traced: bool,
-    collapse: bool,
+    setup: Setup,
 ) -> (Result<SimReport, SimError>, Option<SimTrace>, bool) {
-    let (spans, impacts) = match prepare(trace, topo, config) {
-        Ok(prepared) => prepared,
-        Err(e) => return (Err(e), None, true),
-    };
-    let (orbits, spans) = Orbits::of(trace, topo, config, spans, collapse);
-    let mut engine = Engine::new(trace, topo, config, warm, orbits, spans, impacts);
+    let orbits = Orbits::identity(trace.npus(), setup.spans.len(), topo.num_dims());
+    let mut engine = Engine::new(trace, topo, config, warm, orbits, setup);
     engine.transport = transport;
     let result = engine.run();
-    if engine.tied() {
-        return run_on(trace, topo, config, warm, transport, traced, false);
-    }
     let exact = engine.network.as_ref().is_none_or(|net| net.exact());
     let (result, sim_trace) = if traced {
         engine.with_trace(result)
@@ -654,198 +586,6 @@ pub(crate) fn run_on(
         (result, None)
     };
     (result, sim_trace, exact)
-}
-
-/// Shared validation front half of every `simulate*` entry point: checks
-/// trace/platform consistency, validates the fault schedule, and
-/// pre-computes group spans and fault-impact rows.
-pub(crate) fn prepare(
-    trace: &ExecutionTrace,
-    topo: &Topology,
-    config: &SystemConfig,
-) -> Result<(Vec<GroupSpan>, Vec<FaultImpact>), SimError> {
-    if trace.npus() != topo.npus() {
-        return Err(SimError::NpuCountMismatch {
-            trace: trace.npus(),
-            topology: topo.npus(),
-        });
-    }
-    if config.collective_mode == CollectiveMode::Backend
-        && config.scheduler == SchedulerPolicy::Themis
-    {
-        return Err(SimError::BackendCollectivesNeedBaselineScheduler);
-    }
-    let uses_remote = trace.classes().iter().any(|program| {
-        program.iter().any(|node| {
-            matches!(
-                node.op,
-                EtOp::Memory {
-                    location: TensorLocation::Remote { .. },
-                    ..
-                }
-            )
-        })
-    });
-    if uses_remote && config.remote_memory.is_none() {
-        return Err(SimError::RemoteMemoryUnconfigured);
-    }
-
-    // Validate the fault schedule up front: every later fault consumer
-    // (backend constructors, span degradation, straggler stretching) may
-    // then assume a well-formed, connectivity-preserving schedule.
-    config
-        .faults
-        .validate(topo)
-        .map_err(SimError::InvalidFaults)?;
-    let faulted = if config.faults.has_fabric_faults() {
-        let faulted = FaultedGraph::new(topo, &config.faults).map_err(SimError::InvalidFaults)?;
-        if let Some((src, dst)) = faulted.unreachable_pair() {
-            return Err(SimError::Unreachable { src, dst });
-        }
-        Some(faulted)
-    } else {
-        None
-    };
-
-    // Pre-compute the dimension span of every communicator group.
-    let mut spans = Vec::with_capacity(trace.groups().len());
-    for (gi, members) in trace.groups().iter().enumerate() {
-        let mut span = group_span(topo, members).ok_or(SimError::UnalignedGroup { group: gi })?;
-        if let Some(faulted) = &faulted {
-            degrade_span(&mut span, faulted);
-        }
-        spans.push(span);
-    }
-
-    let impacts = fault_impacts(topo, &config.faults);
-    Ok((spans, impacts))
-}
-
-/// Folds a fault schedule's per-dimension degradation into a group span:
-/// the spanned sub-dimension's bandwidth is scaled by the dimension's
-/// live-link fraction and worst degradation factor, its latency by the
-/// worst latency multiplier. The pristine dimension is kept alongside for
-/// per-fault attribution of the resulting collective slowdown.
-fn degrade_span(span: &mut GroupSpan, faulted: &FaultedGraph) {
-    for (slot, (dim_idx, dim, _)) in span.degraded.iter_mut().zip(span.dims.iter_mut()) {
-        let Some(degrade) = faulted.dim_degrade(*dim_idx) else {
-            continue;
-        };
-        let pristine = *dim;
-        *dim = Dimension::new(dim.block())
-            .with_bandwidth(degrade.scale_bandwidth(dim.bandwidth()))
-            .with_link_latency(degrade.scale_latency(dim.link_latency()));
-        *slot = Some((pristine, degrade.first_event));
-    }
-}
-
-/// Seeds one [`FaultImpact`] row per schedule event. Fabric events start
-/// with their affected-link counts (both directions of a killed/degraded
-/// link, every port of a downed switch); slowdown/attribution counters are
-/// filled in as the engine runs.
-fn fault_impacts(topo: &Topology, schedule: &FaultSchedule) -> Vec<FaultImpact> {
-    let graph = LinkGraph::new(topo);
-    schedule
-        .events()
-        .iter()
-        .enumerate()
-        .map(|(idx, ev)| {
-            let affected = match ev.kind {
-                FaultKind::LinkDown { src, dst } | FaultKind::LinkDegrade { src, dst, .. } => {
-                    let a = NodeId(src);
-                    let b = NodeId(dst);
-                    [(a, b), (b, a)]
-                        .iter()
-                        .filter(|&&(x, y)| graph.link_between(x, y).is_some())
-                        .count() as u64
-                }
-                FaultKind::SwitchDown { dim, group } => (0..graph.num_nodes())
-                    .filter(|&n| {
-                        matches!(
-                            graph.node_kind(NodeId(n)),
-                            NodeKind::Switch { dim: d, group: g } if d == dim && g == group
-                        )
-                    })
-                    .map(|n| graph.neighbors(NodeId(n)).count() as u64 * 2)
-                    .sum(),
-                FaultKind::NpuSlowdown { .. } => 0,
-            };
-            FaultImpact {
-                event: idx,
-                kind: ev.kind.label(),
-                affected,
-                extra_time: Time::ZERO,
-            }
-        })
-        .collect()
-}
-
-/// Determines which topology dimensions a group spans. Members must be
-/// distinct NPUs of the topology forming a sub-grid: the product of
-/// per-dimension distinct coordinate counts must equal the group size.
-fn group_span(topo: &Topology, members: &[NpuId]) -> Option<GroupSpan> {
-    let mut sorted = members.to_vec();
-    sorted.sort_unstable();
-    sorted.dedup();
-    if sorted.len() != members.len() || sorted.last().is_none_or(|&m| m >= topo.npus()) {
-        return None;
-    }
-    let rep = members[0];
-    let rep_coords = topo.coords(rep);
-    let mut dims = Vec::new();
-    let mut lanes = Vec::new();
-    let mut product = 1usize;
-    for dim_idx in 0..topo.num_dims() {
-        let mut coords: Vec<usize> = members.iter().map(|&m| topo.coords(m)[dim_idx]).collect();
-        coords.sort_unstable();
-        coords.dedup();
-        let distinct = coords.len();
-        product *= distinct;
-        if distinct > 1 {
-            let base = topo.dims()[dim_idx];
-            let block = match base.block() {
-                BuildingBlock::Ring(_) => BuildingBlock::Ring(distinct),
-                BuildingBlock::FullyConnected(_) => BuildingBlock::FullyConnected(distinct),
-                BuildingBlock::Switch(_) => BuildingBlock::Switch(distinct),
-            };
-            // Representative wire endpoints for backend-executed chunk
-            // ops: the two lowest-coordinate members on the line through
-            // the representative along this dimension (adjacent for
-            // contiguous groups, so the wire covers exactly the
-            // algorithm's per-step hop).
-            let mut line: Vec<(usize, NpuId)> = members
-                .iter()
-                .filter(|&&m| {
-                    let c = topo.coords(m);
-                    c.iter()
-                        .enumerate()
-                        .all(|(d, &v)| d == dim_idx || v == rep_coords[d])
-                })
-                .map(|&m| (topo.coords(m)[dim_idx], m))
-                .collect();
-            line.sort_unstable();
-            if line.len() < 2 {
-                // The members cannot form a sub-grid.
-                return None;
-            }
-            let endpoints = (line[1].1, line[0].1);
-            dims.push((
-                dim_idx,
-                Dimension::new(block)
-                    .with_bandwidth(base.bandwidth())
-                    .with_link_latency(base.link_latency()),
-                endpoints,
-            ));
-            lanes.push(rep * topo.num_dims() + dim_idx);
-        }
-    }
-    let degraded = vec![None; dims.len()];
-    (product == members.len()).then_some(GroupSpan {
-        members: sorted,
-        dims,
-        lanes,
-        degraded,
-    })
 }
 
 /// The engine state of one run. Per-NPU state (dependency counts,
@@ -867,6 +607,9 @@ pub(crate) struct Engine<'a> {
     orbits: Orbits,
     /// Per group block: its span.
     spans: Vec<GroupSpan>,
+    /// The fabric [`prepare`] applied, until [`Engine::network_mut`] hands
+    /// it to the backend it builds.
+    fabric: Option<FaultedGraph>,
 
     queue: EventQueue<EngineEvent>,
     /// Per block, per node: dependencies not yet completed, or
@@ -922,7 +665,7 @@ pub(crate) struct Engine<'a> {
     stragglers: Vec<Vec<(Time, u32, usize)>>,
     /// Per-fault attribution rows, one per schedule event (see
     /// [`FaultImpact`]); returned in the report.
-    fault_impacts: Vec<FaultImpact>,
+    impacts: Vec<FaultImpact>,
     /// Engine events popped so far, for [`SystemConfig::max_events`].
     events_popped: u64,
     /// Telemetry sink, present iff [`SystemConfig::telemetry`]. Every
@@ -947,9 +690,13 @@ impl<'a> Engine<'a> {
         config: &'a SystemConfig,
         warm: &'a WarmState,
         orbits: Orbits,
-        spans: Vec<GroupSpan>,
-        fault_impacts: Vec<FaultImpact>,
+        setup: Setup,
     ) -> Self {
+        let Setup {
+            spans,
+            impacts,
+            fabric,
+        } = setup;
         let blocks = orbits.reps.len();
         // Reverse graphs and initial dependency counts once per stored
         // program; every block starts from a copy of its class's counts.
@@ -1001,6 +748,7 @@ impl<'a> Engine<'a> {
             ties: (blocks < trace.npus()).then(|| Ties::new(&orbits, &spans)),
             orbits,
             spans,
+            fabric,
             queue: EventQueue::new(),
             remaining_deps,
             dependents,
@@ -1027,7 +775,7 @@ impl<'a> Engine<'a> {
             collectives: 0,
             p2p_messages: 0,
             stragglers,
-            fault_impacts,
+            impacts,
             events_popped: 0,
             sink: config.telemetry.then(TraceSink::new),
             trace_seq: 0,
@@ -1068,7 +816,7 @@ impl<'a> Engine<'a> {
         let stretched = Time::from_ps(
             (service.as_ps() as u128 * pct as u128 / 100).min(u64::MAX as u128) as u64,
         );
-        let impact = &mut self.fault_impacts[idx];
+        let impact = &mut self.impacts[idx];
         impact.affected += 1;
         impact.extra_time += stretched.saturating_sub(service);
         stretched
@@ -1099,9 +847,10 @@ impl<'a> Engine<'a> {
         let first = self.network.is_none();
         let record = self.sink.is_some();
         let (topo, config, warm, transport) = (self.topo, self.config, self.warm, self.transport);
+        let fabric = &mut self.fabric;
         let net = self
             .network
-            .get_or_insert_with(|| build_backend(topo, config, warm, transport));
+            .get_or_insert_with(|| build_backend(topo, config, warm, transport, fabric.take()));
         if first && record {
             net.set_telemetry(true);
         }
@@ -1321,7 +1070,7 @@ impl<'a> Engine<'a> {
                 lowering_misses: self.lowering_misses,
                 ..CacheStats::default()
             },
-            faults: std::mem::take(&mut self.fault_impacts),
+            faults: std::mem::take(&mut self.impacts),
             metrics: None,
         })
     }
@@ -1545,7 +1294,7 @@ impl<'a> Engine<'a> {
                     .collective_engine
                     .run_at(collective, size, &pristine, start, &available);
                 if let Some(event) = span.degraded.iter().flatten().map(|&(_, e)| e).min() {
-                    let impact = &mut self.fault_impacts[event];
+                    let impact = &mut self.impacts[event];
                     impact.extra_time += outcome.finish.saturating_sub(baseline.finish);
                 }
             }
@@ -1905,6 +1654,7 @@ impl<'a> Engine<'a> {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::setup::group_span;
     use astra_collectives::Collective;
     use astra_workload::{models, parallelism, EtOp, Parallelism, TraceBuilder};
 

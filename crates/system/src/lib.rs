@@ -37,6 +37,7 @@ mod engine;
 mod oracle;
 mod orbits;
 mod report;
+mod setup;
 mod ties;
 
 pub use engine::{

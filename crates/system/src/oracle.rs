@@ -20,10 +20,9 @@ use astra_telemetry::SimTrace;
 use astra_topology::{NpuId, Topology};
 use astra_workload::ExecutionTrace;
 
-use crate::engine::{
-    build_network, prepare, run_exact, run_on, Engine, SimError, SystemConfig, WarmState,
-};
+use crate::engine::{run_exact, run_on, run_quotient, Engine, SimError, SystemConfig, WarmState};
 use crate::orbits::Orbits;
+use crate::setup::{build_network, prepare};
 use crate::SimReport;
 
 /// The frozen blocking-p2p test oracle: [`simulate`](crate::simulate),
@@ -45,10 +44,10 @@ pub fn simulate_blocking_reference(
     if config.collective_mode == CollectiveMode::Backend {
         return Err(SimError::BackendCollectivesNeedAsyncP2p);
     }
-    let (spans, impacts) = prepare(trace, topo, config)?;
+    let setup = prepare(trace, topo, config)?;
     let warm = WarmState::default();
-    let orbits = Orbits::identity(trace.npus(), spans.len(), topo.num_dims());
-    let mut engine = Engine::new(trace, topo, config, &warm, orbits, spans, impacts);
+    let orbits = Orbits::identity(trace.npus(), setup.spans.len(), topo.num_dims());
+    let mut engine = Engine::new(trace, topo, config, &warm, orbits, setup);
     engine.network = Some(Box::new(ProbeNetwork {
         topo,
         config,
@@ -58,26 +57,29 @@ pub fn simulate_blocking_reference(
     engine.run()
 }
 
-/// [`simulate_traced`](crate::simulate_traced) with the packet backend on
-/// `transport` and no per-packet fallback, plus whether the backend
-/// vouched for its answer ([`NetworkBackend::exact`]). On
-/// [`TransportMode::PerPacket`] it is the answer `packet` must report.
+/// [`simulate_traced`](crate::simulate_traced) on the identity partition
+/// with the packet backend on `transport` and no per-packet fallback, plus
+/// whether the backend vouched for its answer
+/// ([`NetworkBackend::exact`]). On [`TransportMode::PerPacket`] it is the
+/// answer `packet` must report.
 pub fn simulate_transport_reference(
     trace: &ExecutionTrace,
     topo: &Topology,
     config: &SystemConfig,
     transport: TransportMode,
 ) -> (Result<SimReport, SimError>, Option<SimTrace>, bool) {
-    let warm = WarmState::default();
-    run_on(
-        trace,
-        topo,
-        config,
-        &warm,
-        transport,
-        config.telemetry,
-        true,
-    )
+    match prepare(trace, topo, config) {
+        Ok(setup) => run_on(
+            trace,
+            topo,
+            config,
+            &WarmState::default(),
+            transport,
+            config.telemetry,
+            setup,
+        ),
+        Err(e) => (Err(e), None, true),
+    }
 }
 
 /// [`simulate`](crate::simulate) on the identity partition: every NPU,
@@ -107,14 +109,9 @@ pub fn orbit_count(
     topo: &Topology,
     config: &SystemConfig,
 ) -> Result<usize, SimError> {
-    let (spans, impacts) = prepare(trace, topo, config)?;
-    let (orbits, spans) = Orbits::of(trace, topo, config, spans, true);
-    let blocks = orbits.reps.len();
-    let warm = WarmState::default();
-    let mut engine = Engine::new(trace, topo, config, &warm, orbits, spans, impacts);
-    // Only whether the run tied matters here, not its outcome.
-    let _ = engine.run();
-    Ok(if engine.tied() { trace.npus() } else { blocks })
+    let setup = prepare(trace, topo, config)?;
+    let quotient = run_quotient(trace, topo, config, &WarmState::default(), &setup);
+    Ok(quotient.map_or(trace.npus(), |(blocks, _)| blocks))
 }
 
 /// A backend that answers every send with a probe on a fresh

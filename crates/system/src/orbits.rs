@@ -4,7 +4,7 @@
 //! Uniform hybrid-parallel traces put their NPUs in a few symmetric
 //! classes. Every tensor-parallel rank runs the same program, meets
 //! groups of the same shape and contends on lanes of the same shape, so
-//! all of them finish every node at the same instant. [`Orbits::of`]
+//! all of them finish every node at the same instant. [`Orbits::collapse`]
 //! finds those classes by colour refinement over three kinds of vertex:
 //!
 //! * NPUs start with the colour of their program's structure (two stored
@@ -34,7 +34,7 @@
 //! expanded back to per-NPU rows, identical to a full run's.
 //!
 //! Only runs whose NPUs interact through closed-form collectives alone
-//! are eligible (see [`Orbits::of`]). Every other run gets the identity
+//! are eligible (see [`Orbits::collapse`]). Every other run gets the identity
 //! partition without refinement. So does a refined partition in which one
 //! NPU is a member of two groups of one block: a single representative
 //! meeting could not stand for both groups.
@@ -52,7 +52,8 @@ use astra_des::Time;
 use astra_topology::{NpuId, Topology};
 use astra_workload::{EtNode, EtOp, ExecutionTrace, GroupId, MemoryDirection, TensorLocation};
 
-use crate::engine::{GroupSpan, SystemConfig};
+use crate::engine::SystemConfig;
+use crate::setup::GroupSpan;
 
 /// A partition of a run's NPUs, groups and lanes into blocks.
 pub(crate) struct Orbits {
@@ -96,10 +97,10 @@ impl Orbits {
         }
     }
 
-    /// Partitions a prepared run: the blocks plus one span per group block,
+    /// Collapses a prepared run: the blocks plus one span per group block,
     /// whose members are member blocks and whose lanes are lane blocks.
     ///
-    /// Refines only when `collapse` is set and the run is eligible:
+    /// Refines only when the run is eligible:
     ///
     /// * collectives are [`CollectiveMode::Analytical`];
     /// * no program sends or receives peer messages;
@@ -108,26 +109,19 @@ impl Orbits {
     /// * every collective names an existing group that has its NPU as a
     ///   member, so no run can fail with `UnalignedGroup` on the way.
     ///
-    /// Otherwise the partition is the identity and `spans` come back as
-    /// given.
-    pub(crate) fn of(
+    /// `None` when the run is not eligible or refinement leaves it whole:
+    /// the run then takes the identity partition on `spans` as given.
+    pub(crate) fn collapse(
         trace: &ExecutionTrace,
         topo: &Topology,
         config: &SystemConfig,
-        spans: Vec<GroupSpan>,
-        collapse: bool,
-    ) -> (Orbits, Vec<GroupSpan>) {
+        spans: &[GroupSpan],
+    ) -> Option<(Orbits, Vec<GroupSpan>)> {
         let slots: Vec<usize> = trace.classes().iter().map(|p| slot_count(p)).collect();
-        let quotient = (collapse && eligible(trace, config, &spans, &slots))
-            .then(|| quotient(trace, topo.num_dims(), &spans, &slots))
-            .flatten();
-        match quotient {
-            Some(quotient) => quotient,
-            None => (
-                Orbits::identity(trace.npus(), spans.len(), topo.num_dims()),
-                spans,
-            ),
+        if !eligible(trace, config, spans, &slots) {
+            return None;
         }
+        quotient(trace, topo.num_dims(), spans, &slots)
     }
 
     /// The group block of a trace group. A group id the trace does not
@@ -167,7 +161,7 @@ fn slot_count(program: &[EtNode]) -> usize {
 /// count, each costing a pass over every NPU, group and lane.
 const MAX_ROUNDS: usize = 16;
 
-/// Whether a run may collapse (see [`Orbits::of`]).
+/// Whether a run may collapse (see [`Orbits::collapse`]).
 fn eligible(
     trace: &ExecutionTrace,
     config: &SystemConfig,

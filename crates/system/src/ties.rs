@@ -39,8 +39,9 @@ use std::collections::{BTreeMap, VecDeque};
 
 use astra_des::Time;
 
-use crate::engine::{GroupSpan, SimError};
+use crate::engine::SimError;
 use crate::orbits::Orbits;
+use crate::setup::GroupSpan;
 
 /// The parent of a path's root node.
 const ROOT: u32 = u32::MAX;

@@ -15,10 +15,12 @@
 //! * **Faults don't break determinism.** With a non-trivial schedule
 //!   applied, reports stay bit-identical from run to run.
 
-use astra_collectives::Collective;
+use astra_collectives::{Collective, CollectiveMode};
 use astra_des::{DataSize, Time};
 use astra_network::NetworkBackendKind;
-use astra_system::{simulate, FaultKind, FaultSchedule, SimError, SimReport, SystemConfig};
+use astra_system::{
+    simulate, FaultError, FaultKind, FaultSchedule, SimError, SimReport, SystemConfig,
+};
 use astra_topology::Topology;
 use astra_workload::{EtOp, ExecutionTrace, TraceBuilder};
 use proptest::prelude::*;
@@ -308,5 +310,135 @@ fn faulted_reports_are_bit_identical_across_runs() {
             3,
             "{backend}: all faults attributed"
         );
+    }
+}
+
+fn schedule(kinds: &[FaultKind]) -> FaultSchedule {
+    let mut s = FaultSchedule::new();
+    for &kind in kinds {
+        s.push(Time::ZERO, kind);
+    }
+    s
+}
+
+/// Every kind of invalid schedule is rejected at set-up with the same
+/// `InvalidFaults` error on every network backend and collective mode:
+/// the first bad event in schedule order, whether the schedule holds
+/// fabric faults or stragglers only.
+#[test]
+fn invalid_schedules_fail_alike_on_every_backend() {
+    let topo = Topology::parse("R(4)@100_SW(2)@50").unwrap();
+    let trace = all_reduce_trace(topo.npus(), DataSize::from_mib(8));
+    let down = |src, dst| FaultKind::LinkDown { src, dst };
+    let degrade = |bandwidth_pct, latency_x| FaultKind::LinkDegrade {
+        src: 0,
+        dst: 1,
+        bandwidth_pct,
+        latency_x,
+    };
+    let slow = |npu, slowdown_pct| FaultKind::NpuSlowdown { npu, slowdown_pct };
+    let switch = |dim, group| FaultKind::SwitchDown { dim, group };
+    let bad = |field, value| FaultError::BadFactor { field, value };
+    let cases = [
+        (vec![down(0, 8)], FaultError::UnknownNpu { npu: 8, npus: 8 }),
+        (
+            vec![down(0, 1), down(9, 1)],
+            FaultError::UnknownNpu { npu: 9, npus: 8 },
+        ),
+        // 0 and 2 are not ring neighbours; 0 and 4 share a switch, not a
+        // direct link.
+        (
+            vec![down(0, 2)],
+            FaultError::NoDirectLink { src: 0, dst: 2 },
+        ),
+        (
+            vec![down(0, 4)],
+            FaultError::NoDirectLink { src: 0, dst: 4 },
+        ),
+        (vec![degrade(0, 1)], bad("bandwidth_pct", 0)),
+        (vec![degrade(101, 1)], bad("bandwidth_pct", 101)),
+        (vec![degrade(50, 0)], bad("latency_x", 0)),
+        (vec![slow(1, 99)], bad("slowdown_pct", 99)),
+        (vec![down(0, 1), slow(1, 99)], bad("slowdown_pct", 99)),
+        (
+            vec![slow(8, 200)],
+            FaultError::UnknownNpu { npu: 8, npus: 8 },
+        ),
+        // Dimension 0 is a ring: it has no switch.
+        (
+            vec![switch(0, 0)],
+            FaultError::NoSuchSwitch { dim: 0, group: 0 },
+        ),
+        (
+            vec![switch(1, 4)],
+            FaultError::NoSuchSwitch { dim: 1, group: 4 },
+        ),
+    ];
+    for (kinds, expected) in cases {
+        let faults = schedule(&kinds);
+        for backend in NetworkBackendKind::ALL {
+            for collective_mode in [CollectiveMode::Analytical, CollectiveMode::Backend] {
+                let config = SystemConfig {
+                    network_backend: backend,
+                    collective_mode,
+                    faults: faults.clone(),
+                    ..SystemConfig::default()
+                };
+                assert_eq!(
+                    simulate(&trace, &topo, &config),
+                    Err(SimError::InvalidFaults(expected.clone())),
+                    "{backend} / {collective_mode:?}: {kinds:?}"
+                );
+            }
+        }
+    }
+}
+
+/// Fabric events' impact rows count the directed links each event
+/// touched, on every backend: both directions of a downed or degraded
+/// link (again for a second event on the same link), and every port of a
+/// downed switch the run survives. Stragglers start at zero.
+#[test]
+fn impact_rows_count_the_links_each_event_touched() {
+    let topo = Topology::parse("R(4)@100_SW(2)@50").unwrap();
+    let trace = relay_trace(topo.npus());
+    let degrade = |src, dst| FaultKind::LinkDegrade {
+        src,
+        dst,
+        bandwidth_pct: 50,
+        latency_x: 2,
+    };
+    let cases = [
+        (vec![FaultKind::LinkDown { src: 0, dst: 1 }], vec![2]),
+        (vec![degrade(1, 2)], vec![2]),
+        (
+            vec![degrade(0, 1), FaultKind::LinkDown { src: 1, dst: 0 }],
+            vec![2, 2],
+        ),
+        // Switch group 0 of dimension 1 joins NPUs 0 and 4: two NPUs, two
+        // directions each. The ring keeps both reachable.
+        (vec![FaultKind::SwitchDown { dim: 1, group: 0 }], vec![4]),
+        (
+            vec![
+                FaultKind::SwitchDown { dim: 1, group: 0 },
+                FaultKind::NpuSlowdown {
+                    npu: 5,
+                    slowdown_pct: 200,
+                },
+            ],
+            vec![4, 0],
+        ),
+    ];
+    for (kinds, affected) in cases {
+        for backend in NetworkBackendKind::ALL {
+            let config = SystemConfig {
+                network_backend: backend,
+                faults: schedule(&kinds),
+                ..SystemConfig::default()
+            };
+            let report = run(&trace, &topo, &config);
+            let rows: Vec<u64> = report.faults.iter().map(|f| f.affected).collect();
+            assert_eq!(rows, affected, "{backend}: {kinds:?}");
+        }
     }
 }

@@ -13,8 +13,10 @@
 //! * **NPU faults** ([`FaultKind::NpuSlowdown`]) stretch the compute time
 //!   of operations issued at or after `at` on one straggler NPU.
 //!
-//! Schedules are validated against a concrete [`Topology`] before any
-//! backend is built ([`FaultSchedule::validate`]), and dead links feed a
+//! Schedules are validated against a concrete [`Topology`]:
+//! [`FaultedGraph::new`] expands the topology once, validates a schedule
+//! against that graph and applies it, and [`FaultSchedule::validate`]
+//! expands it only for a schedule with fabric faults. Dead links feed a
 //! deterministic rerouting fallback ([`FaultedGraph::route`]): the
 //! canonical dimension-ordered route is kept whenever it survives, and a
 //! breadth-first search over live links (expanded in ascending node order)
@@ -225,17 +227,20 @@ impl FaultSchedule {
 
     /// Validates every event against a concrete topology: NPU ids in
     /// range, link endpoints directly connected, switch groups existing,
-    /// factors in range.
+    /// factors in range. Only a schedule with fabric faults expands the
+    /// topology into its link graph; NPU ids and factors need none.
     ///
     /// # Errors
     ///
     /// Returns the first [`FaultError`] in schedule order.
     pub fn validate(&self, topo: &Topology) -> Result<(), FaultError> {
-        if self.events.is_empty() {
-            return Ok(());
-        }
-        let graph = LinkGraph::new(topo);
-        let npus = topo.npus();
+        let graph = self.has_fabric_faults().then(|| LinkGraph::new(topo));
+        self.check(topo.npus(), graph.as_ref())
+    }
+
+    /// [`FaultSchedule::validate`] against `graph`, which must be present
+    /// when the schedule has fabric faults.
+    fn check(&self, npus: usize, graph: Option<&LinkGraph>) -> Result<(), FaultError> {
         let check_npu = |npu: NpuId| {
             if npu >= npus {
                 Err(FaultError::UnknownNpu { npu, npus })
@@ -243,26 +248,24 @@ impl FaultSchedule {
                 Ok(())
             }
         };
+        let check_link = |src: NpuId, dst: NpuId| {
+            check_npu(src)?;
+            check_npu(dst)?;
+            match graph.and_then(|g| g.link_between(NodeId(src), NodeId(dst))) {
+                Some(_) => Ok(()),
+                None => Err(FaultError::NoDirectLink { src, dst }),
+            }
+        };
         for event in &self.events {
             match event.kind {
-                FaultKind::LinkDown { src, dst } => {
-                    check_npu(src)?;
-                    check_npu(dst)?;
-                    if graph.link_between(NodeId(src), NodeId(dst)).is_none() {
-                        return Err(FaultError::NoDirectLink { src, dst });
-                    }
-                }
+                FaultKind::LinkDown { src, dst } => check_link(src, dst)?,
                 FaultKind::LinkDegrade {
                     src,
                     dst,
                     bandwidth_pct,
                     latency_x,
                 } => {
-                    check_npu(src)?;
-                    check_npu(dst)?;
-                    if graph.link_between(NodeId(src), NodeId(dst)).is_none() {
-                        return Err(FaultError::NoDirectLink { src, dst });
-                    }
+                    check_link(src, dst)?;
                     if bandwidth_pct == 0 || bandwidth_pct > 100 {
                         return Err(FaultError::BadFactor {
                             field: "bandwidth_pct",
@@ -286,7 +289,7 @@ impl FaultSchedule {
                     }
                 }
                 FaultKind::SwitchDown { dim, group } => {
-                    if !switch_exists(&graph, dim, group) {
+                    if graph.and_then(|g| switch_node(g, dim, group)).is_none() {
                         return Err(FaultError::NoSuchSwitch { dim, group });
                     }
                 }
@@ -296,10 +299,11 @@ impl FaultSchedule {
     }
 }
 
-fn switch_exists(graph: &LinkGraph, dim: usize, group: usize) -> bool {
-    (0..graph.num_nodes()).any(|n| {
+/// The node of the switch at `dim`, `group`, if the graph has one.
+fn switch_node(graph: &LinkGraph, dim: usize, group: usize) -> Option<NodeId> {
+    (0..graph.num_nodes()).map(NodeId).find(|&n| {
         matches!(
-            graph.node_kind(NodeId(n)),
+            graph.node_kind(n),
             NodeKind::Switch { dim: d, group: g } if d == dim && g == group
         )
     })
@@ -349,70 +353,59 @@ pub struct FaultedGraph {
     graph: LinkGraph,
     dead: BTreeSet<LinkId>,
     dim_degrade: BTreeMap<usize, DimDegrade>,
+    /// Per schedule event: the directed links it killed or degraded.
+    touched: Vec<u64>,
 }
 
 impl FaultedGraph {
-    /// Applies `schedule` to the expansion of `topo`.
+    /// Expands `topo` into its link graph once, validates `schedule`
+    /// against it and applies it.
     ///
     /// # Errors
     ///
     /// Returns the schedule's first [`FaultError`] if it does not fit the
     /// topology.
     pub fn new(topo: &Topology, schedule: &FaultSchedule) -> Result<Self, FaultError> {
-        schedule.validate(topo)?;
         let mut graph = LinkGraph::new(topo);
+        schedule.check(topo.npus(), Some(&graph))?;
         let mut dead: BTreeSet<LinkId> = BTreeSet::new();
         // Per-link worst degradation factors, keyed by link id.
         let mut degraded: BTreeMap<LinkId, (u32, u32)> = BTreeMap::new();
         // Per-dimension first touching event, for attribution.
         let mut first_event: BTreeMap<usize, usize> = BTreeMap::new();
-        let touch = |dim: usize, event: usize, map: &mut BTreeMap<usize, usize>| {
-            map.entry(dim).or_insert(event);
-        };
+        let mut touched = Vec::with_capacity(schedule.len());
         for (idx, event) in schedule.events().iter().enumerate() {
-            match event.kind {
-                FaultKind::LinkDown { src, dst } => {
-                    for (a, b) in [(src, dst), (dst, src)] {
-                        if let Some(l) = graph.link_between(NodeId(a), NodeId(b)) {
-                            touch(graph.link(l).dim, idx, &mut first_event);
-                            dead.insert(l);
-                        }
-                    }
+            let links: Vec<LinkId> = match event.kind {
+                FaultKind::LinkDown { src, dst } | FaultKind::LinkDegrade { src, dst, .. } => {
+                    [(src, dst), (dst, src)]
+                        .iter()
+                        .filter_map(|&(a, b)| graph.link_between(NodeId(a), NodeId(b)))
+                        .collect()
                 }
-                FaultKind::LinkDegrade {
-                    src,
-                    dst,
+                FaultKind::NpuSlowdown { .. } => Vec::new(),
+                FaultKind::SwitchDown { dim, group } => match switch_node(&graph, dim, group) {
+                    Some(sw) => graph
+                        .links()
+                        .filter(|(_, p)| p.src == sw || p.dst == sw)
+                        .map(|(l, _)| l)
+                        .collect(),
+                    None => Vec::new(),
+                },
+            };
+            touched.push(links.len() as u64);
+            for l in links {
+                first_event.entry(graph.link(l).dim).or_insert(idx);
+                if let FaultKind::LinkDegrade {
                     bandwidth_pct,
                     latency_x,
-                } => {
-                    for (a, b) in [(src, dst), (dst, src)] {
-                        if let Some(l) = graph.link_between(NodeId(a), NodeId(b)) {
-                            touch(graph.link(l).dim, idx, &mut first_event);
-                            let entry = degraded.entry(l).or_insert((100, 1));
-                            entry.0 = entry.0.min(bandwidth_pct);
-                            entry.1 = entry.1.max(latency_x);
-                        }
-                    }
-                }
-                FaultKind::NpuSlowdown { .. } => {}
-                FaultKind::SwitchDown { dim, group } => {
-                    let switch = (0..graph.num_nodes()).map(NodeId).find(|&n| {
-                        matches!(
-                            graph.node_kind(n),
-                            NodeKind::Switch { dim: d, group: g } if d == dim && g == group
-                        )
-                    });
-                    if let Some(sw) = switch {
-                        let killed: Vec<LinkId> = graph
-                            .links()
-                            .filter(|(_, p)| p.src == sw || p.dst == sw)
-                            .map(|(l, _)| l)
-                            .collect();
-                        for l in killed {
-                            touch(graph.link(l).dim, idx, &mut first_event);
-                            dead.insert(l);
-                        }
-                    }
+                    ..
+                } = event.kind
+                {
+                    let entry = degraded.entry(l).or_insert((100, 1));
+                    entry.0 = entry.0.min(bandwidth_pct);
+                    entry.1 = entry.1.max(latency_x);
+                } else {
+                    dead.insert(l);
                 }
             }
         }
@@ -464,6 +457,7 @@ impl FaultedGraph {
             graph,
             dead,
             dim_degrade,
+            touched,
         })
     }
 
@@ -476,6 +470,13 @@ impl FaultedGraph {
     /// set of dead links.
     pub fn into_parts(self) -> (LinkGraph, BTreeSet<LinkId>) {
         (self.graph, self.dead)
+    }
+
+    /// How many directed links schedule event `event` killed or
+    /// degraded: both directions of a link fault, every port of a downed
+    /// switch, none for an NPU slowdown.
+    pub fn touched(&self, event: usize) -> u64 {
+        self.touched.get(event).copied().unwrap_or(0)
     }
 
     /// The dead (failed) links.
@@ -672,6 +673,7 @@ mod tests {
         let s = FaultSchedule::from_events(vec![down(0, 1)]);
         let faulted = FaultedGraph::new(&topo, &s).unwrap();
         assert_eq!(faulted.dead().len(), 2);
+        assert_eq!(faulted.touched(0), 2);
         assert!(faulted.unreachable_pair().is_none());
         // Canonical 0 -> 1 is one hop; the fallback goes the long way.
         let path = faulted.route(0, 1).unwrap();
@@ -740,6 +742,7 @@ mod tests {
         // Group 0 of the switch dim connects NPUs 0 and 2; its 4 up/down
         // links die, but the ring dimension keeps everything reachable.
         assert_eq!(faulted.dead().len(), 4);
+        assert_eq!(faulted.touched(0), 4);
         assert!(faulted.unreachable_pair().is_none());
         let d = faulted.dim_degrade(1).unwrap();
         assert_eq!(d.total_links, 8);
