@@ -175,7 +175,10 @@ struct LinkTrainGroup {
     members: Vec<TrainMember>,
     /// Scheduled downstream event time of each member (its next-hop head
     /// arrival or destination completion). The group is splittable only
-    /// while every entry is strictly in the future.
+    /// while every entry is strictly in the future. A member whose
+    /// completion was drained (its slot may now hold another message) has
+    /// an entry at or before the drain instant, so its group is never
+    /// split again.
     downstream: Vec<Time>,
 }
 
@@ -191,6 +194,13 @@ struct LinkTrainGroup {
 /// Routes are memoized per `(src, dst)` pair: collectives re-send along
 /// identical pairs every phase step, so the dimension-ordered route search
 /// runs once per pair instead of once per message.
+///
+/// Memory follows the messages in flight, not the messages ever sent: a
+/// message sent through [`NetworkBackend::send_async`] is forgotten once
+/// [`NetworkBackend::drain_completions`] hands out its completion, and its
+/// slot (so its [`AsyncMessageId`]) goes to a later send. Messages sent
+/// with [`PacketNetwork::send_at`] are kept, so [`PacketNetwork::completion`]
+/// answers for them at any time.
 ///
 /// # Example
 ///
@@ -210,7 +220,14 @@ pub struct PacketNetwork {
     graph: LinkGraph,
     link_queues: Vec<FifoResource>,
     queue: LanedEventQueue<TransportEvent>,
+    /// Message slots, indexed by [`MessageId`]. Untracked messages
+    /// ([`PacketNetwork::send_at`]) keep theirs for the backend's lifetime;
+    /// a tracked one's slot is freed when its completion is drained.
     messages: Vec<MessageState>,
+    /// Slots of drained tracked messages, reused by the next tracked send.
+    free_slots: Vec<usize>,
+    /// Messages sent so far, reused slots included (`NetworkStats::messages`).
+    messages_sent: u64,
     routes: Vec<Vec<LinkId>>,
     route_ids: BTreeMap<(NpuId, NpuId), usize>,
     config: PacketSimConfig,
@@ -234,8 +251,8 @@ pub struct PacketNetwork {
     /// Failed links (fault injection): excluded from routing; empty for a
     /// pristine fabric. Bandwidth/latency degradations live in `graph`.
     dead_links: BTreeSet<LinkId>,
-    /// Per link: serialization time of one full-size packet, so the
-    /// per-packet hop skips the 128-bit division for all but tail packets.
+    /// Per link: serialization time of one full-size packet, so packet
+    /// and train hops skip the 128-bit division for all but tail packets.
     packet_service: Vec<Time>,
     /// Whether per-packet hops go on per-link lanes ([`Self::lane_hop`],
     /// production) or on the global heap ([`Self::start_hop`], the frozen
@@ -284,6 +301,8 @@ impl PacketNetwork {
             link_queues,
             queue: LanedEventQueue::new(),
             messages: Vec::new(),
+            free_slots: Vec::new(),
+            messages_sent: 0,
             routes: Vec::new(),
             route_ids: BTreeMap::new(),
             config,
@@ -364,37 +383,52 @@ impl PacketNetwork {
     ///
     /// # Panics
     ///
-    /// Panics if `at` is before the current simulation time (the event
-    /// queue rejects scheduling in the past) or either NPU id is out of
-    /// range.
+    /// Panics if `at` is before the current simulation time ([`Self::now`])
+    /// or either NPU id is out of range.
     pub fn send_at(&mut self, at: Time, src: NpuId, dst: NpuId, size: DataSize) -> MessageId {
-        let id = MessageId(self.messages.len());
+        self.inject(at, src, dst, size, false)
+    }
+
+    /// Stores a new message (`tracked` ones reuse a drained slot) and
+    /// queues its packets, or its train, on the first link of its route.
+    fn inject(
+        &mut self,
+        at: Time,
+        src: NpuId,
+        dst: NpuId,
+        size: DataSize,
+        tracked: bool,
+    ) -> MessageId {
+        assert!(
+            at >= self.now(),
+            "message sent at {at}, before the packet network's clock {}",
+            self.now()
+        );
         let route = self.route_index(src, dst);
         if self.routes[route].is_empty() || size == DataSize::ZERO {
-            self.messages.push(MessageState {
+            return self.store(MessageState {
                 route,
                 packet_bytes: DataSize::ZERO,
                 tail_bytes: DataSize::ZERO,
                 packets_remaining: 0,
                 gen: 0,
                 finish: Some(at),
-                tracked: false,
+                tracked,
             });
-            return id;
         }
         let pkt = self.config.packet_size.as_bytes().max(1);
         let full_packets = size.as_bytes() / pkt;
         let tail = size.as_bytes() % pkt;
         let count = full_packets + u64::from(tail > 0);
         self.packet_hops += count * self.routes[route].len() as u64;
-        self.messages.push(MessageState {
+        let id = self.store(MessageState {
             route,
             packet_bytes: DataSize::from_bytes(pkt),
             tail_bytes: DataSize::from_bytes(if tail > 0 { tail } else { pkt }),
             packets_remaining: count,
             gen: 0,
             finish: None,
-            tracked: false,
+            tracked,
         });
         match self.config.transport {
             TransportMode::PerPacket => {
@@ -422,6 +456,24 @@ impl PacketNetwork {
             }
         }
         id
+    }
+
+    /// Gives `state` a slot: a tracked message takes a drained slot if
+    /// there is one, under its previous occupant's generation plus one, so
+    /// no `Train`/`TrainDone` event of that occupant can pass for the new
+    /// one's. (A superseded event pops before the completion it was
+    /// replaced for, so none should be left; the bump keeps it harmless.)
+    fn store(&mut self, mut state: MessageState) -> MessageId {
+        self.messages_sent += 1;
+        if state.tracked {
+            if let Some(slot) = self.free_slots.pop() {
+                state.gen = self.messages[slot].gen.wrapping_add(1);
+                self.messages[slot] = state;
+                return MessageId(slot);
+            }
+        }
+        self.messages.push(state);
+        MessageId(self.messages.len() - 1)
     }
 
     // frozen-ref: 676562342dc72c66
@@ -533,13 +585,12 @@ impl PacketNetwork {
     ) {
         let msg = &self.messages[message.0];
         let gen = msg.gen;
-        let (packet_bytes, tail_bytes) = (msg.packet_bytes, msg.tail_bytes);
         let route = &self.routes[msg.route];
         let hops = route.len();
         let link_id = route[hop];
         let props = self.graph.link(link_id);
-        let service = props.bandwidth.transfer_time(packet_bytes);
-        let tail_service = props.bandwidth.transfer_time(tail_bytes);
+        let service = self.packet_service[link_id.0];
+        let tail_service = props.bandwidth.transfer_time(msg.tail_bytes);
         self.link_train_tail[link_id.0] = self.link_train_tail[link_id.0].max(arrivals.last());
         let next = self.link_queues[link_id.0]
             .acquire_train(&arrivals, service, tail_service)
@@ -614,7 +665,7 @@ impl PacketNetwork {
             .map(|member| {
                 let msg = &self.messages[member.message.0];
                 (
-                    props.bandwidth.transfer_time(msg.packet_bytes),
+                    self.packet_service[slot],
                     props.bandwidth.transfer_time(msg.tail_bytes),
                 )
             })
@@ -732,10 +783,8 @@ impl NetworkBackend for PacketNetwork {
     /// message, so cross-message queueing is modeled (unlike the blocking
     /// probe, which measures one message at a time).
     fn send_async(&mut self, at: Time, src: NpuId, dst: NpuId, size: DataSize) -> AsyncMessageId {
-        let id = self.send_at(at, src, dst, size);
-        let msg = &mut self.messages[id.0];
-        msg.tracked = true;
-        if let Some(finish) = msg.finish {
+        let id = self.inject(at, src, dst, size, true);
+        if let Some(finish) = self.messages[id.0].finish {
             // Self and empty messages complete at injection time.
             self.completed.push(Completion {
                 id: AsyncMessageId(id.0 as u64),
@@ -777,7 +826,11 @@ impl NetworkBackend for PacketNetwork {
         ran
     }
 
+    /// Each drained message is forgotten: its slot, and so its id, goes
+    /// to the next [`NetworkBackend::send_async`].
     fn drain_completions(&mut self, out: &mut Vec<Completion>) {
+        self.free_slots
+            .extend(self.completed.iter().map(|c| c.id.0 as usize));
         out.append(&mut self.completed);
     }
 
@@ -790,7 +843,7 @@ impl NetworkBackend for PacketNetwork {
             TransportMode::Batched => self.packet_hops,
         };
         NetworkStats {
-            messages: self.messages.len() as u64,
+            messages: self.messages_sent,
             events,
             train_splits: self.train_splits,
             backend_setups: 1,
@@ -1165,5 +1218,101 @@ mod tests {
             "recording changed simulated behavior"
         );
         assert!(!base_traces.is_empty());
+    }
+
+    /// Drives `net` on the async API from `first` (all sent at zero):
+    /// each drained completion, while `follow_ups` lasts, sends the same
+    /// pair again from its finish instant (or the clock, if later).
+    /// Returns every finish in send order. Ids are looked up only between
+    /// a drain and the next send.
+    fn chain_async(
+        net: &mut PacketNetwork,
+        first: &[(NpuId, NpuId)],
+        size: DataSize,
+        mut follow_ups: usize,
+    ) -> Vec<Time> {
+        let mut pending = BTreeMap::new();
+        let mut finishes = Vec::new();
+        for &(src, dst) in first {
+            pending.insert(
+                net.send_async(Time::ZERO, src, dst, size),
+                (finishes.len(), src, dst),
+            );
+            finishes.push(None);
+        }
+        let mut batch = Vec::new();
+        while net.advance_to_completion(Time::MAX).is_some() {
+            net.drain_completions(&mut batch);
+            let mut again = Vec::new();
+            for c in batch.drain(..) {
+                let (i, src, dst) = pending.remove(&c.id).unwrap();
+                finishes[i] = Some(c.finish);
+                if follow_ups > 0 {
+                    follow_ups -= 1;
+                    again.push((c.finish.max(net.earliest_send_time()), src, dst));
+                }
+            }
+            for (at, src, dst) in again {
+                pending.insert(
+                    net.send_async(at, src, dst, size),
+                    (finishes.len(), src, dst),
+                );
+                finishes.push(None);
+            }
+        }
+        assert!(pending.is_empty(), "every message completes");
+        finishes.into_iter().map(Option::unwrap).collect()
+    }
+
+    /// A chain of async sends, each sent once the previous completion is
+    /// drained, lives in one slot under both transports; an untracked
+    /// `send_at` keeps its own, and `stats().messages` counts every send.
+    #[test]
+    fn drained_chain_holds_one_slot() {
+        let t = topo("R(8)@100");
+        for transport in [TransportMode::PerPacket, TransportMode::Batched] {
+            let mut net = PacketNetwork::new(&t, PacketSimConfig::fast().with_transport(transport));
+            let kept = net.send_at(Time::ZERO, 4, 6, DataSize::from_kib(64));
+            let finishes = chain_async(&mut net, &[(0, 3)], DataSize::from_mib(1), 9);
+            assert_eq!(finishes.len(), 10);
+            assert!(finishes.windows(2).all(|w| w[0] < w[1]));
+            assert_eq!(net.messages.len(), 2, "{transport:?} grew past two slots");
+            assert!(net.completion(kept).is_some());
+            assert_eq!(net.stats().messages, 11);
+        }
+    }
+
+    /// Slot reuse right after a train split (the `SW(4)` incast of
+    /// `batched_interleaving_is_counted_and_bounded`, with every drained
+    /// message re-sent) gives, message by message, the per-packet
+    /// completions.
+    #[test]
+    fn slot_reuse_after_a_train_split_matches_per_packet() {
+        let t = topo("SW(4)@100");
+        let size = DataSize::from_mib(2);
+        let incast = [(0, 2), (1, 2)];
+        let mut per_packet = PacketNetwork::new(&t, PacketSimConfig::fast());
+        let mut batched = PacketNetwork::new(
+            &t,
+            PacketSimConfig::fast().with_transport(TransportMode::Batched),
+        );
+        let want = chain_async(&mut per_packet, &incast, size, 6);
+        let got = chain_async(&mut batched, &incast, size, 6);
+        assert_eq!(got, want);
+        assert!(batched.stats().train_splits >= 1);
+        assert_eq!(batched.train_interleavings, 0);
+        assert!(batched.messages.len() < got.len(), "no slot was reused");
+    }
+
+    /// A send dated before the network's clock is rejected, even where
+    /// its first hop would still land in the future.
+    #[test]
+    #[should_panic(expected = "before the packet network's clock")]
+    fn send_before_the_clock_panics() {
+        let t = topo("R(2)@100");
+        let mut net = PacketNetwork::new(&t, PacketSimConfig::fast());
+        net.send_at(Time::ZERO, 0, 1, DataSize::from_mib(1));
+        net.run_until_idle();
+        net.send_at(Time::ZERO, 0, 1, DataSize::from_mib(1));
     }
 }

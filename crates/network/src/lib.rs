@@ -51,8 +51,11 @@ pub use flow::{FlowId, FlowNetwork};
 pub use warm::{SharedDelayMemo, SharedRouteTable};
 
 /// Identifier of a message in flight on the async NetworkAPI
-/// ([`NetworkBackend::send_async`]). Ids are backend-scoped and stable for
-/// the lifetime of the backend instance.
+/// ([`NetworkBackend::send_async`]). An id is backend-scoped and names one
+/// message from its send until its completion is drained
+/// ([`NetworkBackend::drain_completions`]); the backend may reuse it for a
+/// later send after that. Ids are lookup keys only: completions are
+/// ordered by time, never by id.
 #[derive(Copy, Clone, Debug, PartialEq, Eq, Hash, PartialOrd, Ord)]
 pub struct AsyncMessageId(pub u64);
 
@@ -205,6 +208,10 @@ pub trait NetworkBackend {
     }
 
     /// Moves all completions discovered since the last call into `out`.
+    /// A drained completion ends its message's life in the backend: the
+    /// backend may hand its [`AsyncMessageId`] to a later
+    /// [`NetworkBackend::send_async`], so a caller must be done with the
+    /// drained ids before it sends again.
     fn drain_completions(&mut self, out: &mut Vec<Completion>);
 
     /// Work counters accumulated so far (see [`NetworkStats`]).
