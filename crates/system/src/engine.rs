@@ -1172,6 +1172,7 @@ impl<'a> Engine<'a> {
                 self.arrive(group, block, node, now)?;
             }
             EtOp::PeerSend { peer, size, tag } => {
+                let peer = self.trace.peer_of(npu, peer);
                 let entry = self.p2p_pending.entry((npu, peer, tag)).or_default();
                 entry.send = Some((node, now));
                 if entry.recv.is_some() {
@@ -1179,6 +1180,7 @@ impl<'a> Engine<'a> {
                 }
             }
             EtOp::PeerRecv { peer, size, tag } => {
+                let peer = self.trace.peer_of(npu, peer);
                 let entry = self.p2p_pending.entry((peer, npu, tag)).or_default();
                 entry.recv = Some((node, now));
                 if entry.send.is_some() {

@@ -50,7 +50,7 @@ use std::collections::BTreeMap;
 use astra_collectives::CollectiveMode;
 use astra_des::Time;
 use astra_topology::{NpuId, Topology};
-use astra_workload::{EtNode, EtOp, ExecutionTrace, GroupId, MemoryDirection, TensorLocation};
+use astra_workload::{EtOp, ExecutionTrace, MemoryDirection, TensorLocation};
 
 use crate::engine::SystemConfig;
 use crate::setup::GroupSpan;
@@ -117,11 +117,10 @@ impl Orbits {
         config: &SystemConfig,
         spans: &[GroupSpan],
     ) -> Option<(Orbits, Vec<GroupSpan>)> {
-        let slots: Vec<usize> = trace.classes().iter().map(|p| slot_count(p)).collect();
-        if !eligible(trace, config, spans, &slots) {
+        if !eligible(trace, config, spans) {
             return None;
         }
-        quotient(trace, topo.num_dims(), spans, &slots)
+        quotient(trace, topo.num_dims(), spans)
     }
 
     /// The group block of a trace group. A group id the trace does not
@@ -143,18 +142,6 @@ impl Orbits {
     }
 }
 
-/// How many group slots a stored program names: one past its highest.
-fn slot_count(program: &[EtNode]) -> usize {
-    program
-        .iter()
-        .filter_map(|node| match node.op {
-            EtOp::Collective { group, .. } => Some(group.0 as usize + 1),
-            _ => None,
-        })
-        .max()
-        .unwrap_or(0)
-}
-
 /// Refinement rounds before a run is left whole. Symmetric presets
 /// settle in a few rounds; asymmetry that spreads one NPU per round (a
 /// ring of pair groups, say) would take rounds in proportion to the NPU
@@ -162,12 +149,7 @@ fn slot_count(program: &[EtNode]) -> usize {
 const MAX_ROUNDS: usize = 16;
 
 /// Whether a run may collapse (see [`Orbits::collapse`]).
-fn eligible(
-    trace: &ExecutionTrace,
-    config: &SystemConfig,
-    spans: &[GroupSpan],
-    slots: &[usize],
-) -> bool {
+fn eligible(trace: &ExecutionTrace, config: &SystemConfig, spans: &[GroupSpan]) -> bool {
     let closed_form = config.collective_mode == CollectiveMode::Analytical
         && config.faults.is_empty()
         && config.max_events.is_none()
@@ -181,10 +163,9 @@ fn eligible(
     closed_form
         && !peers
         && (0..trace.npus()).all(|npu| {
-            (0..slots[trace.class_of(npu)]).all(|slot| {
-                let group = trace.group_of(npu, GroupId(slot as u32)).0 as usize;
+            trace.group_table(npu).all(|group| {
                 spans
-                    .get(group)
+                    .get(group.0 as usize)
                     .is_some_and(|span| span.members.binary_search(&npu).is_ok())
             })
         })
@@ -344,12 +325,9 @@ fn quotient(
     trace: &ExecutionTrace,
     num_dims: usize,
     spans: &[GroupSpan],
-    slots: &[usize],
 ) -> Option<(Orbits, Vec<GroupSpan>)> {
     let npus = trace.npus();
-    let tables = Csr::from_rows((0..npus).map(|npu| {
-        (0..slots[trace.class_of(npu)]).map(move |slot| trace.group_of(npu, GroupId(slot as u32)).0)
-    }));
+    let tables = Csr::from_rows((0..npus).map(|npu| trace.group_table(npu).map(|group| group.0)));
     let members = Csr::from_rows(spans.iter().map(|s| s.members.iter().map(|&m| m as u32)));
     let memberships = members.transpose(npus);
     let mut keys: Vec<usize> = spans.iter().flat_map(|s| s.lanes.iter().copied()).collect();

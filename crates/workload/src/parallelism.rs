@@ -16,20 +16,17 @@
 //!   step over a disaggregated memory pool (in-switch weight gathering,
 //!   optimizer-state streaming, token-routing All-to-Alls).
 //!
-//! # Parallel construction
+//! # Flyweight construction
 //!
-//! Per-NPU programs are independent (a program's [`NodeId`]s are local to
-//! its NPU), so at paper scale (512–1024 NPUs) the generators fan program
-//! construction out across scoped threads and merge the results in NPU
-//! order — the output is byte-identical for every thread count (see the
-//! `determinism` integration tests). NPUs known to run identical programs
-//! (SPMD strategies, or the NPUs of one expert group in the MoE workload)
-//! share one program built and stored once per equivalence class; NPUs
-//! whose programs differ only in their communicator ids (the hybrid MP×DP
-//! strategy) share it too, each with its own group table — so generation
-//! cost and trace memory grow with the number of classes, not NPUs.
-//! [`generate_trace_reference`] keeps the naive one-NPU-at-a-time path
-//! (one class per NPU) as the equivalence/benchmark baseline.
+//! Every generator sorts its NPUs into classes that run one program up to
+//! the groups and peers it names, and builds each class's program once, on
+//! the caller's thread: SPMD strategies (data, FSDP, hybrid MP×DP) and the
+//! MoE workload form one class, a pipeline one class per stage. The trace
+//! stores that program once; each NPU gets a slot table naming its own
+//! groups and peers. So generation cost and trace memory grow with the
+//! number of classes, not NPUs. [`generate_trace_reference`] keeps the
+//! naive one-NPU-at-a-time path (one class per NPU) as the
+//! equivalence/benchmark baseline.
 
 use astra_collectives::Collective;
 use astra_des::DataSize;
@@ -93,49 +90,34 @@ impl Error for GenerateError {}
 /// Internal knobs of one generation run.
 #[derive(Copy, Clone, Debug)]
 struct GenConfig {
-    /// Worker threads to fan program construction out over.
-    threads: usize,
     /// Share one program among the NPUs of an equivalence class.
     memoize: bool,
 }
 
 impl GenConfig {
-    fn fast(threads: usize) -> Self {
-        GenConfig {
-            threads,
-            memoize: true,
-        }
+    fn fast() -> Self {
+        GenConfig { memoize: true }
     }
 
-    /// The naive baseline: single-threaded, every program built fresh.
+    /// The naive baseline: every program built fresh.
     fn reference() -> Self {
-        GenConfig {
-            threads: 1,
-            memoize: false,
-        }
+        GenConfig { memoize: false }
     }
-}
-
-/// Worker threads used when the caller does not specify a count.
-fn default_threads() -> usize {
-    std::thread::available_parallelism().map_or(1, |n| n.get())
 }
 
 /// Builds every NPU's program and installs them on `b` in NPU order.
 ///
-/// `class` assigns each NPU an optional equivalence key: NPUs with equal
-/// keys **must** build programs that are identical up to the groups their
-/// collectives name, mapped by `retarget`. The first NPU of a class (its
-/// representative) builds the program, which `b` stores once; every
-/// member shares it with a group table of the representative's groups
-/// passed through `retarget(representative, npu, group)`. Generators whose
-/// classes build literally identical programs pass the identity. `None`
-/// means the NPU's program is unique and always built fresh; the naive
-/// reference ([`GenConfig::reference`]) builds every NPU's program fresh.
-///
-/// With more than one thread, the fresh builds are split into contiguous
-/// chunks built on scoped worker threads; they are installed in NPU order,
-/// so the resulting trace is identical regardless of the thread count.
+/// `class` assigns each NPU an equivalence key: NPUs with equal keys
+/// **must** build programs that are identical up to the groups their
+/// collectives name, mapped by `retarget`, and the peers their messages
+/// name, translated. The first NPU of a class (its representative) builds
+/// the program, which `b` stores once. Every member shares it with the
+/// representative's groups passed through `retarget(representative, npu,
+/// group)`, and with the representative's peers moved by `npu -
+/// representative`: a member's peer sits as far from it as the
+/// representative's from the representative. Generators whose classes
+/// name the same groups pass the identity. The naive reference
+/// ([`GenConfig::reference`]) builds every NPU's program fresh.
 fn install_programs<K, B, R>(
     b: &mut TraceBuilder,
     npus: usize,
@@ -144,53 +126,26 @@ fn install_programs<K, B, R>(
     build: B,
     retarget: R,
 ) where
-    K: Fn(usize) -> Option<u64>,
-    B: Fn(usize, &mut ProgramBuilder) + Sync,
+    K: Fn(usize) -> u64,
+    B: Fn(usize, &mut ProgramBuilder),
     R: Fn(usize, usize, GroupId) -> GroupId,
 {
-    // The NPUs that build a program, and per NPU the index among them of
-    // the one whose program it runs.
-    let mut fresh: Vec<usize> = Vec::new();
-    let mut first: BTreeMap<u64, usize> = BTreeMap::new();
-    let mut source: Vec<usize> = Vec::with_capacity(npus);
+    // Per class key: its representative, stored class and slot tables.
+    let mut first: BTreeMap<u64, (usize, u32, Vec<GroupId>, Vec<usize>)> = BTreeMap::new();
     for npu in 0..npus {
-        let mut build_here = || {
-            fresh.push(npu);
-            fresh.len() - 1
-        };
-        source.push(match class(npu).filter(|_| cfg.memoize) {
-            Some(key) => *first.entry(key).or_insert_with(build_here),
-            None => build_here(),
+        let key = if cfg.memoize { class(npu) } else { npu as u64 };
+        let (rep, class, groups, peers) = first.entry(key).or_insert_with(|| {
+            let mut program = ProgramBuilder::new();
+            build(npu, &mut program);
+            let (class, groups, peers) = b.add_class(program);
+            (npu, class, groups, peers)
         });
-    }
-
-    // Cap the fan-out so tiny traces stay on the caller's thread.
-    let threads = cfg.threads.clamp(1, (fresh.len() / 16).max(1));
-    let build_chunk = |ids: &[usize], out: &mut [ProgramBuilder]| {
-        for (&npu, program) in ids.iter().zip(out) {
-            build(npu, program);
-        }
-    };
-    let mut programs: Vec<ProgramBuilder> = vec![ProgramBuilder::new(); fresh.len()];
-    if threads == 1 {
-        build_chunk(&fresh, &mut programs);
-    } else {
-        let chunk = fresh.len().div_ceil(threads);
-        std::thread::scope(|scope| {
-            for (ids, out) in fresh.chunks(chunk).zip(programs.chunks_mut(chunk)) {
-                let build_chunk = &build_chunk;
-                scope.spawn(move || build_chunk(ids, out));
-            }
-        });
-    }
-    let classes: Vec<(u32, Vec<GroupId>)> = programs.into_iter().map(|p| b.add_class(p)).collect();
-    for (npu, &src) in source.iter().enumerate() {
-        let (class, table) = &classes[src];
-        let rep = fresh[src];
+        let rep = *rep;
         b.share(
             npu,
             *class,
-            table.iter().map(|&g| retarget(rep, npu, g)).collect(),
+            groups.iter().map(|&g| retarget(rep, npu, g)),
+            peers.iter().map(|&p| p + npu - rep),
         );
     }
 }
@@ -198,9 +153,8 @@ fn install_programs<K, B, R>(
 /// Generates the execution trace of one training iteration of `model`
 /// under `parallelism` on `npus` NPUs.
 ///
-/// Program construction is fanned out across all available cores; the
-/// result is byte-identical to the single-threaded path (see
-/// [`generate_trace_with_threads`]).
+/// The result equals [`generate_trace_reference`]'s, stored one program
+/// per class.
 ///
 /// # Errors
 ///
@@ -222,26 +176,24 @@ pub fn generate_trace(
     parallelism: Parallelism,
     npus: usize,
 ) -> Result<ExecutionTrace, GenerateError> {
-    generate_trace_with_threads(model, parallelism, npus, default_threads())
+    generate(model, parallelism, npus, GenConfig::fast())
 }
 
-/// [`generate_trace`] with an explicit worker-thread count.
-///
-/// The output does not depend on `threads` (a count of zero is treated as
-/// one): per-NPU programs are merged in NPU order whatever worker built
-/// them. Exposed so tests and benchmarks can pin the fan-out.
+/// [`generate_trace`], for the benchmark package that still calls it:
+/// `threads` is ignored. A later change to the benchmark deletes it.
 ///
 /// # Errors
 ///
 /// Returns [`GenerateError::BadShape`] if `npus` is incompatible with the
 /// strategy.
+#[doc(hidden)]
 pub fn generate_trace_with_threads(
     model: &Model,
     parallelism: Parallelism,
     npus: usize,
-    threads: usize,
+    _threads: usize,
 ) -> Result<ExecutionTrace, GenerateError> {
-    generate(model, parallelism, npus, GenConfig::fast(threads.max(1)))
+    generate_trace(model, parallelism, npus)
 }
 
 /// The frozen naive baseline: builds every NPU's program serially, from
@@ -297,7 +249,7 @@ fn fully_sharded(model: &Model, npus: usize, cfg: GenConfig) -> ExecutionTrace {
         &mut b,
         npus,
         cfg,
-        |_| Some(0),
+        |_| 0,
         |_, prog| {
             let mut prev_compute: Option<NodeId> = None;
             let mut prev_gather: Option<NodeId> = None;
@@ -381,7 +333,7 @@ fn data_parallel(model: &Model, npus: usize, cfg: GenConfig) -> ExecutionTrace {
         &mut b,
         npus,
         cfg,
-        |_| Some(0),
+        |_| 0,
         |_, prog| {
             let mut prev: Option<NodeId> = None;
             let dep = |p: Option<NodeId>| p.map(|n| vec![n]).unwrap_or_default();
@@ -478,7 +430,7 @@ fn hybrid(
         &mut b,
         npus,
         cfg,
-        |_| Some(0),
+        |_| 0,
         |npu, prog| {
             let mp_group = mp_groups[npu / mp];
             let dp_group = dp_groups[npu % mp];
@@ -602,12 +554,13 @@ fn pipeline(
         .map(|s| b.add_group((0..lanes).map(|l| s * lanes + l).collect()))
         .collect();
 
-    // Peer ids differ per (stage, lane) = per NPU, so programs are unique.
+    // The NPUs of one stage run one program up to their peers, which sit
+    // one stage (`lanes` NPUs) up and down from them: one class per stage.
     install_programs(
         &mut b,
         npus,
         cfg,
-        |_| None,
+        |npu| (npu / lanes) as u64,
         |npu, prog| {
             let stage = npu / lanes;
             let lane = npu % lanes;
@@ -752,23 +705,7 @@ pub fn generate_disaggregated_moe(
     npus: usize,
     plan: &OffloadPlan,
 ) -> Result<ExecutionTrace, GenerateError> {
-    generate_disaggregated_moe_with_threads(model, npus, plan, default_threads())
-}
-
-/// [`generate_disaggregated_moe`] with an explicit worker-thread count;
-/// the output does not depend on `threads`.
-///
-/// # Errors
-///
-/// Returns [`GenerateError::BadShape`] if `npus` is not divisible by the
-/// model's expert count.
-pub fn generate_disaggregated_moe_with_threads(
-    model: &Model,
-    npus: usize,
-    plan: &OffloadPlan,
-    threads: usize,
-) -> Result<ExecutionTrace, GenerateError> {
-    disaggregated_moe(model, npus, plan, GenConfig::fast(threads.max(1)))
+    disaggregated_moe(model, npus, plan, GenConfig::fast())
 }
 
 /// Naive serial baseline of [`generate_disaggregated_moe`] (see
@@ -806,24 +743,23 @@ fn disaggregated_moe(
         .map(|e| b.add_group((e * dp_per_expert..(e + 1) * dp_per_expert).collect()))
         .collect();
 
-    // A program depends on the NPU only through its expert group, so NPUs
-    // of one expert replicate the same program (class = expert index).
-    let class = |npu: usize| Some((npu / dp_per_expert) as u64);
+    // A program depends on the NPU only through its expert group, so all
+    // NPUs form one class; each NPU's table retargets the representative's
+    // expert group at its own.
     install_programs(
         &mut b,
         npus,
         cfg,
-        class,
+        |_| 0,
         |npu, prog| {
             let expert_group = expert_groups[npu / dp_per_expert];
             let mut prev: Option<NodeId> = None;
             let dep = |p: Option<NodeId>| p.map(|n| vec![n]).unwrap_or_default();
             for layer in &model.layers {
                 let expert_params = layer.params / experts as u64; // fp16 bytes
-                let expert_param_count = expert_params.as_bytes() / 2;
-                // Weight fetch: in-switch All-Gather delivers the expert's full
-                // fp16 weights; `size` is the per-GPU shard convention of the
-                // Memory API (gathered payload = size × total GPUs).
+                                                                   // Weight fetch: in-switch All-Gather delivers the expert's full
+                                                                   // fp16 weights; `size` is the per-GPU shard convention of the
+                                                                   // Memory API (gathered payload = size × total GPUs).
                 let weights = if plan.gather_weights {
                     prog.node(
                         format!("{}.weights.gather", layer.name),
@@ -880,7 +816,6 @@ fn disaggregated_moe(
                     },
                     &[fwd],
                 ));
-                let _ = expert_param_count;
             }
             for layer in model.layers.iter().rev() {
                 let expert_params = layer.params / experts as u64;
@@ -947,7 +882,13 @@ fn disaggregated_moe(
                 ));
             }
         },
-        |_, _, group| group,
+        |rep, npu, group| {
+            if group == expert_groups[rep / dp_per_expert] {
+                expert_groups[npu / dp_per_expert]
+            } else {
+                group
+            }
+        },
     );
     // astra-lint: allow(panic, the generator emits structurally valid traces; a build failure is a generator bug)
     Ok(b.build().expect("generated MoE trace is valid"))
@@ -1167,8 +1108,8 @@ mod tests {
 
     #[test]
     fn fast_paths_match_reference_on_small_shapes() {
-        // The memoized/fanned-out generators must be byte-identical to the
-        // frozen naive baseline (full-scale runs live in tests/determinism).
+        // The memoized generators must equal the frozen naive baseline
+        // (larger runs live in tests/flyweight).
         let model = models::dlrm_57m();
         for parallelism in [
             Parallelism::Data,

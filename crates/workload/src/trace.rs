@@ -4,7 +4,7 @@ use astra_collectives::Collective;
 use astra_des::DataSize;
 use astra_topology::NpuId;
 use serde::{Deserialize, Serialize};
-use std::collections::BTreeMap;
+use std::collections::{BTreeMap, BTreeSet};
 use std::error::Error;
 use std::fmt;
 
@@ -110,13 +110,15 @@ pub struct EtNode {
 ///
 /// NPUs that run the same program share one stored copy of it (a *class*):
 /// an SPMD trace stores a single program however many NPUs run it. Inside
-/// a stored program a collective's `group` is a class-local slot; each NPU
-/// carries a small group table mapping its slots to trace-wide groups
-/// ([`ExecutionTrace::group_of`]), so NPUs whose programs differ only in
-/// the groups they name still share one program.
+/// a stored program a collective's `group` and a peer message's `peer` are
+/// class-local slots; each NPU carries a small slot table mapping them to
+/// trace-wide groups ([`ExecutionTrace::group_of`]) and NPUs
+/// ([`ExecutionTrace::peer_of`]), so NPUs whose programs differ only in the
+/// groups and peers they name still share one program.
 ///
 /// Traces serialize to/from JSON (the "ASTRA-sim ET" interchange format),
-/// which lists every NPU's program in full with trace-wide group ids.
+/// which lists every NPU's program in full with trace-wide group ids and
+/// NPU ids.
 /// Equality is semantic: two traces are equal iff their names, NPU counts,
 /// groups and every NPU's resolved program are equal, however they are
 /// stored.
@@ -146,13 +148,17 @@ pub struct ExecutionTrace {
     name: String,
     npus: usize,
     groups: Vec<Vec<NpuId>>,
-    /// Every distinct stored program; collectives name group slots.
+    /// Every distinct stored program; collectives name group slots and
+    /// peer messages peer slots.
     classes: Vec<Vec<EtNode>>,
+    /// Per class: how many group slots its programs name.
+    group_slots: Vec<u32>,
     /// Per NPU: the class it runs.
     class_of: Vec<u32>,
-    /// Per NPU: its group table, `tables[table_at[npu]..table_at[npu + 1]]`.
+    /// Per NPU: its slot table, `tables[table_at[npu]..table_at[npu + 1]]`:
+    /// the group of each group slot, then the NPU of each peer slot.
     table_at: Vec<usize>,
-    tables: Vec<GroupId>,
+    tables: Vec<u32>,
 }
 
 /// The JSON interchange form: every NPU's program in full, naming
@@ -178,7 +184,8 @@ impl ExecutionTrace {
 
     /// The program (topologically ordered node list) of one NPU, as stored
     /// once for its whole class: a collective's `group` is a slot, resolved
-    /// for this NPU by [`ExecutionTrace::group_of`].
+    /// for this NPU by [`ExecutionTrace::group_of`], and a peer message's
+    /// `peer` is a slot, resolved by [`ExecutionTrace::peer_of`].
     ///
     /// # Panics
     ///
@@ -193,7 +200,32 @@ impl ExecutionTrace {
     ///
     /// Panics if `npu` is out of range or its table has no such slot.
     pub fn group_of(&self, npu: NpuId, slot: GroupId) -> GroupId {
-        self.tables[self.table_at[npu] + slot.0 as usize]
+        GroupId(self.slot_table(npu).0[slot.0 as usize])
+    }
+
+    /// The NPU that `npu`'s program names by peer slot `slot`.
+    ///
+    /// # Panics
+    ///
+    /// Panics if `npu` is out of range or its table has no such slot.
+    pub fn peer_of(&self, npu: NpuId, slot: NpuId) -> NpuId {
+        self.slot_table(npu).1[slot] as NpuId
+    }
+
+    /// `npu`'s group table: the trace-wide group of each of its program's
+    /// group slots, in slot order.
+    ///
+    /// # Panics
+    ///
+    /// Panics if `npu` is out of range.
+    pub fn group_table(&self, npu: NpuId) -> impl ExactSizeIterator<Item = GroupId> + '_ {
+        self.slot_table(npu).0.iter().map(|&g| GroupId(g))
+    }
+
+    /// `npu`'s slot table, split into its group slots and its peer slots.
+    fn slot_table(&self, npu: NpuId) -> (&[u32], &[u32]) {
+        let table = &self.tables[self.table_at[npu]..self.table_at[npu + 1]];
+        table.split_at(self.group_slots[self.class_of(npu)] as usize)
     }
 
     /// The class (index into [`ExecutionTrace::classes`]) `npu` runs.
@@ -235,20 +267,17 @@ impl ExecutionTrace {
         self.classes.iter().map(Vec::len).sum()
     }
 
-    /// `op` as `npu` runs it: a collective names its trace-wide group.
-    fn resolved_op(&self, npu: NpuId, op: EtOp) -> EtOp {
-        match op {
-            EtOp::Collective {
-                collective,
-                size,
-                group,
-            } => EtOp::Collective {
-                collective,
-                size,
-                group: self.group_of(npu, group),
-            },
-            op => op,
+    /// `op` as `npu` runs it: a collective names its trace-wide group and
+    /// a peer message its NPU.
+    fn resolved_op(&self, npu: NpuId, mut op: EtOp) -> EtOp {
+        match &mut op {
+            EtOp::Collective { group, .. } => *group = self.group_of(npu, *group),
+            EtOp::PeerSend { peer, .. } | EtOp::PeerRecv { peer, .. } => {
+                *peer = self.peer_of(npu, *peer);
+            }
+            EtOp::Compute { .. } | EtOp::Memory { .. } => {}
         }
+        op
     }
 
     /// Serializes to the JSON ET interchange format.
@@ -267,9 +296,10 @@ impl ExecutionTrace {
     /// # Errors
     ///
     /// Returns a `serde_json` error on malformed input, on an `npus` that
-    /// differs from the number of programs, and on a dependency that does
-    /// not precede its node. Groups, membership and peers are not checked
-    /// (the engine reports bad groups as it meets them); use
+    /// differs from the number of programs, on a dependency that does not
+    /// precede its node, and on a peer id wider than 32 bits. Groups,
+    /// membership and peers are not checked otherwise (the engine reports
+    /// bad groups as it meets them); use
     /// [`TraceBuilder`] to construct fully validated traces
     /// programmatically.
     pub fn from_json(json: &str) -> Result<Self, serde_json::Error> {
@@ -279,39 +309,30 @@ impl ExecutionTrace {
     /// Checks the structural rules of [`TraceBuilder::build`]: dependencies
     /// once per class; groups, membership and peer messages per NPU.
     fn validate(&self) -> Result<(), TraceError> {
-        // Per class: its first node with a bad dependency, how many slots
-        // it names, and whether it sends or receives peer messages.
-        let checks: Vec<(Option<u32>, usize, bool)> = self
+        // Per class: its first node with a bad dependency, and whether it
+        // sends or receives peer messages.
+        let checks: Vec<(Option<u32>, bool)> = self
             .classes
             .iter()
             .map(|program| {
-                let slots = program
-                    .iter()
-                    .filter_map(|node| match node.op {
-                        EtOp::Collective { group, .. } => Some(group.0 as usize + 1),
-                        _ => None,
-                    })
-                    .max()
-                    .unwrap_or(0);
                 let peers = program
                     .iter()
                     .any(|node| matches!(node.op, EtOp::PeerSend { .. } | EtOp::PeerRecv { .. }));
-                (first_bad_dependency(program), slots, peers)
+                (first_bad_dependency(program), peers)
             })
             .collect();
         let mut sends: BTreeMap<(NpuId, NpuId, u64), i64> = BTreeMap::new();
         for npu in 0..self.npus {
             let program = self.program(npu);
-            let (bad_dependency, slots, peers) = checks[self.class_of(npu)];
+            let (bad_dependency, peers) = checks[self.class_of(npu)];
             if let Some(node) = bad_dependency {
                 return Err(TraceError::BadDependency { npu, node });
             }
-            let table = &self.tables[self.table_at[npu]..self.table_at[npu + 1]];
             // Every slot must name a known group `npu` is in (`add_group`
             // keeps members sorted, so membership is a binary search); a
             // bad slot is reported at the first node naming it.
-            for slot in 0..slots {
-                let members = table.get(slot).and_then(|g| self.groups.get(g.0 as usize));
+            for (slot, group) in self.group_table(npu).enumerate() {
+                let members = self.groups.get(group.0 as usize);
                 if members.is_some_and(|m| m.binary_search(&npu).is_ok()) {
                     continue;
                 }
@@ -326,7 +347,7 @@ impl ExecutionTrace {
                 continue;
             }
             for (idx, node) in program.iter().enumerate() {
-                let (key, delta, peer) = match node.op {
+                let (key, delta, peer) = match self.resolved_op(npu, node.op) {
                     EtOp::PeerSend { peer, tag, .. } => ((npu, peer, tag), 1, peer),
                     EtOp::PeerRecv { peer, tag, .. } => ((peer, npu, tag), -1, peer),
                     _ => continue,
@@ -396,7 +417,8 @@ impl Deserialize for ExecutionTrace {
     /// Parses the wire form into one class per NPU, rejecting an `npus`
     /// that differs from the number of programs and any dependency that
     /// does not precede its node (the two mistakes the engine cannot
-    /// survive). Groups are kept exactly as listed.
+    /// survive), and a peer id wider than the 32 bits a slot table holds.
+    /// Groups are kept exactly as listed.
     fn from_value(v: &serde::Value) -> Result<Self, serde::Error> {
         let wire = WireTrace::from_value(v)?;
         if wire.programs.len() != wire.npus {
@@ -413,14 +435,23 @@ impl Deserialize for ExecutionTrace {
                     node,
                 }));
             }
+            let wide_peer = |n: &EtNode| matches!(n.op, EtOp::PeerSend { peer, .. } | EtOp::PeerRecv { peer, .. } if u32::try_from(peer).is_err());
+            if let Some(node) = program.iter().position(wide_peer) {
+                return Err(serde::Error::custom(TraceError::BadPeer {
+                    npu,
+                    node: node as u32,
+                }));
+            }
         }
         Ok(TraceBuilder {
             name: wire.name,
             npus: wire.npus,
             groups: wire.groups,
+            group_index: BTreeSet::new(),
             shared: vec![None; wire.npus],
             programs: wire.programs,
             classes: Vec::new(),
+            group_slots: Vec::new(),
         }
         .assemble())
     }
@@ -435,24 +466,50 @@ fn first_bad_dependency(program: &[EtNode]) -> Option<u32> {
         .map(|(idx, _)| idx as u32)
 }
 
-/// Rewrites the trace-wide groups a program's collectives name into slots
-/// numbered in first-use order, and returns the table mapping each slot
-/// back to its group.
-fn into_slots(program: &mut [EtNode]) -> Vec<GroupId> {
-    let mut table: Vec<GroupId> = Vec::new();
+/// Rewrites the trace-wide groups a program's collectives name, and the
+/// NPUs its peer messages name, into slots numbered in first-use order
+/// (groups and peers each from zero). Returns the group and the NPU of
+/// each slot.
+fn into_slots(program: &mut [EtNode]) -> (Vec<GroupId>, Vec<NpuId>) {
+    let mut groups = Vec::new();
+    let mut peers = Vec::new();
     for node in program {
-        if let EtOp::Collective { group, .. } = &mut node.op {
-            let slot = match table.iter().position(|g| g == group) {
-                Some(slot) => slot,
-                None => {
-                    table.push(*group);
-                    table.len() - 1
-                }
-            };
-            *group = GroupId(slot as u32);
+        match &mut node.op {
+            EtOp::Collective { group, .. } => *group = GroupId(slot_of(&mut groups, *group) as u32),
+            EtOp::PeerSend { peer, .. } | EtOp::PeerRecv { peer, .. } => {
+                *peer = slot_of(&mut peers, *peer);
+            }
+            EtOp::Compute { .. } | EtOp::Memory { .. } => {}
         }
     }
-    table
+    (groups, peers)
+}
+
+/// The slot of `item` in `table`, appending it if it is new.
+fn slot_of<T: PartialEq>(table: &mut Vec<T>, item: T) -> usize {
+    table.iter().position(|t| *t == item).unwrap_or_else(|| {
+        table.push(item);
+        table.len() - 1
+    })
+}
+
+/// One NPU's slot table: its groups, then its peers. A peer too wide for
+/// 32 bits is stored as `u32::MAX`, out of range for any trace, so
+/// [`TraceBuilder::build`] still reports it as a bad peer.
+fn pack_table(
+    groups: impl Iterator<Item = GroupId>,
+    peers: impl Iterator<Item = NpuId>,
+) -> Vec<u32> {
+    let peers = peers.map(|p| u32::try_from(p).unwrap_or(u32::MAX));
+    groups.map(|g| g.0).chain(peers).collect()
+}
+
+/// FNV-1a over a group's members: the key of [`TraceBuilder::add_group`]'s
+/// dedup index.
+fn members_hash(members: &[NpuId]) -> u64 {
+    members.iter().fold(0xcbf2_9ce4_8422_2325, |h, &m| {
+        (h ^ m as u64).wrapping_mul(0x0100_0000_01b3)
+    })
 }
 
 /// Errors detected while building a trace.
@@ -534,9 +591,9 @@ impl Error for TraceError {}
 /// NPU-local [`NodeId`]s) independently of any [`TraceBuilder`].
 ///
 /// Node ids are indices into this one program, exactly as in
-/// [`TraceBuilder::node`], so a program can be constructed on a worker
-/// thread and installed with [`TraceBuilder::set_program`] afterwards —
-/// the unit of work the parallel trace generators fan out.
+/// [`TraceBuilder::node`], so a program can be built apart from its trace
+/// and installed with [`TraceBuilder::set_program`] afterwards. The trace
+/// generators build one per class of NPUs this way.
 ///
 /// # Example
 ///
@@ -562,13 +619,6 @@ impl ProgramBuilder {
         Self::default()
     }
 
-    /// Starts an empty program with room for `capacity` nodes.
-    pub fn with_capacity(capacity: usize) -> Self {
-        ProgramBuilder {
-            nodes: Vec::with_capacity(capacity),
-        }
-    }
-
     /// Appends a node and returns its id. Dependencies must be earlier
     /// nodes of this program (validated by [`TraceBuilder::build`]).
     pub fn node(&mut self, name: impl Into<String>, op: EtOp, deps: &[NodeId]) -> NodeId {
@@ -580,22 +630,6 @@ impl ProgramBuilder {
         });
         id
     }
-
-    /// Id of the most recently added node, if any.
-    pub fn last_node(&self) -> Option<NodeId> {
-        let len = self.nodes.len();
-        (len > 0).then(|| NodeId((len - 1) as u32))
-    }
-
-    /// Number of nodes added so far.
-    pub fn len(&self) -> usize {
-        self.nodes.len()
-    }
-
-    /// Whether no nodes have been added.
-    pub fn is_empty(&self) -> bool {
-        self.nodes.is_empty()
-    }
 }
 
 /// Validated, incremental construction of an [`ExecutionTrace`].
@@ -604,15 +638,20 @@ pub struct TraceBuilder {
     name: String,
     npus: usize,
     groups: Vec<Vec<NpuId>>,
+    /// Every group added by [`TraceBuilder::add_group`], keyed by the hash
+    /// of its members.
+    group_index: BTreeSet<(u64, u32)>,
     /// Per NPU: the program built node by node or installed with
-    /// [`TraceBuilder::set_program`], naming trace-wide group ids.
+    /// [`TraceBuilder::set_program`], naming trace-wide group and NPU ids.
     programs: Vec<Vec<EtNode>>,
-    /// Programs shared by the generators' NPU classes; collectives name
-    /// group slots.
+    /// Programs shared by the generators' NPU classes; collectives and
+    /// peer messages name slots.
     classes: Vec<Vec<EtNode>>,
-    /// Per NPU: the shared class and group table it runs instead of
+    /// Per class: how many group slots its program names.
+    group_slots: Vec<u32>,
+    /// Per NPU: the shared class and slot table it runs instead of
     /// `programs[npu]`, if any.
-    shared: Vec<Option<(u32, Vec<GroupId>)>>,
+    shared: Vec<Option<(u32, Vec<u32>)>>,
 }
 
 impl TraceBuilder {
@@ -627,8 +666,10 @@ impl TraceBuilder {
             name: "trace".to_owned(),
             npus,
             groups: Vec::new(),
+            group_index: BTreeSet::new(),
             programs: vec![Vec::new(); npus],
             classes: Vec::new(),
+            group_slots: Vec::new(),
             shared: vec![None; npus],
         }
     }
@@ -640,16 +681,26 @@ impl TraceBuilder {
     }
 
     /// Registers a communicator group and returns its id. Members are
-    /// de-duplicated and sorted.
+    /// de-duplicated and sorted; an identical group already registered is
+    /// reused, so ids number the distinct groups in first-seen order.
     pub fn add_group(&mut self, mut members: Vec<NpuId>) -> GroupId {
         members.sort_unstable();
         members.dedup();
-        // Reuse identical groups to keep traces small.
-        if let Some(pos) = self.groups.iter().position(|g| *g == members) {
-            return GroupId(pos as u32);
+        // Reuse identical groups to keep traces small: the groups with the
+        // same hash are the candidates.
+        let hash = members_hash(&members);
+        let known = self
+            .group_index
+            .range((hash, 0)..=(hash, u32::MAX))
+            .map(|&(_, id)| id)
+            .find(|&id| self.groups[id as usize] == members);
+        if let Some(id) = known {
+            return GroupId(id);
         }
+        let id = self.groups.len() as u32;
+        self.group_index.insert((hash, id));
         self.groups.push(members);
-        GroupId((self.groups.len() - 1) as u32)
+        GroupId(id)
     }
 
     /// Appends a node to `npu`'s program and returns its id. Dependencies
@@ -698,22 +749,31 @@ impl TraceBuilder {
     }
 
     /// Stores `program` once as a class for NPUs to share through
-    /// [`TraceBuilder::share`]. Returns the class and the group table of
-    /// the NPU the program was built for (its collectives' groups, by
-    /// slot).
-    pub(crate) fn add_class(&mut self, program: ProgramBuilder) -> (u32, Vec<GroupId>) {
+    /// [`TraceBuilder::share`]. Returns the class and the slot tables of
+    /// the NPU the program was built for: its collectives' groups and its
+    /// peer messages' NPUs, by slot.
+    pub(crate) fn add_class(&mut self, program: ProgramBuilder) -> (u32, Vec<GroupId>, Vec<NpuId>) {
         let mut nodes = program.nodes;
-        let table = into_slots(&mut nodes);
+        let (groups, peers) = into_slots(&mut nodes);
         self.classes.push(nodes);
-        ((self.classes.len() - 1) as u32, table)
+        self.group_slots.push(groups.len() as u32);
+        ((self.classes.len() - 1) as u32, groups, peers)
     }
 
-    /// Makes `npu` run `class` with `table` mapping the class's group slots
-    /// to trace-wide groups, replacing its own program. `node` and
-    /// `last_node` address only NPUs that run their own program.
-    pub(crate) fn share(&mut self, npu: NpuId, class: u32, table: Vec<GroupId>) {
+    /// Makes `npu` run `class`, with `groups` and `peers` mapping the
+    /// class's group and peer slots to trace-wide groups and NPUs,
+    /// replacing its own program. `node` and `last_node` address only NPUs
+    /// that run their own program.
+    pub(crate) fn share(
+        &mut self,
+        npu: NpuId,
+        class: u32,
+        groups: impl ExactSizeIterator<Item = GroupId>,
+        peers: impl Iterator<Item = NpuId>,
+    ) {
+        debug_assert_eq!(groups.len(), self.group_slots[class as usize] as usize);
         self.programs[npu] = Vec::new();
-        self.shared[npu] = Some((class, table));
+        self.shared[npu] = Some((class, pack_table(groups, peers)));
     }
 
     /// Validates and finalizes the trace.
@@ -732,17 +792,17 @@ impl TraceBuilder {
 
     /// Lays the programs out flyweight: shared classes as installed, and
     /// each NPU's own program as a class of its own.
-    fn assemble(self) -> ExecutionTrace {
-        let mut classes = self.classes;
+    fn assemble(mut self) -> ExecutionTrace {
         let mut class_of = Vec::with_capacity(self.npus);
         let mut table_at = Vec::with_capacity(self.npus + 1);
         let mut tables = Vec::new();
         table_at.push(0);
-        for (mut program, shared) in self.programs.into_iter().zip(self.shared) {
+        let programs = std::mem::take(&mut self.programs);
+        let shared = std::mem::take(&mut self.shared);
+        for (nodes, shared) in programs.into_iter().zip(shared) {
             let (class, table) = shared.unwrap_or_else(|| {
-                let table = into_slots(&mut program);
-                classes.push(program);
-                ((classes.len() - 1) as u32, table)
+                let (class, groups, peers) = self.add_class(ProgramBuilder { nodes });
+                (class, pack_table(groups.into_iter(), peers.into_iter()))
             });
             class_of.push(class);
             tables.extend(table);
@@ -752,7 +812,8 @@ impl TraceBuilder {
             name: self.name,
             npus: self.npus,
             groups: self.groups,
-            classes,
+            classes: self.classes,
+            group_slots: self.group_slots,
             class_of,
             table_at,
             tables,
@@ -995,10 +1056,15 @@ mod tests {
             },
             &[c],
         );
-        let (class, table) = b.add_class(p);
-        assert_eq!(table, vec![low]);
+        let (class, groups, peers) = b.add_class(p);
+        assert_eq!((groups, peers), (vec![low], vec![]));
         for npu in 0..4 {
-            b.share(npu, class, vec![if npu < 2 { low } else { high }]);
+            b.share(
+                npu,
+                class,
+                [if npu < 2 { low } else { high }].into_iter(),
+                [].into_iter(),
+            );
         }
         let t = b.build().unwrap();
         assert_eq!(t.classes().len(), 1);
@@ -1049,19 +1115,119 @@ mod tests {
             },
             &[c],
         );
-        let (class, table) = b.add_class(p);
+        let (class, groups, peers) = b.add_class(p);
         for npu in 0..4 {
-            b.share(npu, class, table.clone());
+            b.share(npu, class, groups.iter().copied(), peers.iter().copied());
         }
         // NPU 2 runs the program with NPU 0's table: not a member.
         assert_eq!(
             b.clone().build().unwrap_err(),
             TraceError::NotAMember { npu: 2, node: 1 }
         );
-        b.share(2, class, vec![GroupId(9)]);
+        b.share(2, class, [GroupId(9)].into_iter(), [].into_iter());
         assert_eq!(
             b.build().unwrap_err(),
             TraceError::BadGroup { npu: 2, node: 1 }
+        );
+    }
+
+    /// A ring of four NPUs: each sends to its successor and receives from
+    /// its predecessor.
+    fn ring_send(peer: NpuId) -> EtOp {
+        EtOp::PeerSend {
+            peer,
+            size: DataSize::from_mib(1),
+            tag: 0,
+        }
+    }
+
+    fn ring_recv(peer: NpuId) -> EtOp {
+        EtOp::PeerRecv {
+            peer,
+            size: DataSize::from_mib(1),
+            tag: 0,
+        }
+    }
+
+    /// The ring stored once, built for NPU 0; `peers(npu)` gives each NPU's
+    /// (successor, predecessor) slot table.
+    fn shared_ring(peers: impl Fn(NpuId) -> Vec<NpuId>) -> TraceBuilder {
+        let mut b = TraceBuilder::new(4).with_name("ring");
+        let mut p = ProgramBuilder::new();
+        let s = p.node("send", ring_send(1), &[]);
+        p.node("recv", ring_recv(3), &[s]);
+        let (class, groups, table) = b.add_class(p);
+        assert_eq!((groups, table), (vec![], vec![1, 3]));
+        for npu in 0..4 {
+            b.share(npu, class, [].into_iter(), peers(npu).into_iter());
+        }
+        b
+    }
+
+    #[test]
+    fn shared_programs_resolve_peers_per_npu() {
+        let t = shared_ring(|npu| vec![(npu + 1) % 4, (npu + 3) % 4])
+            .build()
+            .unwrap();
+        assert_eq!(t.classes().len(), 1);
+        assert_eq!(t.stored_nodes(), 2);
+        assert!(std::ptr::eq(t.program(0), t.program(2)));
+        // The stored program names slots; each NPU resolves its own.
+        assert_eq!(t.program(2)[0].op, ring_send(0));
+        assert_eq!(t.peer_of(2, 0), 3);
+        assert_eq!(t.peer_of(2, 1), 1);
+        assert_eq!(t.peer_of(3, 0), 0);
+        assert_eq!(t.group_table(3).len(), 0);
+
+        // Built node by node, the same ring is equal and writes the same
+        // bytes.
+        let mut b = TraceBuilder::new(4).with_name("ring");
+        for npu in 0..4 {
+            let s = b.node(npu, "send", ring_send((npu + 1) % 4), &[]);
+            b.node(npu, "recv", ring_recv((npu + 3) % 4), &[s]);
+        }
+        let expanded = b.build().unwrap();
+        assert_eq!(expanded.classes().len(), 4);
+        assert_eq!(expanded, t);
+        let json = t.to_json().unwrap();
+        assert_eq!(expanded.to_json().unwrap(), json);
+        assert!(json.contains("\"peer\": 3"), "{json}");
+        assert_eq!(ExecutionTrace::from_json(&json).unwrap(), t);
+    }
+
+    #[test]
+    fn shared_peer_tables_are_validated_per_npu() {
+        // NPU 3's successor is out of range.
+        let bad = shared_ring(|npu| vec![if npu == 3 { 4 } else { npu + 1 }, (npu + 3) % 4]);
+        assert_eq!(
+            bad.build().unwrap_err(),
+            TraceError::BadPeer { npu: 3, node: 0 }
+        );
+        // NPU 2 sends to NPU 0, which expects NPU 3's message.
+        let skewed =
+            shared_ring(|npu| vec![if npu == 2 { 0 } else { (npu + 1) % 4 }, (npu + 3) % 4]);
+        assert_eq!(
+            skewed.build().unwrap_err(),
+            TraceError::UnmatchedPeerMessage {
+                src: 2,
+                dst: 0,
+                tag: 0
+            }
+        );
+    }
+
+    #[test]
+    fn from_json_rejects_a_peer_wider_than_32_bits() {
+        let mut b = TraceBuilder::new(2);
+        b.node(0, "send", ring_send(1), &[]);
+        b.node(1, "recv", ring_recv(0), &[]);
+        let json = b.build().unwrap().to_json().unwrap();
+        let edited = json.replacen("\"peer\": 1", "\"peer\": 4294967296", 1);
+        assert_ne!(edited, json, "unexpected trace JSON layout");
+        let err = ExecutionTrace::from_json(&edited).unwrap_err();
+        assert_eq!(
+            err.to_string(),
+            TraceError::BadPeer { npu: 0, node: 0 }.to_string()
         );
     }
 

@@ -1,29 +1,29 @@
-//! Byte-level determinism of the parallel trace generators.
+//! Byte-level determinism of the trace generators under concurrency.
 //!
-//! `generate_trace` fans per-NPU program construction out across scoped
-//! threads and memoizes identical programs; these tests pin the contract
-//! that none of that is observable: for every strategy, the output is
-//! byte-identical across thread counts (1, 2, 8) *and* identical to the
-//! frozen naive baseline (`generate_trace_reference`), at NPU counts taken
-//! from ring- and star-(switch-)hierarchical topologies at 64 and 512 NPUs.
+//! Trace generation runs on its caller's thread and shares one stored
+//! program per class. These tests pin that neither is observable: for every
+//! strategy, traces generated by 1, 2 or 8 threads at once are
+//! byte-identical to each other *and* to the frozen naive baseline
+//! (`generate_trace_reference`), at NPU counts taken from ring- and
+//! star-(switch-)hierarchical topologies at 64 and 512 NPUs.
 
 use astra_topology::Topology;
 use astra_workload::{
     models,
     parallelism::{
-        generate_disaggregated_moe_reference, generate_disaggregated_moe_with_threads,
-        generate_trace_reference, generate_trace_with_threads, OffloadPlan,
+        generate_disaggregated_moe, generate_disaggregated_moe_reference, generate_trace,
+        generate_trace_reference, OffloadPlan,
     },
     Model, Parallelism,
 };
 
-/// Thread counts the satellite requirement pins.
+/// Numbers of threads generating the same trace at once.
 const THREADS: [usize; 3] = [1, 2, 8];
 
 /// The NPU counts under test come from real hierarchical platforms: a
 /// ring-of-rings (torus) and a star-of-stars (switch hierarchy) at 64 and
 /// 512 NPUs each.
-fn topology_sizes() -> Vec<(String, usize)> {
+fn topology_sizes() -> Vec<usize> {
     let topologies = [
         "R(8)@100_R(8)@100",            // ring hierarchy, 64 NPUs
         "SW(8)@100_SW(8)@50",           // star hierarchy, 64 NPUs
@@ -32,7 +32,7 @@ fn topology_sizes() -> Vec<(String, usize)> {
     ];
     topologies
         .iter()
-        .map(|n| (n.to_string(), Topology::parse(n).unwrap().npus()))
+        .map(|n| Topology::parse(n).unwrap().npus())
         .collect()
 }
 
@@ -44,38 +44,54 @@ fn model8() -> Model {
     model
 }
 
-/// Asserts the parallel fast path equals the reference byte-for-byte at
+/// Runs `generate` on `threads` threads at once and asserts each result
+/// equals `reference` byte for byte.
+fn assert_concurrent_runs_match(reference: &str, what: &str, generate: impl Fn() -> String + Sync) {
+    for threads in THREADS {
+        let outputs: Vec<String> = std::thread::scope(|scope| {
+            let workers: Vec<_> = (0..threads).map(|_| scope.spawn(&generate)).collect();
+            workers.into_iter().map(|w| w.join().unwrap()).collect()
+        });
+        for output in outputs {
+            assert!(
+                output == reference,
+                "{what} diverges from the serial reference with {threads} threads"
+            );
+        }
+    }
+}
+
+/// Asserts the memoizing fast path equals the reference byte for byte at
 /// every pinned thread count.
 fn assert_deterministic(model: &Model, parallelism: Parallelism, npus: usize) {
     let reference = generate_trace_reference(model, parallelism, npus)
         .unwrap()
         .to_json()
         .unwrap();
-    for threads in THREADS {
-        let fast = generate_trace_with_threads(model, parallelism, npus, threads)
-            .unwrap()
-            .to_json()
-            .unwrap();
-        assert!(
-            fast == reference,
-            "{parallelism:?} at {npus} NPUs diverges from the serial reference with {threads} threads"
-        );
-    }
+    assert_concurrent_runs_match(
+        &reference,
+        &format!("{parallelism:?} at {npus} NPUs"),
+        || {
+            generate_trace(model, parallelism, npus)
+                .unwrap()
+                .to_json()
+                .unwrap()
+        },
+    );
 }
 
 #[test]
 fn data_parallel_is_thread_count_invariant() {
     let model = model8();
-    for (topo, npus) in topology_sizes() {
+    for npus in topology_sizes() {
         assert_deterministic(&model, Parallelism::Data, npus);
-        let _ = topo;
     }
 }
 
 #[test]
 fn hybrid_is_thread_count_invariant() {
     let model = model8();
-    for (_, npus) in topology_sizes() {
+    for npus in topology_sizes() {
         assert_deterministic(&model, Parallelism::Hybrid { mp: 16 }, npus);
     }
 }
@@ -83,7 +99,7 @@ fn hybrid_is_thread_count_invariant() {
 #[test]
 fn pipeline_is_thread_count_invariant() {
     let model = model8();
-    for (_, npus) in topology_sizes() {
+    for npus in topology_sizes() {
         assert_deterministic(
             &model,
             Parallelism::Pipeline {
@@ -98,7 +114,7 @@ fn pipeline_is_thread_count_invariant() {
 #[test]
 fn fsdp_is_thread_count_invariant() {
     let model = model8();
-    for (_, npus) in topology_sizes() {
+    for npus in topology_sizes() {
         assert_deterministic(&model, Parallelism::FullyShardedData, npus);
     }
 }
@@ -114,39 +130,17 @@ fn disaggregated_moe_is_thread_count_invariant() {
             gather_weights: false,
         },
     ] {
-        for (_, npus) in topology_sizes() {
+        for npus in topology_sizes() {
             let reference = generate_disaggregated_moe_reference(&model, npus, &plan)
                 .unwrap()
                 .to_json()
                 .unwrap();
-            for threads in THREADS {
-                let fast = generate_disaggregated_moe_with_threads(&model, npus, &plan, threads)
+            assert_concurrent_runs_match(&reference, &format!("MoE at {npus} NPUs"), || {
+                generate_disaggregated_moe(&model, npus, &plan)
                     .unwrap()
                     .to_json()
-                    .unwrap();
-                assert!(
-                    fast == reference,
-                    "MoE at {npus} NPUs diverges from the serial reference with {threads} threads"
-                );
-            }
+                    .unwrap()
+            });
         }
-    }
-}
-
-#[test]
-fn default_path_matches_explicit_thread_counts() {
-    // `generate_trace` (auto thread count) must agree with every pinned
-    // count — i.e. with itself on any machine.
-    let model = model8();
-    let auto = astra_workload::parallelism::generate_trace(&model, Parallelism::Data, 512)
-        .unwrap()
-        .to_json()
-        .unwrap();
-    for threads in THREADS {
-        let pinned = generate_trace_with_threads(&model, Parallelism::Data, 512, threads)
-            .unwrap()
-            .to_json()
-            .unwrap();
-        assert!(auto == pinned);
     }
 }
