@@ -6,9 +6,9 @@
 //! simulate. The paper experiment series live in their own modules.
 //!
 //! `astra sweep` runs the table and writes the rows to a machine-readable
-//! JSON report; the default series make up `BENCH_throughput.json`, the
-//! repo's performance trajectory record (regenerate with
-//! `astra sweep --out BENCH_throughput.json`).
+//! JSON report. `BENCH_throughput.json`, the repo's performance trajectory
+//! record, holds every series: regenerate it with `--series` listing all
+//! of them, because plain `astra sweep` runs only the default ones.
 
 use astra_core::{
     experiments, simulate, simulate_traced, Collective, CollectiveMode, DataSize, FaultKind,

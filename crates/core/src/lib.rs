@@ -41,8 +41,8 @@ pub use astra_memory::{
     PoolArchitecture, RemoteMemory, RingPool, TransferMode, ZeroInfinity,
 };
 pub use astra_network::{
-    AnalyticalConfig, AnalyticalNetwork, AsyncMessageId, Completion, FlowId, FlowNetwork,
-    NetworkBackend, NetworkBackendKind, NetworkStats, SharedDelayMemo, SharedRouteTable,
+    AnalyticalConfig, AnalyticalNetwork, Completion, FlowId, FlowNetwork, NetworkBackend,
+    NetworkBackendKind, NetworkStats, SharedDelayMemo, SharedRouteTable,
 };
 pub use astra_system::{
     simulate, simulate_traced, simulate_traced_with, simulate_with, Breakdown, CacheStats,

@@ -7,6 +7,8 @@
 //! occupancy is computable in closed form from the arrival profile — one
 //! call instead of one `acquire` per packet, with bit-identical results.
 
+use std::fmt;
+
 use crate::Time;
 
 /// A time interval granted by [`FifoResource::acquire`].
@@ -184,10 +186,10 @@ impl FifoResource {
     ) -> TrainProfile {
         let total = arrivals.count();
         assert!(total > 0, "cannot reserve an empty packet train");
-        let mut completions = TrainProfile { runs: Vec::new() };
+        let mut completions = TrainProfile::empty();
         let mut prev_end = self.free_at;
         let mut served = 0u64;
-        for run in &arrivals.runs {
+        for run in arrivals.runs() {
             // The train's final packet is served at `tail_service`; split it
             // off the run that contains it.
             let body = if served + run.count == total {
@@ -305,16 +307,98 @@ impl ArrivalRun {
     }
 }
 
+/// Runs a [`TrainProfile`] keeps inline before it spills to the heap.
+/// Each FIFO link traversal adds at most one run, and adjacent runs merge
+/// whenever they stay arithmetic: on the backend-collective runs of GPT-3
+/// on two- and three-dimensional topologies, and on pipeline p2p, no
+/// profile had more than two runs. Only long split-merge replays (see
+/// `astra_garnet::TransportMode`) spill.
+const INLINE_RUNS: usize = 2;
+
+/// Filler for the unused inline slots (never read).
+const NO_RUN: ArrivalRun = ArrivalRun {
+    count: 0,
+    first: Time::ZERO,
+    spacing: Time::ZERO,
+};
+
+/// The run store of a [`TrainProfile`]: up to [`INLINE_RUNS`] runs in
+/// place, a `Vec` beyond that.
+#[derive(Clone)]
+enum Runs {
+    /// The first `len` entries are the runs.
+    Inline {
+        len: u8,
+        runs: [ArrivalRun; INLINE_RUNS],
+    },
+    Spilled(Vec<ArrivalRun>),
+}
+
+impl Runs {
+    const EMPTY: Runs = Runs::Inline {
+        len: 0,
+        runs: [NO_RUN; INLINE_RUNS],
+    };
+
+    fn as_slice(&self) -> &[ArrivalRun] {
+        match self {
+            Runs::Inline { len, runs } => &runs[..*len as usize],
+            Runs::Spilled(runs) => runs,
+        }
+    }
+
+    fn as_mut_slice(&mut self) -> &mut [ArrivalRun] {
+        match self {
+            Runs::Inline { len, runs } => &mut runs[..*len as usize],
+            Runs::Spilled(runs) => runs,
+        }
+    }
+
+    fn push(&mut self, run: ArrivalRun) {
+        match self {
+            Runs::Inline { len, runs } if (*len as usize) < INLINE_RUNS => {
+                runs[*len as usize] = run;
+                *len += 1;
+            }
+            Runs::Inline { runs, .. } => {
+                let mut spilled = Vec::with_capacity(2 * INLINE_RUNS);
+                spilled.extend_from_slice(runs);
+                spilled.push(run);
+                *self = Runs::Spilled(spilled);
+            }
+            Runs::Spilled(runs) => runs.push(run),
+        }
+    }
+}
+
 /// Piecewise-arithmetic time profile of a packet train (arrival or
-/// completion instants), kept as a short list of [`ArrivalRun`]s.
+/// completion instants): a sequence of [`ArrivalRun`]s kept inline,
+/// spilling to the heap only for long profiles.
 ///
 /// A message injected at one instant is a single zero-spacing run; each
 /// FIFO link traversal maps the profile to at most one extra run (see
 /// [`FifoResource::acquire_train`]), so profiles stay tiny even for trains
-/// of millions of packets.
-#[derive(Clone, Debug, PartialEq, Eq)]
+/// of millions of packets, and building or shifting one allocates nothing.
+/// Two profiles are equal when their runs are, however they are stored.
+#[derive(Clone)]
 pub struct TrainProfile {
-    runs: Vec<ArrivalRun>,
+    runs: Runs,
+}
+
+impl PartialEq for TrainProfile {
+    fn eq(&self, other: &Self) -> bool {
+        self.runs() == other.runs()
+    }
+}
+
+impl Eq for TrainProfile {}
+
+impl fmt::Debug for TrainProfile {
+    fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
+        f.debug_struct("TrainProfile")
+            .field("runs", &self.runs())
+            .finish()
+    }
 }
 
 impl TrainProfile {
@@ -325,13 +409,11 @@ impl TrainProfile {
     /// Panics if `count == 0`.
     pub fn simultaneous(count: u64, at: Time) -> Self {
         assert!(count > 0, "a packet train needs at least one packet");
-        TrainProfile {
-            runs: vec![ArrivalRun {
-                count,
-                first: at,
-                spacing: Time::ZERO,
-            }],
-        }
+        Self::arithmetic(ArrivalRun {
+            count,
+            first: at,
+            spacing: Time::ZERO,
+        })
     }
 
     /// An empty profile, to be filled with [`TrainProfile::append`].
@@ -340,7 +422,7 @@ impl TrainProfile {
     /// profiles incrementally must append at least one time before handing
     /// the profile to [`FifoResource::acquire_train`].
     pub fn empty() -> Self {
-        TrainProfile { runs: Vec::new() }
+        TrainProfile { runs: Runs::EMPTY }
     }
 
     /// Appends a single packet time, merging it into the trailing run when
@@ -361,7 +443,9 @@ impl TrainProfile {
     /// Panics if `run.count == 0`.
     pub fn arithmetic(run: ArrivalRun) -> Self {
         assert!(run.count > 0, "a packet train needs at least one packet");
-        TrainProfile { runs: vec![run] }
+        let mut profile = Self::empty();
+        profile.runs.push(run);
+        profile
     }
 
     /// Concatenates two profiles into one train.
@@ -372,7 +456,7 @@ impl TrainProfile {
     /// times must stay non-decreasing).
     pub fn concat(&self, other: &TrainProfile) -> TrainProfile {
         let mut out = self.clone();
-        for &run in &other.runs {
+        for &run in other.runs() {
             out.push_run(run);
         }
         out
@@ -380,44 +464,38 @@ impl TrainProfile {
 
     /// The runs making up the profile, in time order.
     pub fn runs(&self) -> &[ArrivalRun] {
-        &self.runs
+        self.runs.as_slice()
     }
 
     /// Total packets in the train.
     pub fn count(&self) -> u64 {
-        self.runs.iter().map(|r| r.count).sum()
+        self.runs().iter().map(|r| r.count).sum()
     }
 
     /// Time of the first packet.
     pub fn first(&self) -> Time {
         // astra-lint: allow(panic, profiles are built non-empty; an empty one is a transport bug)
-        self.runs.first().expect("non-empty train").first
+        self.runs().first().expect("non-empty train").first
     }
 
     /// Time of the last packet.
     pub fn last(&self) -> Time {
         // astra-lint: allow(panic, profiles are built non-empty; an empty one is a transport bug)
-        self.runs.last().expect("non-empty train").last()
+        self.runs().last().expect("non-empty train").last()
     }
 
     /// The same profile shifted later by `delay` (e.g. a link's propagation
-    /// latency applied to its completion profile).
-    pub fn delayed_by(&self, delay: Time) -> TrainProfile {
-        TrainProfile {
-            runs: self
-                .runs
-                .iter()
-                .map(|r| ArrivalRun {
-                    first: r.first + delay,
-                    ..*r
-                })
-                .collect(),
+    /// latency applied to its completion profile), shifted in place.
+    pub fn delayed_by(mut self, delay: Time) -> TrainProfile {
+        for run in self.runs.as_mut_slice() {
+            run.first += delay;
         }
+        self
     }
 
     /// Every packet time, expanded (test/diagnostic helper — O(packets)).
     pub fn times(&self) -> impl Iterator<Item = Time> + '_ {
-        self.runs
+        self.runs()
             .iter()
             .flat_map(|r| (0..r.count).map(move |i| r.first + r.spacing * i))
     }
@@ -428,7 +506,7 @@ impl TrainProfile {
         if run.count == 0 {
             return;
         }
-        if let Some(prev) = self.runs.last_mut() {
+        if let Some(prev) = self.runs.as_mut_slice().last_mut() {
             // Completion instants are non-decreasing, so the gap between the
             // previous run's last packet and this run's first is well-defined.
             let gap = run.first - prev.last();
@@ -529,13 +607,11 @@ mod tests {
     #[test]
     fn train_dense_arrivals_queue_back_to_back() {
         // Arrivals at exactly the service spacing (saturated upstream link).
-        let t = TrainProfile {
-            runs: vec![ArrivalRun {
-                count: 8,
-                first: Time::from_us(10),
-                spacing: Time::from_us(2),
-            }],
-        };
+        let t = TrainProfile::arithmetic(ArrivalRun {
+            count: 8,
+            first: Time::from_us(10),
+            spacing: Time::from_us(2),
+        });
         assert_train_matches(&t, Time::from_us(2), Time::from_us(2), Time::ZERO);
         assert_train_matches(&t, Time::from_us(2), Time::from_us(1), Time::from_us(25));
     }
@@ -544,13 +620,11 @@ mod tests {
     fn train_sparse_arrivals_split_into_queued_then_paced() {
         // Arrivals slower than the service rate behind a busy resource: a
         // queued prefix drains back-to-back, then packets start on arrival.
-        let t = TrainProfile {
-            runs: vec![ArrivalRun {
-                count: 10,
-                first: Time::from_us(0),
-                spacing: Time::from_us(5),
-            }],
-        };
+        let t = TrainProfile::arithmetic(ArrivalRun {
+            count: 10,
+            first: Time::from_us(0),
+            spacing: Time::from_us(5),
+        });
         assert_train_matches(&t, Time::from_us(2), Time::from_us(2), Time::from_us(19));
         let mut res = FifoResource::available_from(Time::from_us(19));
         let ends = res.acquire_train(&t, Time::from_us(2), Time::from_us(2));
@@ -628,10 +702,38 @@ mod tests {
         assert_eq!(times[5], Time::from_us(30));
     }
 
+    /// A profile longer than the inline store spills to the heap and keeps
+    /// behaving as one list of runs: equality compares runs, not storage.
+    #[test]
+    fn long_profiles_spill_and_compare_by_runs() {
+        let mut long = TrainProfile::empty();
+        let mut t = Time::ZERO;
+        for i in 0..3 * INLINE_RUNS as u64 {
+            // Alternating gaps defeat run merging: one run per two packets.
+            t += Time::from_us(1 + i % 2);
+            long.append(t);
+        }
+        assert!(long.runs().len() > INLINE_RUNS, "{long:?}");
+        assert!(matches!(long.runs, Runs::Spilled(_)));
+        let times: Vec<Time> = long.times().collect();
+        assert_eq!(times.len(), 3 * INLINE_RUNS);
+        assert_eq!(times.last().copied(), Some(t));
+        let shifted = long.clone().delayed_by(Time::from_us(5));
+        assert!(shifted
+            .times()
+            .zip(&times)
+            .all(|(s, &t)| s == t + Time::from_us(5)));
+        // The same runs, stored inline and spilled, are equal.
+        let mut spilled = TrainProfile::simultaneous(2, Time::ZERO);
+        spilled.runs = Runs::Spilled(spilled.runs().to_vec());
+        assert_eq!(spilled, TrainProfile::simultaneous(2, Time::ZERO));
+        assert_ne!(spilled, TrainProfile::simultaneous(3, Time::ZERO));
+    }
+
     #[test]
     #[should_panic(expected = "empty packet train")]
     fn empty_train_rejected() {
-        let empty = TrainProfile { runs: vec![] };
+        let empty = TrainProfile::empty();
         FifoResource::new().acquire_train(&empty, Time::from_us(1), Time::from_us(1));
     }
 }

@@ -1,9 +1,9 @@
 //! Store-and-forward packet network simulation.
 
-use std::collections::{BTreeMap, BTreeSet};
+use std::collections::BTreeSet;
 
 use astra_des::{DataSize, FifoCheckpoint, FifoResource, LanedEventQueue, Time, TrainProfile};
-use astra_network::{AsyncMessageId, Completion, LinkTrace, NetworkBackend, NetworkStats};
+use astra_network::{Completion, LinkTrace, NetworkBackend, NetworkStats, RouteTable};
 use astra_topology::{route_avoiding, FaultedGraph, LinkGraph, LinkId, NpuId, Topology};
 
 /// Identifier of an in-flight or completed message.
@@ -118,9 +118,16 @@ struct MessageState {
     /// sitting in the queue (they are dropped on pop).
     gen: u32,
     finish: Option<Time>,
-    /// Whether the message was injected through the async NetworkAPI and
-    /// its completion must be reported via `drain_completions`.
-    tracked: bool,
+    /// The caller's token of a message sent through the async NetworkAPI,
+    /// whose completion is reported via `drain_completions`; `None` for
+    /// [`PacketNetwork::send_at`] messages.
+    token: Option<u32>,
+    /// Batched mode: the train's arrival profile at the head of the hop
+    /// its pending [`TransportEvent::Train`] names. A message has at most
+    /// one such event live (a split re-schedules it under a new
+    /// generation and rewrites this profile), so the event itself stays
+    /// `Copy` and the profile lives here.
+    next: TrainProfile,
 }
 
 /// One packet completing its traversal of `route[hop]`.
@@ -132,23 +139,18 @@ struct PacketEvent {
     bytes: DataSize,
 }
 
-/// A whole train arriving at the head of `route[hop]`.
-#[derive(Clone, Debug)]
-struct TrainEvent {
-    message: MessageId,
-    hop: usize,
-    arrivals: TrainProfile,
-    /// Generation the event was scheduled under; stale events (superseded
-    /// by a train split) are dropped on pop.
-    gen: u32,
-}
-
-#[derive(Clone, Debug)]
+#[derive(Copy, Clone, Debug)]
 enum TransportEvent {
     /// Per-packet transport: one packet finished one hop.
     Packet(PacketEvent),
-    /// Batched transport: a train's head reached the next link.
-    Train(TrainEvent),
+    /// Batched transport: a train's head reached the head of `route[hop]`;
+    /// its arrival profile there is the message's `next`. Events of an
+    /// older generation (superseded by a train split) are dropped on pop.
+    Train {
+        message: MessageId,
+        hop: usize,
+        gen: u32,
+    },
     /// Batched transport: a train's tail arrived at the destination (the
     /// generation guards against superseded schedules, as in `Train`).
     TrainDone(MessageId, u32),
@@ -167,11 +169,13 @@ struct TrainMember {
 /// reservations can still be rewound (none of their downstream events have
 /// fired). When a new train's arrival window overlaps the group, the link
 /// is restored to `checkpoint` and the merged per-packet FIFO sequence is
-/// replayed, reproducing per-packet transport bit-identically.
-#[derive(Clone, Debug)]
+/// replayed, reproducing per-packet transport bit-identically. A link
+/// keeps one group for the whole run and refills its vectors in place.
+#[derive(Clone, Debug, Default)]
 struct LinkTrainGroup {
-    /// Link timeline snapshot taken before the group's first reservation.
-    checkpoint: FifoCheckpoint,
+    /// Link timeline snapshot taken before the group's first reservation;
+    /// `None` while the link holds no rewindable group.
+    checkpoint: Option<FifoCheckpoint>,
     members: Vec<TrainMember>,
     /// Scheduled downstream event time of each member (its next-hop head
     /// arrival or destination completion). The group is splittable only
@@ -191,15 +195,20 @@ struct LinkTrainGroup {
 /// interleave on shared links, so congestion emerges naturally — unlike the
 /// analytical backend, which assumes congestion-free traffic.
 ///
-/// Routes are memoized per `(src, dst)` pair: collectives re-send along
-/// identical pairs every phase step, so the dimension-ordered route search
-/// runs once per pair instead of once per message.
+/// Routes are memoized per `(src, dst)` pair in a [`RouteTable`]:
+/// collectives re-send along identical pairs every phase step, so the
+/// dimension-ordered route search runs once per pair instead of once per
+/// message.
+///
+/// Under batched transport a message costs `O(hops)` events and, in the
+/// steady state, no heap allocation: its slot, its train profile and its
+/// link's rewindable group are all reused storage.
 ///
 /// Memory follows the messages in flight, not the messages ever sent: a
 /// message sent through [`NetworkBackend::send_async`] is forgotten once
 /// [`NetworkBackend::drain_completions`] hands out its completion, and its
-/// slot (so its [`AsyncMessageId`]) goes to a later send. Messages sent
-/// with [`PacketNetwork::send_at`] are kept, so [`PacketNetwork::completion`]
+/// slot goes to a later send. Messages sent with
+/// [`PacketNetwork::send_at`] are kept, so [`PacketNetwork::completion`]
 /// answers for them at any time.
 ///
 /// # Example
@@ -224,12 +233,14 @@ pub struct PacketNetwork {
     /// ([`PacketNetwork::send_at`]) keep theirs for the backend's lifetime;
     /// a tracked one's slot is freed when its completion is drained.
     messages: Vec<MessageState>,
+    /// Slots of tracked messages whose completions await draining, in
+    /// completion order.
+    done_slots: Vec<usize>,
     /// Slots of drained tracked messages, reused by the next tracked send.
     free_slots: Vec<usize>,
     /// Messages sent so far, reused slots included (`NetworkStats::messages`).
     messages_sent: u64,
-    routes: Vec<Vec<LinkId>>,
-    route_ids: BTreeMap<(NpuId, NpuId), usize>,
+    routes: RouteTable,
     config: PacketSimConfig,
     events_processed: u64,
     /// Packet-hops of every message sent so far (`packets × hops` each),
@@ -242,7 +253,7 @@ pub struct PacketNetwork {
     /// and serializations.
     link_train_tail: Vec<Time>,
     /// Per link: the rewindable train group (batched mode only).
-    link_groups: Vec<Option<LinkTrainGroup>>,
+    link_groups: Vec<LinkTrainGroup>,
     /// Overlapping trains serialized whole because the resident one could
     /// no longer be rewound; any makes the answer inexact.
     train_interleavings: u64,
@@ -301,16 +312,16 @@ impl PacketNetwork {
             link_queues,
             queue: LanedEventQueue::new(),
             messages: Vec::new(),
+            done_slots: Vec::new(),
             free_slots: Vec::new(),
             messages_sent: 0,
-            routes: Vec::new(),
-            route_ids: BTreeMap::new(),
+            routes: RouteTable::new(),
             config,
             events_processed: 0,
             packet_hops: 0,
             completed: Vec::new(),
             link_train_tail: vec![Time::ZERO; num_links],
-            link_groups: vec![None; num_links],
+            link_groups: vec![LinkTrainGroup::default(); num_links],
             train_interleavings: 0,
             train_splits: 0,
             dead_links,
@@ -352,7 +363,7 @@ impl PacketNetwork {
 
     /// Distinct `(src, dst)` routes resolved and memoized so far.
     pub fn routes_cached(&self) -> usize {
-        self.route_ids.len()
+        self.routes.len()
     }
 
     /// Current simulation time (the last processed event's time).
@@ -362,20 +373,16 @@ impl PacketNetwork {
 
     /// Resolves (or reuses) the memoized route for a pair.
     fn route_index(&mut self, src: NpuId, dst: NpuId) -> usize {
-        if let Some(&idx) = self.route_ids.get(&(src, dst)) {
-            return idx;
-        }
-        let idx = self.routes.len();
-        let route = if self.dead_links.is_empty() {
-            self.graph.route(src, dst)
-        } else {
-            route_avoiding(&self.graph, src, dst, &self.dead_links)
-                // astra-lint: allow(panic, callers reject disconnected fault schedules before building backends)
-                .expect("fault-aware route exists")
-        };
-        self.routes.push(route);
-        self.route_ids.insert((src, dst), idx);
-        idx
+        let (graph, dead_links) = (&self.graph, &self.dead_links);
+        self.routes.index_of(src, dst, || {
+            if dead_links.is_empty() {
+                graph.route(src, dst)
+            } else {
+                route_avoiding(graph, src, dst, dead_links)
+                    // astra-lint: allow(panic, callers reject disconnected fault schedules before building backends)
+                    .expect("fault-aware route exists")
+            }
+        })
     }
 
     /// Injects a message at time `at`. Packets start queueing on the first
@@ -386,18 +393,19 @@ impl PacketNetwork {
     /// Panics if `at` is before the current simulation time ([`Self::now`])
     /// or either NPU id is out of range.
     pub fn send_at(&mut self, at: Time, src: NpuId, dst: NpuId, size: DataSize) -> MessageId {
-        self.inject(at, src, dst, size, false)
+        self.inject(at, src, dst, size, None)
     }
 
-    /// Stores a new message (`tracked` ones reuse a drained slot) and
-    /// queues its packets, or its train, on the first link of its route.
+    /// Stores a new message (a tracked one, with a `token`, reuses a
+    /// drained slot) and queues its packets, or its train, on the first
+    /// link of its route.
     fn inject(
         &mut self,
         at: Time,
         src: NpuId,
         dst: NpuId,
         size: DataSize,
-        tracked: bool,
+        token: Option<u32>,
     ) -> MessageId {
         assert!(
             at >= self.now(),
@@ -413,7 +421,8 @@ impl PacketNetwork {
                 packets_remaining: 0,
                 gen: 0,
                 finish: Some(at),
-                tracked,
+                token,
+                next: TrainProfile::empty(),
             });
         }
         let pkt = self.config.packet_size.as_bytes().max(1);
@@ -428,7 +437,8 @@ impl PacketNetwork {
             packets_remaining: count,
             gen: 0,
             finish: None,
-            tracked,
+            token,
+            next: TrainProfile::empty(),
         });
         match self.config.transport {
             TransportMode::PerPacket => {
@@ -465,7 +475,7 @@ impl PacketNetwork {
     /// replaced for, so none should be left; the bump keeps it harmless.)
     fn store(&mut self, mut state: MessageState) -> MessageId {
         self.messages_sent += 1;
-        if state.tracked {
+        if state.token.is_some() {
             if let Some(slot) = self.free_slots.pop() {
                 state.gen = self.messages[slot].gen.wrapping_add(1);
                 self.messages[slot] = state;
@@ -548,13 +558,13 @@ impl PacketNetwork {
             // packets still arriving on the link.
             let send_merge_safe =
                 !from_send || (arrivals.first() == now && self.queue.peek_time() != Some(now));
-            let splittable = send_merge_safe
-                && self.link_groups[slot]
-                    .as_ref()
-                    .is_some_and(|g| g.downstream.iter().all(|&t| t > now));
-            if splittable {
+            let group = &self.link_groups[slot];
+            let splittable = group
+                .checkpoint
+                .filter(|_| send_merge_safe && group.downstream.iter().all(|&t| t > now));
+            if let Some(checkpoint) = splittable {
                 self.train_splits += 1;
-                self.split_merge_trains(message, hop, arrivals);
+                self.split_merge_trains(message, hop, arrivals, checkpoint);
             } else {
                 self.train_interleavings += 1;
                 self.reserve_train(message, hop, arrivals, None);
@@ -595,16 +605,50 @@ impl PacketNetwork {
         let next = self.link_queues[link_id.0]
             .acquire_train(&arrivals, service, tail_service)
             .delayed_by(props.latency);
-        let downstream = if hop + 1 < hops {
+        let downstream = self.schedule_downstream(message, hop, hops, gen, next);
+        let group = &mut self.link_groups[link_id.0];
+        group.checkpoint = checkpoint;
+        group.members.clear();
+        group.downstream.clear();
+        if checkpoint.is_some() {
+            // Most links only ever hold one-member groups: size a link's
+            // storage for one, not for the default minimum of four.
+            if group.members.capacity() == 0 {
+                group.members.reserve_exact(1);
+                group.downstream.reserve_exact(1);
+            }
+            group.members.push(TrainMember {
+                message,
+                hop,
+                arrivals,
+            });
+            group.downstream.push(downstream);
+        }
+    }
+
+    /// Schedules what follows a train's reservation on `route[hop]` under
+    /// generation `gen`: its head at the next link, with `next` (the
+    /// completion profile plus latency) stored as the message's arrival
+    /// profile there, or its tail's arrival at the destination. Returns
+    /// the scheduled instant.
+    fn schedule_downstream(
+        &mut self,
+        message: MessageId,
+        hop: usize,
+        hops: usize,
+        gen: u32,
+        next: TrainProfile,
+    ) -> Time {
+        if hop + 1 < hops {
             let head = next.first();
+            self.messages[message.0].next = next;
             self.queue.schedule_at(
                 head,
-                TransportEvent::Train(TrainEvent {
+                TransportEvent::Train {
                     message,
                     hop: hop + 1,
-                    arrivals: next,
                     gen,
-                }),
+                },
             );
             head
         } else {
@@ -612,31 +656,28 @@ impl PacketNetwork {
             self.queue
                 .schedule_at(tail, TransportEvent::TrainDone(message, gen));
             tail
-        };
-        self.link_groups[link_id.0] = checkpoint.map(|checkpoint| LinkTrainGroup {
-            checkpoint,
-            members: vec![TrainMember {
-                message,
-                hop,
-                arrivals,
-            }],
-            downstream: vec![downstream],
-        });
+        }
     }
 
     /// Splits the overlapping trains on `route[hop]` at their interleave
-    /// points: rewinds the link to before the resident group's first
-    /// reservation, replays the merged per-packet FIFO sequence (the new
-    /// train included), and re-schedules every member's downstream event
-    /// under a fresh generation. Bit-identical to per-packet transport at
-    /// `O(packets)` cost for the trains involved.
-    fn split_merge_trains(&mut self, message: MessageId, hop: usize, arrivals: TrainProfile) {
+    /// points: rewinds the link to `checkpoint` (taken before the resident
+    /// group's first reservation), replays the merged per-packet FIFO
+    /// sequence (the new train included), and re-schedules every member's
+    /// downstream event under a fresh generation. Bit-identical to
+    /// per-packet transport at `O(packets)` cost for the trains involved.
+    fn split_merge_trains(
+        &mut self,
+        message: MessageId,
+        hop: usize,
+        arrivals: TrainProfile,
+        checkpoint: FifoCheckpoint,
+    ) {
         let link_id = self.routes[self.messages[message.0].route][hop];
         let slot = link_id.0;
         let props = self.graph.link(link_id);
         self.link_train_tail[slot] = self.link_train_tail[slot].max(arrivals.last());
-        // astra-lint: allow(panic, the caller checked group eligibility)
-        let mut group = self.link_groups[slot].take().expect("splittable group");
+        // Moved out (and back below) so its vectors keep their storage.
+        let mut group = std::mem::take(&mut self.link_groups[slot]);
         group.members.push(TrainMember {
             message,
             hop,
@@ -648,7 +689,7 @@ impl PacketNetwork {
             self.messages[member.message.0].gen =
                 self.messages[member.message.0].gen.wrapping_add(1);
         }
-        self.link_queues[slot].restore(group.checkpoint);
+        self.link_queues[slot].restore(checkpoint);
         // Merged per-packet FIFO order: sort all packet arrivals by time;
         // the stable sort keeps member (reservation) order on ties, which
         // is exactly the per-packet event tie-break (FIFO by schedule
@@ -686,31 +727,14 @@ impl PacketNetwork {
         // Replaying with *more* packets only pushes completions later, so
         // every re-scheduled time is >= its superseded one (> now).
         group.downstream.clear();
-        for (m, member) in group.members.iter().enumerate() {
-            let next = completions[m].delayed_by(props.latency);
-            let gen = self.messages[member.message.0].gen;
-            let hops = self.routes[self.messages[member.message.0].route].len();
-            let t = if member.hop + 1 < hops {
-                let head = next.first();
-                self.queue.schedule_at(
-                    head,
-                    TransportEvent::Train(TrainEvent {
-                        message: member.message,
-                        hop: member.hop + 1,
-                        arrivals: next,
-                        gen,
-                    }),
-                );
-                head
-            } else {
-                let tail = next.last();
-                self.queue
-                    .schedule_at(tail, TransportEvent::TrainDone(member.message, gen));
-                tail
-            };
+        for (member, completion) in group.members.iter().zip(completions) {
+            let next = completion.delayed_by(props.latency);
+            let msg = &self.messages[member.message.0];
+            let (gen, hops) = (msg.gen, self.routes[msg.route].len());
+            let t = self.schedule_downstream(member.message, member.hop, hops, gen, next);
             group.downstream.push(t);
         }
-        self.link_groups[slot] = Some(group);
+        self.link_groups[slot] = group;
     }
 
     fn dispatch(&mut self, now: Time, event: TransportEvent) {
@@ -734,9 +758,11 @@ impl PacketNetwork {
                     }
                 }
             }
-            TransportEvent::Train(train) => {
-                if train.gen == self.messages[train.message.0].gen {
-                    self.advance_train(train.message, train.hop, train.arrivals, false);
+            TransportEvent::Train { message, hop, gen } => {
+                let msg = &mut self.messages[message.0];
+                if gen == msg.gen {
+                    let arrivals = std::mem::replace(&mut msg.next, TrainProfile::empty());
+                    self.advance_train(message, hop, arrivals, false);
                 }
             }
             TransportEvent::TrainDone(message, gen) => {
@@ -753,11 +779,9 @@ impl PacketNetwork {
 
     /// Buffers an async completion callback for a tracked message.
     fn record_completion(&mut self, message: MessageId, finish: Time) {
-        if self.messages[message.0].tracked {
-            self.completed.push(Completion {
-                id: AsyncMessageId(message.0 as u64),
-                finish,
-            });
+        if let Some(token) = self.messages[message.0].token {
+            self.completed.push(Completion { token, finish });
+            self.done_slots.push(message.0);
         }
     }
 
@@ -782,16 +806,12 @@ impl NetworkBackend for PacketNetwork {
     /// from `at` onwards and interleave with every other in-flight
     /// message, so cross-message queueing is modeled (unlike the blocking
     /// probe, which measures one message at a time).
-    fn send_async(&mut self, at: Time, src: NpuId, dst: NpuId, size: DataSize) -> AsyncMessageId {
-        let id = self.inject(at, src, dst, size, true);
+    fn send_async(&mut self, token: u32, at: Time, src: NpuId, dst: NpuId, size: DataSize) {
+        let id = self.inject(at, src, dst, size, Some(token));
         if let Some(finish) = self.messages[id.0].finish {
             // Self and empty messages complete at injection time.
-            self.completed.push(Completion {
-                id: AsyncMessageId(id.0 as u64),
-                finish,
-            });
+            self.record_completion(id, finish);
         }
-        AsyncMessageId(id.0 as u64)
     }
 
     /// The packet simulator cannot schedule hops in its processed past:
@@ -826,11 +846,10 @@ impl NetworkBackend for PacketNetwork {
         ran
     }
 
-    /// Each drained message is forgotten: its slot, and so its id, goes
-    /// to the next [`NetworkBackend::send_async`].
+    /// Each drained message is forgotten: its slot goes to the next
+    /// [`NetworkBackend::send_async`].
     fn drain_completions(&mut self, out: &mut Vec<Completion>) {
-        self.free_slots
-            .extend(self.completed.iter().map(|c| c.id.0 as usize));
+        self.free_slots.append(&mut self.done_slots);
         out.append(&mut self.completed);
     }
 
@@ -1223,21 +1242,19 @@ mod tests {
     /// Drives `net` on the async API from `first` (all sent at zero):
     /// each drained completion, while `follow_ups` lasts, sends the same
     /// pair again from its finish instant (or the clock, if later).
-    /// Returns every finish in send order. Ids are looked up only between
-    /// a drain and the next send.
+    /// Returns every finish in send order; a message's token is its place
+    /// in that order.
     fn chain_async(
         net: &mut PacketNetwork,
         first: &[(NpuId, NpuId)],
         size: DataSize,
         mut follow_ups: usize,
     ) -> Vec<Time> {
-        let mut pending = BTreeMap::new();
+        let mut pairs = Vec::new();
         let mut finishes = Vec::new();
         for &(src, dst) in first {
-            pending.insert(
-                net.send_async(Time::ZERO, src, dst, size),
-                (finishes.len(), src, dst),
-            );
+            net.send_async(pairs.len() as u32, Time::ZERO, src, dst, size);
+            pairs.push((src, dst));
             finishes.push(None);
         }
         let mut batch = Vec::new();
@@ -1245,23 +1262,23 @@ mod tests {
             net.drain_completions(&mut batch);
             let mut again = Vec::new();
             for c in batch.drain(..) {
-                let (i, src, dst) = pending.remove(&c.id).unwrap();
-                finishes[i] = Some(c.finish);
+                let i = c.token as usize;
+                assert_eq!(finishes[i].replace(c.finish), None, "token returned twice");
                 if follow_ups > 0 {
                     follow_ups -= 1;
-                    again.push((c.finish.max(net.earliest_send_time()), src, dst));
+                    again.push((c.finish.max(net.earliest_send_time()), pairs[i]));
                 }
             }
-            for (at, src, dst) in again {
-                pending.insert(
-                    net.send_async(at, src, dst, size),
-                    (finishes.len(), src, dst),
-                );
+            for (at, (src, dst)) in again {
+                net.send_async(pairs.len() as u32, at, src, dst, size);
+                pairs.push((src, dst));
                 finishes.push(None);
             }
         }
-        assert!(pending.is_empty(), "every message completes");
-        finishes.into_iter().map(Option::unwrap).collect()
+        finishes
+            .into_iter()
+            .map(|f| f.expect("every message completes"))
+            .collect()
     }
 
     /// A chain of async sends, each sent once the previous completion is

@@ -89,25 +89,41 @@ fn run_core(
 type Batches = Vec<(Time, Vec<Completion>)>;
 
 /// Reacts to a completion batch the way an engine does: each completion
-/// (until `budget` runs out) triggers a follow-up message from its
-/// destination side, sent no earlier than the backend allows.
+/// (until `budget` runs out) triggers a follow-up message, derived from
+/// the completed message's token and sent under the next token, no
+/// earlier than the backend allows.
 fn react(net: &mut PacketNetwork, npus: usize, batch: &[Completion], budget: &mut usize) {
     for c in batch {
         if *budget == 0 {
             return;
         }
         *budget -= 1;
-        let src = (c.id.0 as usize * 7 + 1) % npus;
-        let dst = (c.id.0 as usize * 3 + 2) % npus;
+        let token = c.token as usize;
+        let src = (token * 7 + 1) % npus;
+        let dst = (token * 3 + 2) % npus;
         let at = c.finish.max(net.earliest_send_time());
-        net.send_async(at, src, dst, DataSize::from_kib(16 + c.id.0 % 64));
+        let next = net.stats().messages as u32;
+        net.send_async(
+            next,
+            at,
+            src,
+            dst,
+            DataSize::from_kib(16 + token as u64 % 64),
+        );
     }
 }
 
+/// Sends `sends` under tokens `0..`: a message's token is its send index.
 fn seed(net: &mut PacketNetwork, npus: usize, sends: &[(usize, usize, u64, u64)], incast: bool) {
-    for &(src, dst, kib, offset) in sends {
+    for (token, &(src, dst, kib, offset)) in sends.iter().enumerate() {
         let (src, dst) = endpoints(npus, incast, src, dst);
-        net.send_async(SLOT * offset, src, dst, DataSize::from_kib(kib));
+        net.send_async(
+            token as u32,
+            SLOT * offset,
+            src,
+            dst,
+            DataSize::from_kib(kib),
+        );
     }
 }
 

@@ -24,9 +24,7 @@ use astra_topology::{route_avoiding, FaultedGraph, LinkGraph, LinkId, NpuId, Top
 use std::sync::Arc;
 
 use crate::congestion::max_min_rates;
-use crate::{
-    AsyncMessageId, Completion, LinkTrace, NetworkBackend, NetworkStats, SharedRouteTable,
-};
+use crate::{Completion, LinkTrace, NetworkBackend, NetworkStats, RouteTable, SharedRouteTable};
 
 /// Relative capacity head-room a shared link must keep for an arrival or
 /// departure to extend the memoized max-min allocation instead of
@@ -54,9 +52,10 @@ struct FlowState {
     /// Injection instant (telemetry span start).
     start: Time,
     finish: Option<Time>,
-    /// Whether the flow was injected through the async NetworkAPI and its
-    /// completion must be reported via `drain_completions`.
-    tracked: bool,
+    /// The caller's token of a flow sent through the async NetworkAPI,
+    /// whose completion is reported via `drain_completions`; `None` for
+    /// [`FlowNetwork::inject_at`] flows.
+    token: Option<u32>,
 }
 
 /// A max-min fair fluid-flow network simulation.
@@ -66,6 +65,13 @@ struct FlowState {
 /// at its max-min fair rate (progressive filling, recomputed at each
 /// event). [`crate::congestion::max_min_completion`] is this simulation
 /// specialized to a batch of flows all starting at time zero.
+///
+/// Memory follows the flows in flight, not the flows ever sent: a flow
+/// sent through [`NetworkBackend::send_async`] is forgotten once
+/// [`NetworkBackend::drain_completions`] hands out its completion, and its
+/// slot goes to a later send. Flows injected with
+/// [`FlowNetwork::inject_at`] are kept, so [`FlowNetwork::completion`]
+/// answers for them at any time.
 ///
 /// # Example
 ///
@@ -85,9 +91,23 @@ struct FlowState {
 #[derive(Debug)]
 pub struct FlowNetwork {
     graph: LinkGraph,
-    routes: Vec<Vec<LinkId>>,
-    route_ids: BTreeMap<(NpuId, NpuId), usize>,
+    routes: RouteTable,
+    /// Flow slots, indexed by [`FlowId`]. Untracked flows
+    /// ([`FlowNetwork::inject_at`]) keep theirs for the backend's
+    /// lifetime; a tracked one's slot is freed when its completion is
+    /// drained.
     flows: Vec<FlowState>,
+    /// Slots of tracked flows whose completions await draining, in
+    /// completion order.
+    done_slots: Vec<usize>,
+    /// Slots of drained tracked flows, reused by the next tracked send.
+    free_slots: Vec<usize>,
+    /// Flows sent so far, reused slots included (`NetworkStats::messages`).
+    flows_sent: u64,
+    /// Slots of the flows in flight. Its order, like that of
+    /// `link_members`, follows the sequence of arrivals and departures
+    /// alone, never the slot numbers, so reusing slots cannot reorder a
+    /// re-share.
     active: Vec<usize>,
     /// Flow index → its position in `active` (valid only while active).
     /// Lets the incremental rate computation translate the per-link
@@ -117,7 +137,7 @@ pub struct FlowNetwork {
     /// Re-share computations answered from the maintained allocation.
     reuses: Cell<u64>,
     /// Optional cross-run route table for the same topology, consulted
-    /// only when a pair misses the local `route_ids` memo. Routing is
+    /// only when a pair misses the local `routes` memo. Routing is
     /// deterministic, so a shared hit is bit-identical to recomputing.
     shared_routes: Option<Arc<SharedRouteTable>>,
     /// Failed links (fault injection): excluded from routing; empty for a
@@ -140,9 +160,11 @@ impl FlowNetwork {
         let num_links = graph.num_links();
         FlowNetwork {
             graph,
-            routes: Vec::new(),
-            route_ids: BTreeMap::new(),
+            routes: RouteTable::new(),
             flows: Vec::new(),
+            done_slots: Vec::new(),
+            free_slots: Vec::new(),
+            flows_sent: 0,
             active: Vec::new(),
             position: Vec::new(),
             link_members: vec![Vec::new(); num_links],
@@ -215,32 +237,29 @@ impl FlowNetwork {
         self.reuses.get()
     }
 
+    /// Resolves (or reuses) the memoized route for a pair. A local miss
+    /// consults the shared table before computing the route.
     fn route_index(&mut self, src: NpuId, dst: NpuId) -> usize {
-        if let Some(&idx) = self.route_ids.get(&(src, dst)) {
-            return idx;
-        }
-        let idx = self.routes.len();
-        let route = if !self.dead_links.is_empty() {
-            // Fault-aware routing never consults the shared table (it was
-            // built for the pristine fabric).
-            route_avoiding(&self.graph, src, dst, &self.dead_links)
-                // astra-lint: allow(panic, callers reject disconnected fault schedules before building backends)
-                .expect("fault-aware route exists")
-        } else {
-            match self.shared_routes.as_ref().and_then(|s| s.get(src, dst)) {
+        let (graph, dead_links, shared) = (&self.graph, &self.dead_links, &self.shared_routes);
+        self.routes.index_of(src, dst, || {
+            if !dead_links.is_empty() {
+                // Fault-aware routing never consults the shared table (it
+                // was built for the pristine fabric).
+                return route_avoiding(graph, src, dst, dead_links)
+                    // astra-lint: allow(panic, callers reject disconnected fault schedules before building backends)
+                    .expect("fault-aware route exists");
+            }
+            match shared.as_ref().and_then(|s| s.get(src, dst)) {
                 Some(route) => route,
                 None => {
-                    let route = self.graph.route(src, dst);
-                    if let Some(shared) = &self.shared_routes {
+                    let route = graph.route(src, dst);
+                    if let Some(shared) = shared {
                         shared.insert(src, dst, route.clone());
                     }
                     route
                 }
             }
-        };
-        self.routes.push(route);
-        self.route_ids.insert((src, dst), idx);
-        idx
+        })
     }
 
     /// Injects a flow at time `at` (clamped to the current time if the
@@ -248,35 +267,52 @@ impl FlowNetwork {
     /// advances to the arrival instant — departures scheduled before `at`
     /// happen first, re-sharing bandwidth on the way.
     pub fn inject_at(&mut self, at: Time, src: NpuId, dst: NpuId, size: DataSize) -> FlowId {
+        self.inject(at, src, dst, size, None)
+    }
+
+    /// Stores a new flow (a tracked one, with a `token`, reuses a drained
+    /// slot) and admits it to the active set.
+    fn inject(
+        &mut self,
+        at: Time,
+        src: NpuId,
+        dst: NpuId,
+        size: DataSize,
+        token: Option<u32>,
+    ) -> FlowId {
         self.advance_to(at.as_ps() as f64);
-        let id = FlowId(self.flows.len());
         let route = self.route_index(src, dst);
         if self.routes[route].is_empty() || size == DataSize::ZERO {
             // Self and empty flows complete instantly.
-            self.flows.push(FlowState {
+            let at = self.now().max(at);
+            let id = self.store(FlowState {
                 route,
                 remaining: 0.0,
                 latency: Time::ZERO,
-                start: self.now().max(at),
-                finish: Some(self.now().max(at)),
-                tracked: false,
+                start: at,
+                finish: Some(at),
+                token,
             });
-            self.position.push(usize::MAX);
+            self.position[id.0] = usize::MAX;
+            if let Some(token) = token {
+                self.completed.push(Completion { token, finish: at });
+                self.done_slots.push(id.0);
+            }
             return id;
         }
         let latency = self.routes[route]
             .iter()
             .map(|&l| self.graph.link(l).latency)
             .sum();
-        self.flows.push(FlowState {
+        let id = self.store(FlowState {
             route,
             remaining: size.as_bytes() as f64,
             latency,
             start: self.now(),
             finish: None,
-            tracked: false,
+            token,
         });
-        self.position.push(self.active.len());
+        self.position[id.0] = self.active.len();
         self.active.push(id.0);
         // A flow with at least one private link (no other traffic) whose
         // shared links all keep strict capacity head-room freezes at its
@@ -318,6 +354,21 @@ impl FlowNetwork {
         }
         self.next_dep.set(None);
         id
+    }
+
+    /// Gives `flow` a slot: a tracked flow takes a drained slot if there
+    /// is one. The caller sets the slot's `position`.
+    fn store(&mut self, flow: FlowState) -> FlowId {
+        self.flows_sent += 1;
+        if flow.token.is_some() {
+            if let Some(slot) = self.free_slots.pop() {
+                self.flows[slot] = flow;
+                return FlowId(slot);
+            }
+        }
+        self.flows.push(flow);
+        self.position.push(usize::MAX);
+        FlowId(self.flows.len() - 1)
     }
 
     /// Runs until every flow has drained, returning the final time.
@@ -372,11 +423,9 @@ impl FlowNetwork {
                 flow.finish = Some(finish);
                 let route = flow.route;
                 let span_start = flow.start;
-                if flow.tracked {
-                    self.completed.push(Completion {
-                        id: AsyncMessageId(idx as u64),
-                        finish,
-                    });
+                if let Some(token) = flow.token {
+                    self.completed.push(Completion { token, finish });
+                    self.done_slots.push(idx);
                 }
                 if self.telemetry {
                     self.flow_spans.push((span_start, finish, route));
@@ -490,7 +539,7 @@ impl FlowNetwork {
                 let routes: Vec<&[LinkId]> = self
                     .active
                     .iter()
-                    .map(|&i| self.routes[self.flows[i].route].as_slice())
+                    .map(|&i| &self.routes[self.flows[i].route])
                     .collect();
                 let positions: Vec<usize> = (0..routes.len()).collect();
                 max_min_rates(&self.graph, &routes, &positions)
@@ -572,18 +621,10 @@ impl NetworkBackend for FlowNetwork {
     /// rates, so an async send can slow down (and be slowed down by)
     /// overlapping engine traffic — the contention the blocking-p2p oracle
     /// cannot see.
-    fn send_async(&mut self, at: Time, src: NpuId, dst: NpuId, size: DataSize) -> AsyncMessageId {
-        let id = self.inject_at(at, src, dst, size);
-        let flow = &mut self.flows[id.0];
-        flow.tracked = true;
-        if let Some(finish) = flow.finish {
-            // Self and empty flows complete at injection time.
-            self.completed.push(Completion {
-                id: AsyncMessageId(id.0 as u64),
-                finish,
-            });
-        }
-        AsyncMessageId(id.0 as u64)
+    ///
+    /// Self and empty flows complete at injection time.
+    fn send_async(&mut self, token: u32, at: Time, src: NpuId, dst: NpuId, size: DataSize) {
+        self.inject(at, src, dst, size, Some(token));
     }
 
     /// The fluid clock, rounded down: a send at or before it starts at
@@ -613,13 +654,16 @@ impl NetworkBackend for FlowNetwork {
         }
     }
 
+    /// Each drained flow is forgotten: its slot goes to the next
+    /// [`NetworkBackend::send_async`].
     fn drain_completions(&mut self, out: &mut Vec<Completion>) {
+        self.free_slots.append(&mut self.done_slots);
         out.append(&mut self.completed);
     }
 
     fn stats(&self) -> NetworkStats {
         NetworkStats {
-            messages: self.flows.len() as u64,
+            messages: self.flows_sent,
             events: self.reshares,
             backend_setups: 1,
             ..NetworkStats::default()
@@ -840,8 +884,8 @@ mod tests {
     fn async_self_and_zero_sends_complete_without_events() {
         let t = topo("R(4)@100");
         let mut net = FlowNetwork::new(&t);
-        let a = net.send_async(Time::from_us(2), 1, 1, DataSize::from_mib(8));
-        let b = net.send_async(Time::from_us(5), 0, 2, DataSize::ZERO);
+        net.send_async(4, Time::from_us(2), 1, 1, DataSize::from_mib(8));
+        net.send_async(9, Time::from_us(5), 0, 2, DataSize::ZERO);
         assert_eq!(net.next_event_time(), None);
         let mut out = Vec::new();
         net.drain_completions(&mut out);
@@ -849,15 +893,48 @@ mod tests {
             out,
             vec![
                 Completion {
-                    id: a,
+                    token: 4,
                     finish: Time::from_us(2)
                 },
                 Completion {
-                    id: b,
+                    token: 9,
                     finish: Time::from_us(5)
                 },
             ]
         );
+    }
+
+    /// A chain of async sends, each sent once the previous completion is
+    /// drained, lives in one slot, and finishes exactly as the same chain
+    /// of untracked flows; an `inject_at` flow keeps its own slot, and
+    /// `stats().messages` counts every send.
+    #[test]
+    fn drained_chain_holds_one_slot() {
+        let t = topo("R(8)@100");
+        let size = DataSize::from_mib(1);
+        let mut tracked = FlowNetwork::new(&t);
+        let mut untracked = FlowNetwork::new(&t);
+        let kept = tracked.inject_at(Time::ZERO, 4, 6, DataSize::from_kib(64));
+        untracked.inject_at(Time::ZERO, 4, 6, DataSize::from_kib(64));
+        let mut at = Time::ZERO;
+        let mut out = Vec::new();
+        for token in 0..10 {
+            tracked.send_async(token, at, 0, 3, size);
+            let id = untracked.inject_at(at, 0, 3, size);
+            while out.is_empty() {
+                let next = tracked.next_event_time().unwrap();
+                tracked.advance_until(next);
+                tracked.drain_completions(&mut out);
+            }
+            let c = out.pop().unwrap();
+            assert_eq!(c.token, token);
+            untracked.run_until_idle();
+            assert_eq!(untracked.completion(id), Some(c.finish));
+            at = c.finish.max(tracked.earliest_send_time());
+        }
+        assert_eq!(tracked.flows.len(), 2, "the chain grew past one slot");
+        assert!(tracked.completion(kept).is_some());
+        assert_eq!(tracked.stats().messages, 11);
     }
 
     #[test]
@@ -906,7 +983,7 @@ mod tests {
             net.inject_at(net.now(), 0, 2, DataSize::from_kib(64));
         }
         net.run_until_idle();
-        assert_eq!(net.route_ids.len(), 1);
+        assert_eq!(net.routes.len(), 1);
     }
 
     #[test]

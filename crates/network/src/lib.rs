@@ -34,6 +34,7 @@
 
 pub mod congestion;
 mod flow;
+mod routes;
 mod warm;
 
 use std::collections::BTreeMap;
@@ -48,24 +49,17 @@ use serde::{Deserialize, Serialize};
 /// Re-exported so backend implementors and consumers share one type.
 pub use astra_telemetry::LinkTrace;
 pub use flow::{FlowId, FlowNetwork};
+pub use routes::RouteTable;
 pub use warm::{SharedDelayMemo, SharedRouteTable};
-
-/// Identifier of a message in flight on the async NetworkAPI
-/// ([`NetworkBackend::send_async`]). An id is backend-scoped and names one
-/// message from its send until its completion is drained
-/// ([`NetworkBackend::drain_completions`]); the backend may reuse it for a
-/// later send after that. Ids are lookup keys only: completions are
-/// ordered by time, never by id.
-#[derive(Copy, Clone, Debug, PartialEq, Eq, Hash, PartialOrd, Ord)]
-pub struct AsyncMessageId(pub u64);
 
 /// A finished async message, reported through
 /// [`NetworkBackend::drain_completions`] — the `callback(finish)` half of
 /// the paper's `sim_send(msg_size, dest, callback)`.
 #[derive(Copy, Clone, Debug, PartialEq, Eq)]
 pub struct Completion {
-    /// The message that finished.
-    pub id: AsyncMessageId,
+    /// The caller's token of the message that finished, exactly as it was
+    /// passed to [`NetworkBackend::send_async`].
+    pub token: u32,
     /// Absolute time at which the message fully arrived.
     pub finish: Time,
 }
@@ -108,6 +102,10 @@ impl NetworkStats {
     }
 }
 
+/// The token [`NetworkBackend::p2p_delay`] sends its probe under. Callers
+/// that drive the async half themselves should not mix in probes.
+pub const PROBE_TOKEN: u32 = u32::MAX;
+
 /// The network-layer abstraction consumed by the system layer — the Rust
 /// analogue of ASTRA-sim's `NetworkAPI` (paper Snippet 2).
 ///
@@ -119,6 +117,13 @@ impl NetworkStats {
 /// [`NetworkBackend::drain_completions`]. Engine-time-concurrent messages
 /// are co-resident inside the backend, so cross-message contention is
 /// modeled.
+///
+/// Messages are named by the caller: every send carries a `u32` token of
+/// the caller's choosing, and the backend hands that token back in the
+/// message's [`Completion`], exactly once. The backend never reads the
+/// token, so the caller may index its own table with it (the engine keeps
+/// its in-flight messages in a slab keyed by token) and reuse a token as
+/// soon as its completion is drained.
 ///
 /// [`NetworkBackend::p2p_delay`] is a provided blocking probe over that
 /// async half: it measures one message to completion on the backend's own
@@ -144,14 +149,16 @@ pub trait NetworkBackend {
     /// async messages discovered on the way are consumed, so a caller
     /// that drives the async half should not mix in probes.
     ///
+    /// The probe is sent under the token [`PROBE_TOKEN`].
+    ///
     /// Returns [`Time::ZERO`] when `src == dst`.
     fn p2p_delay(&mut self, src: NpuId, dst: NpuId, size: DataSize) -> Time {
         let at = self.earliest_send_time();
-        let id = self.send_async(at, src, dst, size);
+        self.send_async(PROBE_TOKEN, at, src, dst, size);
         let mut done = Vec::new();
         loop {
             self.drain_completions(&mut done);
-            if let Some(c) = done.iter().find(|c| c.id == id) {
+            if let Some(c) = done.iter().find(|c| c.token == PROBE_TOKEN) {
                 return c.finish - at;
             }
             done.clear();
@@ -163,10 +170,11 @@ pub trait NetworkBackend {
 
     /// Schedules a `size`-byte message from `src` to `dst` entering the
     /// network at absolute time `at`, without advancing the simulation.
-    /// The completion surfaces later through
+    /// The completion, carrying `token`, surfaces later through
     /// [`NetworkBackend::drain_completions`] (immediately for closed-form
-    /// backends and for self/empty messages).
-    fn send_async(&mut self, at: Time, src: NpuId, dst: NpuId, size: DataSize) -> AsyncMessageId;
+    /// backends and for self/empty messages). The caller must not reuse a
+    /// token while a message sent under it is still undrained.
+    fn send_async(&mut self, token: u32, at: Time, src: NpuId, dst: NpuId, size: DataSize);
 
     /// Earliest instant a new [`NetworkBackend::send_async`] may enter the
     /// network. Closed-form and fluid backends accept any non-decreasing
@@ -208,10 +216,9 @@ pub trait NetworkBackend {
     }
 
     /// Moves all completions discovered since the last call into `out`.
-    /// A drained completion ends its message's life in the backend: the
-    /// backend may hand its [`AsyncMessageId`] to a later
-    /// [`NetworkBackend::send_async`], so a caller must be done with the
-    /// drained ids before it sends again.
+    /// A drained completion ends its message's life in the backend, which
+    /// may then reuse the message's storage, and frees its token for the
+    /// caller's next [`NetworkBackend::send_async`].
     fn drain_completions(&mut self, out: &mut Vec<Completion>);
 
     /// Work counters accumulated so far (see [`NetworkStats`]).
@@ -506,12 +513,10 @@ impl NetworkBackend for AnalyticalNetwork {
     /// Closed-form backend: the completion is known at send time (the
     /// equation is congestion-free, so later traffic cannot change it) and
     /// becomes drainable immediately.
-    fn send_async(&mut self, at: Time, src: NpuId, dst: NpuId, size: DataSize) -> AsyncMessageId {
-        let id = AsyncMessageId(self.messages);
+    fn send_async(&mut self, token: u32, at: Time, src: NpuId, dst: NpuId, size: DataSize) {
         self.messages += 1;
         let finish = at + self.cached_delay(src, dst, size);
-        self.ready.push(Completion { id, finish });
-        id
+        self.ready.push(Completion { token, finish });
     }
 
     fn next_event_time(&self) -> Option<Time> {
@@ -635,7 +640,7 @@ mod tests {
         let size = DataSize::from_mib(1);
         let at = Time::from_us(7);
         let delay = n.p2p_delay(0, 3, size);
-        let id = n.send_async(at, 0, 3, size);
+        n.send_async(7, at, 0, 3, size);
         // The closed form is congestion-free: the completion is known at
         // send time and drainable without advancing anything.
         assert_eq!(n.next_event_time(), None);
@@ -644,7 +649,7 @@ mod tests {
         assert_eq!(
             out,
             vec![Completion {
-                id,
+                token: 7,
                 finish: at + delay
             }]
         );

@@ -15,8 +15,7 @@ use astra_des::{
 use astra_garnet::TransportMode;
 use astra_memory::{LocalMemory, PoolArchitecture, RemoteMemory, TransferMode};
 use astra_network::{
-    AsyncMessageId, Completion, NetworkBackend, NetworkBackendKind, NetworkStats, SharedDelayMemo,
-    SharedRouteTable,
+    Completion, NetworkBackend, NetworkBackendKind, NetworkStats, SharedDelayMemo, SharedRouteTable,
 };
 use astra_telemetry::{
     ChunkOpSpan, CollectiveSpan, DepEdge, Marker, MetricsReport, NpuTimeline, SimTrace, TraceSink,
@@ -357,7 +356,7 @@ struct InFlightP2p {
 /// representative wire endpoints. On a NIC queue it can stand for a
 /// counted run of root ops (see [`Engine::pop_nic`]).
 struct ChunkSend {
-    /// Running-collective instance id.
+    /// The running collective's key in [`Engine::running_collectives`].
     coll: u32,
     /// Op id within the instance's program.
     op: u64,
@@ -402,6 +401,58 @@ impl Outbound {
             Outbound::Peer(m) => (m.dst, m.size),
             Outbound::Chunk(c) => (c.dst, c.size),
         }
+    }
+}
+
+/// A table of live entries, each reached by the `u32` key it was
+/// inserted under (its slot). A removed entry's slot goes to the next
+/// insert, so the table holds as many slots as entries were ever live at
+/// once, and a lookup is one index.
+struct Slab<T> {
+    slots: Vec<Option<T>>,
+    /// Slots of removed entries, reused last-freed first.
+    free: Vec<u32>,
+}
+
+impl<T> Slab<T> {
+    fn new() -> Self {
+        Slab {
+            slots: Vec::new(),
+            free: Vec::new(),
+        }
+    }
+
+    /// Stores `value` and returns its key.
+    fn insert(&mut self, value: T) -> u32 {
+        match self.free.pop() {
+            Some(key) => {
+                self.slots[key as usize] = Some(value);
+                key
+            }
+            None => {
+                self.slots.push(Some(value));
+                (self.slots.len() - 1) as u32
+            }
+        }
+    }
+
+    fn get(&self, key: u32) -> Option<&T> {
+        self.slots.get(key as usize)?.as_ref()
+    }
+
+    fn get_mut(&mut self, key: u32) -> Option<&mut T> {
+        self.slots.get_mut(key as usize)?.as_mut()
+    }
+
+    /// Takes the entry out and frees its slot.
+    fn remove(&mut self, key: u32) -> Option<T> {
+        let value = self.slots.get_mut(key as usize)?.take()?;
+        self.free.push(key);
+        Some(value)
+    }
+
+    fn is_empty(&self) -> bool {
+        self.free.len() == self.slots.len()
     }
 }
 
@@ -633,7 +684,10 @@ pub(crate) struct Engine<'a> {
     /// Per group block: its collective rendezvous.
     rendezvous: Vec<Rendezvous>,
     p2p_pending: BTreeMap<(NpuId, NpuId, u64), P2pPending>,
-    in_flight: BTreeMap<AsyncMessageId, Outbound>,
+    /// Messages on the async backend, keyed by the token each was sent
+    /// under. Each NIC lane carries one message at a time, so this holds
+    /// at most one entry per block.
+    in_flight: Slab<Outbound>,
     /// Per source NIC lane: whether an injected message's completion is
     /// still undiscovered, when the lane is known to free, and the messages
     /// queued behind it. Invariant: an `InjectP2p` event is pending iff
@@ -643,10 +697,10 @@ pub(crate) struct Engine<'a> {
     nic_queue: Vec<VecDeque<Outbound>>,
     completions: Vec<Completion>,
 
-    /// Backend-executed collectives in flight (`CollectiveMode::Backend`),
-    /// keyed by instance id.
-    running_collectives: BTreeMap<u32, RunningCollective>,
-    next_collective: u32,
+    /// Backend-executed collectives in flight (`CollectiveMode::Backend`).
+    /// A drained collective's slot goes to the next launch, so the table
+    /// follows the collectives in flight, not every collective run.
+    running_collectives: Slab<RunningCollective>,
     /// Lowered programs memoized per `(group, collective, size)` — a
     /// training loop re-issues the same collective every iteration/layer,
     /// so lowering runs once per distinct shape.
@@ -761,13 +815,12 @@ impl<'a> Engine<'a> {
             finish: vec![Time::ZERO; blocks],
             rendezvous,
             p2p_pending: BTreeMap::new(),
-            in_flight: BTreeMap::new(),
+            in_flight: Slab::new(),
             nic_occupied: vec![false; blocks],
             nic_free: vec![Time::ZERO; blocks],
             nic_queue: (0..blocks).map(|_| VecDeque::new()).collect(),
             completions: Vec::new(),
-            running_collectives: BTreeMap::new(),
-            next_collective: 0,
+            running_collectives: Slab::new(),
             program_memo: BTreeMap::new(),
             lowering_hits: 0,
             lowering_misses: 0,
@@ -1011,7 +1064,7 @@ impl<'a> Engine<'a> {
                     }
                 }
                 EngineEvent::InjectP2p(src) => {
-                    let Some(msg) = self.pop_nic(src) else {
+                    let Some(msg) = self.pop_nic(src)? else {
                         return Err(SimError::Internal(
                             "InjectP2p event fired with an empty NIC queue",
                         ));
@@ -1019,7 +1072,7 @@ impl<'a> Engine<'a> {
                     self.inject_p2p(msg, now);
                 }
                 EngineEvent::ChunkReady { coll, op } => {
-                    self.enqueue_chunk_op(coll, op, now, 0);
+                    self.enqueue_chunk_op(coll, op, now, 0)?;
                 }
             }
             self.drain_network()?;
@@ -1256,8 +1309,8 @@ impl<'a> Engine<'a> {
             && !span.dims.is_empty()
             && size != DataSize::ZERO
         {
-            self.launch_backend_collective(group, collective, size, start, arrivals, trace_id);
-            return Ok(());
+            return self
+                .launch_backend_collective(group, collective, size, start, arrivals, trace_id);
         }
         let origins = match &mut self.ties {
             Some(ties) => {
@@ -1340,7 +1393,7 @@ impl<'a> Engine<'a> {
         start: Time,
         arrivals: Vec<Arrival>,
         trace_id: u64,
-    ) {
+    ) -> Result<(), SimError> {
         let program = match self.program_memo.get(&(group, collective, size)) {
             Some(program) => {
                 self.lowering_hits += 1;
@@ -1360,32 +1413,37 @@ impl<'a> Engine<'a> {
                 program
             }
         };
-        let id = self.next_collective;
-        self.next_collective += 1;
         let chunks = program.chunks();
-        self.running_collectives.insert(
-            id,
-            RunningCollective {
-                arrivals,
-                remaining_ops: program.len(),
-                program,
-                finish: start,
-                group,
-                start,
-                trace_id,
-            },
-        );
+        let coll = self.running_collectives.insert(RunningCollective {
+            arrivals,
+            remaining_ops: program.len(),
+            program,
+            finish: start,
+            group,
+            start,
+            trace_id,
+        });
         // The meeting completes at the engine's current instant, so the
         // root ops (op 0 and every later chunk's first phase) are ready
         // right now.
-        self.enqueue_chunk_op(id, 0, start, chunks - 1);
+        self.enqueue_chunk_op(coll, 0, start, chunks - 1)
     }
 
     /// Binds a ready chunk op, plus the `more` root ops of the next chunks
     /// when `op` is a root, to its wire endpoints and hands them to the
     /// source's NIC lane as one entry.
-    fn enqueue_chunk_op(&mut self, coll: u32, op: u64, ready: Time, more: u64) {
-        let rc = &self.running_collectives[&coll];
+    fn enqueue_chunk_op(
+        &mut self,
+        coll: u32,
+        op: u64,
+        ready: Time,
+        more: u64,
+    ) -> Result<(), SimError> {
+        let Some(rc) = self.running_collectives.get(coll) else {
+            return Err(SimError::Internal(
+                "ready chunk op does not belong to a running collective",
+            ));
+        };
         let meta = rc.program.op(op);
         let (_, _, (src, dst)) = self.spans[rc.group as usize].dims[meta.dim];
         self.chunk_ops += 1 + more;
@@ -1397,7 +1455,7 @@ impl<'a> Engine<'a> {
             size: meta.size,
             ready,
             more,
-        }));
+        }))
     }
 
     /// Hands a resolved message to its source's NIC lane: inject now if
@@ -1412,7 +1470,7 @@ impl<'a> Engine<'a> {
     /// instant. Handing the backend a future send would violate the
     /// shared-clock invariant (the fluid backend would advance its clock
     /// past other arrivals still queued in the engine).
-    fn enqueue_outbound(&mut self, msg: Outbound) {
+    fn enqueue_outbound(&mut self, msg: Outbound) -> Result<(), SimError> {
         let src = msg.src();
         let ready = msg.ready();
         // A busy lane or a non-empty queue means an InjectP2p follow-up is
@@ -1420,30 +1478,36 @@ impl<'a> Engine<'a> {
         let idle = !self.nic_occupied[src] && self.nic_queue[src].is_empty();
         self.nic_queue[src].push_back(msg);
         if !idle {
-            return;
+            return Ok(());
         }
         let at = ready.max(self.nic_free[src]);
         if at > self.queue.now() {
             self.queue.schedule_at(at, EngineEvent::InjectP2p(src));
-        } else if let Some(msg) = self.pop_nic(src) {
+        } else if let Some(msg) = self.pop_nic(src)? {
             self.inject_p2p(msg, at);
         }
+        Ok(())
     }
 
     /// Takes the next message off `src`'s NIC queue. A counted run of root
     /// ops yields its first op and keeps the rest at the queue head, so
     /// each root holds the FIFO slot it would hold as its own entry.
-    fn pop_nic(&mut self, src: NpuId) -> Option<Outbound> {
+    fn pop_nic(&mut self, src: NpuId) -> Result<Option<Outbound>, SimError> {
         if let Some(Outbound::Chunk(run)) = self.nic_queue[src].front_mut() {
             if run.more > 0 {
-                let stride = self.running_collectives[&run.coll].program.phases().len() as u64;
+                let Some(rc) = self.running_collectives.get(run.coll) else {
+                    return Err(SimError::Internal(
+                        "queued chunk op does not belong to a running collective",
+                    ));
+                };
+                let stride = rc.program.phases().len() as u64;
                 let first = ChunkSend { more: 0, ..*run };
                 run.op += stride;
                 run.more -= 1;
-                return Some(Outbound::Chunk(first));
+                return Ok(Some(Outbound::Chunk(first)));
             }
         }
-        self.nic_queue[src].pop_front()
+        Ok(self.nic_queue[src].pop_front())
     }
 
     fn resolve_p2p(
@@ -1478,25 +1542,25 @@ impl<'a> Engine<'a> {
             recv_node,
             send_ready,
             recv_ready,
-        }));
-        Ok(())
+        }))
     }
 
     /// Hands a resolved message to the async backend at `at` (never ahead
     /// of the engine clock — see [`Engine::enqueue_outbound`]), occupying
-    /// the source's NIC lane.
+    /// the source's NIC lane. The message waits in [`Engine::in_flight`]
+    /// under the token the backend hands back with its completion.
     fn inject_p2p(&mut self, msg: Outbound, at: Time) {
         let src = msg.src();
         debug_assert!(at >= msg.ready(), "message injected before it is ready");
         let (dst, size) = msg.dst_size();
         self.nic_occupied[src] = true;
+        let token = self.in_flight.insert(msg);
         let net = self.network_mut();
         // A chunk op's lane can free before its predecessor's last-hop
         // propagation completed; the store-and-forward backend cannot
         // re-open that history, so the send clamps to its clock floor.
         let at = at.max(net.earliest_send_time());
-        let id = net.send_async(at, src, dst, size);
-        self.in_flight.insert(id, msg);
+        net.send_async(token, at, src, dst, size);
     }
 
     /// Collects completion callbacks from the async backend and applies
@@ -1523,7 +1587,7 @@ impl<'a> Engine<'a> {
     /// send/recv graph nodes for p2p traffic, the dependent chunk ops (and
     /// eventually the meeting) for a backend-executed collective.
     fn finish_p2p(&mut self, c: Completion) -> Result<(), SimError> {
-        let Some(msg) = self.in_flight.remove(&c.id) else {
+        let Some(msg) = self.in_flight.remove(c.token) else {
             return Err(SimError::Internal(
                 "completion does not match an in-flight message",
             ));
@@ -1578,7 +1642,7 @@ impl<'a> Engine<'a> {
     /// program drains — resumes the meeting's graph nodes at the
     /// collective's finish.
     fn finish_chunk_op(&mut self, chunk: ChunkSend, wire_finish: Time) -> Result<(), SimError> {
-        let Some(rc) = self.running_collectives.get_mut(&chunk.coll) else {
+        let Some(rc) = self.running_collectives.get_mut(chunk.coll) else {
             return Err(SimError::Internal(
                 "chunk op does not belong to a running collective",
             ));
@@ -1622,7 +1686,7 @@ impl<'a> Engine<'a> {
         }
         self.release_nic(chunk.src, lane_free);
         if finished {
-            let Some(rc) = self.running_collectives.remove(&chunk.coll) else {
+            let Some(rc) = self.running_collectives.remove(chunk.coll) else {
                 return Err(SimError::Internal(
                     "drained collective was already removed before its last op",
                 ));
@@ -2101,5 +2165,74 @@ mod tests {
         assert!(b.exposed_comm > Time::ZERO);
         assert!(b.exposed_remote_mem > Time::ZERO);
         assert_eq!(b.total(), report.total_time);
+    }
+
+    /// perfbench's `packet-coll-64` run (GPT-3 MP8 on 64 NPUs, packet
+    /// network, 2,304 backend collectives of 256 chunk ops each) reuses
+    /// its tables' slots: the in-flight table never holds more than one
+    /// message per NPU, since a NIC lane carries one message at a time,
+    /// and the running-collective table no more than the most collectives
+    /// ever live at once. Neither grows with the ops or collectives run.
+    #[test]
+    fn packet_collective_run_keeps_its_tables_at_the_live_peak() {
+        let topo = Topology::parse("R(8)@250_SW(8)@100").unwrap();
+        let trace = parallelism::generate_trace(
+            &models::gpt3_175b(),
+            Parallelism::Hybrid { mp: 8 },
+            topo.npus(),
+        )
+        .unwrap();
+        // Telemetry on, so the sink keeps each collective's span. The
+        // backend is installed up front with link recording left off: the
+        // per-packet link grants are not needed here.
+        let config = SystemConfig {
+            network_backend: NetworkBackendKind::Packet,
+            collective_mode: CollectiveMode::Backend,
+            telemetry: true,
+            ..SystemConfig::default()
+        };
+        let warm = WarmState::default();
+        let setup = prepare(&trace, &topo, &config).unwrap();
+        let orbits = Orbits::identity(trace.npus(), setup.spans.len(), topo.num_dims());
+        let mut engine = Engine::new(&trace, &topo, &config, &warm, orbits, setup);
+        engine.network = Some(build_backend(
+            &topo,
+            &config,
+            &warm,
+            TransportMode::Batched,
+            None,
+        ));
+        let report = engine.run().unwrap();
+        assert_eq!(report.collectives, 2304);
+        assert_eq!(report.collective_ops, 2304 * 256);
+        assert!(engine.network.as_ref().unwrap().exact());
+
+        assert!(engine.in_flight.is_empty());
+        assert!(engine.in_flight.slots.len() <= topo.npus());
+
+        // Each collective is live from its launch to its last op's
+        // completion, within its span `[start, finish]`; the most spans
+        // open at one instant bound the most collectives ever live.
+        let spans = &engine.sink.as_ref().unwrap().collectives;
+        assert_eq!(spans.len(), 2304);
+        let mut edges: Vec<(Time, i32)> = spans
+            .iter()
+            .flat_map(|span| [(span.start, 1), (span.finish, -1)])
+            .collect();
+        // Opens before closes at one instant: closed intervals.
+        edges.sort_by_key(|&(t, delta)| (t, -delta));
+        let (mut open, mut peak) = (0i32, 0i32);
+        for (_, delta) in edges {
+            open += delta;
+            peak = peak.max(open);
+        }
+        assert!(engine.running_collectives.is_empty());
+        let slots = engine.running_collectives.slots.len();
+        assert!(slots >= 1);
+        assert!(
+            slots <= peak as usize,
+            "{slots} collective slots for a peak of {peak} live collectives"
+        );
+        assert!(peak < 2304 / 8, "{peak} collectives live at once");
     }
 }

@@ -45,7 +45,8 @@ pub use engine::{
     WarmState,
 };
 pub use oracle::{
-    orbit_count, simulate_blocking_reference, simulate_full_reference, simulate_transport_reference,
+    orbit_count, probe_network, simulate_blocking_reference, simulate_full_reference,
+    simulate_transport_reference,
 };
 pub use report::{Breakdown, CacheStats, FaultImpact, SimReport};
 

@@ -4,7 +4,8 @@
 //! a probe backend that measures every message alone, with a `p2p_delay`
 //! probe on a fresh, cold backend of the configured kind. To the engine
 //! the probe looks like a closed-form backend: each completion is known
-//! at send time, as with the analytical equation.
+//! at send time, as with the analytical equation. [`probe_network`] is
+//! that backend on its own.
 //!
 //! [`simulate_transport_reference`] pins the packet backend to one
 //! transport, with no per-packet fallback.
@@ -15,7 +16,7 @@
 use astra_collectives::CollectiveMode;
 use astra_des::{DataSize, Time};
 use astra_garnet::TransportMode;
-use astra_network::{AsyncMessageId, Completion, NetworkBackend, NetworkStats};
+use astra_network::{Completion, NetworkBackend, NetworkStats};
 use astra_telemetry::SimTrace;
 use astra_topology::{NpuId, Topology};
 use astra_workload::ExecutionTrace;
@@ -48,13 +49,24 @@ pub fn simulate_blocking_reference(
     let warm = WarmState::default();
     let orbits = Orbits::identity(trace.npus(), setup.spans.len(), topo.num_dims());
     let mut engine = Engine::new(trace, topo, config, &warm, orbits, setup);
-    engine.network = Some(Box::new(ProbeNetwork {
+    engine.network = Some(probe_network(topo, config));
+    engine.run()
+}
+
+/// The backend [`simulate_blocking_reference`] runs on: every send is
+/// measured alone by a `p2p_delay` probe on a fresh, cold backend of
+/// `config`'s kind, and its completion, carrying the caller's token, is
+/// drainable at once.
+pub fn probe_network<'a>(
+    topo: &'a Topology,
+    config: &'a SystemConfig,
+) -> Box<dyn NetworkBackend + 'a> {
+    Box::new(ProbeNetwork {
         topo,
         config,
         stats: NetworkStats::default(),
         ready: Vec::new(),
-    }));
-    engine.run()
+    })
 }
 
 /// [`simulate_traced`](crate::simulate_traced) on the identity partition
@@ -138,12 +150,9 @@ impl ProbeNetwork<'_> {
 
 impl NetworkBackend for ProbeNetwork<'_> {
     /// The completion is known at send time and drainable immediately.
-    fn send_async(&mut self, at: Time, src: NpuId, dst: NpuId, size: DataSize) -> AsyncMessageId {
-        // One setup per message so far: a fresh id for this one.
-        let id = AsyncMessageId(self.stats.backend_setups);
+    fn send_async(&mut self, token: u32, at: Time, src: NpuId, dst: NpuId, size: DataSize) {
         let finish = at + self.measure(src, dst, size);
-        self.ready.push(Completion { id, finish });
-        id
+        self.ready.push(Completion { token, finish });
     }
 
     fn next_event_time(&self) -> Option<Time> {
