@@ -92,14 +92,15 @@ pub fn congestion() -> Vec<Row> {
 
     // Packet-level ground truth.
     let mut net = astra_garnet::PacketNetwork::new(&topo, PacketSimConfig::fast());
-    let ids: Vec<_> = flows
-        .iter()
-        .map(|f| net.send_at(astra_core::Time::ZERO, f.src, f.dst, f.size))
-        .collect();
+    for (token, f) in (0..).zip(&flows) {
+        net.send_async(token, astra_core::Time::ZERO, f.src, f.dst, f.size);
+    }
     net.run_until_idle();
-    let packet_last = ids
+    let mut done = Vec::new();
+    net.drain_completions(&mut done);
+    let packet_last = done
         .iter()
-        .map(|&id| net.completion(id).expect("completed").as_us_f64())
+        .map(|c| c.finish.as_us_f64())
         .fold(0.0, f64::max);
 
     vec![

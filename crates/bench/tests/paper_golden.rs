@@ -1,15 +1,16 @@
-//! Paper-series golden: the quick `fig4,fig9a,fig9b,table4,fig11,table5`
-//! sweep must reproduce the committed `fixtures/paper_quick.json` byte for
-//! byte, series array by series array. Only those paper series are
-//! compared: `threads_available` depends on the machine, and the empty
-//! placeholders of the unselected throughput series follow the series
-//! table, not the paper.
+//! Paper-series golden: the quick
+//! `fig4,fig9a,fig9b,table4,fig11,table5,ablations` sweep must reproduce
+//! the committed `fixtures/paper_quick.json` byte for byte, series array
+//! by series array. Only those paper series are compared:
+//! `threads_available` depends on the machine, and the empty placeholders
+//! of the unselected throughput series follow the series table, not the
+//! paper.
 
 use astra_bench::throughput::{parse_series, run};
 
 const FIXTURE: &str = include_str!("fixtures/paper_quick.json");
 
-const PAPER_SERIES: &str = "fig4,fig9a,fig9b,table4,fig11,table5";
+const PAPER_SERIES: &str = "fig4,fig9a,fig9b,table4,fig11,table5,ablations";
 
 #[test]
 fn quick_paper_series_match_the_committed_golden() {

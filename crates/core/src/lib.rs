@@ -41,7 +41,7 @@ pub use astra_memory::{
     PoolArchitecture, RemoteMemory, RingPool, TransferMode, ZeroInfinity,
 };
 pub use astra_network::{
-    AnalyticalConfig, AnalyticalNetwork, Completion, FlowId, FlowNetwork, NetworkBackend,
+    AnalyticalConfig, AnalyticalNetwork, Completion, FlowNetwork, NetworkBackend,
     NetworkBackendKind, NetworkStats, SharedDelayMemo, SharedRouteTable,
 };
 pub use astra_system::{

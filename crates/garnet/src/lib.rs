@@ -11,7 +11,9 @@
 //!   serialization (`packet/linkBW`) and propagation delay per hop, and
 //!   follow dimension-ordered routes. Event cost scales with
 //!   `packets × hops`, exactly the property that makes cycle-level
-//!   simulation slow at scale.
+//!   simulation slow at scale. Like every backend, it is driven through
+//!   the async [`astra_network::NetworkBackend`] API alone: messages are
+//!   sent under caller tokens and their completions drained.
 //! * [`collective_time`] — lockstep packet-level execution of the
 //!   multi-rail hierarchical collectives (the same algorithms the
 //!   analytical backend models in closed form), used as ground truth for
@@ -38,5 +40,5 @@ mod network;
 mod runner;
 pub mod semantics;
 
-pub use network::{MessageId, PacketNetwork, PacketSimConfig, TransportMode};
+pub use network::{PacketNetwork, PacketSimConfig, TransportMode};
 pub use runner::{collective_time, collective_time_for, collective_time_on, PacketRunReport};

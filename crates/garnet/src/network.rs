@@ -6,9 +6,9 @@ use astra_des::{DataSize, FifoCheckpoint, FifoResource, LanedEventQueue, Time, T
 use astra_network::{Completion, LinkTrace, NetworkBackend, NetworkStats, RouteTable};
 use astra_topology::{route_avoiding, FaultedGraph, LinkGraph, LinkId, NpuId, Topology};
 
-/// Identifier of an in-flight or completed message.
-#[derive(Copy, Clone, Debug, PartialEq, Eq, Hash, PartialOrd, Ord)]
-pub struct MessageId(usize);
+/// Slot of an in-flight message in [`PacketNetwork`]'s message store.
+#[derive(Copy, Clone, Debug, PartialEq, Eq)]
+struct MessageId(usize);
 
 /// How messages traverse the simulated links: one event per packet-hop
 /// ([`TransportMode::PerPacket`], the ground truth), or one closed-form
@@ -117,11 +117,8 @@ struct MessageState {
     /// events; bumping the generation cancels the superseded events still
     /// sitting in the queue (they are dropped on pop).
     gen: u32,
-    finish: Option<Time>,
-    /// The caller's token of a message sent through the async NetworkAPI,
-    /// whose completion is reported via `drain_completions`; `None` for
-    /// [`PacketNetwork::send_at`] messages.
-    token: Option<u32>,
+    /// The caller's token, handed back in the message's [`Completion`].
+    token: u32,
     /// Batched mode: the train's arrival profile at the head of the hop
     /// its pending [`TransportEvent::Train`] names. A message has at most
     /// one such event live (a split re-schedules it under a new
@@ -204,39 +201,41 @@ struct LinkTrainGroup {
 /// steady state, no heap allocation: its slot, its train profile and its
 /// link's rewindable group are all reused storage.
 ///
-/// Memory follows the messages in flight, not the messages ever sent: a
-/// message sent through [`NetworkBackend::send_async`] is forgotten once
+/// Messages are sent through [`NetworkBackend::send_async`] under a
+/// caller's token. Memory follows the messages in flight, not the messages
+/// ever sent: a message is forgotten once
 /// [`NetworkBackend::drain_completions`] hands out its completion, and its
-/// slot goes to a later send. Messages sent with
-/// [`PacketNetwork::send_at`] are kept, so [`PacketNetwork::completion`]
-/// answers for them at any time.
+/// slot goes to a later send.
 ///
 /// # Example
 ///
 /// ```
 /// use astra_des::{DataSize, Time};
 /// use astra_garnet::{PacketNetwork, PacketSimConfig};
+/// use astra_network::NetworkBackend;
 /// use astra_topology::Topology;
 ///
 /// let topo = Topology::parse("R(4)@100").unwrap();
 /// let mut net = PacketNetwork::new(&topo, PacketSimConfig::fast());
-/// let msg = net.send_at(Time::ZERO, 0, 2, DataSize::from_mib(1));
+/// net.send_async(7, Time::ZERO, 0, 2, DataSize::from_mib(1));
 /// net.run_until_idle();
-/// assert!(net.completion(msg).unwrap() > Time::ZERO);
+/// let mut done = Vec::new();
+/// net.drain_completions(&mut done);
+/// assert_eq!(done[0].token, 7);
+/// assert!(done[0].finish > Time::ZERO);
 /// ```
 #[derive(Debug)]
 pub struct PacketNetwork {
     graph: LinkGraph,
     link_queues: Vec<FifoResource>,
     queue: LanedEventQueue<TransportEvent>,
-    /// Message slots, indexed by [`MessageId`]. Untracked messages
-    /// ([`PacketNetwork::send_at`]) keep theirs for the backend's lifetime;
-    /// a tracked one's slot is freed when its completion is drained.
+    /// Message slots, indexed by [`MessageId`]; a slot is freed when its
+    /// message's completion is drained.
     messages: Vec<MessageState>,
-    /// Slots of tracked messages whose completions await draining, in
-    /// completion order.
+    /// Slots of messages whose completions await draining, in completion
+    /// order.
     done_slots: Vec<usize>,
-    /// Slots of drained tracked messages, reused by the next tracked send.
+    /// Slots of drained messages, reused by the next send.
     free_slots: Vec<usize>,
     /// Messages sent so far, reused slots included (`NetworkStats::messages`).
     messages_sent: u64,
@@ -385,28 +384,9 @@ impl PacketNetwork {
         })
     }
 
-    /// Injects a message at time `at`. Packets start queueing on the first
-    /// link of the route immediately.
-    ///
-    /// # Panics
-    ///
-    /// Panics if `at` is before the current simulation time ([`Self::now`])
-    /// or either NPU id is out of range.
-    pub fn send_at(&mut self, at: Time, src: NpuId, dst: NpuId, size: DataSize) -> MessageId {
-        self.inject(at, src, dst, size, None)
-    }
-
-    /// Stores a new message (a tracked one, with a `token`, reuses a
-    /// drained slot) and queues its packets, or its train, on the first
-    /// link of its route.
-    fn inject(
-        &mut self,
-        at: Time,
-        src: NpuId,
-        dst: NpuId,
-        size: DataSize,
-        token: Option<u32>,
-    ) -> MessageId {
+    /// Stores a new message and queues its packets, or its train, on the
+    /// first link of its route; a self or empty message completes at `at`.
+    fn inject(&mut self, token: u32, at: Time, src: NpuId, dst: NpuId, size: DataSize) {
         assert!(
             at >= self.now(),
             "message sent at {at}, before the packet network's clock {}",
@@ -414,16 +394,16 @@ impl PacketNetwork {
         );
         let route = self.route_index(src, dst);
         if self.routes[route].is_empty() || size == DataSize::ZERO {
-            return self.store(MessageState {
+            let id = self.store(MessageState {
                 route,
                 packet_bytes: DataSize::ZERO,
                 tail_bytes: DataSize::ZERO,
                 packets_remaining: 0,
                 gen: 0,
-                finish: Some(at),
                 token,
                 next: TrainProfile::empty(),
             });
+            return self.record_completion(id, at);
         }
         let pkt = self.config.packet_size.as_bytes().max(1);
         let full_packets = size.as_bytes() / pkt;
@@ -436,7 +416,6 @@ impl PacketNetwork {
             tail_bytes: DataSize::from_bytes(if tail > 0 { tail } else { pkt }),
             packets_remaining: count,
             gen: 0,
-            finish: None,
             token,
             next: TrainProfile::empty(),
         });
@@ -465,22 +444,19 @@ impl PacketNetwork {
                 self.advance_train(id, 0, TrainProfile::simultaneous(count, at), true);
             }
         }
-        id
     }
 
-    /// Gives `state` a slot: a tracked message takes a drained slot if
-    /// there is one, under its previous occupant's generation plus one, so
-    /// no `Train`/`TrainDone` event of that occupant can pass for the new
-    /// one's. (A superseded event pops before the completion it was
-    /// replaced for, so none should be left; the bump keeps it harmless.)
+    /// Gives `state` a slot: a drained slot if there is one, under its
+    /// previous occupant's generation plus one, so no `Train`/`TrainDone`
+    /// event of that occupant can pass for the new one's. (A superseded
+    /// event pops before the completion it was replaced for, so none
+    /// should be left; the bump keeps it harmless.)
     fn store(&mut self, mut state: MessageState) -> MessageId {
         self.messages_sent += 1;
-        if state.token.is_some() {
-            if let Some(slot) = self.free_slots.pop() {
-                state.gen = self.messages[slot].gen.wrapping_add(1);
-                self.messages[slot] = state;
-                return MessageId(slot);
-            }
+        if let Some(slot) = self.free_slots.pop() {
+            state.gen = self.messages[slot].gen.wrapping_add(1);
+            self.messages[slot] = state;
+            return MessageId(slot);
         }
         self.messages.push(state);
         MessageId(self.messages.len() - 1)
@@ -538,7 +514,7 @@ impl PacketNetwork {
     /// group can no longer be rewound (a downstream event already fired),
     /// the train is serialized behind it and the divergence is counted.
     ///
-    /// `from_send` marks the eager hop-0 reservation `send_at` performs at
+    /// `from_send` marks the eager hop-0 reservation a send performs at
     /// call time. Per-packet mode acquires those packets at the *call*
     /// instant, not at their ready time `at`, so arrival-time order equals
     /// acquisition order only when `at` is the current instant and no
@@ -753,7 +729,6 @@ impl PacketNetwork {
                     let msg = &mut self.messages[event.message.0];
                     msg.packets_remaining -= 1;
                     if msg.packets_remaining == 0 {
-                        msg.finish = Some(now);
                         self.record_completion(event.message, now);
                     }
                 }
@@ -771,18 +746,16 @@ impl PacketNetwork {
                 }
                 let msg = &mut self.messages[message.0];
                 msg.packets_remaining = 0;
-                msg.finish = Some(now);
                 self.record_completion(message, now);
             }
         }
     }
 
-    /// Buffers an async completion callback for a tracked message.
+    /// Buffers a message's completion for `drain_completions`.
     fn record_completion(&mut self, message: MessageId, finish: Time) {
-        if let Some(token) = self.messages[message.0].token {
-            self.completed.push(Completion { token, finish });
-            self.done_slots.push(message.0);
-        }
+        let token = self.messages[message.0].token;
+        self.completed.push(Completion { token, finish });
+        self.done_slots.push(message.0);
     }
 
     /// Runs the simulation until no events remain, returning the final
@@ -794,11 +767,6 @@ impl PacketNetwork {
         }
         self.queue.now()
     }
-
-    /// Completion time of a message, if it has fully arrived.
-    pub fn completion(&self, id: MessageId) -> Option<Time> {
-        self.messages.get(id.0).and_then(|m| m.finish)
-    }
 }
 
 impl NetworkBackend for PacketNetwork {
@@ -806,12 +774,13 @@ impl NetworkBackend for PacketNetwork {
     /// from `at` onwards and interleave with every other in-flight
     /// message, so cross-message queueing is modeled (unlike the blocking
     /// probe, which measures one message at a time).
+    ///
+    /// # Panics
+    ///
+    /// Panics if `at` is before the current simulation time
+    /// ([`PacketNetwork::now`]) or either NPU id is out of range.
     fn send_async(&mut self, token: u32, at: Time, src: NpuId, dst: NpuId, size: DataSize) {
-        let id = self.inject(at, src, dst, size, Some(token));
-        if let Some(finish) = self.messages[id.0].finish {
-            // Self and empty messages complete at injection time.
-            self.record_completion(id, finish);
-        }
+        self.inject(token, at, src, dst, size);
     }
 
     /// The packet simulator cannot schedule hops in its processed past:
@@ -905,17 +874,35 @@ mod tests {
         Topology::parse(notation).unwrap()
     }
 
+    /// Sends each `(at, src, dst, size)` under its index, runs `net` to
+    /// idle and returns the finishes in send order.
+    fn run_sends(net: &mut PacketNetwork, sends: &[(Time, NpuId, NpuId, DataSize)]) -> Vec<Time> {
+        for (token, &(at, src, dst, size)) in sends.iter().enumerate() {
+            net.send_async(token as u32, at, src, dst, size);
+        }
+        net.run_until_idle();
+        let mut done = Vec::new();
+        net.drain_completions(&mut done);
+        let mut finishes = vec![None; sends.len()];
+        for c in done {
+            assert_eq!(finishes[c.token as usize].replace(c.finish), None);
+        }
+        finishes
+            .into_iter()
+            .map(|f| f.expect("every message completes"))
+            .collect()
+    }
+
     #[test]
     fn single_packet_single_hop() {
         let t = topo("R(2)@100");
         let mut net = PacketNetwork::new(&t, PacketSimConfig::fast());
         let size = DataSize::from_kib(64);
-        let msg = net.send_at(Time::ZERO, 0, 1, size);
-        net.run_until_idle();
+        let got = run_sends(&mut net, &[(Time::ZERO, 0, 1, size)]);
         // One packet: serialization at the 100 GB/s link (one ring direction
         // on a 2-ring carries the full aggregate) + 500ns latency.
         let expected = t.dims()[0].link_bandwidth().transfer_time(size) + Time::from_ns(500);
-        assert_eq!(net.completion(msg), Some(expected));
+        assert_eq!(got, [expected]);
     }
 
     #[test]
@@ -923,16 +910,14 @@ mod tests {
         let t = topo("R(8)@100");
         let mut net = PacketNetwork::new(&t, PacketSimConfig::fast());
         let size = DataSize::from_mib(1);
-        let msg = net.send_at(Time::ZERO, 0, 2, size);
-        net.run_until_idle();
-        let got = net.completion(msg).unwrap();
+        let got = run_sends(&mut net, &[(Time::ZERO, 0, 2, size)]);
         // Store-and-forward over 2 hops at 50 GB/s per ring direction:
         // full serialization once + one extra packet time + 2 latencies.
         let link_bw = t.dims()[0].link_bandwidth();
         let serial = link_bw.transfer_time(size);
         let pkt = link_bw.transfer_time(DataSize::from_kib(64));
         let expected = serial + pkt + Time::from_ns(1000);
-        assert_eq!(got, expected);
+        assert_eq!(got, [expected]);
     }
 
     #[test]
@@ -940,11 +925,8 @@ mod tests {
         let t = topo("R(2)@100");
         let mut net = PacketNetwork::new(&t, PacketSimConfig::fast());
         let size = DataSize::from_mib(1);
-        let a = net.send_at(Time::ZERO, 0, 1, size);
-        let b = net.send_at(Time::ZERO, 0, 1, size);
-        net.run_until_idle();
-        let ta = net.completion(a).unwrap();
-        let tb = net.completion(b).unwrap();
+        let got = run_sends(&mut net, &[(Time::ZERO, 0, 1, size); 2]);
+        let (ta, tb) = (got[0], got[1]);
         // The second message finishes roughly twice as late (same link).
         assert!(tb > ta);
         assert!(tb.as_us_f64() / ta.as_us_f64() > 1.8);
@@ -954,10 +936,12 @@ mod tests {
     fn disjoint_paths_do_not_interfere() {
         let t = topo("R(8)@100");
         let mut net = PacketNetwork::new(&t, PacketSimConfig::fast());
-        let a = net.send_at(Time::ZERO, 0, 1, DataSize::from_mib(1));
-        let b = net.send_at(Time::ZERO, 4, 5, DataSize::from_mib(1));
-        net.run_until_idle();
-        assert_eq!(net.completion(a), net.completion(b));
+        let size = DataSize::from_mib(1);
+        let got = run_sends(
+            &mut net,
+            &[(Time::ZERO, 0, 1, size), (Time::ZERO, 4, 5, size)],
+        );
+        assert_eq!(got[0], got[1]);
     }
 
     #[test]
@@ -981,8 +965,17 @@ mod tests {
     fn self_message_completes_instantly() {
         let t = topo("R(4)@100");
         let mut net = PacketNetwork::new(&t, PacketSimConfig::fast());
-        let msg = net.send_at(Time::ZERO, 3, 3, DataSize::from_mib(1));
-        assert_eq!(net.completion(msg), Some(Time::ZERO));
+        net.send_async(3, Time::ZERO, 3, 3, DataSize::from_mib(1));
+        assert_eq!(net.next_event_time(), None);
+        let mut done = Vec::new();
+        net.drain_completions(&mut done);
+        assert_eq!(
+            done,
+            [Completion {
+                token: 3,
+                finish: Time::ZERO
+            }]
+        );
     }
 
     #[test]
@@ -990,10 +983,10 @@ mod tests {
         let t = topo("R(4)@100");
         let size = DataSize::from_mib(1);
         let mut coarse = PacketNetwork::new(&t, PacketSimConfig::fast());
-        coarse.send_at(Time::ZERO, 0, 1, size);
+        coarse.send_async(0, Time::ZERO, 0, 1, size);
         coarse.run_until_idle();
         let mut fine = PacketNetwork::new(&t, PacketSimConfig::garnet_like());
-        fine.send_at(Time::ZERO, 0, 1, size);
+        fine.send_async(0, Time::ZERO, 0, 1, size);
         fine.run_until_idle();
         assert!(fine.events_processed() > coarse.events_processed() * 100);
     }
@@ -1008,23 +1001,15 @@ mod tests {
         let t = topo(notation);
         let mut per_packet = PacketNetwork::new(&t, pkt);
         let mut batched = PacketNetwork::new(&t, pkt.with_transport(TransportMode::Batched));
-        let mut pairs = Vec::new();
-        for &(src, dst, kib) in sends {
-            let size = DataSize::from_kib(kib);
-            pairs.push((
-                per_packet.send_at(Time::ZERO, src, dst, size),
-                batched.send_at(Time::ZERO, src, dst, size),
-            ));
-        }
-        per_packet.run_until_idle();
-        batched.run_until_idle();
-        for &(a, b) in &pairs {
-            assert_eq!(
-                per_packet.completion(a),
-                batched.completion(b),
-                "transports diverged on {notation}"
-            );
-        }
+        let sends: Vec<_> = sends
+            .iter()
+            .map(|&(src, dst, kib)| (Time::ZERO, src, dst, DataSize::from_kib(kib)))
+            .collect();
+        assert_eq!(
+            run_sends(&mut per_packet, &sends),
+            run_sends(&mut batched, &sends),
+            "transports diverged on {notation}"
+        );
         assert!(batched.events_processed() <= per_packet.events_processed());
         // The reported event count is the packet-hop count either way.
         assert_eq!(batched.stats().events, per_packet.stats().events);
@@ -1066,7 +1051,7 @@ mod tests {
             &t,
             PacketSimConfig::garnet_like().with_transport(TransportMode::Batched),
         );
-        net.send_at(Time::ZERO, 0, 3, DataSize::from_mib(4)); // 3 hops, 16 Ki packets
+        net.send_async(0, Time::ZERO, 0, 3, DataSize::from_mib(4)); // 3 hops, 16 Ki packets
         net.run_until_idle();
         // 2 train-hop events (hops 1..3) + 1 completion event.
         assert_eq!(net.events_processed(), 3);
@@ -1076,11 +1061,11 @@ mod tests {
     fn routes_are_memoized_across_sends() {
         let t = topo("R(8)@100");
         let mut net = PacketNetwork::new(&t, PacketSimConfig::fast());
-        for _ in 0..5 {
-            net.send_at(net.now(), 0, 2, DataSize::from_kib(64));
+        for token in 0..5 {
+            net.send_async(token, net.now(), 0, 2, DataSize::from_kib(64));
             net.run_until_idle();
         }
-        net.send_at(net.now(), 2, 0, DataSize::from_kib(64));
+        net.send_async(5, net.now(), 2, 0, DataSize::from_kib(64));
         net.run_until_idle();
         assert_eq!(net.routes_cached(), 2);
     }
@@ -1092,14 +1077,23 @@ mod tests {
         let t = topo("R(8)@100");
         let mut net = PacketNetwork::new(&t, PacketSimConfig::fast());
         // A long transfer keeps links 4->5->6 busy far beyond the probe.
-        let backlog = net.send_at(Time::ZERO, 4, 6, DataSize::from_mib(256));
+        net.send_async(0, Time::ZERO, 4, 6, DataSize::from_mib(256));
         // Probe a disjoint path: it completes quickly...
         let probe = net.p2p_delay(0, 1, DataSize::from_kib(64));
         assert!(probe > Time::ZERO);
-        // ...while the backlogged message is still in flight.
-        assert_eq!(net.completion(backlog), None);
+        // ...while the backlogged message is still in flight: its
+        // completion is still to come (a probe discards those it meets).
+        assert!(net.next_event_time().is_some());
         let idle = net.run_until_idle();
-        assert!(net.completion(backlog).unwrap() == idle);
+        let mut done = Vec::new();
+        net.drain_completions(&mut done);
+        assert_eq!(
+            done,
+            [Completion {
+                token: 0,
+                finish: idle
+            }]
+        );
     }
 
     /// Regression for the batched-mode interleaving fix: when two trains'
@@ -1121,15 +1115,9 @@ mod tests {
             &t,
             PacketSimConfig::fast().with_transport(TransportMode::Batched),
         );
-        let mut pairs = Vec::new();
-        for &src in &[0usize, 1] {
-            pairs.push((
-                per_packet.send_at(Time::ZERO, src, 2, size),
-                batched.send_at(Time::ZERO, src, 2, size),
-            ));
-        }
-        per_packet.run_until_idle();
-        batched.run_until_idle();
+        let sends = [(Time::ZERO, 0, 2, size), (Time::ZERO, 1, 2, size)];
+        let want = run_sends(&mut per_packet, &sends);
+        let got = run_sends(&mut batched, &sends);
         // The overlap was detected (once, on the shared down-link) and
         // resolved by a split, not a serialization.
         assert_eq!(batched.stats().train_splits, 1);
@@ -1137,9 +1125,7 @@ mod tests {
         assert_eq!(per_packet.stats().train_splits, 0);
         assert_eq!(per_packet.train_interleavings, 0);
         // Exact equality, message by message — not just the last one.
-        for &(pp, b) in &pairs {
-            assert_eq!(per_packet.completion(pp), batched.completion(b));
-        }
+        assert_eq!(got, want);
         // The answer is reported exact.
         assert!(batched.exact());
     }
@@ -1155,20 +1141,12 @@ mod tests {
             &t,
             PacketSimConfig::fast().with_transport(TransportMode::Batched),
         );
-        let mut pairs = Vec::new();
-        for &src in &[0usize, 1, 2] {
-            pairs.push((
-                per_packet.send_at(Time::ZERO, src, 5, size),
-                batched.send_at(Time::ZERO, src, 5, size),
-            ));
-        }
-        per_packet.run_until_idle();
-        batched.run_until_idle();
+        let sends = [0, 1, 2].map(|src| (Time::ZERO, src, 5, size));
+        let want = run_sends(&mut per_packet, &sends);
+        let got = run_sends(&mut batched, &sends);
         assert_eq!(batched.stats().train_splits, 2);
         assert_eq!(batched.train_interleavings, 0);
-        for &(pp, b) in &pairs {
-            assert_eq!(per_packet.completion(pp), batched.completion(b));
-        }
+        assert_eq!(got, want);
     }
 
     /// Contiguous trains (the collective / sequential-probe regime) never
@@ -1182,10 +1160,15 @@ mod tests {
         );
         // Same-source trains serialize eagerly at send time; a disjoint
         // route never shares a link.
-        net.send_at(Time::ZERO, 0, 2, DataSize::from_mib(1));
-        net.send_at(Time::ZERO, 0, 3, DataSize::from_mib(1));
-        net.send_at(Time::ZERO, 4, 5, DataSize::from_mib(1));
-        net.run_until_idle();
+        let size = DataSize::from_mib(1);
+        run_sends(
+            &mut net,
+            &[
+                (Time::ZERO, 0, 2, size),
+                (Time::ZERO, 0, 3, size),
+                (Time::ZERO, 4, 5, size),
+            ],
+        );
         assert_eq!(net.train_interleavings, 0);
     }
 
@@ -1193,19 +1176,18 @@ mod tests {
     #[test]
     fn p2p_probe_pays_for_backlog_on_shared_link() {
         let t = topo("R(2)@100");
-        let quiet = {
-            let mut net = PacketNetwork::new(&t, PacketSimConfig::fast());
-            net.p2p_delay(0, 1, DataSize::from_kib(64))
-        };
+        let solo = |size| PacketNetwork::new(&t, PacketSimConfig::fast()).p2p_delay(0, 1, size);
+        let quiet = solo(DataSize::from_kib(64));
         let mut net = PacketNetwork::new(&t, PacketSimConfig::fast());
-        let backlog = net.send_at(Time::ZERO, 0, 1, DataSize::from_mib(16));
+        net.send_async(0, Time::ZERO, 0, 1, DataSize::from_mib(16));
         let congested = net.p2p_delay(0, 1, DataSize::from_kib(64));
         assert!(
             congested > quiet * 10,
             "probe ignored backlog: {congested} vs {quiet}"
         );
-        // The backlog drained first (FIFO link), so it completed too.
-        assert!(net.completion(backlog).is_some());
+        // The backlog drains first (FIFO link), so the probe arrives after
+        // the whole backlog would have on its own.
+        assert!(congested > solo(DataSize::from_mib(16)));
     }
 
     /// Recording link grant traces does not perturb message completions.
@@ -1217,14 +1199,15 @@ mod tests {
             net.set_telemetry(record);
             // Overlapping incast plus cross traffic so several links carry
             // queued grants.
-            let msgs = [
-                net.send_at(Time::ZERO, 0, 2, DataSize::from_mib(1)),
-                net.send_at(Time::ZERO, 1, 2, DataSize::from_mib(1)),
-                net.send_at(Time::from_us(1), 3, 2, DataSize::from_kib(256)),
-                net.send_at(Time::ZERO, 4, 6, DataSize::from_mib(2)),
-            ];
-            net.run_until_idle();
-            let finishes: Vec<_> = msgs.iter().map(|&m| net.completion(m).unwrap()).collect();
+            let finishes = run_sends(
+                &mut net,
+                &[
+                    (Time::ZERO, 0, 2, DataSize::from_mib(1)),
+                    (Time::ZERO, 1, 2, DataSize::from_mib(1)),
+                    (Time::from_us(1), 3, 2, DataSize::from_kib(256)),
+                    (Time::ZERO, 4, 6, DataSize::from_mib(2)),
+                ],
+            );
             (finishes, net.link_traces())
         };
 
@@ -1282,20 +1265,23 @@ mod tests {
     }
 
     /// A chain of async sends, each sent once the previous completion is
-    /// drained, lives in one slot under both transports; an untracked
-    /// `send_at` keeps its own, and `stats().messages` counts every send.
+    /// drained, lives in one slot under both transports; every message
+    /// crosses the idle network in its solo delay, and `stats().messages`
+    /// counts every send.
     #[test]
     fn drained_chain_holds_one_slot() {
         let t = topo("R(8)@100");
+        let size = DataSize::from_mib(1);
         for transport in [TransportMode::PerPacket, TransportMode::Batched] {
-            let mut net = PacketNetwork::new(&t, PacketSimConfig::fast().with_transport(transport));
-            let kept = net.send_at(Time::ZERO, 4, 6, DataSize::from_kib(64));
-            let finishes = chain_async(&mut net, &[(0, 3)], DataSize::from_mib(1), 9);
+            let config = PacketSimConfig::fast().with_transport(transport);
+            let solo = PacketNetwork::new(&t, config).p2p_delay(0, 3, size);
+            let mut net = PacketNetwork::new(&t, config);
+            let finishes = chain_async(&mut net, &[(0, 3)], size, 9);
             assert_eq!(finishes.len(), 10);
-            assert!(finishes.windows(2).all(|w| w[0] < w[1]));
-            assert_eq!(net.messages.len(), 2, "{transport:?} grew past two slots");
-            assert!(net.completion(kept).is_some());
-            assert_eq!(net.stats().messages, 11);
+            assert_eq!(finishes[0], solo);
+            assert!(finishes.windows(2).all(|w| w[1] - w[0] == solo));
+            assert_eq!(net.messages.len(), 1, "{transport:?} grew past one slot");
+            assert_eq!(net.stats().messages, 10);
         }
     }
 
@@ -1328,8 +1314,8 @@ mod tests {
     fn send_before_the_clock_panics() {
         let t = topo("R(2)@100");
         let mut net = PacketNetwork::new(&t, PacketSimConfig::fast());
-        net.send_at(Time::ZERO, 0, 1, DataSize::from_mib(1));
+        net.send_async(0, Time::ZERO, 0, 1, DataSize::from_mib(1));
         net.run_until_idle();
-        net.send_at(Time::ZERO, 0, 1, DataSize::from_mib(1));
+        net.send_async(1, Time::ZERO, 0, 1, DataSize::from_mib(1));
     }
 }

@@ -7,6 +7,7 @@
 
 use astra_collectives::Collective;
 use astra_des::{DataSize, Time};
+use astra_network::NetworkBackend;
 use astra_topology::{BuildingBlock, NpuId, Topology};
 
 use crate::{PacketNetwork, PacketSimConfig};
@@ -73,7 +74,6 @@ pub fn collective_time_on(
     collective: Collective,
     size: DataSize,
 ) -> PacketRunReport {
-    let mut messages = 0u64;
     let mut now = net.config().collective_overhead;
 
     // (dim, divisor before the phase): data shrinks by each visited
@@ -101,16 +101,16 @@ pub fn collective_time_on(
     for (dim, div, a2a) in plan {
         let data = size.div_ceil_parts(div);
         now = if a2a {
-            run_a2a_phase(&mut net, topo, dim, data, now, &mut messages)
+            run_a2a_phase(&mut net, topo, dim, data, now)
         } else {
-            run_phase(&mut net, topo, dim, data, now, &mut messages)
+            run_phase(&mut net, topo, dim, data, now)
         };
     }
 
     PacketRunReport {
         finish: now,
         events: net.events_processed(),
-        messages,
+        messages: net.stats().messages,
     }
 }
 
@@ -122,11 +122,10 @@ fn run_a2a_phase(
     dim: usize,
     data: DataSize,
     start: Time,
-    messages: &mut u64,
 ) -> Time {
     let k = topo.dims()[dim].npus();
     let shard = data.div_ceil_parts(k as u64);
-    let mut ids = Vec::new();
+    let mut sends = Vec::new();
     for group in enumerate_groups(topo, dim) {
         for i in 0..k {
             // Stagger destinations by rank offset (i -> i+1, i+2, ...): at
@@ -134,13 +133,11 @@ fn run_a2a_phase(
             // avoiding synchronized incast on shared switch down-links.
             for o in 1..k {
                 let j = (i + o) % k;
-                ids.push(net.send_at(start, group[i], group[j], shard));
-                *messages += 1;
+                sends.push((group[i], group[j], shard));
             }
         }
     }
-    net.run_until_idle();
-    step_end(net, &ids, start) + net.config().step_overhead
+    run_step(net, start, &sends)
 }
 
 /// Runs one dimension phase (a Reduce-Scatter or All-Gather over `data`
@@ -151,12 +148,10 @@ fn run_phase(
     dim: usize,
     data: DataSize,
     start: Time,
-    messages: &mut u64,
 ) -> Time {
     let block = topo.dims()[dim].block();
     let k = block.npus();
     let groups = enumerate_groups(topo, dim);
-    let step_overhead = net.config().step_overhead;
     let mut now = start;
     match block {
         BuildingBlock::Ring(_) => {
@@ -164,36 +159,32 @@ fn run_phase(
             // counter-clockwise, k-1 steps of one shard each.
             let shard = data.div_ceil_parts(2 * k as u64);
             for _step in 0..k - 1 {
-                let mut ids = Vec::new();
+                let mut sends = Vec::new();
                 for group in &groups {
                     for i in 0..k {
                         let right = group[(i + 1) % k];
                         let left = group[(i + k - 1) % k];
-                        ids.push(net.send_at(now, group[i], right, shard));
-                        ids.push(net.send_at(now, group[i], left, shard));
-                        *messages += 2;
+                        sends.push((group[i], right, shard));
+                        sends.push((group[i], left, shard));
                     }
                 }
-                net.run_until_idle();
-                now = step_end(net, &ids, now) + step_overhead;
+                now = run_step(net, now, &sends);
             }
         }
         BuildingBlock::FullyConnected(_) => {
             // Direct algorithm: one step, a shard to every peer.
             let shard = data.div_ceil_parts(k as u64);
-            let mut ids = Vec::new();
+            let mut sends = Vec::new();
             for group in &groups {
                 for i in 0..k {
                     for j in 0..k {
                         if i != j {
-                            ids.push(net.send_at(now, group[i], group[j], shard));
-                            *messages += 1;
+                            sends.push((group[i], group[j], shard));
                         }
                     }
                 }
             }
-            net.run_until_idle();
-            now = step_end(net, &ids, now) + step_overhead;
+            now = run_step(net, now, &sends);
         }
         BuildingBlock::Switch(_) => {
             // Halving-doubling: pairwise exchanges of geometrically
@@ -202,28 +193,34 @@ fn run_phase(
             for round in 0..rounds {
                 let bit = 1usize << round;
                 let exchanged = data.div_ceil_parts(2u64 << round);
-                let mut ids = Vec::new();
+                let mut sends = Vec::new();
                 for group in &groups {
                     for i in 0..k {
                         let partner = i ^ bit;
                         if partner < k && partner != i {
-                            ids.push(net.send_at(now, group[i], group[partner], exchanged));
-                            *messages += 1;
+                            sends.push((group[i], group[partner], exchanged));
                         }
                     }
                 }
-                net.run_until_idle();
-                now = step_end(net, &ids, now) + step_overhead;
+                now = run_step(net, now, &sends);
             }
         }
     }
     now
 }
 
-fn step_end(net: &PacketNetwork, ids: &[crate::MessageId], fallback: Time) -> Time {
-    ids.iter()
-        .filter_map(|&id| net.completion(id))
-        .fold(fallback, Time::max)
+/// Runs one lockstep step: every `(src, dst, size)` message enters at
+/// `start` under its index as token. Returns the step's end, its last
+/// arrival (or `start`, if nothing arrives later) plus the step overhead.
+fn run_step(net: &mut PacketNetwork, start: Time, sends: &[(NpuId, NpuId, DataSize)]) -> Time {
+    for (token, &(src, dst, size)) in (0..).zip(sends) {
+        net.send_async(token, start, src, dst, size);
+    }
+    net.run_until_idle();
+    let mut done = Vec::with_capacity(sends.len());
+    net.drain_completions(&mut done);
+    let end = done.iter().map(|c| c.finish).fold(start, Time::max);
+    end + net.config().step_overhead
 }
 
 fn enumerate_groups(topo: &Topology, dim: usize) -> Vec<Vec<NpuId>> {

@@ -57,8 +57,9 @@ fn endpoints(npus: usize, incast: bool, src: usize, dst: usize) -> (usize, usize
 }
 
 /// Sends the first half of `sends` at their offsets, advances to `mid`,
-/// sends the second half relative to the clock, and runs to idle.
-/// Returns every completion, the event count and the link grants.
+/// sends the second half relative to the clock, and runs to idle; a
+/// message's token is its index in `sends`. Returns every completion by
+/// token, the event count and the link grants.
 fn run_core(
     mut net: PacketNetwork,
     npus: usize,
@@ -68,19 +69,25 @@ fn run_core(
 ) -> (Vec<Option<Time>>, u64, Vec<LinkTrace>) {
     net.set_telemetry(true);
     let half = sends.len() / 2;
-    let mut ids = Vec::new();
-    for &(src, dst, kib, offset) in &sends[..half] {
+    for (token, &(src, dst, kib, offset)) in sends.iter().enumerate() {
+        if token == half {
+            net.advance_until(mid);
+        }
         let (src, dst) = endpoints(npus, incast, src, dst);
-        ids.push(net.send_at(SLOT * offset, src, dst, DataSize::from_kib(kib)));
-    }
-    net.advance_until(mid);
-    for &(src, dst, kib, offset) in &sends[half..] {
-        let (src, dst) = endpoints(npus, incast, src, dst);
-        let at = net.now() + SLOT * (offset % 3);
-        ids.push(net.send_at(at, src, dst, DataSize::from_kib(kib)));
+        let at = if token < half {
+            SLOT * offset
+        } else {
+            net.now() + SLOT * (offset % 3)
+        };
+        net.send_async(token as u32, at, src, dst, DataSize::from_kib(kib));
     }
     net.run_until_idle();
-    let finishes = ids.iter().map(|&id| net.completion(id)).collect();
+    let mut done = Vec::new();
+    net.drain_completions(&mut done);
+    let mut finishes = vec![None; sends.len()];
+    for c in done {
+        finishes[c.token as usize] = Some(c.finish);
+    }
     (finishes, net.events_processed(), net.link_traces())
 }
 

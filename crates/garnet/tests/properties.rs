@@ -7,6 +7,7 @@
 use astra_collectives::{Collective, CollectiveEngine, SchedulerPolicy};
 use astra_des::{DataSize, Time};
 use astra_garnet::{collective_time_for, semantics, PacketNetwork, PacketSimConfig, TransportMode};
+use astra_network::NetworkBackend;
 use astra_topology::{BuildingBlock, Topology};
 use proptest::prelude::*;
 
@@ -59,12 +60,10 @@ proptest! {
     #[test]
     fn p2p_completion_monotone(topo in arb_small_topology(), kib in 1u64..4096) {
         let mut net = PacketNetwork::new(&topo, PacketSimConfig::fast());
-        let small = net.send_at(Time::ZERO, 0, topo.npus() - 1, DataSize::from_kib(kib));
-        net.run_until_idle();
-        let t_small = net.completion(small).unwrap();
-        let big = net.send_at(net.now(), 0, topo.npus() - 1, DataSize::from_kib(kib * 2));
-        net.run_until_idle();
-        let t_big = net.completion(big).unwrap() - t_small;
+        let last = topo.npus() - 1;
+        // The second probe enters once the first has arrived.
+        let t_small = net.p2p_delay(0, last, DataSize::from_kib(kib));
+        let t_big = net.p2p_delay(0, last, DataSize::from_kib(kib * 2));
         prop_assert!(t_small > Time::ZERO);
         prop_assert!(t_big >= t_small, "doubling the payload cannot be faster");
     }

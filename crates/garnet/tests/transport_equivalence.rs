@@ -101,12 +101,8 @@ proptest! {
         let mut batched =
             PacketNetwork::new(&topo, config.with_transport(TransportMode::Batched));
         let size = DataSize::from_bytes(bytes);
-        let a = per_packet.send_at(Time::ZERO, src, dst, size);
-        let b = batched.send_at(Time::ZERO, src, dst, size);
-        per_packet.run_until_idle();
-        batched.run_until_idle();
         prop_assert_eq!(
-            per_packet.completion(a), batched.completion(b),
+            per_packet.p2p_delay(src, dst, size), batched.p2p_delay(src, dst, size),
             "{} -> {} on {}", src, dst, topo
         );
     }

@@ -9,13 +9,17 @@
 //! explicit link graph: a fluid progressive-filling model that captures
 //! link oversubscription without per-packet simulation.
 //!
-//! [`max_min_completion`] is now a thin wrapper over the event-driven
-//! [`crate::FlowNetwork`] backend (flows injected at time zero, run to
-//! idle); the progressive-filling rate computation lives here and is
-//! shared by both entry points.
+//! [`max_min_completion`] is a thin wrapper over the event-driven
+//! [`crate::FlowNetwork`] backend: each flow is sent at time zero through
+//! [`NetworkBackend::send_async`] under its index as token, the backend
+//! runs to idle, and the drained completions come back in flow order. The
+//! frozen progressive-filling reference, `max_min_rates`, lives here; the
+//! backend's incremental allocation is checked against it.
 
 use astra_des::{DataSize, Time};
 use astra_topology::{LinkGraph, LinkId, NpuId, Topology};
+
+use crate::NetworkBackend;
 
 /// One point-to-point flow.
 #[derive(Copy, Clone, Debug, PartialEq, Eq)]
@@ -55,15 +59,18 @@ pub struct Flow {
 /// ```
 pub fn max_min_completion(topo: &Topology, flows: &[Flow]) -> Vec<Time> {
     let mut net = crate::FlowNetwork::new(topo);
-    let ids: Vec<_> = flows
-        .iter()
-        .map(|f| net.inject_at(Time::ZERO, f.src, f.dst, f.size))
-        .collect();
+    for (token, f) in (0..).zip(flows) {
+        net.send_async(token, Time::ZERO, f.src, f.dst, f.size);
+    }
     net.run_until_idle();
-    ids.into_iter()
-        // astra-lint: allow(panic, run_until_idle drains every flow; a missing completion is a solver bug and must fail loudly)
-        .map(|id| net.completion(id).expect("all flows complete"))
-        .collect()
+    let mut done = Vec::with_capacity(flows.len());
+    net.drain_completions(&mut done);
+    debug_assert_eq!(done.len(), flows.len(), "every flow completes");
+    let mut finishes = vec![Time::ZERO; flows.len()];
+    for c in done {
+        finishes[c.token as usize] = c.finish;
+    }
+    finishes
 }
 
 /// Progressive filling: repeatedly find the most-contended link, freeze

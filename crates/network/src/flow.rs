@@ -37,9 +37,9 @@ use crate::{Completion, LinkTrace, NetworkBackend, NetworkStats, RouteTable, Sha
 /// the frozen [`max_min_rates`] reference.
 const SHARE_SLACK: f64 = 1e-6;
 
-/// Identifier of an injected (possibly completed) flow.
-#[derive(Copy, Clone, Debug, PartialEq, Eq, Hash, PartialOrd, Ord)]
-pub struct FlowId(usize);
+/// Slot of an in-flight flow in [`FlowNetwork`]'s flow store.
+#[derive(Copy, Clone, Debug, PartialEq, Eq)]
+struct FlowId(usize);
 
 #[derive(Clone, Debug)]
 struct FlowState {
@@ -51,56 +51,52 @@ struct FlowState {
     latency: Time,
     /// Injection instant (telemetry span start).
     start: Time,
-    finish: Option<Time>,
-    /// The caller's token of a flow sent through the async NetworkAPI,
-    /// whose completion is reported via `drain_completions`; `None` for
-    /// [`FlowNetwork::inject_at`] flows.
-    token: Option<u32>,
+    /// The caller's token, handed back in the flow's [`Completion`].
+    token: u32,
 }
 
 /// A max-min fair fluid-flow network simulation.
 ///
-/// Flows are injected at arbitrary times ([`FlowNetwork::inject_at`]);
-/// between consecutive arrival/departure events every active flow drains
-/// at its max-min fair rate (progressive filling, recomputed at each
-/// event). [`crate::congestion::max_min_completion`] is this simulation
+/// Flows are sent at arbitrary times through
+/// [`NetworkBackend::send_async`] under a caller's token; between
+/// consecutive arrival/departure events every active flow drains at its
+/// max-min fair rate (progressive filling, recomputed at each event).
+/// [`crate::congestion::max_min_completion`] is this simulation
 /// specialized to a batch of flows all starting at time zero.
 ///
-/// Memory follows the flows in flight, not the flows ever sent: a flow
-/// sent through [`NetworkBackend::send_async`] is forgotten once
-/// [`NetworkBackend::drain_completions`] hands out its completion, and its
-/// slot goes to a later send. Flows injected with
-/// [`FlowNetwork::inject_at`] are kept, so [`FlowNetwork::completion`]
-/// answers for them at any time.
+/// Memory follows the flows in flight, not the flows ever sent: a flow is
+/// forgotten once [`NetworkBackend::drain_completions`] hands out its
+/// completion, and its slot goes to a later send.
 ///
 /// # Example
 ///
 /// ```
 /// use astra_des::{DataSize, Time};
-/// use astra_network::FlowNetwork;
+/// use astra_network::{FlowNetwork, NetworkBackend};
 /// use astra_topology::Topology;
 ///
 /// let topo = Topology::parse("SW(4)@100").unwrap();
 /// let mut net = FlowNetwork::new(&topo);
 /// // Two incast flows share the destination down-link and finish together.
-/// let a = net.inject_at(Time::ZERO, 0, 2, DataSize::from_mib(64));
-/// let b = net.inject_at(Time::ZERO, 1, 2, DataSize::from_mib(64));
+/// net.send_async(0, Time::ZERO, 0, 2, DataSize::from_mib(64));
+/// net.send_async(1, Time::ZERO, 1, 2, DataSize::from_mib(64));
 /// net.run_until_idle();
-/// assert_eq!(net.completion(a), net.completion(b));
+/// let mut done = Vec::new();
+/// net.drain_completions(&mut done);
+/// assert_eq!(done.len(), 2);
+/// assert_eq!(done[0].finish, done[1].finish);
 /// ```
 #[derive(Debug)]
 pub struct FlowNetwork {
     graph: LinkGraph,
     routes: RouteTable,
-    /// Flow slots, indexed by [`FlowId`]. Untracked flows
-    /// ([`FlowNetwork::inject_at`]) keep theirs for the backend's
-    /// lifetime; a tracked one's slot is freed when its completion is
-    /// drained.
+    /// Flow slots, indexed by [`FlowId`]; a slot is freed when its flow's
+    /// completion is drained.
     flows: Vec<FlowState>,
-    /// Slots of tracked flows whose completions await draining, in
-    /// completion order.
+    /// Slots of flows whose completions await draining, in completion
+    /// order.
     done_slots: Vec<usize>,
-    /// Slots of drained tracked flows, reused by the next tracked send.
+    /// Slots of drained flows, reused by the next send.
     free_slots: Vec<usize>,
     /// Flows sent so far, reused slots included (`NetworkStats::messages`).
     flows_sent: u64,
@@ -132,7 +128,7 @@ pub struct FlowNetwork {
     /// links with strict capacity head-room ([`SHARE_SLACK`]) cannot
     /// change anyone else's rate, so those events adjust the allocation
     /// in place instead of discarding it and the next re-share skips
-    /// progressive filling entirely (see [`FlowNetwork::active_rates`]).
+    /// progressive filling entirely (see [`FlowNetwork::refresh_rates`]).
     rates_cache: RefCell<Option<Vec<f64>>>,
     /// Re-share computations answered from the maintained allocation.
     reuses: Cell<u64>,
@@ -222,12 +218,6 @@ impl FlowNetwork {
         self.active.len()
     }
 
-    /// Rate re-share events processed so far — the fluid backend's cost
-    /// metric, analogous to the packet backend's event count.
-    pub fn reshare_events(&self) -> u64 {
-        self.reshares
-    }
-
     /// Re-share computations answered from the incrementally maintained
     /// allocation instead of running progressive filling (arrivals and
     /// departures that touch only private links, or shared links with
@@ -262,24 +252,13 @@ impl FlowNetwork {
         })
     }
 
-    /// Injects a flow at time `at` (clamped to the current time if the
-    /// simulation has already advanced past it). The fluid state first
-    /// advances to the arrival instant — departures scheduled before `at`
-    /// happen first, re-sharing bandwidth on the way.
-    pub fn inject_at(&mut self, at: Time, src: NpuId, dst: NpuId, size: DataSize) -> FlowId {
-        self.inject(at, src, dst, size, None)
-    }
-
-    /// Stores a new flow (a tracked one, with a `token`, reuses a drained
-    /// slot) and admits it to the active set.
-    fn inject(
-        &mut self,
-        at: Time,
-        src: NpuId,
-        dst: NpuId,
-        size: DataSize,
-        token: Option<u32>,
-    ) -> FlowId {
+    /// Stores a new flow and admits it to the active set at time `at`
+    /// (clamped to the current time if the simulation has already
+    /// advanced past it). The fluid state first advances to the arrival
+    /// instant — departures scheduled before `at` happen first,
+    /// re-sharing bandwidth on the way. Self and empty flows complete at
+    /// once.
+    fn inject(&mut self, token: u32, at: Time, src: NpuId, dst: NpuId, size: DataSize) {
         self.advance_to(at.as_ps() as f64);
         let route = self.route_index(src, dst);
         if self.routes[route].is_empty() || size == DataSize::ZERO {
@@ -290,15 +269,12 @@ impl FlowNetwork {
                 remaining: 0.0,
                 latency: Time::ZERO,
                 start: at,
-                finish: Some(at),
                 token,
             });
             self.position[id.0] = usize::MAX;
-            if let Some(token) = token {
-                self.completed.push(Completion { token, finish: at });
-                self.done_slots.push(id.0);
-            }
-            return id;
+            self.completed.push(Completion { token, finish: at });
+            self.done_slots.push(id.0);
+            return;
         }
         let latency = self.routes[route]
             .iter()
@@ -309,7 +285,6 @@ impl FlowNetwork {
             remaining: size.as_bytes() as f64,
             latency,
             start: self.now(),
-            finish: None,
             token,
         });
         self.position[id.0] = self.active.len();
@@ -353,18 +328,15 @@ impl FlowNetwork {
             self.link_members[l.0].push(id.0);
         }
         self.next_dep.set(None);
-        id
     }
 
-    /// Gives `flow` a slot: a tracked flow takes a drained slot if there
-    /// is one. The caller sets the slot's `position`.
+    /// Gives `flow` a slot: a drained slot if there is one. The caller
+    /// sets the slot's `position`.
     fn store(&mut self, flow: FlowState) -> FlowId {
         self.flows_sent += 1;
-        if flow.token.is_some() {
-            if let Some(slot) = self.free_slots.pop() {
-                self.flows[slot] = flow;
-                return FlowId(slot);
-            }
+        if let Some(slot) = self.free_slots.pop() {
+            self.flows[slot] = flow;
+            return FlowId(slot);
         }
         self.flows.push(flow);
         self.position.push(usize::MAX);
@@ -377,12 +349,6 @@ impl FlowNetwork {
             self.step(None);
         }
         self.now()
-    }
-
-    /// Completion time of a flow, if it has fully drained (includes the
-    /// route's propagation latency, paid once).
-    pub fn completion(&self, id: FlowId) -> Option<Time> {
-        self.flows.get(id.0).and_then(|f| f.finish)
     }
 
     /// Advances the fluid state to `target_ps`, processing any departures
@@ -406,8 +372,12 @@ impl FlowNetwork {
         self.reshares += 1;
         self.next_dep.set(None);
         // Advance to the earliest completion under current rates (or the
-        // horizon, if earlier).
-        let (rates, mut dt) = self.active_rates();
+        // horizon, if earlier). The allocation is taken out of the memo,
+        // kept aligned with `active` below, and put back if still valid.
+        self.refresh_rates();
+        let mut rates = self.rates_cache.get_mut().take().unwrap_or_default();
+        let mut valid = true;
+        let mut dt = self.drain_interval(&rates);
         if let Some(h) = horizon_ps {
             dt = dt.min((h - self.now_ps) / 1e12);
         }
@@ -420,36 +390,37 @@ impl FlowNetwork {
             flow.remaining -= rates[k] * dt;
             if flow.remaining <= 1e-6 {
                 let finish = now + flow.latency;
-                flow.finish = Some(finish);
                 let route = flow.route;
                 let span_start = flow.start;
-                if let Some(token) = flow.token {
-                    self.completed.push(Completion { token, finish });
-                    self.done_slots.push(idx);
-                }
+                self.completed.push(Completion {
+                    token: flow.token,
+                    finish,
+                });
+                self.done_slots.push(idx);
                 if self.telemetry {
                     self.flow_spans.push((span_start, finish, route));
                 }
                 // Departure reuse check — while the departing flow is
-                // still a member and the memoized allocation is still
-                // aligned with `active`: a link that was private to the
-                // flow is trivially fine, and a shared link whose total
-                // allocated load (departing flow included) keeps strict
-                // head-room was never a bottleneck, so removing the flow
-                // leaves every survivor's rate untouched. A shared link
-                // at capacity invalidates the allocation.
-                let reusable = match self.rates_cache.get_mut().as_ref() {
-                    Some(cached) => self.routes[route].iter().all(|&l| {
+                // still a member and the allocation is still aligned with
+                // `active`: a link that was private to the flow is
+                // trivially fine, and a shared link whose total allocated
+                // load (departing flow included) keeps strict head-room
+                // was never a bottleneck, so removing the flow leaves
+                // every survivor's rate untouched. A shared link at
+                // capacity invalidates the allocation.
+                valid = valid
+                    && self.routes[route].iter().all(|&l| {
                         let members = &self.link_members[l.0];
                         members.len() == 1 || {
                             let capacity = self.graph.link(l).bandwidth.as_bytes_per_sec() as f64;
-                            let load: f64 = members.iter().map(|&m| cached[self.position[m]]).sum();
+                            let load: f64 = members.iter().map(|&m| rates[self.position[m]]).sum();
                             load < capacity * (1.0 - SHARE_SLACK)
                         }
-                    }),
-                    None => false,
-                };
+                    });
                 self.active.swap_remove(k);
+                // Positions below `k`, the ones still to drain, keep
+                // their rates.
+                rates.swap_remove(k);
                 if let Some(&moved) = self.active.get(k) {
                     self.position[moved] = k;
                 }
@@ -462,18 +433,12 @@ impl FlowNetwork {
                         members.swap_remove(at);
                     }
                 }
-                // Mirror the positional `swap_remove` on the memoized
-                // allocation when the departure provably changed nobody
-                // else's rate.
-                let rates_cache = self.rates_cache.get_mut();
-                if reusable {
-                    if let Some(rates) = rates_cache.as_mut() {
-                        rates.swap_remove(k);
-                    }
-                } else {
-                    *rates_cache = None;
-                }
             }
+        }
+        // Memoized again only if every departure provably changed nobody
+        // else's rate.
+        if valid {
+            *self.rates_cache.get_mut() = Some(rates);
         }
     }
 
@@ -494,16 +459,18 @@ impl FlowNetwork {
         if self.active.is_empty() {
             return None;
         }
-        let (_, dt) = self.active_rates();
+        self.refresh_rates();
+        let rates = self.rates_cache.borrow();
+        let dt = self.drain_interval(rates.as_deref().unwrap_or_default());
         debug_assert!(dt.is_finite(), "live-locked flow set");
         Some(Time::from_ps((self.now_ps + dt * 1e12).ceil() as u64))
     }
 
-    /// Max-min rates of the active set and the earliest drain interval
-    /// (seconds) under them. Works positionally over the active set:
-    /// `rates[k]` belongs to `self.active[k]`. Shared by
-    /// [`FlowNetwork::step`] and the [`FlowNetwork::next_departure`]
-    /// projection so the two can never disagree.
+    /// Makes [`FlowNetwork::rates_cache`] hold the max-min rates of the
+    /// active set, positionally: `rates[k]` belongs to `self.active[k]`.
+    /// Shared by [`FlowNetwork::step`] and the
+    /// [`FlowNetwork::next_departure`] projection so the two can never
+    /// disagree; both read the memoized vector in place.
     ///
     /// Progressive filling over the memoized per-link member sets
     /// ([`FlowNetwork::link_members`]): crossing counts are maintained
@@ -520,22 +487,16 @@ impl FlowNetwork {
     /// capacity head-room, the allocation memoized in
     /// [`FlowNetwork::rates_cache`] is still exact and even the filling is
     /// skipped (counted by [`FlowNetwork::reshare_reuses`]).
-    fn active_rates(&self) -> (Vec<f64>, f64) {
-        let cached = self.rates_cache.borrow().clone();
-        let rates = match cached {
-            Some(rates) => {
-                self.reuses.set(self.reuses.get() + 1);
-                rates
-            }
-            None => {
-                let rates = self.fill_rates();
-                *self.rates_cache.borrow_mut() = Some(rates.clone());
-                rates
-            }
-        };
+    fn refresh_rates(&self) {
+        let fresh = self.rates_cache.borrow().is_none();
+        if fresh {
+            *self.rates_cache.borrow_mut() = Some(self.fill_rates());
+        } else {
+            self.reuses.set(self.reuses.get() + 1);
+        }
         debug_assert_eq!(
-            rates,
-            {
+            *self.rates_cache.borrow(),
+            Some({
                 let routes: Vec<&[LinkId]> = self
                     .active
                     .iter()
@@ -543,20 +504,25 @@ impl FlowNetwork {
                     .collect();
                 let positions: Vec<usize> = (0..routes.len()).collect();
                 max_min_rates(&self.graph, &routes, &positions)
-            },
+            }),
             "incremental max-min diverged from the reference"
         );
+    }
+
+    /// The earliest drain interval (seconds) of the active set under
+    /// `rates`, aligned with `active`.
+    fn drain_interval(&self, rates: &[f64]) -> f64 {
         let mut dt = f64::INFINITY;
         for (k, &i) in self.active.iter().enumerate() {
             if rates[k] > 0.0 {
                 dt = dt.min(self.flows[i].remaining / rates[k]);
             }
         }
-        (rates, dt)
+        dt
     }
 
     /// Progressive filling over the memoized per-link member sets — the
-    /// slow path of [`FlowNetwork::active_rates`].
+    /// slow path of [`FlowNetwork::refresh_rates`].
     fn fill_rates(&self) -> Vec<f64> {
         let mut rates = vec![0.0f64; self.active.len()];
         // Busy links in ascending id order — the reference's visit order.
@@ -624,11 +590,11 @@ impl NetworkBackend for FlowNetwork {
     ///
     /// Self and empty flows complete at injection time.
     fn send_async(&mut self, token: u32, at: Time, src: NpuId, dst: NpuId, size: DataSize) {
-        self.inject(at, src, dst, size, Some(token));
+        self.inject(token, at, src, dst, size);
     }
 
     /// The fluid clock, rounded down: a send at or before it starts at
-    /// the clock itself ([`FlowNetwork::inject_at`] clamps), and rounding
+    /// the clock itself (sends clamp to it), and rounding
     /// down never nudges the fluid state forward by a fraction of a tick.
     fn earliest_send_time(&self) -> Time {
         Time::from_ps(self.now_ps as u64)
@@ -707,6 +673,36 @@ mod tests {
         Topology::parse(notation).unwrap()
     }
 
+    /// Sends each `(at, src, dst, size)` under its index, runs `net` to
+    /// idle and returns the finishes in send order.
+    fn run_flows(net: &mut FlowNetwork, sends: &[(Time, NpuId, NpuId, DataSize)]) -> Vec<Time> {
+        for (token, &(at, src, dst, size)) in sends.iter().enumerate() {
+            net.send_async(token as u32, at, src, dst, size);
+        }
+        net.run_until_idle();
+        let mut done = Vec::new();
+        net.drain_completions(&mut done);
+        let mut finishes = vec![None; sends.len()];
+        for c in done {
+            assert_eq!(finishes[c.token as usize].replace(c.finish), None);
+        }
+        finishes
+            .into_iter()
+            .map(|f| f.expect("every flow completes"))
+            .collect()
+    }
+
+    /// Drains `net` without advancing it.
+    fn drained(net: &mut FlowNetwork) -> Vec<Completion> {
+        let mut done = Vec::new();
+        net.drain_completions(&mut done);
+        done
+    }
+
+    fn bytes(n: u64) -> DataSize {
+        DataSize::from_bytes(n)
+    }
+
     #[test]
     fn uncongested_flow_matches_analytical_equation() {
         let t = topo("SW(4)@100");
@@ -723,27 +719,33 @@ mod tests {
         // then a 100 MB rival arrives: both drain at 50 GB/s for 2 ms.
         let t = topo("SW(4)@100");
         let mut net = FlowNetwork::new(&t);
-        let long = net.inject_at(Time::ZERO, 0, 3, DataSize::from_bytes(200_000_000));
-        let late = net.inject_at(Time::from_ms(1), 1, 3, DataSize::from_bytes(100_000_000));
-        net.run_until_idle();
+        let got = run_flows(
+            &mut net,
+            &[
+                (Time::ZERO, 0, 3, bytes(200_000_000)),
+                (Time::from_ms(1), 1, 3, bytes(100_000_000)),
+            ],
+        );
         let lat = Time::from_ns(1000); // 2 switch hops x 500 ns
-        assert_eq!(net.completion(long), Some(Time::from_ms(3) + lat));
-        assert_eq!(net.completion(late), Some(Time::from_ms(3) + lat));
+        assert_eq!(got, [Time::from_ms(3) + lat; 2]);
     }
 
     #[test]
     fn departure_speeds_up_survivors() {
         let t = topo("SW(4)@100");
         let mut net = FlowNetwork::new(&t);
-        let short = net.inject_at(Time::ZERO, 0, 3, DataSize::from_bytes(50_000_000));
-        let long = net.inject_at(Time::ZERO, 1, 3, DataSize::from_bytes(150_000_000));
-        net.run_until_idle();
+        let got = run_flows(
+            &mut net,
+            &[
+                (Time::ZERO, 0, 3, bytes(50_000_000)),
+                (Time::ZERO, 1, 3, bytes(150_000_000)),
+            ],
+        );
         let lat = Time::from_ns(1000);
         // Shared 100 GB/s down-link: both at 50 GB/s until the short one
         // drains (1 ms), then the long one's last 100 MB at full rate.
-        assert_eq!(net.completion(short), Some(Time::from_ms(1) + lat));
-        assert_eq!(net.completion(long), Some(Time::from_ms(2) + lat));
-        assert_eq!(net.reshare_events(), 2);
+        assert_eq!(got, [Time::from_ms(1) + lat, Time::from_ms(2) + lat]);
+        assert_eq!(net.stats().events, 2);
     }
 
     #[test]
@@ -754,12 +756,16 @@ mod tests {
         // asserts each reused allocation against the frozen reference).
         let t = topo("R(4)@100");
         let mut net = FlowNetwork::new(&t);
-        let a = net.inject_at(Time::ZERO, 0, 1, DataSize::from_bytes(100_000_000));
-        let b = net.inject_at(Time::ZERO, 2, 3, DataSize::from_bytes(100_000_000));
-        net.run_until_idle();
-        assert_eq!(net.completion(a), net.completion(b));
-        assert!(net.reshare_events() > 0);
-        assert!(net.reshare_reuses() >= net.reshare_events());
+        let got = run_flows(
+            &mut net,
+            &[
+                (Time::ZERO, 0, 1, bytes(100_000_000)),
+                (Time::ZERO, 2, 3, bytes(100_000_000)),
+            ],
+        );
+        assert_eq!(got[0], got[1]);
+        assert!(net.stats().events > 0);
+        assert!(net.reshare_reuses() >= net.stats().events);
     }
 
     #[test]
@@ -773,18 +779,23 @@ mod tests {
         // (each reuse is debug-asserted against the frozen reference).
         let t = topo("R(5)@200_SW(2)@25");
         let mut net = FlowNetwork::new(&t);
-        // (ring 0, plane 0) -> (ring 2, plane 1): ring 0->1->2, then the
-        // private 25 GB/s switch at ring position 2.
-        let a = net.inject_at(Time::ZERO, 0, 7, DataSize::from_bytes(50_000_000));
-        // (ring 1, plane 0) -> (ring 3, plane 1): ring 1->2->3 (sharing
-        // link 1->2 with `a`), then the private switch at position 3.
-        let b = net.inject_at(Time::ZERO, 1, 8, DataSize::from_bytes(25_000_000));
-        net.run_until_idle();
-        // Both drain at their private 25 GB/s bottleneck: b's departure
-        // at 1 ms leaves a's rate untouched, and a finishes 1 ms later.
-        let (fa, fb) = (net.completion(a).unwrap(), net.completion(b).unwrap());
-        assert_eq!(fa - fb, Time::from_ms(1));
-        assert_eq!(net.reshare_events(), 2);
+        let got = run_flows(
+            &mut net,
+            &[
+                // (ring 0, plane 0) -> (ring 2, plane 1): ring 0->1->2,
+                // then the private 25 GB/s switch at ring position 2.
+                (Time::ZERO, 0, 7, bytes(50_000_000)),
+                // (ring 1, plane 0) -> (ring 3, plane 1): ring 1->2->3
+                // (sharing link 1->2 with the first), then the private
+                // switch at position 3.
+                (Time::ZERO, 1, 8, bytes(25_000_000)),
+            ],
+        );
+        // Both drain at their private 25 GB/s bottleneck: the second's
+        // departure at 1 ms leaves the first's rate untouched, and the
+        // first finishes 1 ms later.
+        assert_eq!(got[0] - got[1], Time::from_ms(1));
+        assert_eq!(net.stats().events, 2);
         assert_eq!(net.reshare_reuses(), 2);
     }
 
@@ -797,15 +808,19 @@ mod tests {
         // at capacity while both flows overlap).
         let t = topo("R(5)@200_SW(2)@25");
         let mut net = FlowNetwork::new(&t);
-        let a = net.inject_at(Time::ZERO, 0, 7, DataSize::from_bytes(50_000_000));
-        // (ring 1, plane 0) -> (ring 3, plane 0): ring 1->2->3 only, no
-        // switch hop: its 100 GB/s private link cannot cap it below the
-        // shared link's 75 GB/s of remaining head-room.
-        let c = net.inject_at(Time::ZERO, 1, 3, DataSize::from_bytes(75_000_000));
-        net.run_until_idle();
-        assert!(net.completion(a).is_some() && net.completion(c).is_some());
+        run_flows(
+            &mut net,
+            &[
+                (Time::ZERO, 0, 7, bytes(50_000_000)),
+                // (ring 1, plane 0) -> (ring 3, plane 0): ring 1->2->3
+                // only, no switch hop: its 100 GB/s private link cannot
+                // cap it below the shared link's 75 GB/s of remaining
+                // head-room.
+                (Time::ZERO, 1, 3, bytes(75_000_000)),
+            ],
+        );
         assert_eq!(net.reshare_reuses(), 0);
-        assert_eq!(net.reshare_events(), 2);
+        assert_eq!(net.stats().events, 2);
     }
 
     #[test]
@@ -815,12 +830,15 @@ mod tests {
         // recompute the allocation from scratch.
         let t = topo("SW(4)@100");
         let mut net = FlowNetwork::new(&t);
-        let short = net.inject_at(Time::ZERO, 0, 3, DataSize::from_bytes(50_000_000));
-        let long = net.inject_at(Time::ZERO, 1, 3, DataSize::from_bytes(150_000_000));
-        net.run_until_idle();
+        run_flows(
+            &mut net,
+            &[
+                (Time::ZERO, 0, 3, bytes(50_000_000)),
+                (Time::ZERO, 1, 3, bytes(150_000_000)),
+            ],
+        );
         assert_eq!(net.reshare_reuses(), 0);
-        assert_eq!(net.reshare_events(), 2);
-        assert!(net.completion(short).is_some() && net.completion(long).is_some());
+        assert_eq!(net.stats().events, 2);
     }
 
     #[test]
@@ -831,26 +849,32 @@ mod tests {
             net.p2p_delay(0, 3, DataSize::from_bytes(50_000_000))
         };
         let mut net = FlowNetwork::new(&t);
-        let backlog = net.inject_at(Time::ZERO, 1, 3, DataSize::from_gib(1));
+        net.send_async(0, Time::ZERO, 1, 3, DataSize::from_gib(1));
         let congested = net.p2p_delay(0, 3, DataSize::from_bytes(50_000_000));
         // The shared down-link halves the probe's rate.
         let ratio = congested.as_us_f64() / quiet.as_us_f64();
         assert!((1.9..2.1).contains(&ratio), "{ratio}");
         // The backlog is still in flight afterwards (no draining side
         // effect), and finishes later under the full link rate.
-        assert_eq!(net.completion(backlog), None);
+        assert_eq!(net.active_flows(), 1);
         net.run_until_idle();
-        assert!(net.completion(backlog).is_some());
+        let done = drained(&mut net);
+        assert_eq!(done.len(), 1);
+        assert_eq!(done[0].token, 0);
     }
 
     #[test]
     fn self_and_zero_flows_complete_at_injection_time() {
         let t = topo("R(4)@100");
         let mut net = FlowNetwork::new(&t);
-        let s = net.inject_at(Time::from_us(5), 2, 2, DataSize::from_mib(1));
-        let z = net.inject_at(Time::from_us(7), 0, 1, DataSize::ZERO);
-        assert_eq!(net.completion(s), Some(Time::from_us(5)));
-        assert_eq!(net.completion(z), Some(Time::from_us(7)));
+        let got = run_flows(
+            &mut net,
+            &[
+                (Time::from_us(5), 2, 2, DataSize::from_mib(1)),
+                (Time::from_us(7), 0, 1, DataSize::ZERO),
+            ],
+        );
+        assert_eq!(got, [Time::from_us(5), Time::from_us(7)]);
     }
 
     #[test]
@@ -859,25 +883,43 @@ mod tests {
         // leaves the survivors' rates untouched.
         let t = topo("SW(4)@100");
         let mut net = FlowNetwork::new(&t);
-        let long = net.inject_at(Time::ZERO, 0, 3, DataSize::from_bytes(100_000_000));
-        let z = net.inject_at(Time::from_us(10), 1, 3, DataSize::ZERO);
-        assert_eq!(net.completion(z), Some(Time::from_us(10)));
+        net.send_async(0, Time::ZERO, 0, 3, bytes(100_000_000));
+        net.send_async(1, Time::from_us(10), 1, 3, DataSize::ZERO);
+        assert_eq!(
+            drained(&mut net),
+            [Completion {
+                token: 1,
+                finish: Time::from_us(10)
+            }]
+        );
         net.run_until_idle();
         let lat = Time::from_ns(1000);
-        assert_eq!(net.completion(long), Some(Time::from_ms(1) + lat));
+        assert_eq!(
+            drained(&mut net),
+            [Completion {
+                token: 0,
+                finish: Time::from_ms(1) + lat
+            }]
+        );
     }
 
     #[test]
     fn self_sends_complete_at_injection_even_under_congestion() {
         let t = topo("SW(4)@100");
         let mut net = FlowNetwork::new(&t);
-        let backlog = net.inject_at(Time::ZERO, 0, 3, DataSize::from_gib(1));
+        net.send_async(0, Time::ZERO, 0, 3, DataSize::from_gib(1));
         // src == dst: empty route, no link time, no latency, no sharing.
-        let s = net.inject_at(Time::from_us(3), 3, 3, DataSize::from_gib(4));
-        assert_eq!(net.completion(s), Some(Time::from_us(3)));
+        net.send_async(1, Time::from_us(3), 3, 3, DataSize::from_gib(4));
+        assert_eq!(
+            drained(&mut net),
+            [Completion {
+                token: 1,
+                finish: Time::from_us(3)
+            }]
+        );
         assert_eq!(net.active_flows(), 1);
         net.run_until_idle();
-        assert!(net.completion(backlog).is_some());
+        assert_eq!(drained(&mut net)[0].token, 0);
     }
 
     #[test]
@@ -887,11 +929,9 @@ mod tests {
         net.send_async(4, Time::from_us(2), 1, 1, DataSize::from_mib(8));
         net.send_async(9, Time::from_us(5), 0, 2, DataSize::ZERO);
         assert_eq!(net.next_event_time(), None);
-        let mut out = Vec::new();
-        net.drain_completions(&mut out);
         assert_eq!(
-            out,
-            vec![
+            drained(&mut net),
+            [
                 Completion {
                     token: 4,
                     finish: Time::from_us(2)
@@ -905,36 +945,30 @@ mod tests {
     }
 
     /// A chain of async sends, each sent once the previous completion is
-    /// drained, lives in one slot, and finishes exactly as the same chain
-    /// of untracked flows; an `inject_at` flow keeps its own slot, and
-    /// `stats().messages` counts every send.
+    /// drained, lives in one slot; every flow crosses the idle network in
+    /// its solo delay, and `stats().messages` counts every send.
     #[test]
     fn drained_chain_holds_one_slot() {
         let t = topo("R(8)@100");
         let size = DataSize::from_mib(1);
-        let mut tracked = FlowNetwork::new(&t);
-        let mut untracked = FlowNetwork::new(&t);
-        let kept = tracked.inject_at(Time::ZERO, 4, 6, DataSize::from_kib(64));
-        untracked.inject_at(Time::ZERO, 4, 6, DataSize::from_kib(64));
+        let solo = FlowNetwork::new(&t).p2p_delay(0, 3, size);
+        let mut net = FlowNetwork::new(&t);
         let mut at = Time::ZERO;
         let mut out = Vec::new();
         for token in 0..10 {
-            tracked.send_async(token, at, 0, 3, size);
-            let id = untracked.inject_at(at, 0, 3, size);
+            net.send_async(token, at, 0, 3, size);
             while out.is_empty() {
-                let next = tracked.next_event_time().unwrap();
-                tracked.advance_until(next);
-                tracked.drain_completions(&mut out);
+                let next = net.next_event_time().unwrap();
+                net.advance_until(next);
+                net.drain_completions(&mut out);
             }
             let c = out.pop().unwrap();
             assert_eq!(c.token, token);
-            untracked.run_until_idle();
-            assert_eq!(untracked.completion(id), Some(c.finish));
-            at = c.finish.max(tracked.earliest_send_time());
+            assert_eq!(c.finish - at, solo);
+            at = c.finish.max(net.earliest_send_time());
         }
-        assert_eq!(tracked.flows.len(), 2, "the chain grew past one slot");
-        assert!(tracked.completion(kept).is_some());
-        assert_eq!(tracked.stats().messages, 11);
+        assert_eq!(net.flows.len(), 1, "the chain grew past one slot");
+        assert_eq!(net.stats().messages, 10);
     }
 
     #[test]
@@ -944,18 +978,27 @@ mod tests {
         // the arrival are processed first, so C shares only with B.
         let t = topo("SW(4)@100");
         let mut net = FlowNetwork::new(&t);
-        let a = net.inject_at(Time::ZERO, 0, 3, DataSize::from_bytes(100_000_000));
-        let b = net.inject_at(Time::ZERO, 1, 3, DataSize::from_bytes(300_000_000));
-        // A and B share the down-link at 50 GB/s each; A drains its 100 MB
-        // at t = 2 ms — the exact injection instant of C.
-        let c = net.inject_at(Time::from_ms(2), 2, 3, DataSize::from_bytes(100_000_000));
-        net.run_until_idle();
+        let got = run_flows(
+            &mut net,
+            &[
+                (Time::ZERO, 0, 3, bytes(100_000_000)),
+                (Time::ZERO, 1, 3, bytes(300_000_000)),
+                // A and B share the down-link at 50 GB/s each; A drains
+                // its 100 MB at t = 2 ms — the exact injection instant of C.
+                (Time::from_ms(2), 2, 3, bytes(100_000_000)),
+            ],
+        );
         let lat = Time::from_ns(1000);
-        assert_eq!(net.completion(a), Some(Time::from_ms(2) + lat));
         // B has 200 MB left at t = 2 ms and shares with C at 50 GB/s:
         // C's 100 MB drain at t = 4 ms, then B's last 100 MB at full rate.
-        assert_eq!(net.completion(c), Some(Time::from_ms(4) + lat));
-        assert_eq!(net.completion(b), Some(Time::from_ms(5) + lat));
+        assert_eq!(
+            got,
+            [
+                Time::from_ms(2) + lat,
+                Time::from_ms(5) + lat,
+                Time::from_ms(4) + lat
+            ]
+        );
     }
 
     #[test]
@@ -964,23 +1007,19 @@ mod tests {
         // tie is resolved in a single step, not one re-share per flow.
         let t = topo("SW(4)@100");
         let mut net = FlowNetwork::new(&t);
-        let ids: Vec<_> = (0..3)
-            .map(|src| net.inject_at(Time::ZERO, src, 3, DataSize::from_bytes(100_000_000)))
-            .collect();
-        net.run_until_idle();
+        let sends = [0, 1, 2].map(|src| (Time::ZERO, src, 3, bytes(100_000_000)));
+        let got = run_flows(&mut net, &sends);
         let lat = Time::from_ns(1000);
-        for id in ids {
-            assert_eq!(net.completion(id), Some(Time::from_ms(3) + lat));
-        }
-        assert_eq!(net.reshare_events(), 1);
+        assert_eq!(got, [Time::from_ms(3) + lat; 3]);
+        assert_eq!(net.stats().events, 1);
     }
 
     #[test]
     fn routes_are_memoized() {
         let t = topo("R(8)@100");
         let mut net = FlowNetwork::new(&t);
-        for _ in 0..4 {
-            net.inject_at(net.now(), 0, 2, DataSize::from_kib(64));
+        for token in 0..4 {
+            net.send_async(token, net.now(), 0, 2, DataSize::from_kib(64));
         }
         net.run_until_idle();
         assert_eq!(net.routes.len(), 1);
@@ -989,11 +1028,10 @@ mod tests {
     #[test]
     fn telemetry_records_flow_spans_per_link() {
         let t = topo("SW(4)@100");
+        let sends = [0, 1].map(|src| (Time::ZERO, src, 3, bytes(50_000_000)));
         let mut net = FlowNetwork::new(&t);
         net.set_telemetry(true);
-        let a = net.inject_at(Time::ZERO, 0, 3, DataSize::from_bytes(50_000_000));
-        let b = net.inject_at(Time::ZERO, 1, 3, DataSize::from_bytes(50_000_000));
-        net.run_until_idle();
+        let got = run_flows(&mut net, &sends);
         let traces = net.link_traces();
         assert!(!traces.is_empty());
         // The shared down-link into NPU 3 carries both flows.
@@ -1001,8 +1039,8 @@ mod tests {
             .iter()
             .find(|l| l.reservations.len() == 2)
             .expect("shared down-link recorded both flows");
-        let finish = net.completion(a).unwrap();
-        assert_eq!(net.completion(b), Some(finish));
+        let finish = got[0];
+        assert_eq!(got[1], finish);
         for r in &shared.reservations {
             assert_eq!(r.ready, Time::ZERO);
             assert_eq!(r.start, Time::ZERO);
@@ -1010,10 +1048,7 @@ mod tests {
         }
         // Telemetry never perturbs the simulation itself.
         let mut quiet = FlowNetwork::new(&t);
-        let qa = quiet.inject_at(Time::ZERO, 0, 3, DataSize::from_bytes(50_000_000));
-        quiet.inject_at(Time::ZERO, 1, 3, DataSize::from_bytes(50_000_000));
-        quiet.run_until_idle();
-        assert_eq!(quiet.completion(qa), Some(finish));
+        assert_eq!(run_flows(&mut quiet, &sends), got);
         assert!(quiet.link_traces().is_empty());
     }
 }

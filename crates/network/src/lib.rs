@@ -48,7 +48,7 @@ use serde::{Deserialize, Serialize};
 
 /// Re-exported so backend implementors and consumers share one type.
 pub use astra_telemetry::LinkTrace;
-pub use flow::{FlowId, FlowNetwork};
+pub use flow::FlowNetwork;
 pub use routes::RouteTable;
 pub use warm::{SharedDelayMemo, SharedRouteTable};
 
@@ -339,7 +339,8 @@ pub struct AnalyticalConfig {
 /// thousands of identical queries (the same activation size between the
 /// same stage pair every microbatch), so repeat queries cost one hash
 /// lookup instead of re-walking the coordinate grid.
-/// [`AnalyticalNetwork::cache_hits`] counts the savings.
+/// [`NetworkStats::cache_hits`] counts the savings, and
+/// [`NetworkBackend::delay_memo_stats`] reports hits and misses.
 #[derive(Clone, Debug)]
 pub struct AnalyticalNetwork {
     topo: Topology,
@@ -403,17 +404,6 @@ impl AnalyticalNetwork {
         let mut net = Self::new(topo);
         net.faulted = fabric;
         net
-    }
-
-    /// Delay queries answered from the `(src, dst, size)` memo so far.
-    pub fn cache_hits(&self) -> u64 {
-        self.hits
-    }
-
-    /// Delay queries that missed the local memo (computed fresh or
-    /// answered from the shared memo).
-    pub fn cache_misses(&self) -> u64 {
-        self.misses
     }
 
     /// The closed-form delay, memoized per `(src, dst, size)`.
@@ -618,19 +608,19 @@ mod tests {
         let mut n = net("R(8)@100_SW(4)@50");
         let size = DataSize::from_mib(4);
         let first = n.p2p_delay(0, 9, size);
-        assert_eq!(n.cache_hits(), 0);
+        assert_eq!(n.stats().cache_hits, 0);
         // Same triple: memo hit, identical answer.
         assert_eq!(n.p2p_delay(0, 9, size), first);
-        assert_eq!(n.cache_hits(), 1);
+        assert_eq!(n.stats().cache_hits, 1);
         // Different size or pair: fresh entries.
         let _ = n.p2p_delay(0, 9, DataSize::from_mib(8));
         let _ = n.p2p_delay(9, 0, size);
-        assert_eq!(n.cache_hits(), 1);
+        assert_eq!(n.stats().cache_hits, 1);
         for _ in 0..10 {
             assert_eq!(n.p2p_delay(0, 9, size), first);
         }
-        assert_eq!(n.cache_hits(), 11);
         assert_eq!(n.stats().cache_hits, 11);
+        assert_eq!(n.delay_memo_stats(), (11, 3));
         assert_eq!(n.stats().messages, 14);
     }
 
@@ -657,7 +647,7 @@ mod tests {
         n.drain_completions(&mut out);
         assert!(out.is_empty(), "completions are drained once");
         // The async path shares the memo with blocking queries.
-        assert!(n.cache_hits() > 0);
+        assert!(n.stats().cache_hits > 0);
     }
 
     #[test]

@@ -56,8 +56,8 @@ pub struct SystemConfig {
     ///
     /// Through the async NetworkAPI the engine keeps one backend instance
     /// co-resident with its own event loop, so engine-time-concurrent
-    /// messages contend inside the `packet` / `flow` backends exactly as
-    /// when driving them directly via `send_at` / `inject_at`.
+    /// messages contend inside the `packet` / `flow` backends as any
+    /// messages sent through `NetworkBackend::send_async` do.
     pub network_backend: NetworkBackendKind,
     /// How collectives execute: [`CollectiveMode::Analytical`] (the frozen
     /// closed-form fast path, the default) or [`CollectiveMode::Backend`]
