@@ -11,6 +11,7 @@
 use astra_des::{DataSize, Time};
 use astra_topology::Dimension;
 
+use crate::scheduler::Orders;
 use crate::{Algorithm, Collective, SchedulerPolicy};
 
 /// Result of executing one collective.
@@ -88,7 +89,8 @@ impl CollectiveEngine {
 
     /// Runs a collective issued at `start`, on dimension resources that are
     /// each free from `available[d]` (allowing back-to-back collectives on
-    /// the same links to contend realistically).
+    /// the same links to contend realistically): [`CollectiveEngine::plan_into`]
+    /// on the dimensions' backlog, then [`CollectivePlan::finish`].
     ///
     /// # Panics
     ///
@@ -103,64 +105,142 @@ impl CollectiveEngine {
     ) -> CollectiveOutcome {
         assert!(!dims.is_empty(), "collective needs at least one dimension");
         assert_eq!(available.len(), dims.len(), "one availability per dim");
-        if size == DataSize::ZERO {
-            return CollectiveOutcome {
-                finish: start,
-                per_dim_busy: vec![Time::ZERO; dims.len()],
-                per_dim_traffic: vec![DataSize::ZERO; dims.len()],
-                free_at: available.to_vec(),
-            };
-        }
-
-        let chunk_size = size.div_ceil_parts(self.chunks);
         // Existing backlog per dimension: how long each set of links is
         // still busy after this collective is issued.
-        let initial_loads: Vec<Time> = available.iter().map(|&a| a.saturating_sub(start)).collect();
-        let orders =
-            self.scheduler
-                .plan_orders(collective, chunk_size, dims, self.chunks, &initial_loads);
-
-        // Every chunk sharing an order runs the same phase sequence: add
-        // its phases once per chunk, and its chain once.
-        let mut traffic = vec![DataSize::ZERO; dims.len()];
-        let mut busy = vec![Time::ZERO; dims.len()];
-        let mut chain = Time::ZERO;
-        for (order, count) in &orders {
-            let mut this_chain = Time::ZERO;
-            for phase in chunk_phases(collective, chunk_size, dims, order) {
-                busy[phase.dim] += phase.service * *count;
-                traffic[phase.dim] += phase.traffic * *count;
-                this_chain += phase.service + phase.latency;
-            }
-            chain = chain.max(this_chain);
-        }
-
-        // Fluid pipeline model: dimensions stream chunks concurrently
-        // (links are bandwidth-shared, so a dimension is never idle while
-        // it has pending work). The makespan is the first chunk's
-        // end-to-end chain (pipeline fill) plus the bottleneck dimension's
-        // remaining service, where each dimension first drains any backlog
-        // left by earlier collectives on the same links.
-        let finish = start
-            + chain
-            + dims
-                .iter()
-                .enumerate()
-                .map(|(d, _)| {
-                    let backlog = available[d].saturating_sub(start);
-                    backlog + pipeline_tail(busy[d], self.chunks)
-                })
-                .fold(Time::ZERO, Time::max);
-        let free_at: Vec<Time> = (0..dims.len())
-            .map(|d| available[d].max(start) + busy[d])
-            .collect();
-
+        let backlog: Vec<Time> = available.iter().map(|&a| a.saturating_sub(start)).collect();
+        let mut plan = CollectivePlan::default();
+        self.plan_into(collective, size, dims, &backlog, &mut plan);
+        let mut free_at = available.to_vec();
+        let lanes: Vec<usize> = (0..dims.len()).collect();
+        let finish = plan.finish(start, &mut free_at, &lanes);
+        // A plan of nothing to move is empty.
+        let mut per_dim_busy = plan.busy;
+        let mut per_dim_traffic = plan.traffic;
+        per_dim_busy.resize(dims.len(), Time::ZERO);
+        per_dim_traffic.resize(dims.len(), DataSize::ZERO);
         CollectiveOutcome {
             finish,
-            per_dim_busy: busy,
-            per_dim_traffic: traffic,
+            per_dim_busy,
+            per_dim_traffic,
             free_at,
         }
+    }
+
+    /// Plans a collective of `size` over `dims` into `plan`, reusing its
+    /// buffers. `backlog[d]` is how long dimension `d`'s links stay busy
+    /// after the collective is issued. Only the Themis scheduler on two or
+    /// more dimensions reads it: every other plan holds for each issue of
+    /// the same collective and size on the same dimensions.
+    pub fn plan_into(
+        &self,
+        collective: Collective,
+        size: DataSize,
+        dims: &[Dimension],
+        backlog: &[Time],
+        plan: &mut CollectivePlan,
+    ) {
+        let CollectivePlan {
+            busy,
+            tail,
+            traffic,
+            chain,
+            orders,
+        } = plan;
+        busy.clear();
+        tail.clear();
+        traffic.clear();
+        *chain = Time::ZERO;
+        if size == DataSize::ZERO {
+            return;
+        }
+        let chunk_size = size.div_ceil_parts(self.chunks);
+        busy.resize(dims.len(), Time::ZERO);
+        traffic.resize(dims.len(), DataSize::ZERO);
+        self.scheduler
+            .plan_orders(collective, chunk_size, dims, self.chunks, backlog, orders);
+        // Every chunk sharing an order runs the same phases: add them once
+        // per chunk, and the order's chain once. Sums do not depend on the
+        // order they are taken in, so each dimension's phases are added
+        // where the order first visits it.
+        for (order, count) in orders.chosen() {
+            let mut this_chain = Time::ZERO;
+            for (d, service, latency, moved) in order_phases(collective, chunk_size, dims, order) {
+                for _ in 0..collective.phase_visits() {
+                    busy[d] += service * count;
+                    traffic[d] += moved * count;
+                    this_chain += service + latency;
+                }
+            }
+            *chain = (*chain).max(this_chain);
+        }
+        tail.extend(busy.iter().map(|&b| pipeline_tail(b, self.chunks)));
+    }
+}
+
+/// The order-free half of one collective's closed form (see
+/// [`CollectiveEngine::plan_into`]): what it adds to each dimension's busy
+/// time, and the longest chain of phases one chunk runs through (the
+/// pipeline fill). [`CollectivePlan::finish`] is the other half.
+///
+/// # Example
+///
+/// ```
+/// use astra_collectives::{Collective, CollectiveEngine, CollectivePlan, SchedulerPolicy};
+/// use astra_des::{DataSize, Time};
+/// use astra_topology::Topology;
+///
+/// let topo = Topology::parse("R(4)@250_SW(8)@100").unwrap();
+/// let engine = CollectiveEngine::new(16, SchedulerPolicy::Baseline);
+/// let mut plan = CollectivePlan::default();
+/// let size = DataSize::from_mib(64);
+/// engine.plan_into(Collective::AllReduce, size, topo.dims(), &[], &mut plan);
+/// // Two back-to-back All-Reduces on lanes 3 and 5 of a lane table.
+/// let mut lanes = vec![Time::ZERO; 6];
+/// let first = plan.finish(Time::ZERO, &mut lanes, &[3, 5]);
+/// let second = plan.finish(Time::ZERO, &mut lanes, &[3, 5]);
+/// assert_eq!(first, engine.run(Collective::AllReduce, size, topo.dims()).finish);
+/// assert!(second > first);
+/// ```
+#[derive(Clone, Debug, Default)]
+pub struct CollectivePlan {
+    /// Per dimension: the busy time the collective adds.
+    busy: Vec<Time>,
+    /// Per dimension: the part of `busy` still to run once the first
+    /// chunk is through (see [`pipeline_tail`]).
+    tail: Vec<Time>,
+    /// Per dimension: bytes each participating NPU moves through it.
+    traffic: Vec<DataSize>,
+    /// The longest chunk's end-to-end chain of phases.
+    chain: Time,
+    /// The scheduler's planned orders, kept from plan to plan.
+    orders: Orders,
+}
+
+impl CollectivePlan {
+    /// Finishes the collective issued at `start` on the lanes
+    /// `lanes[at[d]]`, each dimension's free time, and moves each of them
+    /// to when the collective leaves it. Returns the completion time.
+    ///
+    /// Fluid pipeline model: dimensions stream chunks concurrently (links
+    /// are bandwidth-shared, so a dimension is never idle while it has
+    /// pending work). The makespan is the first chunk's end-to-end chain
+    /// (pipeline fill) plus the bottleneck dimension's remaining service,
+    /// where each dimension first drains any backlog left by earlier
+    /// collectives on the same links. A plan of nothing to move finishes
+    /// at `start` and leaves the lanes as they are.
+    ///
+    /// # Panics
+    ///
+    /// Panics if an `at` index is out of `lanes`' range.
+    pub fn finish(&self, start: Time, lanes: &mut [Time], at: &[usize]) -> Time {
+        let mut drain = Time::ZERO;
+        for (&tail, &lane) in self.tail.iter().zip(at) {
+            drain = drain.max(lanes[lane].saturating_sub(start) + tail);
+        }
+        for (&busy, &lane) in self.busy.iter().zip(at) {
+            lanes[lane] = lanes[lane].max(start) + busy;
+        }
+        start + self.chain + drain
     }
 }
 
@@ -179,39 +259,34 @@ pub(crate) fn pipeline_tail(busy: Time, chunks: u64) -> Time {
 #[derive(Clone, Debug)]
 pub(crate) struct Phase {
     pub(crate) dim: usize,
-    /// Link occupancy (serialization) time: `traffic / dim bandwidth`.
-    pub(crate) service: Time,
     /// Propagation latency: delays this chunk's next phase but does not
     /// occupy the dimension (it overlaps with the next chunk's transfer).
     pub(crate) latency: Time,
     pub(crate) traffic: DataSize,
 }
 
-/// Link-occupancy (serialization-only) time of one dimension phase — what
-/// the bandwidth-aware scheduler balances.
-pub(crate) fn phase_service(
+/// The forward phases of one chunk visiting `dims` in `order`, as
+/// `(dimension, service, latency, traffic)`: serialization occupies the
+/// dimension, propagation only delays the chunk. Each phase but an
+/// All-to-All's carries the data the previous ones left.
+pub(crate) fn order_phases<'a>(
     collective: Collective,
     chunk_size: DataSize,
-    dim: &Dimension,
-    divisor: u64,
-) -> Time {
-    phase_cost_parts(collective, chunk_size, dim, divisor).0
+    dims: &'a [Dimension],
+    order: &'a [usize],
+) -> impl Iterator<Item = (usize, Time, Time, DataSize)> + 'a {
+    let mut divisor = 1u64;
+    order.iter().map(move |&d| {
+        let (service, latency, traffic) =
+            phase_cost_parts(collective, chunk_size, &dims[d], divisor);
+        if collective != Collective::AllToAll {
+            divisor = divisor.saturating_mul(dims[d].npus() as u64);
+        }
+        (d, service, latency, traffic)
+    })
 }
 
-/// Chain (service + propagation) contribution of one dimension phase to a
-/// chunk's end-to-end path — what pipeline fill costs.
-pub(crate) fn phase_chain_cost(
-    collective: Collective,
-    chunk_size: DataSize,
-    dim: &Dimension,
-    divisor: u64,
-) -> Time {
-    let (service, latency, _) = phase_cost_parts(collective, chunk_size, dim, divisor);
-    service + latency
-}
-
-/// Like [`phase_cost`] but keeps serialization and propagation separate:
-/// serialization occupies the dimension, propagation only delays the chunk.
+/// One dimension phase of one chunk as `(service, latency, traffic)`.
 fn phase_cost_parts(
     collective: Collective,
     chunk_size: DataSize,
@@ -241,21 +316,13 @@ pub(crate) fn chunk_phases(
     dims: &[Dimension],
     order: &[usize],
 ) -> Vec<Phase> {
-    let mut forward = Vec::with_capacity(order.len());
-    let mut divisor = 1u64;
-    for &d in order {
-        let (service, latency, traffic) =
-            phase_cost_parts(collective, chunk_size, &dims[d], divisor);
-        forward.push(Phase {
-            dim: d,
-            service,
+    let mut forward: Vec<Phase> = order_phases(collective, chunk_size, dims, order)
+        .map(|(dim, _, latency, traffic)| Phase {
+            dim,
             latency,
             traffic,
-        });
-        if collective != Collective::AllToAll {
-            divisor = divisor.saturating_mul(dims[d].npus() as u64);
-        }
-    }
+        })
+        .collect();
     match collective {
         Collective::ReduceScatter | Collective::AllToAll => forward,
         // All-Gather grows data dimension by dimension: largest phase last,

@@ -45,7 +45,7 @@ mod pattern;
 mod scheduler;
 
 pub use algorithm::Algorithm;
-pub use engine::{dimension_traffic, CollectiveEngine, CollectiveOutcome};
+pub use engine::{dimension_traffic, CollectiveEngine, CollectiveOutcome, CollectivePlan};
 pub use lowering::{ChunkOp, CollectiveMode, CollectiveProgram};
 pub use pattern::Collective;
 pub use scheduler::SchedulerPolicy;

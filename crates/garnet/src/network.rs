@@ -330,7 +330,7 @@ impl PacketNetwork {
     }
 
     /// Builds the packet simulator with every per-packet hop scheduled on
-    /// one global event heap ([`Self::start_hop`]) instead of per-link
+    /// one global event heap (the private `start_hop` path) instead of per-link
     /// lanes. Both deliver events in the same `(time, seq)` order, so the
     /// results are bit-identical; this one is the frozen reference that
     /// differential tests and the `packet_core` bench baseline compare

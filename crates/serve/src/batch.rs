@@ -248,8 +248,8 @@ pub(crate) const MAX_LINE_BYTES: usize = 64 * 1024;
 /// sharing `cache`, returning one response row per non-blank line, in
 /// input order, plus the batch totals. The calling thread starts alone and
 /// starts the other workers at the first line with work worth sharing
-/// (see [`response_row`]), so a batch of small memoized reports starts
-/// none.
+/// (a request whose report is not memoized, or the rendering of a large
+/// report), so a batch of small memoized reports starts none.
 ///
 /// Every row is bit-identical to what a cold, sequential execution of the
 /// same line would produce; only wall-clock time depends on `workers` and

@@ -6,7 +6,8 @@ use std::fmt;
 use std::sync::Arc;
 
 use astra_collectives::{
-    lowering, Collective, CollectiveEngine, CollectiveMode, CollectiveProgram, SchedulerPolicy,
+    lowering, Collective, CollectiveEngine, CollectiveMode, CollectivePlan, CollectiveProgram,
+    SchedulerPolicy,
 };
 use astra_des::{
     attribute_exclusive, attribute_exclusive_intervals, DataSize, EventQueue, FifoResource,
@@ -27,7 +28,7 @@ use astra_workload::{EtNode, EtOp, ExecutionTrace, Roofline, TensorLocation};
 
 use crate::orbits::Orbits;
 use crate::report::FaultImpact;
-use crate::setup::{build_backend, prepare, GroupSpan, Setup};
+use crate::setup::{build_backend, prepare, Setup, Spans};
 use crate::ties::Ties;
 use crate::{Breakdown, CacheStats, SimReport};
 
@@ -657,7 +658,7 @@ pub(crate) struct Engine<'a> {
     /// The run's partition into blocks.
     orbits: Orbits,
     /// Per group block: its span.
-    spans: Vec<GroupSpan>,
+    spans: Spans,
     /// The fabric [`prepare`] applied, until [`Engine::network_mut`] hands
     /// it to the backend it builds.
     fabric: Option<FaultedGraph>,
@@ -675,14 +676,23 @@ pub(crate) struct Engine<'a> {
     compute_res: Vec<FifoResource>,
     local_res: Vec<FifoResource>,
     remote_res: Vec<FifoResource>,
-    /// Per lane (see [`GroupSpan::lanes`]): when it frees.
+    /// Per lane (see [`crate::setup::GroupSpan::lanes`]): when it frees.
     lanes: Vec<Time>,
+    /// Closed-form plans that read no backlog (the Baseline scheduler's),
+    /// memoized per `(group block, collective, size)`.
+    plans: BTreeMap<(u32, Collective, DataSize), CollectivePlan>,
+    /// The plan of a meeting whose plan reads the backlog, and the
+    /// backlog it read; reused from meeting to meeting.
+    plan: CollectivePlan,
+    backlog: Vec<Time>,
 
     logs: Vec<[IntervalLog; 4]>,
     finish: Vec<Time>,
 
     /// Per group block: its collective rendezvous.
     rendezvous: Vec<Rendezvous>,
+    /// Emptied meeting vectors, reused by the next meetings to open.
+    meetings: Vec<Vec<Arrival>>,
     p2p_pending: BTreeMap<(NpuId, NpuId, u64), P2pPending>,
     /// Messages on the async backend, keyed by the token each was sent
     /// under. Each NIC lane carries one message at a time, so this holds
@@ -764,7 +774,7 @@ impl<'a> Engine<'a> {
             .iter()
             .map(|program| program.iter().map(|n| n.deps.len() as u32).collect())
             .collect();
-        let remaining_deps = orbits
+        let remaining_deps: Vec<Vec<u32>> = orbits
             .reps
             .iter()
             .map(|&npu| counts[trace.class_of(npu)].clone())
@@ -799,7 +809,10 @@ impl<'a> Engine<'a> {
             collective_engine: CollectiveEngine::new(config.collective_chunks, config.scheduler),
             network: None,
             lanes: vec![Time::ZERO; orbits.lanes],
-            ties: (blocks < trace.npus()).then(|| Ties::new(&orbits, &spans)),
+            plans: BTreeMap::new(),
+            plan: CollectivePlan::default(),
+            backlog: Vec::new(),
+            ties: (blocks < trace.npus()).then(|| Ties::new(&orbits, &spans, &remaining_deps)),
             orbits,
             spans,
             fabric,
@@ -814,6 +827,7 @@ impl<'a> Engine<'a> {
             logs: (0..blocks).map(|_| Default::default()).collect(),
             finish: vec![Time::ZERO; blocks],
             rendezvous,
+            meetings: Vec::new(),
             p2p_pending: BTreeMap::new(),
             in_flight: Slab::new(),
             nic_occupied: vec![false; blocks],
@@ -1272,7 +1286,9 @@ impl<'a> Engine<'a> {
         let slot = (rv.issued[rank] - rv.completed) as usize;
         rv.issued[rank] += 1;
         if slot == rv.open.len() {
-            rv.open.push_back(Vec::with_capacity(members));
+            let meeting = self.meetings.pop();
+            rv.open
+                .push_back(meeting.unwrap_or_else(|| Vec::with_capacity(members)));
         }
         rv.open[slot].push((block, node, now));
         if rv.open[0].len() < members {
@@ -1289,9 +1305,9 @@ impl<'a> Engine<'a> {
 
     /// Runs a full meeting of group block `group`, which stands for
     /// `group_sizes[group]` trace groups meeting at once.
-    fn run_collective(&mut self, group: u32, arrivals: Vec<Arrival>) -> Result<(), SimError> {
+    fn run_collective(&mut self, group: u32, mut arrivals: Vec<Arrival>) -> Result<(), SimError> {
         self.collectives += self.orbits.group_sizes[group as usize];
-        let span = &self.spans[group as usize];
+        let span = self.spans.span(group as usize);
         let start = arrivals
             .iter()
             .map(|&(_, _, t)| t)
@@ -1312,49 +1328,70 @@ impl<'a> Engine<'a> {
             return self
                 .launch_backend_collective(group, collective, size, start, arrivals, trace_id);
         }
-        let origins = match &mut self.ties {
+        let origins: &[u32] = match &mut self.ties {
             Some(ties) => {
-                let ranks: Vec<usize> = arrivals
+                let ranks = arrivals
                     .iter()
-                    .map(|&(block, _, _)| span.members.binary_search(&block).unwrap_or_default())
-                    .collect();
-                ties.launch(group as usize, &ranks, &span.lanes)?
+                    .map(|&(block, _, _)| span.members.binary_search(&block).unwrap_or_default());
+                ties.launch(group as usize, ranks, span.lanes)?
             }
-            None => Vec::new(),
+            None => &[],
         };
-        let finish = if span.dims.is_empty() {
-            // Single-member group: nothing to communicate.
-            start
+        // A plan that reads no backlog is memoized per group block and
+        // shape; a Themis plan is made afresh in one reused plan.
+        let plan = if self.config.scheduler == SchedulerPolicy::Baseline {
+            let engine = self.collective_engine;
+            self.plans
+                .entry((group, collective, size))
+                .or_insert_with(|| {
+                    let mut plan = CollectivePlan::default();
+                    engine.plan_into(collective, size, span.dims, &[], &mut plan);
+                    plan
+                })
         } else {
-            let dims: Vec<Dimension> = span.dims.iter().map(|&(_, d, _)| d).collect();
-            let available: Vec<Time> = span.lanes.iter().map(|&lane| self.lanes[lane]).collect();
-            let outcome = self
-                .collective_engine
-                .run_at(collective, size, &dims, start, &available);
-            for (&lane, &free) in span.lanes.iter().zip(&outcome.free_at) {
-                self.lanes[lane] = free;
-            }
-            // Per-fault attribution: re-run the closed form with the
-            // pristine dimensions (run_at is pure) and charge the finish
-            // delta to the first schedule event that degraded a spanned
-            // dimension. Fault-free spans skip the second run entirely.
-            if span.degraded.iter().any(Option::is_some) {
-                let pristine: Vec<Dimension> = span
-                    .dims
+            self.backlog.clear();
+            let lanes = &self.lanes;
+            self.backlog.extend(
+                span.lanes
                     .iter()
-                    .zip(&span.degraded)
-                    .map(|(&(_, d, _), degraded)| degraded.map_or(d, |(p, _)| p))
-                    .collect();
-                let baseline = self
-                    .collective_engine
-                    .run_at(collective, size, &pristine, start, &available);
-                if let Some(event) = span.degraded.iter().flatten().map(|&(_, e)| e).min() {
-                    let impact = &mut self.impacts[event];
-                    impact.extra_time += outcome.finish.saturating_sub(baseline.finish);
-                }
-            }
-            outcome.finish
+                    .map(|&lane| lanes[lane].saturating_sub(start)),
+            );
+            self.collective_engine.plan_into(
+                collective,
+                size,
+                span.dims,
+                &self.backlog,
+                &mut self.plan,
+            );
+            &self.plan
         };
+        // Per-fault attribution needs the lanes as the collective found
+        // them; fault-free spans skip it.
+        let degraded = span.degraded.iter().any(Option::is_some);
+        let available: Vec<Time> = if degraded {
+            span.lanes.iter().map(|&lane| self.lanes[lane]).collect()
+        } else {
+            Vec::new()
+        };
+        let finish = plan.finish(start, &mut self.lanes, span.lanes);
+        // Per-fault attribution: re-run the closed form with the pristine
+        // dimensions and charge the finish delta to the first schedule
+        // event that degraded a spanned dimension.
+        if degraded {
+            let pristine: Vec<Dimension> = span
+                .dims
+                .iter()
+                .zip(span.degraded)
+                .map(|(&d, degraded)| degraded.map_or(d, |(p, _)| p))
+                .collect();
+            let baseline = self
+                .collective_engine
+                .run_at(collective, size, &pristine, start, &available);
+            if let Some(event) = span.degraded.iter().flatten().map(|&(_, e)| e).min() {
+                let impact = &mut self.impacts[event];
+                impact.extra_time += finish.saturating_sub(baseline.finish);
+            }
+        }
         if let Some(sink) = &mut self.sink {
             sink.collectives.push(CollectiveSpan {
                 id: trace_id,
@@ -1363,7 +1400,7 @@ impl<'a> Engine<'a> {
                 finish,
             });
         }
-        for (j, (block, node, ready)) in arrivals.into_iter().enumerate() {
+        for (j, &(block, node, ready)) in arrivals.iter().enumerate() {
             if finish > ready {
                 self.logs[block][COMM].push(ready, finish);
             }
@@ -1377,6 +1414,8 @@ impl<'a> Engine<'a> {
                 }),
             );
         }
+        arrivals.clear();
+        self.meetings.push(arrivals);
         Ok(())
     }
 
@@ -1401,13 +1440,9 @@ impl<'a> Engine<'a> {
             }
             None => {
                 self.lowering_misses += 1;
-                let dims: Vec<Dimension> = self.spans[group as usize]
-                    .dims
-                    .iter()
-                    .map(|&(_, d, _)| d)
-                    .collect();
+                let dims = self.spans.span(group as usize).dims;
                 let chunks = self.config.collective_chunks;
-                let program = Arc::new(lowering::lower(collective, size, &dims, chunks));
+                let program = Arc::new(lowering::lower(collective, size, dims, chunks));
                 self.program_memo
                     .insert((group, collective, size), Arc::clone(&program));
                 program
@@ -1445,7 +1480,7 @@ impl<'a> Engine<'a> {
             ));
         };
         let meta = rc.program.op(op);
-        let (_, _, (src, dst)) = self.spans[rc.group as usize].dims[meta.dim];
+        let (src, dst) = self.spans.wire(rc.group as usize, meta.dim);
         self.chunk_ops += 1 + more;
         self.enqueue_outbound(Outbound::Chunk(ChunkSend {
             coll,
@@ -1699,7 +1734,8 @@ impl<'a> Engine<'a> {
                     finish: rc.finish,
                 });
             }
-            for (block, node, ready) in rc.arrivals {
+            let mut arrivals = rc.arrivals;
+            for &(block, node, ready) in &arrivals {
                 if rc.finish > ready {
                     self.logs[block][COMM].push(ready, rc.finish);
                 }
@@ -1712,6 +1748,8 @@ impl<'a> Engine<'a> {
                     }),
                 );
             }
+            arrivals.clear();
+            self.meetings.push(arrivals);
         }
         Ok(())
     }
@@ -1720,7 +1758,7 @@ impl<'a> Engine<'a> {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::setup::group_span;
+    use crate::setup::Spans;
     use astra_collectives::Collective;
     use astra_workload::{models, parallelism, EtOp, Parallelism, TraceBuilder};
 
@@ -1778,24 +1816,33 @@ mod tests {
     #[test]
     fn group_span_subsets_dimensions() {
         let topo = topo512();
+        let mut spans = Spans::new();
+        let mut coords = Vec::new();
         // Contiguous 16-NPU group: spans dims 0 (k=2) and 1 (k=8).
-        let span = group_span(&topo, &(0..16).collect::<Vec<_>>()).unwrap();
-        let dims: Vec<usize> = span.dims.iter().map(|&(d, _, _)| d).collect();
-        assert_eq!(dims, vec![0, 1]);
-        assert_eq!(span.dims[0].1.npus(), 2);
-        assert_eq!(span.dims[1].1.npus(), 8);
+        assert!(spans.push_group(&topo, &(0..16).collect::<Vec<_>>(), &mut coords));
+        let span = spans.span(0);
+        assert_eq!(span.axes, &[0, 1]);
+        assert_eq!(span.dims[0].npus(), 2);
+        assert_eq!(span.dims[1].npus(), 8);
         // Strided DP group: spans dims 2 and 3.
         let dp: Vec<usize> = (0..32).map(|i| i * 16).collect();
-        let span = group_span(&topo, &dp).unwrap();
-        let dims: Vec<usize> = span.dims.iter().map(|&(d, _, _)| d).collect();
-        assert_eq!(dims, vec![2, 3]);
+        assert!(spans.push_group(&topo, &dp, &mut coords));
+        let span = spans.span(1);
+        assert_eq!(span.axes, &[2, 3]);
+        assert_eq!(span.members, &dp[..]);
     }
 
     #[test]
     fn unaligned_group_rejected() {
         let topo = small_topo();
-        // Three members cannot form a sub-grid of a 4x4 topology.
-        assert!(group_span(&topo, &[0, 1, 5]).is_none());
+        // Three members cannot form a sub-grid of a 4x4 topology, and a
+        // rejected group leaves nothing behind.
+        let mut spans = Spans::new();
+        assert!(!spans.push_group(&topo, &[0, 1, 5], &mut Vec::new()));
+        assert_eq!(spans.len(), 0);
+        assert!(spans.push_group(&topo, &[4, 0], &mut Vec::new()));
+        assert_eq!(spans.span(0).members, &[0, 4]);
+        assert_eq!(spans.span(0).lanes.len(), spans.span(0).dims.len());
         let mut b = TraceBuilder::new(16);
         let g = b.add_group(vec![0, 1, 5]);
         b.node(

@@ -45,15 +45,13 @@
 //! as it goes ([`crate::ties`]) and, on one it cannot vouch for, is
 //! discarded and rerun on the identity partition.
 
-use std::collections::BTreeMap;
-
 use astra_collectives::CollectiveMode;
 use astra_des::Time;
 use astra_topology::{NpuId, Topology};
 use astra_workload::{EtOp, ExecutionTrace, MemoryDirection, TensorLocation};
 
 use crate::engine::SystemConfig;
-use crate::setup::GroupSpan;
+use crate::setup::{GroupSpan, Spans};
 
 /// A partition of a run's NPUs, groups and lanes into blocks.
 pub(crate) struct Orbits {
@@ -115,8 +113,8 @@ impl Orbits {
         trace: &ExecutionTrace,
         topo: &Topology,
         config: &SystemConfig,
-        spans: &[GroupSpan],
-    ) -> Option<(Orbits, Vec<GroupSpan>)> {
+        spans: &Spans,
+    ) -> Option<(Orbits, Spans)> {
         if !eligible(trace, config, spans) {
             return None;
         }
@@ -149,7 +147,7 @@ impl Orbits {
 const MAX_ROUNDS: usize = 16;
 
 /// Whether a run may collapse (see [`Orbits::collapse`]).
-fn eligible(trace: &ExecutionTrace, config: &SystemConfig, spans: &[GroupSpan]) -> bool {
+fn eligible(trace: &ExecutionTrace, config: &SystemConfig, spans: &Spans) -> bool {
     let closed_form = config.collective_mode == CollectiveMode::Analytical
         && config.faults.is_empty()
         && config.max_events.is_none()
@@ -219,26 +217,91 @@ impl Csr {
     }
 }
 
-/// Interns one signature per vertex, in vertex order, into dense colours.
-/// Returns the colours and how many there are.
-fn recolour(vertices: usize, mut signature: impl FnMut(usize, &mut Vec<u32>)) -> (Vec<u32>, usize) {
-    let mut ids: BTreeMap<Vec<u32>, u32> = BTreeMap::new();
+/// Interns one signature per vertex, in vertex order, into dense colours
+/// numbered in order of first sight. Returns the colours and how many
+/// there are.
+fn recolour(
+    vertices: usize,
+    interner: &mut Interner,
+    mut signature: impl FnMut(usize, &mut Vec<u32>),
+) -> (Vec<u32>, usize) {
+    interner.clear();
     let mut sig = Vec::new();
     let colours = (0..vertices)
         .map(|v| {
             sig.clear();
             signature(v, &mut sig);
-            match ids.get(&sig) {
-                Some(&colour) => colour,
-                None => {
-                    let colour = ids.len() as u32;
-                    ids.insert(sig.clone(), colour);
-                    colour
-                }
-            }
+            interner.intern(&sig)
         })
         .collect();
-    (colours, ids.len())
+    (colours, interner.len())
+}
+
+/// Distinct signatures, each stored once in one flat buffer and found
+/// through an open-addressing table of their hashes. Its buffers are kept
+/// from one recolouring to the next.
+#[derive(Default)]
+struct Interner {
+    /// Signature `c` is `words[at[c]..at[c + 1]]`.
+    words: Vec<u32>,
+    at: Vec<usize>,
+    hashes: Vec<u64>,
+    /// Per slot: a colour plus one, or 0 when empty. Its length is a power
+    /// of two, at least twice the colour count.
+    slots: Vec<u32>,
+}
+
+impl Interner {
+    fn clear(&mut self) {
+        self.words.clear();
+        self.at.clear();
+        self.at.push(0);
+        self.hashes.clear();
+        self.slots.fill(0);
+    }
+
+    fn len(&self) -> usize {
+        self.hashes.len()
+    }
+
+    /// The colour of `sig`, a new one if it is the first of its kind.
+    fn intern(&mut self, sig: &[u32]) -> u32 {
+        let hash = sig.iter().fold(0xcbf2_9ce4_8422_2325u64, |h, &w| {
+            (h ^ u64::from(w)).wrapping_mul(0x0100_0000_01b3)
+        });
+        if 2 * (self.len() + 1) > self.slots.len() {
+            self.grow();
+        }
+        let mask = self.slots.len() - 1;
+        let mut slot = hash as usize & mask;
+        while let Some(colour) = self.slots[slot].checked_sub(1) {
+            let c = colour as usize;
+            if self.hashes[c] == hash && self.words[self.at[c]..self.at[c + 1]] == *sig {
+                return colour;
+            }
+            slot = (slot + 1) & mask;
+        }
+        let colour = self.len() as u32;
+        self.slots[slot] = colour + 1;
+        self.words.extend_from_slice(sig);
+        self.at.push(self.words.len());
+        self.hashes.push(hash);
+        colour
+    }
+
+    /// Doubles the table and places every colour anew.
+    fn grow(&mut self) {
+        let len = (2 * self.slots.len()).max(16);
+        self.slots.clear();
+        self.slots.resize(len, 0);
+        for (c, &hash) in self.hashes.iter().enumerate() {
+            let mut slot = hash as usize & (len - 1);
+            while self.slots[slot] != 0 {
+                slot = (slot + 1) & (len - 1);
+            }
+            self.slots[slot] = c as u32 + 1;
+        }
+    }
 }
 
 /// Appends the colours of `row`'s items, sorted, behind their count.
@@ -274,8 +337,8 @@ fn blocks(colours: &[u32], count: usize) -> (Vec<u32>, Vec<usize>, Vec<u64>) {
 
 /// Structural colours of the stored programs: equal ops and dependencies
 /// give equal colours, whatever the node names.
-fn program_colours(trace: &ExecutionTrace) -> Vec<u32> {
-    recolour(trace.classes().len(), |class, sig| {
+fn program_colours(trace: &ExecutionTrace, interner: &mut Interner) -> Vec<u32> {
+    recolour(trace.classes().len(), interner, |class, sig| {
         for node in &trace.classes()[class] {
             let mut words = |ws: &[u64]| {
                 for w in ws {
@@ -321,11 +384,7 @@ fn program_colours(trace: &ExecutionTrace) -> Vec<u32> {
 /// Refines an eligible run to its coarsest stable colouring and builds
 /// the quotient, or `None` when some NPU is a member of two groups of one
 /// block.
-fn quotient(
-    trace: &ExecutionTrace,
-    num_dims: usize,
-    spans: &[GroupSpan],
-) -> Option<(Orbits, Vec<GroupSpan>)> {
+fn quotient(trace: &ExecutionTrace, num_dims: usize, spans: &Spans) -> Option<(Orbits, Spans)> {
     let npus = trace.npus();
     let tables = Csr::from_rows((0..npus).map(|npu| trace.group_table(npu).map(|group| group.0)));
     let members = Csr::from_rows(spans.iter().map(|s| s.members.iter().map(|&m| m as u32)));
@@ -340,31 +399,36 @@ fn quotient(
     }));
     let lane_users = group_lanes.transpose(keys.len());
 
-    let classes = program_colours(trace);
-    let (mut npu, mut npu_count) = recolour(npus, |n, sig| sig.push(classes[trace.class_of(n)]));
-    let (mut group, mut group_count) = recolour(spans.len(), |g, sig| {
-        for (dim, sub, _) in &spans[g].dims {
-            sig.extend([*dim as u32, sub.npus() as u32]);
+    let mut interner = Interner::default();
+    let classes = program_colours(trace, &mut interner);
+    let (mut npu, mut npu_count) = recolour(npus, &mut interner, |n, sig| {
+        sig.push(classes[trace.class_of(n)]);
+    });
+    let (mut group, mut group_count) = recolour(spans.len(), &mut interner, |g, sig| {
+        let span = spans.span(g);
+        for (&axis, sub) in span.axes.iter().zip(span.dims) {
+            sig.extend([axis as u32, sub.npus() as u32]);
         }
     });
-    let (mut lane, mut lane_count) =
-        recolour(keys.len(), |l, sig| sig.push((keys[l] % num_dims) as u32));
+    let (mut lane, mut lane_count) = recolour(keys.len(), &mut interner, |l, sig| {
+        sig.push((keys[l] % num_dims) as u32);
+    });
     let mut rounds = 0;
     loop {
         rounds += 1;
         if rounds > MAX_ROUNDS {
             return None;
         }
-        let (next_group, next_groups) = recolour(spans.len(), |g, sig| {
+        let (next_group, next_groups) = recolour(spans.len(), &mut interner, |g, sig| {
             sig.push(group[g]);
             sig.extend(group_lanes.row(g).iter().map(|&l| lane[l as usize]));
             push_multiset(sig, members.row(g), &npu);
         });
-        let (next_lane, next_lanes) = recolour(keys.len(), |l, sig| {
+        let (next_lane, next_lanes) = recolour(keys.len(), &mut interner, |l, sig| {
             sig.push(lane[l]);
             push_multiset(sig, lane_users.row(l), &group);
         });
-        let (next_npu, next_npus) = recolour(npus, |n, sig| {
+        let (next_npu, next_npus) = recolour(npus, &mut interner, |n, sig| {
             sig.push(npu[n]);
             sig.extend(tables.row(n).iter().map(|&g| group[g as usize]));
             push_multiset(sig, memberships.row(n), &group);
@@ -401,35 +465,33 @@ fn quotient(
         lane_sizes[l as usize] += 1;
     }
     let mut member_counts = Vec::with_capacity(group_reps.len());
-    let spans = group_reps
-        .iter()
-        .map(|&g| {
-            let span = &spans[g];
-            let mut member_blocks: Vec<NpuId> =
-                span.members.iter().map(|&m| block_of[m] as NpuId).collect();
-            member_blocks.sort_unstable();
-            let mut counts: Vec<u64> = Vec::new();
-            for (i, b) in member_blocks.iter().enumerate() {
-                if i > 0 && member_blocks[i - 1] == *b {
-                    *counts.last_mut().unwrap_or(&mut 0) += 1;
-                } else {
-                    counts.push(1);
-                }
+    let mut quotient = Spans::new();
+    for &g in &group_reps {
+        let span = spans.span(g);
+        let mut member_blocks: Vec<NpuId> =
+            span.members.iter().map(|&m| block_of[m] as NpuId).collect();
+        member_blocks.sort_unstable();
+        let mut counts: Vec<u64> = Vec::new();
+        for (i, b) in member_blocks.iter().enumerate() {
+            if i > 0 && member_blocks[i - 1] == *b {
+                *counts.last_mut().unwrap_or(&mut 0) += 1;
+            } else {
+                counts.push(1);
             }
-            member_counts.push(counts);
-            member_blocks.dedup();
-            GroupSpan {
-                members: member_blocks,
-                dims: span.dims.clone(),
-                degraded: span.degraded.clone(),
-                lanes: group_lanes
-                    .row(g)
-                    .iter()
-                    .map(|&l| lane[l as usize] as usize)
-                    .collect(),
-            }
-        })
-        .collect();
+        }
+        member_counts.push(counts);
+        member_blocks.dedup();
+        let lanes: Vec<usize> = group_lanes
+            .row(g)
+            .iter()
+            .map(|&l| lane[l as usize] as usize)
+            .collect();
+        quotient.push(GroupSpan {
+            members: &member_blocks,
+            lanes: &lanes,
+            ..span
+        });
+    }
     let orbits = Orbits {
         block_of,
         reps,
@@ -441,5 +503,5 @@ fn quotient(
         lane_sizes,
         member_counts,
     };
-    Some((orbits, spans))
+    Some((orbits, quotient))
 }

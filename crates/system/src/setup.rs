@@ -20,38 +20,247 @@ use crate::report::FaultImpact;
 #[derive(Clone)]
 pub(crate) struct Setup {
     /// Per trace group: its span.
-    pub(crate) spans: Vec<GroupSpan>,
+    pub(crate) spans: Spans,
     /// One row per schedule event, seeded with the links it touched.
     pub(crate) impacts: Vec<FaultImpact>,
     /// The fabric with the schedule applied, `None` without fabric faults.
     pub(crate) fabric: Option<FaultedGraph>,
 }
 
-#[derive(Clone)]
-pub(crate) struct GroupSpan {
+/// One group's span, borrowed from [`Spans`].
+#[derive(Copy, Clone)]
+pub(crate) struct GroupSpan<'a> {
     /// The group's members in ascending order: a member's rank is its
     /// index here, found by binary search. `TraceBuilder` groups are
     /// already sorted; `from_json` groups may not be. In a quotient run
     /// these are the member blocks (see [`crate::orbits::Orbits`]).
-    pub(crate) members: Vec<NpuId>,
-    /// Per spanned dimension: the global dimension index, the effective
-    /// sub-dimension, and the representative `(src, dst)` wire endpoints
+    pub(crate) members: &'a [NpuId],
+    /// Per spanned dimension: the global dimension index.
+    pub(crate) axes: &'a [usize],
+    /// Aligned with `axes`: the effective sub-dimension.
+    pub(crate) dims: &'a [Dimension],
+    /// Aligned with `axes`: the representative `(src, dst)` wire endpoints
     /// used by backend-executed chunk ops — the two lowest-coordinate
     /// members along the dimension through the representative, so each
     /// dimension's ops serialize on a distinct source NIC lane while
     /// different dimensions (and sibling groups) stream in parallel.
-    pub(crate) dims: Vec<(usize, Dimension, (NpuId, NpuId))>,
-    /// Aligned with `dims`: the lane each spanned dimension contends on.
+    pub(crate) wires: &'a [(NpuId, NpuId)],
+    /// Aligned with `axes`: the lane each spanned dimension contends on.
     /// A full run keys lanes by `(first member as listed, dimension)` at
     /// `rep * num_dims + dim`, so back-to-back collectives of groups that
     /// share both contend; a quotient run names lane blocks.
-    pub(crate) lanes: Vec<usize>,
-    /// Aligned with `dims`: when a fault schedule degrades the spanned
+    pub(crate) lanes: &'a [usize],
+    /// Aligned with `axes`: when a fault schedule degrades the spanned
     /// dimension, holds the pristine dimension plus the index of the
     /// schedule's first event touching it, for per-fault attribution of
     /// the collective slowdown. `None` entries mean the dimension is
     /// unaffected.
-    pub(crate) degraded: Vec<Option<(Dimension, usize)>>,
+    pub(crate) degraded: &'a [Option<(Dimension, usize)>],
+}
+
+/// Every group's span (see [`GroupSpan`]), laid out flat: group `g`'s
+/// members are `members[member_at[g]..member_at[g + 1]]` and its spanned
+/// dimensions `axes[dim_at[g]..dim_at[g + 1]]`, with `dims`, `wires`,
+/// `lanes` and `degraded` aligned with `axes`. Adding a group allocates
+/// nothing once the buffers have grown.
+#[derive(Clone)]
+pub(crate) struct Spans {
+    member_at: Vec<usize>,
+    members: Vec<NpuId>,
+    dim_at: Vec<usize>,
+    axes: Vec<usize>,
+    dims: Vec<Dimension>,
+    wires: Vec<(NpuId, NpuId)>,
+    lanes: Vec<usize>,
+    degraded: Vec<Option<(Dimension, usize)>>,
+}
+
+impl Spans {
+    pub(crate) fn new() -> Self {
+        Spans {
+            member_at: vec![0],
+            members: Vec::new(),
+            dim_at: vec![0],
+            axes: Vec::new(),
+            dims: Vec::new(),
+            wires: Vec::new(),
+            lanes: Vec::new(),
+            degraded: Vec::new(),
+        }
+    }
+
+    /// How many groups there are.
+    pub(crate) fn len(&self) -> usize {
+        self.member_at.len() - 1
+    }
+
+    /// Group `group`'s span.
+    ///
+    /// # Panics
+    ///
+    /// Panics if there is no such group.
+    pub(crate) fn span(&self, group: usize) -> GroupSpan<'_> {
+        let dims = self.dim_at[group]..self.dim_at[group + 1];
+        GroupSpan {
+            members: &self.members[self.member_at[group]..self.member_at[group + 1]],
+            axes: &self.axes[dims.clone()],
+            dims: &self.dims[dims.clone()],
+            wires: &self.wires[dims.clone()],
+            lanes: &self.lanes[dims.clone()],
+            degraded: &self.degraded[dims],
+        }
+    }
+
+    /// The wire endpoints of group `group`'s spanned dimension `dim` (see
+    /// [`GroupSpan::wires`]), without the rest of its span.
+    ///
+    /// # Panics
+    ///
+    /// Panics if there is no such group or dimension.
+    pub(crate) fn wire(&self, group: usize, dim: usize) -> (NpuId, NpuId) {
+        let at = self.dim_at[group] + dim;
+        debug_assert!(
+            at < self.dim_at[group + 1],
+            "group {group} spans no dimension {dim}"
+        );
+        self.wires[at]
+    }
+
+    /// Group `group`'s span, if there is such a group.
+    pub(crate) fn get(&self, group: usize) -> Option<GroupSpan<'_>> {
+        (group < self.len()).then(|| self.span(group))
+    }
+
+    pub(crate) fn iter(&self) -> impl Iterator<Item = GroupSpan<'_>> {
+        (0..self.len()).map(|group| self.span(group))
+    }
+
+    /// Appends a group with `span`'s members and dimensions.
+    pub(crate) fn push(&mut self, span: GroupSpan<'_>) {
+        self.members.extend_from_slice(span.members);
+        self.member_at.push(self.members.len());
+        self.axes.extend_from_slice(span.axes);
+        self.dims.extend_from_slice(span.dims);
+        self.wires.extend_from_slice(span.wires);
+        self.lanes.extend_from_slice(span.lanes);
+        self.degraded.extend_from_slice(span.degraded);
+        self.dim_at.push(self.axes.len());
+    }
+
+    /// Appends the span of the group of `members` on `topo`, which
+    /// determines which topology dimensions the group spans. Members
+    /// must be distinct NPUs of the topology forming a sub-grid: the
+    /// product of per-dimension distinct coordinate counts must equal the
+    /// group size. Returns whether they do; a group that does not is not
+    /// added. `coords` is a reusable buffer.
+    pub(crate) fn push_group(
+        &mut self,
+        topo: &Topology,
+        members: &[NpuId],
+        coords: &mut Vec<usize>,
+    ) -> bool {
+        let (member_start, dim_start) = (self.members.len(), self.axes.len());
+        if self.add_group(topo, members, coords) {
+            self.member_at.push(self.members.len());
+            self.dim_at.push(self.axes.len());
+            true
+        } else {
+            self.members.truncate(member_start);
+            self.axes.truncate(dim_start);
+            self.dims.truncate(dim_start);
+            self.wires.truncate(dim_start);
+            self.lanes.truncate(dim_start);
+            self.degraded.truncate(dim_start);
+            false
+        }
+    }
+
+    /// [`Spans::push_group`]'s body: appends the members and dimensions,
+    /// leaving the offsets to the caller.
+    fn add_group(&mut self, topo: &Topology, members: &[NpuId], coords: &mut Vec<usize>) -> bool {
+        let start = self.members.len();
+        self.members.extend_from_slice(members);
+        let sorted = &mut self.members[start..];
+        sorted.sort_unstable();
+        if sorted.windows(2).any(|w| w[0] == w[1])
+            || sorted.last().is_none_or(|&m| m >= topo.npus())
+        {
+            return false;
+        }
+        let rep = members[0];
+        let mut product = 1usize;
+        for (dim_idx, base) in topo.dims().iter().enumerate() {
+            let (stride, k) = (topo.dim_stride(dim_idx), base.npus());
+            let coord = |m: NpuId| m / stride % k;
+            coords.clear();
+            coords.extend(members.iter().map(|&m| coord(m)));
+            coords.sort_unstable();
+            coords.dedup();
+            let distinct = coords.len();
+            product *= distinct;
+            if distinct > 1 {
+                let block = match base.block() {
+                    BuildingBlock::Ring(_) => BuildingBlock::Ring(distinct),
+                    BuildingBlock::FullyConnected(_) => BuildingBlock::FullyConnected(distinct),
+                    BuildingBlock::Switch(_) => BuildingBlock::Switch(distinct),
+                };
+                // Representative wire endpoints for backend-executed chunk
+                // ops: the two lowest-coordinate members on the line
+                // through the representative along this dimension
+                // (adjacent for contiguous groups, so the wire covers
+                // exactly the algorithm's per-step hop). A member is on
+                // that line when it differs from the representative in
+                // this coordinate only.
+                let line = rep - coord(rep) * stride;
+                let mut lowest: [Option<(usize, NpuId)>; 2] = [None, None];
+                for &m in members {
+                    if m - coord(m) * stride != line {
+                        continue;
+                    }
+                    let point = (coord(m), m);
+                    if lowest[0].is_none_or(|low| point < low) {
+                        lowest = [Some(point), lowest[0]];
+                    } else if lowest[1].is_none_or(|low| point < low) {
+                        lowest[1] = Some(point);
+                    }
+                }
+                let [Some((_, first)), Some((_, second))] = lowest else {
+                    // The members cannot form a sub-grid.
+                    return false;
+                };
+                self.axes.push(dim_idx);
+                self.dims.push(
+                    Dimension::new(block)
+                        .with_bandwidth(base.bandwidth())
+                        .with_link_latency(base.link_latency()),
+                );
+                self.wires.push((second, first));
+                self.lanes.push(rep * topo.num_dims() + dim_idx);
+                self.degraded.push(None);
+            }
+        }
+        product == members.len()
+    }
+
+    /// Folds a fault schedule's per-dimension degradation into every
+    /// span: the spanned sub-dimension's bandwidth is scaled by the
+    /// dimension's live-link fraction and worst degradation factor, its
+    /// latency by the worst latency multiplier. The pristine dimension is
+    /// kept alongside for per-fault attribution of the resulting
+    /// collective slowdown.
+    fn degrade(&mut self, fabric: &FaultedGraph) {
+        let spanned = self.axes.iter().zip(self.dims.iter_mut());
+        for (slot, (&axis, dim)) in self.degraded.iter_mut().zip(spanned) {
+            let Some(degrade) = fabric.dim_degrade(axis) else {
+                continue;
+            };
+            let pristine = *dim;
+            *dim = Dimension::new(dim.block())
+                .with_bandwidth(degrade.scale_bandwidth(dim.bandwidth()))
+                .with_link_latency(degrade.scale_latency(dim.link_latency()));
+            *slot = Some((pristine, degrade.first_event));
+        }
+    }
 }
 
 /// The set-up pass shared by every `simulate*` entry point: checks
@@ -104,13 +313,15 @@ pub(crate) fn prepare(
         None
     };
 
-    let mut spans = Vec::with_capacity(trace.groups().len());
+    let mut spans = Spans::new();
+    let mut coords = Vec::new();
     for (gi, members) in trace.groups().iter().enumerate() {
-        let mut span = group_span(topo, members).ok_or(SimError::UnalignedGroup { group: gi })?;
-        if let Some(fabric) = &fabric {
-            degrade_span(&mut span, fabric);
+        if !spans.push_group(topo, members, &mut coords) {
+            return Err(SimError::UnalignedGroup { group: gi });
         }
-        spans.push(span);
+    }
+    if let Some(fabric) = &fabric {
+        spans.degrade(fabric);
     }
     let impacts = faults
         .events()
@@ -127,96 +338,6 @@ pub(crate) fn prepare(
         spans,
         impacts,
         fabric,
-    })
-}
-
-/// Folds a fault schedule's per-dimension degradation into a group span:
-/// the spanned sub-dimension's bandwidth is scaled by the dimension's
-/// live-link fraction and worst degradation factor, its latency by the
-/// worst latency multiplier. The pristine dimension is kept alongside for
-/// per-fault attribution of the resulting collective slowdown.
-fn degrade_span(span: &mut GroupSpan, fabric: &FaultedGraph) {
-    for (slot, (dim_idx, dim, _)) in span.degraded.iter_mut().zip(span.dims.iter_mut()) {
-        let Some(degrade) = fabric.dim_degrade(*dim_idx) else {
-            continue;
-        };
-        let pristine = *dim;
-        *dim = Dimension::new(dim.block())
-            .with_bandwidth(degrade.scale_bandwidth(dim.bandwidth()))
-            .with_link_latency(degrade.scale_latency(dim.link_latency()));
-        *slot = Some((pristine, degrade.first_event));
-    }
-}
-
-/// Determines which topology dimensions a group spans. Members must be
-/// distinct NPUs of the topology forming a sub-grid: the product of
-/// per-dimension distinct coordinate counts must equal the group size.
-pub(crate) fn group_span(topo: &Topology, members: &[NpuId]) -> Option<GroupSpan> {
-    let mut sorted = members.to_vec();
-    sorted.sort_unstable();
-    sorted.dedup();
-    if sorted.len() != members.len() || sorted.last().is_none_or(|&m| m >= topo.npus()) {
-        return None;
-    }
-    let rep = members[0];
-    let mut dims = Vec::new();
-    let mut lanes = Vec::new();
-    let mut product = 1usize;
-    let mut coords = Vec::with_capacity(members.len());
-    for (dim_idx, base) in topo.dims().iter().enumerate() {
-        let (stride, k) = (topo.dim_stride(dim_idx), base.npus());
-        let coord = |m: NpuId| m / stride % k;
-        coords.clear();
-        coords.extend(members.iter().map(|&m| coord(m)));
-        coords.sort_unstable();
-        coords.dedup();
-        let distinct = coords.len();
-        product *= distinct;
-        if distinct > 1 {
-            let block = match base.block() {
-                BuildingBlock::Ring(_) => BuildingBlock::Ring(distinct),
-                BuildingBlock::FullyConnected(_) => BuildingBlock::FullyConnected(distinct),
-                BuildingBlock::Switch(_) => BuildingBlock::Switch(distinct),
-            };
-            // Representative wire endpoints for backend-executed chunk
-            // ops: the two lowest-coordinate members on the line through
-            // the representative along this dimension (adjacent for
-            // contiguous groups, so the wire covers exactly the
-            // algorithm's per-step hop). A member is on that line when it
-            // differs from the representative in this coordinate only.
-            let line = rep - coord(rep) * stride;
-            let mut lowest: [Option<(usize, NpuId)>; 2] = [None, None];
-            for &m in members {
-                if m - coord(m) * stride != line {
-                    continue;
-                }
-                let point = (coord(m), m);
-                if lowest[0].is_none_or(|low| point < low) {
-                    lowest = [Some(point), lowest[0]];
-                } else if lowest[1].is_none_or(|low| point < low) {
-                    lowest[1] = Some(point);
-                }
-            }
-            let [Some((_, first)), Some((_, second))] = lowest else {
-                // The members cannot form a sub-grid.
-                return None;
-            };
-            dims.push((
-                dim_idx,
-                Dimension::new(block)
-                    .with_bandwidth(base.bandwidth())
-                    .with_link_latency(base.link_latency()),
-                (second, first),
-            ));
-            lanes.push(rep * topo.num_dims() + dim_idx);
-        }
-    }
-    let degraded = vec![None; dims.len()];
-    (product == members.len()).then_some(GroupSpan {
-        members: sorted,
-        dims,
-        lanes,
-        degraded,
     })
 }
 

@@ -35,16 +35,19 @@
 //! makes both uses, in program order.
 
 use std::cmp::Ordering;
-use std::collections::{BTreeMap, VecDeque};
+use std::collections::VecDeque;
 
 use astra_des::Time;
 
 use crate::engine::SimError;
 use crate::orbits::Orbits;
-use crate::setup::GroupSpan;
+use crate::setup::Spans;
 
 /// The parent of a path's root node.
 const ROOT: u32 = u32::MAX;
+
+/// No node, or no pending place.
+const NONE: u32 = u32::MAX;
 
 /// One level of an interned path: its parent level, its key (the issue's
 /// ordinal in its step `<< 32`, plus the event's rank among a launch's
@@ -52,12 +55,19 @@ const ROOT: u32 = u32::MAX;
 /// to an ancestor that lets two paths find where they meet in
 /// logarithmically many steps (Myers' skew-binary jumps: the target
 /// depends on the depth alone, so paths of one depth jump alike).
+///
+/// A level's children form a list in descending key order: `child` is
+/// the one with the largest key, and each child's `sibling` the next.
+/// Keys mostly arrive in ascending order, so a new key usually goes at
+/// the head and a repeated one is usually found there.
 #[derive(Copy, Clone)]
 struct Node {
     parent: u32,
     key: u64,
     depth: u32,
     jump: u32,
+    child: u32,
+    sibling: u32,
 }
 
 /// A position within an instant: a path (see the module docs) plus the
@@ -100,13 +110,19 @@ struct Step {
 }
 
 pub(crate) struct Ties {
-    /// Interned chains: `(instant, parent chain)` to its id. Chain 0 is
-    /// seeding's.
-    chains: BTreeMap<(Time, u32), u32>,
-    /// Interned path levels, looked up by `(parent, key)`; equal paths are
-    /// one id, so two paths meet where their ids do.
+    /// Interned chains: a chain is its instant and its parent chain, and
+    /// ids count up from 1 (chain 0 is seeding's). Steps pop in time
+    /// order, so only chains of the current instant can recur: these are
+    /// held as `(parent chain, id)`, sorted by parent, and dropped when
+    /// time advances.
+    chain_at: Time,
+    chains: Vec<(u32, u32)>,
+    chain_count: u32,
+    /// Interned path levels, in creation order; equal paths are one id,
+    /// so two paths meet where their ids do. `roots` heads the list of
+    /// root levels, ordered like a level's children.
     nodes: Vec<Node>,
-    node_ids: BTreeMap<(u32, u64), u32>,
+    roots: u32,
     /// Per scheduled event: its chain and the bounds on its latest path.
     origins: Vec<(u32, u32, u32)>,
     /// Per block: its highest NPU, the last one seeding reaches.
@@ -119,9 +135,13 @@ pub(crate) struct Ties {
     step: Step,
     /// The issue being made.
     issue: Place,
-    /// Nodes with some but not all dependencies complete: the latest
-    /// completion's place.
-    pending: BTreeMap<(usize, u32), Place>,
+    /// Per block, per node: for a node with some but not all
+    /// dependencies complete, the latest completion's place as its index
+    /// in `places`; [`NONE`] otherwise.
+    pending: Vec<Vec<u32>>,
+    places: Vec<Place>,
+    /// Indices of `places` no node holds, reused first.
+    free_places: Vec<u32>,
     /// Per block, per resource (indexed like the engine's logs): its last
     /// use.
     resources: Vec<[Option<Place>; 4]>,
@@ -131,12 +151,18 @@ pub(crate) struct Ties {
     /// of its arrivals at open meetings.
     arrived: Vec<Vec<Option<Place>>>,
     open: Vec<Vec<VecDeque<Place>>>,
+    /// The meeting being launched: its arrivals' ranks and places, and the
+    /// origins of their completion events. Reused from launch to launch.
+    meeting: Vec<(usize, Place)>,
+    launched: Vec<u32>,
     /// Whether a tie was seen; the run is then void.
     pub(crate) tied: bool,
 }
 
 impl Ties {
-    pub(crate) fn new(orbits: &Orbits, spans: &[GroupSpan]) -> Self {
+    /// Checks for a quotient of `orbits` whose blocks have `nodes[block]`
+    /// graph nodes each.
+    pub(crate) fn new(orbits: &Orbits, spans: &Spans, nodes: &[Vec<u32>]) -> Self {
         let origin = Point { path: 0, ord: 0 };
         let start = Place {
             at: Time::ZERO,
@@ -147,9 +173,11 @@ impl Ties {
             hi: origin,
         };
         Ties {
-            chains: BTreeMap::new(),
+            chain_at: Time::ZERO,
+            chains: Vec::new(),
+            chain_count: 0,
             nodes: Vec::new(),
-            node_ids: BTreeMap::new(),
+            roots: NONE,
             // Origin 0 stands for events that only full runs schedule.
             origins: vec![(0, 0, 0)],
             lasts: orbits.lasts.clone(),
@@ -163,7 +191,9 @@ impl Ties {
                 hi: 0,
             },
             issue: start,
-            pending: BTreeMap::new(),
+            pending: nodes.iter().map(|n| vec![NONE; n.len()]).collect(),
+            places: Vec::new(),
+            free_places: Vec::new(),
             resources: vec![[None; 4]; orbits.reps.len()],
             lanes: vec![None; orbits.lanes],
             arrived: spans.iter().map(|s| vec![None; s.members.len()]).collect(),
@@ -171,41 +201,58 @@ impl Ties {
                 .iter()
                 .map(|s| vec![VecDeque::new(); s.members.len()])
                 .collect(),
+            meeting: Vec::new(),
+            launched: Vec::new(),
             tied: false,
         }
     }
 
     /// The interned path level `(parent, key)`.
     fn node(&mut self, parent: u32, key: u64) -> u32 {
-        let next = self.nodes.len() as u32;
-        let id = *self.node_ids.entry((parent, key)).or_insert(next);
-        if id == next {
-            let node = match self.nodes.get(parent as usize) {
-                None => Node {
-                    parent,
-                    key,
-                    depth: 0,
-                    jump: next,
-                },
-                Some(p) => {
-                    let j = self.nodes[p.jump as usize];
-                    let jj = self.nodes[j.jump as usize];
-                    let jump = if p.depth - j.depth == j.depth - jj.depth {
-                        j.jump
-                    } else {
-                        parent
-                    };
-                    Node {
-                        parent,
-                        key,
-                        depth: p.depth + 1,
-                        jump,
-                    }
+        let mut prev = NONE;
+        let mut at = match self.nodes.get(parent as usize) {
+            Some(p) => p.child,
+            None => self.roots,
+        };
+        while at != NONE {
+            let node = self.nodes[at as usize];
+            if node.key <= key {
+                if node.key == key {
+                    return at;
                 }
-            };
-            self.nodes.push(node);
+                break;
+            }
+            prev = at;
+            at = node.sibling;
         }
-        id
+        let next = self.nodes.len() as u32;
+        let (depth, jump) = match self.nodes.get(parent as usize) {
+            None => (0, next),
+            Some(p) => {
+                let j = self.nodes[p.jump as usize];
+                let jj = self.nodes[j.jump as usize];
+                let jump = if p.depth - j.depth == j.depth - jj.depth {
+                    j.jump
+                } else {
+                    parent
+                };
+                (p.depth + 1, jump)
+            }
+        };
+        self.nodes.push(Node {
+            parent,
+            key,
+            depth,
+            jump,
+            child: NONE,
+            sibling: at,
+        });
+        match (self.nodes.get_mut(prev as usize), parent) {
+            (Some(p), _) => p.sibling = next,
+            (None, ROOT) => self.roots = next,
+            (None, _) => self.nodes[parent as usize].child = next,
+        }
+        next
     }
 
     /// Orders two paths of one depth: the oldest differing level decides,
@@ -273,8 +320,18 @@ impl Ties {
     /// A step pops an event scheduled with `origin`; `id` numbers the step.
     pub(crate) fn pop(&mut self, now: Time, origin: u32, id: u64) {
         let (parent, lo, hi) = self.origins[origin as usize];
-        let next = self.chains.len() as u32 + 1;
-        let chain = *self.chains.entry((now, parent)).or_insert(next);
+        if now != self.chain_at {
+            self.chain_at = now;
+            self.chains.clear();
+        }
+        let chain = match self.chains.binary_search_by_key(&parent, |&(p, _)| p) {
+            Ok(i) => self.chains[i].1,
+            Err(i) => {
+                self.chain_count += 1;
+                self.chains.insert(i, (parent, self.chain_count));
+                self.chain_count
+            }
+        };
         self.step = Step {
             at: now,
             chain,
@@ -305,7 +362,8 @@ impl Ties {
             lo: Point { path: s.lo, ord },
             hi: Point { path: s.hi, ord },
         };
-        if let Some(prev) = self.pending.remove(&(block, node)) {
+        let slot = self.pending[block][node as usize];
+        if let Some(&prev) = self.places.get(slot as usize) {
             if prev.same_instant(&place) {
                 let (Some(lo), Some(hi)) =
                     (self.max(prev.lo, place.lo), self.max(prev.hi, place.hi))
@@ -321,8 +379,24 @@ impl Ties {
         }
         if ready {
             self.issue = place;
+            if slot != NONE {
+                self.free_places.push(slot);
+                self.pending[block][node as usize] = NONE;
+            }
+        } else if slot != NONE {
+            self.places[slot as usize] = place;
         } else {
-            self.pending.insert((block, node), place);
+            let slot = match self.free_places.pop() {
+                Some(slot) => {
+                    self.places[slot as usize] = place;
+                    slot
+                }
+                None => {
+                    self.places.push(place);
+                    self.places.len() as u32 - 1
+                }
+            };
+            self.pending[block][node as usize] = slot;
         }
         Ok(())
     }
@@ -367,20 +441,23 @@ impl Ties {
     pub(crate) fn launch(
         &mut self,
         group: usize,
-        ranks: &[usize],
+        ranks: impl Iterator<Item = usize>,
         lanes: &[usize],
-    ) -> Result<Vec<u32>, SimError> {
-        let places: Vec<Place> = ranks
-            .iter()
-            .map(|&rank| self.open[group][rank].pop_front())
-            .collect::<Option<_>>()
-            .ok_or(SimError::Internal("a meeting arrival went untracked"))?;
+    ) -> Result<&[u32], SimError> {
+        let mut meeting = std::mem::take(&mut self.meeting);
+        meeting.clear();
+        for rank in ranks {
+            let place = self.open[group][rank]
+                .pop_front()
+                .ok_or(SimError::Internal("a meeting arrival went untracked"))?;
+            meeting.push((rank, place));
+        }
         let now = self.issue;
         // The launching NPU of each group is its latest member, one of
         // those arriving in this instant with this chain.
         let mut lo = now.lo;
         let mut hi = now.hi;
-        for p in places.iter().filter(|p| p.same_instant(&now)) {
+        for (_, p) in meeting.iter().filter(|(_, p)| p.same_instant(&now)) {
             let (Some(l), Some(h)) = (self.max(lo, p.lo), self.max(hi, p.hi)) else {
                 return Err(self.tie());
             };
@@ -408,19 +485,20 @@ impl Ties {
         // last NPU launches it, so it is one of the latest arrivals; a
         // block among them whose latest place is certainly before
         // another's does not hold it.
-        let counts: Vec<u64> = ranks.iter().map(|&r| self.counts[group][r]).collect();
-        let total: u64 = counts.iter().sum();
-        let mut origins = Vec::with_capacity(ranks.len());
-        for (j, p) in places.iter().enumerate() {
-            let mut first = counts[j] - 1;
+        let counts = &self.counts[group];
+        let total: u64 = meeting.iter().map(|&(r, _)| counts[r]).sum();
+        self.launched.clear();
+        for (j, &(rank, p)) in meeting.iter().enumerate() {
+            let mut first = self.counts[group][rank] - 1;
             let mut last = total - 1;
             let mut beaten = false;
-            for (k, q) in places.iter().enumerate().filter(|&(k, _)| k != j) {
-                if !q.same_instant(p) {
+            let others = meeting.iter().enumerate().filter(|&(k, _)| k != j);
+            for &(r, q) in others.map(|(_, other)| other) {
+                if !q.same_instant(&p) {
                     if q.order < p.order {
-                        first += counts[k];
+                        first += self.counts[group][r];
                     } else {
-                        last -= counts[k];
+                        last -= self.counts[group][r];
                     }
                 } else if p.same_instant(&now) && self.before(p.hi, q.lo) == Some(true) {
                     beaten = true;
@@ -430,8 +508,9 @@ impl Ties {
             let lo = self.node(lo.path, (u64::from(lo.ord) << 32) | first);
             let hi = self.node(hi.path, (u64::from(hi.ord) << 32) | last);
             self.origins.push((now.chain, lo, hi));
-            origins.push(self.origins.len() as u32 - 1);
+            self.launched.push(self.origins.len() as u32 - 1);
         }
-        Ok(origins)
+        self.meeting = meeting;
+        Ok(&self.launched)
     }
 }

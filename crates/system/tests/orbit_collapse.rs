@@ -143,6 +143,51 @@ fn collapsed_runs_report_what_the_full_engine_reports() {
     );
 }
 
+/// Themis plans every chunk against the backlog its lanes carry, so the
+/// quotient must meet the same backlog the full engine does: whole models
+/// under Themis at 64 chunks, on a 2-D and a 3-D topology, report what
+/// the full engine reports, and so does the perfbench shape (GPT-3
+/// hybrid MP16 on 2,048 NPUs, Baseline, whose plans are memoized per
+/// group block).
+#[test]
+fn themis_at_64_chunks_and_the_2k_hybrid_collapse_exactly() {
+    let themis = SystemConfig {
+        scheduler: SchedulerPolicy::Themis,
+        collective_chunks: 64,
+        ..SystemConfig::default()
+    };
+    let mut cases = Vec::new();
+    for notation in ["SW(16)@256_SW(16)@100", "R(4)@250_SW(4)@200_SW(4)@50"] {
+        for model in [models::transformer_1t(), models::gpt3_175b()] {
+            cases.push((notation, model, themis.clone()));
+        }
+    }
+    cases.push((
+        "SW(64)@400_SW(32)@100",
+        models::gpt3_175b(),
+        SystemConfig::default(),
+    ));
+    for (notation, model, config) in cases {
+        let topo = Topology::parse(notation).unwrap();
+        let mp = if topo.npus() == 2048 {
+            16
+        } else {
+            model.default_mp.min(topo.npus())
+        };
+        let trace = parallelism::generate_trace(&model, Parallelism::Hybrid { mp }, topo.npus())
+            .expect("valid hybrid trace");
+        let case = format!(
+            "{} hybrid MP{mp} on {notation}, {:?}",
+            model.name, config.scheduler
+        );
+        let orbits = orbit_count(&trace, &topo, &config).unwrap();
+        assert!(orbits < topo.npus(), "{case}: {orbits} blocks");
+        let full = simulate_full_reference(&trace, &topo, &config);
+        assert!(full.is_ok(), "{case}: {full:?}");
+        assert_eq!(simulate(&trace, &topo, &config), full, "{case}");
+    }
+}
+
 #[test]
 fn runs_that_interact_beyond_closed_form_collectives_stay_whole() {
     let topo = Topology::parse("R(4)@250_SW(4)@100").unwrap();

@@ -449,9 +449,11 @@ impl Deserialize for ExecutionTrace {
             groups: wire.groups,
             group_index: BTreeSet::new(),
             shared: vec![None; wire.npus],
+            slots: Vec::new(),
             programs: wire.programs,
             classes: Vec::new(),
             group_slots: Vec::new(),
+            table_lens: Vec::new(),
         }
         .assemble())
     }
@@ -493,15 +495,16 @@ fn slot_of<T: PartialEq>(table: &mut Vec<T>, item: T) -> usize {
     })
 }
 
-/// One NPU's slot table: its groups, then its peers. A peer too wide for
-/// 32 bits is stored as `u32::MAX`, out of range for any trace, so
-/// [`TraceBuilder::build`] still reports it as a bad peer.
+/// Appends one NPU's slot table to `tables`: its groups, then its peers.
+/// A peer too wide for 32 bits is stored as `u32::MAX`, out of range for
+/// any trace, so [`TraceBuilder::build`] still reports it as a bad peer.
 fn pack_table(
+    tables: &mut Vec<u32>,
     groups: impl Iterator<Item = GroupId>,
     peers: impl Iterator<Item = NpuId>,
-) -> Vec<u32> {
-    let peers = peers.map(|p| u32::try_from(p).unwrap_or(u32::MAX));
-    groups.map(|g| g.0).chain(peers).collect()
+) {
+    tables.extend(groups.map(|g| g.0));
+    tables.extend(peers.map(|p| u32::try_from(p).unwrap_or(u32::MAX)));
 }
 
 /// FNV-1a over a group's members: the key of [`TraceBuilder::add_group`]'s
@@ -643,15 +646,21 @@ pub struct TraceBuilder {
     group_index: BTreeSet<(u64, u32)>,
     /// Per NPU: the program built node by node or installed with
     /// [`TraceBuilder::set_program`], naming trace-wide group and NPU ids.
+    /// Empty until the first such NPU, so a trace whose NPUs all share
+    /// classes keeps no per-NPU program.
     programs: Vec<Vec<EtNode>>,
     /// Programs shared by the generators' NPU classes; collectives and
     /// peer messages name slots.
     classes: Vec<Vec<EtNode>>,
-    /// Per class: how many group slots its program names.
+    /// Per class: how many group slots its program names, and how many
+    /// slots (group and peer) its tables hold.
     group_slots: Vec<u32>,
-    /// Per NPU: the shared class and slot table it runs instead of
-    /// `programs[npu]`, if any.
-    shared: Vec<Option<(u32, Vec<u32>)>>,
+    table_lens: Vec<usize>,
+    /// Per NPU: the shared class it runs instead of `programs[npu]`, if
+    /// any, and where its slot table starts in `slots`.
+    shared: Vec<Option<(u32, usize)>>,
+    /// The slot tables of the NPUs that share a class, back to back.
+    slots: Vec<u32>,
 }
 
 impl TraceBuilder {
@@ -667,10 +676,12 @@ impl TraceBuilder {
             npus,
             groups: Vec::new(),
             group_index: BTreeSet::new(),
-            programs: vec![Vec::new(); npus],
+            programs: Vec::new(),
             classes: Vec::new(),
             group_slots: Vec::new(),
+            table_lens: Vec::new(),
             shared: vec![None; npus],
+            slots: Vec::new(),
         }
     }
 
@@ -721,8 +732,9 @@ impl TraceBuilder {
             self.shared[npu].is_none(),
             "NPU {npu} runs a shared program"
         );
-        let id = NodeId(self.programs[npu].len() as u32);
-        self.programs[npu].push(EtNode {
+        let program = self.own_program(npu);
+        let id = NodeId(program.len() as u32);
+        program.push(EtNode {
             name: name.into(),
             op,
             deps: deps.to_vec(),
@@ -732,7 +744,7 @@ impl TraceBuilder {
 
     /// Id of the most recently added node of `npu`, if any.
     pub fn last_node(&self, npu: NpuId) -> Option<NodeId> {
-        let len = self.programs[npu].len();
+        let len = self.programs.get(npu).map_or(0, Vec::len);
         (len > 0).then(|| NodeId((len - 1) as u32))
     }
 
@@ -744,8 +756,16 @@ impl TraceBuilder {
     /// Panics if `npu` is out of range.
     pub fn set_program(&mut self, npu: NpuId, program: ProgramBuilder) {
         assert!(npu < self.npus, "NPU {npu} out of range");
-        self.programs[npu] = program.nodes;
+        *self.own_program(npu) = program.nodes;
         self.shared[npu] = None;
+    }
+
+    /// `npu`'s own program, making room for every NPU's on first use.
+    fn own_program(&mut self, npu: NpuId) -> &mut Vec<EtNode> {
+        if self.programs.is_empty() {
+            self.programs.resize_with(self.npus, Vec::new);
+        }
+        &mut self.programs[npu]
     }
 
     /// Stores `program` once as a class for NPUs to share through
@@ -757,6 +777,7 @@ impl TraceBuilder {
         let (groups, peers) = into_slots(&mut nodes);
         self.classes.push(nodes);
         self.group_slots.push(groups.len() as u32);
+        self.table_lens.push(groups.len() + peers.len());
         ((self.classes.len() - 1) as u32, groups, peers)
     }
 
@@ -772,8 +793,13 @@ impl TraceBuilder {
         peers: impl Iterator<Item = NpuId>,
     ) {
         debug_assert_eq!(groups.len(), self.group_slots[class as usize] as usize);
-        self.programs[npu] = Vec::new();
-        self.shared[npu] = Some((class, pack_table(groups, peers)));
+        if let Some(program) = self.programs.get_mut(npu) {
+            *program = Vec::new();
+        }
+        let start = self.slots.len();
+        pack_table(&mut self.slots, groups, peers);
+        debug_assert_eq!(self.slots.len() - start, self.table_lens[class as usize]);
+        self.shared[npu] = Some((class, start));
     }
 
     /// Validates and finalizes the trace.
@@ -795,17 +821,25 @@ impl TraceBuilder {
     fn assemble(mut self) -> ExecutionTrace {
         let mut class_of = Vec::with_capacity(self.npus);
         let mut table_at = Vec::with_capacity(self.npus + 1);
-        let mut tables = Vec::new();
+        let mut tables = Vec::with_capacity(self.slots.len());
         table_at.push(0);
         let programs = std::mem::take(&mut self.programs);
         let shared = std::mem::take(&mut self.shared);
-        for (nodes, shared) in programs.into_iter().zip(shared) {
-            let (class, table) = shared.unwrap_or_else(|| {
-                let (class, groups, peers) = self.add_class(ProgramBuilder { nodes });
-                (class, pack_table(groups.into_iter(), peers.into_iter()))
-            });
+        let programs = programs.into_iter().chain(std::iter::repeat_with(Vec::new));
+        for (nodes, shared) in programs.zip(shared) {
+            let class = match shared {
+                Some((class, start)) => {
+                    let len = self.table_lens[class as usize];
+                    tables.extend_from_slice(&self.slots[start..start + len]);
+                    class
+                }
+                None => {
+                    let (class, groups, peers) = self.add_class(ProgramBuilder { nodes });
+                    pack_table(&mut tables, groups.into_iter(), peers.into_iter());
+                    class
+                }
+            };
             class_of.push(class);
-            tables.extend(table);
             table_at.push(tables.len());
         }
         ExecutionTrace {
