@@ -33,11 +33,13 @@
 //! [`FifoResource`]: astra_des::FifoResource
 //! [`CollectiveEngine`]: astra_collectives::CollectiveEngine
 
+mod csr;
 mod engine;
 mod oracle;
 mod orbits;
 mod report;
 mod setup;
+mod slab;
 mod ties;
 
 pub use engine::{

@@ -42,6 +42,7 @@ use astra_des::Time;
 use crate::engine::SimError;
 use crate::orbits::Orbits;
 use crate::setup::Spans;
+use crate::slab::Slab;
 
 /// The parent of a path's root node.
 const ROOT: u32 = u32::MAX;
@@ -135,16 +136,14 @@ pub(crate) struct Ties {
     step: Step,
     /// The issue being made.
     issue: Place,
-    /// Per block, per node: for a node with some but not all
-    /// dependencies complete, the latest completion's place as its index
-    /// in `places`; [`NONE`] otherwise.
-    pending: Vec<Vec<u32>>,
-    places: Vec<Place>,
-    /// Indices of `places` no node holds, reused first.
-    free_places: Vec<u32>,
-    /// Per block, per resource (indexed like the engine's logs): its last
-    /// use.
-    resources: Vec<[Option<Place>; 4]>,
+    /// Per node of the run, numbered like the engine's dependency counts:
+    /// for a node with some but not all dependencies complete, the latest
+    /// completion's place as its key in `places`; [`NONE`] otherwise.
+    pending: Vec<u32>,
+    places: Slab<Place>,
+    /// Per block, per resource (indexed like the engine's resources): its
+    /// last use.
+    resources: Vec<[Option<Place>; 3]>,
     /// Per lane block: its last use.
     lanes: Vec<Option<Place>>,
     /// Per group block, per member rank: its last arrival, and the places
@@ -160,9 +159,9 @@ pub(crate) struct Ties {
 }
 
 impl Ties {
-    /// Checks for a quotient of `orbits` whose blocks have `nodes[block]`
-    /// graph nodes each.
-    pub(crate) fn new(orbits: &Orbits, spans: &Spans, nodes: &[Vec<u32>]) -> Self {
+    /// Checks for a quotient of `orbits` whose blocks have `nodes` graph
+    /// nodes in all.
+    pub(crate) fn new(orbits: &Orbits, spans: &Spans, nodes: usize) -> Self {
         let origin = Point { path: 0, ord: 0 };
         let start = Place {
             at: Time::ZERO,
@@ -191,10 +190,9 @@ impl Ties {
                 hi: 0,
             },
             issue: start,
-            pending: nodes.iter().map(|n| vec![NONE; n.len()]).collect(),
-            places: Vec::new(),
-            free_places: Vec::new(),
-            resources: vec![[None; 4]; orbits.reps.len()],
+            pending: vec![NONE; nodes],
+            places: Slab::new(),
+            resources: vec![[None; 3]; orbits.reps.len()],
             lanes: vec![None; orbits.lanes],
             arrived: spans.iter().map(|s| vec![None; s.members.len()]).collect(),
             open: spans
@@ -341,18 +339,13 @@ impl Ties {
         };
     }
 
-    /// The step completes a dependency of `block`'s `node`, its dependent
-    /// number `ord`; `ready` when that was the last one, so the node is
-    /// issued next. The issue's place is the latest completion's: where
-    /// several complete at one instant with one chain, each NPU issues in
-    /// whichever step of those comes last for it.
-    pub(crate) fn complete(
-        &mut self,
-        block: usize,
-        node: u32,
-        ord: u32,
-        ready: bool,
-    ) -> Result<(), SimError> {
+    /// The step completes a dependency of `node` (numbered like the
+    /// engine's dependency counts), its dependent number `ord`; `ready`
+    /// when that was the last one, so the node is issued next. The issue's
+    /// place is the latest completion's: where several complete at one
+    /// instant with one chain, each NPU issues in whichever step of those
+    /// comes last for it.
+    pub(crate) fn complete(&mut self, node: usize, ord: u32, ready: bool) -> Result<(), SimError> {
         let s = self.step;
         let mut place = Place {
             at: s.at,
@@ -362,8 +355,8 @@ impl Ties {
             lo: Point { path: s.lo, ord },
             hi: Point { path: s.hi, ord },
         };
-        let slot = self.pending[block][node as usize];
-        if let Some(&prev) = self.places.get(slot as usize) {
+        let slot = self.pending[node];
+        if let Some(&prev) = self.places.get(slot) {
             if prev.same_instant(&place) {
                 let (Some(lo), Some(hi)) =
                     (self.max(prev.lo, place.lo), self.max(prev.hi, place.hi))
@@ -379,24 +372,12 @@ impl Ties {
         }
         if ready {
             self.issue = place;
-            if slot != NONE {
-                self.free_places.push(slot);
-                self.pending[block][node as usize] = NONE;
-            }
-        } else if slot != NONE {
-            self.places[slot as usize] = place;
+            self.places.remove(slot);
+            self.pending[node] = NONE;
+        } else if let Some(pending) = self.places.get_mut(slot) {
+            *pending = place;
         } else {
-            let slot = match self.free_places.pop() {
-                Some(slot) => {
-                    self.places[slot as usize] = place;
-                    slot
-                }
-                None => {
-                    self.places.push(place);
-                    self.places.len() as u32 - 1
-                }
-            };
-            self.pending[block][node as usize] = slot;
+            self.pending[node] = self.places.insert(place);
         }
         Ok(())
     }
@@ -436,14 +417,14 @@ impl Ties {
 
     /// The issue completes a meeting of group block `group`, whose
     /// arrivals came from member `ranks` in arrival order, and the
-    /// collective takes `lanes`. Returns the origin of each arrival's
-    /// completion event.
+    /// collective takes `lanes`. [`Ties::launched`] then holds the origin
+    /// of each arrival's completion event.
     pub(crate) fn launch(
         &mut self,
         group: usize,
         ranks: impl Iterator<Item = usize>,
         lanes: &[usize],
-    ) -> Result<&[u32], SimError> {
+    ) -> Result<(), SimError> {
         let mut meeting = std::mem::take(&mut self.meeting);
         meeting.clear();
         for rank in ranks {
@@ -511,6 +492,12 @@ impl Ties {
             self.launched.push(self.origins.len() as u32 - 1);
         }
         self.meeting = meeting;
-        Ok(&self.launched)
+        Ok(())
+    }
+
+    /// The origins of the completion events of the last launch's
+    /// arrivals, in arrival order.
+    pub(crate) fn launched(&self) -> &[u32] {
+        &self.launched
     }
 }
