@@ -114,7 +114,7 @@ impl CollectiveEngine {
         let lanes: Vec<usize> = (0..dims.len()).collect();
         let finish = plan.finish(start, &mut free_at, &lanes);
         // A plan of nothing to move is empty.
-        let mut per_dim_busy = plan.busy;
+        let mut per_dim_busy: Vec<Time> = plan.steps.iter().map(|&(busy, _)| busy).collect();
         let mut per_dim_traffic = plan.traffic;
         per_dim_busy.resize(dims.len(), Time::ZERO);
         per_dim_traffic.resize(dims.len(), DataSize::ZERO);
@@ -129,8 +129,9 @@ impl CollectiveEngine {
     /// Plans a collective of `size` over `dims` into `plan`, reusing its
     /// buffers. `backlog[d]` is how long dimension `d`'s links stay busy
     /// after the collective is issued. Only the Themis scheduler on two or
-    /// more dimensions reads it: every other plan holds for each issue of
-    /// the same collective and size on the same dimensions.
+    /// more dimensions reads it ([`SchedulerPolicy::reads_backlog`]):
+    /// every other plan holds for each issue of the same collective and
+    /// size on the same dimensions.
     pub fn plan_into(
         &self,
         collective: Collective,
@@ -140,21 +141,19 @@ impl CollectiveEngine {
         plan: &mut CollectivePlan,
     ) {
         let CollectivePlan {
-            busy,
-            tail,
+            steps,
             traffic,
             chain,
             orders,
         } = plan;
-        busy.clear();
-        tail.clear();
+        steps.clear();
         traffic.clear();
         *chain = Time::ZERO;
         if size == DataSize::ZERO {
             return;
         }
         let chunk_size = size.div_ceil_parts(self.chunks);
-        busy.resize(dims.len(), Time::ZERO);
+        steps.resize(dims.len(), (Time::ZERO, Time::ZERO));
         traffic.resize(dims.len(), DataSize::ZERO);
         self.scheduler
             .plan_orders(collective, chunk_size, dims, self.chunks, backlog, orders);
@@ -166,14 +165,16 @@ impl CollectiveEngine {
             let mut this_chain = Time::ZERO;
             for (d, service, latency, moved) in order_phases(collective, chunk_size, dims, order) {
                 for _ in 0..collective.phase_visits() {
-                    busy[d] += service * count;
+                    steps[d].0 += service * count;
                     traffic[d] += moved * count;
                     this_chain += service + latency;
                 }
             }
             *chain = (*chain).max(this_chain);
         }
-        tail.extend(busy.iter().map(|&b| pipeline_tail(b, self.chunks)));
+        for (busy, tail) in steps.iter_mut() {
+            *tail = pipeline_tail(*busy, self.chunks);
+        }
     }
 }
 
@@ -203,11 +204,10 @@ impl CollectiveEngine {
 /// ```
 #[derive(Clone, Debug, Default)]
 pub struct CollectivePlan {
-    /// Per dimension: the busy time the collective adds.
-    busy: Vec<Time>,
-    /// Per dimension: the part of `busy` still to run once the first
-    /// chunk is through (see [`pipeline_tail`]).
-    tail: Vec<Time>,
+    /// Per dimension: the busy time the collective adds, and the part of
+    /// it still to run once the first chunk is through (see
+    /// [`pipeline_tail`]).
+    steps: Vec<(Time, Time)>,
     /// Per dimension: bytes each participating NPU moves through it.
     traffic: Vec<DataSize>,
     /// The longest chunk's end-to-end chain of phases.
@@ -217,6 +217,37 @@ pub struct CollectivePlan {
 }
 
 impl CollectivePlan {
+    /// What finishing the plan reads (see [`PlanSteps`]).
+    pub fn steps(&self) -> PlanSteps<'_> {
+        PlanSteps {
+            chain: self.chain,
+            steps: &self.steps,
+        }
+    }
+
+    /// [`PlanSteps::finish`] of this plan.
+    ///
+    /// # Panics
+    ///
+    /// Panics if an `at` index is out of `lanes`' range.
+    pub fn finish(&self, start: Time, lanes: &mut [Time], at: &[usize]) -> Time {
+        self.steps().finish(start, lanes, at)
+    }
+}
+
+/// The part of a [`CollectivePlan`] that finishing it reads, borrowed:
+/// the pipeline fill and, per dimension, the busy time the collective
+/// adds with the part of it still to run once the first chunk is
+/// through. A caller that keeps many plans can keep only these.
+#[derive(Copy, Clone, Debug, PartialEq, Eq)]
+pub struct PlanSteps<'a> {
+    /// The longest chunk's end-to-end chain of phases.
+    pub chain: Time,
+    /// Per dimension: `(busy, tail)`.
+    pub steps: &'a [(Time, Time)],
+}
+
+impl PlanSteps<'_> {
     /// Finishes the collective issued at `start` on the lanes
     /// `lanes[at[d]]`, each dimension's free time, and moves each of them
     /// to when the collective leaves it. Returns the completion time.
@@ -233,12 +264,23 @@ impl CollectivePlan {
     ///
     /// Panics if an `at` index is out of `lanes`' range.
     pub fn finish(&self, start: Time, lanes: &mut [Time], at: &[usize]) -> Time {
-        let mut drain = Time::ZERO;
-        for (&tail, &lane) in self.tail.iter().zip(at) {
-            drain = drain.max(lanes[lane].saturating_sub(start) + tail);
-        }
-        for (&busy, &lane) in self.busy.iter().zip(at) {
+        let finish = self.finish_time(start, lanes, at);
+        for (&(busy, _), &lane) in self.steps.iter().zip(at) {
             lanes[lane] = lanes[lane].max(start) + busy;
+        }
+        finish
+    }
+
+    /// The completion time [`PlanSteps::finish`] returns, leaving the
+    /// lanes as they are.
+    ///
+    /// # Panics
+    ///
+    /// Panics if an `at` index is out of `lanes`' range.
+    pub fn finish_time(&self, start: Time, lanes: &[Time], at: &[usize]) -> Time {
+        let mut drain = Time::ZERO;
+        for (&(_, tail), &lane) in self.steps.iter().zip(at) {
+            drain = drain.max(lanes[lane].saturating_sub(start) + tail);
         }
         start + self.chain + drain
     }

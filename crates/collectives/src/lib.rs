@@ -45,7 +45,9 @@ mod pattern;
 mod scheduler;
 
 pub use algorithm::Algorithm;
-pub use engine::{dimension_traffic, CollectiveEngine, CollectiveOutcome, CollectivePlan};
+pub use engine::{
+    dimension_traffic, CollectiveEngine, CollectiveOutcome, CollectivePlan, PlanSteps,
+};
 pub use lowering::{ChunkOp, CollectiveMode, CollectiveProgram};
 pub use pattern::Collective;
 pub use scheduler::SchedulerPolicy;

@@ -42,19 +42,24 @@ impl SchedulerPolicy {
         initial_loads: &[Time],
         out: &mut Orders,
     ) {
+        if self.reads_backlog(dims.len()) {
+            out.themis(collective, chunk_size, dims, chunks, initial_loads);
+        } else {
+            out.dims = dims.len();
+            out.orders.clear();
+            out.orders.extend(0..dims.len());
+            out.counts.clear();
+            out.counts.push(chunks);
+        }
+    }
+
+    /// Whether a plan over `dims` dimensions reads their backlog: only
+    /// Themis balances, and a 1-D topology has nothing to balance (the
+    /// paper's W-1D systems show no gain from smart scheduling).
+    pub fn reads_backlog(&self, dims: usize) -> bool {
         match self {
-            SchedulerPolicy::Themis if dims.len() > 1 => {
-                out.themis(collective, chunk_size, dims, chunks, initial_loads);
-            }
-            // A 1-D topology has nothing to balance (the paper's W-1D
-            // systems show no gain from smart scheduling).
-            SchedulerPolicy::Baseline | SchedulerPolicy::Themis => {
-                out.dims = dims.len();
-                out.orders.clear();
-                out.orders.extend(0..dims.len());
-                out.counts.clear();
-                out.counts.push(chunks);
-            }
+            SchedulerPolicy::Baseline => false,
+            SchedulerPolicy::Themis => dims > 1,
         }
     }
 }

@@ -2,11 +2,24 @@
 //!
 //! The paper (Fig. 9 and Fig. 11) reports runtime broken into *compute time*
 //! plus the **exposed** (non-hidden) portion of communication, remote-memory,
-//! and local-memory time. This module records per-category busy intervals and
-//! attributes every instant of wall-clock time to the highest-priority
-//! category active at that instant.
+//! and local-memory time. This module attributes every instant of wall-clock
+//! time to the highest-priority category active at that instant, in two
+//! forms that agree to the picosecond:
+//!
+//! * [`attribute_exclusive`] sweeps whole [`IntervalLog`]s once, after the
+//!   fact. It keeps every interval, and its segment form
+//!   ([`attribute_exclusive_intervals`]) yields the attributed timeline.
+//! * [`ExclusiveFold`] attributes a timeline while it streams in. It keeps
+//!   four things: the exclusive sums, the instant they are folded up to,
+//!   the few intervals that end after it, and the starts of *open*
+//!   intervals, whose ends are not known yet. Its memory follows what is
+//!   in flight, not the length of the run.
 
 use crate::Time;
+
+/// An [`ExclusiveFold`] folds once it holds this many recorded intervals,
+/// or twice as many as its last fold left, whichever is more.
+const FOLD_AT: usize = 8;
 
 /// A log of (possibly overlapping) busy intervals for one activity category.
 ///
@@ -189,6 +202,216 @@ pub fn attribute_exclusive_intervals(
         }
     }
     out
+}
+
+/// A streaming form of [`attribute_exclusive`] over `N` categories of one
+/// timeline: the same exclusive sums, to the picosecond, from intervals
+/// fed as they become known.
+///
+/// The fold relies on a discipline that an event-driven simulator keeps.
+/// At each call, `now` is the simulation's current instant, and it never
+/// goes back. Every interval either
+///
+/// * is *pushed* ([`ExclusiveFold::push`]) with a start at or after `now`,
+///   as a FIFO resource's grants are; or
+/// * is *opened* ([`ExclusiveFold::open`]) when it starts, at `now`, and
+///   *closed* ([`ExclusiveFold::close`]) once its end is known. Its end
+///   then lies at or after the instant it is closed, as a rendezvous or a
+///   message completes no earlier than it is resolved.
+///
+/// So every instant before `now` is settled: an open interval covers it
+/// if it started by then, and no later interval can reach back to it.
+/// The fold attributes everything before `now` lazily, once its recorded
+/// intervals pile up, and keeps only those that end after it.
+///
+/// # Example
+///
+/// ```
+/// use astra_des::{attribute_exclusive, ExclusiveFold, FoldScratch, IntervalLog, Time};
+///
+/// let us = Time::from_us;
+/// let mut scratch = FoldScratch::default();
+/// let mut fold = ExclusiveFold::<2>::new();
+/// // At t = 0: a 5 us compute op, and a meeting that the timeline joins.
+/// fold.push(0, us(0), us(5), us(0), &mut scratch);
+/// fold.open(1, us(0));
+/// // At t = 3 the meeting resolves: it ends at t = 8.
+/// fold.close(1, us(0), us(8), us(3), &mut scratch);
+/// let (sums, idle) = fold.finish(us(10), &mut scratch);
+///
+/// let mut compute = IntervalLog::new();
+/// compute.push(us(0), us(5));
+/// let mut comm = IntervalLog::new();
+/// comm.push(us(0), us(8));
+/// let oracle = attribute_exclusive(&[&compute, &comm], us(10));
+/// assert_eq!(oracle, vec![sums[0], sums[1], idle]);
+/// assert_eq!(idle, us(2));
+/// ```
+#[derive(Clone, Debug)]
+pub struct ExclusiveFold<const N: usize> {
+    /// Per category: the exclusive time attributed before `folded`.
+    sums: [Time; N],
+    /// Every instant before this one is attributed.
+    folded: Time,
+    /// Recorded intervals `(start, end, category)` that end after
+    /// `folded`.
+    recorded: Vec<(Time, Time, usize)>,
+    /// The open intervals' `(start, category)`.
+    open: Vec<(Time, usize)>,
+    /// `recorded`'s length that triggers the next fold.
+    fold_at: usize,
+}
+
+/// The scratch buffer an [`ExclusiveFold`] sweeps in; one can serve any
+/// number of folds.
+#[derive(Clone, Debug, Default)]
+pub struct FoldScratch {
+    /// Sweep edges `(instant, category × 2 + whether it is an end)`.
+    edges: Vec<(Time, usize)>,
+}
+
+impl<const N: usize> Default for ExclusiveFold<N> {
+    fn default() -> Self {
+        Self::new()
+    }
+}
+
+impl<const N: usize> ExclusiveFold<N> {
+    /// An empty fold: nothing attributed, nothing open.
+    pub fn new() -> Self {
+        ExclusiveFold {
+            sums: [Time::ZERO; N],
+            folded: Time::ZERO,
+            recorded: Vec::new(),
+            open: Vec::new(),
+            fold_at: FOLD_AT,
+        }
+    }
+
+    /// Records a busy interval `[start, end)` of `category` that starts at
+    /// or after `now`. Empty intervals are ignored.
+    ///
+    /// # Panics
+    ///
+    /// Panics if `end < start` or `category >= N`.
+    pub fn push(
+        &mut self,
+        category: usize,
+        start: Time,
+        end: Time,
+        now: Time,
+        scratch: &mut FoldScratch,
+    ) {
+        assert!(end >= start, "interval ends before it starts");
+        assert!(category < N, "no such category");
+        debug_assert!(start >= self.folded, "interval starts in folded time");
+        if end > start {
+            self.record(category, start, end, now, scratch);
+        }
+    }
+
+    /// Opens an interval of `category` that starts at `start`, now; its
+    /// end comes with [`ExclusiveFold::close`].
+    ///
+    /// # Panics
+    ///
+    /// Panics if `category >= N`.
+    pub fn open(&mut self, category: usize, start: Time) {
+        assert!(category < N, "no such category");
+        debug_assert!(start >= self.folded, "interval opens in folded time");
+        self.open.push((start, category));
+    }
+
+    /// Closes an open interval of `category` that started at `start`: it
+    /// ends at `end`, at or after `now`. Such an interval must be open.
+    ///
+    /// # Panics
+    ///
+    /// Panics if `end < start`.
+    pub fn close(
+        &mut self,
+        category: usize,
+        start: Time,
+        end: Time,
+        now: Time,
+        scratch: &mut FoldScratch,
+    ) {
+        assert!(end >= start, "interval ends before it starts");
+        let open = self.open.iter().position(|&o| o == (start, category));
+        debug_assert!(open.is_some(), "closing an interval that is not open");
+        if let Some(at) = open {
+            self.open.swap_remove(at);
+        }
+        debug_assert!(end >= self.folded, "an open interval ended in folded time");
+        // Folded time already counted the interval as busy.
+        let start = start.max(self.folded);
+        if end > start {
+            self.record(category, start, end, now, scratch);
+        }
+    }
+
+    /// Attributes every instant up to `horizon` and returns the exclusive
+    /// time per category plus the idle time, as [`attribute_exclusive`]
+    /// does with `horizon`. Intervals still open count as busy through
+    /// `horizon`. The fold is left folded up to `horizon`.
+    pub fn finish(&mut self, horizon: Time, scratch: &mut FoldScratch) -> ([Time; N], Time) {
+        debug_assert!(horizon >= self.folded, "the horizon lies in folded time");
+        self.fold(horizon, scratch);
+        let busy: Time = self.sums.iter().copied().sum();
+        (self.sums, horizon.saturating_sub(busy))
+    }
+
+    fn record(
+        &mut self,
+        category: usize,
+        start: Time,
+        end: Time,
+        now: Time,
+        scratch: &mut FoldScratch,
+    ) {
+        self.recorded.push((start, end, category));
+        if self.recorded.len() >= self.fold_at {
+            self.fold(now, scratch);
+            self.fold_at = FOLD_AT.max(2 * self.recorded.len());
+        }
+    }
+
+    /// Attributes `[folded, to)`: every recorded interval clipped to it,
+    /// and every open one as busy through `to`.
+    fn fold(&mut self, to: Time, scratch: &mut FoldScratch) {
+        let from = self.folded;
+        if to <= from {
+            return;
+        }
+        let edges = &mut scratch.edges;
+        edges.clear();
+        let open = self.open.iter().map(|&(start, c)| (start, to, c));
+        for (start, end, c) in self.recorded.iter().copied().chain(open) {
+            let (start, end) = (start.max(from), end.min(to));
+            if start < end {
+                edges.push((start, 2 * c));
+                edges.push((end, 2 * c + 1));
+            }
+        }
+        edges.sort_unstable();
+        let mut active = [0u32; N];
+        let mut at = from;
+        for &(t, edge) in edges.iter() {
+            if t > at {
+                if let Some(c) = active.iter().position(|&k| k > 0) {
+                    self.sums[c] += t - at;
+                }
+                at = t;
+            }
+            if edge % 2 == 0 {
+                active[edge / 2] += 1;
+            } else {
+                active[edge / 2] -= 1;
+            }
+        }
+        self.folded = to;
+        self.recorded.retain(|&(_, end, _)| end > to);
+    }
 }
 
 #[cfg(test)]

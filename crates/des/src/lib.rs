@@ -12,7 +12,8 @@
 //!   compute streams, and memory ports), with closed-form bulk reservation
 //!   of whole packet trains ([`FifoResource::acquire_train`]),
 //! * [`IntervalLog`] / [`attribute_exclusive`] — busy-interval bookkeeping used
-//!   for the paper's "exposed time" breakdowns (Fig. 9 and Fig. 11).
+//!   for the paper's "exposed time" breakdowns (Fig. 9 and Fig. 11), and
+//!   [`ExclusiveFold`], the same attribution folded as intervals stream in.
 //!
 //! # Example
 //!
@@ -31,7 +32,9 @@ mod queue;
 mod resource;
 mod units;
 
-pub use intervals::{attribute_exclusive, attribute_exclusive_intervals, IntervalLog};
+pub use intervals::{
+    attribute_exclusive, attribute_exclusive_intervals, ExclusiveFold, FoldScratch, IntervalLog,
+};
 pub use queue::{EventQueue, LanedEventQueue};
 pub use resource::{
     ArrivalRun, FifoCheckpoint, FifoResource, RecordedReservation, Reservation, TrainProfile,

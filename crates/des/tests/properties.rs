@@ -1,8 +1,8 @@
 //! Property-based tests for the DES kernel invariants.
 
 use astra_des::{
-    attribute_exclusive, ArrivalRun, Bandwidth, DataSize, EventQueue, FifoResource, IntervalLog,
-    Time, TrainProfile,
+    attribute_exclusive, ArrivalRun, Bandwidth, DataSize, EventQueue, ExclusiveFold, FifoResource,
+    FoldScratch, IntervalLog, Time, TrainProfile,
 };
 use proptest::prelude::*;
 
@@ -120,6 +120,66 @@ proptest! {
         // Highest-priority category is never shadowed: it gets exactly its
         // union measure (clipped to the horizon).
         prop_assert_eq!(out[0], la.union_measure().min(horizon));
+    }
+
+    /// The streaming fold matches the whole-log sweep to the picosecond
+    /// over random interval streams that keep the engine's discipline:
+    /// the clock only moves forward; pushed intervals start at or after
+    /// it, some far in the future, some empty; open intervals start at it
+    /// and close with an end at or after the clock, possibly empty when
+    /// they close at once. Up to 240 steps per stream, so a stream folds
+    /// many times on the way; the horizon may cut intervals short.
+    #[test]
+    fn exclusive_fold_matches_the_whole_log_sweep(
+        steps in prop::collection::vec((0u8..4, 0usize..4, 0u64..60, 0u64..80), 0..240),
+        tail in 0u64..200,
+    ) {
+        let ns = Time::from_ns;
+        let mut fold = ExclusiveFold::<4>::new();
+        let mut scratch = FoldScratch::default();
+        let mut logs: [IntervalLog; 4] = Default::default();
+        let mut open: Vec<(usize, Time)> = Vec::new();
+        let mut now = Time::ZERO;
+        for (kind, category, a, b) in steps {
+            match kind {
+                // The clock moves on.
+                0 => now += ns(a),
+                // A FIFO grant: starts at or after now.
+                1 => {
+                    let (start, end) = (now + ns(a), now + ns(a + b));
+                    fold.push(category, start, end, now, &mut scratch);
+                    logs[category].push(start, end);
+                }
+                // A node starts waiting.
+                2 => {
+                    fold.open(category, now);
+                    open.push((category, now));
+                }
+                // The oldest wait (or a random one) resolves; it ends at
+                // or after now.
+                _ => {
+                    if open.is_empty() {
+                        continue;
+                    }
+                    let (category, start) = open.remove(a as usize % open.len());
+                    let end = now + ns(b % 3 * b);
+                    fold.close(category, start, end, now, &mut scratch);
+                    logs[category].push(start, end);
+                }
+            }
+        }
+        for (category, start) in open {
+            let end = now + ns(tail);
+            fold.close(category, start, end, now, &mut scratch);
+            logs[category].push(start, end);
+        }
+        // At or after the last instant the fold may have reached; below
+        // some intervals' ends when `tail` is small.
+        let horizon = now + ns(tail / 2);
+        let (sums, idle) = fold.finish(horizon, &mut scratch);
+        let want = attribute_exclusive(&[&logs[0], &logs[1], &logs[2], &logs[3]], horizon);
+        prop_assert_eq!(want, vec![sums[0], sums[1], sums[2], sums[3], idle]);
+        prop_assert_eq!(sums.iter().copied().sum::<Time>() + idle, horizon);
     }
 
     /// Bulk train reservation is bit-identical to acquiring every packet

@@ -23,16 +23,16 @@ mod trace;
 use std::collections::{BTreeMap, VecDeque};
 use std::sync::Arc;
 
-use astra_collectives::{
-    Collective, CollectiveEngine, CollectiveMode, CollectivePlan, CollectiveProgram,
-    SchedulerPolicy,
+use astra_collectives::{Collective, CollectiveEngine, CollectiveMode, CollectiveProgram};
+use astra_des::{
+    attribute_exclusive, DataSize, EventQueue, ExclusiveFold, FifoResource, FoldScratch,
+    IntervalLog, Time,
 };
-use astra_des::{attribute_exclusive, DataSize, EventQueue, FifoResource, IntervalLog, Time};
 use astra_garnet::TransportMode;
 use astra_memory::{RemoteMemory, TransferMode};
 use astra_network::{Completion, NetworkBackend, NetworkBackendKind, NetworkStats};
 use astra_telemetry::{CollectiveSpan, SimTrace, TraceSink};
-use astra_topology::{FaultedGraph, NpuId, Topology};
+use astra_topology::{Dimension, FaultedGraph, NpuId, Topology};
 use astra_workload::{EtOp, ExecutionTrace, TensorLocation};
 
 pub use config::{SystemConfig, WarmState};
@@ -42,6 +42,7 @@ use nic::{Message, Nic, P2pSides};
 
 use crate::csr::Csr;
 use crate::orbits::Orbits;
+use crate::plans::{Dims, Plans};
 use crate::report::FaultImpact;
 use crate::setup::{prepare, Setup, Spans};
 use crate::slab::Slab;
@@ -129,8 +130,10 @@ struct Block {
     /// Its FIFO resources, indexed by [`COMPUTE_STREAM`], [`LOCAL_PORT`]
     /// and [`REMOTE_LANE`].
     res: [FifoResource; 3],
-    /// Per activity category: its busy intervals.
-    logs: [IntervalLog; 4],
+    /// Its busy time per activity category, attributed exclusively as it
+    /// streams in. Comm intervals open when a node starts waiting (a
+    /// meeting arrival, a p2p side) and close when it resumes.
+    fold: ExclusiveFold<4>,
     /// When its last node finished.
     finish: Time,
     /// Where its nodes' counts start in [`Engine::deps`].
@@ -317,7 +320,6 @@ pub(crate) struct Engine<'a> {
     topo: &'a Topology,
     config: &'a SystemConfig,
     warm: &'a WarmState,
-    collective_engine: CollectiveEngine,
     /// The co-resident async backend, built lazily on the first p2p
     /// message (collective-only workloads never pay for it). The
     /// blocking-p2p oracle installs its probe backend here up front.
@@ -344,13 +346,16 @@ pub(crate) struct Engine<'a> {
 
     /// Per lane (see [`crate::setup::GroupSpan::lanes`]): when it frees.
     lanes: Vec<Time>,
-    /// Closed-form plans that read no backlog (the Baseline scheduler's),
-    /// memoized per `(group block, collective, size)`.
-    plans: BTreeMap<(u32, Collective, DataSize), CollectivePlan>,
-    /// The plan of a meeting whose plan reads the backlog, and the
-    /// backlog it read; reused from meeting to meeting.
-    plan: CollectivePlan,
-    backlog: Vec<Time>,
+    /// Closed-form plans, memoized by everything planning reads.
+    plans: Plans,
+    /// A degraded span's pristine dimensions, reused from meeting to
+    /// meeting (see [`Engine::pristine_finish`]).
+    pristine: Vec<Dimension>,
+    /// The sweep buffer every block's fold shares.
+    scratch: FoldScratch,
+    /// Per NPU block in a traced run: its busy intervals per activity
+    /// category, for the trace's NPU timelines. Empty when untraced.
+    logs: Vec<[IntervalLog; 4]>,
 
     /// Per group block: its collective rendezvous.
     rendezvous: Vec<Rendezvous>,
@@ -453,12 +458,19 @@ impl<'a> Engine<'a> {
             topo,
             config,
             warm,
-            collective_engine: CollectiveEngine::new(config.collective_chunks, config.scheduler),
             network: None,
             lanes: vec![Time::ZERO; orbits.lanes],
-            plans: BTreeMap::new(),
-            plan: CollectivePlan::default(),
-            backlog: Vec::new(),
+            plans: Plans::new(CollectiveEngine::new(
+                config.collective_chunks,
+                config.scheduler,
+            )),
+            pristine: Vec::new(),
+            scratch: FoldScratch::default(),
+            logs: if config.telemetry {
+                vec![Default::default(); orbits.reps.len()]
+            } else {
+                Vec::new()
+            },
             ties: quotient.then(|| Ties::new(&orbits, &spans, deps.len())),
             orbits,
             spans,
@@ -575,14 +587,16 @@ impl<'a> Engine<'a> {
             .fold(Time::ZERO, Time::max);
         let npus = self.trace.npus() as u64;
         let mut sums = [Time::ZERO; 5];
-        for (block, &size) in self.blocks.iter().zip(&self.orbits.sizes) {
-            let logs = &block.logs;
-            let parts = attribute_exclusive(
-                &[&logs[COMPUTE], &logs[COMM], &logs[REMOTE], &logs[LOCAL]],
-                horizon,
-            );
-            for (sum, part) in sums.iter_mut().zip(&parts) {
-                *sum += *part * size;
+        for (b, (block, &size)) in self.blocks.iter_mut().zip(&self.orbits.sizes).enumerate() {
+            let (parts, idle) = block.fold.finish(horizon, &mut self.scratch);
+            let [compute, comm, remote, local] = parts;
+            let parts = [compute, comm, remote, local, idle];
+            if let Some(logs) = self.logs.get(b) {
+                let logs = [&logs[COMPUTE], &logs[COMM], &logs[REMOTE], &logs[LOCAL]];
+                debug_assert_eq!(attribute_exclusive(&logs, horizon), parts);
+            }
+            for (sum, part) in sums.iter_mut().zip(parts) {
+                *sum += part * size;
             }
         }
         let breakdown = Breakdown {
@@ -712,9 +726,8 @@ impl<'a> Engine<'a> {
             Some(ties) => ties.resource(block, res)?,
             None => 0,
         };
-        let b = &mut self.blocks[block];
-        let r = b.res[res].acquire(now, service);
-        b.logs[category].push(r.start, r.end);
+        let r = self.blocks[block].res[res].acquire(now, service);
+        self.charge(block, category, r.start, r.end);
         let event = EngineEvent::Node {
             block,
             node,
@@ -748,6 +761,7 @@ impl<'a> Engine<'a> {
         if let Some(ties) = &mut self.ties {
             ties.arrive(group as usize, rank)?;
         }
+        self.blocks[arrival.block].fold.open(COMM, arrival.at);
         let members = span.members.len();
         let slot = (rv.issued[rank] - rv.completed) as usize;
         rv.issued[rank] += 1;
@@ -812,34 +826,9 @@ impl<'a> Engine<'a> {
         // Per-fault attribution reads the lanes as the collective finds
         // them.
         let pristine = self.pristine_finish(group, op, start);
-        // A plan that reads no backlog is memoized per group block and
-        // shape; a Themis plan is made afresh in one reused plan.
-        let plan = if self.config.scheduler == SchedulerPolicy::Baseline {
-            let engine = self.collective_engine;
-            self.plans
-                .entry((group, collective, size))
-                .or_insert_with(|| {
-                    let mut plan = CollectivePlan::default();
-                    engine.plan_into(collective, size, span.dims, &[], &mut plan);
-                    plan
-                })
-        } else {
-            self.backlog.clear();
-            let lanes = &self.lanes;
-            self.backlog.extend(
-                span.lanes
-                    .iter()
-                    .map(|&lane| lanes[lane].saturating_sub(start)),
-            );
-            self.collective_engine.plan_into(
-                collective,
-                size,
-                span.dims,
-                &self.backlog,
-                &mut self.plan,
-            );
-            &self.plan
-        };
+        let span = self.spans.span(group as usize);
+        let at = (start, &self.lanes[..], span.lanes);
+        let plan = self.plans.get((group, Dims::Live), op, span.dims, at);
         let finish = plan.finish(start, &mut self.lanes, span.lanes);
         if let Some((event, pristine)) = pristine {
             self.impacts[event].extra_time += finish.saturating_sub(pristine);
@@ -868,11 +857,9 @@ impl<'a> Engine<'a> {
                 finish,
             });
         }
-        let origins = self.ties.as_ref().map_or(&[][..], Ties::launched);
         for (j, a) in arrivals.iter().enumerate() {
-            if finish > a.at {
-                self.blocks[a.block].logs[COMM].push(a.at, finish);
-            }
+            self.resolve_comm(a.block, a.at, finish);
+            let origins = self.ties.as_ref().map_or(&[][..], Ties::launched);
             let event = EngineEvent::Node {
                 block: a.block,
                 node: a.node,
@@ -883,13 +870,35 @@ impl<'a> Engine<'a> {
         arrivals.clear();
         self.meetings.push(arrivals);
     }
+
+    /// Charges `block`'s busy interval `[start, end)`, which starts at or
+    /// after now, to `category`.
+    fn charge(&mut self, block: usize, category: usize, start: Time, end: Time) {
+        let now = self.queue.now();
+        let fold = &mut self.blocks[block].fold;
+        fold.push(category, start, end, now, &mut self.scratch);
+        if let Some(logs) = self.logs.get_mut(block) {
+            logs[category].push(start, end);
+        }
+    }
+
+    /// Closes `block`'s comm interval that opened at `start`, when a node
+    /// of it started waiting: it ends at `end`.
+    fn resolve_comm(&mut self, block: usize, start: Time, end: Time) {
+        let now = self.queue.now();
+        let fold = &mut self.blocks[block].fold;
+        fold.close(COMM, start, end, now, &mut self.scratch);
+        if let Some(logs) = self.logs.get_mut(block) {
+            logs[COMM].push(start, end);
+        }
+    }
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::setup::{build_backend, Spans};
-    use astra_collectives::Collective;
+    use crate::setup::{build_backend, GroupScratch, Spans};
+    use astra_collectives::{Collective, SchedulerPolicy};
     use astra_memory::{LocalMemory, PoolArchitecture};
     use astra_workload::Roofline;
     use astra_workload::{models, parallelism, EtOp, Parallelism, TraceBuilder};
@@ -949,16 +958,16 @@ mod tests {
     fn group_span_subsets_dimensions() {
         let topo = topo512();
         let mut spans = Spans::new();
-        let mut coords = Vec::new();
+        let mut scratch = GroupScratch::default();
         // Contiguous 16-NPU group: spans dims 0 (k=2) and 1 (k=8).
-        assert!(spans.push_group(&topo, &(0..16).collect::<Vec<_>>(), &mut coords));
+        assert!(spans.push_group(&topo, &(0..16).collect::<Vec<_>>(), &mut scratch));
         let span = spans.span(0);
         assert_eq!(span.axes, &[0, 1]);
         assert_eq!(span.dims[0].npus(), 2);
         assert_eq!(span.dims[1].npus(), 8);
         // Strided DP group: spans dims 2 and 3.
         let dp: Vec<usize> = (0..32).map(|i| i * 16).collect();
-        assert!(spans.push_group(&topo, &dp, &mut coords));
+        assert!(spans.push_group(&topo, &dp, &mut scratch));
         let span = spans.span(1);
         assert_eq!(span.axes, &[2, 3]);
         assert_eq!(span.members, &dp[..]);
@@ -970,9 +979,9 @@ mod tests {
         // Three members cannot form a sub-grid of a 4x4 topology, and a
         // rejected group leaves nothing behind.
         let mut spans = Spans::new();
-        assert!(!spans.push_group(&topo, &[0, 1, 5], &mut Vec::new()));
+        assert!(!spans.push_group(&topo, &[0, 1, 5], &mut GroupScratch::default()));
         assert_eq!(spans.len(), 0);
-        assert!(spans.push_group(&topo, &[4, 0], &mut Vec::new()));
+        assert!(spans.push_group(&topo, &[4, 0], &mut GroupScratch::default()));
         assert_eq!(spans.span(0).members, &[0, 4]);
         assert_eq!(spans.span(0).lanes.len(), spans.span(0).dims.len());
         let mut b = TraceBuilder::new(16);
@@ -1483,6 +1492,41 @@ mod tests {
             crate::simulate_full_reference(&trace, &topo, &config),
             expected
         );
+    }
+
+    /// A collapsed Themis run (t1t hybrid at 64 chunks on
+    /// `SW(16)@256_SW(16)@100`) makes one plan per distinct key, group
+    /// block, collective, size and lane backlog, not one per meeting.
+    #[test]
+    fn a_collapsed_themis_run_plans_each_distinct_meeting_once() {
+        let topo = Topology::parse("SW(16)@256_SW(16)@100").unwrap();
+        let model = models::transformer_1t();
+        let mp = model.default_mp.min(topo.npus());
+        let trace =
+            parallelism::generate_trace(&model, Parallelism::Hybrid { mp }, topo.npus()).unwrap();
+        let config = SystemConfig {
+            scheduler: SchedulerPolicy::Themis,
+            collective_chunks: 64,
+            ..SystemConfig::default()
+        };
+        let setup = prepare(&trace, &topo, &config).unwrap();
+        let (orbits, spans) = Orbits::collapse(&trace, &topo, &config, &setup.spans).unwrap();
+        let blocks = orbits.reps.len();
+        let quotient = Setup {
+            spans,
+            impacts: Vec::new(),
+            fabric: None,
+        };
+        let warm = WarmState::default();
+        let mut engine = Engine::new(&trace, &topo, &config, &warm, orbits, quotient);
+        engine.run().unwrap();
+        assert!(engine.ties.as_ref().is_some_and(|ties| !ties.tied));
+        assert_eq!(blocks, 4);
+        // 768 meetings of four group blocks, each with one collective
+        // and size; the two that span both dimensions always find their
+        // lanes drained.
+        assert_eq!(engine.trace_seq, 768);
+        assert_eq!(engine.plans.made, 4);
     }
 
     /// A queued NIC entry holds a chunk op's collective, op, ready time

@@ -5,7 +5,9 @@
 
 use astra_collectives::Collective;
 use astra_des::{DataSize, Time};
-use astra_topology::{Dimension, FaultKind, NpuId};
+use astra_topology::{FaultKind, NpuId};
+
+use crate::plans::Dims;
 
 use super::Engine;
 
@@ -43,26 +45,25 @@ impl Engine<'_> {
     /// For a collective of group block `group` launching at `start` on a
     /// span that faults degraded: the first schedule event that degraded
     /// a spanned dimension, and the finish the closed form reaches on the
-    /// pristine dimensions from the lanes as they are now. The finish
-    /// delta is charged to that event. `None` on a fault-free span.
+    /// pristine dimensions from the lanes as they are now, which it
+    /// leaves as they are. The finish delta is charged to that event.
+    /// `None` on a fault-free span.
     pub(super) fn pristine_finish(
-        &self,
+        &mut self,
         group: u32,
-        (collective, size): (Collective, DataSize),
+        op: (Collective, DataSize),
         start: Time,
     ) -> Option<(usize, Time)> {
         let span = self.spans.span(group as usize);
         let event = span.degraded.iter().flatten().map(|&(_, e)| e).min()?;
-        let pristine: Vec<Dimension> = span
-            .dims
-            .iter()
-            .zip(span.degraded)
-            .map(|(&d, degraded)| degraded.map_or(d, |(p, _)| p))
-            .collect();
-        let available: Vec<Time> = span.lanes.iter().map(|&lane| self.lanes[lane]).collect();
-        let baseline = self
-            .collective_engine
-            .run_at(collective, size, &pristine, start, &available);
-        Some((event, baseline.finish))
+        self.pristine.clear();
+        let pristine = span.dims.iter().zip(span.degraded);
+        self.pristine
+            .extend(pristine.map(|(&d, degraded)| degraded.map_or(d, |(p, _)| p)));
+        let at = (start, &self.lanes[..], span.lanes);
+        let plan = self
+            .plans
+            .get((group, Dims::Pristine), op, &self.pristine, at);
+        Some((event, plan.finish_time(start, &self.lanes, span.lanes)))
     }
 }

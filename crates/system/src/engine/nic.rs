@@ -128,6 +128,11 @@ impl<'a> Engine<'a> {
         size: DataSize,
         now: Time,
     ) -> Result<(), SimError> {
+        // The side waits, and charges comm, from now until the message
+        // completes.
+        self.blocks[if send { src } else { dst }]
+            .fold
+            .open(COMM, now);
         let sides = self.p2p_pending.entry((src, dst, tag)).or_default();
         sides[usize::from(!send)] = Some((node, now));
         let [Some((send_node, send_ready)), Some((recv_node, recv_ready))] = *sides else {
@@ -256,10 +261,8 @@ impl<'a> Engine<'a> {
         self.on_wire -= 1;
         match msg {
             Message::Peer(msg) => {
-                self.blocks[msg.src].logs[COMM].push(msg.send_ready, c.finish);
-                if c.finish > msg.recv_ready {
-                    self.blocks[msg.dst].logs[COMM].push(msg.recv_ready, c.finish);
-                }
+                self.resolve_comm(msg.src, msg.send_ready, c.finish);
+                self.resolve_comm(msg.dst, msg.recv_ready, c.finish);
                 for (block, node) in [(msg.src, msg.send_node), (msg.dst, msg.recv_node)] {
                     let node = EngineEvent::Node {
                         block,

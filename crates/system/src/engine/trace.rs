@@ -29,16 +29,16 @@ impl Engine<'_> {
             // The report (and its horizon) never materialized: cover every
             // recorded interval so attribution still sees the full run.
             Err(_) => self
-                .blocks
+                .logs
                 .iter()
-                .flat_map(|block| block.logs.iter().map(IntervalLog::end))
+                .flatten()
+                .map(IntervalLog::end)
                 .fold(self.queue.now(), Time::max),
         };
         let npu_timelines = self
-            .blocks
+            .logs
             .iter()
-            .map(|block| {
-                let logs = &block.logs;
+            .map(|logs| {
                 let segments = attribute_exclusive_intervals(
                     &[&logs[COMPUTE], &logs[COMM], &logs[REMOTE], &logs[LOCAL]],
                     horizon,

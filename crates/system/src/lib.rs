@@ -37,6 +37,7 @@ mod csr;
 mod engine;
 mod oracle;
 mod orbits;
+mod plans;
 mod report;
 mod setup;
 mod slab;

@@ -768,7 +768,7 @@ fn quotient(trace: &ExecutionTrace, num_dims: usize, spans: &Spans) -> Option<(O
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::setup::prepare;
+    use crate::setup::{prepare, GroupScratch};
     use astra_collectives::Collective;
     use astra_des::DataSize;
     use astra_workload::{models, parallelism, GroupId, NodeId, Parallelism, TraceBuilder};
@@ -1108,7 +1108,7 @@ mod tests {
                 b.node(0, "ar", all_reduce(1, solo), &[]);
                 let topo = Topology::parse("R(2)@100").unwrap();
                 let mut spans = Spans::new();
-                assert!(spans.push_group(&topo, &[0], &mut Vec::new()));
+                assert!(spans.push_group(&topo, &[0], &mut GroupScratch::default()));
                 (b.build().unwrap(), spans, 1)
             } else {
                 let (trace, topo) = if case % 8 == 1 {

@@ -16,6 +16,15 @@ use astra_workload::{EtOp, ExecutionTrace, TensorLocation};
 use crate::engine::{SimError, SystemConfig, WarmState};
 use crate::report::FaultImpact;
 
+/// The buffers [`Spans::push_group`] works in, reused from group to group.
+#[derive(Default)]
+pub(crate) struct GroupScratch {
+    /// Per member: its coordinate along the dimension at hand.
+    coords: Vec<usize>,
+    /// Per coordinate: whether a member has it; all `false` between uses.
+    seen: Vec<bool>,
+}
+
 /// What [`prepare`] hands the engine.
 #[derive(Clone)]
 pub(crate) struct Setup {
@@ -152,15 +161,15 @@ impl Spans {
     /// must be distinct NPUs of the topology forming a sub-grid: the
     /// product of per-dimension distinct coordinate counts must equal the
     /// group size. Returns whether they do; a group that does not is not
-    /// added. `coords` is a reusable buffer.
+    /// added.
     pub(crate) fn push_group(
         &mut self,
         topo: &Topology,
         members: &[NpuId],
-        coords: &mut Vec<usize>,
+        scratch: &mut GroupScratch,
     ) -> bool {
         let (member_start, dim_start) = (self.members.len(), self.axes.len());
-        if self.add_group(topo, members, coords) {
+        if self.add_group(topo, members, scratch) {
             self.member_at.push(self.members.len());
             self.dim_at.push(self.axes.len());
             true
@@ -177,26 +186,44 @@ impl Spans {
 
     /// [`Spans::push_group`]'s body: appends the members and dimensions,
     /// leaving the offsets to the caller.
-    fn add_group(&mut self, topo: &Topology, members: &[NpuId], coords: &mut Vec<usize>) -> bool {
+    fn add_group(
+        &mut self,
+        topo: &Topology,
+        members: &[NpuId],
+        scratch: &mut GroupScratch,
+    ) -> bool {
         let start = self.members.len();
         self.members.extend_from_slice(members);
         let sorted = &mut self.members[start..];
-        sorted.sort_unstable();
-        if sorted.windows(2).any(|w| w[0] == w[1])
-            || sorted.last().is_none_or(|&m| m >= topo.npus())
-        {
+        // `TraceBuilder` groups come ascending already.
+        if sorted.windows(2).any(|w| w[0] >= w[1]) {
+            sorted.sort_unstable();
+            if sorted.windows(2).any(|w| w[0] == w[1]) {
+                return false;
+            }
+        }
+        if sorted.last().is_none_or(|&m| m >= topo.npus()) {
             return false;
         }
+        let GroupScratch { coords, seen } = scratch;
         let rep = members[0];
         let mut product = 1usize;
         for (dim_idx, base) in topo.dims().iter().enumerate() {
             let (stride, k) = (topo.dim_stride(dim_idx), base.npus());
-            let coord = |m: NpuId| m / stride % k;
+            // Each member's coordinate, aligned with `members`.
             coords.clear();
-            coords.extend(members.iter().map(|&m| coord(m)));
-            coords.sort_unstable();
-            coords.dedup();
-            let distinct = coords.len();
+            coords.extend(members.iter().map(|&m| m / stride % k));
+            if seen.len() < k {
+                seen.resize(k, false);
+            }
+            let mut distinct = 0;
+            for &c in coords.iter() {
+                distinct += usize::from(!seen[c]);
+                seen[c] = true;
+            }
+            for &c in coords.iter() {
+                seen[c] = false;
+            }
             product *= distinct;
             if distinct > 1 {
                 let block = match base.block() {
@@ -211,13 +238,13 @@ impl Spans {
                 // exactly the algorithm's per-step hop). A member is on
                 // that line when it differs from the representative in
                 // this coordinate only.
-                let line = rep - coord(rep) * stride;
+                let line = rep - coords[0] * stride;
                 let mut lowest: [Option<(usize, NpuId)>; 2] = [None, None];
-                for &m in members {
-                    if m - coord(m) * stride != line {
+                for (&m, &c) in members.iter().zip(coords.iter()) {
+                    if m - c * stride != line {
                         continue;
                     }
-                    let point = (coord(m), m);
+                    let point = (c, m);
                     if lowest[0].is_none_or(|low| point < low) {
                         lowest = [Some(point), lowest[0]];
                     } else if lowest[1].is_none_or(|low| point < low) {
@@ -314,9 +341,9 @@ pub(crate) fn prepare(
     };
 
     let mut spans = Spans::new();
-    let mut coords = Vec::new();
+    let mut scratch = GroupScratch::default();
     for (gi, members) in trace.groups().iter().enumerate() {
-        if !spans.push_group(topo, members, &mut coords) {
+        if !spans.push_group(topo, members, &mut scratch) {
             return Err(SimError::UnalignedGroup { group: gi });
         }
     }
@@ -389,5 +416,141 @@ pub(crate) fn build_backend(
             }
             (fabric, _) => Box::new(FlowNetwork::with_fabric(topo, fabric)),
         },
+    }
+}
+
+#[cfg(test)]
+mod tests {
+    use super::*;
+
+    /// The span of `members` as set-up computed it before it reused
+    /// coordinates: sort, then per dimension sort the coordinates to count
+    /// them and compute them again for the wire scan. `None` when the
+    /// group is not a sub-grid.
+    #[allow(clippy::type_complexity)]
+    fn reference(
+        topo: &Topology,
+        members: &[NpuId],
+    ) -> Option<(
+        Vec<NpuId>,
+        Vec<usize>,
+        Vec<Dimension>,
+        Vec<(NpuId, NpuId)>,
+        Vec<usize>,
+    )> {
+        let mut sorted = members.to_vec();
+        sorted.sort_unstable();
+        if sorted.windows(2).any(|w| w[0] == w[1]) || sorted.last()? >= &topo.npus() {
+            return None;
+        }
+        let (mut axes, mut dims, mut wires, mut lanes) = (vec![], vec![], vec![], vec![]);
+        let rep = members[0];
+        let mut product = 1;
+        for (dim_idx, base) in topo.dims().iter().enumerate() {
+            let (stride, k) = (topo.dim_stride(dim_idx), base.npus());
+            let coord = |m: NpuId| m / stride % k;
+            let mut coords: Vec<usize> = members.iter().map(|&m| coord(m)).collect();
+            coords.sort_unstable();
+            coords.dedup();
+            product *= coords.len();
+            if coords.len() > 1 {
+                let line = rep - coord(rep) * stride;
+                let mut on_line: Vec<(usize, NpuId)> = members
+                    .iter()
+                    .filter(|&&m| m - coord(m) * stride == line)
+                    .map(|&m| (coord(m), m))
+                    .collect();
+                on_line.sort_unstable();
+                let [(_, first), (_, second), ..] = on_line[..] else {
+                    return None;
+                };
+                let block = match base.block() {
+                    BuildingBlock::Ring(_) => BuildingBlock::Ring(coords.len()),
+                    BuildingBlock::FullyConnected(_) => BuildingBlock::FullyConnected(coords.len()),
+                    BuildingBlock::Switch(_) => BuildingBlock::Switch(coords.len()),
+                };
+                axes.push(dim_idx);
+                dims.push(
+                    Dimension::new(block)
+                        .with_bandwidth(base.bandwidth())
+                        .with_link_latency(base.link_latency()),
+                );
+                wires.push((second, first));
+                lanes.push(rep * topo.num_dims() + dim_idx);
+            }
+        }
+        (product == members.len()).then_some((sorted, axes, dims, wires, lanes))
+    }
+
+    /// Sub-grids (ascending, shuffled, with a member repeated, or one
+    /// past the topology) and random member sets on 1- to 3-D topologies:
+    /// `push_group` accepts exactly the groups the sorting reference does,
+    /// with the same members, dimensions, wires and lanes, and leaves
+    /// nothing behind for the others.
+    #[test]
+    fn spans_match_the_sorting_reference() {
+        let mut seed = 11u64;
+        let mut below = |n: usize| {
+            seed = seed
+                .wrapping_mul(6_364_136_223_846_793_005)
+                .wrapping_add(1_442_695_040_888_963_407);
+            (seed >> 33) as usize % n
+        };
+        let topos = [
+            "SW(8)@100",
+            "R(4)@250_SW(6)@100",
+            "R(2)@250_FC(3)@200_SW(4)@50",
+        ];
+        let mut scratch = GroupScratch::default();
+        let mut accepted = 0;
+        for notation in topos {
+            let topo = Topology::parse(notation).unwrap();
+            let mut spans = Spans::new();
+            for case in 0..400 {
+                let mut members: Vec<NpuId> = if case % 3 == 0 {
+                    (0..1 + below(6)).map(|_| below(topo.npus())).collect()
+                } else {
+                    // A sub-grid: some coordinates per dimension.
+                    let mut grid = vec![0];
+                    for (d, dim) in topo.dims().iter().enumerate() {
+                        let mut picks: Vec<usize> = (0..dim.npus()).collect();
+                        for i in (1..picks.len()).rev() {
+                            picks.swap(i, below(i + 1));
+                        }
+                        picks.truncate(1 + below(dim.npus()));
+                        let stride = topo.dim_stride(d);
+                        grid = grid
+                            .iter()
+                            .flat_map(|&m| picks.iter().map(move |&c| m + c * stride))
+                            .collect();
+                    }
+                    grid.sort_unstable();
+                    grid
+                };
+                match case % 5 {
+                    1 => members.reverse(),
+                    2 => members.push(members[0]),
+                    3 if case % 2 == 0 => members.push(topo.npus()),
+                    _ => {}
+                }
+                let want = reference(&topo, &members);
+                let before = spans.len();
+                let got = spans.push_group(&topo, &members, &mut scratch);
+                assert_eq!(got, want.is_some(), "{notation} {members:?}");
+                let Some((sorted, axes, dims, wires, lanes)) = want else {
+                    assert_eq!(spans.len(), before);
+                    continue;
+                };
+                accepted += 1;
+                let span = spans.span(before);
+                assert_eq!(span.members, &sorted[..]);
+                assert_eq!(span.axes, &axes[..]);
+                assert_eq!(span.dims, &dims[..]);
+                assert_eq!(span.wires, &wires[..]);
+                assert_eq!(span.lanes, &lanes[..]);
+                assert!(span.degraded.iter().all(Option::is_none));
+            }
+        }
+        assert!(accepted > 400, "only {accepted} groups were sub-grids");
     }
 }
